@@ -16,6 +16,7 @@ replacement for them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -26,6 +27,7 @@ from .frames import (
     ObligationScore,
     TraceEnvironment,
     _as_mask,
+    _check_frame_step,
     derive_edge_atoms,
     evaluate,
     score,
@@ -33,6 +35,8 @@ from .frames import (
 from .intervals import (
     Interval,
     Matching,
+    _overlapping,
+    _run_edges,
     boundary_f1,
     candidates,
     covering_counts,
@@ -497,12 +501,8 @@ def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
     obligated = len(refs)
     satisfied = 0
     for ref in refs:
-        first = None
-        for t in onsets:
-            if t >= ref.start - lead - _TIME_EPS:
-                first = t
-                break
-        if first is not None and first <= ref.start + lag + _TIME_EPS:
+        k = bisect_left(onsets, ref.start - lead - _TIME_EPS)
+        if k < len(onsets) and onsets[k] <= ref.start + lag + _TIME_EPS:
             satisfied += 1
     ratio = satisfied / obligated if obligated else 1.0
     return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
@@ -516,14 +516,18 @@ def purity_score(
     """Dominant-overlap reference class equals the prediction's own class.
 
     Dominance ties fail, as does a prediction with no reference overlap.
+    Each class total sums, in reference order, only the references the
+    range scan finds overlapping; the skipped terms are exact zeros.
     """
     preds = tuple(preds)
+    classes = [(cls, tuple(refs)) for cls, refs in class_ref_intervals.items()]
+    hits = [_overlapping(preds, refs) for _, refs in classes]
     obligated = len(preds)
     satisfied = 0
-    for pred in preds:
+    for k, pred in enumerate(preds):
         totals = {
-            cls: sum(overlap_length(pred, r) for r in refs)
-            for cls, refs in class_ref_intervals.items()
+            cls: sum(overlap_length(pred, refs[j]) for j in class_hits[k])
+            for (cls, refs), class_hits in zip(classes, hits)
         }
         best = max(totals.values(), default=0.0)
         if best <= 0.0:
@@ -542,13 +546,18 @@ def event_clause_score(
     matching: Matching,
     tolerance: float,
     class_context: tuple[str, Mapping[str, Sequence[Interval]]] | None = None,
+    counts: Sequence[int] | None = None,
 ) -> ObligationScore:
-    """Mean of the clause predicate over its obligation set; empty set scores one."""
+    """Mean of the clause predicate over its obligation set; empty set scores one.
+
+    ``counts`` may pass in the :func:`covering_counts` of ``refs`` against
+    ``preds`` when the caller has them already.
+    """
     if clause.predicate == "duration_within":
         threshold = clause.param("threshold", 2.0 * tolerance)
         return duration_score(refs, preds, matching, threshold)
     if clause.predicate == "singly_covered":
-        return fragmentation_score(refs, preds, matching)
+        return fragmentation_score(refs, preds, matching, counts)
     if clause.predicate == "latency_window":
         lead = clause.param("lead", tolerance)
         lag = clause.param("lag", 2.0 * tolerance)
@@ -568,6 +577,7 @@ def _event_clause_witness(
     refs: Sequence[Interval],
     preds: Sequence[Interval],
     matching: Matching,
+    counts: Sequence[int],
 ) -> float | None:
     if clause.predicate == "duration_within":
         diffs = _duration_diffs(refs, preds, matching)
@@ -575,7 +585,7 @@ def _event_clause_witness(
             return None
         return float(np.mean(diffs) * 1000.0)
     if clause.predicate == "singly_covered":
-        extras = _fragmentation_extras(refs, preds, matching)
+        extras = _fragmentation_extras(matching, counts)
         if not extras:
             return None
         return float(np.mean(extras))
@@ -590,14 +600,13 @@ def _duration_diffs(refs, preds, matching: Matching) -> tuple[float, ...]:
     )
 
 
-def _fragmentation_extras(refs, preds, matching: Matching) -> tuple[int, ...]:
+def _fragmentation_extras(matching: Matching, counts: Sequence[int]) -> tuple[int, ...]:
     # Zero exactly when the reference obligation is satisfied: over-covered
     # references report the extra covering count, unmatched ones at least one.
-    refs = tuple(refs)
-    counts = covering_counts(refs, preds)
+    matched_refs = matching.matched_refs
     extras = []
-    for ri in range(len(refs)):
-        if ri in matching.matched_refs and counts[ri] <= 1:
+    for ri in range(len(counts)):
+        if ri in matched_refs and counts[ri] <= 1:
             extras.append(0)
         elif counts[ri] > 1:
             extras.append(counts[ri] - 1)
@@ -647,6 +656,7 @@ def monitor(
         matching = match_greedy(cands)
     else:
         matching = match_exact(cands)
+    counts = covering_counts(refs, preds)
     coordinates = []
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
@@ -655,9 +665,9 @@ def monitor(
             kind = "frame"
         else:
             value = event_clause_score(
-                clause, refs, preds, matching, contract.tolerance, _class_context
+                clause, refs, preds, matching, contract.tolerance, _class_context, counts
             )
-            witness = _event_clause_witness(clause, refs, preds, matching)
+            witness = _event_clause_witness(clause, refs, preds, matching, counts)
             kind = "event"
         coordinates.append(
             GuardCoordinate(
@@ -678,7 +688,7 @@ def monitor(
         onset_excluded=onset_excluded,
         offset_excluded=offset_excluded,
         duration_abs_diffs=_duration_diffs(refs, preds, matching),
-        fragmentation_extra_counts=_fragmentation_extras(refs, preds, matching),
+        fragmentation_extra_counts=_fragmentation_extras(matching, counts),
     )
     return MonitorResult(GuardVector(tuple(coordinates)), witnesses, refs, preds, matching)
 
@@ -741,12 +751,9 @@ def monitor_classes(
 
 
 def _edge_times(mask: np.ndarray, h: float) -> np.ndarray:
-    intervals = extract_intervals(mask, h, 0.0)
-    times = []
-    for interval in intervals:
-        times.append(interval.start)
-        times.append(interval.end)
-    return np.array(sorted(times))
+    # Maximal runs never touch, so their starts and ends interleave in
+    # ascending order and the edge frames are already sorted.
+    return _run_edges(mask) * h
 
 
 def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCALE) -> float:
@@ -761,6 +768,7 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
         raise ValueError(f"scale must be positive, got {scale!r}")
     ref = _as_mask(ref_mask, "ref_mask")
     pred = _as_mask(pred_mask, "pred_mask")
+    _check_frame_step(h)
     ref_edges = _edge_times(ref, h)
     pred_edges = _edge_times(pred, h)
     if ref_edges.size == 0 and pred_edges.size == 0:

@@ -58,10 +58,22 @@ def radius_frames(epsilon: float, h: float) -> int:
 
 
 def _as_mask(values, name: str = "mask") -> np.ndarray:
+    """A Boolean copy of a one-dimensional 0/1 sequence.
+
+    Values of a non-Boolean array must all equal 0 or 1, as in trace
+    files; a 2, a -1 or a NaN raises instead of reading as active.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} must contain only 0/1 values")
     return arr.astype(bool)
+
+
+def _check_frame_step(h) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"frame step must be finite and positive, got {h!r}")
 
 
 @dataclass
@@ -73,8 +85,7 @@ class TraceEnvironment:
     atoms: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if not (self.frame_step > 0.0):
-            raise ValueError(f"frame step must be positive, got {self.frame_step!r}")
+        _check_frame_step(self.frame_step)
         if self.frame_count < 0:
             raise ValueError(f"frame count must be nonnegative, got {self.frame_count!r}")
         converted = {}

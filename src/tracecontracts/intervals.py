@@ -12,16 +12,36 @@ so small boundary error is cheap and overlap is a reward.  The greedy
 policy keeps the cheapest still-unmatched candidates; the exact policy
 returns a maximum cardinality matching of minimum total cost and is
 intended for bounded audit instances.
+
+Runs are found from the nonzero differences of the zero-padded mask, so
+extraction is vectorised over frames and touches Python once per run.
+Pair relations use a sorted-window range scan instead of an all-pairs
+loop: visited in start order, every prediction that overlaps a
+reference starts before the reference ends and has a running maximum end
+past the reference start, so the overlapping predictions lie in one
+contiguous window of that order, found by two bisections.  Each window
+member is kept or dropped by the same float test the all-pairs loop
+applies, so results are identical for any interval sequences, sorted or
+not, overlapping or not.  For the sorted disjoint runs that extraction
+returns, the start-order sort is one linear pass and the window holds
+exactly the overlapping predictions; candidate generation and covering
+counts then cost O(R + P + K) for R references, P predictions and
+K <= R + P - 1 overlapping pairs, plus a C-level bisection per
+reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .frames import ObligationScore, _as_mask
+from .frames import ObligationScore, _as_mask, _check_frame_step
 
 _TIME_EPS = 1e-9
 
@@ -51,6 +71,13 @@ def overlap_length(a: Interval, b: Interval) -> float:
     return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
+def _run_edges(mask: np.ndarray) -> np.ndarray:
+    """Start and end frames of the maximal runs of a Boolean mask,
+    interleaved in ascending order (starts at even positions)."""
+    padded = np.concatenate(([False], mask, [False]))
+    return np.flatnonzero(np.diff(padded))
+
+
 def extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval, ...]:
     """Maximal active runs as half open intervals, in one left-to-right scan.
 
@@ -60,25 +87,36 @@ def extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval,
     if merge_gap < 0.0:
         raise ValueError(f"merge gap must be nonnegative, got {merge_gap!r}")
     arr = _as_mask(mask)
-    if not (h > 0.0):
-        raise ValueError(f"frame step must be positive, got {h!r}")
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, active in enumerate(arr):
-        if active and start is None:
-            start = i
-        elif not active and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(arr)))
-    merged: list[tuple[int, int]] = []
-    for lo, hi in runs:
-        if merged and (lo - merged[-1][1]) * h <= merge_gap + _TIME_EPS:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return tuple(Interval(lo * h, hi * h) for lo, hi in merged)
+    _check_frame_step(h)
+    edges = _run_edges(arr)
+    lo, hi = edges[0::2], edges[1::2]
+    if lo.size > 1:
+        # Run k joins run k - 1 when the gap between them passes the test;
+        # a merged interval keeps its first start and its last end.
+        joins = (lo[1:] - hi[:-1]) * h <= merge_gap + _TIME_EPS
+        lo = lo[np.append(True, ~joins)]
+        hi = hi[np.append(~joins, True)]
+    return tuple(Interval(a * h, b * h) for a, b in zip(lo.tolist(), hi.tolist()))
+
+
+def _overlapping(queries, items) -> list[list[int]]:
+    """For each query interval, the ascending indices of the items it
+    overlaps with positive length, found by the sorted-window range scan."""
+    order = sorted(range(len(items)), key=lambda i: items[i].start)
+    starts = [items[i].start for i in order]
+    reach = list(accumulate((items[i].end for i in order), max))
+    out = []
+    for query in queries:
+        lo = bisect_right(reach, query.start)
+        hi = bisect_left(starts, query.end, lo)
+        hits = [
+            order[k]
+            for k in range(lo, hi)
+            if overlap_length(query, items[order[k]]) > 0.0
+        ]
+        hits.sort()  # start order differs from index order on unsorted input
+        out.append(hits)
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,12 +132,13 @@ def candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
     """All overlapping pairs with some endpoint within three tolerances."""
     if not (epsilon > 0.0):
         raise ValueError(f"tolerance must be positive, got {epsilon!r}")
+    refs = tuple(refs)
+    preds = tuple(preds)
     limit = 3.0 * epsilon + _TIME_EPS
     out: list[CandidatePair] = []
-    for ri, ref in enumerate(refs):
-        for pi, pred in enumerate(preds):
-            if overlap_length(ref, pred) <= 0.0:
-                continue
+    for ri, (ref, hits) in enumerate(zip(refs, _overlapping(refs, preds))):
+        for pi in hits:
+            pred = preds[pi]
             if (
                 abs(ref.start - pred.start) > limit
                 and abs(ref.end - pred.end) > limit
@@ -125,11 +164,11 @@ class Matching:
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
 
-    @property
+    @cached_property
     def matched_refs(self) -> frozenset[int]:
         return frozenset(ri for ri, _ in self.pairs)
 
-    @property
+    @cached_property
     def matched_preds(self) -> frozenset[int]:
         return frozenset(pi for _, pi in self.pairs)
 
@@ -226,16 +265,20 @@ def duration_score(refs, preds, matching: Matching, threshold: float) -> Obligat
 
 def covering_counts(refs, preds) -> tuple[int, ...]:
     """Number of predictions with positive overlap against each reference."""
-    preds = tuple(preds)
-    return tuple(
-        sum(1 for p in preds if overlap_length(r, p) > 0.0) for r in refs
-    )
+    return tuple(len(hits) for hits in _overlapping(tuple(refs), tuple(preds)))
 
 
-def fragmentation_score(refs, preds, matching: Matching) -> ObligationScore:
-    """Mean over references of (matched and covered by at most one prediction)."""
+def fragmentation_score(
+    refs, preds, matching: Matching, counts: Sequence[int] | None = None
+) -> ObligationScore:
+    """Mean over references of (matched and covered by at most one prediction).
+
+    ``counts`` may pass in the :func:`covering_counts` of the same
+    families when the caller has them already.
+    """
     refs = tuple(refs)
-    counts = covering_counts(refs, preds)
+    if counts is None:
+        counts = covering_counts(refs, preds)
     matched_refs = matching.matched_refs
     obligated = len(refs)
     satisfied = sum(
@@ -283,6 +326,7 @@ def matcher_audit(refs, preds, epsilon: float, bound: int = 24) -> MatcherAudit:
     greedy = match_greedy(cands)
     exact = match_exact(cands, bound=bound)
     threshold = 2.0 * epsilon
+    counts = covering_counts(refs, preds)
     return MatcherAudit(
         greedy=greedy,
         exact=exact,
@@ -291,6 +335,6 @@ def matcher_audit(refs, preds, epsilon: float, bound: int = 24) -> MatcherAudit:
         exact_boundary_f1=boundary_f1(refs, preds, exact),
         greedy_duration=duration_score(refs, preds, greedy, threshold),
         exact_duration=duration_score(refs, preds, exact, threshold),
-        greedy_fragmentation=fragmentation_score(refs, preds, greedy),
-        exact_fragmentation=fragmentation_score(refs, preds, exact),
+        greedy_fragmentation=fragmentation_score(refs, preds, greedy, counts),
+        exact_fragmentation=fragmentation_score(refs, preds, exact, counts),
     )

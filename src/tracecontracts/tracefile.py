@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +79,8 @@ def trace_from_dict(data: dict, context: str = "trace") -> TraceFile:
         frame_step = float(data["frame_step"])
     except (KeyError, TypeError, ValueError):
         raise TraceFormatError(f"{context}: missing or invalid 'frame_step'") from None
-    if not frame_step > 0.0:
-        raise TraceFormatError(f"{context}: frame_step must be positive")
+    if not (math.isfinite(frame_step) and frame_step > 0.0):
+        raise TraceFormatError(f"{context}: frame_step must be finite and positive")
     item_id = str(data.get("item_id", context))
     classes = {}
     for name, node in dict(data.get("classes", {})).items():

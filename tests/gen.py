@@ -1,8 +1,9 @@
 """Shared random generators and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's prefix-sum and
-assignment-solver code paths: formula semantics are re-derived with
-per-frame window scans, and optimal matchings by subset enumeration.
+The oracles here deliberately avoid the library's prefix-sum, range-scan
+and assignment-solver code paths: formula semantics are re-derived with
+per-frame window scans, interval relations with all-pairs loops, and
+optimal matchings by subset enumeration.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import random
 
 import numpy as np
 
-from tracecontracts.frames import TraceEnvironment, radius_frames
+from tracecontracts.frames import ObligationScore, TraceEnvironment, radius_frames
+from tracecontracts.intervals import CandidatePair, Interval, overlap_length
 from tracecontracts.parser import (
     Always,
     And,
@@ -26,6 +28,8 @@ from tracecontracts.parser import (
 )
 
 DEFAULT_ATOMS = ("a", "b", "c")
+
+_TIME_EPS = 1e-9
 
 
 def random_formula(
@@ -191,3 +195,107 @@ def enumerate_formulas(height: int, atoms=("a", "b"), radius: float = 0.04) -> l
                 nxt.append(Until(f, g, radius))
         seen = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Naive interval layer: frame loops and all-pairs scans, kept as oracles for
+# the vectorised extraction and the range-scan pair relations.
+
+
+def naive_extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval, ...]:
+    """Maximal runs by one Python step per frame, then a sequential merge."""
+    runs: list[tuple[int, int]] = []
+    start = None
+    arr = np.asarray(mask).astype(bool)
+    for i, active in enumerate(arr):
+        if active and start is None:
+            start = i
+        elif not active and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(arr)))
+    merged: list[tuple[int, int]] = []
+    for lo, hi in runs:
+        if merged and (lo - merged[-1][1]) * h <= merge_gap + _TIME_EPS:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(Interval(lo * h, hi * h) for lo, hi in merged)
+
+
+def naive_edge_times(mask, h: float) -> np.ndarray:
+    """Sorted run endpoints of the unmerged runs, via interval objects."""
+    times = []
+    for interval in naive_extract_intervals(mask, h):
+        times.append(interval.start)
+        times.append(interval.end)
+    return np.array(sorted(times))
+
+
+def naive_candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
+    """The candidate relation by a reference x prediction double loop."""
+    preds = tuple(preds)
+    limit = 3.0 * epsilon + _TIME_EPS
+    out: list[CandidatePair] = []
+    for ri, ref in enumerate(refs):
+        for pi, pred in enumerate(preds):
+            if overlap_length(ref, pred) <= 0.0:
+                continue
+            if (
+                abs(ref.start - pred.start) > limit
+                and abs(ref.end - pred.end) > limit
+            ):
+                continue
+            cost = (
+                abs(ref.start - pred.start)
+                + abs(ref.end - pred.end)
+                - overlap_length(ref, pred)
+            )
+            out.append(CandidatePair(ri, pi, ref, pred, cost))
+    return tuple(out)
+
+
+def naive_covering_counts(refs, preds) -> tuple[int, ...]:
+    preds = tuple(preds)
+    return tuple(
+        sum(1 for p in preds if overlap_length(r, p) > 0.0) for r in refs
+    )
+
+
+def naive_latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
+    """First onset at or after the window start, by a linear scan per reference."""
+    refs = tuple(refs)
+    onsets = sorted(p.start for p in preds)
+    satisfied = 0
+    for ref in refs:
+        first = None
+        for t in onsets:
+            if t >= ref.start - lead - _TIME_EPS:
+                first = t
+                break
+        if first is not None and first <= ref.start + lag + _TIME_EPS:
+            satisfied += 1
+    obligated = len(refs)
+    ratio = satisfied / obligated if obligated else 1.0
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def naive_purity_score(class_name: str, preds, class_ref_intervals) -> ObligationScore:
+    """Dominant-overlap class by summing the overlap with every reference."""
+    preds = tuple(preds)
+    satisfied = 0
+    for pred in preds:
+        totals = {
+            cls: sum(overlap_length(pred, r) for r in refs)
+            for cls, refs in class_ref_intervals.items()
+        }
+        best = max(totals.values(), default=0.0)
+        if best <= 0.0:
+            continue
+        leaders = [cls for cls, total in totals.items() if total >= best - _TIME_EPS]
+        if leaders == [class_name]:
+            satisfied += 1
+    obligated = len(preds)
+    ratio = satisfied / obligated if obligated else 1.0
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)

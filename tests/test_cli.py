@@ -150,6 +150,8 @@ class TestMonitor:
         bad = tmp_path / "bad.json"
         bad.write_text('{"frame_step": 0.02, "union": {"ref": "01", "pred": "0102"}}')
         assert main(["monitor", str(contract_path), str(bad), "--out", str(tmp_path / "o")]) == 3
+        bad.write_text('{"frame_step": 1e400, "union": {"ref": "01", "pred": "01"}}')
+        assert main(["monitor", str(contract_path), str(bad), "--out", str(tmp_path / "o")]) == 3
 
     def test_jobs_flag_keeps_row_order(self, worked_files, tmp_path):
         contract_path, trace_path = worked_files

@@ -370,6 +370,18 @@ class TestSoftBoundary:
         with pytest.raises(ValueError):
             soft_boundary([0, 1], [0, 1], 0.02, 0.0)
 
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.02])
+    def test_frame_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="frame step"):
+            soft_boundary([0, 1, 0], [0, 1, 1], h)
+
+    @pytest.mark.parametrize("mask", [[0, 2, 0], [0, -1, 0], [0, float("nan"), 0]])
+    def test_non_binary_masks_rejected(self, mask):
+        with pytest.raises(ValueError, match="0/1"):
+            soft_boundary(mask, [0, 1, 0], 0.02)
+        with pytest.raises(ValueError, match="0/1"):
+            monitor(default_contract(0.04), [0, 1, 0], mask, 0.02)
+
 
 class TestToleranceSweep:
     GRID = (0.02, 0.04, 0.08, 0.12, 0.16)

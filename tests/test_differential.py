@@ -1,0 +1,171 @@
+"""The vectorised and range-scan interval layer against its naive oracles.
+
+Every comparison is exact: equal interval tuples with equal float
+reprs, candidate pairs in the same order with the same cost floats, and
+edge-time arrays equal bit for bit.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracecontracts.contracts import _edge_times, latency_score, purity_score
+from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track
+from tracecontracts.intervals import (
+    Interval,
+    candidates,
+    covering_counts,
+    extract_intervals,
+)
+
+from gen import (
+    naive_candidates,
+    naive_covering_counts,
+    naive_edge_times,
+    naive_extract_intervals,
+    naive_latency_score,
+    naive_purity_score,
+)
+
+STEPS = (0.01, 0.02, 0.0125, 1.0 / 3.0, 1.0)
+GAP_FRAMES = (0, 1, 3)
+
+
+def _event_mask(rng: random.Random, n: int) -> np.ndarray:
+    """Runs of 1-40 frames separated by 1-12 quiet frames."""
+    mask = np.zeros(n, dtype=bool)
+    i = rng.randint(0, 5)
+    while i < n:
+        length = rng.randint(1, 40)
+        mask[i : i + length] = True
+        i += length + rng.randint(1, 12)
+    return mask
+
+
+def _random_masks(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 300)
+        h = rng.choice(STEPS)
+        if rng.random() < 0.5:
+            yield _event_mask(rng, n), _event_mask(rng, n), h
+        else:
+            density = rng.random()
+            yield (
+                np.array([rng.random() < density for _ in range(n)], dtype=bool),
+                np.array([rng.random() < density for _ in range(n)], dtype=bool),
+                h,
+            )
+
+
+def _fixture_masks():
+    for case in stress_track() + [bridge_fixture()]:
+        yield case.ref_mask, case.pred_mask, case.frame_step, case.epsilon
+    for case in calibration_cases():
+        yield case.ref_mask, case.pred_mask, case.frame_step, 0.04
+
+
+def _assert_same_intervals(fast, slow):
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+
+
+def _assert_same_relations(refs, preds, epsilon):
+    fast = candidates(refs, preds, epsilon)
+    slow = naive_candidates(refs, preds, epsilon)
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+    assert covering_counts(refs, preds) == naive_covering_counts(refs, preds)
+    assert covering_counts(preds, refs) == naive_covering_counts(preds, refs)
+    for lead, lag in ((epsilon, 2.0 * epsilon), (0.0, epsilon)):
+        assert latency_score(refs, preds, lead, lag) == naive_latency_score(
+            refs, preds, lead, lag
+        )
+
+
+class TestExtraction:
+    def test_random_masks_and_merge_gaps(self):
+        for ref, pred, h in _random_masks(31, 300):
+            # k * h - 1e-9 puts a k-frame gap exactly on the slack of the test.
+            gaps = [k * h for k in GAP_FRAMES] + [k * h - 1e-9 for k in GAP_FRAMES[1:]]
+            for gap in gaps:
+                for mask in (ref, pred):
+                    _assert_same_intervals(
+                        extract_intervals(mask, h, gap), naive_extract_intervals(mask, h, gap)
+                    )
+
+    def test_fixtures(self):
+        for ref, pred, h, _ in _fixture_masks():
+            for frames in GAP_FRAMES:
+                for mask in (ref, pred):
+                    _assert_same_intervals(
+                        extract_intervals(mask, h, frames * h),
+                        naive_extract_intervals(mask, h, frames * h),
+                    )
+
+    def test_edge_times_bit_identical(self):
+        for ref, pred, h in _random_masks(32, 200):
+            for mask in (ref, pred):
+                fast = _edge_times(mask, h)
+                slow = naive_edge_times(mask, h)
+                assert fast.dtype == slow.dtype
+                assert fast.tobytes() == slow.tobytes()
+
+
+class TestPairRelations:
+    def test_random_masks_and_merge_gaps(self):
+        for ref, pred, h in _random_masks(33, 120):
+            for frames in GAP_FRAMES:
+                refs = extract_intervals(ref, h, frames * h)
+                preds = extract_intervals(pred, h, frames * h)
+                for epsilon in (0.02, 0.04, 0.1):
+                    _assert_same_relations(refs, preds, epsilon)
+
+    def test_fixtures(self):
+        for ref, pred, h, epsilon in _fixture_masks():
+            refs = extract_intervals(ref, h)
+            preds = extract_intervals(pred, h)
+            _assert_same_relations(refs, preds, epsilon)
+
+    def test_purity_on_random_classes(self):
+        rng = random.Random(34)
+        for _ in range(100):
+            n = rng.randint(0, 200)
+            h = rng.choice(STEPS)
+            class_refs = {
+                cls: extract_intervals(_event_mask(rng, n), h) for cls in ("a", "b", "c")
+            }
+            preds = extract_intervals(_event_mask(rng, n), h)
+            for cls in class_refs:
+                assert purity_score(cls, preds, class_refs) == naive_purity_score(
+                    cls, preds, class_refs
+                )
+
+
+# Arbitrary interval lists: unsorted, overlapping, nested and repeated.
+_ENDPOINT = st.one_of(
+    st.integers(0, 40).map(lambda k: k * 0.02),
+    st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+)
+_INTERVAL = st.tuples(_ENDPOINT, _ENDPOINT).filter(lambda ab: ab[0] != ab[1]).map(
+    lambda ab: Interval(min(ab), max(ab))
+)
+_FAMILY = st.lists(_INTERVAL, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FAMILY, _FAMILY, st.sampled_from((0.01, 0.04, 0.1, 0.3)))
+def test_arbitrary_interval_lists(refs, preds, epsilon):
+    _assert_same_relations(refs, preds, epsilon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FAMILY, _FAMILY, _FAMILY)
+def test_purity_on_arbitrary_interval_lists(preds, first, second):
+    class_refs = {"x": first, "y": second}
+    for cls in class_refs:
+        assert purity_score(cls, preds, class_refs) == naive_purity_score(
+            cls, preds, class_refs
+        )

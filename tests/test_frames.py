@@ -91,6 +91,25 @@ class TestEvaluate:
             TraceEnvironment(0.02, 3, {"a": [1, 0]})
 
 
+class TestStrictInputs:
+    @pytest.mark.parametrize("values", [[0, 2, 0], [1, -1, 0], [0.0, float("nan"), 1.0]])
+    def test_non_binary_mask_values_rejected(self, values):
+        with pytest.raises(ValueError, match="0/1"):
+            TraceEnvironment(0.02, 3, {"a": values})
+        with pytest.raises(ValueError, match="0/1"):
+            derive_edge_atoms(values, [0, 0, 0], 0.02)
+
+    def test_binary_values_of_any_dtype_accepted(self):
+        for values in ([0, 1, 1], [0.0, 1.0, 1.0], np.array([False, True, True])):
+            env = TraceEnvironment(0.02, 3, {"a": values})
+            assert bools(env.atoms["a"]) == [False, True, True]
+
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.02])
+    def test_frame_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="frame step"):
+            TraceEnvironment(h, 2, {"a": [0, 1]})
+
+
 class TestScore:
     def test_small_sample_counts(self):
         # four obligated frames, two satisfied

@@ -40,6 +40,18 @@ class TestExtraction:
     def test_all_zero(self):
         assert extract_intervals([0, 0, 0], 0.02) == ()
 
+    @pytest.mark.parametrize(
+        "mask", [[0, 2, float("nan"), 0, 1], [0, 2, 0, 1], [0, -1, 1], [float("nan"), 1]]
+    )
+    def test_non_binary_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="0/1"):
+            extract_intervals(mask, 0.01)
+
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.01])
+    def test_frame_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="frame step"):
+            extract_intervals([0, 1, 1, 0], h)
+
     def test_run_to_the_end(self):
         assert extract_intervals([0, 1, 1], 0.02) == (Interval(0.02, 0.06),)
 
