@@ -33,12 +33,11 @@ from .frames import (
     EvaluationPlan,
     EvalStats,
     ObligationScore,
+    Reach,
     TraceEnvironment,
     UnknownAtomError,
     derive_edge_atoms,
     evaluate,
-    lookahead,
-    lookahead_frames,
     radius_frames,
     score,
     share_subformulas,
@@ -70,6 +69,7 @@ from .contracts import (
     MonitorResult,
     SweepResult,
     WitnessReport,
+    compile_contract,
     contract_to_text,
     default_contract,
     default_contract_text,

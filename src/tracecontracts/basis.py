@@ -10,7 +10,7 @@ contract under (coordinate count, monitor cost, source order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -22,7 +22,7 @@ from .contracts import (
     FrameClause,
     event_clause_score,
 )
-from .frames import derive_edge_atoms, evaluate_arrays, score
+from .frames import _check_frame_step, derive_edge_atoms, obligation_score, share_subformulas
 from .intervals import candidates, extract_intervals, match_exact, match_greedy
 from .parser import Formula, node_count
 
@@ -61,19 +61,21 @@ def truth_signature(formula: Formula, atoms: Sequence[str], n: int, h: float) ->
     Two formulas are equivalent on the universe iff their signatures are
     equal byte for byte.
     """
+    plan = share_subformulas([formula], h)
     stacked = _universe(atoms, n)
     if n == 0:
         return b""
-    values = evaluate_arrays(formula, stacked, h)
+    values = plan.evaluate(stacked)[formula]
     return np.packbits(values.reshape(-1).astype(np.uint8)).tobytes()
 
 
 def satisfiable(formula: Formula, atoms: Sequence[str], n: int, h: float) -> bool:
     """True iff some environment in the universe yields a true frame."""
+    plan = share_subformulas([formula], h)
     stacked = _universe(atoms, n)
     if n == 0:
         return False
-    return bool(evaluate_arrays(formula, stacked, h).any())
+    return bool(plan.evaluate(stacked)[formula].any())
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,7 @@ class CalibrationCase:
     def __post_init__(self) -> None:
         if len(self.ref_mask) != len(self.pred_mask):
             raise ValueError(f"case {self.id!r}: mask lengths differ")
+        _check_frame_step(self.frame_step)
 
 
 @dataclass(frozen=True)
@@ -131,16 +134,40 @@ def basis_from_contract(contract: Contract) -> CandidateBasis:
 
 def clause_value(basis: CandidateBasis, clause: BasisClause, case: CalibrationCase) -> float:
     """Monitor one clause on one calibration case."""
+    return _case_values(replace(basis, clauses=(clause,)), case)[clause.source_order]
+
+
+def _case_values(basis: CandidateBasis, case: CalibrationCase) -> dict[int, float]:
+    """Every basis clause's value on one case, by source order.
+
+    The case's atoms and frame plan, and its runs and matching, are each
+    derived once for all clauses; a basis without event clauses never
+    runs the matcher.
+    """
     h = case.frame_step
-    env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
-    inner = clause.clause
-    if isinstance(inner, FrameClause):
-        return score(inner.formula, inner.obligation, env).score
-    refs = extract_intervals(case.ref_mask, h, basis.merge_gap)
-    preds = extract_intervals(case.pred_mask, h, basis.merge_gap)
-    cands = candidates(refs, preds, basis.tolerance)
-    matching = match_greedy(cands) if basis.matcher == "greedy" else match_exact(cands)
-    return event_clause_score(inner, refs, preds, matching, basis.tolerance).score
+    frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
+    event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
+    out: dict[int, float] = {}
+    if frame:
+        env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
+        plan = share_subformulas(
+            (f for c in frame for f in (c.clause.formula, c.clause.obligation)), h
+        )
+        values = plan.evaluate(env.atoms)
+        for c in frame:
+            out[c.source_order] = obligation_score(
+                values[c.clause.formula], values[c.clause.obligation]
+            ).score
+    if event:
+        refs = extract_intervals(case.ref_mask, h, basis.merge_gap)
+        preds = extract_intervals(case.pred_mask, h, basis.merge_gap)
+        cands = candidates(refs, preds, basis.tolerance)
+        matching = match_greedy(cands) if basis.matcher == "greedy" else match_exact(cands)
+        for c in event:
+            out[c.source_order] = event_clause_score(
+                c.clause, refs, preds, matching, basis.tolerance
+            ).score
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,11 +181,9 @@ class ClauseSignature:
 def clause_signatures(
     basis: CandidateBasis, cases: Sequence[CalibrationCase]
 ) -> tuple[ClauseSignature, ...]:
+    per_case = [_case_values(basis, case) for case in cases]
     return tuple(
-        ClauseSignature(
-            clause.source_order,
-            tuple(clause_value(basis, clause, case) for case in cases),
-        )
+        ClauseSignature(clause.source_order, tuple(case[clause.source_order] for case in per_case))
         for clause in basis.clauses
     )
 

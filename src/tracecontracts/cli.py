@@ -20,9 +20,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,15 +34,18 @@ from .contracts import (
     Contract,
     ContractSyntaxError,
     FrameClause,
+    GuardCoordinate,
+    GuardVector,
     MonitorResult,
+    compile_contract,
     default_contract_text,
-    load_contract,
     monitor,
     monitor_classes,
+    parse_contract_text,
     soft_boundary,
     tolerance_sweep,
 )
-from .frames import UnknownAtomError, derive_edge_atoms, evaluate, lookahead
+from .frames import UnknownAtomError, derive_edge_atoms, evaluate
 from .intervals import AuditBoundError, extract_intervals, matcher_audit
 from .parser import format_formula, radius_sum, temporal_depth
 from .streaming import StreamingMonitor
@@ -70,9 +74,29 @@ def _print_contract_error(path: str, error: ContractSyntaxError) -> None:
             print("  " + " " * error.span.start + "^", file=sys.stderr)
 
 
-def _load_contract(path: str) -> Contract:
+def _positive_ms(text: str) -> float:
+    """Argument type of the millisecond flags: a finite positive number."""
     try:
-        return load_contract(path)
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number of milliseconds, got {text!r}"
+        )
+    return value
+
+
+def _positive_ms_list(text: str) -> list[float]:
+    return [_positive_ms(part) for part in text.split(",")]
+
+
+def _load_contract(path: str) -> tuple[Contract, str]:
+    """The parsed contract and the text it was parsed from, read once."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        return parse_contract_text(text), text
     except ContractSyntaxError as error:
         _print_contract_error(path, error)
         raise SystemExit(EXIT_CONTRACT) from None
@@ -95,7 +119,20 @@ def _load_traces(paths) -> list:
     return traces
 
 
-def _manifest(command: str, contract_text: str | None, settings: dict, inputs, flags: dict, stamp_time: bool) -> dict:
+def _contract_settings(contract: Contract) -> dict:
+    return {
+        "tolerance": contract.tolerance,
+        "silence_radius": contract.silence_radius,
+        "merge_gap": contract.merge_gap,
+        "matcher": contract.matcher,
+    }
+
+
+def _write_report(
+    args, command: str, contract_text: str | None, settings: dict, inputs, flags: dict, tables: dict
+) -> None:
+    """Write ``manifest.json`` and each ``name: (header, rows)`` table under
+    ``args.out``; every CSV starts with the manifest's run id."""
     manifest = {
         "tool": "tracecontracts",
         "version": __version__,
@@ -110,44 +147,37 @@ def _manifest(command: str, contract_text: str | None, settings: dict, inputs, f
     }
     manifest["run_id"] = sha256_text(canonical_json(manifest))[:16]
     manifest["generated_at"] = (
-        datetime.now(timezone.utc).isoformat() if stamp_time else None
+        datetime.now(timezone.utc).isoformat() if args.stamp_time else None
     )
-    return manifest
-
-
-def _write_manifest(out_dir: str, manifest: dict) -> None:
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    os.makedirs(args.out, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        buffer = io.StringIO()
+        buffer.write(f"# manifest={manifest['run_id']}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(buffer.getvalue())
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _write_csv(path: str, run_id: str, header: list[str], rows: list[list[str]]) -> None:
-    buffer = io.StringIO()
-    buffer.write(f"# manifest={run_id}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(buffer.getvalue())
+def _coordinate_cells(coord: GuardCoordinate) -> list[str]:
+    return [
+        coord.name,
+        _fmt_score(coord.score),
+        str(coord.obligated),
+        str(coord.satisfied),
+        str(coord.violated),
+    ]
 
 
-def _guard_rows(item_id: str, class_name: str, result: MonitorResult) -> list[list[str]]:
-    rows = []
-    for coord in result.guards:
-        rows.append(
-            [
-                item_id,
-                class_name,
-                coord.name,
-                _fmt_score(coord.score),
-                str(coord.obligated),
-                str(coord.satisfied),
-                str(coord.violated),
-                _fmt_ms(coord.witness_mean),
-            ]
-        )
-    return rows
+def _guard_rows(item_id: str, class_name: str, guards: GuardVector) -> list[list[str]]:
+    return [
+        [item_id, class_name, *_coordinate_cells(coord), _fmt_ms(coord.witness_mean)]
+        for coord in guards
+    ]
 
 
 def _witness_row(item_id, class_name, result: MonitorResult, soft: float) -> list[str]:
@@ -194,14 +224,10 @@ WITNESS_HEADER = [
 
 
 def cmd_check(args) -> int:
-    try:
-        contract = load_contract(args.contract)
-    except ContractSyntaxError as error:
-        _print_contract_error(args.contract, error)
-        return EXIT_CONTRACT
-    except OSError as error:
-        print(f"cannot read contract {args.contract}: {error}", file=sys.stderr)
-        return EXIT_CONTRACT
+    contract, _ = _load_contract(args.contract)
+    # Lookahead in seconds does not depend on the grid and a check has no
+    # trace, so any frame step serves.
+    reach = compile_contract(contract, 1.0).reach
     print(
         f"contract: tolerance={contract.tolerance}s silence_radius={contract.silence_radius}s "
         f"merge_gap={contract.merge_gap}s matcher={contract.matcher}"
@@ -213,7 +239,7 @@ def cmd_check(args) -> int:
                 f"frame {clause.name}: {format_formula(formula)} @ "
                 f"{format_formula(clause.obligation)} "
                 f"(depth={temporal_depth(formula)}, radius_sum={radius_sum(formula):.3f}s, "
-                f"lookahead={lookahead(formula):.3f}s)"
+                f"lookahead={reach[formula].seconds:.3f}s)"
             )
         else:
             params = " ".join(f"{k}={v}" for k, v in clause.params)
@@ -223,99 +249,56 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _monitor_one(contract: Contract, trace, classes: bool, soft_scale: float):
-    ref, pred = trace.union_masks()
-    union_result = monitor(contract, ref, pred, trace.frame_step)
-    union_soft = soft_boundary(ref, pred, trace.frame_step, soft_scale)
-    per_class = None
-    if classes and trace.classes:
-        per_class = monitor_classes(contract, trace.classes, trace.frame_step)
-    return union_result, union_soft, per_class
-
-
 def cmd_monitor(args) -> int:
-    contract = _load_contract(args.contract)
+    contract, contract_text = _load_contract(args.contract)
     if args.matcher:
-        contract = Contract(
-            contract.tolerance,
-            contract.silence_radius,
-            contract.merge_gap,
-            args.matcher,
-            contract.clauses,
-        )
+        contract = replace(contract, matcher=args.matcher)
     traces = _load_traces(args.traces)
     soft_scale = args.soft_scale / 1000.0
-    os.makedirs(args.out, exist_ok=True)
-    with open(args.contract, "r", encoding="utf-8") as handle:
-        contract_text = handle.read()
-    manifest = _manifest(
-        "monitor",
-        contract_text,
-        {
-            "tolerance": contract.tolerance,
-            "silence_radius": contract.silence_radius,
-            "merge_gap": contract.merge_gap,
-            "matcher": contract.matcher,
-            "soft_scale_ms": args.soft_scale,
-        },
-        [path for path, _ in traces],
-        {"classes": bool(args.classes)},
-        args.stamp_time,
-    )
-
-    def run(entry):
-        _, trace = entry
-        try:
-            return _monitor_one(contract, trace, args.classes, soft_scale)
-        except UnknownAtomError as error:
-            raise SystemExit(EXIT_ATOM) from error
-
-    try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(run, traces))
-        else:
-            results = [run(entry) for entry in traces]
-    except SystemExit as stop:
-        if stop.code == EXIT_ATOM:
-            print("atom binding error: formula references an atom the trace lacks", file=sys.stderr)
-            return EXIT_ATOM
-        raise
     guard_rows: list[list[str]] = []
     witness_rows: list[list[str]] = []
-    for (path, trace), (union_result, union_soft, per_class) in zip(traces, results):
-        guard_rows.extend(_guard_rows(trace.item_id, "union", union_result))
-        witness_rows.append(_witness_row(trace.item_id, "union", union_result, union_soft))
+    for _, trace in traces:
+        h = trace.frame_step
+        ref, pred = trace.union_masks()
+        try:
+            union_result = monitor(contract, ref, pred, h)
+            per_class = (
+                monitor_classes(contract, trace.classes, h)
+                if args.classes and trace.classes
+                else None
+            )
+        except UnknownAtomError:
+            print("atom binding error: formula references an atom the trace lacks", file=sys.stderr)
+            return EXIT_ATOM
+        guard_rows.extend(_guard_rows(trace.item_id, "union", union_result.guards))
+        witness_rows.append(
+            _witness_row(
+                trace.item_id, "union", union_result, soft_boundary(ref, pred, h, soft_scale)
+            )
+        )
         if per_class is not None:
             for class_name in sorted(per_class.per_class):
                 result = per_class.per_class[class_name]
-                ref, pred = trace.classes[class_name]
-                guard_rows.extend(_guard_rows(trace.item_id, class_name, result))
+                class_ref, class_pred = trace.classes[class_name]
+                guard_rows.extend(_guard_rows(trace.item_id, class_name, result.guards))
                 witness_rows.append(
                     _witness_row(
                         trace.item_id,
                         class_name,
                         result,
-                        soft_boundary(ref, pred, trace.frame_step, soft_scale),
+                        soft_boundary(class_ref, class_pred, h, soft_scale),
                     )
                 )
-            for coord in per_class.macro:
-                guard_rows.append(
-                    [
-                        trace.item_id,
-                        "macro",
-                        coord.name,
-                        _fmt_score(coord.score),
-                        str(coord.obligated),
-                        str(coord.satisfied),
-                        str(coord.violated),
-                        _fmt_ms(coord.witness_mean),
-                    ]
-                )
-    run_id = manifest["run_id"]
-    _write_csv(os.path.join(args.out, "guard.csv"), run_id, GUARD_HEADER, guard_rows)
-    _write_csv(os.path.join(args.out, "witness.csv"), run_id, WITNESS_HEADER, witness_rows)
-    _write_manifest(args.out, manifest)
+            guard_rows.extend(_guard_rows(trace.item_id, "macro", per_class.macro))
+    _write_report(
+        args,
+        "monitor",
+        contract_text,
+        {**_contract_settings(contract), "soft_scale_ms": args.soft_scale},
+        [path for path, _ in traces],
+        {"classes": bool(args.classes)},
+        {"guard.csv": (GUARD_HEADER, guard_rows), "witness.csv": (WITNESS_HEADER, witness_rows)},
+    )
     print(f"wrote {len(guard_rows)} guard rows for {len(traces)} trace(s) to {args.out}")
     return EXIT_OK
 
@@ -334,30 +317,13 @@ SWEEP_HEADER = [
 
 
 def cmd_sweep(args) -> int:
-    contract = _load_contract(args.contract)
+    contract, contract_text = _load_contract(args.contract)
     traces = _load_traces(args.traces)
-    tolerances_ms = [float(part) for part in args.tolerances.split(",")]
+    tolerances_ms = args.tolerances
     if any(b <= a for a, b in zip(tolerances_ms, tolerances_ms[1:])):
         print("tolerances must be strictly ascending", file=sys.stderr)
         return EXIT_CONTRACT
     tolerances = [t / 1000.0 for t in tolerances_ms]
-    os.makedirs(args.out, exist_ok=True)
-    with open(args.contract, "r", encoding="utf-8") as handle:
-        contract_text = handle.read()
-    manifest = _manifest(
-        "sweep",
-        contract_text,
-        {
-            "tolerance": contract.tolerance,
-            "silence_radius": contract.silence_radius,
-            "merge_gap": contract.merge_gap,
-            "matcher": contract.matcher,
-            "tolerances_ms": tolerances_ms,
-        },
-        [path for path, _ in traces],
-        {},
-        args.stamp_time,
-    )
     rows: list[list[str]] = []
     summary_rows: list[list[str]] = []
     for path, trace in traces:
@@ -375,11 +341,7 @@ def cmd_sweep(args) -> int:
                         f"{t_ms:g}",
                         trace.item_id,
                         "union",
-                        coord.name,
-                        _fmt_score(coord.score),
-                        str(coord.obligated),
-                        str(coord.satisfied),
-                        str(coord.violated),
+                        *_coordinate_cells(coord),
                         formulas.get(coord.name, ""),
                     ]
                 )
@@ -399,15 +361,18 @@ def cmd_sweep(args) -> int:
         summary_rows.append(
             [trace.item_id, "union", _fmt_score(sweep.integral), _fmt_score(sweep.span)]
         )
-    run_id = manifest["run_id"]
-    _write_csv(os.path.join(args.out, "sweep.csv"), run_id, SWEEP_HEADER, rows)
-    _write_csv(
-        os.path.join(args.out, "sweep_summary.csv"),
-        run_id,
-        ["item_id", "class", "integral", "span"],
-        summary_rows,
+    _write_report(
+        args,
+        "sweep",
+        contract_text,
+        {**_contract_settings(contract), "tolerances_ms": tolerances_ms},
+        [path for path, _ in traces],
+        {},
+        {
+            "sweep.csv": (SWEEP_HEADER, rows),
+            "sweep_summary.csv": (["item_id", "class", "integral", "span"], summary_rows),
+        },
     )
-    _write_manifest(args.out, manifest)
     print(f"wrote sweep over {len(tolerances)} tolerances for {len(traces)} trace(s) to {args.out}")
     return EXIT_OK
 
@@ -432,15 +397,6 @@ AUDIT_HEADER = [
 def cmd_match_audit(args) -> int:
     traces = _load_traces(args.traces)
     epsilon = args.epsilon_ms / 1000.0
-    os.makedirs(args.out, exist_ok=True)
-    manifest = _manifest(
-        "match-audit",
-        None,
-        {"epsilon_ms": args.epsilon_ms, "bound": args.bound},
-        [path for path, _ in traces],
-        {"strict_bound": bool(args.strict_bound)},
-        args.stamp_time,
-    )
     rows = []
     for path, trace in traces:
         ref, pred = trace.union_masks()
@@ -475,15 +431,21 @@ def cmd_match_audit(args) -> int:
                 "",
             ]
         )
-    run_id = manifest["run_id"]
-    _write_csv(os.path.join(args.out, "match_audit.csv"), run_id, AUDIT_HEADER, rows)
-    _write_manifest(args.out, manifest)
+    _write_report(
+        args,
+        "match-audit",
+        None,
+        {"epsilon_ms": args.epsilon_ms, "bound": args.bound},
+        [path for path, _ in traces],
+        {"strict_bound": bool(args.strict_bound)},
+        {"match_audit.csv": (AUDIT_HEADER, rows)},
+    )
     print(f"wrote matcher audit for {len(traces)} trace(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    contract = _load_contract(args.basis)
+    contract, contract_text = _load_contract(args.basis)
     try:
         cases = load_calibration(args.calibration)
     except TraceFormatError as error:
@@ -510,18 +472,6 @@ def cmd_select(args) -> int:
     for low, high, order in selection.certificate:
         print(f"  {low} < {high}: {by_order[order].name}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(args.basis, "r", encoding="utf-8") as handle:
-            contract_text = handle.read()
-        manifest = _manifest(
-            "select",
-            contract_text,
-            {"tolerance": contract.tolerance, "matcher": contract.matcher},
-            [args.basis, args.calibration],
-            {},
-            args.stamp_time,
-        )
-        run_id = manifest["run_id"]
         selected_orders = {c.source_order for c in selection.selected}
         retained_orders = {c.source_order for c in retained.clauses}
         representative = {}
@@ -544,22 +494,28 @@ def cmd_select(args) -> int:
             ]
             for clause in basis.clauses
         ]
-        _write_csv(
-            os.path.join(args.out, "selection.csv"),
-            run_id,
-            ["source_order", "clause_name", "kind", "cost", "constant", "class_representative", "retained", "selected"],
-            selection_rows,
-        )
         certificate_rows = [
             [low, high, by_order[order].name] for low, high, order in selection.certificate
         ]
-        _write_csv(
-            os.path.join(args.out, "certificate.csv"),
-            run_id,
-            ["low_risk_case", "high_risk_case", "witnessing_clause"],
-            certificate_rows,
+        _write_report(
+            args,
+            "select",
+            contract_text,
+            {"tolerance": contract.tolerance, "matcher": contract.matcher},
+            [args.basis, args.calibration],
+            {},
+            {
+                "selection.csv": (
+                    ["source_order", "clause_name", "kind", "cost", "constant",
+                     "class_representative", "retained", "selected"],
+                    selection_rows,
+                ),
+                "certificate.csv": (
+                    ["low_risk_case", "high_risk_case", "witnessing_clause"],
+                    certificate_rows,
+                ),
+            },
         )
-        _write_manifest(args.out, manifest)
     return EXIT_OK
 
 
@@ -567,7 +523,7 @@ STREAM_HEADER = ["frame_index", "emitted_after_frames", "verdict", "offline", "e
 
 
 def cmd_stream(args) -> int:
-    contract = _load_contract(args.contract)
+    contract, contract_text = _load_contract(args.contract)
     traces = _load_traces([args.trace])
     _, trace = traces[0]
     clause = next(
@@ -611,19 +567,15 @@ def cmd_stream(args) -> int:
                 "true" if equal else "false",
             ]
         )
-    os.makedirs(args.out, exist_ok=True)
-    with open(args.contract, "r", encoding="utf-8") as handle:
-        contract_text = handle.read()
-    manifest = _manifest(
+    _write_report(
+        args,
         "stream",
         contract_text,
         {"clause": args.clause, "lookahead_frames": stream.lookahead_frames},
         [args.trace],
         {},
-        args.stamp_time,
+        {"stream.csv": (STREAM_HEADER, rows)},
     )
-    _write_csv(os.path.join(args.out, "stream.csv"), manifest["run_id"], STREAM_HEADER, rows)
-    _write_manifest(args.out, manifest)
     print(
         f"streamed {env.frame_count} frames, lookahead {stream.lookahead_frames} frames, "
         f"offline agreement: {'yes' if all_equal else 'NO'}"
@@ -660,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument("--out", required=True, help="output directory")
     p_monitor.add_argument("--matcher", choices=("greedy", "exact"), default=None)
     p_monitor.add_argument("--classes", action="store_true", help="also report per-class and macro rows")
-    p_monitor.add_argument("--soft-scale", type=float, default=50.0, metavar="MS")
-    p_monitor.add_argument("--jobs", type=int, default=1)
+    p_monitor.add_argument("--soft-scale", type=_positive_ms, default=50.0, metavar="MS")
     p_monitor.add_argument("--stamp-time", action="store_true")
     p_monitor.set_defaults(func=cmd_monitor)
 
@@ -669,14 +620,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("contract")
     p_sweep.add_argument("traces", nargs="+")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--tolerances", default="20,40,80,120,160", metavar="MS,MS,...")
+    p_sweep.add_argument(
+        "--tolerances", type=_positive_ms_list, default="20,40,80,120,160", metavar="MS,MS,..."
+    )
     p_sweep.add_argument("--stamp-time", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_audit = sub.add_parser("match-audit", help="compare greedy and exact interval matching")
     p_audit.add_argument("traces", nargs="+")
     p_audit.add_argument("--out", required=True)
-    p_audit.add_argument("--epsilon-ms", type=float, default=80.0)
+    p_audit.add_argument("--epsilon-ms", type=_positive_ms, default=80.0)
     p_audit.add_argument("--bound", type=int, default=24)
     p_audit.add_argument("--strict-bound", action="store_true", help="exit 5 when the bound is exceeded")
     p_audit.add_argument("--stamp-time", action="store_true")
@@ -698,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.set_defaults(func=cmd_stream)
 
     p_init = sub.add_parser("init", help="emit the default contract file")
-    p_init.add_argument("--tolerance-ms", type=float, default=40.0)
+    p_init.add_argument("--tolerance-ms", type=_positive_ms, default=40.0)
     p_init.add_argument("--out", default=None)
     p_init.set_defaults(func=cmd_init)
 

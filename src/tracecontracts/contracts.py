@@ -24,13 +24,14 @@ import numpy as np
 
 from . import parser as _parser
 from .frames import (
+    EvaluationPlan,
     ObligationScore,
     TraceEnvironment,
     _as_mask,
     _check_frame_step,
     derive_edge_atoms,
-    evaluate,
-    score,
+    obligation_score,
+    share_subformulas,
 )
 from .intervals import (
     Interval,
@@ -469,11 +470,14 @@ def _nearest_distances(
     return np.minimum(np.abs(src - left), np.abs(src - right)) * h
 
 
-def _frame_clause_witness(clause: FrameClause, env: TraceEnvironment) -> float | None:
+def _frame_clause_witness(
+    clause: FrameClause, values: Mapping[Formula, np.ndarray], h: float
+) -> float | None:
     """Mean nearest-witness distance (ms) for edge/support implications.
 
     Defined for clauses of the shape ``x -> N[r] y`` (the five default
     guards); other formula shapes have no generic distance semantics.
+    ``values`` are the clause's node valuations from the contract plan.
     """
     formula = clause.formula
     if not (
@@ -483,12 +487,7 @@ def _frame_clause_witness(clause: FrameClause, env: TraceEnvironment) -> float |
         and isinstance(formula.right.child, Atom)
     ):
         return None
-    try:
-        obligated = evaluate(clause.obligation, env)
-        witnesses = env.atoms[formula.right.child.name]
-    except KeyError:
-        return None
-    distances = _nearest_distances(obligated, witnesses, env.frame_step)
+    distances = _nearest_distances(values[clause.obligation], values[formula.right.child], h)
     if distances is None or distances.size == 0:
         return None
     return float(np.mean(distances) * 1000.0)
@@ -630,13 +629,15 @@ def _edge_witness(
     return float(np.mean(distances) * 1000.0), 0
 
 
-def monitor(
-    contract: Contract,
-    ref_mask,
-    pred_mask,
-    h: float,
-    _class_context: tuple[str, Mapping[str, Sequence[Interval]]] | None = None,
-) -> MonitorResult:
+def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
+    """One evaluation plan over every frame formula and obligation of the
+    contract on the grid of step ``h``; shared subformulas are planned once."""
+    return share_subformulas(
+        (f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation)), h
+    )
+
+
+def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     """Evaluate every contract clause on one trace pair.
 
     Derives activity and edge atoms, scores frame clauses under their
@@ -644,11 +645,19 @@ def monitor(
     policy, scores event clauses over their obligation sets, and attaches
     witness distances.
     """
-    ref = _as_mask(ref_mask, "ref_mask")
-    pred = _as_mask(pred_mask, "pred_mask")
-    if ref.shape != pred.shape:
-        raise ValueError(f"mask lengths differ: {ref.shape[0]} vs {pred.shape[0]}")
-    env = derive_edge_atoms(ref, pred, h)
+    env = derive_edge_atoms(ref_mask, pred_mask, h)
+    return _monitor(contract, compile_contract(contract, h), env, None)
+
+
+def _monitor(
+    contract: Contract,
+    plan: EvaluationPlan,
+    env: TraceEnvironment,
+    class_context: tuple[str, Mapping[str, Sequence[Interval]]] | None,
+) -> MonitorResult:
+    """:func:`monitor` with the contract compiled on ``env``'s grid."""
+    h = env.frame_step
+    ref, pred = env.atoms["ref_active"], env.atoms["pred_active"]
     refs = extract_intervals(ref, h, contract.merge_gap)
     preds = extract_intervals(pred, h, contract.merge_gap)
     cands = candidates(refs, preds, contract.tolerance)
@@ -657,15 +666,16 @@ def monitor(
     else:
         matching = match_exact(cands)
     counts = covering_counts(refs, preds)
+    values = plan.evaluate(env.atoms)
     coordinates = []
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
-            value = score(clause.formula, clause.obligation, env)
-            witness = _frame_clause_witness(clause, env)
+            value = obligation_score(values[clause.formula], values[clause.obligation])
+            witness = _frame_clause_witness(clause, values, h)
             kind = "frame"
         else:
             value = event_clause_score(
-                clause, refs, preds, matching, contract.tolerance, _class_context, counts
+                clause, refs, preds, matching, contract.tolerance, class_context, counts
             )
             witness = _event_clause_witness(clause, refs, preds, matching, counts)
             kind = "event"
@@ -718,18 +728,19 @@ def monitor_classes(
     """
     if not class_masks:
         raise ValueError("no classes supplied")
-    lengths = {len(_as_mask(ref)) for ref, _ in class_masks.values()} | {
-        len(_as_mask(pred)) for _, pred in class_masks.values()
-    }
+    masks = {cls: (_as_mask(ref), _as_mask(pred)) for cls, (ref, pred) in class_masks.items()}
+    lengths = {len(mask) for pair in masks.values() for mask in pair}
     if len(lengths) != 1:
         raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
+    plan = compile_contract(contract, h)
     class_ref_intervals = {
-        cls: extract_intervals(_as_mask(ref), h, contract.merge_gap)
-        for cls, (ref, _) in class_masks.items()
+        cls: extract_intervals(ref, h, contract.merge_gap) for cls, (ref, _) in masks.items()
     }
     per_class = {
-        cls: monitor(contract, ref, pred, h, _class_context=(cls, class_ref_intervals))
-        for cls, (ref, pred) in class_masks.items()
+        cls: _monitor(
+            contract, plan, derive_edge_atoms(ref, pred, h), (cls, class_ref_intervals)
+        )
+        for cls, (ref, pred) in masks.items()
     }
     macro = []
     results = list(per_class.values())
@@ -834,10 +845,11 @@ def tolerance_sweep(
         raise ValueError("tolerances must be positive")
     if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         raise ValueError("tolerances must be strictly ascending")
+    env = derive_edge_atoms(ref_mask, pred_mask, h)
     rows = []
     for tolerance in tolerances:
         regenerated = retolerance(contract, tolerance)
-        result = monitor(regenerated, ref_mask, pred_mask, h)
+        result = _monitor(regenerated, compile_contract(regenerated, h), env, None)
         rows.append(SweepRow(tolerance, regenerated, result, mean_logic(result.guards)))
     means = [row.mean_logic for row in rows]
     if len(rows) == 1:
@@ -873,6 +885,7 @@ __all__ = [
     "parse_contract_text",
     "load_contract",
     "retolerance",
+    "compile_contract",
     "monitor",
     "monitor_classes",
     "mean_logic",

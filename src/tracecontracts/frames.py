@@ -4,8 +4,10 @@ A trace environment fixes a frame step ``h`` and maps atom names to
 Boolean arrays of a common length ``n``.  Temporal radii in seconds are
 projected to frame radii with the least integer not below ``radius/h``,
 and every window is clipped to the available frame interval.  Each
-bounded modality is computed with one prefix sum over its child array,
-so a full evaluation costs O(k*n) for k parsed nodes.
+bounded modality is computed with one prefix sum over its child array.
+An :class:`EvaluationPlan` evaluates the unique subformulas of one or
+more formulas children first, so a full evaluation costs O(k*n) for k
+unique nodes; the walk that builds the plan also gives each node's reach.
 
 All evaluation helpers treat the last array axis as time, which lets the
 finite-universe enumeration in :mod:`tracecontracts.basis` evaluate a
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -58,17 +60,18 @@ def radius_frames(epsilon: float, h: float) -> int:
 
 
 def _as_mask(values, name: str = "mask") -> np.ndarray:
-    """A Boolean copy of a one-dimensional 0/1 sequence.
+    """A one-dimensional 0/1 sequence as a Boolean array.
 
     Values of a non-Boolean array must all equal 0 or 1, as in trace
-    files; a 2, a -1 or a NaN raises instead of reading as active.
+    files; a 2, a -1 or a NaN raises instead of reading as active.  A
+    Boolean array is returned as it is, so checking it again costs nothing.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
-    return arr.astype(bool)
+    return arr if arr.dtype == bool else arr.astype(bool)
 
 
 def _check_frame_step(h) -> None:
@@ -78,7 +81,10 @@ def _check_frame_step(h) -> None:
 
 @dataclass
 class TraceEnvironment:
-    """Frame step plus named Boolean sequences of a common length."""
+    """Frame step plus named Boolean sequences of a common length.
+
+    Boolean arrays are kept as given; other 0/1 sequences are converted.
+    """
 
     frame_step: float
     frame_count: int
@@ -125,42 +131,6 @@ def _prefix(values: np.ndarray) -> np.ndarray:
     return np.concatenate([zeros, counts], axis=-1)
 
 
-def apply_node(
-    formula: Formula,
-    child_values: tuple[np.ndarray, ...],
-    atoms: Mapping[str, np.ndarray],
-    h: float,
-) -> np.ndarray:
-    """Evaluate one node given its children's valuations (last axis is time)."""
-    match formula:
-        case Atom(name=name):
-            try:
-                return atoms[name]
-            except KeyError:
-                raise UnknownAtomError(name, formula.span) from None
-        case Not():
-            return ~child_values[0]
-        case And():
-            return child_values[0] & child_values[1]
-        case Or():
-            return child_values[0] | child_values[1]
-        case Implies():
-            return ~child_values[0] | child_values[1]
-        case Near(radius=radius):
-            r = radius_frames(radius, h)
-            return _window_exists(child_values[0], back=r, ahead=r)
-        case Future(radius=radius):
-            r = radius_frames(radius, h)
-            return _window_exists(child_values[0], back=0, ahead=r)
-        case Always(radius=radius):
-            r = radius_frames(radius, h)
-            return _window_all(child_values[0], ahead=r)
-        case Until(radius=radius):
-            r = radius_frames(radius, h)
-            return _until(child_values[0], child_values[1], r)
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
 def _window_exists(child: np.ndarray, back: int, ahead: int) -> np.ndarray:
     n = child.shape[-1]
     if n == 0:
@@ -198,39 +168,146 @@ def _until(phi: np.ndarray, psi: np.ndarray, r: int) -> np.ndarray:
     return (hi - lo) > 0
 
 
-def evaluate_arrays(
-    formula: Formula,
-    atoms: Mapping[str, np.ndarray],
-    h: float,
-    stats: EvalStats | None = None,
+_TEMPORAL = (Near, Future, Always, Until)
+
+
+@dataclass(frozen=True)
+class Reach:
+    """How far around frame ``i`` a node's verdict at ``i`` looks.
+
+    ``seconds`` sums the radii along the deepest future path; ``frames``
+    does the same with each radius projected to the grid on its own;
+    ``backward`` counts the left context, which only the symmetric
+    neighborhood adds.
+    """
+
+    seconds: float
+    frames: int
+    backward: int
+
+
+def _reach(node: Formula, kids: list[Reach], r: int) -> Reach:
+    seconds = max((k.seconds for k in kids), default=0.0)
+    frames = max((k.frames for k in kids), default=0)
+    backward = max((k.backward for k in kids), default=0)
+    if isinstance(node, _TEMPORAL):
+        seconds += node.radius
+        frames += r
+        if isinstance(node, Near):
+            backward += r
+    return Reach(seconds, frames, backward)
+
+
+@dataclass(frozen=True)
+class EvaluationPlan:
+    """Children-first order over unique subformulas on one frame grid.
+
+    Structurally equal subtrees collapse to one node, so a subformula
+    shared by several formulas, or repeated inside one, is evaluated once;
+    per-occurrence valuations are unchanged from tree evaluation.
+    ``kids`` holds each node's child positions, ``radii`` its frame radius
+    (0 for non-temporal nodes) and ``reach`` maps every node to its reach.
+    """
+
+    nodes: tuple[Formula, ...]
+    kids: tuple[tuple[int, ...], ...]
+    radii: tuple[int, ...]
+    reach: Mapping[Formula, Reach]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
+
+    def evaluate(
+        self, atoms: Mapping[str, np.ndarray], stats: EvalStats | None = None
+    ) -> dict[Formula, np.ndarray]:
+        """Valuation of every node; atom arrays may be stacked on leading axes
+        (the last axis is time)."""
+        values: list[np.ndarray] = []
+        for node, kids, r in zip(self.nodes, self.kids, self.radii):
+            value = _apply(node, [values[k] for k in kids], atoms, r)
+            values.append(value)
+            if stats is not None:
+                stats.node_visits += 1
+                stats.element_ops += value.size
+        return dict(zip(self.nodes, values))
+
+
+def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
+    """Plan the unique subtrees of ``formulas`` on the grid of step ``h``.
+
+    One children-first walk projects each radius to frames once and
+    derives each node's reach from its children's.
+    """
+    _check_frame_step(h)
+    slots: dict[Formula, int] = {}
+    kids: list[tuple[int, ...]] = []
+    radii: list[int] = []
+    reach: list[Reach] = []
+    for formula in formulas:
+        for node in walk(formula):
+            if node in slots:
+                continue
+            slots[node] = len(slots)
+            node_kids = tuple(slots[c] for c in children(node))
+            r = radius_frames(node.radius, h) if isinstance(node, _TEMPORAL) else 0
+            kids.append(node_kids)
+            radii.append(r)
+            reach.append(_reach(node, [reach[k] for k in node_kids], r))
+    nodes = tuple(slots)
+    return EvaluationPlan(nodes, tuple(kids), tuple(radii), dict(zip(nodes, reach)))
+
+
+def _apply(
+    node: Formula, kids: list[np.ndarray], atoms: Mapping[str, np.ndarray], r: int
 ) -> np.ndarray:
-    """Evaluate over raw atom arrays; arrays may be stacked on leading axes."""
-    kid_values = tuple(evaluate_arrays(c, atoms, h, stats) for c in children(formula))
-    value = apply_node(formula, kid_values, atoms, h)
-    if stats is not None:
-        stats.node_visits += 1
-        stats.element_ops += value.size
-    return value
+    """Evaluate one node from its children's valuations (last axis is time)."""
+    match node:
+        case Atom(name=name):
+            try:
+                return atoms[name]
+            except KeyError:
+                raise UnknownAtomError(name, node.span) from None
+        case Not():
+            return ~kids[0]
+        case And():
+            return kids[0] & kids[1]
+        case Or():
+            return kids[0] | kids[1]
+        case Implies():
+            return ~kids[0] | kids[1]
+        case Near():
+            return _window_exists(kids[0], back=r, ahead=r)
+        case Future():
+            return _window_exists(kids[0], back=0, ahead=r)
+        case Always():
+            return _window_all(kids[0], ahead=r)
+        case Until():
+            return _until(kids[0], kids[1], r)
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def evaluate(formula: Formula, env: TraceEnvironment, stats: EvalStats | None = None) -> np.ndarray:
     """Boolean valuation of ``formula`` on the environment's frame grid."""
-    return evaluate_arrays(formula, env.atoms, env.frame_step, stats)
+    return share_subformulas([formula], env.frame_step).evaluate(env.atoms, stats)[formula]
 
 
-def score(formula: Formula, obligation: Formula, env: TraceEnvironment) -> ObligationScore:
-    """Mean of the formula valuation over frames where the obligation holds.
+def obligation_score(values: np.ndarray, mask: np.ndarray) -> ObligationScore:
+    """Mean of ``values`` over the frames where ``mask`` holds.
 
     An empty obligation set scores one: a trace with no obligated frames
     cannot fail the clause.
     """
-    values = evaluate(formula, env)
-    mask = evaluate(obligation, env)
     obligated = int(np.count_nonzero(mask))
     satisfied = int(np.count_nonzero(values & mask))
-    violated = obligated - satisfied
     ratio = satisfied / obligated if obligated else 1.0
-    return ObligationScore(ratio, obligated, satisfied, violated)
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def score(formula: Formula, obligation: Formula, env: TraceEnvironment) -> ObligationScore:
+    """Mean of the formula valuation over frames where the obligation holds."""
+    values = share_subformulas([formula, obligation], env.frame_step).evaluate(env.atoms)
+    return obligation_score(values[formula], values[obligation])
 
 
 def derive_edge_atoms(ref_mask, pred_mask, h: float) -> TraceEnvironment:
@@ -263,99 +340,3 @@ def _offsets(mask: np.ndarray) -> np.ndarray:
     if mask.size:
         out[1:] = ~mask[1:] & mask[:-1]
     return out
-
-
-@dataclass(frozen=True)
-class EvaluationPlan:
-    """Directed acyclic evaluation order over unique subformulas.
-
-    Structurally equal subtrees collapse to one node, so repeated
-    subformulas are evaluated once; per-occurrence valuations are
-    unchanged from plain tree evaluation.
-    """
-
-    nodes: tuple[Formula, ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def root(self) -> Formula:
-        return self.nodes[-1]
-
-    def evaluate(self, env: TraceEnvironment, stats: EvalStats | None = None) -> np.ndarray:
-        values: dict[Formula, np.ndarray] = {}
-        for node in self.nodes:
-            kid_values = tuple(values[c] for c in children(node))
-            value = apply_node(node, kid_values, env.atoms, env.frame_step)
-            values[node] = value
-            if stats is not None:
-                stats.node_visits += 1
-                stats.element_ops += value.size
-        return values[self.root]
-
-
-def share_subformulas(formula: Formula) -> EvaluationPlan:
-    """Collapse structurally equal subtrees into one shared evaluation node."""
-    unique: dict[Formula, None] = {}
-    for node in walk(formula):
-        unique.setdefault(node, None)
-    return EvaluationPlan(tuple(unique))
-
-
-def lookahead(formula: Formula) -> float:
-    """Maximum future time in seconds needed to decide a frame's verdict.
-
-    Atoms and negation add nothing, Boolean nodes take the maximum of
-    their children, bounded future operators add their horizon, and the
-    symmetric neighborhood adds its radius as right context.
-    """
-    match formula:
-        case Atom():
-            return 0.0
-        case Not(child=c):
-            return lookahead(c)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-            return max(lookahead(l), lookahead(r))
-        case Near(child=c, radius=radius) | Future(child=c, radius=radius) | Always(
-            child=c, radius=radius
-        ):
-            return lookahead(c) + radius
-        case Until(left=l, right=r, radius=radius):
-            return max(lookahead(l), lookahead(r)) + radius
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
-def lookahead_frames(formula: Formula, h: float) -> int:
-    """Frame-count lookahead with the grid projection applied per operator."""
-    match formula:
-        case Atom():
-            return 0
-        case Not(child=c):
-            return lookahead_frames(c, h)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-            return max(lookahead_frames(l, h), lookahead_frames(r, h))
-        case Near(child=c, radius=radius) | Future(child=c, radius=radius) | Always(
-            child=c, radius=radius
-        ):
-            return lookahead_frames(c, h) + radius_frames(radius, h)
-        case Until(left=l, right=r, radius=radius):
-            return max(lookahead_frames(l, h), lookahead_frames(r, h)) + radius_frames(radius, h)
-    raise TypeError(f"not a formula node: {formula!r}")
-
-
-def backward_frames(formula: Formula, h: float) -> int:
-    """Frame-count backward reach; only the symmetric neighborhood looks left."""
-    match formula:
-        case Atom():
-            return 0
-        case Not(child=c) | Future(child=c) | Always(child=c):
-            return backward_frames(c, h)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) | Until(
-            left=l, right=r
-        ):
-            return max(backward_frames(l, h), backward_frames(r, h))
-        case Near(child=c, radius=radius):
-            return backward_frames(c, h) + radius_frames(radius, h)
-    raise TypeError(f"not a formula node: {formula!r}")

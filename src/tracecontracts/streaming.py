@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping
 
-from .frames import UnknownAtomError, backward_frames, lookahead, lookahead_frames, radius_frames
+from .frames import UnknownAtomError, radius_frames, share_subformulas
 from .parser import (
     Always,
     And,
@@ -258,13 +258,12 @@ class StreamingMonitor:
     """
 
     def __init__(self, formula: Formula, frame_step: float) -> None:
-        if not (frame_step > 0.0):
-            raise ValueError(f"frame step must be positive, got {frame_step!r}")
+        reach = share_subformulas([formula], frame_step).reach[formula]
         self.formula = formula
         self.frame_step = frame_step
-        self.lookahead_seconds = lookahead(formula)
-        self.lookahead_frames = lookahead_frames(formula, frame_step)
-        self.backward_frames = backward_frames(formula, frame_step)
+        self.lookahead_seconds = reach.seconds
+        self.lookahead_frames = reach.frames
+        self.backward_frames = reach.backward
         self._atom_nodes: list[_AtomNode] = []
         self._order: list[_Node] = []
         self._root = _compile(formula, frame_step, self._atom_nodes, self._order)

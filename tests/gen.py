@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's prefix-sum, range-scan
 and assignment-solver code paths: formula semantics are re-derived with
-per-frame window scans, interval relations with all-pairs loops, and
-optimal matchings by subset enumeration.
+per-frame window scans, reach by tree recursion, interval relations with
+all-pairs loops, and optimal matchings by subset enumeration.
 """
 
 from __future__ import annotations
@@ -126,6 +126,65 @@ def naive_evaluate(formula: Formula, env: TraceEnvironment) -> list[bool]:
         return value
 
     return [ev(formula, i) for i in range(n)]
+
+
+def naive_lookahead(formula: Formula) -> float:
+    """Maximum future time in seconds needed to decide a frame's verdict.
+
+    Atoms and negation add nothing, Boolean nodes take the maximum of
+    their children, bounded future operators add their horizon, and the
+    symmetric neighborhood adds its radius as right context.
+    """
+    match formula:
+        case Atom():
+            return 0.0
+        case Not(child=c):
+            return naive_lookahead(c)
+        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
+            return max(naive_lookahead(l), naive_lookahead(r))
+        case Near(child=c, radius=radius) | Future(child=c, radius=radius) | Always(
+            child=c, radius=radius
+        ):
+            return naive_lookahead(c) + radius
+        case Until(left=l, right=r, radius=radius):
+            return max(naive_lookahead(l), naive_lookahead(r)) + radius
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def naive_lookahead_frames(formula: Formula, h: float) -> int:
+    """Frame-count lookahead with the grid projection applied per operator."""
+    match formula:
+        case Atom():
+            return 0
+        case Not(child=c):
+            return naive_lookahead_frames(c, h)
+        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
+            return max(naive_lookahead_frames(l, h), naive_lookahead_frames(r, h))
+        case Near(child=c, radius=radius) | Future(child=c, radius=radius) | Always(
+            child=c, radius=radius
+        ):
+            return naive_lookahead_frames(c, h) + radius_frames(radius, h)
+        case Until(left=l, right=r, radius=radius):
+            return max(naive_lookahead_frames(l, h), naive_lookahead_frames(r, h)) + radius_frames(
+                radius, h
+            )
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def naive_backward_frames(formula: Formula, h: float) -> int:
+    """Frame-count backward reach; only the symmetric neighborhood looks left."""
+    match formula:
+        case Atom():
+            return 0
+        case Not(child=c) | Future(child=c) | Always(child=c):
+            return naive_backward_frames(c, h)
+        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) | Until(
+            left=l, right=r
+        ):
+            return max(naive_backward_frames(l, h), naive_backward_frames(r, h))
+        case Near(child=c, radius=radius):
+            return naive_backward_frames(c, h) + radius_frames(radius, h)
+    raise TypeError(f"not a formula node: {formula!r}")
 
 
 def brute_force_optimum(cands) -> tuple[int, float]:

@@ -19,9 +19,16 @@ from tracecontracts.basis import (
     select_contract,
     truth_signature,
 )
-from tracecontracts.contracts import default_contract, mean_logic, monitor
+from tracecontracts.contracts import (
+    contract_to_text,
+    default_contract,
+    mean_logic,
+    monitor,
+    parse_contract_text,
+)
 from tracecontracts.fixtures import calibration_cases, worked_trace
 from tracecontracts.frames import TraceEnvironment, evaluate
+from tracecontracts.intervals import AuditBoundError
 from tracecontracts.parser import parse_text
 
 from gen import is_separating
@@ -207,6 +214,29 @@ class TestSelection:
             i = next(k for k, c in enumerate(cases) if c.id == low_id)
             j = next(k for k, c in enumerate(cases) if c.id == high_id)
             assert values[order][i] > values[order][j]
+
+    def test_signatures_read_the_monitor_coordinates(self):
+        cases = calibration_cases()
+        contract = default_contract(0.04)
+        signatures = clause_signatures(basis_from_contract(contract), cases)
+        for k, case in enumerate(cases):
+            result = monitor(contract, case.ref_mask, case.pred_mask, case.frame_step)
+            assert tuple(sig.values[k] for sig in signatures) == result.guards.scores
+
+    def test_frame_only_exact_basis_never_runs_the_matcher(self):
+        # 30 runs per mask: more than the exact matcher's bound of 24
+        many_runs = _tiny_case("many", [1, 1, 0] * 30, [0, 1, 1] * 30, 1.0)
+        contract = parse_contract_text(
+            "set tolerance 0.04\nset matcher exact\n"
+            "frame on : ref_onset -> N[0.04] pred_onset @ ref_onset\n"
+        )
+        (signature,) = clause_signatures(basis_from_contract(contract), [many_runs])
+        assert signature.values == (1.0,)
+        with_event = parse_contract_text(
+            contract_to_text(contract) + "event dur : duration_within @ matched_pairs\n"
+        )
+        with pytest.raises(AuditBoundError):
+            clause_signatures(basis_from_contract(with_event), [many_runs])
 
     def test_risk_ties_impose_no_constraints(self):
         same = [

@@ -153,31 +153,6 @@ class TestMonitor:
         bad.write_text('{"frame_step": 1e400, "union": {"ref": "01", "pred": "01"}}')
         assert main(["monitor", str(contract_path), str(bad), "--out", str(tmp_path / "o")]) == 3
 
-    def test_jobs_flag_keeps_row_order(self, worked_files, tmp_path):
-        contract_path, trace_path = worked_files
-        ref, pred, h = worked_trace()
-        second = tmp_path / "second.json"
-        save_trace(TraceFile("zz_second", h, union=(pred, ref)), second)
-        solo = tmp_path / "solo"
-        multi = tmp_path / "multi"
-        for out, jobs in ((solo, "1"), (multi, "3")):
-            assert (
-                main(
-                    [
-                        "monitor",
-                        str(contract_path),
-                        str(trace_path),
-                        str(second),
-                        "--out",
-                        str(out),
-                        "--jobs",
-                        jobs,
-                    ]
-                )
-                == 0
-            )
-        assert (solo / "guard.csv").read_bytes() == (multi / "guard.csv").read_bytes()
-
 
 class TestSweep:
     def test_default_grid_rows_and_radius_change(self, worked_files, tmp_path):
@@ -305,6 +280,18 @@ class TestMatchAudit:
 
 
 class TestSelect:
+    @pytest.mark.parametrize("frame_step", ["0", "-0.02", "NaN", "1e400"])
+    def test_bad_calibration_frame_step_exits_three(self, frame_step, tmp_path, capsys):
+        contract_path = tmp_path / "basis.contract"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        calibration_path.write_text(
+            '[{"id": "x", "risk": 1, "frame_step": %s, "ref_mask": "01", "pred_mask": "01"}]'
+            % frame_step
+        )
+        assert main(["select", str(contract_path), str(calibration_path)]) == 3
+        assert "calibration error:" in capsys.readouterr().err
+
     def test_nine_pathology_selection_report(self, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"
         contract_path.write_text(default_contract_text(0.04))
@@ -403,3 +390,22 @@ class TestStream:
             ]
         )
         assert code == 2
+
+
+# The flag is rejected while arguments are parsed, before any file is read.
+MS_FLAG_COMMANDS = {
+    "sweep --tolerances": "sweep c.contract t.json --out o --tolerances 20,{},80",
+    "monitor --soft-scale": "monitor c.contract t.json --out o --soft-scale {}",
+    "match-audit --epsilon-ms": "match-audit t.json --out o --epsilon-ms {}",
+    "init --tolerance-ms": "init --tolerance-ms {}",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MS_FLAG_COMMANDS))
+@pytest.mark.parametrize("value", ["0", "-40", "nan", "inf", "forty"])
+def test_millisecond_flags_reject_non_positive_or_non_finite(command, value, capsys):
+    argv = MS_FLAG_COMMANDS[command].replace("{}", value).split()
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "finite positive number of milliseconds" in capsys.readouterr().err

@@ -1,8 +1,10 @@
-"""The vectorised and range-scan interval layer against its naive oracles.
+"""Optimised paths against their naive oracles.
 
-Every comparison is exact: equal interval tuples with equal float
-reprs, candidate pairs in the same order with the same cost floats, and
-edge-time arrays equal bit for bit.
+The vectorised and range-scan interval layer: every comparison is
+exact, with equal interval tuples with equal float reprs, candidate pairs
+in the same order with the same cost floats, and edge-time arrays equal
+bit for bit.  The evaluation plan: its reach walker against tree
+recursion, and its stacked evaluation against per-frame window scans.
 """
 
 import random
@@ -11,22 +13,30 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecontracts.basis import _universe
 from tracecontracts.contracts import _edge_times, latency_score, purity_score
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track
+from tracecontracts.frames import TraceEnvironment, share_subformulas
 from tracecontracts.intervals import (
     Interval,
     candidates,
     covering_counts,
     extract_intervals,
 )
+from tracecontracts.parser import And, Near, Not, Or, Until, walk
 
 from gen import (
+    naive_backward_frames,
     naive_candidates,
     naive_covering_counts,
     naive_edge_times,
+    naive_evaluate,
     naive_extract_intervals,
     naive_latency_score,
+    naive_lookahead,
+    naive_lookahead_frames,
     naive_purity_score,
+    random_formula,
 )
 
 STEPS = (0.01, 0.02, 0.0125, 1.0 / 3.0, 1.0)
@@ -169,3 +179,45 @@ def test_purity_on_arbitrary_interval_lists(preds, first, second):
         assert purity_score(cls, preds, class_refs) == naive_purity_score(
             cls, preds, class_refs
         )
+
+
+# ---------------------------------------------------------------------------
+# Evaluation plan
+
+
+def _with_duplicates(rng: random.Random, h: float, atoms=("a", "b", "c")):
+    """A random formula and variants that repeat it as a subtree."""
+    f = random_formula(rng, rng.randint(0, 4), atoms, h)
+    g = random_formula(rng, rng.randint(0, 3), atoms, h)
+    radius = rng.randint(1, 4) * h * rng.choice((1.0, 0.75, 1.4))
+    return [f, And(f, f), Or(Not(f), Near(f, radius)), Until(Near(g, radius), And(g, f), radius)]
+
+
+def test_reach_walker_matches_tree_recursion():
+    rng = random.Random(41)
+    for _ in range(300):
+        h = rng.choice(STEPS)
+        formulas = _with_duplicates(rng, h)
+        plan = share_subformulas(formulas, h)
+        assert plan.node_count == len({node for f in formulas for node in walk(f)})
+        for node, reach in plan.reach.items():
+            assert reach.seconds == naive_lookahead(node)
+            assert reach.frames == naive_lookahead_frames(node, h)
+            assert reach.backward == naive_backward_frames(node, h)
+
+
+def test_stacked_plan_rows_match_window_scans():
+    # Every environment over two atoms and n frames, as basis enumerates them.
+    rng = random.Random(43)
+    h = 0.02
+    for n in (1, 2, 4):
+        stacked = _universe(("a", "b"), n)
+        rows = stacked["a"].shape[0]
+        for _ in range(8):
+            formulas = _with_duplicates(rng, h, ("a", "b"))
+            values = share_subformulas(formulas, h).evaluate(stacked)
+            for formula in formulas:
+                assert values[formula].shape == (rows, n)
+                for row in range(rows):
+                    env = TraceEnvironment(h, n, {k: v[row] for k, v in stacked.items()})
+                    assert values[formula][row].tolist() == naive_evaluate(formula, env)

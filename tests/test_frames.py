@@ -1,4 +1,4 @@
-"""Frame monitor: grid projection, evaluation, scoring, sharing, lookahead."""
+"""Frame monitor: grid projection, evaluation, scoring, sharing, reach."""
 
 import random
 
@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecontracts.basis import satisfiable, truth_signature
 from tracecontracts.frames import (
     EvalStats,
+    Reach,
     TraceEnvironment,
     UnknownAtomError,
     derive_edge_atoms,
     evaluate,
-    lookahead,
-    lookahead_frames,
     radius_frames,
     score,
     share_subformulas,
@@ -28,6 +28,7 @@ from tracecontracts.parser import (
     node_count,
     parse_text,
 )
+from tracecontracts.streaming import StreamingMonitor
 
 from gen import naive_evaluate, random_env, random_formula
 
@@ -104,10 +105,16 @@ class TestStrictInputs:
             env = TraceEnvironment(0.02, 3, {"a": values})
             assert bools(env.atoms["a"]) == [False, True, True]
 
-    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.02])
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.02, float("-inf")])
     def test_frame_step_must_be_finite_and_positive(self, h):
         with pytest.raises(ValueError, match="frame step"):
             TraceEnvironment(h, 2, {"a": [0, 1]})
+        with pytest.raises(ValueError, match="frame step"):
+            StreamingMonitor(Atom("a"), h)
+        with pytest.raises(ValueError, match="frame step"):
+            truth_signature(Atom("a"), ["a"], 2, h)
+        with pytest.raises(ValueError, match="frame step"):
+            satisfiable(Atom("a"), ["a"], 2, h)
 
 
 class TestScore:
@@ -171,36 +178,46 @@ class TestEdgeAtoms:
 class TestSharing:
     def test_duplicate_subtrees_collapse(self):
         formula = And(Near(Atom("a"), 0.04), Near(Atom("a"), 0.04))
-        plan = share_subformulas(formula)
+        plan = share_subformulas([formula], 0.02)
         assert plan.node_count == 3
 
     def test_no_duplicates_keeps_tree_size(self):
         formula = parse_text("a -> N[0.04] b & !c")
-        plan = share_subformulas(formula)
+        plan = share_subformulas([formula], 0.02)
         assert plan.node_count == node_count(formula)
 
     def test_plan_matches_tree_evaluation_on_random_inputs(self):
+        # Several formulas in one plan share their common subtrees; each
+        # root's valuation equals the window-scan oracle's.
         rng = random.Random(77)
         for _ in range(150):
             env = random_env(rng, rng.randint(0, 50))
-            formula = random_formula(rng, rng.randint(0, 4))
-            plan = share_subformulas(formula)
-            assert bools(plan.evaluate(env)) == bools(evaluate(formula, env))
+            formulas = [random_formula(rng, rng.randint(0, 4)) for _ in range(3)]
+            formulas.append(And(formulas[0], formulas[1]))
+            values = share_subformulas(formulas, env.frame_step).evaluate(env.atoms)
+            for formula in formulas:
+                assert bools(values[formula]) == naive_evaluate(formula, env)
+
+
+def reach(formula, h=0.02) -> Reach:
+    return share_subformulas([formula], h).reach[formula]
 
 
 class TestLookahead:
     def test_atom_and_near(self):
-        assert lookahead(Atom("a")) == 0.0
-        assert lookahead(Near(Atom("a"), 0.04)) == pytest.approx(0.04)
+        assert reach(Atom("a")).seconds == 0.0
+        assert reach(Near(Atom("a"), 0.04)).seconds == pytest.approx(0.04)
 
     def test_nested_sums(self):
         formula = Implies(Atom("a"), Near(Future(Atom("b"), 0.1), 0.04))
-        assert lookahead(formula) == pytest.approx(0.14)
+        assert reach(formula).seconds == pytest.approx(0.14)
 
     def test_frame_lookahead_projects_per_operator(self):
         formula = Near(Future(Atom("b"), 0.03), 0.03)
         # each 0.03 projects to 2 frames on the 0.02 grid: 4, not ceil(0.06/0.02)=3
-        assert lookahead_frames(formula, 0.02) == 4
+        assert reach(formula, 0.02).frames == 4
+        # only the outer neighborhood looks left
+        assert reach(formula, 0.02).backward == 2
 
 
 class TestInvariants:
@@ -266,7 +283,8 @@ class TestInvariants:
         stats_1, stats_2 = EvalStats(), EvalStats()
         evaluate(formula, env_1, stats_1)
         evaluate(formula, env_2, stats_2)
-        assert stats_1.node_visits == stats_2.node_visits == node_count(formula)
+        unique = share_subformulas([formula], 0.02).node_count
+        assert stats_1.node_visits == stats_2.node_visits == unique
         assert stats_2.element_ops == 2 * stats_1.element_ops
 
 
