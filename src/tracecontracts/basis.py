@@ -342,7 +342,7 @@ def load_calibration(path) -> list[CalibrationCase]:
             )
         except KeyError as exc:
             raise TraceFormatError(f"{context}: missing field {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise TraceFormatError(f"{context}: {exc}") from None
         cases.append(case)
     return cases

@@ -10,8 +10,9 @@ Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
 with a ``# manifest=<run id>`` comment line, where the run id is a hash
 of the settings and input digests.  Exit codes: 0 success, 2 contract
-error, 3 trace format error, 4 atom binding error, 5 audit bound
-exceeded under ``--strict-bound``.
+error, 3 trace format error, 4 atom binding error, 5 matching bound
+exceeded: by ``match-audit --strict-bound``, or by an exact-matcher
+instance in ``monitor``, ``sweep`` or ``select``.
 """
 
 from __future__ import annotations
@@ -541,22 +542,23 @@ def cmd_stream(args) -> int:
     ref, pred = trace.union_masks()
     env = derive_edge_atoms(ref, pred, trace.frame_step)
     try:
-        offline = evaluate(clause.formula, env)
+        offline = evaluate(clause.formula, env).tolist()
     except UnknownAtomError as error:
         print(f"atom binding error: {error}", file=sys.stderr)
         return EXIT_ATOM
     stream = StreamingMonitor(clause.formula, trace.frame_step)
     emissions: list[tuple[int, bool, int]] = []
-    for step_index in range(env.frame_count):
-        frame = {name: bool(values[step_index]) for name, values in env.atoms.items()}
-        for index, verdict in stream.step(frame):
+    atom_names = tuple(env.atoms)
+    columns = (env.atoms[name].tolist() for name in atom_names)
+    for step_index, values in enumerate(zip(*columns)):
+        for index, verdict in stream.step(dict(zip(atom_names, values))):
             emissions.append((index, verdict, step_index + 1))
     for index, verdict in stream.finalize():
         emissions.append((index, verdict, env.frame_count))
     rows = []
     all_equal = True
     for index, verdict, after in emissions:
-        equal = bool(offline[index]) == verdict
+        equal = offline[index] == verdict
         all_equal = all_equal and equal
         rows.append(
             [
@@ -671,6 +673,9 @@ def main(argv=None) -> int:
     except TraceFormatError as error:
         print(f"trace error: {error}", file=sys.stderr)
         return EXIT_TRACE
+    except AuditBoundError as error:
+        print(f"matcher bound error: {error}", file=sys.stderr)
+        return EXIT_BOUND
 
 
 if __name__ == "__main__":

@@ -655,11 +655,17 @@ def _monitor(
     env: TraceEnvironment,
     class_context: tuple[str, Mapping[str, Sequence[Interval]]] | None,
 ) -> MonitorResult:
-    """:func:`monitor` with the contract compiled on ``env``'s grid."""
+    """:func:`monitor` with the contract compiled on ``env``'s grid.
+
+    With a class context, the class's reference runs are taken from it.
+    """
     h = env.frame_step
-    ref, pred = env.atoms["ref_active"], env.atoms["pred_active"]
-    refs = extract_intervals(ref, h, contract.merge_gap)
-    preds = extract_intervals(pred, h, contract.merge_gap)
+    if class_context is None:
+        refs = extract_intervals(env.atoms["ref_active"], h, contract.merge_gap)
+    else:
+        class_name, class_ref_intervals = class_context
+        refs = class_ref_intervals[class_name]
+    preds = extract_intervals(env.atoms["pred_active"], h, contract.merge_gap)
     cands = candidates(refs, preds, contract.tolerance)
     if contract.matcher == "greedy":
         matching = match_greedy(cands)

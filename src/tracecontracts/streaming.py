@@ -1,252 +1,140 @@
-"""Bounded-delay streaming evaluation of parsed formulas.
+"""Fixed-delay streaming evaluation of parsed formulas.
 
 A :class:`StreamingMonitor` consumes frame environments one at a time and
 emits ``(frame index, verdict)`` pairs as soon as the right context of a
-frame is complete.  The verdict for frame ``i`` becomes final once
-``lookahead_frames`` further frames have arrived (or the trace ends and
-the remaining windows clip at the right boundary), so the monitor runs
-with a buffer bounded by the formula's window radii and never revises an
-emitted verdict.
+frame is complete; it never revises an emitted verdict.
 
-Each syntax node is compiled to a small state machine holding a rolling
-window count over its child's output ring, giving O(node count) work per
-frame.  Emitted verdicts agree bit for bit with offline evaluation of the
-completed trace.
+The monitor runs on the formula's :class:`~tracecontracts.frames.EvaluationPlan`,
+so structurally equal subtrees are one node.  Each node ``k`` has a fixed
+delay ``d_k``, its reach in frames: once frame ``t`` has arrived, the right
+context of the node's frame ``t - d_k`` is complete.  Each step runs every
+node once, children first, and the node writes its verdict for frame
+``t - d_k`` into a ring of fixed length, the largest lag plus window span
+among its consumers; so the buffer is bounded by the formula's radii.  The
+step emits the root's verdict for frame ``t - lookahead_frames``.  Windows
+keep rolling counts of true child frames; until keeps a queue of its
+left side's false frames and a rolling count of its right side, so a step
+costs O(plan nodes).
+
+``finalize`` runs the same node code over the virtual frames
+``n .. n + lookahead_frames - 1`` after the last frame ``n - 1``.  A child
+frame ``>= n`` reads as a pad, false for the existential windows and
+until and true for always, which equals clipping the windows at the right
+trace boundary.  Emitted verdicts agree bit for bit with offline
+evaluation of the completed trace.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from collections import deque
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .frames import UnknownAtomError, radius_frames, share_subformulas
-from .parser import (
-    Always,
-    And,
-    Atom,
-    Formula,
-    Future,
-    Implies,
-    Near,
-    Not,
-    Or,
-    Until,
-)
+from .frames import UnknownAtomError, share_subformulas
+from .parser import Always, And, Atom, Formula, Future, Implies, Near, Not, Or, Until
+
+# The frame count passed to the node updates while the trace is still open.
+_OPEN = sys.maxsize
+
+# Pointwise operators on Python bools; ``a <= b`` is ``a -> b``.
+_POINTWISE = {Not: operator.not_, And: operator.and_, Or: operator.or_, Implies: operator.le}
+
+Update = Callable[[int, int], None]
 
 
-class _Ring:
-    """Append-only boolean sequence with absolute indexing and front pruning."""
+def _pointwise(op, d: int, out: list, kids: list[list]) -> Update:
+    size = len(out)
+    if len(kids) == 1:
+        (a,) = kids
+        a_size = len(a)
 
-    __slots__ = ("base", "_items")
+        def update(t: int, n: int) -> None:
+            i = t - d
+            out[i % size] = op(a[i % a_size])
 
-    def __init__(self) -> None:
-        self.base = 0
-        self._items: list[bool] = []
+        return update
+    a, b = kids
+    a_size, b_size = len(a), len(b)
 
-    def append(self, value: bool) -> None:
-        self._items.append(value)
+    def update(t: int, n: int) -> None:
+        i = t - d
+        out[i % size] = op(a[i % a_size], b[i % b_size])
 
-    @property
-    def end(self) -> int:
-        return self.base + len(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: int) -> bool:
-        return self._items[index - self.base]
-
-    def drop_before(self, index: int) -> None:
-        if index > self.base:
-            del self._items[: index - self.base]
-            self.base = index
+    return update
 
 
-class _Node:
-    """One operator instance; ``out`` holds produced verdicts, ``produced``
-    counts them.  ``pump`` advances as far as the children allow."""
+def _window(d: int, out: list, child: list, ahead: int, back: int, pad: bool, threshold: int) -> Update:
+    """Verdict ``count > threshold`` over the child's frames ``[i - back, i + ahead]``.
 
-    __slots__ = ("children", "out", "produced")
+    Runs from frame ``i = -ahead`` so the count is full at frame 0; a frame
+    leaves the count right after the last verdict that covers it.
+    """
+    size, child_size = len(out), len(child)
+    count = 0
 
-    def __init__(self, children: tuple["_Node", ...]) -> None:
-        self.children = children
-        self.out = _Ring()
-        self.produced = 0
+    def update(t: int, n: int) -> None:
+        nonlocal count
+        i = t - d
+        j = i + ahead
+        count += child[j % child_size] if j < n else pad
+        if i >= 0:
+            out[i % size] = count > threshold
+            if i >= back:
+                count -= child[(i - back) % child_size]
 
-    def pump(self, final_length: int | None) -> None:
-        raise NotImplementedError
-
-    def _emit(self, value: bool) -> None:
-        self.out.append(bool(value))
-        self.produced += 1
-
-
-class _AtomNode(_Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        super().__init__(())
-        self.name = name
-
-    def feed(self, value: bool) -> None:
-        self._emit(value)
-
-    def pump(self, final_length: int | None) -> None:
-        pass
+    return update
 
 
-class _PointwiseNode(_Node):
-    __slots__ = ("op",)
+def _until(d: int, out: list, phi: list, psi: list, r: int) -> Update:
+    """Some psi frame in ``[i, min(i + r, first phi-false frame >= i)]``."""
+    size, phi_size, psi_size = len(out), len(phi), len(psi)
+    false_at: deque[int] = deque()  # phi-false frames from i - 1 on
+    count = 0  # true psi frames in [i, hi]
+    hi = -1
 
-    def __init__(self, op, children: tuple[_Node, ...]) -> None:
-        super().__init__(children)
-        self.op = op
+    def update(t: int, n: int) -> None:
+        nonlocal count, hi
+        i = t - d
+        j = i + r
+        if j < n and not phi[j % phi_size]:
+            false_at.append(j)
+        if i < 0:
+            return
+        if false_at and false_at[0] < i:
+            false_at.popleft()
+        upper = j if j < n else n - 1
+        if false_at and false_at[0] < upper:
+            upper = false_at[0]
+        while hi < upper:
+            hi += 1
+            count += psi[hi % psi_size]
+        out[i % size] = count > 0
+        count -= psi[i % psi_size]
 
-    def pump(self, final_length: int | None) -> None:
-        limit = min(c.produced for c in self.children)
-        while self.produced < limit:
-            i = self.produced
-            self._emit(self.op(*(c.out[i] for c in self.children)))
-        for child in self.children:
-            child.out.drop_before(self.produced)
-
-
-class _WindowNode(_Node):
-    """Rolling count over the child's window [i - back, min(i + ahead, n-1)]."""
-
-    __slots__ = ("back", "ahead", "require_all", "_sum", "_lo", "_hi")
-
-    def __init__(self, child: _Node, back: int, ahead: int, require_all: bool) -> None:
-        super().__init__((child,))
-        self.back = back
-        self.ahead = ahead
-        self.require_all = require_all
-        self._sum = 0
-        self._lo = 0
-        self._hi = -1  # inclusive child range currently covered
-
-    def pump(self, final_length: int | None) -> None:
-        child = self.children[0]
-        while True:
-            i = self.produced
-            if final_length is None:
-                if child.produced < i + self.ahead + 1:
-                    return
-                hi = i + self.ahead
-            else:
-                if i >= final_length:
-                    return
-                hi = min(i + self.ahead, final_length - 1)
-            lo = max(0, i - self.back)
-            while self._hi < hi:
-                self._hi += 1
-                self._sum += child.out[self._hi]
-            while self._lo < lo:
-                self._sum -= child.out[self._lo]
-                self._lo += 1
-            if self.require_all:
-                self._emit(self._sum == hi - lo + 1)
-            else:
-                self._emit(self._sum > 0)
-            child.out.drop_before(self._lo)
+    return update
 
 
-class _UntilNode(_Node):
-    """Witness scan bounded by the radius and the first left-side failure."""
-
-    __slots__ = ("radius", "_false_queue", "_phi_scanned", "_sum", "_lo", "_hi")
-
-    def __init__(self, phi: _Node, psi: _Node, radius: int) -> None:
-        super().__init__((phi, psi))
-        self.radius = radius
-        self._false_queue: deque[int] = deque()
-        self._phi_scanned = 0
-        self._sum = 0
-        self._lo = 0
-        self._hi = -1
-
-    def pump(self, final_length: int | None) -> None:
-        phi, psi = self.children
-        while self._phi_scanned < phi.produced:
-            if not phi.out[self._phi_scanned]:
-                self._false_queue.append(self._phi_scanned)
-            self._phi_scanned += 1
-        phi.out.drop_before(self._phi_scanned)
-        while True:
-            i = self.produced
-            if final_length is None:
-                if phi.produced < i + self.radius + 1 or psi.produced < i + self.radius + 1:
-                    return
-                last = i + self.radius
-            else:
-                if i >= final_length:
-                    return
-                last = min(i + self.radius, final_length - 1)
-            while self._false_queue and self._false_queue[0] < i:
-                self._false_queue.popleft()
-            upper = last
-            if self._false_queue and self._false_queue[0] < upper:
-                upper = self._false_queue[0]
-            while self._hi < upper:
-                self._hi += 1
-                self._sum += psi.out[self._hi]
-            while self._lo < i:
-                self._sum -= psi.out[self._lo]
-                self._lo += 1
-            self._emit(self._sum > 0)
-            psi.out.drop_before(self._lo)
+def _node_update(node: Formula, d: int, r: int, out: list, kids: list[list]) -> Update:
+    match node:
+        case Near():
+            return _window(d, out, kids[0], r, r, False, 0)
+        case Future():
+            return _window(d, out, kids[0], r, 0, False, 0)
+        case Always():
+            return _window(d, out, kids[0], r, 0, True, r)
+        case Until():
+            return _until(d, out, kids[0], kids[1], r)
+    return _pointwise(_POINTWISE[type(node)], d, out, kids)
 
 
-def _not(a: bool) -> bool:
-    return not a
-
-
-def _and(a: bool, b: bool) -> bool:
-    return a and b
-
-
-def _or(a: bool, b: bool) -> bool:
-    return a or b
-
-
-def _implies(a: bool, b: bool) -> bool:
-    return (not a) or b
-
-
-def _compile(formula: Formula, h: float, atoms: list[_AtomNode], order: list[_Node]) -> _Node:
-    match formula:
-        case Atom(name=name):
-            node: _Node = _AtomNode(name)
-            atoms.append(node)
-        case Not(child=c):
-            node = _PointwiseNode(_not, (_compile(c, h, atoms, order),))
-        case And(left=l, right=r):
-            node = _PointwiseNode(_and, (_compile(l, h, atoms, order), _compile(r, h, atoms, order)))
-        case Or(left=l, right=r):
-            node = _PointwiseNode(_or, (_compile(l, h, atoms, order), _compile(r, h, atoms, order)))
-        case Implies(left=l, right=r):
-            node = _PointwiseNode(
-                _implies, (_compile(l, h, atoms, order), _compile(r, h, atoms, order))
-            )
-        case Near(child=c, radius=radius):
-            r = radius_frames(radius, h)
-            node = _WindowNode(_compile(c, h, atoms, order), back=r, ahead=r, require_all=False)
-        case Future(child=c, radius=radius):
-            r = radius_frames(radius, h)
-            node = _WindowNode(_compile(c, h, atoms, order), back=0, ahead=r, require_all=False)
-        case Always(child=c, radius=radius):
-            r = radius_frames(radius, h)
-            node = _WindowNode(_compile(c, h, atoms, order), back=0, ahead=r, require_all=True)
-        case Until(left=l, right=r, radius=radius):
-            node = _UntilNode(
-                _compile(l, h, atoms, order),
-                _compile(r, h, atoms, order),
-                radius_frames(radius, h),
-            )
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
-    order.append(node)
-    return node
+def _back(node: Formula, position: int, r: int) -> int:
+    """How far before the node's own frame it reads its child at ``position``."""
+    if isinstance(node, Near):
+        return r
+    if isinstance(node, Until) and position == 0:
+        return -r  # phi is read only at the entering frame i + r
+    return 0
 
 
 class StreamingMonitor:
@@ -258,17 +146,33 @@ class StreamingMonitor:
     """
 
     def __init__(self, formula: Formula, frame_step: float) -> None:
-        reach = share_subformulas([formula], frame_step).reach[formula]
+        plan = share_subformulas([formula], frame_step)
+        reach = plan.reach[formula]
         self.formula = formula
         self.frame_step = frame_step
         self.lookahead_seconds = reach.seconds
         self.lookahead_frames = reach.frames
         self.backward_frames = reach.backward
-        self._atom_nodes: list[_AtomNode] = []
-        self._order: list[_Node] = []
-        self._root = _compile(formula, frame_step, self._atom_nodes, self._order)
+        delays = [plan.reach[node].frames for node in plan.nodes]
+        sizes = [1] * plan.node_count
+        for node, kids, r, d in zip(plan.nodes, plan.kids, plan.radii, delays):
+            for position, k in enumerate(kids):
+                sizes[k] = max(sizes[k], d - delays[k] + _back(node, position, r) + 1)
+        rings = [[False] * size for size in sizes]
+        self._inputs: list[tuple[str, list, int]] = []
+        # (update, first step, delay): a node runs at steps [d - r, n + d).
+        self._schedule: list[tuple[Update, int, int]] = []
+        for node, kids, r, d, out in zip(plan.nodes, plan.kids, plan.radii, delays, rings):
+            if isinstance(node, Atom):
+                self._inputs.append((node.name, out, len(out)))
+            else:
+                update = _node_update(node, d, r, out, [rings[k] for k in kids])
+                self._schedule.append((update, d - r, d))
+        self._updates = [update for update, _, _ in self._schedule]
+        self._steady = max((start for _, start, _ in self._schedule), default=0)
+        self._root = rings[-1]  # the plan lists children first
+        self._widest = max(sizes)
         self._received = 0
-        self._emitted = 0
         self._finalized = False
 
     @property
@@ -277,37 +181,50 @@ class StreamingMonitor:
 
     @property
     def next_emission_index(self) -> int:
-        return self._emitted
+        if self._finalized:
+            return self._received
+        return max(0, self._received - self.lookahead_frames)
 
     @property
     def buffered_rows(self) -> int:
-        """Largest retained input row count across atoms (bounded by the windows)."""
-        return max((len(node.out) for node in self._atom_nodes), default=0)
+        """Rows held by the longest ring (fewer while it fills)."""
+        return min(self._received, self._widest)
 
     def step(self, frame: Mapping[str, object]) -> list[tuple[int, bool]]:
         """Append one frame environment; return the newly final verdicts."""
         if self._finalized:
             raise RuntimeError("monitor is finalized")
-        for node in self._atom_nodes:
+        t = self._received
+        for name, ring, size in self._inputs:
             try:
-                value = frame[node.name]
+                value = frame[name]
             except KeyError:
-                raise UnknownAtomError(node.name) from None
-            node.feed(bool(value))
-        self._received += 1
-        return self._drain(None)
+                raise UnknownAtomError(name) from None
+            ring[t % size] = bool(value)
+        self._received = t + 1
+        return self._advance(t, _OPEN)
 
     def finalize(self) -> list[tuple[int, bool]]:
         """Flush all remaining verdicts using right-boundary clipping."""
         if self._finalized:
             return []
         self._finalized = True
-        return self._drain(self._received)
-
-    def _drain(self, final_length: int | None) -> list[tuple[int, bool]]:
-        for node in self._order:
-            node.pump(final_length)
-        emitted = [(i, self._root.out[i]) for i in range(self._emitted, self._root.produced)]
-        self._emitted = self._root.produced
-        self._root.out.drop_before(self._emitted)
+        n = self._received
+        emitted: list[tuple[int, bool]] = []
+        for t in range(n, n + self.lookahead_frames):
+            emitted += self._advance(t, n)
         return emitted
+
+    def _advance(self, t: int, n: int) -> list[tuple[int, bool]]:
+        """Run step ``t`` of an ``n``-frame trace; return the root's verdict
+        for frame ``t - lookahead_frames`` if that frame exists."""
+        if self._steady <= t < n:
+            updates = self._updates
+        else:
+            updates = [update for update, start, d in self._schedule if start <= t < n + d]
+        for update in updates:
+            update(t, n)
+        i = t - self.lookahead_frames
+        if 0 <= i < n:
+            return [(i, self._root[i % len(self._root)])]
+        return []

@@ -3,16 +3,24 @@
 The oracles here deliberately avoid the library's prefix-sum, range-scan
 and assignment-solver code paths: formula semantics are re-derived with
 per-frame window scans, reach by tree recursion, interval relations with
-all-pairs loops, and optimal matchings by subset enumeration.
+all-pairs loops, optimal matchings by subset enumeration, and streaming by
+a pump engine whose nodes advance as far as their children allow.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Mapping
 
 import numpy as np
 
-from tracecontracts.frames import ObligationScore, TraceEnvironment, radius_frames
+from tracecontracts.frames import (
+    ObligationScore,
+    TraceEnvironment,
+    UnknownAtomError,
+    radius_frames,
+)
 from tracecontracts.intervals import CandidatePair, Interval, overlap_length
 from tracecontracts.parser import (
     Always,
@@ -358,3 +366,221 @@ def naive_purity_score(class_name: str, preds, class_ref_intervals) -> Obligatio
     obligated = len(preds)
     ratio = satisfied / obligated if obligated else 1.0
     return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+class _Ring:
+    """Append-only boolean sequence with absolute indexing and front pruning."""
+
+    def __init__(self) -> None:
+        self.base = 0
+        self.items: list[bool] = []
+
+    def __getitem__(self, index: int) -> bool:
+        return self.items[index - self.base]
+
+    def drop_before(self, index: int) -> None:
+        if index > self.base:
+            del self.items[: index - self.base]
+            self.base = index
+
+
+class _PumpNode:
+    """One operator instance; ``pump`` advances as far as the children allow."""
+
+    def __init__(self, children: tuple["_PumpNode", ...]) -> None:
+        self.children = children
+        self.out = _Ring()
+        self.produced = 0
+
+    def pump(self, final_length: int | None) -> None:
+        pass
+
+    def emit(self, value: bool) -> None:
+        self.out.items.append(bool(value))
+        self.produced += 1
+
+
+class _PumpAtom(_PumpNode):
+    def __init__(self, name: str) -> None:
+        super().__init__(())
+        self.name = name
+
+
+class _PumpPointwise(_PumpNode):
+    def __init__(self, op, children: tuple[_PumpNode, ...]) -> None:
+        super().__init__(children)
+        self.op = op
+
+    def pump(self, final_length: int | None) -> None:
+        limit = min(c.produced for c in self.children)
+        while self.produced < limit:
+            i = self.produced
+            self.emit(self.op(*(c.out[i] for c in self.children)))
+        for child in self.children:
+            child.out.drop_before(self.produced)
+
+
+class _PumpWindow(_PumpNode):
+    """Rolling count over the child's window [i - back, min(i + ahead, n-1)]."""
+
+    def __init__(self, child: _PumpNode, back: int, ahead: int, require_all: bool) -> None:
+        super().__init__((child,))
+        self.back = back
+        self.ahead = ahead
+        self.require_all = require_all
+        self.sum = 0
+        self.lo = 0
+        self.hi = -1  # inclusive child range currently covered
+
+    def pump(self, final_length: int | None) -> None:
+        child = self.children[0]
+        while True:
+            i = self.produced
+            if final_length is None:
+                if child.produced < i + self.ahead + 1:
+                    return
+                hi = i + self.ahead
+            else:
+                if i >= final_length:
+                    return
+                hi = min(i + self.ahead, final_length - 1)
+            lo = max(0, i - self.back)
+            while self.hi < hi:
+                self.hi += 1
+                self.sum += child.out[self.hi]
+            while self.lo < lo:
+                self.sum -= child.out[self.lo]
+                self.lo += 1
+            if self.require_all:
+                self.emit(self.sum == hi - lo + 1)
+            else:
+                self.emit(self.sum > 0)
+            child.out.drop_before(self.lo)
+
+
+class _PumpUntil(_PumpNode):
+    """Witness scan bounded by the radius and the first left-side failure."""
+
+    def __init__(self, phi: _PumpNode, psi: _PumpNode, radius: int) -> None:
+        super().__init__((phi, psi))
+        self.radius = radius
+        self.false_queue: deque[int] = deque()
+        self.phi_scanned = 0
+        self.sum = 0
+        self.lo = 0
+        self.hi = -1
+
+    def pump(self, final_length: int | None) -> None:
+        phi, psi = self.children
+        while self.phi_scanned < phi.produced:
+            if not phi.out[self.phi_scanned]:
+                self.false_queue.append(self.phi_scanned)
+            self.phi_scanned += 1
+        phi.out.drop_before(self.phi_scanned)
+        while True:
+            i = self.produced
+            if final_length is None:
+                if phi.produced < i + self.radius + 1 or psi.produced < i + self.radius + 1:
+                    return
+                last = i + self.radius
+            else:
+                if i >= final_length:
+                    return
+                last = min(i + self.radius, final_length - 1)
+            while self.false_queue and self.false_queue[0] < i:
+                self.false_queue.popleft()
+            upper = last
+            if self.false_queue and self.false_queue[0] < upper:
+                upper = self.false_queue[0]
+            while self.hi < upper:
+                self.hi += 1
+                self.sum += psi.out[self.hi]
+            while self.lo < i:
+                self.sum -= psi.out[self.lo]
+                self.lo += 1
+            self.emit(self.sum > 0)
+            psi.out.drop_before(self.lo)
+
+
+def _pump_compile(formula: Formula, h: float, atoms: list, order: list) -> _PumpNode:
+    """One pump node per syntax-tree occurrence (equal subtrees are not shared)."""
+    match formula:
+        case Atom(name=name):
+            node: _PumpNode = _PumpAtom(name)
+            atoms.append(node)
+        case Not(child=c):
+            node = _PumpPointwise(lambda a: not a, (_pump_compile(c, h, atoms, order),))
+        case And(left=l, right=r):
+            kids = (_pump_compile(l, h, atoms, order), _pump_compile(r, h, atoms, order))
+            node = _PumpPointwise(lambda a, b: a and b, kids)
+        case Or(left=l, right=r):
+            kids = (_pump_compile(l, h, atoms, order), _pump_compile(r, h, atoms, order))
+            node = _PumpPointwise(lambda a, b: a or b, kids)
+        case Implies(left=l, right=r):
+            kids = (_pump_compile(l, h, atoms, order), _pump_compile(r, h, atoms, order))
+            node = _PumpPointwise(lambda a, b: (not a) or b, kids)
+        case Near(child=c, radius=radius):
+            r = radius_frames(radius, h)
+            node = _PumpWindow(_pump_compile(c, h, atoms, order), r, r, False)
+        case Future(child=c, radius=radius):
+            node = _PumpWindow(_pump_compile(c, h, atoms, order), 0, radius_frames(radius, h), False)
+        case Always(child=c, radius=radius):
+            node = _PumpWindow(_pump_compile(c, h, atoms, order), 0, radius_frames(radius, h), True)
+        case Until(left=l, right=r, radius=radius):
+            node = _PumpUntil(
+                _pump_compile(l, h, atoms, order),
+                _pump_compile(r, h, atoms, order),
+                radius_frames(radius, h),
+            )
+        case _:
+            raise TypeError(f"not a formula node: {formula!r}")
+    order.append(node)
+    return node
+
+
+class NaiveStreamingMonitor:
+    """The pump engine: after each frame every node, children first, emits
+    as many verdicts as its children's outputs allow and prunes what no
+    later verdict reads; ``finalize`` pumps again with right clipping."""
+
+    def __init__(self, formula: Formula, frame_step: float) -> None:
+        self.lookahead_frames = naive_lookahead_frames(formula, frame_step)
+        self.backward_frames = naive_backward_frames(formula, frame_step)
+        self._atoms: list[_PumpAtom] = []
+        self._order: list[_PumpNode] = []
+        self._root = _pump_compile(formula, frame_step, self._atoms, self._order)
+        self.frames_received = 0
+        self.next_emission_index = 0
+        self._finalized = False
+
+    @property
+    def buffered_rows(self) -> int:
+        """Largest retained input row count across atoms."""
+        return max((len(node.out.items) for node in self._atoms), default=0)
+
+    def step(self, frame: Mapping[str, object]) -> list[tuple[int, bool]]:
+        if self._finalized:
+            raise RuntimeError("monitor is finalized")
+        for node in self._atoms:
+            try:
+                value = frame[node.name]
+            except KeyError:
+                raise UnknownAtomError(node.name) from None
+            node.emit(bool(value))
+        self.frames_received += 1
+        return self._drain(None)
+
+    def finalize(self) -> list[tuple[int, bool]]:
+        if self._finalized:
+            return []
+        self._finalized = True
+        return self._drain(self.frames_received)
+
+    def _drain(self, final_length: int | None) -> list[tuple[int, bool]]:
+        for node in self._order:
+            node.pump(final_length)
+        start, stop = self.next_emission_index, self._root.produced
+        emitted = [(i, self._root.out[i]) for i in range(start, stop)]
+        self.next_emission_index = stop
+        self._root.out.drop_before(stop)
+        return emitted

@@ -279,8 +279,26 @@ class TestMatchAudit:
         assert row["note"] == "bound_exceeded"
 
 
+@pytest.mark.parametrize(
+    "command, matcher, flags",
+    [("monitor", "greedy", ["--matcher", "exact"]), ("monitor", "exact", []), ("sweep", "exact", [])],
+)
+def test_exact_matcher_over_the_bound_exits_five(command, matcher, flags, tmp_path, capsys):
+    ref = np.zeros(4000, dtype=bool)
+    for k in range(30):
+        ref[k * 120 : k * 120 + 40] = True
+    save_trace(TraceFile("big", 0.02, union=(ref, ref)), tmp_path / "big.json")
+    contract_path = tmp_path / "c.contract"
+    contract_path.write_text(default_contract_text(0.04, matcher=matcher))
+    out = tmp_path / "out"
+    argv = [command, str(contract_path), str(tmp_path / "big.json"), "--out", str(out), *flags]
+    assert main(argv) == 5
+    assert "matcher bound error: instance has 30x30 intervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSelect:
-    @pytest.mark.parametrize("frame_step", ["0", "-0.02", "NaN", "1e400"])
+    @pytest.mark.parametrize("frame_step", ["0", "-0.02", "NaN", "1e400", "null", "[0.01]"])
     def test_bad_calibration_frame_step_exits_three(self, frame_step, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"
         contract_path.write_text(default_contract_text(0.04))
@@ -291,6 +309,21 @@ class TestSelect:
         )
         assert main(["select", str(contract_path), str(calibration_path)]) == 3
         assert "calibration error:" in capsys.readouterr().err
+
+    def test_exact_basis_over_the_bound_exits_five(self, tmp_path, capsys):
+        contract_path = tmp_path / "basis.contract"
+        contract_path.write_text(default_contract_text(0.04, matcher="exact"))
+        calibration_path = tmp_path / "cal.json"
+        mask = "1100" * 30
+        calibration_path.write_text(
+            '[{"id": "x", "risk": 1, "frame_step": 0.02, "ref_mask": "%s", "pred_mask": "%s"}]'
+            % (mask, mask)
+        )
+        out = tmp_path / "sel"
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+        assert main(argv) == 5
+        assert "matcher bound error: instance has 30x30 intervals" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nine_pathology_selection_report(self, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"

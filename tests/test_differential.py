@@ -5,6 +5,7 @@ exact, with equal interval tuples with equal float reprs, candidate pairs
 in the same order with the same cost floats, and edge-time arrays equal
 bit for bit.  The evaluation plan: its reach walker against tree
 recursion, and its stacked evaluation against per-frame window scans.
+The fixed-delay streaming monitor against the pump engine, step by step.
 """
 
 import random
@@ -24,8 +25,10 @@ from tracecontracts.intervals import (
     extract_intervals,
 )
 from tracecontracts.parser import And, Near, Not, Or, Until, walk
+from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
+    NaiveStreamingMonitor,
     naive_backward_frames,
     naive_candidates,
     naive_covering_counts,
@@ -36,6 +39,7 @@ from gen import (
     naive_lookahead,
     naive_lookahead_frames,
     naive_purity_score,
+    random_env,
     random_formula,
 )
 
@@ -221,3 +225,60 @@ def test_stacked_plan_rows_match_window_scans():
                 for row in range(rows):
                     env = TraceEnvironment(h, n, {k: v[row] for k, v in stacked.items()})
                     assert values[formula][row].tolist() == naive_evaluate(formula, env)
+
+
+# Streaming
+
+
+def _frame_rows(env: TraceEnvironment, kind: str) -> list[dict]:
+    """The environment's frames as Python bools, numpy bools or ints."""
+    names = tuple(env.atoms)
+    rows = []
+    for i in range(env.frame_count):
+        values = [env.atoms[name][i] for name in names]
+        if kind == "bool":
+            values = [bool(v) for v in values]
+        elif kind == "int":
+            values = [int(v) for v in values]
+        rows.append(dict(zip(names, values)))
+    return rows
+
+
+def _assert_same_stream(formula, h: float, rows: list[dict]) -> None:
+    fast = StreamingMonitor(formula, h)
+    slow = NaiveStreamingMonitor(formula, h)
+    assert fast.lookahead_frames == slow.lookahead_frames
+    assert fast.backward_frames == slow.backward_frames
+    outputs = [(fast.step(row), slow.step(row)) for row in rows]
+    outputs.append((fast.finalize(), slow.finalize()))
+    for got, want in outputs:
+        assert got == want
+        assert all(type(verdict) is bool for _, verdict in got)
+    assert fast.next_emission_index == slow.next_emission_index == len(rows)
+
+
+def test_streaming_steps_match_pump_engine():
+    # Per-step emission lists, not only the final verdicts, on formulas with
+    # until and repeated subtrees, on traces of every length up to well past
+    # the lookahead, with frames given as Python bools, numpy bools and ints.
+    rng = random.Random(47)
+    for trial in range(150):
+        h = rng.choice(STEPS)
+        kind = ("bool", "numpy", "int")[trial % 3]
+        for formula in _with_duplicates(rng, h):
+            lookahead = StreamingMonitor(formula, h).lookahead_frames
+            n = rng.randint(0, 3 * lookahead + 8)
+            _assert_same_stream(formula, h, _frame_rows(random_env(rng, n, h=h), kind))
+
+
+def test_streaming_traces_shorter_than_the_lookahead_match_pump_engine():
+    rng = random.Random(53)
+    checked = 0
+    while checked < 200:
+        h = rng.choice(STEPS)
+        formula = Until(random_formula(rng, 3, h=h), random_formula(rng, 3, h=h), 4 * h)
+        lookahead = StreamingMonitor(formula, h).lookahead_frames
+        n = rng.randint(0, lookahead - 1)
+        kind = ("bool", "numpy", "int")[checked % 3]
+        _assert_same_stream(formula, h, _frame_rows(random_env(rng, n, h=h), kind))
+        checked += 1

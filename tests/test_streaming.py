@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tracecontracts.frames import UnknownAtomError, evaluate
+from tracecontracts.frames import TraceEnvironment, UnknownAtomError, evaluate
 from tracecontracts.parser import Atom, Near, parse_text
 from tracecontracts.streaming import StreamingMonitor
 
@@ -96,11 +96,27 @@ def test_extra_atoms_in_frames_are_ignored():
     assert out == [(0, True)]
 
 
+BOUNDED_FORMULAS = (
+    "(N[0.04] a -> F[0.06] b) U[0.08] G[0.04] a",
+    "!a & (b | a -> b)",  # pointwise only
+    "N[0.06] (a -> N[0.04] b)",
+    "F[0.06] F[0.04] a",
+    "G[0.06] (a | G[0.04] b)",
+    "(a U[0.06] b) U[0.08] (N[0.04] a U[0.04] b)",
+)
+
+
 def test_buffer_stays_bounded_on_long_traces():
     rng = random.Random(99)
-    formula = parse_text("(N[0.04] a -> F[0.06] b) U[0.08] G[0.04] a")
-    monitor = StreamingMonitor(formula, 0.02)
-    limit = monitor.lookahead_frames + monitor.backward_frames + 2
-    for i in range(2000):
-        monitor.step({"a": rng.random() < 0.5, "b": rng.random() < 0.5})
-        assert monitor.buffered_rows <= limit
+    for text in BOUNDED_FORMULAS:
+        formula = parse_text(text)
+        monitor = StreamingMonitor(formula, 0.02)
+        limit = monitor.lookahead_frames + monitor.backward_frames + 2
+        emitted = []
+        rows = [{"a": rng.random() < 0.5, "b": rng.random() < 0.5} for _ in range(2000)]
+        for row in rows:
+            emitted.extend(monitor.step(row))
+            assert monitor.buffered_rows <= limit
+        emitted.extend(monitor.finalize())
+        env = TraceEnvironment(0.02, len(rows), {k: [row[k] for row in rows] for k in "ab"})
+        assert [v for _, v in emitted] == evaluate(formula, env).tolist()
