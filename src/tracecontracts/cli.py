@@ -10,15 +10,18 @@ Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
 with a ``# manifest=<run id>`` comment line, where the run id is a hash
 of the settings and input digests.  Exit codes: 0 success, 2 contract
-error, 3 trace format error, 4 atom binding error, 5 matching bound
-exceeded: by ``match-audit --strict-bound``, or by an exact-matcher
-instance in ``monitor``, ``sweep`` or ``select``.
+error (including a clause the command cannot evaluate, such as
+``overlap_purity`` on the union masks), 3 trace format error, 4 atom
+binding error, 5 matching bound exceeded: by ``match-audit
+--strict-bound``, or by an exact-matcher instance in ``monitor``,
+``sweep`` or ``select``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -33,6 +36,7 @@ from . import __version__
 from .basis import basis_from_contract, load_calibration, observational_classes, retained_basis, select_contract
 from .contracts import (
     Contract,
+    ContractError,
     ContractSyntaxError,
     FrameClause,
     GuardCoordinate,
@@ -596,7 +600,9 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and reused."""
     parser = argparse.ArgumentParser(
         prog="tracecontracts",
         description="Boundary contract monitoring for finite binary traces.",
@@ -661,12 +667,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as stop:
         return int(stop.code) if stop.code is not None else 0
+    except ContractError as error:
+        print(f"contract error: {error}", file=sys.stderr)
+        return EXIT_CONTRACT
     except UnknownAtomError as error:
         print(f"atom binding error: {error}", file=sys.stderr)
         return EXIT_ATOM

@@ -456,7 +456,9 @@ def _nearest_distances(
 ) -> np.ndarray | None:
     """Seconds from each obligated frame to the nearest witness frame.
 
-    Returns ``None`` when there are no witness frames at all.
+    Obligated frames where the witness holds are at distance zero; only
+    the others are looked up.  Returns ``None`` when there are no witness
+    frames at all.
     """
     src = np.flatnonzero(obligated)
     dst = np.flatnonzero(witnesses)
@@ -464,10 +466,14 @@ def _nearest_distances(
         return np.zeros(0)
     if dst.size == 0:
         return None
-    pos = np.searchsorted(dst, src)
+    distances = np.zeros(src.size)
+    miss = ~witnesses[src]
+    far = src[miss]
+    pos = np.searchsorted(dst, far)
     left = dst[np.clip(pos - 1, 0, dst.size - 1)]
     right = dst[np.clip(pos, 0, dst.size - 1)]
-    return np.minimum(np.abs(src - left), np.abs(src - right)) * h
+    distances[miss] = np.minimum(np.abs(far - left), np.abs(far - right)) * h
+    return distances
 
 
 def _frame_clause_witness(

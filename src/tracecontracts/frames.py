@@ -4,10 +4,14 @@ A trace environment fixes a frame step ``h`` and maps atom names to
 Boolean arrays of a common length ``n``.  Temporal radii in seconds are
 projected to frame radii with the least integer not below ``radius/h``,
 and every window is clipped to the available frame interval.  Each
-bounded modality is computed with one prefix sum over its child array.
-An :class:`EvaluationPlan` evaluates the unique subformulas of one or
-more formulas children first, so a full evaluation costs O(k*n) for k
-unique nodes; the walk that builds the plan also gives each node's reach.
+bounded modality works on whole Boolean arrays with slices: ``N[r]`` and
+``F[r]`` are dilations by shift doubling, ceil(log2 w)+1 byte passes for
+a window of ``w`` frames; ``G[r]`` is the erosion ``!F[r]!``; ``U[r]``
+compares the next-psi and next-phi-false frame indices, two reversed
+running minima.  An :class:`EvaluationPlan` evaluates the unique
+subformulas of one or more formulas children first, so a full evaluation
+costs O(n log r) byte operations per temporal node and O(n) per other
+node; the walk that builds the plan also gives each node's reach.
 
 All evaluation helpers treat the last array axis as time, which lets the
 finite-universe enumeration in :mod:`tracecontracts.basis` evaluate a
@@ -117,55 +121,54 @@ class ObligationScore:
 
 @dataclass
 class EvalStats:
-    """Work counters for the linearity checks: one node visit touches one
-    array of ``n`` elements a constant number of times."""
+    """Work counters for the linearity checks: one node visit makes one
+    array of ``n`` elements, in a constant number of passes for a
+    pointwise or until node and O(log r) passes for a window of radius r."""
 
     node_visits: int = 0
     element_ops: int = 0
 
 
-def _prefix(values: np.ndarray) -> np.ndarray:
-    """S[..., j] = number of true entries in values[..., :j]."""
-    counts = np.cumsum(values, axis=-1, dtype=np.int64)
-    zeros = np.zeros(values.shape[:-1] + (1,), dtype=np.int64)
-    return np.concatenate([zeros, counts], axis=-1)
-
-
 def _window_exists(child: np.ndarray, back: int, ahead: int) -> np.ndarray:
+    """out[..., i] = any(child[..., i-back : i+ahead+1]), clipped to the trace.
+
+    Shift doubling over the child padded on the left with ``back`` false
+    frames (at most ``n``, as the left edge clips any longer reach): after
+    ceil(log2 w) sliced OR passes, frame ``j`` holds the OR of the
+    ``w = back+ahead+1`` frames from ``j`` (fewer at the right edge), so
+    the first ``n`` frames are the windows.  O(n log w) byte operations.
+    """
     n = child.shape[-1]
-    if n == 0:
-        return child.copy()
-    prefix = _prefix(child)
-    idx = np.arange(n)
-    hi = np.minimum(n, idx + ahead + 1)
-    lo = np.maximum(0, idx - back)
-    return (prefix[..., hi] - prefix[..., lo]) > 0
+    back = min(back, n)
+    fwd = np.zeros(child.shape[:-1] + (back + n,), dtype=bool)
+    fwd[..., back:] = child
+    w, span = back + ahead + 1, 1
+    while span < min(w, back + n):
+        shift = min(span, w - span)
+        fwd[..., : back + n - shift] |= fwd[..., shift:]
+        span += shift
+    return fwd[..., :n]
 
 
 def _window_all(child: np.ndarray, ahead: int) -> np.ndarray:
-    n = child.shape[-1]
-    if n == 0:
-        return child.copy()
-    prefix = _prefix(child)
-    idx = np.arange(n)
-    hi = np.minimum(n, idx + ahead + 1)
-    return (prefix[..., hi] - prefix[..., idx]) == (hi - idx)
+    # Frames past the end read as vacuously true, so the erosion of the
+    # complement's dilation clips exactly as the window does.
+    return ~_window_exists(~child, 0, ahead)
+
+
+def _next_true(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Index of the first true frame at or after each frame (n where none)."""
+    marks = np.where(values, idx, values.shape[-1])
+    return np.minimum.accumulate(marks[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _until(phi: np.ndarray, psi: np.ndarray, r: int) -> np.ndarray:
-    # true at i iff psi holds at some j in [i, min(i+r, n-1)] with phi true
-    # on [i, j-1]; j may run up to (not past) the first phi-false at/after i.
+    # true at i iff the first psi frame j at or after i lies within
+    # min(i+r, n-1) and no phi-false frame comes before it (phi may fail at j).
     n = phi.shape[-1]
-    if n == 0:
-        return phi.copy()
     idx = np.arange(n)
-    blocked = np.where(~phi, idx, n)
-    next_false = np.minimum.accumulate(blocked[..., ::-1], axis=-1)[..., ::-1]
-    upper = np.minimum(np.minimum(next_false, idx + r), n - 1)
-    prefix = _prefix(psi)
-    lo = prefix[..., idx]
-    hi = np.take_along_axis(prefix, upper + 1, axis=-1)
-    return (hi - lo) > 0
+    upper = np.minimum(np.minimum(_next_true(~phi, idx), idx + r), n - 1)
+    return _next_true(psi, idx) <= upper
 
 
 _TEMPORAL = (Near, Future, Always, Until)

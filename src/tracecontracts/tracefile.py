@@ -22,14 +22,15 @@ class TraceFormatError(Exception):
 
 
 def mask_to_string(mask) -> str:
-    return "".join("1" if v else "0" for v in np.asarray(mask).astype(bool))
+    codes = np.asarray(mask).astype(bool).view(np.uint8) + ord("0")
+    return codes.tobytes().decode("ascii")
 
 
 def parse_mask(value, context: str) -> np.ndarray:
     if isinstance(value, str):
         if set(value) - {"0", "1"}:
             raise TraceFormatError(f"{context}: mask string must contain only 0/1")
-        return np.array([c == "1" for c in value], dtype=bool)
+        return np.frombuffer(value.encode("ascii"), np.uint8) == ord("1")
     if isinstance(value, (list, tuple)):
         try:
             arr = np.asarray(value, dtype=float)

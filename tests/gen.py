@@ -1,10 +1,11 @@
 """Shared random generators and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's prefix-sum, range-scan
-and assignment-solver code paths: formula semantics are re-derived with
-per-frame window scans, reach by tree recursion, interval relations with
-all-pairs loops, optimal matchings by subset enumeration, and streaming by
-a pump engine whose nodes advance as far as their children allow.
+The oracles here deliberately avoid the library's shift-doubling,
+range-scan and assignment-solver code paths: formula semantics are
+re-derived with per-frame window scans and with prefix sums, reach by tree
+recursion, interval relations with all-pairs loops, optimal matchings by
+subset enumeration, and streaming by a pump engine whose nodes advance as
+far as their children allow.
 """
 
 from __future__ import annotations
@@ -262,6 +263,70 @@ def enumerate_formulas(height: int, atoms=("a", "b"), radius: float = 0.04) -> l
                 nxt.append(Until(f, g, radius))
         seen = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Prefix-sum frame kernels and the all-frames witness lookup, kept as oracles
+# for the shift-doubling windows and the uncovered-frames-only witness.
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """S[..., j] = number of true entries in values[..., :j]."""
+    counts = np.cumsum(values, axis=-1, dtype=np.int64)
+    zeros = np.zeros(values.shape[:-1] + (1,), dtype=np.int64)
+    return np.concatenate([zeros, counts], axis=-1)
+
+
+def prefix_window_exists(child: np.ndarray, back: int, ahead: int) -> np.ndarray:
+    n = child.shape[-1]
+    if n == 0:
+        return child.copy()
+    prefix = _prefix(child)
+    idx = np.arange(n)
+    hi = np.minimum(n, idx + ahead + 1)
+    lo = np.maximum(0, idx - back)
+    return (prefix[..., hi] - prefix[..., lo]) > 0
+
+
+def prefix_window_all(child: np.ndarray, ahead: int) -> np.ndarray:
+    n = child.shape[-1]
+    if n == 0:
+        return child.copy()
+    prefix = _prefix(child)
+    idx = np.arange(n)
+    hi = np.minimum(n, idx + ahead + 1)
+    return (prefix[..., hi] - prefix[..., idx]) == (hi - idx)
+
+
+def prefix_until(phi: np.ndarray, psi: np.ndarray, r: int) -> np.ndarray:
+    # true at i iff psi holds at some j in [i, min(i+r, n-1)] with phi true
+    # on [i, j-1]; j may run up to (not past) the first phi-false at/after i.
+    n = phi.shape[-1]
+    if n == 0:
+        return phi.copy()
+    idx = np.arange(n)
+    blocked = np.where(~phi, idx, n)
+    next_false = np.minimum.accumulate(blocked[..., ::-1], axis=-1)[..., ::-1]
+    upper = np.minimum(np.minimum(next_false, idx + r), n - 1)
+    prefix = _prefix(psi)
+    lo = prefix[..., idx]
+    hi = np.take_along_axis(prefix, upper + 1, axis=-1)
+    return (hi - lo) > 0
+
+
+def prefix_nearest_distances(obligated: np.ndarray, witnesses: np.ndarray, h: float):
+    """Seconds from every obligated frame to the nearest witness frame, each
+    looked up by bisection; ``None`` when there are no witness frames."""
+    src = np.flatnonzero(obligated)
+    dst = np.flatnonzero(witnesses)
+    if src.size == 0:
+        return np.zeros(0)
+    if dst.size == 0:
+        return None
+    pos = np.searchsorted(dst, src)
+    left = dst[np.clip(pos - 1, 0, dst.size - 1)]
+    right = dst[np.clip(pos, 0, dst.size - 1)]
+    return np.minimum(np.abs(src - left), np.abs(src - right)) * h
 
 
 # ---------------------------------------------------------------------------

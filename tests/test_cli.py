@@ -10,7 +10,14 @@ from tracecontracts.basis import save_calibration
 from tracecontracts.cli import main
 from tracecontracts.contracts import default_contract_text
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track, worked_trace
-from tracecontracts.tracefile import TraceFile, load_trace, save_trace
+from tracecontracts.tracefile import (
+    TraceFile,
+    TraceFormatError,
+    load_trace,
+    mask_to_string,
+    parse_mask,
+    save_trace,
+)
 
 
 H = 0.02
@@ -297,6 +304,44 @@ def test_exact_matcher_over_the_bound_exits_five(command, matcher, flags, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags", [("monitor", []), ("monitor", ["--classes"]), ("sweep", [])]
+)
+def test_purity_clause_outside_class_context_exits_two(command, flags, tmp_path, capsys):
+    # The union rows have no class context for overlap_purity, even with --classes.
+    ref, pred, h = worked_trace()
+    trace = TraceFile("t", h, classes={"speech": (ref, pred), "music": (pred, ref)})
+    save_trace(trace, tmp_path / "t.json")
+    contract_path = tmp_path / "c.contract"
+    contract_path.write_text(
+        default_contract_text(0.04) + "event purity_guard : overlap_purity @ predicted_intervals\n"
+    )
+    out = tmp_path / "out"
+    argv = [command, str(contract_path), str(tmp_path / "t.json"), "--out", str(out), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "contract error: overlap_purity requires class-indexed monitoring (monitor_classes)\n"
+    )
+    assert not out.exists()
+
+
+def test_usage_errors_repeat_identically(capsys):
+    # The parser is built once per process; reusing it changes no output.
+    outputs = []
+    for _ in range(2):
+        for argv in (["monitor"], ["sweep", "c", "t", "--out", "o", "--tolerances", "0"], []):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            outputs.append((stop.value.code, capsys.readouterr()))
+        for argv in (["--help"], ["--version"], ["monitor", "--help"]):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            outputs.append((stop.value.code, capsys.readouterr()))
+    assert outputs[:6] == outputs[6:]
+    assert [code for code, _ in outputs[:6]] == [2, 2, 2, 0, 0, 0]
+
+
 class TestSelect:
     @pytest.mark.parametrize("frame_step", ["0", "-0.02", "NaN", "1e400", "null", "[0.01]"])
     def test_bad_calibration_frame_step_exits_three(self, frame_step, tmp_path, capsys):
@@ -442,3 +487,42 @@ def test_millisecond_flags_reject_non_positive_or_non_finite(command, value, cap
         main(argv)
     assert stop.value.code == 2
     assert "finite positive number of milliseconds" in capsys.readouterr().err
+
+
+class TestMaskStrings:
+    @pytest.mark.parametrize("text", ["", "0", "1", "0110", "1" * 4000, "01" * 2000 + "1"])
+    def test_round_trip(self, text):
+        mask = parse_mask(text, "m")
+        assert mask.dtype == bool
+        assert mask.shape == (len(text),)
+        assert mask.tolist() == [c == "1" for c in text]
+        assert mask_to_string(mask) == text
+        mask[:1] = True  # a parsed mask is a writable array of its own
+
+    def test_to_string_accepts_sequences(self):
+        assert mask_to_string([]) == ""
+        assert mask_to_string([0, 1, 1, 0]) == "0110"
+        assert mask_to_string(np.array([0.0, 2.0, -1.0])) == "011"
+        assert mask_to_string(np.array([True, False, True])[::2]) == "11"
+
+    @pytest.mark.parametrize("text", ["012", "0 1", "01\n", "1x", "١", "0¹"])
+    def test_bad_strings_keep_their_message(self, text):
+        with pytest.raises(TraceFormatError, match=r"^m: mask string must contain only 0/1$"):
+            parse_mask(text, "m")
+
+    def test_other_values_keep_their_messages(self):
+        with pytest.raises(TraceFormatError, match="m: mask array must be one-dimensional 0/1"):
+            parse_mask([0, 2], "m")
+        with pytest.raises(TraceFormatError, match="m: mask array must be numeric"):
+            parse_mask(["a"], "m")
+        with pytest.raises(TraceFormatError, match="m: mask must be a 0/1 string or array"):
+            parse_mask(None, "m")
+        assert parse_mask([], "m").shape == (0,)
+
+    def test_empty_masks_load(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"frame_step": 0.02, "union": {"ref": "", "pred": ""}}')
+        trace = load_trace(path)
+        assert trace.frame_count == 0
+        save_trace(trace, tmp_path / "again.json")
+        assert load_trace(tmp_path / "again.json").union[0].shape == (0,)

@@ -5,6 +5,8 @@ exact, with equal interval tuples with equal float reprs, candidate pairs
 in the same order with the same cost floats, and edge-time arrays equal
 bit for bit.  The evaluation plan: its reach walker against tree
 recursion, and its stacked evaluation against per-frame window scans.
+The shift-doubling window, erosion and until kernels against prefix sums,
+array for array, and the witness distances against the all-frames lookup.
 The fixed-delay streaming monitor against the pump engine, step by step.
 """
 
@@ -15,16 +17,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecontracts.basis import _universe
-from tracecontracts.contracts import _edge_times, latency_score, purity_score
+from tracecontracts.contracts import (
+    _edge_times,
+    _nearest_distances,
+    latency_score,
+    purity_score,
+)
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track
-from tracecontracts.frames import TraceEnvironment, share_subformulas
+from tracecontracts.frames import (
+    TraceEnvironment,
+    _until,
+    _window_all,
+    _window_exists,
+    share_subformulas,
+)
 from tracecontracts.intervals import (
     Interval,
     candidates,
     covering_counts,
     extract_intervals,
 )
-from tracecontracts.parser import And, Near, Not, Or, Until, walk
+from tracecontracts.parser import Always, And, Atom, Future, Near, Not, Or, Until, walk
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
@@ -39,6 +52,10 @@ from gen import (
     naive_lookahead,
     naive_lookahead_frames,
     naive_purity_score,
+    prefix_nearest_distances,
+    prefix_until,
+    prefix_window_all,
+    prefix_window_exists,
     random_env,
     random_formula,
 )
@@ -225,6 +242,101 @@ def test_stacked_plan_rows_match_window_scans():
                 for row in range(rows):
                     env = TraceEnvironment(h, n, {k: v[row] for k, v in stacked.items()})
                     assert values[formula][row].tolist() == naive_evaluate(formula, env)
+
+
+# Frame kernels
+
+
+DENSITIES = (0.0, 0.05, 0.5, 0.95, 1.0)
+
+
+def _kernel_inputs(seed: int):
+    """(stacked mask, radius) over lengths 0-3 and up to 200 frames, with
+    zero to two leading axes, every density from all-false to all-true,
+    and radii from 1 to past the trace length."""
+    rng = np.random.default_rng(seed)
+    lengths = [0, 1, 2, 3] + [int(n) for n in rng.integers(4, 201, size=12)]
+    for n in lengths:
+        for lead in ((), (3,), (2, 3)):
+            for density in DENSITIES:
+                mask = rng.random(lead + (n,)) < density
+                for r in sorted({1, 2, 3, max(1, n // 2), n, n + 1, n + 7}):
+                    yield mask, r
+
+
+def _assert_fresh_equal(got: np.ndarray, want: np.ndarray, *inputs: np.ndarray) -> None:
+    assert got.dtype == bool
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert not any(np.shares_memory(got, x) for x in inputs)
+
+
+def test_window_kernels_match_prefix_sums():
+    for mask, r in _kernel_inputs(59):
+        n = mask.shape[-1]
+        for back, ahead in ((r, r), (0, r), (r + n + 1, r), (r, 0)):
+            got = _window_exists(mask, back, ahead)
+            _assert_fresh_equal(got, prefix_window_exists(mask, back, ahead), mask)
+        _assert_fresh_equal(_window_all(mask, r), prefix_window_all(mask, r), mask)
+
+
+def test_until_kernel_matches_prefix_sums():
+    rng = np.random.default_rng(61)
+    for phi, r in _kernel_inputs(67):
+        psi = rng.random(phi.shape) < rng.choice(DENSITIES)
+        got = _until(phi, psi, r)
+        _assert_fresh_equal(got, prefix_until(phi, psi, r), phi, psi)
+
+
+def test_temporal_nodes_match_window_scans():
+    # Plan evaluation of each operator at radii 1 to past the trace length,
+    # including traces of 0-3 frames and all-false and all-true atoms.
+    rng = random.Random(71)
+    h = 0.01
+    for trial in range(300):
+        n = trial % 4 if trial < 40 else rng.randint(4, 60)
+        density = DENSITIES[trial % len(DENSITIES)]
+        env = random_env(rng, n, h=h, density=density)
+        radius = rng.randint(1, n + 3) * h
+        a, b = Atom("a"), Atom("b")
+        formulas = [
+            Near(a, radius),
+            Future(a, radius),
+            Always(a, radius),
+            Until(a, b, radius),
+            Always(Near(Not(a), radius), radius),
+        ]
+        values = share_subformulas(formulas, h).evaluate(env.atoms)
+        for formula in formulas:
+            assert values[formula].tolist() == naive_evaluate(formula, env)
+
+
+def _assert_same_distances(obligated, witnesses, h):
+    got = _nearest_distances(obligated, witnesses, h)
+    want = prefix_nearest_distances(obligated, witnesses, h)
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if want.size:
+        assert np.mean(got).tobytes() == np.mean(want).tobytes()
+
+
+def test_witness_distances_match_all_frames_lookup():
+    rng = np.random.default_rng(73)
+    for n in [0, 1, 2, 3] + [int(n) for n in rng.integers(4, 201, size=40)]:
+        h = float(rng.choice(STEPS))
+        for p in DENSITIES:
+            for q in DENSITIES:
+                _assert_same_distances(rng.random(n) < p, rng.random(n) < q, h)
+    # No obligated frames: an empty array, even without witnesses.
+    assert _nearest_distances(np.zeros(5, bool), np.zeros(5, bool), 0.01).size == 0
+    # No witness frames at all.
+    assert _nearest_distances(np.ones(5, bool), np.zeros(5, bool), 0.01) is None
+    for ref, pred, h in _random_masks(79, 60):
+        _assert_same_distances(ref, pred, h)
+        _assert_same_distances(pred, ref, h)
 
 
 # Streaming
