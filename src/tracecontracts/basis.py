@@ -20,10 +20,11 @@ from .contracts import (
     Contract,
     EventClause,
     FrameClause,
+    _match,
+    _trace_runs,
     event_clause_score,
 )
 from .frames import _check_frame_step, derive_edge_atoms, obligation_score, share_subformulas
-from .intervals import candidates, extract_intervals, match_exact, match_greedy
 from .parser import Formula, node_count
 
 # Enumeration ceiling: 2**(atoms * frames) environments.
@@ -148,8 +149,8 @@ def _case_values(basis: CandidateBasis, case: CalibrationCase) -> dict[int, floa
     frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
     event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
     out: dict[int, float] = {}
+    env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
     if frame:
-        env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
         plan = share_subformulas(
             (f for c in frame for f in (c.clause.formula, c.clause.obligation)), h
         )
@@ -159,13 +160,11 @@ def _case_values(basis: CandidateBasis, case: CalibrationCase) -> dict[int, floa
                 values[c.clause.formula], values[c.clause.obligation]
             ).score
     if event:
-        refs = extract_intervals(case.ref_mask, h, basis.merge_gap)
-        preds = extract_intervals(case.pred_mask, h, basis.merge_gap)
-        cands = candidates(refs, preds, basis.tolerance)
-        matching = match_greedy(cands) if basis.matcher == "greedy" else match_exact(cands)
+        runs = _trace_runs(env, basis.merge_gap)
+        matching = _match(runs, basis.tolerance, basis.matcher)
         for c in event:
             out[c.source_order] = event_clause_score(
-                c.clause, refs, preds, matching, basis.tolerance
+                c.clause, runs.refs, runs.preds, matching, basis.tolerance, counts=runs.counts
             ).score
     return out
 

@@ -16,8 +16,7 @@ replacement for them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,19 +33,21 @@ from .frames import (
     share_subformulas,
 )
 from .intervals import (
+    Family,
     Interval,
     Matching,
-    _overlapping,
     _run_edges,
     boundary_f1,
-    candidates,
+    candidate_table,
     covering_counts,
     duration_score,
-    extract_intervals,
+    fragmentation_extras,
     fragmentation_score,
+    length_diffs,
     match_exact,
     match_greedy,
-    overlap_length,
+    merge_runs,
+    overlap_pairs,
 )
 from .lexer import LexError, SourceSpan
 from .parser import (
@@ -451,33 +452,108 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
 # Monitoring
 
 
-def _nearest_distances(
-    obligated: np.ndarray, witnesses: np.ndarray, h: float
-) -> np.ndarray | None:
-    """Seconds from each obligated frame to the nearest witness frame.
+def _neighbours(sources: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the sorted, nonempty ``targets`` just below and at or
+    above each source value, clipped to the first and last target."""
+    pos = np.searchsorted(targets, sources)
+    return targets[np.maximum(pos - 1, 0)], targets[np.minimum(pos, targets.size - 1)]
 
-    Obligated frames where the witness holds are at distance zero; only
-    the others are looked up.  Returns ``None`` when there are no witness
-    frames at all.
+
+def _frame_runs(mask: np.ndarray) -> Family:
+    edges = _run_edges(mask)
+    return Family(edges[0::2], edges[1::2])
+
+
+def _run_distances(obligated: Family, witnesses: Family, h: float) -> np.ndarray | None:
+    """Seconds from each obligated frame, in frame order, to the nearest
+    witness frame; ``None`` when there are no witness frames at all.
+
+    Both families are frame runs: sorted, disjoint and never adjacent.
+    Obligated frames inside a witness run are at distance zero.  The others
+    are the obligated runs' overlaps with the gaps around the witness runs,
+    and their nearest witness frame is a witness run's first or last frame,
+    so no step touches every frame of the trace.
     """
-    src = np.flatnonzero(obligated)
-    dst = np.flatnonzero(witnesses)
-    if src.size == 0:
+    sizes = obligated.end - obligated.start
+    total = int(sizes.sum())
+    if total == 0:
         return np.zeros(0)
-    if dst.size == 0:
+    if len(witnesses) == 0:
         return None
-    distances = np.zeros(src.size)
-    miss = ~witnesses[src]
-    far = src[miss]
-    pos = np.searchsorted(dst, far)
-    left = dst[np.clip(pos - 1, 0, dst.size - 1)]
-    right = dst[np.clip(pos, 0, dst.size - 1)]
-    distances[miss] = np.minimum(np.abs(far - left), np.abs(far - right)) * h
+    first, end = witnesses.start, witnesses.end
+    edge, stop = min(obligated.start[0], first[0]), max(obligated.end[-1], end[-1])
+    gaps = Family(np.append(edge, end), np.append(first, stop))
+    runs, gap, width = overlap_pairs(obligated, gaps)
+    lo = np.maximum(obligated.start[runs], gaps.start[gap])
+    far = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
+    # Frame f of obligated run i is obligated frame number offset[i] + f - start[i].
+    shift = (np.cumsum(sizes) - sizes - obligated.start)[runs]
+    left, right = _neighbours(far, np.column_stack((first, end - 1)).ravel())
+    distances = np.zeros(total)
+    nearest = np.minimum(np.abs(far - left), np.abs(far - right))
+    distances[far + np.repeat(shift, width)] = nearest * h
     return distances
 
 
+def _nearest_distances(obligated, witnesses, h: float) -> np.ndarray | None:
+    """Seconds from each obligated frame to the nearest witness frame, for
+    Boolean masks; ``None`` when there are no witness frames at all."""
+    return _run_distances(_frame_runs(obligated), _frame_runs(witnesses), h)
+
+
+@dataclass(frozen=True, eq=False)
+class _TraceRuns:
+    """One trace pair's atoms, and what follows from its runs at any tolerance.
+
+    ``refs`` and ``preds`` are the merged runs in seconds with their
+    overlap pairs and covering counts; ``atom_runs`` are the unmerged frame
+    runs of every activity and edge atom, and ``distances`` keeps the
+    witness distances already computed, by (obligation, witness) formula.
+    """
+
+    env: TraceEnvironment
+    refs: Family
+    preds: Family
+    overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
+    counts: np.ndarray
+    atom_runs: dict[str, Family]
+    distances: dict[tuple[Formula, Formula], np.ndarray | None] = field(default_factory=dict)
+
+    def nearest(self, obligation: Formula, witness: Formula, values) -> np.ndarray | None:
+        """:func:`_run_distances` from the obligation's frames to the witness's;
+        ``values`` holds the plan's valuations of formulas other than atoms."""
+        key = (obligation, witness)
+        if key not in self.distances:
+            obligated, witnessed = (self.atom_runs[f.name] if isinstance(f, Atom)
+                                    else _frame_runs(values[f]) for f in key)
+            self.distances[key] = _run_distances(obligated, witnessed, self.env.frame_step)
+        return self.distances[key]
+
+
+def _trace_runs(env: TraceEnvironment, merge_gap: float) -> _TraceRuns:
+    h = env.frame_step
+    families, atom_runs = [], {}
+    for side in ("ref", "pred"):
+        edges = _run_edges(env.atoms[f"{side}_active"])
+        lo, hi = merge_runs(edges, h, merge_gap)
+        families.append(Family(lo * h, hi * h))
+        first, end = edges[0::2], edges[1::2]
+        offsets = end[end < env.frame_count]
+        atom_runs[f"{side}_active"] = Family(first, end)
+        atom_runs[f"{side}_onset"] = Family(first, first + 1)
+        atom_runs[f"{side}_offset"] = Family(offsets, offsets + 1)
+    overlaps = overlap_pairs(*families)
+    counts = np.bincount(overlaps[0], minlength=len(families[0]))
+    return _TraceRuns(env, *families, overlaps, counts, atom_runs)
+
+
+def _match(runs: _TraceRuns, tolerance: float, policy: str) -> Matching:
+    table = candidate_table(runs.refs, runs.preds, tolerance, runs.overlaps)
+    return match_greedy(table) if policy == "greedy" else match_exact(table)
+
+
 def _frame_clause_witness(
-    clause: FrameClause, values: Mapping[Formula, np.ndarray], h: float
+    clause: FrameClause, runs: _TraceRuns, values: Mapping[Formula, np.ndarray]
 ) -> float | None:
     """Mean nearest-witness distance (ms) for edge/support implications.
 
@@ -493,64 +569,56 @@ def _frame_clause_witness(
         and isinstance(formula.right.child, Atom)
     ):
         return None
-    distances = _nearest_distances(values[clause.obligation], values[formula.right.child], h)
-    if distances is None or distances.size == 0:
-        return None
-    return float(np.mean(distances) * 1000.0)
+    return _mean_ms(runs.nearest(clause.obligation, formula.right.child, values))
+
+
+def _mean_ms(distances: np.ndarray | None) -> float | None:
+    return None if distances is None or distances.size == 0 else float(np.mean(distances) * 1000.0)
 
 
 def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
     """First predicted onset inside [start - lead, start + lag], per reference."""
-    refs = tuple(refs)
-    onsets = sorted(p.start for p in preds)
-    obligated = len(refs)
-    satisfied = 0
-    for ref in refs:
-        k = bisect_left(onsets, ref.start - lead - _TIME_EPS)
-        if k < len(onsets) and onsets[k] <= ref.start + lag + _TIME_EPS:
-            satisfied += 1
-    ratio = satisfied / obligated if obligated else 1.0
-    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+    refs, preds = Family.of(refs), Family.of(preds)
+    onsets = np.sort(preds.start)
+    k = np.searchsorted(onsets, refs.start - lead - _TIME_EPS)
+    holds = (k < onsets.size) & (np.append(onsets, np.inf)[k] <= refs.start + lag + _TIME_EPS)
+    return obligation_score(holds, np.ones_like(holds))
 
 
 def purity_score(
     class_name: str,
     preds,
-    class_ref_intervals: Mapping[str, Sequence[Interval]],
+    class_ref_intervals: Mapping[str, Sequence[Interval] | Family],
 ) -> ObligationScore:
     """Dominant-overlap reference class equals the prediction's own class.
 
     Dominance ties fail, as does a prediction with no reference overlap.
-    Each class total sums, in reference order, only the references the
-    range scan finds overlapping; the skipped terms are exact zeros.
+    Each class total is a Python ``sum``, in reference order, of the
+    overlaps the range scan finds (the skipped terms are exact zeros); a
+    vectorised reduction may round differently.
     """
-    preds = tuple(preds)
-    classes = [(cls, tuple(refs)) for cls, refs in class_ref_intervals.items()]
-    hits = [_overlapping(preds, refs) for _, refs in classes]
-    obligated = len(preds)
-    satisfied = 0
-    for k, pred in enumerate(preds):
-        totals = {
-            cls: sum(overlap_length(pred, refs[j]) for j in class_hits[k])
-            for (cls, refs), class_hits in zip(classes, hits)
-        }
-        best = max(totals.values(), default=0.0)
-        if best <= 0.0:
-            continue
-        leaders = [cls for cls, total in totals.items() if total >= best - _TIME_EPS]
-        if leaders == [class_name]:
-            satisfied += 1
-    ratio = satisfied / obligated if obligated else 1.0
-    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+    preds = Family.of(preds)
+    names = list(class_ref_intervals)
+    totals = np.zeros((len(preds), len(names)))
+    for column, refs in enumerate(class_ref_intervals.values()):
+        q, _, overlap = overlap_pairs(preds, Family.of(refs))
+        heads = np.flatnonzero(np.diff(q, prepend=-1))
+        values, bounds = overlap.tolist(), np.append(heads, q.size).tolist()
+        totals[q[heads], column] = [sum(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    best = totals.max(axis=1, initial=0.0)
+    leaders = totals >= (best - _TIME_EPS)[:, None]
+    holds = (best > 0.0) & (leaders.sum(axis=1) == 1)
+    holds &= leaders[:, names.index(class_name)] if class_name in names else False
+    return obligation_score(holds, np.ones_like(holds))
 
 
 def event_clause_score(
     clause: EventClause,
-    refs: Sequence[Interval],
-    preds: Sequence[Interval],
+    refs: Sequence[Interval] | Family,
+    preds: Sequence[Interval] | Family,
     matching: Matching,
     tolerance: float,
-    class_context: tuple[str, Mapping[str, Sequence[Interval]]] | None = None,
+    class_context: tuple[str, Mapping[str, Sequence[Interval] | Family]] | None = None,
     counts: Sequence[int] | None = None,
 ) -> ObligationScore:
     """Mean of the clause predicate over its obligation set; empty set scores one.
@@ -578,61 +646,20 @@ def event_clause_score(
 
 
 def _event_clause_witness(
-    clause: EventClause,
-    refs: Sequence[Interval],
-    preds: Sequence[Interval],
-    matching: Matching,
-    counts: Sequence[int],
+    clause: EventClause, diffs: np.ndarray, extras: np.ndarray
 ) -> float | None:
     if clause.predicate == "duration_within":
-        diffs = _duration_diffs(refs, preds, matching)
-        if not diffs:
-            return None
-        return float(np.mean(diffs) * 1000.0)
+        return float(np.mean(diffs) * 1000.0) if diffs.size else None
     if clause.predicate == "singly_covered":
-        extras = _fragmentation_extras(matching, counts)
-        if not extras:
-            return None
-        return float(np.mean(extras))
+        return float(np.mean(extras)) if extras.size else None
     return None
 
 
-def _duration_diffs(refs, preds, matching: Matching) -> tuple[float, ...]:
-    refs = tuple(refs)
-    preds = tuple(preds)
-    return tuple(
-        abs(refs[ri].length - preds[pi].length) for ri, pi in matching.sorted_pairs
-    )
-
-
-def _fragmentation_extras(matching: Matching, counts: Sequence[int]) -> tuple[int, ...]:
-    # Zero exactly when the reference obligation is satisfied: over-covered
-    # references report the extra covering count, unmatched ones at least one.
-    matched_refs = matching.matched_refs
-    extras = []
-    for ri in range(len(counts)):
-        if ri in matched_refs and counts[ri] <= 1:
-            extras.append(0)
-        elif counts[ri] > 1:
-            extras.append(counts[ri] - 1)
-        else:
-            extras.append(1)
-    return tuple(extras)
-
-
-def _edge_witness(
-    env: TraceEnvironment, source_atom: str, target_atom: str
-) -> tuple[float | None, int]:
+def _edge_witness(runs: _TraceRuns, source_atom: str, target_atom: str) -> tuple[float | None, int]:
     """(mean nearest-edge distance in ms, excluded edge count)."""
-    src = env.atoms[source_atom]
-    dst = env.atoms[target_atom]
-    n_src = int(np.count_nonzero(src))
-    if n_src == 0:
-        return None, 0
-    distances = _nearest_distances(src, dst, env.frame_step)
-    if distances is None:
-        return None, n_src
-    return float(np.mean(distances) * 1000.0), 0
+    distances = runs.nearest(Atom(source_atom), Atom(target_atom), {})
+    excluded = len(runs.atom_runs[source_atom]) if distances is None else 0
+    return _mean_ms(distances), excluded
 
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
@@ -651,68 +678,49 @@ def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     policy, scores event clauses over their obligation sets, and attaches
     witness distances.
     """
-    env = derive_edge_atoms(ref_mask, pred_mask, h)
-    return _monitor(contract, compile_contract(contract, h), env, None)
+    runs = _trace_runs(derive_edge_atoms(ref_mask, pred_mask, h), contract.merge_gap)
+    return _monitor(contract, compile_contract(contract, h), runs, None)
 
 
 def _monitor(
     contract: Contract,
     plan: EvaluationPlan,
-    env: TraceEnvironment,
-    class_context: tuple[str, Mapping[str, Sequence[Interval]]] | None,
+    runs: _TraceRuns,
+    class_context: tuple[str, Mapping[str, Family]] | None,
 ) -> MonitorResult:
-    """:func:`monitor` with the contract compiled on ``env``'s grid.
-
-    With a class context, the class's reference runs are taken from it.
-    """
-    h = env.frame_step
-    if class_context is None:
-        refs = extract_intervals(env.atoms["ref_active"], h, contract.merge_gap)
-    else:
-        class_name, class_ref_intervals = class_context
-        refs = class_ref_intervals[class_name]
-    preds = extract_intervals(env.atoms["pred_active"], h, contract.merge_gap)
-    cands = candidates(refs, preds, contract.tolerance)
-    if contract.matcher == "greedy":
-        matching = match_greedy(cands)
-    else:
-        matching = match_exact(cands)
-    counts = covering_counts(refs, preds)
-    values = plan.evaluate(env.atoms)
+    """:func:`monitor` with the contract compiled on the trace's grid and
+    the runs taken under the contract's merge gap."""
+    matching = _match(runs, contract.tolerance, contract.matcher)
+    values = plan.evaluate(runs.env.atoms)
+    diffs = length_diffs(runs.refs, runs.preds, matching)
+    extras = fragmentation_extras(matching, runs.counts)
     coordinates = []
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
             value = obligation_score(values[clause.formula], values[clause.obligation])
-            witness = _frame_clause_witness(clause, values, h)
+            witness = _frame_clause_witness(clause, runs, values)
             kind = "frame"
         else:
-            value = event_clause_score(
-                clause, refs, preds, matching, contract.tolerance, class_context, counts
-            )
-            witness = _event_clause_witness(clause, refs, preds, matching, counts)
+            value = event_clause_score(clause, runs.refs, runs.preds, matching,
+                                       contract.tolerance, class_context, runs.counts)
+            witness = _event_clause_witness(clause, diffs, extras)
             kind = "event"
-        coordinates.append(
-            GuardCoordinate(
-                clause.name,
-                kind,
-                value.score,
-                value.obligated,
-                value.satisfied,
-                value.violated,
-                witness,
-            )
-        )
-    onset_mae, onset_excluded = _edge_witness(env, "ref_onset", "pred_onset")
-    offset_mae, offset_excluded = _edge_witness(env, "ref_offset", "pred_offset")
+        coordinates.append(GuardCoordinate(
+            clause.name, kind, value.score, value.obligated, value.satisfied, value.violated,
+            witness,
+        ))
+    onset_mae, onset_excluded = _edge_witness(runs, "ref_onset", "pred_onset")
+    offset_mae, offset_excluded = _edge_witness(runs, "ref_offset", "pred_offset")
     witnesses = WitnessReport(
         onset_mae_ms=onset_mae,
         offset_mae_ms=offset_mae,
         onset_excluded=onset_excluded,
         offset_excluded=offset_excluded,
-        duration_abs_diffs=_duration_diffs(refs, preds, matching),
-        fragmentation_extra_counts=_fragmentation_extras(matching, counts),
+        duration_abs_diffs=tuple(diffs.tolist()),
+        fragmentation_extra_counts=tuple(extras.tolist()),
     )
-    return MonitorResult(GuardVector(tuple(coordinates)), witnesses, refs, preds, matching)
+    guards = GuardVector(tuple(coordinates))
+    return MonitorResult(guards, witnesses, runs.refs.intervals, runs.preds.intervals, matching)
 
 
 def mean_logic(vector: GuardVector) -> float:
@@ -745,14 +753,14 @@ def monitor_classes(
     if len(lengths) != 1:
         raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
     plan = compile_contract(contract, h)
-    class_ref_intervals = {
-        cls: extract_intervals(ref, h, contract.merge_gap) for cls, (ref, _) in masks.items()
-    }
-    per_class = {
-        cls: _monitor(
-            contract, plan, derive_edge_atoms(ref, pred, h), (cls, class_ref_intervals)
-        )
+    runs = {
+        cls: _trace_runs(derive_edge_atoms(ref, pred, h), contract.merge_gap)
         for cls, (ref, pred) in masks.items()
+    }
+    class_refs = {cls: class_runs.refs for cls, class_runs in runs.items()}
+    per_class = {
+        cls: _monitor(contract, plan, class_runs, (cls, class_refs))
+        for cls, class_runs in runs.items()
     }
     macro = []
     results = list(per_class.values())
@@ -800,9 +808,7 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
         return 0.0
 
     def directed(src: np.ndarray, dst: np.ndarray) -> float:
-        pos = np.searchsorted(dst, src)
-        left = dst[np.clip(pos - 1, 0, dst.size - 1)]
-        right = dst[np.clip(pos, 0, dst.size - 1)]
+        left, right = _neighbours(src, dst)
         distances = np.minimum(np.abs(src - left), np.abs(src - right))
         return float(np.mean(np.exp(-distances / scale)))
 
@@ -857,11 +863,12 @@ def tolerance_sweep(
         raise ValueError("tolerances must be positive")
     if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         raise ValueError("tolerances must be strictly ascending")
-    env = derive_edge_atoms(ref_mask, pred_mask, h)
+    # The merge gap does not scale, so the runs are the same at every tolerance.
+    runs = _trace_runs(derive_edge_atoms(ref_mask, pred_mask, h), contract.merge_gap)
     rows = []
     for tolerance in tolerances:
         regenerated = retolerance(contract, tolerance)
-        result = _monitor(regenerated, compile_contract(regenerated, h), env, None)
+        result = _monitor(regenerated, compile_contract(regenerated, h), runs, None)
         rows.append(SweepRow(tolerance, regenerated, result, mean_logic(result.guards)))
     means = [row.mean_logic for row in rows]
     if len(rows) == 1:
@@ -903,6 +910,7 @@ __all__ = [
     "mean_logic",
     "soft_boundary",
     "boundary_f1",
+    "covering_counts",
     "event_clause_score",
     "latency_score",
     "purity_score",

@@ -165,9 +165,10 @@ def _next_true(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _until(phi: np.ndarray, psi: np.ndarray, r: int) -> np.ndarray:
     # true at i iff the first psi frame j at or after i lies within
     # min(i+r, n-1) and no phi-false frame comes before it (phi may fail at j).
+    # A radius past the trace reads as n, so idx + r cannot wrap in int64.
     n = phi.shape[-1]
     idx = np.arange(n)
-    upper = np.minimum(np.minimum(_next_true(~phi, idx), idx + r), n - 1)
+    upper = np.minimum(np.minimum(_next_true(~phi, idx), idx + min(r, n)), n - 1)
     return _next_true(psi, idx) <= upper
 
 

@@ -13,35 +13,39 @@ policy keeps the cheapest still-unmatched candidates; the exact policy
 returns a maximum cardinality matching of minimum total cost and is
 intended for bounded audit instances.
 
-Runs are found from the nonzero differences of the zero-padded mask, so
-extraction is vectorised over frames and touches Python once per run.
-Pair relations use a sorted-window range scan instead of an all-pairs
-loop: visited in start order, every prediction that overlaps a
-reference starts before the reference ends and has a running maximum end
-past the reference start, so the overlapping predictions lie in one
-contiguous window of that order, found by two bisections.  Each window
-member is kept or dropped by the same float test the all-pairs loop
-applies, so results are identical for any interval sequences, sorted or
-not, overlapping or not.  For the sorted disjoint runs that extraction
-returns, the start-order sort is one linear pass and the window holds
-exactly the overlapping predictions; candidate generation and covering
-counts then cost O(R + P + K) for R references, P predictions and
-K <= R + P - 1 overlapping pairs, plus a C-level bisection per
-reference.
+Every relation is answered from arrays.  :func:`intervals` finds runs as
+int64 ``lo``/``hi`` frame arrays from the nonzero differences of the
+zero-padded mask; their bounds in seconds are ``lo * h`` and ``hi * h``,
+the same floats the scalar products give.  A :class:`Family` holds a
+family's start and end arrays, and any :class:`Interval` sequence
+converts to one in a single pass.  :func:`overlap_pairs` finds every
+positively overlapping pair by a sorted-window range scan: visited in
+start order, every item that overlaps a query starts before the query
+ends and has a running maximum end past the query start, so the
+overlapping items lie in one contiguous window of that order, found for
+all queries at once by two ``searchsorted`` calls and expanded with
+``np.repeat``.  Each window member is kept by the same float test the
+all-pairs loop applies, so results are identical for any families,
+sorted or not, overlapping or not.  For the sorted disjoint runs that
+extraction returns, the start order is the identity and each window
+holds exactly the overlapping items, so candidates, covering counts,
+matching and event scores cost O(R + P + K) array work for R
+references, P predictions and K <= R + P - 1 overlapping pairs, plus the
+two ``searchsorted`` calls.  Candidate costs are elementwise float64 in
+the scalar expression's order of operations, so they have the same bits.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .frames import ObligationScore, _as_mask, _check_frame_step
+from .frames import ObligationScore, _as_mask, _check_frame_step, obligation_score
 
 _TIME_EPS = 1e-9
 
@@ -71,6 +75,30 @@ def overlap_length(a: Interval, b: Interval) -> float:
     return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
+@dataclass(frozen=True, eq=False)
+class Family:
+    """An interval family as parallel ``start`` and ``end`` arrays: float64
+    seconds, or int64 frames for runs on the grid."""
+
+    start: np.ndarray
+    end: np.ndarray
+
+    @classmethod
+    def of(cls, family) -> Family:
+        """``family`` itself, or an :class:`Interval` sequence as seconds."""
+        if isinstance(family, Family):
+            return family
+        flat = np.fromiter((x for iv in family for x in (iv.start, iv.end)), float)
+        return cls(flat[0::2], flat[1::2])
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.start.tolist(), self.end.tolist()))
+
+
 def _run_edges(mask: np.ndarray) -> np.ndarray:
     """Start and end frames of the maximal runs of a Boolean mask,
     interleaved in ascending order (starts at even positions)."""
@@ -78,17 +106,11 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(padded))
 
 
-def extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval, ...]:
-    """Maximal active runs as half open intervals, in one left-to-right scan.
-
-    Runs separated by an inactive gap of duration at most ``merge_gap``
-    are combined into one interval.
-    """
+def merge_runs(edges: np.ndarray, h: float, merge_gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lo``, ``hi`` frame arrays of the runs with interleaved ``edges``,
+    runs separated by an inactive gap of at most ``merge_gap`` seconds joined."""
     if merge_gap < 0.0:
         raise ValueError(f"merge gap must be nonnegative, got {merge_gap!r}")
-    arr = _as_mask(mask)
-    _check_frame_step(h)
-    edges = _run_edges(arr)
     lo, hi = edges[0::2], edges[1::2]
     if lo.size > 1:
         # Run k joins run k - 1 when the gap between them passes the test;
@@ -96,27 +118,41 @@ def extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval,
         joins = (lo[1:] - hi[:-1]) * h <= merge_gap + _TIME_EPS
         lo = lo[np.append(True, ~joins)]
         hi = hi[np.append(~joins, True)]
-    return tuple(Interval(a * h, b * h) for a, b in zip(lo.tolist(), hi.tolist()))
+    return lo, hi
 
 
-def _overlapping(queries, items) -> list[list[int]]:
-    """For each query interval, the ascending indices of the items it
-    overlaps with positive length, found by the sorted-window range scan."""
-    order = sorted(range(len(items)), key=lambda i: items[i].start)
-    starts = [items[i].start for i in order]
-    reach = list(accumulate((items[i].end for i in order), max))
-    out = []
-    for query in queries:
-        lo = bisect_right(reach, query.start)
-        hi = bisect_left(starts, query.end, lo)
-        hits = [
-            order[k]
-            for k in range(lo, hi)
-            if overlap_length(query, items[order[k]]) > 0.0
-        ]
-        hits.sort()  # start order differs from index order on unsorted input
-        out.append(hits)
-    return out
+def intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal active runs as int64 ``lo``/``hi`` frame arrays.
+
+    Runs separated by an inactive gap of duration at most ``merge_gap``
+    are combined into one run.
+    """
+    arr = _as_mask(mask)
+    _check_frame_step(h)
+    return merge_runs(_run_edges(arr), h, merge_gap)
+
+
+def extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval, ...]:
+    """Maximal active runs as half open intervals; see :func:`intervals`."""
+    lo, hi = intervals(mask, h, merge_gap)
+    return Family(lo * h, hi * h).intervals
+
+
+def overlap_pairs(queries: Family, items: Family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query index, item index and overlap length of every pair that
+    overlaps with positive length, ordered by query, then item index."""
+    order = items.start.argsort(kind="stable")
+    starts = items.start[order]
+    reach = np.maximum.accumulate(items.end[order])
+    lo = reach.searchsorted(queries.start, side="right")
+    width = np.maximum(starts.searchsorted(queries.end, side="left") - lo, 0)
+    q = np.arange(len(queries)).repeat(width)
+    k = order[np.arange(q.size) - (width.cumsum() - width - lo).repeat(width)]
+    overlap = np.minimum(queries.end[q], items.end[k])
+    overlap -= np.maximum(queries.start[q], items.start[k])
+    keep = (overlap > 0).nonzero()[0]
+    keep = keep[np.lexsort((k[keep], q[keep]))]  # start order is not index order on unsorted input
+    return q[keep], k[keep], overlap[keep]
 
 
 @dataclass(frozen=True)
@@ -128,29 +164,54 @@ class CandidatePair:
     cost: float
 
 
-def candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
-    """All overlapping pairs with some endpoint within three tolerances."""
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Candidate pairs as arrays: indices, costs, and both sides' bounds."""
+
+    ref_index: np.ndarray
+    pred_index: np.ndarray
+    cost: np.ndarray
+    ref: Family
+    pred: Family
+
+    @classmethod
+    def of(cls, cands) -> CandidateTable:
+        """``cands`` itself, or a :class:`CandidatePair` sequence as arrays."""
+        if isinstance(cands, CandidateTable):
+            return cands
+        rows = [(c.ref_index, c.pred_index, c.cost, c.ref.start, c.ref.end, c.pred.start,
+                 c.pred.end) for c in cands]
+        cols = np.array(rows, float).reshape(-1, 7).T
+        ri, pi = cols[:2].astype(np.int64)
+        return cls(ri, pi, cols[2], Family(cols[3], cols[4]), Family(cols[5], cols[6]))
+
+
+def candidate_table(refs, preds, epsilon: float, overlaps=None) -> CandidateTable:
+    """All overlapping pairs with some endpoint within three tolerances, and
+    their costs.
+
+    ``overlaps`` may pass in the :func:`overlap_pairs` of the same families
+    when the caller has them already.
+    """
     if not (epsilon > 0.0):
         raise ValueError(f"tolerance must be positive, got {epsilon!r}")
-    refs = tuple(refs)
-    preds = tuple(preds)
+    refs, preds = Family.of(refs), Family.of(preds)
+    ri, pi, overlap = overlap_pairs(refs, preds) if overlaps is None else overlaps
     limit = 3.0 * epsilon + _TIME_EPS
-    out: list[CandidatePair] = []
-    for ri, (ref, hits) in enumerate(zip(refs, _overlapping(refs, preds))):
-        for pi in hits:
-            pred = preds[pi]
-            if (
-                abs(ref.start - pred.start) > limit
-                and abs(ref.end - pred.end) > limit
-            ):
-                continue
-            cost = (
-                abs(ref.start - pred.start)
-                + abs(ref.end - pred.end)
-                - overlap_length(ref, pred)
-            )
-            out.append(CandidatePair(ri, pi, ref, pred, cost))
-    return tuple(out)
+    d_start = np.abs(refs.start[ri] - preds.start[pi])
+    d_end = np.abs(refs.end[ri] - preds.end[pi])
+    keep = ~((d_start > limit) & (d_end > limit))
+    ri, pi = ri[keep], pi[keep]
+    ref, pred = Family(refs.start[ri], refs.end[ri]), Family(preds.start[pi], preds.end[pi])
+    return CandidateTable(ri, pi, (d_start + d_end - overlap)[keep], ref, pred)
+
+
+def candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
+    """All overlapping pairs with some endpoint within three tolerances."""
+    refs, preds = tuple(refs), tuple(preds)
+    table = candidate_table(refs, preds, epsilon)
+    rows = zip(table.ref_index.tolist(), table.pred_index.tolist(), table.cost.tolist())
+    return tuple(CandidatePair(ri, pi, refs[ri], preds[pi], cost) for ri, pi, cost in rows)
 
 
 @dataclass(frozen=True)
@@ -172,72 +233,75 @@ class Matching:
     def matched_preds(self) -> frozenset[int]:
         return frozenset(pi for _, pi in self.pairs)
 
+    @cached_property
+    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reference and prediction indices in :attr:`sorted_pairs` order."""
+        flat = np.fromiter(chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
+        order = np.lexsort((flat[1::2], flat[0::2]))
+        return flat[0::2][order], flat[1::2][order]
+
     def __len__(self) -> int:
         return len(self.pairs)
 
 
-def _greedy_key(pair: CandidatePair):
-    # Ties on cost break by interval position; starts are unique within a
-    # family of disjoint runs, the ends extend the order to arbitrary input.
-    return (pair.cost, pair.ref.start, pair.pred.start, pair.ref.end, pair.pred.end)
-
-
 def match_greedy(cands) -> Matching:
-    """Ascending-cost scan keeping pairs whose sides are both unmatched."""
-    taken_refs: set[int] = set()
-    taken_preds: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
-    for pair in sorted(cands, key=_greedy_key):
-        if pair.ref_index in taken_refs or pair.pred_index in taken_preds:
+    """Ascending-cost scan keeping pairs whose sides are both unmatched.
+
+    ``cands`` is a :class:`CandidateTable` or a :class:`CandidatePair`
+    sequence.  Ties on cost break by interval position; starts are unique
+    within a family of disjoint runs, the ends extend the order to
+    arbitrary input.  ``lexsort`` is stable, so full ties keep candidate
+    order.
+    """
+    table = CandidateTable.of(cands)
+    order = np.lexsort(
+        (table.pred.end, table.ref.end, table.pred.start, table.ref.start, table.cost)
+    )
+    taken_refs, taken_preds, pairs = set(), set(), set()
+    for ri, pi in zip(table.ref_index[order].tolist(), table.pred_index[order].tolist()):
+        if ri in taken_refs or pi in taken_preds:
             continue
-        taken_refs.add(pair.ref_index)
-        taken_preds.add(pair.pred_index)
-        pairs.add((pair.ref_index, pair.pred_index))
+        taken_refs.add(ri)
+        taken_preds.add(pi)
+        pairs.add((ri, pi))
     return Matching(frozenset(pairs), "greedy")
 
 
 def match_exact(cands, bound: int = 24) -> Matching:
     """Maximum cardinality matching of minimum total cost.
 
-    Solved by an assignment reduction: candidate cells are discounted by a
-    constant larger than the total absolute cost, so the solver prefers
-    more real pairs before comparing costs.  Instances with more than
-    ``bound`` intervals on either side raise :class:`AuditBoundError`.
+    ``cands`` is as for :func:`match_greedy`.  Solved by an assignment
+    reduction: candidate cells are discounted by a constant larger than
+    the total absolute cost, so the solver prefers more real pairs before
+    comparing costs.  Instances with more than ``bound`` intervals on
+    either side raise :class:`AuditBoundError`.
     """
-    cands = tuple(cands)
-    if not cands:
+    table = CandidateTable.of(cands)
+    if not table.cost.size:
         return Matching(frozenset(), "exact")
-    ref_ids = sorted({c.ref_index for c in cands})
-    pred_ids = sorted({c.pred_index for c in cands})
-    if len(ref_ids) > bound or len(pred_ids) > bound:
+    ref_ids, rows = np.unique(table.ref_index, return_inverse=True)
+    pred_ids, cols = np.unique(table.pred_index, return_inverse=True)
+    if ref_ids.size > bound or pred_ids.size > bound:
         raise AuditBoundError(
-            f"instance has {len(ref_ids)}x{len(pred_ids)} intervals, bound is {bound}"
+            f"instance has {ref_ids.size}x{pred_ids.size} intervals, bound is {bound}"
         )
-    big = sum(abs(c.cost) for c in cands) + 1.0
-    matrix = np.zeros((len(ref_ids), len(pred_ids)))
-    ref_pos = {r: i for i, r in enumerate(ref_ids)}
-    pred_pos = {p: i for i, p in enumerate(pred_ids)}
-    cells = {}
-    for c in cands:
-        key = (ref_pos[c.ref_index], pred_pos[c.pred_index])
-        # Duplicate candidates for the same pair keep the cheapest cell.
-        if key not in cells or c.cost < cells[key]:
-            cells[key] = c.cost
-    for (i, j), cost in cells.items():
-        matrix[i, j] = cost - big
-    rows, cols = linear_sum_assignment(matrix)
-    pairs = frozenset(
-        (ref_ids[i], pred_ids[j])
-        for i, j in zip(rows, cols)
-        if (i, j) in cells
-    )
+    # A sequential sum, as the discount's last bits can decide a tie.
+    big = sum(np.abs(table.cost).tolist()) + 1.0
+    # Duplicate candidates for the same pair keep the cheapest cell.
+    cells = np.full((ref_ids.size, pred_ids.size), np.inf)
+    np.minimum.at(cells, (rows, cols), table.cost)
+    present = np.zeros(cells.shape, bool)
+    present[rows, cols] = True
+    rows, cols = linear_sum_assignment(np.where(present, cells - big, 0.0))
+    keep = present[rows, cols]
+    pairs = frozenset(zip(ref_ids[rows[keep]].tolist(), pred_ids[cols[keep]].tolist()))
     return Matching(pairs, "exact")
 
 
 def boundary_f1(refs, preds, matching: Matching) -> float:
     """Event-level F1 of the matching: |M|/|P| precision, |M|/|R| recall."""
-    n_refs = len(tuple(refs))
-    n_preds = len(tuple(preds))
+    n_refs = len(Family.of(refs))
+    n_preds = len(Family.of(preds))
     if n_refs == 0 and n_preds == 0:
         return 1.0
     if n_refs == 0 or n_preds == 0:
@@ -250,22 +314,31 @@ def boundary_f1(refs, preds, matching: Matching) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def length_diffs(refs: Family, preds: Family, matching: Matching) -> np.ndarray:
+    """|ref length - pred length| per matched pair, in sorted pair order."""
+    ri, pi = matching.index_arrays
+    return np.abs((refs.end[ri] - refs.start[ri]) - (preds.end[pi] - preds.start[pi]))
+
+
 def duration_score(refs, preds, matching: Matching, threshold: float) -> ObligationScore:
     """Mean over matched pairs of |ref length - pred length| <= threshold."""
-    refs = tuple(refs)
-    preds = tuple(preds)
-    obligated = len(matching)
-    satisfied = 0
-    for ri, pi in matching.pairs:
-        if abs(refs[ri].length - preds[pi].length) <= threshold + _TIME_EPS:
-            satisfied += 1
-    ratio = satisfied / obligated if obligated else 1.0
-    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+    holds = length_diffs(Family.of(refs), Family.of(preds), matching) <= threshold + _TIME_EPS
+    return obligation_score(holds, np.ones_like(holds))
 
 
 def covering_counts(refs, preds) -> tuple[int, ...]:
     """Number of predictions with positive overlap against each reference."""
-    return tuple(len(hits) for hits in _overlapping(tuple(refs), tuple(preds)))
+    refs, preds = Family.of(refs), Family.of(preds)
+    return tuple(np.bincount(overlap_pairs(refs, preds)[0], minlength=len(refs)).tolist())
+
+
+def fragmentation_extras(matching: Matching, counts) -> np.ndarray:
+    """Per reference: zero exactly when it is matched and covered by at most
+    one prediction; otherwise the extra covering count, at least one."""
+    counts = np.asarray(counts, np.int64)
+    ri, matched = matching.index_arrays[0], np.zeros(counts.size, bool)
+    matched[ri[ri < counts.size]] = True
+    return np.where(matched & (counts <= 1), 0, np.where(counts > 1, counts - 1, 1))
 
 
 def fragmentation_score(
@@ -276,16 +349,10 @@ def fragmentation_score(
     ``counts`` may pass in the :func:`covering_counts` of the same
     families when the caller has them already.
     """
-    refs = tuple(refs)
     if counts is None:
         counts = covering_counts(refs, preds)
-    matched_refs = matching.matched_refs
-    obligated = len(refs)
-    satisfied = sum(
-        1 for ri in range(obligated) if ri in matched_refs and counts[ri] <= 1
-    )
-    ratio = satisfied / obligated if obligated else 1.0
-    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+    holds = fragmentation_extras(matching, counts) == 0
+    return obligation_score(holds, np.ones_like(holds))
 
 
 @dataclass(frozen=True)
@@ -320,13 +387,13 @@ def matcher_audit(refs, preds, epsilon: float, bound: int = 24) -> MatcherAudit:
 
     The duration predicate uses the standard ``2 * epsilon`` threshold.
     """
-    refs = tuple(refs)
-    preds = tuple(preds)
-    cands = candidates(refs, preds, epsilon)
-    greedy = match_greedy(cands)
-    exact = match_exact(cands, bound=bound)
+    refs, preds = Family.of(refs), Family.of(preds)
+    overlaps = overlap_pairs(refs, preds)
+    table = candidate_table(refs, preds, epsilon, overlaps)
+    greedy = match_greedy(table)
+    exact = match_exact(table, bound=bound)
     threshold = 2.0 * epsilon
-    counts = covering_counts(refs, preds)
+    counts = np.bincount(overlaps[0], minlength=len(refs))
     return MatcherAudit(
         greedy=greedy,
         exact=exact,

@@ -28,9 +28,12 @@ def mask_to_string(mask) -> str:
 
 def parse_mask(value, context: str) -> np.ndarray:
     if isinstance(value, str):
-        if set(value) - {"0", "1"}:
+        # Non-ASCII text reads as the byte "x" and fails the check on the
+        # bytes: ord("0") | 1 == ord("1"), and no other byte ORs to it.
+        codes = np.frombuffer(value.encode("ascii") if value.isascii() else b"x", np.uint8)
+        if ((codes | 1) != ord("1")).any():
             raise TraceFormatError(f"{context}: mask string must contain only 0/1")
-        return np.frombuffer(value.encode("ascii"), np.uint8) == ord("1")
+        return codes == ord("1")
     if isinstance(value, (list, tuple)):
         try:
             arr = np.asarray(value, dtype=float)

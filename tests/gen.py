@@ -5,24 +5,44 @@ range-scan and assignment-solver code paths: formula semantics are
 re-derived with per-frame window scans and with prefix sums, reach by tree
 recursion, interval relations with all-pairs loops, optimal matchings by
 subset enumeration, and streaming by a pump engine whose nodes advance as
-far as their children allow.
+far as their children allow.  The ``object_*`` interval layer is the
+library's predecessor of its array path: one ``Interval`` per run, one
+``CandidatePair`` per candidate, and a Python loop per reference.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
+from tracecontracts.contracts import (
+    EventClause,
+    FrameClause,
+    GuardCoordinate,
+    GuardVector,
+    MonitorResult,
+    WitnessReport,
+)
 from tracecontracts.frames import (
     ObligationScore,
     TraceEnvironment,
     UnknownAtomError,
+    obligation_score,
     radius_frames,
 )
-from tracecontracts.intervals import CandidatePair, Interval, overlap_length
+from tracecontracts.intervals import (
+    AuditBoundError,
+    CandidatePair,
+    Interval,
+    Matching,
+    overlap_length,
+)
 from tracecontracts.parser import (
     Always,
     And,
@@ -431,6 +451,279 @@ def naive_purity_score(class_name: str, preds, class_ref_intervals) -> Obligatio
     obligated = len(preds)
     ratio = satisfied / obligated if obligated else 1.0
     return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+# ---------------------------------------------------------------------------
+# Object interval layer: the per-run ``Interval`` and per-candidate
+# ``CandidatePair`` implementations the array path replaced, kept as exact
+# oracles for it (same floats, same orders, same frozensets).
+
+
+def object_overlapping(queries, items) -> list[list[int]]:
+    """For each query interval, the ascending indices of the items it
+    overlaps with positive length, found by the sorted-window range scan."""
+    order = sorted(range(len(items)), key=lambda i: items[i].start)
+    starts = [items[i].start for i in order]
+    reach = list(accumulate((items[i].end for i in order), max))
+    out = []
+    for query in queries:
+        lo = bisect_right(reach, query.start)
+        hi = bisect_left(starts, query.end, lo)
+        hits = [
+            order[k]
+            for k in range(lo, hi)
+            if overlap_length(query, items[order[k]]) > 0.0
+        ]
+        hits.sort()
+        out.append(hits)
+    return out
+
+
+def object_candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
+    if not (epsilon > 0.0):
+        raise ValueError(f"tolerance must be positive, got {epsilon!r}")
+    refs = tuple(refs)
+    preds = tuple(preds)
+    limit = 3.0 * epsilon + _TIME_EPS
+    out: list[CandidatePair] = []
+    for ri, (ref, hits) in enumerate(zip(refs, object_overlapping(refs, preds))):
+        for pi in hits:
+            pred = preds[pi]
+            if (
+                abs(ref.start - pred.start) > limit
+                and abs(ref.end - pred.end) > limit
+            ):
+                continue
+            cost = (
+                abs(ref.start - pred.start)
+                + abs(ref.end - pred.end)
+                - overlap_length(ref, pred)
+            )
+            out.append(CandidatePair(ri, pi, ref, pred, cost))
+    return tuple(out)
+
+
+def _greedy_key(pair: CandidatePair):
+    return (pair.cost, pair.ref.start, pair.pred.start, pair.ref.end, pair.pred.end)
+
+
+def object_match_greedy(cands) -> Matching:
+    taken_refs: set[int] = set()
+    taken_preds: set[int] = set()
+    pairs: set[tuple[int, int]] = set()
+    for pair in sorted(cands, key=_greedy_key):
+        if pair.ref_index in taken_refs or pair.pred_index in taken_preds:
+            continue
+        taken_refs.add(pair.ref_index)
+        taken_preds.add(pair.pred_index)
+        pairs.add((pair.ref_index, pair.pred_index))
+    return Matching(frozenset(pairs), "greedy")
+
+
+def object_match_exact(cands, bound: int = 24) -> Matching:
+    cands = tuple(cands)
+    if not cands:
+        return Matching(frozenset(), "exact")
+    ref_ids = sorted({c.ref_index for c in cands})
+    pred_ids = sorted({c.pred_index for c in cands})
+    if len(ref_ids) > bound or len(pred_ids) > bound:
+        raise AuditBoundError(
+            f"instance has {len(ref_ids)}x{len(pred_ids)} intervals, bound is {bound}"
+        )
+    big = sum(abs(c.cost) for c in cands) + 1.0
+    matrix = np.zeros((len(ref_ids), len(pred_ids)))
+    ref_pos = {r: i for i, r in enumerate(ref_ids)}
+    pred_pos = {p: i for i, p in enumerate(pred_ids)}
+    cells = {}
+    for c in cands:
+        key = (ref_pos[c.ref_index], pred_pos[c.pred_index])
+        if key not in cells or c.cost < cells[key]:
+            cells[key] = c.cost
+    for (i, j), cost in cells.items():
+        matrix[i, j] = cost - big
+    rows, cols = linear_sum_assignment(matrix)
+    pairs = frozenset(
+        (ref_ids[i], pred_ids[j])
+        for i, j in zip(rows, cols)
+        if (i, j) in cells
+    )
+    return Matching(pairs, "exact")
+
+
+def object_covering_counts(refs, preds) -> tuple[int, ...]:
+    return tuple(len(hits) for hits in object_overlapping(tuple(refs), tuple(preds)))
+
+
+def object_duration_score(refs, preds, matching: Matching, threshold: float) -> ObligationScore:
+    refs = tuple(refs)
+    preds = tuple(preds)
+    obligated = len(matching)
+    satisfied = 0
+    for ri, pi in matching.pairs:
+        if abs(refs[ri].length - preds[pi].length) <= threshold + _TIME_EPS:
+            satisfied += 1
+    ratio = satisfied / obligated if obligated else 1.0
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def object_fragmentation_score(refs, preds, matching: Matching, counts=None) -> ObligationScore:
+    refs = tuple(refs)
+    if counts is None:
+        counts = object_covering_counts(refs, preds)
+    matched_refs = matching.matched_refs
+    obligated = len(refs)
+    satisfied = sum(
+        1 for ri in range(obligated) if ri in matched_refs and counts[ri] <= 1
+    )
+    ratio = satisfied / obligated if obligated else 1.0
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def object_latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
+    refs = tuple(refs)
+    onsets = sorted(p.start for p in preds)
+    obligated = len(refs)
+    satisfied = 0
+    for ref in refs:
+        k = bisect_left(onsets, ref.start - lead - _TIME_EPS)
+        if k < len(onsets) and onsets[k] <= ref.start + lag + _TIME_EPS:
+            satisfied += 1
+    ratio = satisfied / obligated if obligated else 1.0
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def object_purity_score(class_name: str, preds, class_ref_intervals) -> ObligationScore:
+    """Class totals summed in reference order over the range-scan hits."""
+    preds = tuple(preds)
+    classes = [(cls, tuple(refs)) for cls, refs in class_ref_intervals.items()]
+    hits = [object_overlapping(preds, refs) for _, refs in classes]
+    obligated = len(preds)
+    satisfied = 0
+    for k, pred in enumerate(preds):
+        totals = {
+            cls: sum(overlap_length(pred, refs[j]) for j in class_hits[k])
+            for (cls, refs), class_hits in zip(classes, hits)
+        }
+        best = max(totals.values(), default=0.0)
+        if best <= 0.0:
+            continue
+        leaders = [cls for cls, total in totals.items() if total >= best - _TIME_EPS]
+        if leaders == [class_name]:
+            satisfied += 1
+    ratio = satisfied / obligated if obligated else 1.0
+    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def object_duration_diffs(refs, preds, matching: Matching) -> tuple[float, ...]:
+    return tuple(
+        abs(refs[ri].length - preds[pi].length) for ri, pi in matching.sorted_pairs
+    )
+
+
+def object_fragmentation_extras(matching: Matching, counts) -> tuple[int, ...]:
+    matched_refs = matching.matched_refs
+    extras = []
+    for ri in range(len(counts)):
+        if ri in matched_refs and counts[ri] <= 1:
+            extras.append(0)
+        elif counts[ri] > 1:
+            extras.append(counts[ri] - 1)
+        else:
+            extras.append(1)
+    return tuple(extras)
+
+
+def object_event_score(clause: EventClause, refs, preds, matching, tolerance, class_context, counts):
+    if clause.predicate == "duration_within":
+        threshold = clause.param("threshold", 2.0 * tolerance)
+        return object_duration_score(refs, preds, matching, threshold)
+    if clause.predicate == "singly_covered":
+        return object_fragmentation_score(refs, preds, matching, counts)
+    if clause.predicate == "latency_window":
+        lead = clause.param("lead", tolerance)
+        lag = clause.param("lag", 2.0 * tolerance)
+        return object_latency_score(refs, preds, lead, lag)
+    class_name, class_ref_intervals = class_context
+    return object_purity_score(class_name, preds, class_ref_intervals)
+
+
+def _object_frame_witness(clause: FrameClause, values, h: float):
+    formula = clause.formula
+    if not (
+        isinstance(formula, Implies)
+        and isinstance(formula.left, Atom)
+        and isinstance(formula.right, Near)
+        and isinstance(formula.right.child, Atom)
+    ):
+        return None
+    distances = prefix_nearest_distances(
+        values[clause.obligation], values[formula.right.child], h
+    )
+    if distances is None or distances.size == 0:
+        return None
+    return float(np.mean(distances) * 1000.0)
+
+
+def _object_edge_witness(env: TraceEnvironment, source: str, target: str):
+    n_src = int(np.count_nonzero(env.atoms[source]))
+    if n_src == 0:
+        return None, 0
+    distances = prefix_nearest_distances(env.atoms[source], env.atoms[target], env.frame_step)
+    if distances is None:
+        return None, n_src
+    return float(np.mean(distances) * 1000.0), 0
+
+
+def object_monitor(contract, plan, env: TraceEnvironment, class_context=None) -> MonitorResult:
+    """The monitor over objects: runs, candidates and matching from the
+    ``object_*`` functions, frame verdicts from ``plan``, witnesses from
+    the all-frames lookup; ``class_context`` maps class names to runs."""
+    h = env.frame_step
+    if class_context is None:
+        refs = naive_extract_intervals(env.atoms["ref_active"], h, contract.merge_gap)
+    else:
+        refs = tuple(class_context[1][class_context[0]])
+    preds = naive_extract_intervals(env.atoms["pred_active"], h, contract.merge_gap)
+    cands = object_candidates(refs, preds, contract.tolerance)
+    if contract.matcher == "greedy":
+        matching = object_match_greedy(cands)
+    else:
+        matching = object_match_exact(cands)
+    counts = object_covering_counts(refs, preds)
+    values = plan.evaluate(env.atoms)
+    diffs = object_duration_diffs(refs, preds, matching)
+    extras = object_fragmentation_extras(matching, counts)
+    coordinates = []
+    for clause in contract.clauses:
+        if isinstance(clause, FrameClause):
+            value = obligation_score(values[clause.formula], values[clause.obligation])
+            witness = _object_frame_witness(clause, values, h)
+        else:
+            value = object_event_score(
+                clause, refs, preds, matching, contract.tolerance, class_context, counts
+            )
+            witness = None
+            if clause.predicate == "duration_within" and diffs:
+                witness = float(np.mean(diffs) * 1000.0)
+            if clause.predicate == "singly_covered" and extras:
+                witness = float(np.mean(extras))
+        coordinates.append(
+            GuardCoordinate(
+                clause.name,
+                "frame" if isinstance(clause, FrameClause) else "event",
+                value.score,
+                value.obligated,
+                value.satisfied,
+                value.violated,
+                witness,
+            )
+        )
+    onset_mae, onset_excluded = _object_edge_witness(env, "ref_onset", "pred_onset")
+    offset_mae, offset_excluded = _object_edge_witness(env, "ref_offset", "pred_offset")
+    witnesses = WitnessReport(
+        onset_mae, offset_mae, onset_excluded, offset_excluded, diffs, extras
+    )
+    return MonitorResult(GuardVector(tuple(coordinates)), witnesses, refs, preds, matching)
 
 
 class _Ring:

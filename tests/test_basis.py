@@ -1,6 +1,7 @@
 """Finite-universe checks and risk-ordered selection."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -237,6 +238,11 @@ class TestSelection:
         )
         with pytest.raises(AuditBoundError):
             clause_signatures(basis_from_contract(with_event), [many_runs])
+
+    def test_event_clauses_reject_a_negative_merge_gap(self):
+        basis = replace(basis_from_contract(default_contract(0.04)), merge_gap=-0.02)
+        with pytest.raises(ValueError, match="merge gap must be nonnegative"):
+            clause_signatures(basis, calibration_cases()[:1])
 
     def test_risk_ties_impose_no_constraints(self):
         same = [

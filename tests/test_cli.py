@@ -505,10 +505,20 @@ class TestMaskStrings:
         assert mask_to_string(np.array([0.0, 2.0, -1.0])) == "011"
         assert mask_to_string(np.array([True, False, True])[::2]) == "11"
 
-    @pytest.mark.parametrize("text", ["012", "0 1", "01\n", "1x", "١", "0¹"])
+    @pytest.mark.parametrize("text", ["012", "0 1", "01\n", "1x", "١", "0¹", "0１", "0" * 3999 + "2"])
     def test_bad_strings_keep_their_message(self, text):
         with pytest.raises(TraceFormatError, match=r"^m: mask string must contain only 0/1$"):
             parse_mask(text, "m")
+
+    def test_every_other_character_is_refused(self):
+        # The check runs on bytes: each neighbour of "0" and "1", every other
+        # ASCII byte and non-ASCII text (no UnicodeEncodeError) must fail.
+        for code in [*range(256), 0x3000, 0xFF10, 0xFF11, 0x10FFFF]:
+            if chr(code) in "01":
+                continue
+            for text in (chr(code), "01" + chr(code), chr(code) + "10"):
+                with pytest.raises(TraceFormatError, match="mask string must contain only 0/1"):
+                    parse_mask(text, "m")
 
     def test_other_values_keep_their_messages(self):
         with pytest.raises(TraceFormatError, match="m: mask array must be one-dimensional 0/1"):

@@ -3,13 +3,16 @@
 The vectorised and range-scan interval layer: every comparison is
 exact, with equal interval tuples with equal float reprs, candidate pairs
 in the same order with the same cost floats, and edge-time arrays equal
-bit for bit.  The evaluation plan: its reach walker against tree
+bit for bit.  The array interval layer against the object layer it
+replaced: equal reprs of candidates, matchings (frozenset order
+included), event scores and whole monitor results.  The evaluation plan: its reach walker against tree
 recursion, and its stacked evaluation against per-frame window scans.
 The shift-doubling window, erosion and until kernels against prefix sums,
 array for array, and the witness distances against the all-frames lookup.
 The fixed-delay streaming monitor against the pump engine, step by step.
 """
 
+import math
 import random
 
 import numpy as np
@@ -20,8 +23,14 @@ from tracecontracts.basis import _universe
 from tracecontracts.contracts import (
     _edge_times,
     _nearest_distances,
+    compile_contract,
+    default_contract,
     latency_score,
+    monitor,
+    monitor_classes,
+    parse_contract_text,
     purity_score,
+    tolerance_sweep,
 )
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track
 from tracecontracts.frames import (
@@ -29,13 +38,20 @@ from tracecontracts.frames import (
     _until,
     _window_all,
     _window_exists,
+    derive_edge_atoms,
     share_subformulas,
 )
 from tracecontracts.intervals import (
+    AuditBoundError,
+    CandidatePair,
     Interval,
     candidates,
     covering_counts,
+    duration_score,
     extract_intervals,
+    fragmentation_score,
+    match_exact,
+    match_greedy,
 )
 from tracecontracts.parser import Always, And, Atom, Future, Near, Not, Or, Until, walk
 from tracecontracts.streaming import StreamingMonitor
@@ -52,6 +68,15 @@ from gen import (
     naive_lookahead,
     naive_lookahead_frames,
     naive_purity_score,
+    object_candidates,
+    object_covering_counts,
+    object_duration_score,
+    object_fragmentation_score,
+    object_latency_score,
+    object_match_exact,
+    object_match_greedy,
+    object_monitor,
+    object_purity_score,
     prefix_nearest_distances,
     prefix_until,
     prefix_window_all,
@@ -200,6 +225,214 @@ def test_purity_on_arbitrary_interval_lists(preds, first, second):
         assert purity_score(cls, preds, class_refs) == naive_purity_score(
             cls, preds, class_refs
         )
+
+
+# ---------------------------------------------------------------------------
+# Array interval layer against the object layer
+
+
+def _outcome(call):
+    """The repr of a call's result, or the type and text of what it raised."""
+    try:
+        return repr(call())
+    except AuditBoundError as exc:
+        return f"AuditBoundError: {exc}"
+
+
+def _assert_same_matching(fast, slow):
+    assert fast == slow
+    assert repr(fast) == repr(slow)  # frozenset iteration order included
+
+
+def _assert_same_event_layer(refs, preds, epsilon, class_refs=None):
+    refs, preds = tuple(refs), tuple(preds)
+    fast = candidates(refs, preds, epsilon)
+    slow = object_candidates(refs, preds, epsilon)
+    assert repr(fast) == repr(slow)  # pair order and cost bits
+    assert covering_counts(refs, preds) == object_covering_counts(refs, preds)
+    matchings = [(match_greedy(fast), object_match_greedy(slow))]
+    _assert_same_matching(*matchings[0])
+    assert _outcome(lambda: match_exact(fast)) == _outcome(lambda: object_match_exact(slow))
+    if len({c.ref_index for c in fast}) <= 24 and len({c.pred_index for c in fast}) <= 24:
+        matchings.append((match_exact(fast), object_match_exact(slow)))
+        _assert_same_matching(*matchings[1])
+    for matching, _ in matchings:
+        for threshold in (epsilon, 2.0 * epsilon):
+            assert repr(duration_score(refs, preds, matching, threshold)) == repr(
+                object_duration_score(refs, preds, matching, threshold)
+            )
+        assert repr(fragmentation_score(refs, preds, matching)) == repr(
+            object_fragmentation_score(refs, preds, matching)
+        )
+    for lead, lag in ((epsilon, 2.0 * epsilon), (0.0, epsilon)):
+        assert repr(latency_score(refs, preds, lead, lag)) == repr(
+            object_latency_score(refs, preds, lead, lag)
+        )
+    class_refs = class_refs or {}
+    for cls in [*class_refs, "absent"]:
+        assert repr(purity_score(cls, preds, class_refs)) == repr(
+            object_purity_score(cls, preds, class_refs)
+        )
+
+
+class TestArrayEventLayer:
+    def test_random_masks_and_merge_gaps(self):
+        for ref, pred, h in _random_masks(81, 120):
+            for frames in GAP_FRAMES:
+                refs = extract_intervals(ref, h, frames * h)
+                preds = extract_intervals(pred, h, frames * h)
+                for epsilon in (0.02, 0.04, 0.1):
+                    _assert_same_event_layer(refs, preds, epsilon, {"r": refs, "p": preds})
+
+    def test_fixtures(self):
+        for ref, pred, h, epsilon in _fixture_masks():
+            refs, preds = extract_intervals(ref, h), extract_intervals(pred, h)
+            _assert_same_event_layer(refs, preds, epsilon, {"r": refs, "p": preds})
+
+    def test_empty_families(self):
+        one = (Interval(0.1, 0.3),)
+        for refs, preds in (((), ()), (one, ()), ((), one)):
+            _assert_same_event_layer(refs, preds, 0.04, {"a": refs, "b": ()})
+            _assert_same_event_layer(refs, preds, 0.04, {})
+
+    def test_equal_cost_ties_keep_candidate_order(self):
+        # Duplicated intervals tie on every key; mirrored predictions tie on
+        # cost and break on position.
+        same = (Interval(0.0, 1.0),) * 3
+        mirrored = (Interval(0.5, 1.5), Interval(-0.5, 0.5), Interval(0.25, 1.25))
+        for refs, preds in ((same, same), (same[:1], mirrored), (mirrored, same)):
+            _assert_same_event_layer(refs, preds, 1.0, {"a": refs, "b": preds})
+        rng = random.Random(89)
+        ref, pred = Interval(0.0, 1.0), Interval(0.0, 1.0)
+        cands = [CandidatePair(i % 3, i // 3, ref, pred, -1.0) for i in range(9)]
+        for _ in range(20):
+            rng.shuffle(cands)
+            _assert_same_matching(match_greedy(cands), object_match_greedy(cands))
+            _assert_same_matching(match_exact(cands), object_match_exact(cands))
+
+    def test_arbitrary_candidate_lists(self):
+        # Few distinct costs and endpoints, so cost ties that break on
+        # position, conflicts, and repeated (reference, prediction) pairs
+        # with different costs are common.
+        rng = random.Random(91)
+        grid = [Interval(a / 4, b / 4) for a in range(4) for b in range(a + 1, 5)]
+        for _ in range(400):
+            cands = [
+                CandidatePair(
+                    rng.randrange(5), rng.randrange(5), rng.choice(grid), rng.choice(grid),
+                    rng.choice((-1.0, 0.0, 0.5, 1.0)),
+                )
+                for _ in range(rng.randint(0, 12))
+            ]
+            _assert_same_matching(match_greedy(cands), object_match_greedy(cands))
+            _assert_same_matching(match_exact(cands), object_match_exact(cands))
+
+    def test_purity_totals_sum_in_reference_order(self):
+        # Sixty-four overlaps with full mantissas, where a pairwise or
+        # reordered sum rounds differently; a rival class one step either
+        # side of the dominance margin turns that last bit into a verdict.
+        preds = [Interval(0.0, 100.0)]
+        for seed in range(10):
+            rng = random.Random(seed)
+            first = [Interval(0.0, rng.random()) for _ in range(64)]
+            margin = sum(iv.end for iv in first) - 1e-9
+            for rival in (margin, math.nextafter(margin, 0.0)):
+                class_refs = {"x": first, "y": [Interval(0.0, rival)]}
+                for cls in class_refs:
+                    assert repr(purity_score(cls, preds, class_refs)) == repr(
+                        object_purity_score(cls, preds, class_refs)
+                    )
+
+
+_NESTED = _INTERVAL.filter(lambda iv: iv.length > 1e-6).map(
+    lambda iv: [iv, Interval(iv.start + iv.length / 4, iv.end - iv.length / 4)]
+)
+_MESSY = st.tuples(_FAMILY, st.lists(_NESTED, max_size=3)).flatmap(
+    lambda parts: st.permutations(
+        parts[0] + parts[0][: len(parts[0]) // 2] + [iv for pair in parts[1] for iv in pair]
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MESSY, _MESSY, _MESSY, st.sampled_from((0.01, 0.04, 0.1, 0.3)))
+def test_array_layer_on_unsorted_nested_duplicated_lists(refs, preds, other, epsilon):
+    _assert_same_event_layer(refs, preds, epsilon, {"refs": refs, "other": other})
+
+
+MIXED_CONTRACT = """set tolerance 0.03
+set merge_gap 0.02
+frame a : ref_active -> N[0.03] pred_onset @ ref_active & !pred_active
+frame e : ref_active -> N[0.03] pred_active @ ref_active & !pred_active
+frame b : ref_onset -> F[0.05] pred_active @ ref_onset
+frame c : pred_active -> N[0.01] ref_active @ pred_active
+frame d : ref_offset -> N[0.03] pred_offset @ ref_offset
+event dur : duration_within @ matched_pairs threshold=0.05
+event frag : singly_covered @ reference_intervals
+event lat : latency_window @ reference_intervals lead=0.02 lag=0.06
+"""
+
+PURITY_CONTRACT = """set tolerance 0.04
+set merge_gap 0.02
+frame on : ref_onset -> N[0.04] pred_onset @ ref_onset
+event pur : overlap_purity @ predicted_intervals
+event frag : singly_covered @ reference_intervals
+event dur : duration_within @ matched_pairs
+"""
+
+
+def _monitor_contracts():
+    return [
+        default_contract(0.04),
+        default_contract(0.04, merge_gap=0.03),
+        default_contract(0.02, matcher="exact"),
+        parse_contract_text(MIXED_CONTRACT),
+    ]
+
+
+def _monitor_inputs(seed: int, count: int):
+    yield from _random_masks(seed, count)
+    for ref, pred, h, _ in _fixture_masks():
+        yield ref, pred, h
+
+
+def test_monitor_results_match_object_monitor():
+    for ref, pred, h in _monitor_inputs(83, 40):
+        env = derive_edge_atoms(ref, pred, h)
+        for contract in _monitor_contracts():
+            plan = compile_contract(contract, h)
+            assert _outcome(lambda: monitor(contract, ref, pred, h)) == _outcome(
+                lambda: object_monitor(contract, plan, env)
+            )
+
+
+def test_sweep_rows_match_object_monitor():
+    # One set of runs serves every tolerance of the sweep.
+    for ref, pred, h in _random_masks(85, 25):
+        env = derive_edge_atoms(ref, pred, h)
+        for contract in (_monitor_contracts()[1], _monitor_contracts()[3]):
+            sweep = tolerance_sweep(contract, ref, pred, h, [0.01, 0.03, 0.05, 0.2])
+            for row in sweep.rows:
+                plan = compile_contract(row.contract, h)
+                assert repr(row.result) == repr(object_monitor(row.contract, plan, env))
+
+
+def test_class_results_with_purity_match_object_monitor():
+    rng = random.Random(87)
+    contract = parse_contract_text(PURITY_CONTRACT)
+    for _ in range(40):
+        n = rng.randint(0, 250)
+        h = rng.choice(STEPS)
+        masks = {cls: (_event_mask(rng, n), _event_mask(rng, n)) for cls in ("a", "b", "c")}
+        result = monitor_classes(contract, masks, h)
+        plan = compile_contract(contract, h)
+        class_refs = {
+            cls: naive_extract_intervals(ref, h, contract.merge_gap)
+            for cls, (ref, _) in masks.items()
+        }
+        for cls, (ref, pred) in masks.items():
+            want = object_monitor(contract, plan, derive_edge_atoms(ref, pred, h), (cls, class_refs))
+            assert repr(result.per_class[cls]) == repr(want)
 
 
 # ---------------------------------------------------------------------------

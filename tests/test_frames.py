@@ -91,6 +91,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             TraceEnvironment(0.02, 3, {"a": [1, 0]})
 
+    @pytest.mark.parametrize("radius", ["92233720368547747.0", "10000000000000000000000000.0"])
+    def test_until_radius_past_int64_reads_as_past_the_trace(self, radius):
+        # About 2**63 - 2048 frames once wrapped idx + r in int64, and 1e25 s
+        # overflowed; both must agree with a radius just past the trace.
+        rng = random.Random(17)
+        for n in (3000, 300):
+            env = random_env(rng, n, atoms=("a", "b"), h=0.01)
+            longer = f"{(n + 1) / 100}"
+            assert radius_frames(float(longer), 0.01) == n + 1
+            got = evaluate(parse_text(f"a U[{radius}] b"), env)
+            assert np.array_equal(got, evaluate(parse_text(f"a U[{longer}] b"), env))
+        assert bools(got) == naive_evaluate(parse_text(f"a U[{radius}] b"), env)
+
 
 class TestStrictInputs:
     @pytest.mark.parametrize("values", [[0, 2, 0], [1, -1, 0], [0.0, float("nan"), 1.0]])
