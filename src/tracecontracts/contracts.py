@@ -10,7 +10,9 @@ coverage, onset latency, class purity) over an interval obligation set
 
 The monitor returns the ordered guard vector first; the unweighted mean
 is a display value derived from the same coordinates, never a
-replacement for them.
+replacement for them.  Its result holds the merged runs as read-only
+families and builds :class:`Interval` tuples only for a reader; a contract
+keeps its compiled plan per frame step, so it is compiled once per grid.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .frames import (
     TraceEnvironment,
     _as_mask,
     _check_frame_step,
+    _mask_pair,
     derive_edge_atoms,
     obligation_score,
     share_subformulas,
@@ -131,13 +134,15 @@ Clause = FrameClause | EventClause
 
 @dataclass(frozen=True)
 class Contract:
-    """Tolerance settings plus the ordered clause list."""
+    """Tolerance settings plus the ordered clause list; ``_plans`` keeps
+    :func:`compile_contract`'s plans, no part of the value, empty after ``replace``."""
 
     tolerance: float
     silence_radius: float
     merge_gap: float
     matcher: str
     clauses: tuple[Clause, ...]
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.tolerance > 0.0):
@@ -227,13 +232,40 @@ class WitnessReport:
     fragmentation_extra_counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MonitorResult:
+    """Guards and witnesses of one trace pair, with its merged runs as
+    read-only families in seconds.  ``ref_intervals`` and ``pred_intervals``
+    build their :class:`Interval` tuples on first read; equality, hash and
+    repr are those of the record of guards, witnesses, both tuples and the
+    matching, read or not."""
+
     guards: GuardVector
     witnesses: WitnessReport
-    ref_intervals: tuple[Interval, ...]
-    pred_intervals: tuple[Interval, ...]
+    refs: Family
+    preds: Family
     matching: Matching
+
+    @property
+    def ref_intervals(self) -> tuple[Interval, ...]:
+        return self.refs.intervals
+
+    @property
+    def pred_intervals(self) -> tuple[Interval, ...]:
+        return self.preds.intervals
+
+    def _record(self) -> dict:
+        names = ("guards", "witnesses", "ref_intervals", "pred_intervals", "matching")
+        return {name: getattr(self, name) for name in names}
+
+    def __eq__(self, other) -> bool:
+        return self._record() == other._record() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._record().values()))
+
+    def __repr__(self) -> str:
+        return f"MonitorResult({', '.join(f'{k}={v!r}' for k, v in self._record().items())})"
 
 
 def default_contract(
@@ -420,10 +452,10 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
     """Regenerate the contract at a new tolerance.
 
     All formula radii and second-valued event parameters scale by
-    ``tolerance / contract.tolerance``; the regenerated formula strings
-    are tokenized and parsed again, so the canonical renderings in sweep
-    reports reflect exactly what was evaluated.  The merge gap is a grid
-    hygiene parameter and does not scale.
+    ``tolerance / contract.tolerance``, on the parsed trees; a radius renders
+    as a decimal that lexes back to the same float, so the canonical renderings
+    in sweep reports parse to exactly what was evaluated.  The merge gap is
+    a grid hygiene parameter and does not scale.
     """
     if not (tolerance > 0.0):
         raise ContractError(f"tolerance must be positive, got {tolerance!r}")
@@ -431,11 +463,8 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
     clauses: list[Clause] = []
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
-            formula_text = format_formula(_scale_radii(clause.formula, factor))
-            obligation_text = format_formula(_scale_radii(clause.obligation, factor))
-            clauses.append(
-                FrameClause(clause.name, parse_text(formula_text), parse_text(obligation_text))
-            )
+            clauses.append(replace(clause, formula=_scale_radii(clause.formula, factor),
+                                   obligation=_scale_radii(clause.obligation, factor)))
         else:
             params = tuple((key, value * factor) for key, value in clause.params)
             clauses.append(replace(clause, params=params))
@@ -452,13 +481,6 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
 # Monitoring
 
 
-def _neighbours(sources: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of the sorted, nonempty ``targets`` just below and at or
-    above each source value, clipped to the first and last target."""
-    pos = np.searchsorted(targets, sources)
-    return targets[np.maximum(pos - 1, 0)], targets[np.minimum(pos, targets.size - 1)]
-
-
 def _frame_runs(mask: np.ndarray) -> Family:
     edges = _run_edges(mask)
     return Family(edges[0::2], edges[1::2])
@@ -470,9 +492,11 @@ def _run_distances(obligated: Family, witnesses: Family, h: float) -> np.ndarray
 
     Both families are frame runs: sorted, disjoint and never adjacent.
     Obligated frames inside a witness run are at distance zero.  The others
-    are the obligated runs' overlaps with the gaps around the witness runs,
-    and their nearest witness frame is a witness run's first or last frame,
-    so no step touches every frame of the trace.
+    are the obligated runs' overlaps with the gaps around the witness runs.
+    Gap k lies between witness runs k - 1 and k, so the last frame of run
+    k - 1 and the first of run k are its frames' two nearest witness frames;
+    each outer gap has one, taken twice.  No step touches every frame of
+    the trace or searches the witness edges.
     """
     sizes = obligated.end - obligated.start
     total = int(sizes.sum())
@@ -485,20 +509,15 @@ def _run_distances(obligated: Family, witnesses: Family, h: float) -> np.ndarray
     gaps = Family(np.append(edge, end), np.append(first, stop))
     runs, gap, width = overlap_pairs(obligated, gaps)
     lo = np.maximum(obligated.start[runs], gaps.start[gap])
-    far = np.arange(width.sum()) + np.repeat(lo - (np.cumsum(width) - width), width)
     # Frame f of obligated run i is obligated frame number offset[i] + f - start[i].
     shift = (np.cumsum(sizes) - sizes - obligated.start)[runs]
-    left, right = _neighbours(far, np.column_stack((first, end - 1)).ravel())
+    left, right = np.append(first[0], end - 1)[gap], np.append(first, end[-1] - 1)[gap]
+    rows = np.stack((lo - (np.cumsum(width) - width), left, right, shift))
+    base, left, right, shift = np.repeat(rows, width, axis=1)
+    far = np.arange(base.size) + base
     distances = np.zeros(total)
-    nearest = np.minimum(np.abs(far - left), np.abs(far - right))
-    distances[far + np.repeat(shift, width)] = nearest * h
+    distances[far + shift] = np.minimum(np.abs(far - left), np.abs(far - right)) * h
     return distances
-
-
-def _nearest_distances(obligated, witnesses, h: float) -> np.ndarray | None:
-    """Seconds from each obligated frame to the nearest witness frame, for
-    Boolean masks; ``None`` when there are no witness frames at all."""
-    return _run_distances(_frame_runs(obligated), _frame_runs(witnesses), h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,8 +554,9 @@ def _trace_runs(env: TraceEnvironment, merge_gap: float) -> _TraceRuns:
     families, atom_runs = [], {}
     for side in ("ref", "pred"):
         edges = _run_edges(env.atoms[f"{side}_active"])
-        lo, hi = merge_runs(edges, h, merge_gap)
-        families.append(Family(lo * h, hi * h))
+        lo, hi = (x * h for x in merge_runs(edges, h, merge_gap))
+        lo.flags.writeable = hi.flags.writeable = False
+        families.append(Family(lo, hi))
         first, end = edges[0::2], edges[1::2]
         offsets = end[end < env.frame_count]
         atom_runs[f"{side}_active"] = Family(first, end)
@@ -664,10 +684,13 @@ def _edge_witness(runs: _TraceRuns, source_atom: str, target_atom: str) -> tuple
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
     """One evaluation plan over every frame formula and obligation of the
-    contract on the grid of step ``h``; shared subformulas are planned once."""
-    return share_subformulas(
-        (f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation)), h
-    )
+    contract on the grid of step ``h``; shared subformulas are planned once.
+    The plan is kept on the contract, one per frame step."""
+    if h not in contract._plans:
+        contract._plans[h] = share_subformulas(
+            (f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation)), h
+        )
+    return contract._plans[h]
 
 
 def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
@@ -720,7 +743,7 @@ def _monitor(
         fragmentation_extra_counts=tuple(extras.tolist()),
     )
     guards = GuardVector(tuple(coordinates))
-    return MonitorResult(guards, witnesses, runs.refs.intervals, runs.preds.intervals, matching)
+    return MonitorResult(guards, witnesses, runs.refs, runs.preds, matching)
 
 
 def mean_logic(vector: GuardVector) -> float:
@@ -795,10 +818,9 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
     score symmetrizes the two directed means.  Two edgeless masks score
     one; an edgeless mask against a nonempty one scores zero.
     """
-    if not (scale > 0.0):
-        raise ValueError(f"scale must be positive, got {scale!r}")
-    ref = _as_mask(ref_mask, "ref_mask")
-    pred = _as_mask(pred_mask, "pred_mask")
+    if not (0.0 < scale < math.inf):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    ref, pred = _mask_pair(ref_mask, pred_mask)
     _check_frame_step(h)
     ref_edges = _edge_times(ref, h)
     pred_edges = _edge_times(pred, h)
@@ -808,7 +830,8 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
         return 0.0
 
     def directed(src: np.ndarray, dst: np.ndarray) -> float:
-        left, right = _neighbours(src, dst)
+        pos = np.searchsorted(dst, src)
+        left, right = dst[np.maximum(pos - 1, 0)], dst[np.minimum(pos, dst.size - 1)]
         distances = np.minimum(np.abs(src - left), np.abs(src - right))
         return float(np.mean(np.exp(-distances / scale)))
 

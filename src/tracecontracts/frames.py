@@ -78,6 +78,14 @@ def _as_mask(values, name: str = "mask") -> np.ndarray:
     return arr if arr.dtype == bool else arr.astype(bool)
 
 
+def _mask_pair(ref_mask, pred_mask) -> tuple[np.ndarray, np.ndarray]:
+    """Both masks as by :func:`_as_mask`; they must have one length."""
+    ref, pred = _as_mask(ref_mask, "ref_mask"), _as_mask(pred_mask, "pred_mask")
+    if ref.shape != pred.shape:
+        raise ValueError(f"mask lengths differ: {ref.shape[0]} vs {pred.shape[0]}")
+    return ref, pred
+
+
 def _check_frame_step(h) -> None:
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"frame step must be finite and positive, got {h!r}")
@@ -320,10 +328,7 @@ def derive_edge_atoms(ref_mask, pred_mask, h: float) -> TraceEnvironment:
     An onset is an active frame following an inactive frame or the left
     trace boundary; an offset is an inactive frame following an active one.
     """
-    ref = _as_mask(ref_mask, "ref_mask")
-    pred = _as_mask(pred_mask, "pred_mask")
-    if ref.shape != pred.shape:
-        raise ValueError(f"mask lengths differ: {ref.shape[0]} vs {pred.shape[0]}")
+    ref, pred = _mask_pair(ref_mask, pred_mask)
     atoms = {"ref_active": ref, "pred_active": pred}
     for prefix_name, mask in (("ref", ref), ("pred", pred)):
         atoms[f"{prefix_name}_onset"] = _onsets(mask)

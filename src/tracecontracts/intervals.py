@@ -18,8 +18,11 @@ int64 ``lo``/``hi`` frame arrays from the nonzero differences of the
 zero-padded mask; their bounds in seconds are ``lo * h`` and ``hi * h``,
 the same floats the scalar products give.  A :class:`Family` holds a
 family's start and end arrays, and any :class:`Interval` sequence
-converts to one in a single pass.  :func:`overlap_pairs` finds every
-positively overlapping pair by a sorted-window range scan: visited in
+converts to one in a single pass.  The other way, :attr:`Family.intervals`
+builds the :class:`Interval` tuple on first read and keeps it, so a
+monitor result, which holds its merged runs as families, makes interval
+objects only for a caller that reads them.  :func:`overlap_pairs` finds
+every positively overlapping pair by a sorted-window range scan: visited in
 start order, every item that overlaps a query starts before the query
 ends and has a running maximum end past the query start, so the
 overlapping items lie in one contiguous window of that order, found for
@@ -251,18 +254,20 @@ def match_greedy(cands) -> Matching:
     sequence.  Ties on cost break by interval position; starts are unique
     within a family of disjoint runs, the ends extend the order to
     arbitrary input.  ``lexsort`` is stable, so full ties keep candidate
-    order.
+    order.  Taken runs are marked in one byte array per side.
     """
     table = CandidateTable.of(cands)
     order = np.lexsort(
         (table.pred.end, table.ref.end, table.pred.start, table.ref.start, table.cost)
     )
-    taken_refs, taken_preds, pairs = set(), set(), set()
-    for ri, pi in zip(table.ref_index[order].tolist(), table.pred_index[order].tolist()):
-        if ri in taken_refs or pi in taken_preds:
+    refs, preds = table.ref_index[order].tolist(), table.pred_index[order].tolist()
+    taken_refs = bytearray(max(refs, default=-1) + 1)
+    taken_preds = bytearray(max(preds, default=-1) + 1)
+    pairs = set()  # filled in scan order, which fixes the frozenset's iteration order
+    for ri, pi in zip(refs, preds):
+        if taken_refs[ri] or taken_preds[pi]:
             continue
-        taken_refs.add(ri)
-        taken_preds.add(pi)
+        taken_refs[ri] = taken_preds[pi] = 1
         pairs.add((ri, pi))
     return Matching(frozenset(pairs), "greedy")
 

@@ -39,6 +39,7 @@ from tracecontracts.frames import (
 from tracecontracts.intervals import (
     AuditBoundError,
     CandidatePair,
+    Family,
     Interval,
     Matching,
     overlap_length,
@@ -723,7 +724,9 @@ def object_monitor(contract, plan, env: TraceEnvironment, class_context=None) ->
     witnesses = WitnessReport(
         onset_mae, offset_mae, onset_excluded, offset_excluded, diffs, extras
     )
-    return MonitorResult(GuardVector(tuple(coordinates)), witnesses, refs, preds, matching)
+    return MonitorResult(
+        GuardVector(tuple(coordinates)), witnesses, Family.of(refs), Family.of(preds), matching
+    )
 
 
 class _Ring:

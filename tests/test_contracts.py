@@ -1,16 +1,20 @@
 """Contract engine: default guards, monitoring, sweeps, soft scores, files."""
 
+import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
+from tracecontracts import contracts, frames, lexer, parser
 from tracecontracts.contracts import (
     Contract,
     ContractError,
     ContractSyntaxError,
     EventClause,
     FrameClause,
+    compile_contract,
     contract_to_text,
     default_contract,
     default_contract_text,
@@ -32,10 +36,10 @@ from tracecontracts.fixtures import (
     worked_trace,
 )
 from tracecontracts.frames import derive_edge_atoms, radius_frames
-from tracecontracts.intervals import Interval
-from tracecontracts.parser import format_formula
+from tracecontracts.intervals import Interval, extract_intervals
+from tracecontracts.parser import format_formula, parse_text
 
-from gen import random_mask
+from gen import random_formula, random_mask
 
 
 class TestDefaultContract:
@@ -370,6 +374,19 @@ class TestSoftBoundary:
         with pytest.raises(ValueError):
             soft_boundary([0, 1], [0, 1], 0.02, 0.0)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_scale_must_be_finite(self, scale):
+        # An infinite scale would credit every edge in full, whatever the distance.
+        with pytest.raises(ValueError, match="finite"):
+            soft_boundary([1, 1, 0, 0], [0, 0, 1, 1], 0.01, scale)
+
+    def test_mask_lengths_must_agree(self):
+        ref, pred = [1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 1, 1]
+        with pytest.raises(ValueError, match="mask lengths differ: 4 vs 8"):
+            soft_boundary(ref, pred, 0.01)
+        with pytest.raises(ValueError, match="mask lengths differ: 4 vs 8"):
+            monitor(default_contract(0.04), ref, pred, 0.01)
+
     @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.02])
     def test_frame_step_must_be_finite_and_positive(self, h):
         with pytest.raises(ValueError, match="frame step"):
@@ -417,6 +434,27 @@ class TestToleranceSweep:
         assert all(row.mean_logic == 1.0 for row in sweep.rows)
         assert sweep.integral == pytest.approx(1.0)
         assert sweep.span == 0.0
+
+    def test_regenerated_formulas_round_trip_through_their_text(self):
+        # Radii scale on the trees; each sweep formula's rendering still
+        # parses back to exactly the tree that was evaluated.
+        rng = random.Random(95)
+        ref, pred, h = worked_trace()
+        atoms = ("ref_active", "pred_active", "ref_onset", "pred_offset")
+        for _ in range(20):
+            clauses = tuple(
+                FrameClause(
+                    f"c{i}", random_formula(rng, 4, atoms, h), random_formula(rng, 2, atoms, h)
+                )
+                for i in range(3)
+            )
+            contract = Contract(0.04, 0.02, 0.0, "greedy", clauses)
+            tolerances = sorted({rng.uniform(0.001, 0.3) for _ in range(4)})
+            sweep = tolerance_sweep(contract, ref, pred, h, tolerances)
+            for row in sweep.rows:
+                for clause in row.contract.frame_clauses:
+                    for formula in (clause.formula, clause.obligation):
+                        assert parse_text(format_formula(formula)) == formula
 
     def test_tolerances_must_ascend(self):
         ref, pred, h = worked_trace()
@@ -502,3 +540,111 @@ class TestContractFiles:
             "fragmentation_guard",
         ):
             assert name in text
+
+
+class TestResultRuns:
+    def test_lazy_tuples_equal_extraction_and_are_kept(self):
+        rng = random.Random(97)
+        for merge_gap in (0.0, 0.03):
+            contract = default_contract(0.04, merge_gap=merge_gap)
+            for _ in range(20):
+                n = rng.randint(0, 200)
+                ref, pred = random_mask(rng, n), random_mask(rng, n)
+                result = monitor(contract, ref, pred, 0.01)
+                assert result.ref_intervals == extract_intervals(ref, 0.01, merge_gap)
+                assert result.pred_intervals == extract_intervals(pred, 0.01, merge_gap)
+                assert result.ref_intervals is result.ref_intervals
+                assert result.pred_intervals is result.pred_intervals
+
+    def test_runs_are_read_only(self):
+        ref, pred, h = worked_trace()
+        result = monitor(default_contract(0.04), ref, pred, h)
+        for array in (result.refs.start, result.refs.end, result.preds.start, result.preds.end):
+            with pytest.raises(ValueError):
+                array[0] = -1.0
+
+    def test_equality_and_hash_do_not_depend_on_reading_the_tuples(self):
+        ref, pred, h = fragmented_trace()
+        contract = default_contract(0.04)
+        first, unread = monitor(contract, ref, pred, h), monitor(contract, ref, pred, h)
+        read = monitor(contract, ref, pred, h)
+        read.ref_intervals, read.pred_intervals
+        record = (first.guards, first.witnesses, extract_intervals(ref, h),
+                  extract_intervals(pred, h), first.matching)
+        assert hash(unread) == hash(read) == hash(record)
+        assert first == unread == read
+        assert hash(first) == hash(record)
+        assert first != monitor(contract, ref, ref, h)
+        assert repr(first) == (
+            f"MonitorResult(guards={record[0]!r}, witnesses={record[1]!r}, "
+            f"ref_intervals={record[2]!r}, pred_intervals={record[3]!r}, matching={record[4]!r})"
+        )
+
+
+class TestPlanMemo:
+    def test_a_filled_memo_is_no_part_of_the_contract_value(self):
+        fresh, used = default_contract(0.04), default_contract(0.04)
+        plan = compile_contract(used, 0.01)
+        assert compile_contract(used, 0.01) is plan
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert contract_to_text(used) == contract_to_text(fresh)
+
+    def test_replace_starts_empty_and_each_grid_has_its_plan(self):
+        contract = default_contract(0.04)
+        plan = compile_contract(contract, 0.01)
+        coarse = compile_contract(contract, 0.02)
+        assert coarse is not plan and coarse.radii != plan.radii
+        assert compile_contract(contract, 0.01) is plan
+        changed = dataclasses.replace(contract, matcher="exact")
+        assert changed._plans == {}
+        assert compile_contract(changed, 0.01) is not plan
+
+
+class TestWorkCounts:
+    """Work counted, not timed: the per-call and per-run work `monitor` no
+    longer does stays undone."""
+
+    def test_one_plan_and_no_interval_objects(self, monkeypatch):
+        rng = random.Random(99)
+        h = 0.01
+        pairs = [(random_mask(rng, 300), random_mask(rng, 300)) for _ in range(8)]
+        classes = {name: (random_mask(rng, 300), random_mask(rng, 300)) for name in "abc"}
+        contract = default_contract(0.04)
+        calls = {"plan": 0, "interval": 0}
+        plan, post_init = frames.share_subformulas, Interval.__post_init__
+
+        def counting_plan(*args):
+            calls["plan"] += 1
+            return plan(*args)
+
+        def counting_post_init(interval):
+            calls["interval"] += 1
+            post_init(interval)
+
+        for module in (frames, contracts):
+            monkeypatch.setattr(module, "share_subformulas", counting_plan)
+        monkeypatch.setattr(Interval, "__post_init__", counting_post_init)
+        results = [monitor(contract, ref, pred, h) for ref, pred in pairs]
+        results += monitor_classes(contract, classes, h).per_class.values()
+        assert calls == {"plan": 1, "interval": 0}
+        # The counter sees the objects a reader asks for.
+        assert len(results[0].ref_intervals) == len(results[0].refs) > 0
+        assert calls["interval"] == len(results[0].refs)
+
+    def test_sweep_tokenizes_nothing(self, monkeypatch):
+        ref, pred, h = worked_trace()
+        contract = default_contract(0.04)
+        sources = []
+        tokenize = lexer.tokenize
+
+        def counting_tokenize(source):
+            sources.append(source)
+            return tokenize(source)
+
+        for module in (lexer, parser):
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        tolerance_sweep(contract, ref, pred, h, (0.02, 0.04, 0.08, 0.12, 0.16))
+        assert sources == []
+        parse_text("ref_active")
+        assert sources == ["ref_active"]

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from tracecontracts.basis import _universe
 from tracecontracts.contracts import (
     _edge_times,
-    _nearest_distances,
+    _frame_runs,
+    _run_distances,
     compile_contract,
     default_contract,
     latency_score,
@@ -544,6 +545,10 @@ def test_temporal_nodes_match_window_scans():
             assert values[formula].tolist() == naive_evaluate(formula, env)
 
 
+def _nearest_distances(obligated, witnesses, h):
+    return _run_distances(_frame_runs(obligated), _frame_runs(witnesses), h)
+
+
 def _assert_same_distances(obligated, witnesses, h):
     got = _nearest_distances(obligated, witnesses, h)
     want = prefix_nearest_distances(obligated, witnesses, h)
@@ -570,6 +575,38 @@ def test_witness_distances_match_all_frames_lookup():
     for ref, pred, h in _random_masks(79, 60):
         _assert_same_distances(ref, pred, h)
         _assert_same_distances(pred, ref, h)
+
+
+def _runs_mask(n: int, *runs: tuple[int, int]) -> np.ndarray:
+    mask = np.zeros(n, bool)
+    for start, end in runs:
+        mask[start:end] = True
+    return mask
+
+
+def test_gap_indexed_witnesses_at_the_outer_gaps():
+    # A frame in gap k takes witness runs k - 1 and k; the outer gaps have one.
+    n = 40
+    cases = [
+        # obligated frames before the first witness run
+        (_runs_mask(n, (0, 6), (8, 9), (13, 14)), _runs_mask(n, (12, 15), (20, 22))),
+        # obligated frames after the last witness run
+        (_runs_mask(n, (10, 12), (30, 40)), _runs_mask(n, (5, 9), (14, 16))),
+        # exactly one witness run, with obligated frames on both sides
+        (_runs_mask(n, (0, 40)), _runs_mask(n, (17, 19))),
+        (_runs_mask(n, (2, 3), (39, 40)), _runs_mask(n, (0, 1))),
+        # no witness run
+        (_runs_mask(n, (3, 9)), _runs_mask(n)),
+        # every obligated frame witnessed
+        (_runs_mask(n, (4, 7), (20, 21)), _runs_mask(n, (2, 9), (18, 25))),
+    ]
+    for h in STEPS:
+        for obligated, witnesses in cases:
+            _assert_same_distances(obligated, witnesses, h)
+    assert _nearest_distances(*cases[4], 0.01) is None
+    assert not _nearest_distances(*cases[5], 0.01).any()
+    one_run = _nearest_distances(_runs_mask(8, (0, 8)), _runs_mask(8, (3, 5)), 1.0)
+    assert one_run.tolist() == [3.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0]
 
 
 # Streaming
