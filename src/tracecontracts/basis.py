@@ -204,8 +204,12 @@ def observational_classes(
     basis: CandidateBasis, cases: Sequence[CalibrationCase]
 ) -> tuple[ObservationalClass, ...]:
     """Partition clauses by exact equality of their calibration signatures."""
+    return _classes_of(clause_signatures(basis, cases))
+
+
+def _classes_of(signatures: Sequence[ClauseSignature]) -> tuple[ObservationalClass, ...]:
     groups: dict[tuple[float, ...], list[int]] = {}
-    for signature in clause_signatures(basis, cases):
+    for signature in signatures:
         groups.setdefault(signature.values, []).append(signature.clause_id)
     classes = []
     for values, members in groups.items():
@@ -222,11 +226,13 @@ def retained_basis(
 
     Constant clauses cannot separate any risk pair and are removed.
     """
-    keep = {
-        cls.representative
-        for cls in observational_classes(basis, cases)
-        if not cls.constant
-    }
+    return _retained_of(basis, observational_classes(basis, cases))
+
+
+def _retained_of(
+    basis: CandidateBasis, classes: Sequence[ObservationalClass]
+) -> CandidateBasis:
+    keep = {cls.representative for cls in classes if not cls.constant}
     clauses = tuple(c for c in basis.clauses if c.source_order in keep)
     return CandidateBasis(clauses, basis.tolerance, basis.merge_gap, basis.matcher)
 
@@ -259,8 +265,17 @@ def select_contract(
     selected clause.  Subsets are compared by (size, total monitor cost,
     sorted source-order tuple); the search enumerates ascending by size.
     """
+    return _select_from(basis, cases, clause_signatures(basis, cases), risk)
+
+
+def _select_from(
+    basis: CandidateBasis,
+    cases: Sequence[CalibrationCase],
+    signatures: Sequence[ClauseSignature],
+    risk: Callable[[CalibrationCase], float] | None = None,
+) -> SelectionResult:
+    """:func:`select_contract` from signatures that cover the basis clauses."""
     risk_of = risk if risk is not None else (lambda case: case.risk)
-    signatures = clause_signatures(basis, cases)
     values = {sig.clause_id: sig.values for sig in signatures}
     constraints: list[tuple[int, int]] = []
     for i, u in enumerate(cases):
@@ -313,17 +328,29 @@ def select_contract(
     return SelectionResult(True, best_subset, tuple(certificate))
 
 
+def _selection(
+    basis: CandidateBasis, cases: Sequence[CalibrationCase]
+) -> tuple[tuple[ObservationalClass, ...], CandidateBasis, SelectionResult]:
+    """:func:`observational_classes`, :func:`retained_basis` and
+    :func:`select_contract` over the retained basis, from one pass of
+    :func:`clause_signatures`."""
+    signatures = clause_signatures(basis, cases)
+    classes = _classes_of(signatures)
+    retained = _retained_of(basis, classes)
+    return classes, retained, _select_from(retained, cases, signatures)
+
+
 def load_calibration(path) -> list[CalibrationCase]:
     """Calibration set file: JSON array of {id, risk, frame_step, ref_mask, pred_mask}."""
-    import json
+    from .tracefile import read_json
 
+    return _calibration_cases(read_json(path)[0], path)
+
+
+def _calibration_cases(data, path) -> list[CalibrationCase]:
+    """The cases of a parsed calibration file read from ``path``."""
     from .tracefile import TraceFormatError, parse_mask
 
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, list):
         raise TraceFormatError(f"{path}: expected a JSON array of cases")
     cases = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .basis import basis_from_contract, load_calibration, observational_classes, retained_basis, select_contract
+from .basis import _calibration_cases, _selection, basis_from_contract
 from .contracts import (
     Contract,
     ContractError,
@@ -54,7 +55,7 @@ from .frames import UnknownAtomError, derive_edge_atoms, evaluate
 from .intervals import AuditBoundError, extract_intervals, matcher_audit
 from .parser import format_formula, radius_sum, temporal_depth
 from .streaming import StreamingMonitor
-from .tracefile import TraceFormatError, canonical_json, load_trace, sha256_file, sha256_text
+from .tracefile import TraceFormatError, canonical_json, load_trace, read_json, sha256_text
 
 EXIT_OK = 0
 EXIT_CONTRACT = 2
@@ -96,16 +97,18 @@ def _positive_ms_list(text: str) -> list[float]:
     return [_positive_ms(part) for part in text.split(",")]
 
 
-def _load_contract(path: str) -> tuple[Contract, str]:
-    """The parsed contract and the text it was parsed from, read once."""
+def _load_contract(path: str) -> tuple[Contract, str, str]:
+    """The parsed contract, the text it was parsed from (strict UTF-8, line
+    ends read as ``\n``) and the SHA-256 of the file's bytes, read once."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        return parse_contract_text(text), text
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return parse_contract_text(text), text, hashlib.sha256(raw).hexdigest()
     except ContractSyntaxError as error:
         _print_contract_error(path, error)
         raise SystemExit(EXIT_CONTRACT) from None
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         print(f"cannot read contract {path}: {error}", file=sys.stderr)
         raise SystemExit(EXIT_CONTRACT) from None
 
@@ -137,7 +140,8 @@ def _write_report(
     args, command: str, contract_text: str | None, settings: dict, inputs, flags: dict, tables: dict
 ) -> None:
     """Write ``manifest.json`` and each ``name: (header, rows)`` table under
-    ``args.out``; every CSV starts with the manifest's run id."""
+    ``args.out``; every CSV starts with the manifest's run id.  ``inputs``
+    are (path, SHA-256) pairs, each digest that of the bytes parsed."""
     manifest = {
         "tool": "tracecontracts",
         "version": __version__,
@@ -145,8 +149,8 @@ def _write_report(
         "contract_sha256": sha256_text(contract_text) if contract_text is not None else None,
         "settings": settings,
         "inputs": [
-            {"path": os.path.basename(str(path)), "sha256": sha256_file(path)}
-            for path in inputs
+            {"path": os.path.basename(str(path)), "sha256": digest}
+            for path, digest in inputs
         ],
         "flags": flags,
     }
@@ -229,7 +233,7 @@ WITNESS_HEADER = [
 
 
 def cmd_check(args) -> int:
-    contract, _ = _load_contract(args.contract)
+    contract, _, _ = _load_contract(args.contract)
     # Lookahead in seconds does not depend on the grid and a check has no
     # trace, so any frame step serves.
     reach = compile_contract(contract, 1.0).reach
@@ -255,7 +259,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    contract, contract_text = _load_contract(args.contract)
+    contract, contract_text, _ = _load_contract(args.contract)
     if args.matcher:
         contract = replace(contract, matcher=args.matcher)
     traces = _load_traces(args.traces)
@@ -300,7 +304,7 @@ def cmd_monitor(args) -> int:
         "monitor",
         contract_text,
         {**_contract_settings(contract), "soft_scale_ms": args.soft_scale},
-        [path for path, _ in traces],
+        [(path, trace.sha256) for path, trace in traces],
         {"classes": bool(args.classes)},
         {"guard.csv": (GUARD_HEADER, guard_rows), "witness.csv": (WITNESS_HEADER, witness_rows)},
     )
@@ -322,7 +326,7 @@ SWEEP_HEADER = [
 
 
 def cmd_sweep(args) -> int:
-    contract, contract_text = _load_contract(args.contract)
+    contract, contract_text, _ = _load_contract(args.contract)
     traces = _load_traces(args.traces)
     tolerances_ms = args.tolerances
     if any(b <= a for a, b in zip(tolerances_ms, tolerances_ms[1:])):
@@ -371,7 +375,7 @@ def cmd_sweep(args) -> int:
         "sweep",
         contract_text,
         {**_contract_settings(contract), "tolerances_ms": tolerances_ms},
-        [path for path, _ in traces],
+        [(path, trace.sha256) for path, trace in traces],
         {},
         {
             "sweep.csv": (SWEEP_HEADER, rows),
@@ -441,7 +445,7 @@ def cmd_match_audit(args) -> int:
         "match-audit",
         None,
         {"epsilon_ms": args.epsilon_ms, "bound": args.bound},
-        [path for path, _ in traces],
+        [(path, trace.sha256) for path, trace in traces],
         {"strict_bound": bool(args.strict_bound)},
         {"match_audit.csv": (AUDIT_HEADER, rows)},
     )
@@ -450,16 +454,15 @@ def cmd_match_audit(args) -> int:
 
 
 def cmd_select(args) -> int:
-    contract, contract_text = _load_contract(args.basis)
+    contract, contract_text, contract_digest = _load_contract(args.basis)
     try:
-        cases = load_calibration(args.calibration)
+        data, calibration_digest = read_json(args.calibration)
+        cases = _calibration_cases(data, args.calibration)
     except TraceFormatError as error:
         print(f"calibration error: {error}", file=sys.stderr)
         return EXIT_TRACE
     basis = basis_from_contract(contract)
-    classes = observational_classes(basis, cases)
-    retained = retained_basis(basis, cases)
-    selection = select_contract(retained, cases)
+    classes, retained, selection = _selection(basis, cases)
     by_order = {clause.source_order: clause for clause in basis.clauses}
     print(f"calibration: {len(cases)} cases, {len(basis.clauses)} candidate clauses")
     print("observational classes:")
@@ -507,7 +510,7 @@ def cmd_select(args) -> int:
             "select",
             contract_text,
             {"tolerance": contract.tolerance, "matcher": contract.matcher},
-            [args.basis, args.calibration],
+            [(args.basis, contract_digest), (args.calibration, calibration_digest)],
             {},
             {
                 "selection.csv": (
@@ -528,7 +531,7 @@ STREAM_HEADER = ["frame_index", "emitted_after_frames", "verdict", "offline", "e
 
 
 def cmd_stream(args) -> int:
-    contract, contract_text = _load_contract(args.contract)
+    contract, contract_text, _ = _load_contract(args.contract)
     traces = _load_traces([args.trace])
     _, trace = traces[0]
     clause = next(
@@ -578,7 +581,7 @@ def cmd_stream(args) -> int:
         "stream",
         contract_text,
         {"clause": args.clause, "lookahead_frames": stream.lookahead_frames},
-        [args.trace],
+        [(args.trace, trace.sha256)],
         {},
         {"stream.csv": (STREAM_HEADER, rows)},
     )

@@ -13,6 +13,9 @@ is a display value derived from the same coordinates, never a
 replacement for them.  Its result holds the merged runs as read-only
 families and builds :class:`Interval` tuples only for a reader; a contract
 keeps its compiled plan per frame step, so it is compiled once per grid.
+Witness distances are reduced to their mean as soon as they are computed:
+a trace pair keeps one (mean, no-witness) summary per obligation and
+witness formula, shared by its clauses, edge witnesses and sweep rows.
 """
 
 from __future__ import annotations
@@ -463,11 +466,11 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
     clauses: list[Clause] = []
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
-            clauses.append(replace(clause, formula=_scale_radii(clause.formula, factor),
-                                   obligation=_scale_radii(clause.obligation, factor)))
+            clauses.append(FrameClause(clause.name, _scale_radii(clause.formula, factor),
+                                       _scale_radii(clause.obligation, factor)))
         else:
             params = tuple((key, value * factor) for key, value in clause.params)
-            clauses.append(replace(clause, params=params))
+            clauses.append(EventClause(clause.name, clause.obligation, clause.predicate, params))
     return Contract(
         tolerance,
         contract.silence_radius * factor,
@@ -526,8 +529,8 @@ class _TraceRuns:
 
     ``refs`` and ``preds`` are the merged runs in seconds with their
     overlap pairs and covering counts; ``atom_runs`` are the unmerged frame
-    runs of every activity and edge atom, and ``distances`` keeps the
-    witness distances already computed, by (obligation, witness) formula.
+    runs of every activity and edge atom, and ``witnesses`` keeps the
+    witness summaries already computed, by (obligation, witness) formula.
     """
 
     env: TraceEnvironment
@@ -536,17 +539,25 @@ class _TraceRuns:
     overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
     counts: np.ndarray
     atom_runs: dict[str, Family]
-    distances: dict[tuple[Formula, Formula], np.ndarray | None] = field(default_factory=dict)
+    witnesses: dict[tuple[Formula, Formula], tuple[float | None, bool]] = field(
+        default_factory=dict
+    )
 
-    def nearest(self, obligation: Formula, witness: Formula, values) -> np.ndarray | None:
-        """:func:`_run_distances` from the obligation's frames to the witness's;
-        ``values`` holds the plan's valuations of formulas other than atoms."""
+    def witness(self, obligation: Formula, witness: Formula, values) -> tuple[float | None, bool]:
+        """Mean in ms of :func:`_run_distances` from the obligation's frames to
+        the witness's (``None`` when either set is empty), and whether there
+        are no witness frames; ``values`` holds the plan's valuations of
+        formulas other than atoms.  The distances are not kept."""
         key = (obligation, witness)
-        if key not in self.distances:
+        if key not in self.witnesses:
             obligated, witnessed = (self.atom_runs[f.name] if isinstance(f, Atom)
                                     else _frame_runs(values[f]) for f in key)
-            self.distances[key] = _run_distances(obligated, witnessed, self.env.frame_step)
-        return self.distances[key]
+            distances = _run_distances(obligated, witnessed, self.env.frame_step)
+            mean = None if distances is None or distances.size == 0 else float(
+                np.mean(distances) * 1000.0
+            )
+            self.witnesses[key] = (mean, distances is None)
+        return self.witnesses[key]
 
 
 def _trace_runs(env: TraceEnvironment, merge_gap: float) -> _TraceRuns:
@@ -579,7 +590,7 @@ def _frame_clause_witness(
 
     Defined for clauses of the shape ``x -> N[r] y`` (the five default
     guards); other formula shapes have no generic distance semantics.
-    ``values`` are the clause's node valuations from the contract plan.
+    ``values`` are the valuations from the contract plan.
     """
     formula = clause.formula
     if not (
@@ -589,11 +600,7 @@ def _frame_clause_witness(
         and isinstance(formula.right.child, Atom)
     ):
         return None
-    return _mean_ms(runs.nearest(clause.obligation, formula.right.child, values))
-
-
-def _mean_ms(distances: np.ndarray | None) -> float | None:
-    return None if distances is None or distances.size == 0 else float(np.mean(distances) * 1000.0)
+    return runs.witness(clause.obligation, formula.right.child, values)[0]
 
 
 def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
@@ -677,9 +684,8 @@ def _event_clause_witness(
 
 def _edge_witness(runs: _TraceRuns, source_atom: str, target_atom: str) -> tuple[float | None, int]:
     """(mean nearest-edge distance in ms, excluded edge count)."""
-    distances = runs.nearest(Atom(source_atom), Atom(target_atom), {})
-    excluded = len(runs.atom_runs[source_atom]) if distances is None else 0
-    return _mean_ms(distances), excluded
+    mean, unwitnessed = runs.witness(Atom(source_atom), Atom(target_atom), {})
+    return mean, len(runs.atom_runs[source_atom]) if unwitnessed else 0
 
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
@@ -687,10 +693,13 @@ def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
     contract on the grid of step ``h``; shared subformulas are planned once.
     The plan is kept on the contract, one per frame step."""
     if h not in contract._plans:
-        contract._plans[h] = share_subformulas(
-            (f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation)), h
-        )
+        contract._plans[h] = share_subformulas(_frame_formulas(contract), h)
     return contract._plans[h]
+
+
+def _frame_formulas(contract: Contract):
+    """Every frame clause's formula and obligation, in clause order."""
+    return (f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation))
 
 
 def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
@@ -702,19 +711,19 @@ def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     witness distances.
     """
     runs = _trace_runs(derive_edge_atoms(ref_mask, pred_mask, h), contract.merge_gap)
-    return _monitor(contract, compile_contract(contract, h), runs, None)
+    return _monitor(contract, compile_contract(contract, h).evaluate(runs.env.atoms), runs, None)
 
 
 def _monitor(
     contract: Contract,
-    plan: EvaluationPlan,
+    values: Mapping[Formula, np.ndarray],
     runs: _TraceRuns,
     class_context: tuple[str, Mapping[str, Family]] | None,
 ) -> MonitorResult:
-    """:func:`monitor` with the contract compiled on the trace's grid and
-    the runs taken under the contract's merge gap."""
+    """:func:`monitor` with ``values`` the valuations of the contract's frame
+    formulas and obligations on the trace's atoms, and the runs taken under
+    the contract's merge gap."""
     matching = _match(runs, contract.tolerance, contract.matcher)
-    values = plan.evaluate(runs.env.atoms)
     diffs = length_diffs(runs.refs, runs.preds, matching)
     extras = fragmentation_extras(matching, runs.counts)
     coordinates = []
@@ -782,7 +791,7 @@ def monitor_classes(
     }
     class_refs = {cls: class_runs.refs for cls, class_runs in runs.items()}
     per_class = {
-        cls: _monitor(contract, plan, class_runs, (cls, class_refs))
+        cls: _monitor(contract, plan.evaluate(class_runs.env.atoms), class_runs, (cls, class_refs))
         for cls, class_runs in runs.items()
     }
     macro = []
@@ -878,7 +887,11 @@ def tolerance_sweep(
     h: float,
     tolerances: Sequence[float],
 ) -> SweepResult:
-    """Re-monitor the same masks with the contract regenerated per tolerance."""
+    """Re-monitor the same masks with the contract regenerated per tolerance.
+
+    The frame formulas of every regenerated contract are planned and
+    evaluated together, once.
+    """
     tolerances = list(tolerances)
     if not tolerances:
         raise ValueError("no tolerances supplied")
@@ -888,11 +901,14 @@ def tolerance_sweep(
         raise ValueError("tolerances must be strictly ascending")
     # The merge gap does not scale, so the runs are the same at every tolerance.
     runs = _trace_runs(derive_edge_atoms(ref_mask, pred_mask, h), contract.merge_gap)
+    regenerated = [retolerance(contract, tolerance) for tolerance in tolerances]
+    values = share_subformulas(
+        (f for c in regenerated for f in _frame_formulas(c)), h
+    ).evaluate(runs.env.atoms)
     rows = []
-    for tolerance in tolerances:
-        regenerated = retolerance(contract, tolerance)
-        result = _monitor(regenerated, compile_contract(regenerated, h), runs, None)
-        rows.append(SweepRow(tolerance, regenerated, result, mean_logic(result.guards)))
+    for tolerance, grid_contract in zip(tolerances, regenerated):
+        result = _monitor(grid_contract, values, runs, None)
+        rows.append(SweepRow(tolerance, grid_contract, result, mean_logic(result.guards)))
     means = [row.mean_logic for row in rows]
     if len(rows) == 1:
         integral = means[0]

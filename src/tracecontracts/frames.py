@@ -11,7 +11,10 @@ compares the next-psi and next-phi-false frame indices, two reversed
 running minima.  An :class:`EvaluationPlan` evaluates the unique
 subformulas of one or more formulas children first, so a full evaluation
 costs O(n log r) byte operations per temporal node and O(n) per other
-node; the walk that builds the plan also gives each node's reach.
+node; the walk that builds the plan also gives each node's reach.  It
+returns the valuations of the formulas it was built from and of the atoms
+only: an intermediate node's array is dropped after its last consumer,
+which may write a pointwise result into it.
 
 All evaluation helpers treat the last array axis as time, which lets the
 finite-universe enumeration in :mod:`tracecontracts.basis` evaluate a
@@ -219,12 +222,17 @@ class EvaluationPlan:
     per-occurrence valuations are unchanged from tree evaluation.
     ``kids`` holds each node's child positions, ``radii`` its frame radius
     (0 for non-temporal nodes) and ``reach`` maps every node to its reach.
+    ``roots`` are the formulas the plan was built from, and ``dying`` holds
+    for each node the children it is the last consumer of, roots and atoms
+    excepted.
     """
 
     nodes: tuple[Formula, ...]
     kids: tuple[tuple[int, ...], ...]
     radii: tuple[int, ...]
     reach: Mapping[Formula, Reach]
+    roots: tuple[Formula, ...]
+    dying: tuple[tuple[int, ...], ...]
 
     @property
     def node_count(self) -> int:
@@ -233,30 +241,46 @@ class EvaluationPlan:
     def evaluate(
         self, atoms: Mapping[str, np.ndarray], stats: EvalStats | None = None
     ) -> dict[Formula, np.ndarray]:
-        """Valuation of every node; atom arrays may be stacked on leading axes
-        (the last axis is time)."""
-        values: list[np.ndarray] = []
-        for node, kids, r in zip(self.nodes, self.kids, self.radii):
-            value = _apply(node, [values[k] for k in kids], atoms, r)
+        """Valuations of the roots and of the atoms they read; atom arrays may
+        be stacked on leading axes (the last axis is time).
+
+        Other nodes are dropped once their last consumer has read them, and
+        a ``!``, ``&``, ``|`` or ``->`` node writes its result into such a
+        dying child's array when the shapes agree.  Atom arrays passed in
+        are never written, nor is any returned array after it is made.
+        """
+        values: list[np.ndarray | None] = []
+        for node, kids, r, dying in zip(self.nodes, self.kids, self.radii, self.dying):
+            args = [values[k] for k in kids]
+            out = None
+            if isinstance(node, _POINTWISE):
+                spare = (values[k] for k in dying)
+                out = next((b for b in spare if all(a.shape == b.shape for a in args)), None)
+            value = _apply(node, args, atoms, r, out)
+            for k in dying:
+                values[k] = None
             values.append(value)
             if stats is not None:
                 stats.node_visits += 1
                 stats.element_ops += value.size
-        return dict(zip(self.nodes, values))
+        return {node: value for node, value in zip(self.nodes, values) if value is not None}
 
 
 def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
     """Plan the unique subtrees of ``formulas`` on the grid of step ``h``.
 
     One children-first walk projects each radius to frames once and
-    derives each node's reach from its children's.
+    derives each node's reach from its children's; each intermediate
+    node's last consumer follows from the finished child lists.
     """
     _check_frame_step(h)
     slots: dict[Formula, int] = {}
     kids: list[tuple[int, ...]] = []
     radii: list[int] = []
     reach: list[Reach] = []
+    roots: dict[Formula, None] = {}
     for formula in formulas:
+        roots[formula] = None
         for node in walk(formula):
             if node in slots:
                 continue
@@ -267,13 +291,29 @@ def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
             radii.append(r)
             reach.append(_reach(node, [reach[k] for k in node_kids], r))
     nodes = tuple(slots)
-    return EvaluationPlan(nodes, tuple(kids), tuple(radii), dict(zip(nodes, reach)))
+    last = {k: i for i, node_kids in enumerate(kids) for k in node_kids}
+    kept = {slots[f] for f in roots} | {i for i, node in enumerate(nodes) if isinstance(node, Atom)}
+    dying = tuple(
+        tuple(sorted({k for k in node_kids if last[k] == i and k not in kept}))
+        for i, node_kids in enumerate(kids)
+    )
+    return EvaluationPlan(
+        nodes, tuple(kids), tuple(radii), dict(zip(nodes, reach)), tuple(roots), dying
+    )
+
+
+_POINTWISE = (Not, And, Or, Implies)
 
 
 def _apply(
-    node: Formula, kids: list[np.ndarray], atoms: Mapping[str, np.ndarray], r: int
+    node: Formula,
+    kids: list[np.ndarray],
+    atoms: Mapping[str, np.ndarray],
+    r: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate one node from its children's valuations (last axis is time)."""
+    """Evaluate one node from its children's valuations (last axis is time);
+    a pointwise node writes into ``out`` when given one."""
     match node:
         case Atom(name=name):
             try:
@@ -281,13 +321,14 @@ def _apply(
             except KeyError:
                 raise UnknownAtomError(name, node.span) from None
         case Not():
-            return ~kids[0]
+            return np.invert(kids[0], out=out)
         case And():
-            return kids[0] & kids[1]
+            return np.bitwise_and(kids[0], kids[1], out=out)
         case Or():
-            return kids[0] | kids[1]
+            return np.bitwise_or(kids[0], kids[1], out=out)
         case Implies():
-            return ~kids[0] | kids[1]
+            # On Booleans a <= b is !a | b, in one pass.
+            return np.less_equal(kids[0], kids[1], out=out)
         case Near():
             return _window_exists(kids[0], back=r, ahead=r)
         case Future():
@@ -337,15 +378,15 @@ def derive_edge_atoms(ref_mask, pred_mask, h: float) -> TraceEnvironment:
 
 
 def _onsets(mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mask)
-    if mask.size:
-        out[0] = mask[0]
-        out[1:] = mask[1:] & ~mask[:-1]
+    # On Booleans mask[i] > mask[i-1] is mask[i] & !mask[i-1].
+    out = np.empty_like(mask)
+    np.greater(mask[1:], mask[:-1], out=out[1:])
+    out[:1] = mask[:1]
     return out
 
 
 def _offsets(mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mask)
-    if mask.size:
-        out[1:] = ~mask[1:] & mask[:-1]
+    out = np.empty_like(mask)
+    np.less(mask[1:], mask[:-1], out=out[1:])
+    out[:1] = False
     return out

@@ -105,8 +105,12 @@ class Family:
 def _run_edges(mask: np.ndarray) -> np.ndarray:
     """Start and end frames of the maximal runs of a Boolean mask,
     interleaved in ascending order (starts at even positions)."""
-    padded = np.concatenate(([False], mask, [False]))
-    return np.flatnonzero(np.diff(padded))
+    edges = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    if mask.size and mask[0]:
+        edges = np.insert(edges, 0, 0)
+    if mask.size and mask[-1]:
+        edges = np.append(edges, mask.size)
+    return edges
 
 
 def merge_runs(edges: np.ndarray, h: float, merge_gap: float) -> tuple[np.ndarray, np.ndarray]:

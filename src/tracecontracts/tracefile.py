@@ -47,10 +47,14 @@ def parse_mask(value, context: str) -> np.ndarray:
 
 @dataclass
 class TraceFile:
+    """A parsed trace; ``sha256`` is the digest of the file bytes it was
+    parsed from (``None`` for a trace built in memory), no part of its value."""
+
     item_id: str
     frame_step: float
     classes: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     union: tuple[np.ndarray, np.ndarray] | None = None
+    sha256: str | None = field(default=None, compare=False, repr=False)
 
     def union_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Explicit union pair, or the OR of the class masks."""
@@ -101,13 +105,29 @@ def trace_from_dict(data: dict, context: str = "trace") -> TraceFile:
     return trace
 
 
+def read_json(path) -> tuple[object, str]:
+    """The JSON value of a UTF-8 file and the SHA-256 of the bytes parsed.
+
+    The bytes are read once and decoded as strict UTF-8 (a byte order mark
+    is not skipped); text that does not decode or parse raises
+    :class:`TraceFormatError`.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{path}: invalid JSON ({exc})") from None
+    return data, hashlib.sha256(raw).hexdigest()
+
+
 def load_trace(path) -> TraceFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: invalid JSON ({exc})") from None
-    return trace_from_dict(data, context=str(path))
+    data, digest = read_json(path)
+    trace = trace_from_dict(data, context=str(path))
+    trace.sha256 = digest
+    return trace
 
 
 def trace_to_dict(trace: TraceFile) -> dict:
@@ -133,14 +153,6 @@ def save_trace(trace: TraceFile, path) -> None:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def canonical_json(obj) -> str:

@@ -1,11 +1,15 @@
 """Command line front end: exit codes, report files, determinism."""
 
+import builtins
 import csv
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from tracecontracts import basis
 from tracecontracts.basis import save_calibration
 from tracecontracts.cli import main
 from tracecontracts.contracts import default_contract_text
@@ -159,6 +163,67 @@ class TestMonitor:
         assert main(["monitor", str(contract_path), str(bad), "--out", str(tmp_path / "o")]) == 3
         bad.write_text('{"frame_step": 1e400, "union": {"ref": "01", "pred": "01"}}')
         assert main(["monitor", str(contract_path), str(bad), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["monitor", "sweep", "match-audit", "stream"])
+    def test_undecodable_trace_exits_three(self, command, worked_files, tmp_path, capsys):
+        contract_path, _ = worked_files
+        bad = tmp_path / "bad.json"
+        text = '{"frame_step": 0.02, "item_id": "x", "union": {"ref": "01", "pred": "01"}}'
+        argv = {
+            "monitor": ["monitor", str(contract_path)],
+            "sweep": ["sweep", str(contract_path)],
+            "match-audit": ["match-audit"],
+            "stream": ["stream", str(contract_path), "--clause", "onset_guard"],
+        }[command] + [str(bad), "--out", str(tmp_path / "o")]
+        cases = [
+            (text.replace('"x"', '"\xff"').encode("latin-1"), "not UTF-8 text"),
+            (text.encode("utf-16"), "not UTF-8 text"),  # strict UTF-8, no detection
+            (b"\xef\xbb\xbf" + text.encode(), "Unexpected UTF-8 BOM"),
+        ]
+        for data, message in cases:
+            bad.write_bytes(data)
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"trace error: {bad}: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["check", "monitor", "sweep", "select", "stream"])
+    def test_undecodable_contract_exits_two(self, command, worked_files, tmp_path, capsys):
+        _, trace_path = worked_files
+        bad = tmp_path / "bad.contract"
+        bad.write_bytes(b"set tolerance 0.04 # \xff\n")
+        calibration_path = tmp_path / "cal.json"
+        calibration_path.write_text("[]")
+        argv = {
+            "check": ["check", str(bad)],
+            "monitor": ["monitor", str(bad), str(trace_path), "--out", str(tmp_path / "o")],
+            "sweep": ["sweep", str(bad), str(trace_path), "--out", str(tmp_path / "o")],
+            "select": ["select", str(bad), str(calibration_path), "--out", str(tmp_path / "o")],
+            "stream": ["stream", str(bad), str(trace_path), "--clause", "x",
+                       "--out", str(tmp_path / "o")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read contract {bad}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_hashes_the_bytes_read_once(self, worked_files, tmp_path, monkeypatch):
+        contract_path, trace_path = worked_files
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out = tmp_path / "o"
+        argv = ["monitor", str(contract_path), str(trace_path), "--classes", "--out", str(out)]
+        assert main(argv) == 0
+        assert opened.count(str(trace_path)) == opened.count(str(contract_path)) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == [
+            {"path": "worked.json", "sha256": hashlib.sha256(trace_path.read_bytes()).hexdigest()}
+        ]
 
 
 class TestSweep:
@@ -354,6 +419,42 @@ class TestSelect:
         )
         assert main(["select", str(contract_path), str(calibration_path)]) == 3
         assert "calibration error:" in capsys.readouterr().err
+
+    def test_undecodable_calibration_exits_three(self, tmp_path, capsys):
+        contract_path = tmp_path / "basis.contract"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        for data in (b'[{"id": "\xff"}]', "[]".encode("utf-16"), b"\xef\xbb\xbf[]"):
+            calibration_path.write_bytes(data)
+            assert main(["select", str(contract_path), str(calibration_path)]) == 3
+            assert capsys.readouterr().err.startswith(f"calibration error: {calibration_path}: ")
+
+    def test_signatures_once_and_inputs_hashed_as_read(self, tmp_path, capsys, monkeypatch):
+        # One clause evaluation per case serves classes, basis and selection.
+        contract_path = tmp_path / "basis.contract"
+        contract_path.write_bytes(default_contract_text(0.04).replace("\n", "\r\n").encode())
+        calibration_path = tmp_path / "calibration.json"
+        cases = calibration_cases()
+        save_calibration(cases, calibration_path)
+        seen = []
+        case_values = basis._case_values
+
+        def counting_case_values(candidates, case):
+            seen.append(case.id)
+            return case_values(candidates, case)
+
+        monkeypatch.setattr(basis, "_case_values", counting_case_values)
+        out = tmp_path / "sel"
+        assert main(["select", str(contract_path), str(calibration_path), "--out", str(out)]) == 0
+        assert seen == [case.id for case in cases]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [item["sha256"] for item in manifest["inputs"]] == [
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (contract_path, calibration_path)
+        ]
+        # The contract digest is of the text parsed, line ends read as "\n".
+        text = default_contract_text(0.04)
+        assert manifest["contract_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
     def test_exact_basis_over_the_bound_exits_five(self, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"

@@ -632,6 +632,28 @@ class TestWorkCounts:
         assert len(results[0].ref_intervals) == len(results[0].refs) > 0
         assert calls["interval"] == len(results[0].refs)
 
+    def test_sweep_plans_once(self, monkeypatch):
+        # Every regenerated contract's frame formulas go into one plan.
+        ref, pred, h = worked_trace()
+        plans = []
+        plan = frames.share_subformulas
+
+        def counting_plan(formulas, step):
+            plans.append(plan(formulas, step))
+            return plans[-1]
+
+        for module in (frames, contracts):
+            monkeypatch.setattr(module, "share_subformulas", counting_plan)
+        tolerances = (0.02, 0.04, 0.08, 0.12, 0.16)
+        sweep = tolerance_sweep(default_contract(0.04), ref, pred, h, tolerances)
+        assert len(plans) == 1
+        assert set(plans[0].roots) == {
+            f for row in sweep.rows for c in row.contract.frame_clauses
+            for f in (c.formula, c.obligation)
+        }
+        for tolerance, row in zip(tolerances, sweep.rows):
+            assert row.result == monitor(retolerance(default_contract(0.04), tolerance), ref, pred, h)
+
     def test_sweep_tokenizes_nothing(self, monkeypatch):
         ref, pred, h = worked_trace()
         contract = default_contract(0.04)

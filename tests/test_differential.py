@@ -24,6 +24,7 @@ from tracecontracts.contracts import (
     _edge_times,
     _frame_runs,
     _run_distances,
+    _trace_runs,
     compile_contract,
     default_contract,
     latency_score,
@@ -35,6 +36,7 @@ from tracecontracts.contracts import (
 )
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track
 from tracecontracts.frames import (
+    EvalStats,
     TraceEnvironment,
     _until,
     _window_all,
@@ -54,7 +56,7 @@ from tracecontracts.intervals import (
     match_exact,
     match_greedy,
 )
-from tracecontracts.parser import Always, And, Atom, Future, Near, Not, Or, Until, walk
+from tracecontracts.parser import Always, And, Atom, Future, Implies, Near, Not, Or, Until, walk
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
@@ -478,6 +480,62 @@ def test_stacked_plan_rows_match_window_scans():
                     assert values[formula][row].tolist() == naive_evaluate(formula, env)
 
 
+def _in_place_formulas(rng: random.Random, h: float, atoms=("a", "b", "c")):
+    """Roots whose evaluation reuses dying buffers: a root that is also a
+    subformula of other roots, ``x -> x``, ``N[r] y -> N[r] y`` with the
+    window not a root, and chains of pointwise nodes over windows."""
+    f = random_formula(rng, rng.randint(1, 4), atoms, h)
+    g = random_formula(rng, rng.randint(0, 3), atoms, h)
+    radius = rng.randint(1, 4) * h * rng.choice((1.0, 0.75, 1.4))
+    y = Near(Atom(rng.choice(atoms)), radius)
+    z = Future(g, radius)
+    return [
+        f,
+        Implies(f, f),
+        Implies(g, g),
+        Implies(y, y),
+        Not(Not(Or(f, z))),
+        And(Implies(Always(f, radius), Near(g, radius)), Until(z, Not(f), radius)),
+    ]
+
+
+def test_plan_roots_match_window_scans_with_buffers_reused():
+    rng = random.Random(83)
+    for trial in range(240):
+        h = rng.choice(STEPS)
+        if trial % 4 == 0:
+            # Stacked leading axes: every environment over two atoms.
+            formulas = _in_place_formulas(rng, h, ("a", "b"))
+            atoms = _universe(("a", "b"), rng.randint(1, 3))
+            rows = [{k: v[row] for k, v in atoms.items()} for row in range(len(atoms["a"]))]
+        else:
+            formulas = _in_place_formulas(rng, h)
+            atoms = random_env(rng, rng.randint(0, 40), h=h).atoms
+            rows = [atoms]
+        copies = {name: values.copy() for name, values in atoms.items()}
+        plan = share_subformulas(formulas, h)
+        stats = EvalStats()
+        values = plan.evaluate(atoms, stats)
+        leaves = {node for f in formulas for node in walk(f) if isinstance(node, Atom)}
+        assert set(values) == set(formulas) | leaves
+        assert all(values[leaf] is atoms[leaf.name] for leaf in leaves)
+        n = next(iter(atoms.values())).shape[-1]
+        for formula in formulas:
+            assert values[formula].shape == next(iter(atoms.values())).shape
+            for index, row in enumerate(rows):
+                env = TraceEnvironment(h, n, row)
+                got = values[formula][index] if len(rows) > 1 else values[formula]
+                assert got.tolist() == naive_evaluate(formula, env)
+        kept = {formula: values[formula].copy() for formula in formulas}
+        plan.evaluate(atoms)
+        for formula in formulas:
+            assert np.array_equal(values[formula], kept[formula])
+        for name, values_in in atoms.items():
+            assert np.array_equal(values_in, copies[name])
+        assert stats.node_visits == plan.node_count
+        assert stats.element_ops == plan.node_count * next(iter(atoms.values())).size
+
+
 # Frame kernels
 
 
@@ -575,6 +633,38 @@ def test_witness_distances_match_all_frames_lookup():
     for ref, pred, h in _random_masks(79, 60):
         _assert_same_distances(ref, pred, h)
         _assert_same_distances(pred, ref, h)
+
+
+def test_witness_summaries_match_all_frames_lookup():
+    # The memo keeps the mean in ms, None when there are no obligated or no
+    # witness frames, and whether there are no witness frames at all.
+    pairs = [
+        (np.zeros(6, bool), np.zeros(6, bool), 0.01),
+        (np.zeros(6, bool), _runs_mask(6, (2, 4)), 0.01),
+        (_runs_mask(6, (1, 3)), np.zeros(6, bool), 0.01),
+        *_random_masks(89, 60),
+    ]
+    keys = [
+        (Atom("ref_active"), Atom("pred_active")),
+        (Atom("pred_active"), Atom("ref_active")),
+        (Atom("ref_onset"), Atom("pred_onset")),
+        (Atom("ref_offset"), Atom("pred_offset")),
+        (Not(Atom("pred_active")), Atom("ref_onset")),
+    ]
+    for ref, pred, h in pairs:
+        env = derive_edge_atoms(ref, pred, h)
+        runs = _trace_runs(env, 0.0)
+        values = share_subformulas([f for key in keys for f in key], h).evaluate(env.atoms)
+        for obligation, witness in keys:
+            summary = runs.witness(obligation, witness, values)
+            want = prefix_nearest_distances(values[obligation], values[witness], h)
+            assert summary[1] is (want is None)
+            if want is None or want.size == 0:
+                assert summary[0] is None
+            else:
+                assert summary[0] == float(np.mean(want) * 1000.0)
+            assert runs.witness(obligation, witness, values) is summary
+        assert len(runs.witnesses) == len(keys)
 
 
 def _runs_mask(n: int, *runs: tuple[int, int]) -> np.ndarray:

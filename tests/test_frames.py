@@ -187,6 +187,19 @@ class TestEdgeAtoms:
         with pytest.raises(ValueError):
             derive_edge_atoms([0, 1], [0, 1, 0], 0.02)
 
+    def test_edges_match_frame_definitions(self):
+        # Onset: active after inactive or the left boundary; offset: inactive
+        # after active.  Lengths 0-2 and random masks, each its own array.
+        rng = random.Random(29)
+        masks = [[], [0], [1], [1, 1], [0, 1], [1, 0]]
+        masks += [[rng.random() < 0.5 for _ in range(rng.randint(3, 40))] for _ in range(60)]
+        for mask in masks:
+            env = derive_edge_atoms(mask, mask, 0.02)
+            prev = [False] + [bool(v) for v in mask[:-1]]
+            assert bools(env.atoms["ref_onset"]) == [bool(v) and not p for v, p in zip(mask, prev)]
+            assert bools(env.atoms["ref_offset"]) == [not v and p for v, p in zip(mask, prev)]
+            assert not np.shares_memory(env.atoms["ref_onset"], env.atoms["pred_onset"])
+
 
 class TestSharing:
     def test_duplicate_subtrees_collapse(self):
@@ -198,6 +211,24 @@ class TestSharing:
         formula = parse_text("a -> N[0.04] b & !c")
         plan = share_subformulas([formula], 0.02)
         assert plan.node_count == node_count(formula)
+
+    def test_plan_keeps_roots_and_atoms_only(self):
+        # The window dies at the implication, which reuses its array; the
+        # returned valuations are the root's and the atoms'.
+        formula = parse_text("a -> N[0.04] b")
+        plan = share_subformulas([formula], 0.02)
+        window = plan.nodes.index(formula.right)
+        assert plan.roots == (formula,)
+        assert plan.dying[plan.nodes.index(formula)] == (window,)
+        env = random_env(random.Random(3), 30, atoms=("a", "b"))
+        values = plan.evaluate(env.atoms)
+        assert set(values) == {formula, Atom("a"), Atom("b")}
+        assert bools(values[formula]) == naive_evaluate(formula, env)
+        # A window that is also a root stays whole, and nothing dies.
+        both = share_subformulas([formula, formula.right], 0.02)
+        assert both.dying == ((),) * both.node_count
+        values = both.evaluate(env.atoms)
+        assert bools(values[formula.right]) == naive_evaluate(formula.right, env)
 
     def test_plan_matches_tree_evaluation_on_random_inputs(self):
         # Several formulas in one plan share their common subtrees; each
