@@ -12,18 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contracts import (
-    Contract,
-    EventClause,
-    FrameClause,
-    _match,
-    _trace_runs,
-    event_clause_score,
-)
+from .contracts import Contract, EventClause, FrameClause, _event_clause, _match, _trace_runs
 from .frames import _check_frame_step, derive_edge_atoms, obligation_score, share_subformulas
 from .parser import Formula, node_count
 
@@ -161,11 +154,10 @@ def _case_values(basis: CandidateBasis, case: CalibrationCase) -> dict[int, floa
             ).score
     if event:
         runs = _trace_runs(env, basis.merge_gap)
-        matching = _match(runs, basis.tolerance, basis.matcher)
+        _, diffs, extras = _match(runs, basis.tolerance, basis.matcher)
         for c in event:
-            out[c.source_order] = event_clause_score(
-                c.clause, runs.refs, runs.preds, matching, basis.tolerance, counts=runs.counts
-            ).score
+            value, _ = _event_clause(c.clause, runs, basis.tolerance, None, diffs, extras)
+            out[c.source_order] = value.score
     return out
 
 
@@ -253,11 +245,7 @@ class SelectionResult:
     unseparated_pair: tuple[str, str] | None = None
 
 
-def select_contract(
-    basis: CandidateBasis,
-    cases: Sequence[CalibrationCase],
-    risk: Callable[[CalibrationCase], float] | None = None,
-) -> SelectionResult:
+def select_contract(basis: CandidateBasis, cases: Sequence[CalibrationCase]) -> SelectionResult:
     """Lexicographically least separating subset of the basis.
 
     A subset separates the risk order when for every pair with strictly
@@ -265,22 +253,20 @@ def select_contract(
     selected clause.  Subsets are compared by (size, total monitor cost,
     sorted source-order tuple); the search enumerates ascending by size.
     """
-    return _select_from(basis, cases, clause_signatures(basis, cases), risk)
+    return _select_from(basis, cases, clause_signatures(basis, cases))
 
 
 def _select_from(
     basis: CandidateBasis,
     cases: Sequence[CalibrationCase],
     signatures: Sequence[ClauseSignature],
-    risk: Callable[[CalibrationCase], float] | None = None,
 ) -> SelectionResult:
     """:func:`select_contract` from signatures that cover the basis clauses."""
-    risk_of = risk if risk is not None else (lambda case: case.risk)
     values = {sig.clause_id: sig.values for sig in signatures}
     constraints: list[tuple[int, int]] = []
     for i, u in enumerate(cases):
         for j, v in enumerate(cases):
-            if risk_of(u) < risk_of(v):
+            if u.risk < v.risk:
                 constraints.append((i, j))
     clause_masks: dict[int, int] = {}
     for clause in basis.clauses:
@@ -361,8 +347,8 @@ def _calibration_cases(data, path) -> list[CalibrationCase]:
         try:
             case = CalibrationCase(
                 id=str(node["id"]),
-                ref_mask=tuple(int(v) for v in parse_mask(node["ref_mask"], context)),
-                pred_mask=tuple(int(v) for v in parse_mask(node["pred_mask"], context)),
+                ref_mask=tuple(parse_mask(node["ref_mask"], context).view(np.uint8).tolist()),
+                pred_mask=tuple(parse_mask(node["pred_mask"], context).view(np.uint8).tolist()),
                 risk=float(node["risk"]),
                 frame_step=float(node["frame_step"]),
             )

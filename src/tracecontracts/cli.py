@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -36,6 +35,8 @@ import numpy as np
 from . import __version__
 from .basis import _calibration_cases, _selection, basis_from_contract
 from .contracts import (
+    MATCHER_POLICIES,
+    SETTINGS,
     Contract,
     ContractError,
     ContractSyntaxError,
@@ -43,11 +44,11 @@ from .contracts import (
     GuardCoordinate,
     GuardVector,
     MonitorResult,
+    _read_contract,
     compile_contract,
     default_contract_text,
     monitor,
     monitor_classes,
-    parse_contract_text,
     soft_boundary,
     tolerance_sweep,
 )
@@ -98,13 +99,9 @@ def _positive_ms_list(text: str) -> list[float]:
 
 
 def _load_contract(path: str) -> tuple[Contract, str, str]:
-    """The parsed contract, the text it was parsed from (strict UTF-8, line
-    ends read as ``\n``) and the SHA-256 of the file's bytes, read once."""
+    """:func:`contracts._read_contract`, with its errors reported."""
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return parse_contract_text(text), text, hashlib.sha256(raw).hexdigest()
+        return _read_contract(path)
     except ContractSyntaxError as error:
         _print_contract_error(path, error)
         raise SystemExit(EXIT_CONTRACT) from None
@@ -118,9 +115,6 @@ def _load_traces(paths) -> list:
     for path in paths:
         try:
             traces.append((path, load_trace(path)))
-        except TraceFormatError as error:
-            print(f"trace error: {error}", file=sys.stderr)
-            raise SystemExit(EXIT_TRACE) from None
         except OSError as error:
             print(f"cannot read trace {path}: {error}", file=sys.stderr)
             raise SystemExit(EXIT_TRACE) from None
@@ -128,12 +122,7 @@ def _load_traces(paths) -> list:
 
 
 def _contract_settings(contract: Contract) -> dict:
-    return {
-        "tolerance": contract.tolerance,
-        "silence_radius": contract.silence_radius,
-        "merge_gap": contract.merge_gap,
-        "matcher": contract.matcher,
-    }
+    return {key: getattr(contract, key) for key in SETTINGS}
 
 
 def _write_report(
@@ -269,16 +258,10 @@ def cmd_monitor(args) -> int:
     for _, trace in traces:
         h = trace.frame_step
         ref, pred = trace.union_masks()
-        try:
-            union_result = monitor(contract, ref, pred, h)
-            per_class = (
-                monitor_classes(contract, trace.classes, h)
-                if args.classes and trace.classes
-                else None
-            )
-        except UnknownAtomError:
-            print("atom binding error: formula references an atom the trace lacks", file=sys.stderr)
-            return EXIT_ATOM
+        union_result = monitor(contract, ref, pred, h)
+        per_class = (
+            monitor_classes(contract, trace.classes, h) if args.classes and trace.classes else None
+        )
         guard_rows.extend(_guard_rows(trace.item_id, "union", union_result.guards))
         witness_rows.append(
             _witness_row(
@@ -337,11 +320,7 @@ def cmd_sweep(args) -> int:
     summary_rows: list[list[str]] = []
     for path, trace in traces:
         ref, pred = trace.union_masks()
-        try:
-            sweep = tolerance_sweep(contract, ref, pred, trace.frame_step, tolerances)
-        except UnknownAtomError:
-            print("atom binding error: formula references an atom the trace lacks", file=sys.stderr)
-            return EXIT_ATOM
+        sweep = tolerance_sweep(contract, ref, pred, trace.frame_step, tolerances)
         for t_ms, row in zip(tolerances_ms, sweep.rows):
             formulas = row.formula_texts
             for coord in row.guards:
@@ -458,7 +437,7 @@ def cmd_select(args) -> int:
     try:
         data, calibration_digest = read_json(args.calibration)
         cases = _calibration_cases(data, args.calibration)
-    except TraceFormatError as error:
+    except (TraceFormatError, OSError) as error:
         print(f"calibration error: {error}", file=sys.stderr)
         return EXIT_TRACE
     basis = basis_from_contract(contract)
@@ -548,11 +527,7 @@ def cmd_stream(args) -> int:
         return EXIT_CONTRACT
     ref, pred = trace.union_masks()
     env = derive_edge_atoms(ref, pred, trace.frame_step)
-    try:
-        offline = evaluate(clause.formula, env).tolist()
-    except UnknownAtomError as error:
-        print(f"atom binding error: {error}", file=sys.stderr)
-        return EXIT_ATOM
+    offline = evaluate(clause.formula, env).tolist()
     stream = StreamingMonitor(clause.formula, trace.frame_step)
     emissions: list[tuple[int, bool, int]] = []
     atom_names = tuple(env.atoms)
@@ -621,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument("contract")
     p_monitor.add_argument("traces", nargs="+")
     p_monitor.add_argument("--out", required=True, help="output directory")
-    p_monitor.add_argument("--matcher", choices=("greedy", "exact"), default=None)
+    p_monitor.add_argument("--matcher", choices=MATCHER_POLICIES, default=None)
     p_monitor.add_argument("--classes", action="store_true", help="also report per-class and macro rows")
     p_monitor.add_argument("--soft-scale", type=_positive_ms, default=50.0, metavar="MS")
     p_monitor.add_argument("--stamp-time", action="store_true")

@@ -20,6 +20,7 @@ witness formula, shared by its clauses, edge witnesses and sweep rows.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -46,9 +47,7 @@ from .intervals import (
     boundary_f1,
     candidate_table,
     covering_counts,
-    duration_score,
     fragmentation_extras,
-    fragmentation_score,
     length_diffs,
     match_exact,
     match_greedy,
@@ -69,13 +68,37 @@ from .parser import (
 
 _TIME_EPS = 1e-9
 
-EVENT_OBLIGATIONS = ("matched_pairs", "reference_intervals", "predicted_intervals")
-EVENT_PREDICATES = ("duration_within", "singly_covered", "latency_window", "overlap_purity")
-
 MATCHER_POLICIES = ("greedy", "exact")
 
 # Default exponential kernel scale for the soft boundary report, seconds.
 DEFAULT_SOFT_SCALE = 0.05
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+# The settings of ``set <key> <value>`` lines, in file order: how a value is
+# read and rendered, and its default.  A tolerance must be declared; the
+# silence radius defaults to half the tolerance.
+SETTINGS = {
+    "tolerance": (_finite, radius_text, None),
+    "silence_radius": (_finite, radius_text, None),
+    "merge_gap": (_finite, lambda gap: radius_text(gap) if gap > 0 else "0", 0.0),
+    "matcher": (str, str, "greedy"),
+}
+
+# Each event predicate's one obligation set and its parameters' defaults, in
+# tolerances: ``threshold`` defaults to twice the contract tolerance.
+EVENT_PREDICATES = {
+    "duration_within": ("matched_pairs", {"threshold": 2.0}),
+    "singly_covered": ("reference_intervals", {}),
+    "latency_window": ("reference_intervals", {"lead": 1.0, "lag": 2.0}),
+    "overlap_purity": ("predicted_intervals", {}),
+}
 
 
 class ContractError(Exception):
@@ -111,19 +134,29 @@ class FrameClause:
 
 @dataclass(frozen=True)
 class EventClause:
+    """A predicate of :data:`EVENT_PREDICATES` over its one obligation set,
+    with some of its parameters given in seconds."""
+
     name: str
     obligation: str
     predicate: str
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.obligation not in EVENT_OBLIGATIONS:
-            raise ContractError(f"unknown event obligation {self.obligation!r}")
         if self.predicate not in EVENT_PREDICATES:
             raise ContractError(f"unknown event predicate {self.predicate!r}")
+        obligation, defaults = EVENT_PREDICATES[self.predicate]
+        if self.obligation != obligation:
+            raise ContractError(f"{self.predicate} takes {obligation!r}, not {self.obligation!r}")
+        keys = [key for key, _ in self.params]
         for key, value in self.params:
-            if not (value > 0.0):
-                raise ContractError(f"event parameter {key}={value!r} must be positive")
+            if key not in defaults:
+                known = ", ".join(defaults) or "none"
+                raise ContractError(f"{self.predicate} has no parameter {key!r}; known: {known}")
+            if keys.count(key) > 1:
+                raise ContractError(f"event parameter {key!r} repeated")
+            if not (0.0 < value < math.inf):
+                raise ContractError(f"parameter {key}={value!r} must be positive and finite")
 
     def param(self, key: str, default: float) -> float:
         for name, value in self.params:
@@ -148,14 +181,14 @@ class Contract:
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.tolerance > 0.0):
-            raise ContractError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ContractError(f"tolerance must be positive and finite: {self.tolerance!r}")
         if not (0.0 < self.silence_radius <= self.tolerance + _TIME_EPS):
             raise ContractError(
                 f"silence radius {self.silence_radius!r} must be in (0, tolerance]"
             )
-        if self.merge_gap < 0.0:
-            raise ContractError(f"merge gap must be nonnegative, got {self.merge_gap!r}")
+        if not (0.0 <= self.merge_gap < math.inf):
+            raise ContractError(f"merge gap must be nonnegative and finite: {self.merge_gap!r}")
         if self.matcher not in MATCHER_POLICIES:
             raise ContractError(f"unknown matcher policy {self.matcher!r}")
         names = [c.name for c in self.clauses]
@@ -165,10 +198,6 @@ class Contract:
     @property
     def frame_clauses(self) -> tuple[FrameClause, ...]:
         return tuple(c for c in self.clauses if isinstance(c, FrameClause))
-
-    @property
-    def event_clauses(self) -> tuple[EventClause, ...]:
-        return tuple(c for c in self.clauses if isinstance(c, EventClause))
 
 
 @dataclass(frozen=True)
@@ -309,10 +338,7 @@ def default_contract(
 def contract_to_text(contract: Contract) -> str:
     """Canonical contract file rendering; parses back to an equal contract."""
     lines = [
-        f"set tolerance {radius_text(contract.tolerance)}",
-        f"set silence_radius {radius_text(contract.silence_radius)}",
-        f"set merge_gap {radius_text(contract.merge_gap) if contract.merge_gap > 0 else '0'}",
-        f"set matcher {contract.matcher}",
+        f"set {key} {render(getattr(contract, key))}" for key, (_, render, _) in SETTINGS.items()
     ]
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
@@ -339,10 +365,12 @@ def parse_contract_text(text: str) -> Contract:
 
     One clause per line: ``frame <name> : <formula> @ <obligation>`` or
     ``event <name> : <predicate> @ <obligation> [key=value ...]``;
-    ``set <key> <value>`` lines configure tolerance, silence_radius,
-    merge_gap, and matcher; ``#`` starts a comment.
+    ``set <key> <value>`` lines configure the :data:`SETTINGS`, each at most
+    once; ``#`` starts a comment.  A line that does not parse, or declares
+    what the tables do not allow, raises :class:`ContractSyntaxError` with its
+    line number; checks across lines report line 0.
     """
-    settings: dict[str, str] = {}
+    settings: dict[str, object] = {}
     clauses: list[Clause] = []
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
@@ -353,7 +381,18 @@ def parse_contract_text(text: str) -> Contract:
         if keyword == "set":
             if len(words) != 3:
                 raise ContractSyntaxError("expected 'set <key> <value>'", line_number, raw_line)
-            settings[words[1]] = words[2]
+            key, value = words[1:]
+            if key not in SETTINGS:
+                known = ", ".join(SETTINGS)
+                raise ContractSyntaxError(
+                    f"unknown setting {key!r}; known: {known}", line_number, raw_line
+                )
+            if key in settings:
+                raise ContractSyntaxError(f"setting {key!r} repeated", line_number, raw_line)
+            try:
+                settings[key] = SETTINGS[key][0](value)
+            except ValueError as exc:
+                raise ContractSyntaxError(f"invalid {key}: {exc}", line_number, raw_line) from None
             continue
         if keyword not in ("frame", "event"):
             raise ContractSyntaxError(
@@ -402,17 +441,12 @@ def parse_contract_text(text: str) -> Contract:
                 clauses.append(EventClause(name, obligation, predicate, tuple(params)))
             except ContractError as exc:
                 raise ContractSyntaxError(str(exc), line_number, raw_line) from None
-    try:
-        tolerance = float(settings.get("tolerance", "nan"))
-    except ValueError:
-        raise ContractSyntaxError("invalid tolerance setting", 0, "") from None
-    if math.isnan(tolerance):
+    if "tolerance" not in settings:
         raise ContractSyntaxError("contract must declare 'set tolerance <seconds>'", 0, "")
-    silence_radius = float(settings["silence_radius"]) if "silence_radius" in settings else tolerance / 2.0
-    merge_gap = float(settings.get("merge_gap", "0"))
-    matcher = settings.get("matcher", "greedy")
+    defaults = {key: default for key, (_, _, default) in SETTINGS.items()}
+    defaults["silence_radius"] = settings["tolerance"] / 2.0
     try:
-        return Contract(tolerance, silence_radius, merge_gap, matcher, tuple(clauses))
+        return Contract(clauses=tuple(clauses), **{**defaults, **settings})
     except ContractError as exc:
         raise ContractSyntaxError(str(exc), 0, "") from None
 
@@ -430,9 +464,23 @@ def _parse_clause_formula(
         raise ContractSyntaxError(message, line_number, raw_line, span) from None
 
 
+def _read_contract(path) -> tuple[Contract, str, str]:
+    """The contract in a file, the text it was parsed from (strict UTF-8, line
+    ends read as ``\\n``) and the SHA-256 of the file's bytes, read once.
+    Bytes that do not decode raise :class:`UnicodeDecodeError`."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return parse_contract_text(text), text, hashlib.sha256(raw).hexdigest()
+
+
 def load_contract(path) -> Contract:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_contract_text(handle.read())
+    """The contract in a UTF-8 file; text that does not decode or parse
+    raises :class:`ContractSyntaxError`."""
+    try:
+        return _read_contract(path)[0]
+    except UnicodeDecodeError as exc:
+        raise ContractSyntaxError(f"not UTF-8 text ({exc})", 0, "") from None
 
 
 def _scale_radii(formula: Formula, factor: float) -> Formula:
@@ -578,9 +626,14 @@ def _trace_runs(env: TraceEnvironment, merge_gap: float) -> _TraceRuns:
     return _TraceRuns(env, *families, overlaps, counts, atom_runs)
 
 
-def _match(runs: _TraceRuns, tolerance: float, policy: str) -> Matching:
+def _match(runs: _TraceRuns, tolerance: float, policy: str):
+    """The matching under ``policy``, each matched pair's length difference
+    and each reference's fragmentation extras."""
     table = candidate_table(runs.refs, runs.preds, tolerance, runs.overlaps)
-    return match_greedy(table) if policy == "greedy" else match_exact(table)
+    matching = match_greedy(table) if policy == "greedy" else match_exact(table)
+    return matching, length_diffs(runs.refs, runs.preds, matching), fragmentation_extras(
+        matching, runs.counts
+    )
 
 
 def _frame_clause_witness(
@@ -639,47 +692,31 @@ def purity_score(
     return obligation_score(holds, np.ones_like(holds))
 
 
-def event_clause_score(
+def _event_clause(
     clause: EventClause,
-    refs: Sequence[Interval] | Family,
-    preds: Sequence[Interval] | Family,
-    matching: Matching,
+    runs: _TraceRuns,
     tolerance: float,
-    class_context: tuple[str, Mapping[str, Sequence[Interval] | Family]] | None = None,
-    counts: Sequence[int] | None = None,
-) -> ObligationScore:
-    """Mean of the clause predicate over its obligation set; empty set scores one.
-
-    ``counts`` may pass in the :func:`covering_counts` of ``refs`` against
-    ``preds`` when the caller has them already.
-    """
+    class_context: tuple[str, Mapping[str, Family]] | None,
+    diffs: np.ndarray,
+    extras: np.ndarray,
+) -> tuple[ObligationScore, float | None]:
+    """The clause predicate's mean over its obligation set (an empty set scores
+    one) and its witness mean, from the :func:`_match` of ``runs``."""
+    _, defaults = EVENT_PREDICATES[clause.predicate]
+    param = {key: clause.param(key, factor * tolerance) for key, factor in defaults.items()}
     if clause.predicate == "duration_within":
-        threshold = clause.param("threshold", 2.0 * tolerance)
-        return duration_score(refs, preds, matching, threshold)
+        holds = diffs <= param["threshold"] + _TIME_EPS
+        witness = float(np.mean(diffs) * 1000.0) if diffs.size else None
+        return obligation_score(holds, np.ones_like(holds)), witness
     if clause.predicate == "singly_covered":
-        return fragmentation_score(refs, preds, matching, counts)
+        holds = extras == 0
+        witness = float(np.mean(extras)) if extras.size else None
+        return obligation_score(holds, np.ones_like(holds)), witness
     if clause.predicate == "latency_window":
-        lead = clause.param("lead", tolerance)
-        lag = clause.param("lag", 2.0 * tolerance)
-        return latency_score(refs, preds, lead, lag)
-    if clause.predicate == "overlap_purity":
-        if class_context is None:
-            raise ContractError(
-                "overlap_purity requires class-indexed monitoring (monitor_classes)"
-            )
-        class_name, class_ref_intervals = class_context
-        return purity_score(class_name, preds, class_ref_intervals)
-    raise ContractError(f"unknown event predicate {clause.predicate!r}")
-
-
-def _event_clause_witness(
-    clause: EventClause, diffs: np.ndarray, extras: np.ndarray
-) -> float | None:
-    if clause.predicate == "duration_within":
-        return float(np.mean(diffs) * 1000.0) if diffs.size else None
-    if clause.predicate == "singly_covered":
-        return float(np.mean(extras)) if extras.size else None
-    return None
+        return latency_score(runs.refs, runs.preds, param["lead"], param["lag"]), None
+    if class_context is None:
+        raise ContractError("overlap_purity requires class-indexed monitoring (monitor_classes)")
+    return purity_score(class_context[0], runs.preds, class_context[1]), None
 
 
 def _edge_witness(runs: _TraceRuns, source_atom: str, target_atom: str) -> tuple[float | None, int]:
@@ -723,9 +760,7 @@ def _monitor(
     """:func:`monitor` with ``values`` the valuations of the contract's frame
     formulas and obligations on the trace's atoms, and the runs taken under
     the contract's merge gap."""
-    matching = _match(runs, contract.tolerance, contract.matcher)
-    diffs = length_diffs(runs.refs, runs.preds, matching)
-    extras = fragmentation_extras(matching, runs.counts)
+    matching, diffs, extras = _match(runs, contract.tolerance, contract.matcher)
     coordinates = []
     for clause in contract.clauses:
         if isinstance(clause, FrameClause):
@@ -733,9 +768,9 @@ def _monitor(
             witness = _frame_clause_witness(clause, runs, values)
             kind = "frame"
         else:
-            value = event_clause_score(clause, runs.refs, runs.preds, matching,
-                                       contract.tolerance, class_context, runs.counts)
-            witness = _event_clause_witness(clause, diffs, extras)
+            value, witness = _event_clause(
+                clause, runs, contract.tolerance, class_context, diffs, extras
+            )
             kind = "event"
         coordinates.append(GuardCoordinate(
             clause.name, kind, value.score, value.obligated, value.satisfied, value.violated,
@@ -950,7 +985,6 @@ __all__ = [
     "soft_boundary",
     "boundary_f1",
     "covering_counts",
-    "event_clause_score",
     "latency_score",
     "purity_score",
     "tolerance_sweep",

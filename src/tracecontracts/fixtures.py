@@ -351,8 +351,8 @@ def calibration_cases(h: float = _CALIBRATION_H) -> list[CalibrationCase]:
         cases.append(
             CalibrationCase(
                 id=case_id,
-                ref_mask=tuple(int(v) for v in ref),
-                pred_mask=tuple(int(v) for v in pred),
+                ref_mask=tuple(ref.view(np.uint8).tolist()),
+                pred_mask=tuple(pred.view(np.uint8).tolist()),
                 risk=risk,
                 frame_step=h,
             )

@@ -19,15 +19,21 @@ from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from tracecontracts.contracts import (
+    EVENT_PREDICATES,
+    MATCHER_POLICIES,
+    SETTINGS,
+    Contract,
     EventClause,
     FrameClause,
     GuardCoordinate,
     GuardVector,
     MonitorResult,
     WitnessReport,
+    contract_to_text,
 )
 from tracecontracts.frames import (
     ObligationScore,
@@ -945,3 +951,75 @@ class NaiveStreamingMonitor:
         self.next_emission_index = stop
         self._root.out.drop_before(stop)
         return emitted
+
+
+# ---------------------------------------------------------------------------
+# The contract language, drawn from its two tables
+
+# Every setting, and every event predicate with parameters.
+ALL_PREDICATES = """set tolerance 0.03
+set silence_radius 0.01
+set merge_gap 0.02
+set matcher greedy
+frame on : ref_onset -> N[0.03] pred_onset @ ref_onset
+event dur : duration_within @ matched_pairs threshold=0.05
+event frag : singly_covered @ reference_intervals
+event lat : latency_window @ reference_intervals lag=0.06 lead=0.02
+event pur : overlap_purity @ predicted_intervals
+"""
+
+_SECONDS = dict(min_value=0.0, max_value=1e4, exclude_min=True, allow_nan=False)
+
+
+@st.composite
+def table_contracts(draw) -> Contract:
+    """Contracts over the whole accepted language: every setting, each event
+    predicate with its obligation and any subset of its parameters, and frame
+    clauses from :func:`random_formula`."""
+    tolerance = draw(st.floats(**_SECONDS))
+    silence_radius = draw(st.floats(min_value=0.0, max_value=tolerance, exclude_min=True))
+    merge_gap = draw(st.one_of(st.just(0.0), st.floats(**_SECONDS)))
+    matcher = draw(st.sampled_from(MATCHER_POLICIES))
+    clauses = []
+    for index in range(draw(st.integers(0, 6))):
+        name = f"c{index}"
+        if draw(st.booleans()):
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            formula, obligation = (random_formula(rng, 3) for _ in range(2))
+            clauses.append(FrameClause(name, formula, obligation))
+            continue
+        predicate = draw(st.sampled_from(sorted(EVENT_PREDICATES)))
+        obligation, defaults = EVENT_PREDICATES[predicate]
+        keys = draw(st.permutations(sorted(defaults)))[: draw(st.integers(0, len(defaults)))]
+        params = tuple((key, draw(st.floats(**_SECONDS))) for key in keys)
+        clauses.append(EventClause(name, obligation, predicate, params))
+    return Contract(tolerance, silence_radius, merge_gap, matcher, tuple(clauses))
+
+
+def contract_mutations(contract: Contract) -> list[tuple[str, str, int]]:
+    """Single-line mutations of ``contract_to_text(contract)`` that the
+    language rejects, as (label, text, number of the rejected line)."""
+    lines = contract_to_text(contract).splitlines()
+    out = []
+
+    def mutate(label: str, index: int, line: str, insert: bool = False) -> None:
+        changed = list(lines)
+        changed[index:index + (not insert)] = [line]
+        out.append((label, "\n".join(changed) + "\n", index + 1))
+
+    mutate("unknown key", 1, "set merge_gapp 0.1", insert=True)
+    mutate("repeated key", len(SETTINGS), lines[0], insert=True)
+    for index, key in enumerate(("tolerance", "silence_radius", "merge_gap")):
+        for value in ("abc", "inf", "-inf", "nan", "1e400"):
+            mutate(f"{key} {value}", index, f"set {key} {value}")
+    for index, clause in enumerate(contract.clauses, start=len(SETTINGS)):
+        if isinstance(clause, FrameClause):
+            continue
+        obligation, defaults = EVENT_PREDICATES[clause.predicate]
+        for other in sorted({o for o, _ in EVENT_PREDICATES.values()} - {obligation}):
+            mutate(f"{clause.name} @ {other}", index, lines[index].replace(
+                f"@ {obligation}", f"@ {other}"))
+        mutate(f"{clause.name} unknown parameter", index, lines[index] + " thresold=0.1")
+        for key in defaults:
+            mutate(f"{clause.name} repeated {key}", index, lines[index] + f" {key}=0.1 {key}=0.1")
+    return out

@@ -262,6 +262,8 @@ class TestCalibrationFile:
         save_calibration(cases, path)
         loaded = load_calibration(path)
         assert loaded == cases
+        for case in loaded + cases:
+            assert {type(v) for v in case.ref_mask + case.pred_mask} == {int}
 
 
 class TestProfiles:

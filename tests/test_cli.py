@@ -12,7 +12,7 @@ import pytest
 from tracecontracts import basis
 from tracecontracts.basis import save_calibration
 from tracecontracts.cli import main
-from tracecontracts.contracts import default_contract_text
+from tracecontracts.contracts import default_contract_text, parse_contract_text
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track, worked_trace
 from tracecontracts.tracefile import (
     TraceFile,
@@ -22,6 +22,8 @@ from tracecontracts.tracefile import (
     parse_mask,
     save_trace,
 )
+
+from gen import ALL_PREDICATES, contract_mutations
 
 
 H = 0.02
@@ -391,6 +393,34 @@ def test_purity_clause_outside_class_context_exits_two(command, flags, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "monitor", "sweep"])
+def test_rejected_contract_lines_exit_two_with_their_line(command, worked_files, tmp_path, capsys):
+    # Each single departure from the language tables, and each check across lines.
+    _, trace_path = worked_files
+    contract = parse_contract_text(ALL_PREDICATES)
+    cases = [(text, line) for _, text, line in contract_mutations(contract)]
+    cases += [("frame a : x @ x\n", 0), ("set tolerance 0.04\nset silence_radius 0.05\n", 0)]
+    path, out = tmp_path / "bad.contract", tmp_path / "out"
+    argv = [command, str(path)] + ([] if command == "check" else [str(trace_path), "--out", str(out)])
+    for text, line_number in cases:
+        path.write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:{line_number}: error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["monitor", "sweep", "stream"])
+def test_unknown_atom_exits_four_naming_it(command, worked_files, tmp_path, capsys):
+    _, trace_path = worked_files
+    contract_path, out = tmp_path / "c.contract", tmp_path / "out"
+    contract_path.write_text("set tolerance 0.04\nframe f : foo -> N[0.04] pred_onset @ ref_onset\n")
+    argv = [command, str(contract_path), str(trace_path), "--out", str(out)]
+    assert main(argv + (["--clause", "f"] if command == "stream" else [])) == 4
+    assert capsys.readouterr().err == "atom binding error: unknown atom 'foo'\n"
+    assert not out.exists()
+
+
 def test_usage_errors_repeat_identically(capsys):
     # The parser is built once per process; reusing it changes no output.
     outputs = []
@@ -419,6 +449,16 @@ class TestSelect:
         )
         assert main(["select", str(contract_path), str(calibration_path)]) == 3
         assert "calibration error:" in capsys.readouterr().err
+
+    def test_unreadable_calibration_exits_three(self, tmp_path, capsys):
+        contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
+        contract_path.write_text(default_contract_text(0.04))
+        for calibration_path in (tmp_path / "missing.json", tmp_path):
+            argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("calibration error: ") and str(calibration_path) in err
+            assert not out.exists()
 
     def test_undecodable_calibration_exits_three(self, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tracecontracts import contracts, frames, lexer, parser
 from tracecontracts.contracts import (
@@ -19,6 +20,7 @@ from tracecontracts.contracts import (
     default_contract,
     default_contract_text,
     latency_score,
+    load_contract,
     mean_logic,
     monitor,
     monitor_classes,
@@ -39,7 +41,13 @@ from tracecontracts.frames import derive_edge_atoms, radius_frames
 from tracecontracts.intervals import Interval, extract_intervals
 from tracecontracts.parser import format_formula, parse_text
 
-from gen import random_formula, random_mask
+from gen import (
+    ALL_PREDICATES,
+    contract_mutations,
+    random_formula,
+    random_mask,
+    table_contracts,
+)
 
 
 class TestDefaultContract:
@@ -670,3 +678,120 @@ class TestWorkCounts:
         assert sources == []
         parse_text("ref_active")
         assert sources == ["ref_active"]
+
+    def test_event_diffs_and_extras_once_per_monitor_call(self, monkeypatch):
+        # Every event clause scores from the one pass of each the monitor makes.
+        rng = random.Random(41)
+        contract = parse_contract_text(ALL_PREDICATES.replace("event pur", "# event pur"))
+        calls = {"length_diffs": 0, "fragmentation_extras": 0}
+
+        def counting(name):
+            real = getattr(contracts, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(contracts, name, counting(name))
+        for _ in range(5):
+            monitor(contract, random_mask(rng, 400), random_mask(rng, 400), 0.01)
+        assert calls == {"length_diffs": 5, "fragmentation_extras": 5}
+
+
+class TestLanguageTables:
+    """Settings and event predicates are read from one table each: what the
+    tables allow round-trips, and every single departure is a line error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_contracts())
+    def test_rendering_parses_back_to_the_contract(self, contract):
+        assert parse_contract_text(contract_to_text(contract)) == contract
+
+    @settings(max_examples=25, deadline=None)
+    @given(table_contracts())
+    def test_each_mutation_is_an_error_on_its_line(self, contract):
+        for label, text, line_number in contract_mutations(contract):
+            with pytest.raises(ContractSyntaxError) as excinfo:
+                parse_contract_text(text)
+            assert excinfo.value.line_number == line_number, label
+            assert excinfo.value.line_text == text.splitlines()[line_number - 1]
+
+    def test_mutations_of_a_contract_with_every_predicate(self):
+        mutations = contract_mutations(parse_contract_text(ALL_PREDICATES))
+        labels = {label for label, _, _ in mutations}
+        assert {"unknown key", "repeated key", "merge_gap abc", "tolerance inf",
+                "dur @ reference_intervals", "frag unknown parameter",
+                "lat repeated lead", "pur @ matched_pairs"} <= labels
+        for label, text, line_number in mutations:
+            with pytest.raises(ContractSyntaxError) as excinfo:
+                parse_contract_text(text)
+            assert excinfo.value.line_number == line_number, label
+
+    @pytest.mark.parametrize("text", [
+        "frame a : x @ x\n",
+        "set tolerance 0.04\nset silence_radius 0.05\n",
+        "set tolerance -0.04\n",
+        "set tolerance 0.04\nset merge_gap -1\n",
+        "set tolerance 0.04\nset matcher fast\n",
+        "set tolerance 0.04\nframe a : x @ x\nframe a : y @ y\n",
+    ])
+    def test_checks_across_lines_report_line_zero(self, text):
+        with pytest.raises(ContractSyntaxError) as excinfo:
+            parse_contract_text(text)
+        assert excinfo.value.line_number == 0
+
+    def test_defaults_come_from_the_table(self):
+        # A clause without parameters scores as with its table defaults spelled out.
+        rng = random.Random(13)
+        tolerance = 0.03
+        bare = parse_contract_text(
+            "set tolerance 0.03\n"
+            "event dur : duration_within @ matched_pairs\n"
+            "event lat : latency_window @ reference_intervals\n"
+        )
+        spelled = Contract(tolerance, tolerance / 2, 0.0, "greedy", tuple(
+            EventClause(c.name, c.obligation, c.predicate, tuple(
+                (key, factor * tolerance)
+                for key, factor in contracts.EVENT_PREDICATES[c.predicate][1].items()
+            )) for c in bare.clauses
+        ))
+        assert [c.params for c in spelled.clauses] == [
+            (("threshold", 0.06),), (("lead", 0.03), ("lag", 0.06))
+        ]
+        for _ in range(20):
+            ref, pred = random_mask(rng, 300), random_mask(rng, 300)
+            assert monitor(bare, ref, pred, 0.01).guards == monitor(spelled, ref, pred, 0.01).guards
+
+    def test_the_api_checks_what_the_parser_checks(self):
+        for args in [
+            ("d", "reference_intervals", "duration_within"),
+            ("d", "matched_pairs", "duration_within", (("thresold", 0.1),)),
+            ("d", "matched_pairs", "duration_within", (("threshold", 0.1), ("threshold", 0.2))),
+            ("d", "matched_pairs", "duration_within", (("threshold", math.inf),)),
+            ("d", "matched_pairs", "duration_within", (("threshold", math.nan),)),
+            ("f", "reference_intervals", "singly_covered", (("lead", 0.1),)),
+        ]:
+            with pytest.raises(ContractError):
+                EventClause(*args)
+        for settings_ in [(math.inf, 0.02, 0.0), (0.04, 0.02, math.nan), (0.04, 0.02, math.inf)]:
+            with pytest.raises(ContractError):
+                Contract(*settings_, "greedy", ())
+
+    @pytest.mark.parametrize("data", [
+        b"set tolerance 0.04 # \xff\n",
+        "set tolerance 0.04\n".encode("utf-16"),
+        b"\xef\xbb\xbfset tolerance 0.04\n",
+    ])
+    def test_load_contract_refuses_what_is_not_utf8_text(self, data, tmp_path):
+        path = tmp_path / "bad.contract"
+        path.write_bytes(data)
+        with pytest.raises(ContractSyntaxError):
+            load_contract(path)
+
+    def test_load_contract_reads_line_ends_as_newlines(self, tmp_path):
+        path = tmp_path / "crlf.contract"
+        text = contract_to_text(parse_contract_text(ALL_PREDICATES))
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_contract(path) == parse_contract_text(text)
