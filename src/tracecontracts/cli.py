@@ -53,7 +53,7 @@ from .contracts import (
     tolerance_sweep,
 )
 from .frames import UnknownAtomError, derive_edge_atoms, evaluate
-from .intervals import AuditBoundError, extract_intervals, matcher_audit
+from .intervals import DEFAULT_EXACT_BOUND, AuditBoundError, extract_intervals, matcher_audit
 from .parser import format_formula, radius_sum, temporal_depth
 from .streaming import StreamingMonitor
 from .tracefile import TraceFormatError, canonical_json, load_trace, read_json, sha256_text
@@ -616,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("traces", nargs="+")
     p_audit.add_argument("--out", required=True)
     p_audit.add_argument("--epsilon-ms", type=_positive_ms, default=80.0)
-    p_audit.add_argument("--bound", type=int, default=24)
+    p_audit.add_argument("--bound", type=int, default=DEFAULT_EXACT_BOUND)
     p_audit.add_argument("--strict-bound", action="store_true", help="exit 5 when the bound is exceeded")
     p_audit.add_argument("--stamp-time", action="store_true")
     p_audit.set_defaults(func=cmd_match_audit)

@@ -20,6 +20,7 @@ witness formula, shared by its clauses, edge witnesses and sweep rows.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import parser as _parser
 from .frames import (
     EvaluationPlan,
     ObligationScore,
@@ -40,6 +40,7 @@ from .frames import (
     share_subformulas,
 )
 from .intervals import (
+    DEFAULT_DURATION_THRESHOLD,
     Family,
     Interval,
     Matching,
@@ -56,11 +57,14 @@ from .intervals import (
 )
 from .lexer import LexError, SourceSpan
 from .parser import (
+    CHILD_FIELDS,
+    TEMPORAL,
     Atom,
     Formula,
     Implies,
     Near,
     ParseError,
+    children,
     format_formula,
     parse_text,
     radius_text,
@@ -94,7 +98,7 @@ SETTINGS = {
 # Each event predicate's one obligation set and its parameters' defaults, in
 # tolerances: ``threshold`` defaults to twice the contract tolerance.
 EVENT_PREDICATES = {
-    "duration_within": ("matched_pairs", {"threshold": 2.0}),
+    "duration_within": ("matched_pairs", {"threshold": DEFAULT_DURATION_THRESHOLD}),
     "singly_covered": ("reference_intervals", {}),
     "latency_window": ("reference_intervals", {"lead": 1.0, "lag": 2.0}),
     "overlap_purity": ("predicted_intervals", {}),
@@ -366,13 +370,14 @@ def parse_contract_text(text: str) -> Contract:
     One clause per line: ``frame <name> : <formula> @ <obligation>`` or
     ``event <name> : <predicate> @ <obligation> [key=value ...]``;
     ``set <key> <value>`` lines configure the :data:`SETTINGS`, each at most
-    once; ``#`` starts a comment.  A line that does not parse, or declares
-    what the tables do not allow, raises :class:`ContractSyntaxError` with its
-    line number; checks across lines report line 0.
+    once; ``#`` starts a comment; lines end only at ``\n``, ``\r\n`` or ``\r``.
+    A line that does not parse, or declares what the tables do not allow,
+    raises :class:`ContractSyntaxError` with its line number; checks across
+    lines report line 0.
     """
     settings: dict[str, object] = {}
     clauses: list[Clause] = []
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(_newlines(text).split("\n"), start=1):
         line = raw_line.split("#", 1)[0]
         if not line.strip():
             continue
@@ -464,13 +469,21 @@ def _parse_clause_formula(
         raise ContractSyntaxError(message, line_number, raw_line, span) from None
 
 
+def _newlines(text: str) -> str:
+    """``text`` with each ``\\r\\n`` and ``\\r`` line end read as ``\\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_contract(path) -> tuple[Contract, str, str]:
     """The contract in a file, the text it was parsed from (strict UTF-8, line
     ends read as ``\\n``) and the SHA-256 of the file's bytes, read once.
-    Bytes that do not decode raise :class:`UnicodeDecodeError`."""
+    Bytes that do not decode, or a leading byte order mark, raise
+    :class:`UnicodeDecodeError`."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    if raw.startswith(codecs.BOM_UTF8):
+        raise UnicodeDecodeError("utf-8", raw, 0, 3, "unexpected UTF-8 byte order mark")
+    text = _newlines(raw.decode("utf-8"))
     return parse_contract_text(text), text, hashlib.sha256(raw).hexdigest()
 
 
@@ -484,19 +497,13 @@ def load_contract(path) -> Contract:
 
 
 def _scale_radii(formula: Formula, factor: float) -> Formula:
-    kids = tuple(_scale_radii(c, factor) for c in _parser.children(formula))
-    match formula:
-        case Atom():
-            return formula
-        case _parser.Not():
-            return replace(formula, child=kids[0])
-        case _parser.And() | _parser.Or() | _parser.Implies():
-            return replace(formula, left=kids[0], right=kids[1])
-        case _parser.Near() | _parser.Future() | _parser.Always():
-            return replace(formula, child=kids[0], radius=formula.radius * factor)
-        case _parser.Until():
-            return replace(formula, left=kids[0], right=kids[1], radius=formula.radius * factor)
-    raise TypeError(f"not a formula node: {formula!r}")
+    kids = children(formula)
+    if not kids:
+        return formula
+    changes = dict(zip(CHILD_FIELDS[type(formula)], (_scale_radii(k, factor) for k in kids)))
+    if isinstance(formula, TEMPORAL):
+        changes["radius"] = formula.radius * factor
+    return replace(formula, **changes)
 
 
 def retolerance(contract: Contract, tolerance: float) -> Contract:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .lexer import EMPTY_SPAN, SourceSpan
 from .parser import (
+    TEMPORAL,
     Always,
     And,
     Atom,
@@ -183,9 +184,6 @@ def _until(phi: np.ndarray, psi: np.ndarray, r: int) -> np.ndarray:
     return _next_true(psi, idx) <= upper
 
 
-_TEMPORAL = (Near, Future, Always, Until)
-
-
 @dataclass(frozen=True)
 class Reach:
     """How far around frame ``i`` a node's verdict at ``i`` looks.
@@ -205,7 +203,7 @@ def _reach(node: Formula, kids: list[Reach], r: int) -> Reach:
     seconds = max((k.seconds for k in kids), default=0.0)
     frames = max((k.frames for k in kids), default=0)
     backward = max((k.backward for k in kids), default=0)
-    if isinstance(node, _TEMPORAL):
+    if isinstance(node, TEMPORAL):
         seconds += node.radius
         frames += r
         if isinstance(node, Near):
@@ -286,7 +284,7 @@ def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
                 continue
             slots[node] = len(slots)
             node_kids = tuple(slots[c] for c in children(node))
-            r = radius_frames(node.radius, h) if isinstance(node, _TEMPORAL) else 0
+            r = radius_frames(node.radius, h) if isinstance(node, TEMPORAL) else 0
             kids.append(node_kids)
             radii.append(r)
             reach.append(_reach(node, [reach[k] for k in node_kids], r))

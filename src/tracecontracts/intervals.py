@@ -52,6 +52,12 @@ from .frames import ObligationScore, _as_mask, _check_frame_step, obligation_sco
 
 _TIME_EPS = 1e-9
 
+# The exact matcher's default bound on the intervals of either side.
+DEFAULT_EXACT_BOUND = 24
+
+# The duration predicate's default threshold, in tolerances.
+DEFAULT_DURATION_THRESHOLD = 2.0
+
 
 class AuditBoundError(Exception):
     """An exact-matching instance exceeded the configured audit bound."""
@@ -276,7 +282,7 @@ def match_greedy(cands) -> Matching:
     return Matching(frozenset(pairs), "greedy")
 
 
-def match_exact(cands, bound: int = 24) -> Matching:
+def match_exact(cands, bound: int = DEFAULT_EXACT_BOUND) -> Matching:
     """Maximum cardinality matching of minimum total cost.
 
     ``cands`` is as for :func:`match_greedy`.  Solved by an assignment
@@ -391,17 +397,17 @@ class MatcherAudit:
         return self.exact_fragmentation.score - self.greedy_fragmentation.score
 
 
-def matcher_audit(refs, preds, epsilon: float, bound: int = 24) -> MatcherAudit:
+def matcher_audit(refs, preds, epsilon: float, bound: int = DEFAULT_EXACT_BOUND) -> MatcherAudit:
     """Run both matching policies and report the event-level deltas.
 
-    The duration predicate uses the standard ``2 * epsilon`` threshold.
+    The duration predicate uses its default threshold at tolerance ``epsilon``.
     """
     refs, preds = Family.of(refs), Family.of(preds)
     overlaps = overlap_pairs(refs, preds)
     table = candidate_table(refs, preds, epsilon, overlaps)
     greedy = match_greedy(table)
     exact = match_exact(table, bound=bound)
-    threshold = 2.0 * epsilon
+    threshold = DEFAULT_DURATION_THRESHOLD * epsilon
     counts = np.bincount(overlaps[0], minlength=len(refs))
     return MatcherAudit(
         greedy=greedy,

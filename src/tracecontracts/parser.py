@@ -1,20 +1,24 @@
-"""Recursive descent parser for bounded temporal contract formulas.
+"""Precedence-climbing parser for bounded temporal contract formulas.
 
-Grammar, loosest to tightest binding:
+One operator table, :data:`BINARY_OPERATORS` and :data:`PREFIX_OPERATORS`,
+states the grammar, loosest to tightest binding:
 
-    implication:  disjunction ("->" implication)?          right associative
-    disjunction:  conjunction ("|" conjunction)*           left associative
-    conjunction:  until ("&" until)*                       left associative
-    until:        unary ("U[r]" until)?                    right associative
-    unary:        "!" unary | "N[r]" unary | "F[r]" unary | "G[r]" unary
-                  | "(" implication ")" | identifier
+    level  operators           node                     associativity
+    1      ->                  Implies                  right
+    2      |                   Or                       left
+    3      &                   And                      left
+    4      U[r]                Until                    right
+    5      ! N[r] F[r] G[r]    Not Near Future Always   prefix
+
+An operand is an identifier, a parenthesised formula or a prefix operator
+applied to an operand; a formula is operands joined by binary operators.
+The parser and :func:`format_formula` both read the table.
 
 Every accepted token stream has exactly one syntax tree under these
 rules; anything else raises :class:`ParseError` anchored to the offending
-token's span.  The end marker must be reached exactly when the
-implication level returns, so trailing tokens are errors rather than
-ignored suffixes.  Unknown atom names are not a parse error; they fail
-later when a formula is evaluated against a trace environment.
+token's span, and trailing tokens are errors rather than ignored suffixes.
+Unknown atom names are not a parse error; they fail later when a formula
+is evaluated against a trace environment.
 
 Structural equality of formulas ignores source spans, so a reparsed
 canonical rendering compares equal to the original tree.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .lexer import EMPTY_SPAN, LexError, SourceSpan, Token, TokenKind, tokenize
@@ -38,9 +43,14 @@ class Formula:
     span: SourceSpan
 
 
-def _check_radius(radius: float) -> None:
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"temporal radius must be positive and finite, got {radius!r}")
+class _Bounded(Formula):
+    """Base of the nodes with a positive finite ``radius`` in seconds."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"temporal radius must be positive and finite, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -77,52 +87,40 @@ class Implies(Formula):
 
 
 @dataclass(frozen=True)
-class Near(Formula):
+class Near(_Bounded):
     """True where the child holds within ``radius`` seconds in either direction."""
 
     child: Formula
     radius: float
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_radius(self.radius)
-
 
 @dataclass(frozen=True)
-class Future(Formula):
+class Future(_Bounded):
     """True where the child holds within ``radius`` seconds ahead (inclusive of now)."""
 
     child: Formula
     radius: float
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_radius(self.radius)
-
 
 @dataclass(frozen=True)
-class Always(Formula):
+class Always(_Bounded):
     """True where the child holds at every frame of the clipped future window."""
 
     child: Formula
     radius: float
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_radius(self.radius)
-
 
 @dataclass(frozen=True)
-class Until(Formula):
+class Until(_Bounded):
     """Right witness within ``radius`` seconds, left formula holding strictly before it."""
 
     left: Formula
     right: Formula
     radius: float
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        _check_radius(self.radius)
 
 
 class ParseError(Exception):
@@ -138,17 +136,51 @@ class ParseError(Exception):
         self.found = found
 
 
+# Node classes whose token carries a bracketed radius in seconds.
+TEMPORAL = (Near, Future, Always, Until)
+
+# The operator table: a binary operator's node class, binding level (1 binds
+# loosest) and whether it associates to the right; a prefix operator's node
+# class.  Prefix operators bind tighter than every binary one.
+BINARY_OPERATORS = {
+    "->": (Implies, 1, True),
+    "|": (Or, 2, False),
+    "&": (And, 3, False),
+    "U": (Until, 4, True),
+}
+PREFIX_OPERATORS = {"!": Not, "N": Near, "F": Future, "G": Always}
+
+_LOOSEST = 1
+_PREFIX_LEVEL = max(level for _, level, _ in BINARY_OPERATORS.values()) + 1
+
+# Each node class's child fields in order, which its place in the table fixes.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Atom: (),
+    **{cls: ("child",) for cls in PREFIX_OPERATORS.values()},
+    **{cls: ("left", "right") for cls, _, _ in BINARY_OPERATORS.values()},
+}
+
+
+def _child_getter(fields: tuple[str, ...]):
+    """A function from a node with these child fields to its children tuple."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(*fields)
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+_CHILDREN = {cls: _child_getter(fields) for cls, fields in CHILD_FIELDS.items()}
+
+
 def children(formula: Formula) -> tuple[Formula, ...]:
-    match formula:
-        case Atom():
-            return ()
-        case Not(child=c) | Near(child=c) | Future(child=c) | Always(child=c):
-            return (c,)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-            return (l, r)
-        case Until(left=l, right=r):
-            return (l, r)
-    raise TypeError(f"not a formula node: {formula!r}")
+    """The node's children in :data:`CHILD_FIELDS` order."""
+    try:
+        get = _CHILDREN[type(formula)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {formula!r}") from None
+    return get(formula)
 
 
 def walk(formula: Formula) -> Iterator[Formula]:
@@ -168,18 +200,13 @@ def atom_names(formula: Formula) -> frozenset[str]:
 
 def temporal_depth(formula: Formula) -> int:
     """Maximum nesting depth of bounded temporal operators."""
-    kids = children(formula)
-    inner = max((temporal_depth(c) for c in kids), default=0)
-    return inner + 1 if isinstance(formula, (Near, Future, Always, Until)) else inner
+    inner = max((temporal_depth(c) for c in children(formula)), default=0)
+    return inner + 1 if isinstance(formula, TEMPORAL) else inner
 
 
 def radius_sum(formula: Formula) -> float:
     """Sum of all temporal radii in seconds over the tree."""
-    total = 0.0
-    for node in walk(formula):
-        if isinstance(node, (Near, Future, Always, Until)):
-            total += node.radius
-    return total
+    return sum((node.radius for node in walk(formula) if isinstance(node, TEMPORAL)), 0.0)
 
 
 def _describe(token: Token) -> str:
@@ -188,7 +215,18 @@ def _describe(token: Token) -> str:
     return repr(token.value)
 
 
+def _symbol(token: Token) -> str | None:
+    """The operator-table key of a token; ``None`` for operands and brackets."""
+    if token.kind is TokenKind.OPERATOR:
+        return token.value
+    if token.kind is TokenKind.TEMPORAL:
+        return token.temporal_name
+    return None
+
+
 class _Parser:
+    """Precedence climbing over the operator table."""
+
     def __init__(self, tokens: Sequence[Token]) -> None:
         self._tokens = tokens
         self._index = 0
@@ -202,85 +240,48 @@ class _Parser:
             self._index += 1
         return token
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        token = self.peek()
-        if token.kind is TokenKind.OPERATOR and token.value == "->":
-            self.advance()
-            right = self.implication()
-            return Implies(left, right, SourceSpan(left.span.start, right.span.end))
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
+    def expression(self, minimum: int) -> Formula:
+        """The longest formula from here whose binary operators bind at
+        level ``minimum`` or tighter."""
+        left = self.operand()
         while True:
             token = self.peek()
-            if token.kind is TokenKind.OPERATOR and token.value == "|":
-                self.advance()
-                right = self.conjunction()
-                left = Or(left, right, SourceSpan(left.span.start, right.span.end))
-            else:
+            entry = BINARY_OPERATORS.get(_symbol(token))
+            if entry is None or entry[1] < minimum:
                 return left
-
-    def conjunction(self) -> Formula:
-        left = self.until()
-        while True:
-            token = self.peek()
-            if token.kind is TokenKind.OPERATOR and token.value == "&":
-                self.advance()
-                right = self.until()
-                left = And(left, right, SourceSpan(left.span.start, right.span.end))
-            else:
-                return left
-
-    def until(self) -> Formula:
-        left = self.unary()
-        token = self.peek()
-        if token.kind is TokenKind.TEMPORAL and token.temporal_name == "U":
+            cls, level, right_associative = entry
             self.advance()
-            radius = self._required_radius(token)
-            right = self.until()
-            return Until(left, right, radius, SourceSpan(left.span.start, right.span.end))
-        return left
+            radius = self._radius(token)
+            right = self.expression(level if right_associative else level + 1)
+            left = cls(left, right, *radius, SourceSpan(left.span.start, right.span.end))
 
-    def unary(self) -> Formula:
-        token = self.peek()
-        if token.kind is TokenKind.OPERATOR and token.value == "!":
-            self.advance()
-            child = self.unary()
-            return Not(child, SourceSpan(token.span.start, child.span.end))
-        if token.kind is TokenKind.TEMPORAL:
-            name = token.temporal_name
-            if name == "U":
-                raise ParseError(token.span, "a formula", _describe(token))
-            self.advance()
-            radius = self._required_radius(token)
-            child = self.unary()
-            span = SourceSpan(token.span.start, child.span.end)
-            if name == "N":
-                return Near(child, radius, span)
-            if name == "F":
-                return Future(child, radius, span)
-            return Always(child, radius, span)
+    def operand(self) -> Formula:
+        token = self.advance()
+        if token.kind is TokenKind.IDENTIFIER:
+            return Atom(token.value, token.span)
+        cls = PREFIX_OPERATORS.get(_symbol(token))
+        if cls is not None:
+            radius = self._radius(token)
+            child = self.operand()
+            return cls(child, *radius, SourceSpan(token.span.start, child.span.end))
         if token.kind is TokenKind.LEFT_PAREN:
-            self.advance()
-            inner = self.implication()
-            closing = self.peek()
+            inner = self.expression(_LOOSEST)
+            closing = self.advance()
             if closing.kind is not TokenKind.RIGHT_PAREN:
                 raise ParseError(closing.span, "')'", _describe(closing))
-            self.advance()
             return replace(inner, span=SourceSpan(token.span.start, closing.span.end))
-        if token.kind is TokenKind.IDENTIFIER:
-            self.advance()
-            return Atom(token.value, token.span)
         raise ParseError(token.span, "a formula", _describe(token))
 
-    def _required_radius(self, token: Token) -> float:
+    def _radius(self, token: Token) -> tuple[float, ...]:
+        """The radius an operator token gives its node: one for a temporal
+        token, none for a Boolean one."""
+        if token.kind is not TokenKind.TEMPORAL:
+            return ()
         if token.radius is None:
             raise ParseError(token.span, f"'{token.temporal_name}[radius]'", _describe(token))
         if token.radius <= 0.0:
             raise ParseError(token.span, "a positive radius", _describe(token))
-        return token.radius
+        return (token.radius,)
 
 
 def parse(tokens: Sequence[Token]) -> Formula:
@@ -292,7 +293,7 @@ def parse(tokens: Sequence[Token]) -> Formula:
     if not tokens or tokens[-1].kind is not TokenKind.END:
         raise ValueError("token stream must end with the end marker")
     parser = _Parser(tokens)
-    formula = parser.implication()
+    formula = parser.expression(_LOOSEST)
     trailing = parser.peek()
     if trailing.kind is not TokenKind.END:
         raise ParseError(trailing.span, "end of input", _describe(trailing))
@@ -304,30 +305,6 @@ def parse_text(source: str) -> Formula:
     return parse(tokenize(source))
 
 
-# Rendering levels; a child is parenthesised when it binds looser than
-# the position it is printed in.
-_LEVEL_IMPLICATION = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_UNTIL = 4
-_LEVEL_UNARY = 5
-_LEVEL_ATOM = 6
-
-_LEVELS: dict[type, int] = {
-    Implies: _LEVEL_IMPLICATION,
-    Or: _LEVEL_OR,
-    And: _LEVEL_AND,
-    Until: _LEVEL_UNTIL,
-    Not: _LEVEL_UNARY,
-    Near: _LEVEL_UNARY,
-    Future: _LEVEL_UNARY,
-    Always: _LEVEL_UNARY,
-    Atom: _LEVEL_ATOM,
-}
-
-_UNARY_NAMES = {Near: "N", Future: "F", Always: "G"}
-
-
 def radius_text(radius: float) -> str:
     """Positional decimal rendering of a radius that re-lexes to the same float."""
     text = repr(radius)
@@ -336,39 +313,43 @@ def radius_text(radius: float) -> str:
     return text
 
 
+# Per node class: its symbol, its binding level and the levels its operands
+# print at (a prefix node has no second operand).  A node printed where a
+# tighter level is needed gets parentheses.
+_RENDERING = {
+    **{
+        cls: (symbol, level, *((level + 1, level) if right else (level, level + 1)))
+        for symbol, (cls, level, right) in BINARY_OPERATORS.items()
+    },
+    **{
+        cls: (symbol, _PREFIX_LEVEL, _PREFIX_LEVEL, None)
+        for symbol, cls in PREFIX_OPERATORS.items()
+    },
+}
+
+
 def format_formula(formula: Formula) -> str:
     """Canonical rendering without redundant parentheses.
 
     The output reparses to a structurally identical tree; parentheses
     appear only where the fixed precedence would otherwise reassociate.
     """
-    return _render(formula, _LEVEL_IMPLICATION)
+    return _render(formula, _LOOSEST)
 
 
 def _render(formula: Formula, minimum: int) -> str:
-    if _LEVELS[type(formula)] < minimum:
-        return "(" + _render(formula, _LEVEL_IMPLICATION) + ")"
-    match formula:
-        case Atom(name=name):
-            return name
-        case Not(child=child):
-            return "!" + _render(child, _LEVEL_UNARY)
-        case Near() | Future() | Always():
-            name = _UNARY_NAMES[type(formula)]
-            return f"{name}[{radius_text(formula.radius)}] " + _render(formula.child, _LEVEL_UNARY)
-        case Until(left=left, right=right, radius=radius):
-            return (
-                _render(left, _LEVEL_UNARY)
-                + f" U[{radius_text(radius)}] "
-                + _render(right, _LEVEL_UNTIL)
-            )
-        case And(left=left, right=right):
-            return _render(left, _LEVEL_AND) + " & " + _render(right, _LEVEL_UNTIL)
-        case Or(left=left, right=right):
-            return _render(left, _LEVEL_OR) + " | " + _render(right, _LEVEL_AND)
-        case Implies(left=left, right=right):
-            return _render(left, _LEVEL_OR) + " -> " + _render(right, _LEVEL_IMPLICATION)
-    raise TypeError(f"not a formula node: {formula!r}")
+    if type(formula) is Atom:
+        return formula.name
+    symbol, level, first, second = _RENDERING[type(formula)]
+    if level < minimum:
+        return "(" + _render(formula, _LOOSEST) + ")"
+    if isinstance(formula, TEMPORAL):
+        symbol += f"[{radius_text(formula.radius)}]"
+        if second is None:
+            symbol += " "
+    if second is None:
+        return symbol + _render(formula.child, first)
+    return _render(formula.left, first) + f" {symbol} " + _render(formula.right, second)
 
 
 __all__ = [

@@ -4,10 +4,12 @@ The oracles here deliberately avoid the library's shift-doubling,
 range-scan and assignment-solver code paths: formula semantics are
 re-derived with per-frame window scans and with prefix sums, reach by tree
 recursion, interval relations with all-pairs loops, optimal matchings by
-subset enumeration, and streaming by a pump engine whose nodes advance as
-far as their children allow.  The ``object_*`` interval layer is the
-library's predecessor of its array path: one ``Interval`` per run, one
-``CandidatePair`` per candidate, and a Python loop per reference.
+subset enumeration, streaming by a pump engine whose nodes advance as far
+as their children allow, and parsing and rendering by one recursive-descent
+method per binding level and one rendering arm per node class.  The
+``object_*`` interval layer is the library's predecessor of its array
+path: one ``Interval`` per run, one ``CandidatePair`` per candidate, and a
+Python loop per reference.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
+from dataclasses import replace
 from itertools import accumulate
 from typing import Mapping
 
@@ -50,6 +53,7 @@ from tracecontracts.intervals import (
     Matching,
     overlap_length,
 )
+from tracecontracts.lexer import SourceSpan, Token, TokenKind, tokenize
 from tracecontracts.parser import (
     Always,
     And,
@@ -60,7 +64,9 @@ from tracecontracts.parser import (
     Near,
     Not,
     Or,
+    ParseError,
     Until,
+    radius_text,
 )
 
 DEFAULT_ATOMS = ("a", "b", "c")
@@ -290,6 +296,180 @@ def enumerate_formulas(height: int, atoms=("a", "b"), radius: float = 0.04) -> l
                 nxt.append(Until(f, g, radius))
         seen = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser and per-class renderer that the operator-table
+# parser replaced: one method per binding level, and hand-written rendering
+# levels with one arm per node class.
+
+
+def _naive_describe(token: Token) -> str:
+    if token.kind is TokenKind.END:
+        return "end of input"
+    return repr(token.value)
+
+
+class _NaiveParser:
+    def __init__(self, tokens) -> None:
+        self._tokens = tokens
+        self._index = 0
+
+    def peek(self) -> Token:
+        return self._tokens[self._index]
+
+    def advance(self) -> Token:
+        token = self._tokens[self._index]
+        if token.kind is not TokenKind.END:
+            self._index += 1
+        return token
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        token = self.peek()
+        if token.kind is TokenKind.OPERATOR and token.value == "->":
+            self.advance()
+            right = self.implication()
+            return Implies(left, right, SourceSpan(left.span.start, right.span.end))
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while True:
+            token = self.peek()
+            if token.kind is TokenKind.OPERATOR and token.value == "|":
+                self.advance()
+                right = self.conjunction()
+                left = Or(left, right, SourceSpan(left.span.start, right.span.end))
+            else:
+                return left
+
+    def conjunction(self) -> Formula:
+        left = self.until()
+        while True:
+            token = self.peek()
+            if token.kind is TokenKind.OPERATOR and token.value == "&":
+                self.advance()
+                right = self.until()
+                left = And(left, right, SourceSpan(left.span.start, right.span.end))
+            else:
+                return left
+
+    def until(self) -> Formula:
+        left = self.unary()
+        token = self.peek()
+        if token.kind is TokenKind.TEMPORAL and token.temporal_name == "U":
+            self.advance()
+            radius = self._required_radius(token)
+            right = self.until()
+            return Until(left, right, radius, SourceSpan(left.span.start, right.span.end))
+        return left
+
+    def unary(self) -> Formula:
+        token = self.peek()
+        if token.kind is TokenKind.OPERATOR and token.value == "!":
+            self.advance()
+            child = self.unary()
+            return Not(child, SourceSpan(token.span.start, child.span.end))
+        if token.kind is TokenKind.TEMPORAL:
+            name = token.temporal_name
+            if name == "U":
+                raise ParseError(token.span, "a formula", _naive_describe(token))
+            self.advance()
+            radius = self._required_radius(token)
+            child = self.unary()
+            span = SourceSpan(token.span.start, child.span.end)
+            if name == "N":
+                return Near(child, radius, span)
+            if name == "F":
+                return Future(child, radius, span)
+            return Always(child, radius, span)
+        if token.kind is TokenKind.LEFT_PAREN:
+            self.advance()
+            inner = self.implication()
+            closing = self.peek()
+            if closing.kind is not TokenKind.RIGHT_PAREN:
+                raise ParseError(closing.span, "')'", _naive_describe(closing))
+            self.advance()
+            return replace(inner, span=SourceSpan(token.span.start, closing.span.end))
+        if token.kind is TokenKind.IDENTIFIER:
+            self.advance()
+            return Atom(token.value, token.span)
+        raise ParseError(token.span, "a formula", _naive_describe(token))
+
+    def _required_radius(self, token: Token) -> float:
+        if token.radius is None:
+            raise ParseError(token.span, f"'{token.temporal_name}[radius]'", _naive_describe(token))
+        if token.radius <= 0.0:
+            raise ParseError(token.span, "a positive radius", _naive_describe(token))
+        return token.radius
+
+
+def naive_parse(source: str) -> Formula:
+    """Tokenize and parse ``source`` by recursive descent, one method per level."""
+    parser = _NaiveParser(tokenize(source))
+    formula = parser.implication()
+    trailing = parser.peek()
+    if trailing.kind is not TokenKind.END:
+        raise ParseError(trailing.span, "end of input", _naive_describe(trailing))
+    return formula
+
+
+_LEVEL_IMPLICATION = 1
+_LEVEL_OR = 2
+_LEVEL_AND = 3
+_LEVEL_UNTIL = 4
+_LEVEL_UNARY = 5
+_LEVEL_ATOM = 6
+
+_LEVELS: dict[type, int] = {
+    Implies: _LEVEL_IMPLICATION,
+    Or: _LEVEL_OR,
+    And: _LEVEL_AND,
+    Until: _LEVEL_UNTIL,
+    Not: _LEVEL_UNARY,
+    Near: _LEVEL_UNARY,
+    Future: _LEVEL_UNARY,
+    Always: _LEVEL_UNARY,
+    Atom: _LEVEL_ATOM,
+}
+
+_UNARY_NAMES = {Near: "N", Future: "F", Always: "G"}
+
+
+def naive_format(formula: Formula) -> str:
+    """Canonical rendering with one arm per node class."""
+    return _naive_render(formula, _LEVEL_IMPLICATION)
+
+
+def _naive_render(formula: Formula, minimum: int) -> str:
+    if _LEVELS[type(formula)] < minimum:
+        return "(" + _naive_render(formula, _LEVEL_IMPLICATION) + ")"
+    match formula:
+        case Atom(name=name):
+            return name
+        case Not(child=child):
+            return "!" + _naive_render(child, _LEVEL_UNARY)
+        case Near() | Future() | Always():
+            name = _UNARY_NAMES[type(formula)]
+            return f"{name}[{radius_text(formula.radius)}] " + _naive_render(
+                formula.child, _LEVEL_UNARY
+            )
+        case Until(left=left, right=right, radius=radius):
+            return (
+                _naive_render(left, _LEVEL_UNARY)
+                + f" U[{radius_text(radius)}] "
+                + _naive_render(right, _LEVEL_UNTIL)
+            )
+        case And(left=left, right=right):
+            return _naive_render(left, _LEVEL_AND) + " & " + _naive_render(right, _LEVEL_UNTIL)
+        case Or(left=left, right=right):
+            return _naive_render(left, _LEVEL_OR) + " | " + _naive_render(right, _LEVEL_AND)
+        case Implies(left=left, right=right):
+            return (
+                _naive_render(left, _LEVEL_OR) + " -> " + _naive_render(right, _LEVEL_IMPLICATION)
+            )
+    raise TypeError(f"not a formula node: {formula!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +1135,9 @@ class NaiveStreamingMonitor:
 
 # ---------------------------------------------------------------------------
 # The contract language, drawn from its two tables
+
+# The breaks of str.splitlines that are not line ends in a contract file.
+NOT_LINE_ENDS = ("\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 # Every setting, and every event predicate with parameters.
 ALL_PREDICATES = """set tolerance 0.03

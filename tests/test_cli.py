@@ -1,10 +1,13 @@
 """Command line front end: exit codes, report files, determinism."""
 
 import builtins
+import codecs
 import csv
 import hashlib
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from tracecontracts.tracefile import (
     save_trace,
 )
 
-from gen import ALL_PREDICATES, contract_mutations
+from gen import ALL_PREDICATES, NOT_LINE_ENDS, contract_mutations
 
 
 H = 0.02
@@ -83,6 +86,27 @@ class TestCheck:
         path = tmp_path / "unknown.contract"
         path.write_text("set tolerance 0.04\nframe x : nonexistent_atom @ nonexistent_atom\n")
         assert main(["check", str(path)]) == 0
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_errors_keep_their_line_after_a_break_in_a_comment(self, char, tmp_path, capsys):
+        path = tmp_path / "c.contract"
+        text = f"set tolerance 0.04\n# one comment{char}more comment\nframe b : x - > y @ x\n"
+        path.write_bytes(text.encode())
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:3: error: undeclared character '-'\n")
+
+
+class TestInit:
+    def test_default_contract_to_stdout(self, capsys):
+        assert main(["init", "--tolerance-ms", "80"]) == 0
+        assert capsys.readouterr().out == default_contract_text(0.08)
+
+    def test_default_contract_to_a_file(self, tmp_path, capsys):
+        path = tmp_path / "default.contract"
+        assert main(["init", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote default contract to {path}\n"
+        assert path.read_text(encoding="utf-8") == default_contract_text(0.04)
 
 
 class TestMonitor:
@@ -207,6 +231,50 @@ class TestMonitor:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"cannot read contract {bad}: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["check", "monitor", "sweep"])
+    def test_byte_order_mark_in_a_contract_exits_two(self, command, worked_files, tmp_path, capsys):
+        contract_path, trace_path = worked_files
+        bom = tmp_path / "bom.contract"
+        bom.write_bytes(codecs.BOM_UTF8 + contract_path.read_bytes())
+        out = tmp_path / "o"
+        argv = [command, str(bom)] + ([] if command == "check" else [str(trace_path), "--out", str(out)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read contract {bom}: ") and "byte order mark" in err
+        assert not out.exists()
+
+    def test_unreadable_trace_path_exits_three(self, worked_files, tmp_path, capsys):
+        contract_path, _ = worked_files
+        missing, out = tmp_path / "missing.json", tmp_path / "o"
+        assert main(["monitor", str(contract_path), str(missing), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read trace {missing}: ") and "No such file" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ("[]", "{path}: expected a JSON object"),
+        ('{"union": {"ref": "01", "pred": "01"}}', "{path}: missing or invalid 'frame_step'"),
+        ('{"frame_step": 0.02, "union": "01"}',
+         "{path}.union: expected an object with 'ref' and 'pred'"),
+        ('{"frame_step": 0.02, "union": {"ref": "01", "pred": "011"}}',
+         "{path}.union: ref and pred lengths differ"),
+        ('{"frame_step": 0.02, "union": {"ref": "01", "pred": "01"},'
+         ' "classes": {"s": {"ref": "011", "pred": "011"}}}',
+         "{path}: masks have inconsistent lengths [2, 3]"),
+        ('{"frame_step": 0.02}', "{path}: trace needs 'union' masks or 'classes'"),
+    ])
+    def test_trace_schema_errors_exit_three(self, data, message, worked_files, tmp_path, capsys):
+        contract_path, _ = worked_files
+        bad, out = tmp_path / "bad.json", tmp_path / "o"
+        bad.write_text(data)
+        assert main(["monitor", str(contract_path), str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "trace error: " + message.format(path=bad) + "\n"
+        assert not out.exists()
+
+    def test_trace_without_masks_has_no_union(self):
+        with pytest.raises(TraceFormatError, match="^x: no union masks and no classes$"):
+            TraceFile("x", 0.02).union_masks()
 
     def test_manifest_hashes_the_bytes_read_once(self, worked_files, tmp_path, monkeypatch):
         contract_path, trace_path = worked_files
@@ -532,6 +600,39 @@ class TestSelect:
         certificate_rows = read_report(out / "certificate.csv")
         assert len(certificate_rows) == 23  # strict risk pairs among 3/4/5 ranks
 
+    @pytest.mark.parametrize("data, message", [
+        ("{}", "{path}: expected a JSON array of cases"),
+        ("[1]", "{path}[0]: expected an object"),
+        ('[{"id": "x", "risk": 1, "frame_step": 0.02, "ref_mask": "01"}]',
+         "{path}[0]: missing field 'pred_mask'"),
+    ])
+    def test_calibration_schema_errors_exit_three(self, data, message, tmp_path, capsys):
+        contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        calibration_path.write_text(data)
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "calibration error: " + message.format(path=calibration_path) + "\n"
+        assert not out.exists()
+
+    def test_infeasible_selection_names_the_unseparated_pair(self, tmp_path, capsys):
+        # Equal masks at different risks: no clause can separate them.
+        contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        case = '"frame_step": 0.02, "ref_mask": "0110", "pred_mask": "0110"'
+        calibration_path.write_text(
+            f'[{{"id": "low", "risk": 1, {case}}}, {{"id": "high", "risk": 2, {case}}}]'
+        )
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.endswith("infeasible: no clause separates 'low' (lower risk) from 'high'\n")
+        assert "selected contract:" not in printed
+        assert not out.exists()
+
     def test_empty_calibration_is_vacuously_separating(self, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"
         contract_path.write_text(default_contract_text(0.04))
@@ -677,3 +778,37 @@ class TestMaskStrings:
         assert trace.frame_count == 0
         save_trace(trace, tmp_path / "again.json")
         assert load_trace(tmp_path / "again.json").union[0].shape == (0,)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, language: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # The CLI block, line by line, on fixture files named as in the README,
+    # then the Python block.
+    monkeypatch.chdir(tmp_path)
+    ref, pred, h = worked_trace()
+    save_trace(TraceFile("worked", h, classes={"speech": (ref, pred)}, union=(ref, pred)),
+               tmp_path / "trace.json")
+    save_calibration(calibration_cases(), tmp_path / "calibration.json")
+    commands = [shlex.split(line, comments=True)
+                for line in _readme_block("Quick start (CLI)", "sh").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 7 and all(argv[0] == "tracecontracts" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    reports = ["report/guard.csv", "report/witness.csv", "sweep/sweep.csv", "audit/match_audit.csv",
+               "selection/selection.csv", "stream/stream.csv"]
+    assert all((tmp_path / name).is_file() for name in reports)
+    capsys.readouterr()
+    exec(compile(_readme_block("Quick start (Python)", "python"), str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[:-1]] == [
+        "onset_guard", "offset_guard", "missing_guard", "spurious_guard", "silence_guard",
+        "duration_guard", "fragmentation_guard",
+    ]

@@ -1,5 +1,6 @@
 """Contract engine: default guards, monitoring, sweeps, soft scores, files."""
 
+import codecs
 import dataclasses
 import math
 import random
@@ -35,14 +36,16 @@ from tracecontracts.fixtures import (
     apply_pathology,
     fragmented_trace,
     make_trace,
+    stress_track,
     worked_trace,
 )
 from tracecontracts.frames import derive_edge_atoms, radius_frames
-from tracecontracts.intervals import Interval, extract_intervals
+from tracecontracts.intervals import Interval, extract_intervals, matcher_audit
 from tracecontracts.parser import format_formula, parse_text
 
 from gen import (
     ALL_PREDICATES,
+    NOT_LINE_ENDS,
     contract_mutations,
     random_formula,
     random_mask,
@@ -795,3 +798,65 @@ class TestLanguageTables:
         text = contract_to_text(parse_contract_text(ALL_PREDICATES))
         path.write_bytes(text.replace("\n", "\r\n").encode())
         assert load_contract(path) == parse_contract_text(text)
+
+    def test_load_contract_names_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.contract"
+        path.write_bytes(codecs.BOM_UTF8 + default_contract_text(0.04).encode())
+        with pytest.raises(ContractSyntaxError) as excinfo:
+            load_contract(path)
+        assert excinfo.value.line_number == 0
+        assert "byte order mark" in excinfo.value.message
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS)
+def test_only_line_ends_end_contract_lines(char, tmp_path):
+    good = f"set tolerance 0.04\n# one comment{char}more comment\nframe a : x @ x\n"
+    assert parse_contract_text(good) == parse_contract_text("set tolerance 0.04\nframe a : x @ x\n")
+    bad = good + "frame b : x - > y @ x\n"
+    for text in (bad, bad.replace("\n", "\r\n"), bad.replace("\n", "\r")):
+        with pytest.raises(ContractSyntaxError) as excinfo:
+            parse_contract_text(text)
+        assert excinfo.value.line_number == 4
+        assert excinfo.value.line_text == "frame b : x - > y @ x"
+    path = tmp_path / "c.contract"
+    path.write_bytes(bad.replace("\n", "\r\n").encode())
+    with pytest.raises(ContractSyntaxError) as excinfo:
+        load_contract(path)
+    assert excinfo.value.line_number == 4
+
+
+@pytest.mark.parametrize("line, message", [
+    ("set tolerance", "expected 'set <key> <value>'"),
+    ("set tolerance 0.04 0.05", "expected 'set <key> <value>'"),
+    ("frame a x @ x", "missing ':' after clause name"),
+    ("frame a b : x @ x", "expected exactly one clause name before ':'"),
+    ("frame a : x", "missing '@' obligation separator"),
+    ("event d : duration_within @", "missing event obligation"),
+    ("event d : duration_within @ matched_pairs threshold", "expected key=value parameter, found 'threshold'"),
+    ("event d : duration_within @ matched_pairs threshold=abc", "invalid numeric value in 'threshold=abc'"),
+])
+def test_clause_line_errors_name_what_is_missing(line, message):
+    text = f"set tolerance 0.04\nset merge_gap 0\n{line}\n"
+    with pytest.raises(ContractSyntaxError) as excinfo:
+        parse_contract_text(text)
+    assert (excinfo.value.message, excinfo.value.line_number, excinfo.value.line_text) == (
+        message, 3, line
+    )
+
+
+def test_audit_duration_scores_are_the_default_clauses():
+    # matcher_audit's threshold is the duration_within default at its epsilon.
+    failing = 0
+    for case in stress_track():
+        refs = extract_intervals(case.ref_mask, case.frame_step)
+        preds = extract_intervals(case.pred_mask, case.frame_step)
+        audit = matcher_audit(refs, preds, case.epsilon)
+        for matcher, want in (("greedy", audit.greedy_duration), ("exact", audit.exact_duration)):
+            contract = default_contract(case.epsilon, matcher=matcher)
+            result = monitor(contract, case.ref_mask, case.pred_mask, case.frame_step)
+            got = result.guards.get("duration_guard")
+            assert (got.score, got.obligated, got.satisfied) == (
+                want.score, want.obligated, want.satisfied
+            ), (case.case_id, matcher)
+            failing += got.score < 1.0
+    assert failing > 0

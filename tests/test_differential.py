@@ -10,8 +10,11 @@ recursion, and its stacked evaluation against per-frame window scans.
 The shift-doubling window, erosion and until kernels against prefix sums,
 array for array, and the witness distances against the all-frames lookup.
 The fixed-delay streaming monitor against the pump engine, step by step.
+The operator-table parser and renderer against the recursive-descent ones:
+equal trees, node spans, errors and renderings.
 """
 
+import itertools
 import math
 import random
 
@@ -56,20 +59,38 @@ from tracecontracts.intervals import (
     match_exact,
     match_greedy,
 )
-from tracecontracts.parser import Always, And, Atom, Future, Implies, Near, Not, Or, Until, walk
+from tracecontracts.lexer import LexError
+from tracecontracts.parser import (
+    Always,
+    And,
+    Atom,
+    Future,
+    Implies,
+    Near,
+    Not,
+    Or,
+    ParseError,
+    Until,
+    format_formula,
+    parse_text,
+    walk,
+)
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
     NaiveStreamingMonitor,
+    enumerate_formulas,
     naive_backward_frames,
     naive_candidates,
     naive_covering_counts,
     naive_edge_times,
     naive_evaluate,
     naive_extract_intervals,
+    naive_format,
     naive_latency_score,
     naive_lookahead,
     naive_lookahead_frames,
+    naive_parse,
     naive_purity_score,
     object_candidates,
     object_covering_counts,
@@ -754,3 +775,65 @@ def test_streaming_traces_shorter_than_the_lookahead_match_pump_engine():
         kind = ("bool", "numpy", "int")[checked % 3]
         _assert_same_stream(formula, h, _frame_rows(random_env(rng, n, h=h), kind))
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The operator-table parser and renderer against recursive descent.
+
+_PARSER_VOCABULARY = ["a", "b", "!", "&", "|", "->", "(", ")", "N[0.04]", "U[0.04]"]
+_RANDOM_VOCABULARY = _PARSER_VOCABULARY + [
+    "3", "0.5", "[", "]", "N", "F", "G", "U", "F[0.1]", "G[2]", "N[0]", "U[0.0]", "G[0.000]",
+    "a1", "$",
+]
+
+
+def _parse_outcome(parse, source):
+    try:
+        return parse(source)
+    except (ParseError, LexError) as error:
+        return error
+
+
+def _assert_same_parse(source):
+    got, want = _parse_outcome(parse_text, source), _parse_outcome(naive_parse, source)
+    assert type(got) is type(want), source
+    if isinstance(want, ParseError):
+        assert (got.expected, got.found, got.span, str(got)) == (
+            want.expected, want.found, want.span, str(want)
+        ), source
+    elif isinstance(want, LexError):
+        assert (got.message, got.span) == (want.message, want.span), source
+    else:
+        assert got == want and repr(got) == repr(want), source
+        assert [node.span for node in walk(got)] == [node.span for node in walk(want)], source
+        assert format_formula(got) == naive_format(want), source
+    return want
+
+
+def test_parser_matches_recursive_descent_on_short_token_strings():
+    outcomes = set()
+    for length in range(5):
+        for combo in itertools.product(_PARSER_VOCABULARY, repeat=length):
+            outcomes.add(type(_assert_same_parse(" ".join(combo))))
+    assert outcomes == {ParseError, Atom, Not, And, Or, Implies, Near, Until}
+
+
+def test_parser_matches_recursive_descent_on_random_strings():
+    # Digits, stray brackets, radius-less temporals and zero radii, joined
+    # with and without spaces so that brackets and digits also meet names.
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(20000):
+        words = rng.choices(_RANDOM_VOCABULARY, k=rng.randint(1, 9))
+        source = rng.choice((" ", "")).join(words)
+        outcomes.add(type(_assert_same_parse(source)))
+    assert {ParseError, LexError, Until, Implies} <= outcomes
+
+
+def test_renderer_matches_per_class_arms():
+    rng = random.Random(67)
+    formulas = enumerate_formulas(2) + [random_formula(rng, rng.randint(0, 6)) for _ in range(3000)]
+    for formula in formulas:
+        text = format_formula(formula)
+        assert text == naive_format(formula)
+        _assert_same_parse(text)

@@ -5,8 +5,19 @@ import random
 
 import pytest
 
-from tracecontracts.lexer import LexError, TokenKind, tokenize
+from tracecontracts.lexer import (
+    SINGLE_CHAR_OPERATORS,
+    TEMPORAL_NAMES,
+    TWO_CHAR_OPERATORS,
+    LexError,
+    TokenKind,
+    tokenize,
+)
 from tracecontracts.parser import (
+    BINARY_OPERATORS,
+    CHILD_FIELDS,
+    PREFIX_OPERATORS,
+    TEMPORAL,
     And,
     Atom,
     Implies,
@@ -16,12 +27,14 @@ from tracecontracts.parser import (
     ParseError,
     Until,
     atom_names,
+    children,
     format_formula,
     node_count,
     parse,
     parse_text,
     radius_sum,
     temporal_depth,
+    walk,
 )
 
 from gen import enumerate_formulas, random_formula
@@ -186,3 +199,23 @@ def test_programmatic_radius_validation():
 def test_lex_error_propagates_through_parse_text():
     with pytest.raises(LexError):
         parse_text("a -> $")
+
+
+def test_operator_table_is_the_lexer_alphabet():
+    # Every operator the lexer emits, brackets aside, is in the table once,
+    # and exactly the temporal names build the radius-carrying nodes.
+    lexed = (set(TWO_CHAR_OPERATORS) | SINGLE_CHAR_OPERATORS | TEMPORAL_NAMES) - {"[", "]"}
+    assert not set(BINARY_OPERATORS) & set(PREFIX_OPERATORS)
+    assert set(BINARY_OPERATORS) | set(PREFIX_OPERATORS) == lexed
+    table = {symbol: cls for symbol, (cls, _, _) in BINARY_OPERATORS.items()} | PREFIX_OPERATORS
+    assert {table[name] for name in TEMPORAL_NAMES} == set(TEMPORAL)
+    assert set(CHILD_FIELDS) == set(table.values()) | {Atom}
+
+
+def test_children_follow_the_child_fields():
+    rng = random.Random(7)
+    for _ in range(200):
+        for node in walk(random_formula(rng, 4)):
+            assert children(node) == tuple(getattr(node, name) for name in CHILD_FIELDS[type(node)])
+    with pytest.raises(TypeError):
+        children("a")
