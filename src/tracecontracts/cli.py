@@ -20,9 +20,9 @@ binding error, 5 matching bound exceeded: by ``match-audit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -53,7 +53,7 @@ from .contracts import (
     tolerance_sweep,
 )
 from .frames import UnknownAtomError, derive_edge_atoms, evaluate
-from .intervals import DEFAULT_EXACT_BOUND, AuditBoundError, extract_intervals, matcher_audit
+from .intervals import DEFAULT_EXACT_BOUND, AuditBoundError, Family, intervals, matcher_audit
 from .parser import format_formula, radius_sum, temporal_depth
 from .streaming import StreamingMonitor
 from .tracefile import TraceFormatError, canonical_json, load_trace, read_json, sha256_text
@@ -125,12 +125,33 @@ def _contract_settings(contract: Contract) -> dict:
     return {key: getattr(contract, key) for key in SETTINGS}
 
 
+@contextlib.contextmanager
+def _in_place(path: str):
+    """Text handle that overwrites ``path`` in place.
+
+    The file is opened without truncation, so rewriting an existing report
+    does not wait on writeback of the old bytes; once the new text is
+    flushed, a longer old file is cut at the new end (a device has no
+    length to cut).  The inode, its hard links and its mode are kept, as
+    with ``open(path, "w")``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        yield handle
+        handle.flush()
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        if os.fstat(fd).st_size > end:
+            os.ftruncate(fd, end)
+
+
 def _write_report(
     args, command: str, contract_text: str | None, settings: dict, inputs, flags: dict, tables: dict
 ) -> None:
-    """Write ``manifest.json`` and each ``name: (header, rows)`` table under
-    ``args.out``; every CSV starts with the manifest's run id.  ``inputs``
-    are (path, SHA-256) pairs, each digest that of the bytes parsed."""
+    """Write each ``name: (header, rows)`` table and then ``manifest.json``
+    under ``args.out``; every CSV starts with the manifest's run id.
+    ``rows`` may be any iterable, consumed once as it is written.
+    ``inputs`` are (path, SHA-256) pairs, each digest that of the bytes
+    parsed."""
     manifest = {
         "tool": "tracecontracts",
         "version": __version__,
@@ -149,16 +170,13 @@ def _write_report(
     )
     os.makedirs(args.out, exist_ok=True)
     for name, (header, rows) in tables.items():
-        buffer = io.StringIO()
-        buffer.write(f"# manifest={manifest['run_id']}\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="") as handle:
-            handle.write(buffer.getvalue())
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        with _in_place(os.path.join(args.out, name)) as handle:
+            handle.write(f"# manifest={manifest['run_id']}\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    with _in_place(os.path.join(args.out, "manifest.json")) as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _coordinate_cells(coord: GuardCoordinate) -> list[str]:
@@ -387,9 +405,9 @@ def cmd_match_audit(args) -> int:
     epsilon = args.epsilon_ms / 1000.0
     rows = []
     for path, trace in traces:
+        h = trace.frame_step
         ref, pred = trace.union_masks()
-        refs = extract_intervals(ref, trace.frame_step)
-        preds = extract_intervals(pred, trace.frame_step)
+        refs, preds = (Family(lo * h, hi * h) for lo, hi in (intervals(ref, h), intervals(pred, h)))
         try:
             audit = matcher_audit(refs, preds, epsilon, bound=args.bound)
         except AuditBoundError as error:
@@ -508,6 +526,21 @@ def cmd_select(args) -> int:
 
 STREAM_HEADER = ["frame_index", "emitted_after_frames", "verdict", "offline", "equal"]
 
+# Frames whose atom values are held as Python objects at once by ``stream``.
+STREAM_CHUNK = 4096
+
+
+def _stepped(stream: StreamingMonitor, env):
+    """Feed every frame of ``env`` to ``stream``, then finalize it; yield
+    (frames received, verdicts emitted) after each call.  The atom columns
+    are converted to Python values one chunk at a time."""
+    names = tuple(env.atoms)
+    for lo in range(0, env.frame_count, STREAM_CHUNK):
+        columns = [env.atoms[name][lo : lo + STREAM_CHUNK].tolist() for name in names]
+        for after, values in enumerate(zip(*columns), lo + 1):
+            yield after, stream.step(dict(zip(names, values)))
+    yield env.frame_count, stream.finalize()
+
 
 def cmd_stream(args) -> int:
     contract, contract_text, _ = _load_contract(args.contract)
@@ -527,30 +560,25 @@ def cmd_stream(args) -> int:
         return EXIT_CONTRACT
     ref, pred = trace.union_masks()
     env = derive_edge_atoms(ref, pred, trace.frame_step)
-    offline = evaluate(clause.formula, env).tolist()
+    offline = evaluate(clause.formula, env).tobytes()  # one 0/1 byte per frame
     stream = StreamingMonitor(clause.formula, trace.frame_step)
-    emissions: list[tuple[int, bool, int]] = []
-    atom_names = tuple(env.atoms)
-    columns = (env.atoms[name].tolist() for name in atom_names)
-    for step_index, values in enumerate(zip(*columns)):
-        for index, verdict in stream.step(dict(zip(atom_names, values))):
-            emissions.append((index, verdict, step_index + 1))
-    for index, verdict in stream.finalize():
-        emissions.append((index, verdict, env.frame_count))
-    rows = []
-    all_equal = True
-    for index, verdict, after in emissions:
-        equal = offline[index] == verdict
-        all_equal = all_equal and equal
-        rows.append(
-            [
-                str(index),
-                str(after),
-                "1" if verdict else "0",
-                "1" if offline[index] else "0",
-                "true" if equal else "false",
-            ]
-        )
+    disagreements = 0
+
+    def rows():
+        nonlocal disagreements
+        for after, verdicts in _stepped(stream, env):
+            for index, verdict in verdicts:
+                expected = offline[index]
+                equal = expected == verdict
+                disagreements += not equal
+                yield [
+                    str(index),
+                    str(after),
+                    "1" if verdict else "0",
+                    "1" if expected else "0",
+                    "true" if equal else "false",
+                ]
+
     _write_report(
         args,
         "stream",
@@ -558,19 +586,19 @@ def cmd_stream(args) -> int:
         {"clause": args.clause, "lookahead_frames": stream.lookahead_frames},
         [(args.trace, trace.sha256)],
         {},
-        {"stream.csv": (STREAM_HEADER, rows)},
+        {"stream.csv": (STREAM_HEADER, rows())},
     )
     print(
         f"streamed {env.frame_count} frames, lookahead {stream.lookahead_frames} frames, "
-        f"offline agreement: {'yes' if all_equal else 'NO'}"
+        f"offline agreement: {'NO' if disagreements else 'yes'}"
     )
-    return EXIT_OK if all_equal else 1
+    return 1 if disagreements else EXIT_OK
 
 
 def cmd_init(args) -> int:
     text = default_contract_text(args.tolerance_ms / 1000.0)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _in_place(args.out) as handle:
             handle.write(text)
         print(f"wrote default contract to {args.out}")
     else:

@@ -46,7 +46,6 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .frames import ObligationScore, _as_mask, _check_frame_step, obligation_score
 
@@ -291,6 +290,8 @@ def match_exact(cands, bound: int = DEFAULT_EXACT_BOUND) -> Matching:
     comparing costs.  Instances with more than ``bound`` intervals on
     either side raise :class:`AuditBoundError`.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import; only this needs it
+
     table = CandidateTable.of(cands)
     if not table.cost.size:
         return Matching(frozenset(), "exact")

@@ -16,6 +16,7 @@ a token raises :class:`LexError`; operator sequences that make no sense
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -93,13 +94,8 @@ SINGLE_CHAR_OPERATORS = frozenset({"&", "|", "!", "[", "]"})
 
 _WHITESPACE = frozenset(" \t\r\n")
 
-
-def _is_identifier_start(c: str) -> bool:
-    return c == "_" or "a" <= c <= "z" or "A" <= c <= "Z"
-
-
-def _is_identifier_char(c: str) -> bool:
-    return _is_identifier_start(c) or "0" <= c <= "9"
+# ASCII only: ``\w`` would also admit non-ASCII letters and digits.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _is_digit(c: str) -> bool:
@@ -120,11 +116,10 @@ def tokenize(source: str) -> list[Token]:
         if c in _WHITESPACE:
             i += 1
             continue
-        if _is_identifier_start(c):
-            start = i
-            while i < n and _is_identifier_char(source[i]):
-                i += 1
-            name = source[start:i]
+        identifier = _IDENTIFIER.match(source, i)
+        if identifier is not None:
+            start, i = identifier.span()
+            name = identifier.group()
             if name in TEMPORAL_NAMES:
                 radius = None
                 if i < n and source[i] == "[":

@@ -5,8 +5,9 @@ range-scan and assignment-solver code paths: formula semantics are
 re-derived with per-frame window scans and with prefix sums, reach by tree
 recursion, interval relations with all-pairs loops, optimal matchings by
 subset enumeration, streaming by a pump engine whose nodes advance as far
-as their children allow, and parsing and rendering by one recursive-descent
-method per binding level and one rendering arm per node class.  The
+as their children allow, lexing by a per-character identifier scan, and
+parsing and rendering by one recursive-descent method per binding level
+and one rendering arm per node class.  The
 ``object_*`` interval layer is the library's predecessor of its array
 path: one ``Interval`` per run, one ``CandidatePair`` per candidate, and a
 Python loop per reference.
@@ -53,7 +54,18 @@ from tracecontracts.intervals import (
     Matching,
     overlap_length,
 )
-from tracecontracts.lexer import SourceSpan, Token, TokenKind, tokenize
+from tracecontracts.lexer import (
+    SINGLE_CHAR_OPERATORS,
+    TEMPORAL_NAMES,
+    TWO_CHAR_OPERATORS,
+    LexError,
+    SourceSpan,
+    Token,
+    TokenKind,
+    _munch_number,
+    _scan_radius,
+    tokenize,
+)
 from tracecontracts.parser import (
     Always,
     And,
@@ -296,6 +308,74 @@ def enumerate_formulas(height: int, atoms=("a", "b"), radius: float = 0.04) -> l
                 nxt.append(Until(f, g, radius))
         seen = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# The per-character scanner that the lexer's identifier pattern replaced.
+
+
+def _naive_identifier_start(c: str) -> bool:
+    return c == "_" or "a" <= c <= "z" or "A" <= c <= "Z"
+
+
+def _naive_identifier_char(c: str) -> bool:
+    return _naive_identifier_start(c) or "0" <= c <= "9"
+
+
+def naive_tokenize(source: str) -> list[Token]:
+    """Scan ``source`` one character at a time, identifiers included."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if _naive_identifier_start(c):
+            start = i
+            while i < n and _naive_identifier_char(source[i]):
+                i += 1
+            name = source[start:i]
+            if name in TEMPORAL_NAMES:
+                radius = None
+                if i < n and source[i] == "[":
+                    radius, i = _scan_radius(source, i)
+                tokens.append(
+                    Token(TokenKind.TEMPORAL, source[start:i], SourceSpan(start, i), radius)
+                )
+            else:
+                tokens.append(Token(TokenKind.IDENTIFIER, name, SourceSpan(start, i)))
+            continue
+        if "0" <= c <= "9":
+            start = i
+            i = _munch_number(source, i)
+            tokens.append(Token(TokenKind.NUMBER, source[start:i], SourceSpan(start, i)))
+            continue
+        matched = False
+        for op in TWO_CHAR_OPERATORS:
+            if source.startswith(op, i):
+                tokens.append(Token(TokenKind.OPERATOR, op, SourceSpan(i, i + len(op))))
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if c == "(":
+            tokens.append(Token(TokenKind.LEFT_PAREN, c, SourceSpan(i, i + 1)))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append(Token(TokenKind.RIGHT_PAREN, c, SourceSpan(i, i + 1)))
+            i += 1
+            continue
+        if c in SINGLE_CHAR_OPERATORS:
+            tokens.append(Token(TokenKind.OPERATOR, c, SourceSpan(i, i + 1)))
+            i += 1
+            continue
+        raise LexError(SourceSpan(i, i + 1), f"undeclared character {c!r}")
+    tokens.append(Token(TokenKind.END, "", SourceSpan(n, n)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tracecontracts
 from tracecontracts import basis
 from tracecontracts.basis import save_calibration
 from tracecontracts.cli import main
@@ -778,6 +782,171 @@ class TestMaskStrings:
         assert trace.frame_count == 0
         save_trace(trace, tmp_path / "again.json")
         assert load_trace(tmp_path / "again.json").union[0].shape == (0,)
+
+
+class TestReportWriter:
+    """Reruns write each report file in place, with the bytes of a fresh run."""
+
+    @pytest.fixture
+    def inputs(self, worked_files, tmp_path):
+        contract_path, trace_path = worked_files
+        default_path = tmp_path / "default.contract"
+        default_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "calibration.json"
+        save_calibration(calibration_cases(), calibration_path)
+        return {
+            "contract": str(contract_path),
+            "trace": str(trace_path),
+            "default": str(default_path),
+            "calibration": str(calibration_path),
+        }
+
+    COMMANDS = {
+        "monitor": ["monitor", "{contract}", "{trace}", "--classes"],
+        "sweep": ["sweep", "{contract}", "{trace}"],
+        "match-audit": ["match-audit", "{trace}"],
+        "match-audit-over-bound": ["match-audit", "{trace}", "--bound", "1"],
+        "select": ["select", "{default}", "{calibration}"],
+        "stream": ["stream", "{contract}", "{trace}", "--clause", "silence_guard"],
+        "init": ["init"],
+    }
+
+    @staticmethod
+    def _argv(command, inputs, out):
+        argv = [word.format(**inputs) for word in TestReportWriter.COMMANDS[command]]
+        return argv + ["--out", str(out)]
+
+    @staticmethod
+    def _files(out: Path) -> dict[str, bytes]:
+        if out.is_file():
+            return {"": out.read_bytes()}
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    @staticmethod
+    def _fill(out: Path, files: dict[str, bytes]) -> None:
+        for name, data in files.items():
+            (out / name if name else out).write_bytes(data)
+
+    @pytest.mark.parametrize("junk", ["longer", "shorter"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rerun_into_prefilled_out_equals_a_fresh_run(self, command, junk, inputs, tmp_path):
+        fresh = tmp_path / "fresh"
+        assert main(self._argv(command, inputs, fresh)) == 0
+        want = self._files(fresh)
+        out = tmp_path / "rerun"
+        if command != "init":
+            out.mkdir()
+            (out / "notes.txt").write_bytes(b"kept")
+            want["notes.txt"] = b"kept"
+        self._fill(out, {
+            name: bytes(range(256)) * 256 if junk == "longer" else b"#" * (len(data) // 2)
+            for name, data in want.items() if name != "notes.txt"
+        })
+        assert main(self._argv(command, inputs, out)) == 0
+        assert self._files(out) == want
+
+    def test_links_and_mode_survive_a_rerun(self, inputs, tmp_path):
+        out = tmp_path / "out"
+        argv = self._argv("monitor", inputs, out)
+        assert main(argv) == 0
+        want = self._files(out)
+        linked = tmp_path / "guard-link.csv"
+        os.link(out / "guard.csv", linked)
+        target = tmp_path / "witness-target.csv"
+        target.write_bytes(bytes(range(256)) * 256)
+        (out / "witness.csv").unlink()
+        (out / "witness.csv").symlink_to(target)
+        linked.write_bytes(bytes(range(256)) * 256)
+        os.chmod(out / "guard.csv", 0o640)
+        inode = os.stat(linked).st_ino
+        assert main(argv) == 0
+        assert linked.read_bytes() == want["guard.csv"]
+        assert os.stat(out / "guard.csv").st_ino == inode and os.stat(linked).st_nlink == 2
+        assert os.stat(out / "guard.csv").st_mode & 0o777 == 0o640
+        assert (out / "witness.csv").is_symlink()
+        assert target.read_bytes() == want["witness.csv"]
+
+    def test_init_writes_to_a_device(self, capsys):
+        # A device has no length to cut: ftruncate would fail with EINVAL.
+        assert main(["init", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote default contract to {os.devnull}\n"
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["monitor", "{atom}", "{trace}"], 4),
+            (["stream", "{atom}", "{trace}", "--clause", "x"], 4),
+            (["monitor", "{contract}", "{bad}"], 3),
+            (["sweep", "{contract}", "{bad}"], 3),
+            (["match-audit", "{bad}"], 3),
+            (["stream", "{contract}", "{bad}", "--clause", "onset_guard"], 3),
+        ],
+    )
+    def test_failing_command_leaves_out_unchanged(self, command, code, inputs, tmp_path):
+        atom = tmp_path / "atom.contract"
+        atom.write_text("set tolerance 0.04\nframe x : made_up_atom @ ref_active\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"frame_step": 0.02, "union": {"ref": "01"')
+        paths = {**inputs, "atom": str(atom), "bad": str(bad)}
+        out = tmp_path / "out"
+        out.mkdir()
+        before = {name: bytes(range(256)) * 4 for name in
+                  ("guard.csv", "witness.csv", "sweep.csv", "match_audit.csv", "stream.csv",
+                   "manifest.json")}
+        self._fill(out, before)
+        argv = [word.format(**paths) for word in command] + ["--out", str(out)]
+        assert main(argv) == code
+        assert self._files(out) == before
+
+    def test_stream_holds_a_bounded_number_of_frames(self, tmp_path, capsys):
+        # 2e5 frames: the stream command peaked at 85.2 MB of traced
+        # allocations when it listed every atom value, emission and row
+        # before writing, and at 2.2 MB converting and writing in chunks.
+        rng = np.random.default_rng(5)
+
+        def runs_mask(n):
+            lengths = rng.integers(3, 80, size=n // 10)
+            return np.repeat(np.arange(lengths.size) % 2 == 1, lengths)[:n]
+
+        contract_path = tmp_path / "c.contract"
+        contract_path.write_text(default_contract_text(0.04))
+        trace_path = tmp_path / "t.json"
+        save_trace(TraceFile("t", 0.01, union=(runs_mask(200_000), runs_mask(200_000))), trace_path)
+        argv = ["stream", str(contract_path), str(trace_path), "--clause", "onset_guard",
+                "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert "offline agreement: yes" in capsys.readouterr().out
+        with open(tmp_path / "o" / "stream.csv", encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 200_002
+
+
+def test_cli_imports_scipy_only_for_exact_matching(worked_files, tmp_path):
+    contract_path, trace_path = worked_files
+    script = (
+        "import sys\n"
+        "from tracecontracts.cli import main\n"
+        "assert main(['monitor', sys.argv[1], sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert main(['monitor', sys.argv[1], sys.argv[2], '--matcher', 'exact',\n"
+        "             '--out', sys.argv[4]]) == 0\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    package_root = Path(tracecontracts.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(package_root), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    greedy, exact = tmp_path / "greedy", tmp_path / "exact"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(contract_path), str(trace_path), str(greedy), str(exact)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (exact / "guard.csv").read_bytes() != b""
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

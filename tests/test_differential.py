@@ -11,7 +11,8 @@ The shift-doubling window, erosion and until kernels against prefix sums,
 array for array, and the witness distances against the all-frames lookup.
 The fixed-delay streaming monitor against the pump engine, step by step.
 The operator-table parser and renderer against the recursive-descent ones:
-equal trees, node spans, errors and renderings.
+equal trees, node spans, errors and renderings.  The lexer's identifier
+pattern against the per-character scanner: equal tokens and errors.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from tracecontracts.contracts import (
     _trace_runs,
     compile_contract,
     default_contract,
+    default_contract_text,
     latency_score,
     monitor,
     monitor_classes,
@@ -59,7 +61,7 @@ from tracecontracts.intervals import (
     match_exact,
     match_greedy,
 )
-from tracecontracts.lexer import LexError
+from tracecontracts.lexer import LexError, tokenize
 from tracecontracts.parser import (
     Always,
     And,
@@ -78,6 +80,7 @@ from tracecontracts.parser import (
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
+    ALL_PREDICATES,
     NaiveStreamingMonitor,
     enumerate_formulas,
     naive_backward_frames,
@@ -92,6 +95,7 @@ from gen import (
     naive_lookahead_frames,
     naive_parse,
     naive_purity_score,
+    naive_tokenize,
     object_candidates,
     object_covering_counts,
     object_duration_score,
@@ -837,3 +841,59 @@ def test_renderer_matches_per_class_arms():
         text = format_formula(formula)
         assert text == naive_format(formula)
         _assert_same_parse(text)
+
+
+# ---------------------------------------------------------------------------
+# The identifier pattern against the per-character scanner.
+
+# Non-ASCII letters and digits (Latin, Greek, Arabic-Indic, superscript,
+# Roman numeral, Kelvin sign, dotless i, long s), which the lexer refuses.
+_NON_ASCII = ["\u00e9", "\u00df", "\u03a9", "\u0663", "\u00b2", "\u216b", "\u212a", "\u0131", "\u017f"]
+_LEXER_CHARACTERS = list("aZ_09.x[]()!&|->: \t$") + _NON_ASCII
+
+
+def _lex_outcome(scan, source):
+    try:
+        return scan(source)
+    except LexError as error:
+        return error
+
+
+def _assert_same_tokens(source):
+    got, want = _lex_outcome(tokenize, source), _lex_outcome(naive_tokenize, source)
+    assert type(got) is type(want), source
+    if isinstance(want, LexError):
+        assert (got.message, got.span, str(got)) == (want.message, want.span, str(want)), source
+    else:
+        assert got == want, source
+    return want
+
+
+def test_lexer_matches_character_scan_on_parser_vocabulary():
+    for length in range(4):
+        for combo in itertools.product(_RANDOM_VOCABULARY, repeat=length):
+            _assert_same_tokens(" ".join(combo))
+            _assert_same_tokens("".join(combo))
+
+
+def test_lexer_matches_character_scan_on_random_strings():
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(20000):
+        source = "".join(rng.choices(_LEXER_CHARACTERS, k=rng.randint(0, 12)))
+        outcome = _assert_same_tokens(source)
+        outcomes.add("error" if isinstance(outcome, LexError) else "tokens")
+    assert outcomes == {"error", "tokens"}
+    for letter in _NON_ASCII:
+        error = _assert_same_tokens(f"ab{letter}c")
+        assert isinstance(error, LexError) and error.span.start == 2
+
+
+def test_lexer_matches_character_scan_on_fixture_contract_lines():
+    texts = (default_contract_text(0.04), ALL_PREDICATES, MIXED_CONTRACT, PURITY_CONTRACT)
+    for line in "".join(texts).splitlines():
+        _assert_same_tokens(line)
+        if ":" in line:
+            formula, _, obligation = line.split(":", 1)[1].partition("@")
+            assert not isinstance(_assert_same_tokens(formula), LexError), line
+            _assert_same_tokens(obligation)
