@@ -64,12 +64,9 @@ def truth_signature(formula: Formula, atoms: Sequence[str], n: int, h: float) ->
 
 
 def satisfiable(formula: Formula, atoms: Sequence[str], n: int, h: float) -> bool:
-    """True iff some environment in the universe yields a true frame."""
-    plan = share_subformulas([formula], h)
-    stacked = _universe(atoms, n)
-    if n == 0:
-        return False
-    return bool(plan.evaluate(stacked)[formula].any())
+    """True iff some environment in the universe yields a true frame: some
+    bit of the truth signature is set."""
+    return any(truth_signature(formula, atoms, n, h))
 
 
 @dataclass(frozen=True)
@@ -302,14 +299,10 @@ def _select_from(
                 best_subset = subset
         if best is not None:
             break
-    certificate = []
     selected_orders = [c.source_order for c in best_subset]
-    for i, j in constraints:
-        witness = next(
-            order
-            for order in selected_orders
-            if values[order][i] > values[order][j]
-        )
+    certificate = []
+    for k, (i, j) in enumerate(constraints):
+        witness = next(o for o in selected_orders if (clause_masks[o] >> k) & 1)
         certificate.append((cases[i].id, cases[j].id, witness))
     return SelectionResult(True, best_subset, tuple(certificate))
 

@@ -10,8 +10,9 @@ Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
 with a ``# manifest=<run id>`` comment line, where the run id is a hash
 of the settings and input digests.  Exit codes: 0 success, 2 contract
-error (including a clause the command cannot evaluate, such as
-``overlap_purity`` on the union masks), 3 trace format error, 4 atom
+or usage error (including a clause the command cannot evaluate, such as
+``overlap_purity`` on the union masks, and an ``--out`` that cannot be
+made or opened), 3 trace format error, 4 atom
 binding error, 5 matching bound exceeded: by ``match-audit
 --strict-bound``, or by an exact-matcher instance in ``monitor``,
 ``sweep`` or ``select``.
@@ -168,7 +169,11 @@ def _write_report(
     manifest["generated_at"] = (
         datetime.now(timezone.utc).isoformat() if args.stamp_time else None
     )
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as error:
+        print(f"cannot write report to {args.out}: {error}", file=sys.stderr)
+        raise SystemExit(EXIT_CONTRACT) from None
     for name, (header, rows) in tables.items():
         with _in_place(os.path.join(args.out, name)) as handle:
             handle.write(f"# manifest={manifest['run_id']}\n")
@@ -275,30 +280,24 @@ def cmd_monitor(args) -> int:
     witness_rows: list[list[str]] = []
     for _, trace in traces:
         h = trace.frame_step
-        ref, pred = trace.union_masks()
-        union_result = monitor(contract, ref, pred, h)
+        masks = trace.union_masks()
+        rows = [("union", monitor(contract, *masks, h), masks)]
         per_class = (
             monitor_classes(contract, trace.classes, h) if args.classes and trace.classes else None
         )
-        guard_rows.extend(_guard_rows(trace.item_id, "union", union_result.guards))
-        witness_rows.append(
-            _witness_row(
-                trace.item_id, "union", union_result, soft_boundary(ref, pred, h, soft_scale)
-            )
-        )
         if per_class is not None:
-            for class_name in sorted(per_class.per_class):
-                result = per_class.per_class[class_name]
-                class_ref, class_pred = trace.classes[class_name]
-                guard_rows.extend(_guard_rows(trace.item_id, class_name, result.guards))
-                witness_rows.append(
-                    _witness_row(
-                        trace.item_id,
-                        class_name,
-                        result,
-                        soft_boundary(class_ref, class_pred, h, soft_scale),
-                    )
+            rows += [
+                (name, per_class.per_class[name], trace.classes[name])
+                for name in sorted(per_class.per_class)
+            ]
+        for class_name, result, (ref, pred) in rows:
+            guard_rows.extend(_guard_rows(trace.item_id, class_name, result.guards))
+            witness_rows.append(
+                _witness_row(
+                    trace.item_id, class_name, result, soft_boundary(ref, pred, h, soft_scale)
                 )
+            )
+        if per_class is not None:
             guard_rows.extend(_guard_rows(trace.item_id, "macro", per_class.macro))
     _write_report(
         args,
@@ -479,25 +478,19 @@ def cmd_select(args) -> int:
     if args.out:
         selected_orders = {c.source_order for c in selection.selected}
         retained_orders = {c.source_order for c in retained.clauses}
-        representative = {}
-        constant_orders = set()
-        for cls in classes:
-            for member in cls.members:
-                representative[member] = cls.representative
-                if cls.constant:
-                    constant_orders.add(member)
+        class_of = {member: cls for cls in classes for member in cls.members}
         selection_rows = [
             [
                 str(clause.source_order),
                 clause.name,
                 "frame" if isinstance(clause.clause, FrameClause) else "event",
                 str(clause.cost),
-                "true" if clause.source_order in constant_orders else "false",
-                by_order[representative[clause.source_order]].name,
+                "true" if cls.constant else "false",
+                by_order[cls.representative].name,
                 "true" if clause.source_order in retained_orders else "false",
                 "true" if clause.source_order in selected_orders else "false",
             ]
-            for clause in basis.clauses
+            for clause, cls in ((c, class_of[c.source_order]) for c in basis.clauses)
         ]
         certificate_rows = [
             [low, high, by_order[order].name] for low, high, order in selection.certificate
@@ -598,8 +591,12 @@ def cmd_stream(args) -> int:
 def cmd_init(args) -> int:
     text = default_contract_text(args.tolerance_ms / 1000.0)
     if args.out:
-        with _in_place(args.out) as handle:
-            handle.write(text)
+        try:
+            with _in_place(args.out) as handle:
+                handle.write(text)
+        except OSError as error:
+            print(f"cannot write contract to {args.out}: {error}", file=sys.stderr)
+            return EXIT_CONTRACT
         print(f"wrote default contract to {args.out}")
     else:
         sys.stdout.write(text)

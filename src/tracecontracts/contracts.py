@@ -40,6 +40,7 @@ from .frames import (
     share_subformulas,
 )
 from .intervals import (
+    _TIME_EPS,
     DEFAULT_DURATION_THRESHOLD,
     Family,
     Interval,
@@ -69,8 +70,6 @@ from .parser import (
     parse_text,
     radius_text,
 )
-
-_TIME_EPS = 1e-9
 
 MATCHER_POLICIES = ("greedy", "exact")
 

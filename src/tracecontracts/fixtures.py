@@ -15,9 +15,7 @@ import numpy as np
 
 from .basis import CalibrationCase
 from .frames import _as_mask
-from .intervals import Interval, extract_intervals
-
-_TIME_EPS = 1e-9
+from .intervals import _TIME_EPS, Interval, _run_edges
 
 PATHOLOGY_KINDS = (
     "nominal",
@@ -54,21 +52,29 @@ class TracePathology:
             raise ValueError(f"unknown pathology kind {self.kind!r}")
 
 
+def _paint(runs, n: int) -> np.ndarray:
+    """An ``n``-frame mask active on the ``(lo, hi)`` frame runs, each
+    clipped to the trace."""
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in runs:
+        mask[max(0, lo) : max(0, min(n, hi))] = True
+    return mask
+
+
 def make_trace(events, n: int, h: float) -> np.ndarray:
     """Rasterize events onto the grid: frame i is active iff its span
     [i*h, (i+1)*h) intersects some event."""
     if n < 0 or not (h > 0.0):
         raise ValueError("need nonnegative frame count and positive frame step")
-    mask = np.zeros(n, dtype=bool)
     horizon = n * h
+    runs = []
     for event in events:
         interval = event if isinstance(event, Interval) else Interval(*event)
         if interval.start < -_TIME_EPS or interval.end > horizon + _TIME_EPS:
             raise ValueError(f"event {interval} outside [0, {horizon})")
         first = int(np.floor(interval.start / h + _TIME_EPS))
-        last = int(np.ceil(interval.end / h - _TIME_EPS))
-        mask[max(0, first) : min(n, last)] = True
-    return mask
+        runs.append((first, int(np.ceil(interval.end / h - _TIME_EPS))))
+    return _paint(runs, n)
 
 
 def _frames_of(magnitude: float, h: float) -> int:
@@ -78,19 +84,20 @@ def _frames_of(magnitude: float, h: float) -> int:
     return frames
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    intervals = extract_intervals(mask, 1.0, 0.0)
-    return [(int(round(i.start)), int(round(i.end))) for i in intervals]
-
-
-def _paint(runs, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    for lo, hi in runs:
-        lo = max(0, lo)
-        hi = min(n, hi)
-        if lo < hi:
-            mask[lo:hi] = True
-    return mask
+# How each edge-moving kind moves run ``k``, frames [lo, hi) of an
+# ``n``-frame trace, by ``m`` frames.  Moved edges stop at the trace
+# boundaries and a run keeps at least one active frame.
+_MOVES = {
+    "late_onset": lambda lo, hi, m, n, k: (min(lo + m, hi - 1), hi),
+    "early_onset": lambda lo, hi, m, n, k: (max(0, lo - m), hi),
+    "late_release": lambda lo, hi, m, n, k: (lo, min(n, hi + m)),
+    "early_release": lambda lo, hi, m, n, k: (lo, max(lo + 1, hi - m)),
+    "silence_bleed": lambda lo, hi, m, n, k: (max(0, lo - m), min(n, hi + m)),
+    # Even runs stretch by a late release, odd runs shrink by an early one.
+    "length_distortion": lambda lo, hi, m, n, k: (
+        lo, min(n, hi + m) if k % 2 == 0 else max(lo + 1, hi - m)
+    ),
+}
 
 
 def apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.ndarray:
@@ -106,42 +113,19 @@ def apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.ndarray
         return ref.copy()
     if kind == "missing":
         return np.zeros(n, dtype=bool)
-    runs = _runs(ref)
-    if kind == "late_onset":
+    edges = _run_edges(ref).tolist()
+    runs = list(zip(edges[0::2], edges[1::2]))
+    if kind in _MOVES:
+        move = _MOVES[kind]
         m = _frames_of(float(pathology.magnitude), h)
-        return _paint([(min(lo + m, hi - 1), hi) for lo, hi in runs], n)
-    if kind == "early_onset":
-        m = _frames_of(float(pathology.magnitude), h)
-        return _paint([(max(0, lo - m), hi) for lo, hi in runs], n)
-    if kind == "late_release":
-        m = _frames_of(float(pathology.magnitude), h)
-        return _paint([(lo, min(n, hi + m)) for lo, hi in runs], n)
-    if kind == "early_release":
-        m = _frames_of(float(pathology.magnitude), h)
-        return _paint([(lo, max(lo + 1, hi - m)) for lo, hi in runs], n)
-    if kind == "silence_bleed":
-        m = _frames_of(float(pathology.magnitude), h)
-        return _paint([(max(0, lo - m), min(n, hi + m)) for lo, hi in runs], n)
-    if kind == "length_distortion":
-        m = _frames_of(float(pathology.magnitude), h)
-        distorted = []
-        for index, (lo, hi) in enumerate(runs):
-            if index % 2 == 0:
-                distorted.append((lo, min(n, hi + m)))
-            else:
-                distorted.append((lo, max(lo + 1, hi - m)))
-        return _paint(distorted, n)
+        return _paint((move(lo, hi, m, n, k) for k, (lo, hi) in enumerate(runs)), n)
     if kind == "fragmentation":
         count = int(pathology.magnitude or 2)
         if count < 2:
             raise ValueError("fragmentation needs a piece count of at least 2")
-        pieces = []
-        for lo, hi in runs:
-            pieces.extend(_split_run(lo, hi, count))
-        return _paint(pieces, n)
+        return _paint((piece for lo, hi in runs for piece in _split_run(lo, hi, count)), n)
     if kind == "extra":
-        count = int(pathology.magnitude or 1)
-        return _with_extra_runs(ref, runs, count, n)
+        return _with_extra_runs(ref, edges, int(pathology.magnitude or 1), n)
     if kind in ("bridge_left", "bridge_right", "split"):
         raise ValueError(
             f"{kind} is a matcher stress shape; build it with stress_track()"
@@ -167,31 +151,20 @@ def _split_run(lo: int, hi: int, count: int) -> list[tuple[int, int]]:
     return out
 
 
-def _with_extra_runs(ref: np.ndarray, runs, count: int, n: int) -> np.ndarray:
-    """Insert spurious runs at the centers of the widest silent gaps."""
+def _with_extra_runs(ref: np.ndarray, edges: list[int], count: int, n: int) -> np.ndarray:
+    """Insert spurious runs at the centers of the widest silent gaps of the
+    runs with interleaved ``edges``."""
     extra_len = 30  # frames; 0.6 s at the 0.02 s grid
     guard = 4
-    gaps = []
-    previous = 0
-    for lo, hi in runs + [(n, n)]:
-        if lo - previous > 0:
-            gaps.append((previous, lo))
-        previous = hi
+    bounds = [0, *edges, n]
+    gaps = [(lo, hi) for lo, hi in zip(bounds[0::2], bounds[1::2]) if lo < hi]
     gaps.sort(key=lambda g: (g[0] - g[1], g[0]))  # widest first, stable
     inserted = []
     for lo, hi in gaps[:count]:
-        width = hi - lo
-        usable = width - 2 * guard
-        size = min(extra_len, max(1, usable))
-        center = (lo + hi) // 2
-        start = max(lo + guard, center - size // 2)
-        end = min(hi - guard, start + size)
-        if start < end:
-            inserted.append((start, end))
-    out = ref.copy()
-    for lo, hi in inserted:
-        out[lo:hi] = True
-    return out
+        size = min(extra_len, max(1, hi - lo - 2 * guard))
+        start = max(lo + guard, (lo + hi) // 2 - size // 2)
+        inserted.append((start, min(hi - guard, start + size)))
+    return ref | _paint(inserted, n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,30 +223,6 @@ def bridge_fixture() -> StressCase:
     return StressCase("bridge", "bridge_canonical", ref, pred, 0.08, h)
 
 
-def _left_bridge_case(stub_frames: int, penetration: float) -> np.ndarray:
-    h = _STRESS_H
-    stub = Interval(1.0 - stub_frames * h, 1.0 + stub_frames * h)
-    long_pred = Interval(1.2, 1.8 + penetration)
-    return make_trace([stub, long_pred], _STRESS_N, h)
-
-
-def _right_bridge_case(stub_frames: int) -> np.ndarray:
-    # Mirror shape: the long prediction hugs the second event while crossing
-    # into the first one's tail, so greedy already picks the optimal side.
-    h = _STRESS_H
-    stub = Interval(1.0 - stub_frames * h, 1.0 + stub_frames * h)
-    long_pred = Interval(1.3, 2.3)
-    return make_trace([stub, long_pred], _STRESS_N, h)
-
-
-def _split_case(first_piece: int) -> np.ndarray:
-    # One reference event only; the prediction splits it into two uneven runs.
-    h = _STRESS_H
-    lo, hi = 50, 75  # frames of [1.0, 1.5)
-    cut = lo + first_piece
-    return make_trace([Interval(lo * h, cut * h), Interval((cut + 1) * h, hi * h)], _STRESS_N, h)
-
-
 def stress_track() -> list[StressCase]:
     """The 24-case matcher stress track.
 
@@ -281,42 +230,34 @@ def stress_track() -> list[StressCase]:
     penetration; four cases each of nominal, right bridge, and split are
     stable under both matching policies.
     """
-    h = _STRESS_H
+    h, n, epsilon = _STRESS_H, _STRESS_N, _STRESS_EPSILON
     cases: list[StressCase] = []
     refs = _stress_refs()
     for stub in (1, 2, 3, 4):
+        # A stub around the first onset plus a long prediction that crosses
+        # from the first event's tail into the second event.
+        stub_event = Interval(1.0 - stub * h, 1.0 + stub * h)
         for penetration in (0.22, 0.24, 0.26):
-            pred = _left_bridge_case(stub, penetration)
-            cases.append(
-                StressCase(
-                    "left_bridge",
-                    f"left_bridge_s{stub}_p{int(penetration * 1000)}",
-                    refs,
-                    pred,
-                    _STRESS_EPSILON,
-                    h,
-                )
-            )
+            pred = make_trace([stub_event, Interval(1.2, 1.8 + penetration)], n, h)
+            case_id = f"left_bridge_s{stub}_p{int(penetration * 1000)}"
+            cases.append(StressCase("left_bridge", case_id, refs, pred, epsilon, h))
     for index, lengths in enumerate(((0.5, 0.5), (0.4, 0.5), (0.5, 0.4), (0.3, 0.3))):
-        ref = make_trace(
-            [Interval(1.0, 1.0 + lengths[0]), Interval(1.8, 1.8 + lengths[1])], _STRESS_N, h
-        )
-        cases.append(
-            StressCase("nominal", f"nominal_{index}", ref, ref.copy(), _STRESS_EPSILON, h)
-        )
+        ref = make_trace([Interval(1.0, 1.0 + lengths[0]), Interval(1.8, 1.8 + lengths[1])], n, h)
+        cases.append(StressCase("nominal", f"nominal_{index}", ref, ref.copy(), epsilon, h))
     for stub in (1, 2, 3, 4):
-        pred = _right_bridge_case(stub)
-        cases.append(
-            StressCase("right_bridge", f"right_bridge_s{stub}", refs, pred, _STRESS_EPSILON, h)
-        )
-    single_ref = make_trace([Interval(1.0, 1.5)], _STRESS_N, h)
-    # Piece widths stay asymmetric so the single best pair is unique and
-    # both policies pick it.
+        # Mirror shape: the long prediction hugs the second event while
+        # crossing into the first one's tail, so greedy already picks the
+        # optimal side.
+        pred = make_trace([Interval(1.0 - stub * h, 1.0 + stub * h), Interval(1.3, 2.3)], n, h)
+        cases.append(StressCase("right_bridge", f"right_bridge_s{stub}", refs, pred, epsilon, h))
+    # One reference event, frames [50, 75) = [1.0, 1.5), split by the
+    # prediction into two uneven runs.  Piece widths stay asymmetric so the
+    # single best pair is unique and both policies pick it.
+    single_ref = make_trace([Interval(1.0, 1.5)], n, h)
     for first_piece in (8, 10, 14, 16):
-        pred = _split_case(first_piece)
-        cases.append(
-            StressCase("split", f"split_{first_piece}", single_ref, pred, _STRESS_EPSILON, h)
-        )
+        cut = 50 + first_piece
+        pred = make_trace([Interval(50 * h, cut * h), Interval((cut + 1) * h, 75 * h)], n, h)
+        cases.append(StressCase("split", f"split_{first_piece}", single_ref, pred, epsilon, h))
     return cases
 
 

@@ -5,9 +5,10 @@ range-scan and assignment-solver code paths: formula semantics are
 re-derived with per-frame window scans and with prefix sums, reach by tree
 recursion, interval relations with all-pairs loops, optimal matchings by
 subset enumeration, streaming by a pump engine whose nodes advance as far
-as their children allow, lexing by a per-character identifier scan, and
-parsing and rendering by one recursive-descent method per binding level
-and one rendering arm per node class.  The
+as their children allow, lexing by a per-character scan with its own
+number and radius scanners, parsing and rendering by one
+recursive-descent method per binding level and one rendering arm per node
+class, and trace pathologies by one arm per kind over frame-loop runs.  The
 ``object_*`` interval layer is the library's predecessor of its array
 path: one ``Interval`` per run, one ``CandidatePair`` per candidate, and a
 Python loop per reference.
@@ -15,6 +16,7 @@ Python loop per reference.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -39,10 +41,12 @@ from tracecontracts.contracts import (
     WitnessReport,
     contract_to_text,
 )
+from tracecontracts.fixtures import TracePathology
 from tracecontracts.frames import (
     ObligationScore,
     TraceEnvironment,
     UnknownAtomError,
+    _as_mask,
     obligation_score,
     radius_frames,
 )
@@ -62,8 +66,6 @@ from tracecontracts.lexer import (
     SourceSpan,
     Token,
     TokenKind,
-    _munch_number,
-    _scan_radius,
     tokenize,
 )
 from tracecontracts.parser import (
@@ -180,6 +182,17 @@ def naive_evaluate(formula: Formula, env: TraceEnvironment) -> list[bool]:
         return value
 
     return [ev(formula, i) for i in range(n)]
+
+
+def naive_satisfiable(formula: Formula, atoms, n: int, h: float) -> bool:
+    """Some assignment of ``atoms`` over ``n`` frames makes some frame
+    true, trying the assignments one at a time by window scans."""
+    names = sorted(atoms)
+    for bits in itertools.product((False, True), repeat=len(names) * n):
+        values = {name: bits[j * n : (j + 1) * n] for j, name in enumerate(names)}
+        if any(naive_evaluate(formula, TraceEnvironment(h, n, values))):
+            return True
+    return False
 
 
 def naive_lookahead(formula: Formula) -> float:
@@ -322,6 +335,47 @@ def _naive_identifier_char(c: str) -> bool:
     return _naive_identifier_start(c) or "0" <= c <= "9"
 
 
+def _naive_munch_number(source: str, i: int) -> int:
+    """Maximal munch of a decimal literal; a dot needs a digit after it."""
+    n = len(source)
+    while i < n and "0" <= source[i] <= "9":
+        i += 1
+    if i + 1 < n and source[i] == "." and "0" <= source[i + 1] <= "9":
+        i += 1
+        while i < n and "0" <= source[i] <= "9":
+            i += 1
+    return i
+
+
+def _naive_scan_radius(source: str, bracket: int) -> tuple[float, int]:
+    """``[decimal]`` from the opening bracket: the radius and the index one
+    past the closing bracket."""
+    n = len(source)
+    i = bracket + 1
+    digits_start = i
+    while i < n and "0" <= source[i] <= "9":
+        i += 1
+    if i == digits_start:
+        if i >= n:
+            raise LexError(SourceSpan(bracket, bracket + 1), "unterminated radius bracket")
+        raise LexError(SourceSpan(i, i + 1), "malformed decimal literal")
+    if i < n and source[i] == ".":
+        dot = i
+        i += 1
+        frac_start = i
+        while i < n and "0" <= source[i] <= "9":
+            i += 1
+        if i == frac_start:
+            if i >= n:
+                raise LexError(SourceSpan(bracket, bracket + 1), "unterminated radius bracket")
+            raise LexError(SourceSpan(dot, dot + 1), "malformed decimal literal")
+    if i >= n:
+        raise LexError(SourceSpan(bracket, bracket + 1), "unterminated radius bracket")
+    if source[i] != "]":
+        raise LexError(SourceSpan(i, i + 1), "malformed decimal literal")
+    return float(source[digits_start:i]), i + 1
+
+
 def naive_tokenize(source: str) -> list[Token]:
     """Scan ``source`` one character at a time, identifiers included."""
     tokens: list[Token] = []
@@ -340,7 +394,7 @@ def naive_tokenize(source: str) -> list[Token]:
             if name in TEMPORAL_NAMES:
                 radius = None
                 if i < n and source[i] == "[":
-                    radius, i = _scan_radius(source, i)
+                    radius, i = _naive_scan_radius(source, i)
                 tokens.append(
                     Token(TokenKind.TEMPORAL, source[start:i], SourceSpan(start, i), radius)
                 )
@@ -349,7 +403,7 @@ def naive_tokenize(source: str) -> list[Token]:
             continue
         if "0" <= c <= "9":
             start = i
-            i = _munch_number(source, i)
+            i = _naive_munch_number(source, i)
             tokens.append(Token(TokenKind.NUMBER, source[start:i], SourceSpan(start, i)))
             continue
         matched = False
@@ -650,6 +704,145 @@ def naive_edge_times(mask, h: float) -> np.ndarray:
         times.append(interval.start)
         times.append(interval.end)
     return np.array(sorted(times))
+
+
+# ---------------------------------------------------------------------------
+# Trace rasterization and pathologies with one arm per kind over per-run
+# Interval objects, kept as oracles for ``fixtures.make_trace`` and the
+# run-move table of ``fixtures.apply_pathology``.
+
+
+def naive_make_trace(events, n: int, h: float) -> np.ndarray:
+    """Rasterize events by one slice assignment per event."""
+    if n < 0 or not (h > 0.0):
+        raise ValueError("need nonnegative frame count and positive frame step")
+    mask = np.zeros(n, dtype=bool)
+    horizon = n * h
+    for event in events:
+        interval = event if isinstance(event, Interval) else Interval(*event)
+        if interval.start < -_TIME_EPS or interval.end > horizon + _TIME_EPS:
+            raise ValueError(f"event {interval} outside [0, {horizon})")
+        first = int(np.floor(interval.start / h + _TIME_EPS))
+        last = int(np.ceil(interval.end / h - _TIME_EPS))
+        mask[max(0, first) : min(n, last)] = True
+    return mask
+
+
+def _naive_frames_of(magnitude: float, h: float) -> int:
+    frames = int(round(magnitude / h))
+    if abs(frames * h - magnitude) > 1e-6 or frames <= 0:
+        raise ValueError(f"magnitude {magnitude!r} is not a positive frame multiple of {h!r}")
+    return frames
+
+
+def _naive_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    intervals = naive_extract_intervals(mask, 1.0, 0.0)
+    return [(int(round(i.start)), int(round(i.end))) for i in intervals]
+
+
+def _naive_paint(runs, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in runs:
+        lo = max(0, lo)
+        hi = min(n, hi)
+        if lo < hi:
+            mask[lo:hi] = True
+    return mask
+
+
+def _naive_split_run(lo: int, hi: int, count: int) -> list[tuple[int, int]]:
+    length = hi - lo
+    pieces = min(count, (length + 1) // 2)
+    if pieces <= 1:
+        return [(lo, hi)]
+    active = length - (pieces - 1)
+    base = active // pieces
+    remainder = active % pieces
+    out = []
+    cursor = lo
+    for k in range(pieces):
+        size = base + (1 if k < remainder else 0)
+        out.append((cursor, cursor + size))
+        cursor += size + 1
+    return out
+
+
+def _naive_with_extra_runs(ref: np.ndarray, runs, count: int, n: int) -> np.ndarray:
+    extra_len = 30
+    guard = 4
+    gaps = []
+    previous = 0
+    for lo, hi in runs + [(n, n)]:
+        if lo - previous > 0:
+            gaps.append((previous, lo))
+        previous = hi
+    gaps.sort(key=lambda g: (g[0] - g[1], g[0]))
+    inserted = []
+    for lo, hi in gaps[:count]:
+        width = hi - lo
+        usable = width - 2 * guard
+        size = min(extra_len, max(1, usable))
+        center = (lo + hi) // 2
+        start = max(lo + guard, center - size // 2)
+        end = min(hi - guard, start + size)
+        if start < end:
+            inserted.append((start, end))
+    out = ref.copy()
+    for lo, hi in inserted:
+        out[lo:hi] = True
+    return out
+
+
+def naive_apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.ndarray:
+    """Prediction mask for ``(ref_mask, pathology)``, one arm per kind."""
+    ref = _as_mask(ref_mask, "ref_mask")
+    n = ref.shape[0]
+    kind = pathology.kind
+    if kind == "nominal":
+        return ref.copy()
+    if kind == "missing":
+        return np.zeros(n, dtype=bool)
+    runs = _naive_runs(ref)
+    if kind == "late_onset":
+        m = _naive_frames_of(float(pathology.magnitude), h)
+        return _naive_paint([(min(lo + m, hi - 1), hi) for lo, hi in runs], n)
+    if kind == "early_onset":
+        m = _naive_frames_of(float(pathology.magnitude), h)
+        return _naive_paint([(max(0, lo - m), hi) for lo, hi in runs], n)
+    if kind == "late_release":
+        m = _naive_frames_of(float(pathology.magnitude), h)
+        return _naive_paint([(lo, min(n, hi + m)) for lo, hi in runs], n)
+    if kind == "early_release":
+        m = _naive_frames_of(float(pathology.magnitude), h)
+        return _naive_paint([(lo, max(lo + 1, hi - m)) for lo, hi in runs], n)
+    if kind == "silence_bleed":
+        m = _naive_frames_of(float(pathology.magnitude), h)
+        return _naive_paint([(max(0, lo - m), min(n, hi + m)) for lo, hi in runs], n)
+    if kind == "length_distortion":
+        m = _naive_frames_of(float(pathology.magnitude), h)
+        distorted = []
+        for index, (lo, hi) in enumerate(runs):
+            if index % 2 == 0:
+                distorted.append((lo, min(n, hi + m)))
+            else:
+                distorted.append((lo, max(lo + 1, hi - m)))
+        return _naive_paint(distorted, n)
+    if kind == "fragmentation":
+        count = int(pathology.magnitude or 2)
+        if count < 2:
+            raise ValueError("fragmentation needs a piece count of at least 2")
+        pieces = []
+        for lo, hi in runs:
+            pieces.extend(_naive_split_run(lo, hi, count))
+        return _naive_paint(pieces, n)
+    if kind == "extra":
+        count = int(pathology.magnitude or 1)
+        return _naive_with_extra_runs(ref, runs, count, n)
+    if kind in ("bridge_left", "bridge_right", "split"):
+        raise ValueError(
+            f"{kind} is a matcher stress shape; build it with stress_track()"
+        )
+    raise ValueError(f"unknown pathology kind {kind!r}")
 
 
 def naive_candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:

@@ -827,6 +827,25 @@ class TestReportWriter:
         for name, data in files.items():
             (out / name if name else out).write_bytes(data)
 
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"init"}))
+    def test_an_out_that_is_a_regular_file_exits_two(self, command, inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory\n")
+        assert main(self._argv(command, inputs, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write report to {out}: ") and err.count("\n") == 1
+        assert out.read_bytes() == b"not a directory\n"
+
+    def test_init_out_that_is_a_directory_exits_two(self, inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self._argv("init", inputs, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write contract to {out}: ")
+        assert captured.err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("junk", ["longer", "shorter"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_rerun_into_prefilled_out_equals_a_fresh_run(self, command, junk, inputs, tmp_path):

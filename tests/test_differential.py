@@ -13,6 +13,10 @@ The fixed-delay streaming monitor against the pump engine, step by step.
 The operator-table parser and renderer against the recursive-descent ones:
 equal trees, node spans, errors and renderings.  The lexer's identifier
 pattern against the per-character scanner: equal tokens and errors.
+Satisfiability from the truth signature against trying every assignment.
+Trace rasterization and the pathology run-move table against one slice
+per event and one arm per kind: equal array bytes, dtype and shape, or
+equal exception types and messages.
 """
 
 import itertools
@@ -23,7 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecontracts.basis import _universe
+from tracecontracts.basis import _universe, satisfiable
 from tracecontracts.contracts import (
     _edge_times,
     _frame_runs,
@@ -39,7 +43,15 @@ from tracecontracts.contracts import (
     purity_score,
     tolerance_sweep,
 )
-from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track
+from tracecontracts.fixtures import (
+    PATHOLOGY_KINDS,
+    TracePathology,
+    apply_pathology,
+    bridge_fixture,
+    calibration_cases,
+    make_trace,
+    stress_track,
+)
 from tracecontracts.frames import (
     EvalStats,
     TraceEnvironment,
@@ -87,14 +99,17 @@ from gen import (
     naive_candidates,
     naive_covering_counts,
     naive_edge_times,
+    naive_apply_pathology,
     naive_evaluate,
     naive_extract_intervals,
     naive_format,
     naive_latency_score,
     naive_lookahead,
     naive_lookahead_frames,
+    naive_make_trace,
     naive_parse,
     naive_purity_score,
+    naive_satisfiable,
     naive_tokenize,
     object_candidates,
     object_covering_counts,
@@ -473,6 +488,18 @@ def _with_duplicates(rng: random.Random, h: float, atoms=("a", "b", "c")):
     g = random_formula(rng, rng.randint(0, 3), atoms, h)
     radius = rng.randint(1, 4) * h * rng.choice((1.0, 0.75, 1.4))
     return [f, And(f, f), Or(Not(f), Near(f, radius)), Until(Near(g, radius), And(g, f), radius)]
+
+
+def test_satisfiable_matches_assignment_enumeration():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(3000):
+        formula = random_formula(rng, 3, atoms=("a", "b"))
+        n = rng.randint(0, 4)
+        got = satisfiable(formula, ("a", "b"), n, 0.02)
+        assert got == naive_satisfiable(formula, ("a", "b"), n, 0.02), (format_formula(formula), n)
+        outcomes.add((got, n > 0))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_reach_walker_matches_tree_recursion():
@@ -897,3 +924,66 @@ def test_lexer_matches_character_scan_on_fixture_contract_lines():
             formula, _, obligation = line.split(":", 1)[1].partition("@")
             assert not isinstance(_assert_same_tokens(formula), LexError), line
             _assert_same_tokens(obligation)
+
+
+# ---------------------------------------------------------------------------
+# Trace rasterization and the pathology run-move table against one slice per
+# event and one arm per pathology kind
+
+
+def _array_outcome(call):
+    """dtype, shape and bytes of a call's array, or the type and text of
+    what it raised."""
+    try:
+        got = call()
+    except Exception as error:
+        return type(error), str(error)
+    return got.dtype, got.shape, got.tobytes()
+
+
+def test_pathologies_match_per_kind_arms():
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(250):
+        n = rng.randint(0, 200)
+        h = rng.choice((0.01, 0.02, 0.04))
+        if rng.random() < 0.5:
+            mask = _event_mask(rng, n)
+        else:
+            density = rng.random()
+            mask = np.array([rng.random() < density for _ in range(n)], dtype=bool)
+        magnitudes = (
+            rng.randint(1, 12) * h,  # on the grid
+            rng.uniform(0.001, 0.5),  # almost surely off it
+            None,
+            0,
+            -rng.randint(1, 5) * h,
+            rng.randint(0, 5),  # a count, in frames or seconds
+        )
+        for kind in PATHOLOGY_KINDS:
+            for magnitude in magnitudes:
+                pathology = TracePathology(kind, magnitude)
+                got = _array_outcome(lambda: apply_pathology(mask, pathology, h))
+                want = _array_outcome(lambda: naive_apply_pathology(mask, pathology, h))
+                assert got == want, (kind, magnitude, h, mask.tobytes())
+                outcomes.add(got[0])
+    assert outcomes == {np.dtype(bool), ValueError, TypeError}
+
+
+def test_make_trace_matches_one_slice_per_event():
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(5000):
+        n = rng.randint(0, 300)
+        h = rng.choice(STEPS)
+        events = []
+        for _ in range(rng.randint(0, 6)):
+            start = rng.uniform(-0.1, n * h + 0.1)
+            end = start + rng.uniform(-0.05, 2.0)
+            if rng.random() < 0.5:
+                start, end = round(start / h) * h, round(end / h) * h
+            events.append((start, end))
+        got = _array_outcome(lambda: make_trace(events, n, h))
+        assert got == _array_outcome(lambda: naive_make_trace(events, n, h)), (events, n, h)
+        outcomes.add(got[0])
+    assert outcomes == {np.dtype(bool), ValueError}

@@ -1,5 +1,7 @@
 """Trace generator: rasterization, pathologies, stress geometry."""
 
+import hashlib
+
 import pytest
 
 from tracecontracts.contracts import default_contract, monitor
@@ -9,6 +11,7 @@ from tracecontracts.fixtures import (
     apply_pathology,
     bridge_fixture,
     calibration_cases,
+    fragmented_trace,
     make_trace,
     stress_track,
     worked_trace,
@@ -209,3 +212,33 @@ class TestCalibrationCases:
         for case in calibration_cases():
             assert len(case.ref_mask) == len(case.pred_mask)
             assert set(case.ref_mask) <= {0, 1}
+
+
+# SHA-256 of every built-in fixture's masks and labels, fed in by
+# ``_fixture_digest``; the scoring tests and the calibration set rest on them.
+FIXTURE_DIGEST = "7fc621370b4fa86e6d8489688cc51ec5b2dd3ed25b4360596c283b8a9090b699"
+
+
+def _fixture_digest() -> str:
+    digest = hashlib.sha256()
+
+    def masks(*arrays):
+        for mask in arrays:
+            digest.update(repr((mask.dtype, mask.shape)).encode())
+            digest.update(mask.tobytes())
+
+    for case in calibration_cases():
+        digest.update(repr((case.id, case.risk, case.frame_step)).encode())
+        digest.update(bytes(case.ref_mask))
+        digest.update(bytes(case.pred_mask))
+    for case in stress_track() + [bridge_fixture()]:
+        digest.update(repr((case.pattern, case.case_id, case.epsilon, case.frame_step)).encode())
+        masks(case.ref_mask, case.pred_mask)
+    for ref, pred, h in (worked_trace(), fragmented_trace()):
+        digest.update(repr(h).encode())
+        masks(ref, pred)
+    return digest.hexdigest()
+
+
+def test_built_in_fixtures_keep_their_masks():
+    assert _fixture_digest() == FIXTURE_DIGEST

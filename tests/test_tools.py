@@ -1,10 +1,14 @@
-"""The checked-in line counter: physical and code-only lines of a tree."""
+"""Repository tooling: the checked-in line counter, and the benchmark's
+span table against the package it wraps."""
 
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
-SRC_LINES = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC_LINES = ROOT / "tools" / "src_lines.py"
 
 SAMPLE = '''"""A module docstring
 over two lines."""
@@ -36,3 +40,26 @@ def test_src_lines_counts_physical_and_code_only_lines(tmp_path):
         ["10", "3", "pkg/sample.py"],
         ["10", "3", "total"],
     ]
+
+
+def _timed_table() -> tuple:
+    """The ``TIMED`` literal of ``bench/spans.py``, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TIMED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py has no TIMED table")
+
+
+def test_every_benchmark_wrap_point_resolves():
+    # A traced benchmark run wraps each (module, attribute); one that no
+    # longer exists would stop it at install time.
+    table = _timed_table()
+    assert table
+    for module_name, attr, _ in table:
+        owner = importlib.import_module(f"tracecontracts.{module_name}")
+        if "." in attr:
+            class_name, method = attr.split(".")
+            assert callable(vars(getattr(owner, class_name)).get(method)), (module_name, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (module_name, attr)
