@@ -9,11 +9,12 @@ interval matching, ``select`` runs risk-ordered contract selection, and
 Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
 with a ``# manifest=<run id>`` comment line, where the run id is a hash
-of the settings and input digests.  Exit codes: 0 success, 2 contract
-or usage error (including a clause the command cannot evaluate, such as
-``overlap_purity`` on the union masks, and an ``--out`` that cannot be
-made or opened), 3 trace format error, 4 atom
-binding error, 5 matching bound exceeded: by ``match-audit
+of the settings and input digests.  Exit codes: 0 success, 1 a
+``stream`` verdict that differs from offline evaluation (the report is
+still written), 2 contract or usage error (including a clause the
+command cannot evaluate, such as ``overlap_purity`` on the union masks,
+and an ``--out`` that cannot be made or opened), 3 trace format error,
+4 atom binding error, 5 matching bound exceeded: by ``match-audit
 --strict-bound``, or by an exact-matcher instance in ``monitor``,
 ``sweep`` or ``select``.
 """

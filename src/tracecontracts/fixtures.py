@@ -9,12 +9,13 @@ stress shapes).  No audio, no features, no model outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import CalibrationCase
-from .frames import _as_mask
+from .frames import _as_mask, _check_frame_step
 from .intervals import _TIME_EPS, Interval, _run_edges
 
 PATHOLOGY_KINDS = (
@@ -77,11 +78,20 @@ def make_trace(events, n: int, h: float) -> np.ndarray:
     return _paint(runs, n)
 
 
-def _frames_of(magnitude: float, h: float) -> int:
-    frames = int(round(magnitude / h))
-    if abs(frames * h - magnitude) > 1e-6 or frames <= 0:
-        raise ValueError(f"magnitude {magnitude!r} is not a positive frame multiple of {h!r}")
+def _frames_of(magnitude, h: float) -> int:
+    seconds = None if magnitude is None else float(magnitude)
+    frames = round(seconds / h) if seconds is not None and math.isfinite(seconds / h) else 0
+    if frames <= 0 or abs(frames * h - seconds) > 1e-6:
+        raise ValueError(f"magnitude {seconds!r} is not a positive frame multiple of {h!r}")
     return frames
+
+
+def _count_of(pathology: TracePathology, least: int, unit: str) -> int:
+    """A counting kind's count: ``least`` when unset, else at least ``least``."""
+    count = least if pathology.magnitude is None else pathology.magnitude
+    if not (math.isfinite(count) and int(count) >= least):
+        raise ValueError(f"{pathology.kind} needs a {unit} count of at least {least}")
+    return int(count)
 
 
 # How each edge-moving kind moves run ``k``, frames [lo, hi) of an
@@ -106,6 +116,7 @@ def apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.ndarray
     Edge shifts clip at the trace boundaries and keep at least one active
     frame per run; overlapping shifted runs merge on re-rasterization.
     """
+    _check_frame_step(h)
     ref = _as_mask(ref_mask, "ref_mask")
     n = ref.shape[0]
     kind = pathology.kind
@@ -117,15 +128,13 @@ def apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.ndarray
     runs = list(zip(edges[0::2], edges[1::2]))
     if kind in _MOVES:
         move = _MOVES[kind]
-        m = _frames_of(float(pathology.magnitude), h)
+        m = _frames_of(pathology.magnitude, h)
         return _paint((move(lo, hi, m, n, k) for k, (lo, hi) in enumerate(runs)), n)
     if kind == "fragmentation":
-        count = int(pathology.magnitude or 2)
-        if count < 2:
-            raise ValueError("fragmentation needs a piece count of at least 2")
+        count = _count_of(pathology, 2, "piece")
         return _paint((piece for lo, hi in runs for piece in _split_run(lo, hi, count)), n)
     if kind == "extra":
-        return _with_extra_runs(ref, edges, int(pathology.magnitude or 1), n)
+        return _with_extra_runs(ref, edges, _count_of(pathology, 1, "run"), n)
     if kind in ("bridge_left", "bridge_right", "split"):
         raise ValueError(
             f"{kind} is a matcher stress shape; build it with stress_track()"

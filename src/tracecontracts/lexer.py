@@ -3,11 +3,15 @@
 The surface language is small on purpose: atom identifiers, the Boolean
 operators ``! & | ->``, parentheses, and four reserved temporal names
 (``N``, ``F``, ``G``, ``U``) that carry a bracketed decimal radius in
-seconds, e.g. ``N[0.04]``.  Scanning is a single deterministic left to
-right pass: whitespace is discarded, identifiers and numbers are read by
-maximal munch over fixed ASCII character classes, and operators by
-longest prefix match.  Every token carries a half open character span so
-that later stages can point at the exact offending source location.
+seconds, e.g. ``N[0.04]``.  The token grammar is one table of named
+patterns, one per token kind, compiled into a single alternation and
+matched left to right; whitespace is the one unnamed alternative and is
+discarded.  The classes are disjoint and each pattern is greedy, so
+identifiers and numbers are read by maximal munch over fixed ASCII
+character classes and operators by longest match (``->`` is tried before
+the one-character operators).  Every token carries a half open character
+span so that later stages can point at the exact offending source
+location.
 
 Lexing is total on the declared alphabet: a character that cannot start
 a token raises :class:`LexError`; operator sequences that make no sense
@@ -19,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NoReturn
 
 
 class TokenKind(Enum):
@@ -92,14 +97,30 @@ TEMPORAL_NAMES = frozenset({"N", "F", "G", "U"})
 TWO_CHAR_OPERATORS = ("->",)
 SINGLE_CHAR_OPERATORS = frozenset({"&", "|", "!", "[", "]"})
 
-_WHITESPACE = frozenset(" \t\r\n")
+# Bare numbers and bracketed radii: a dot is part of a literal only with a
+# digit after it, so ``1.x`` scans as ``1`` and then an undeclared dot.
+_DECIMAL = r"[0-9]+(?:\.[0-9]+)?"
 
-# ASCII only: ``\w`` would also admit non-ASCII letters and digits.
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _is_digit(c: str) -> bool:
-    return "0" <= c <= "9"
+# One named group per token kind.  The classes are disjoint, so order matters
+# only inside the operator group, where the two-character operators come first.
+_TOKEN_PATTERNS = (
+    (TokenKind.IDENTIFIER, r"[A-Za-z_][A-Za-z0-9_]*"),  # ASCII only, unlike ``\w``
+    (TokenKind.NUMBER, _DECIMAL),
+    (
+        TokenKind.OPERATOR,
+        "|".join(map(re.escape, (*TWO_CHAR_OPERATORS, *sorted(SINGLE_CHAR_OPERATORS)))),
+    ),
+    (TokenKind.LEFT_PAREN, r"\("),
+    (TokenKind.RIGHT_PAREN, r"\)"),
+)
+# Whitespace is the one unnamed alternative: it matches and is dropped.
+_TOKEN = re.compile(
+    "[ \t\r\n]+|" + "|".join(f"(?P<{kind.value}>{pattern})" for kind, pattern in _TOKEN_PATTERNS)
+)
+_KIND_OF_GROUP = {kind.value: kind for kind, _ in _TOKEN_PATTERNS}
+_RADIUS = re.compile(rf"\[({_DECIMAL})\]")
+# The longest prefix from a ``[`` that could still grow into ``[decimal]``.
+_RADIUS_PREFIX = re.compile(r"\[(?:[0-9]+(?:\.[0-9]*)?)?")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -112,102 +133,41 @@ def tokenize(source: str) -> list[Token]:
     i = 0
     n = len(source)
     while i < n:
-        c = source[i]
-        if c in _WHITESPACE:
-            i += 1
+        match = _TOKEN.match(source, i)
+        if match is None:
+            raise LexError(SourceSpan(i, i + 1), f"undeclared character {source[i]!r}")
+        start, i = match.span()
+        if match.lastgroup is None:
             continue
-        identifier = _IDENTIFIER.match(source, i)
-        if identifier is not None:
-            start, i = identifier.span()
-            name = identifier.group()
-            if name in TEMPORAL_NAMES:
-                radius = None
-                if i < n and source[i] == "[":
-                    radius, i = _scan_radius(source, i)
-                tokens.append(
-                    Token(TokenKind.TEMPORAL, source[start:i], SourceSpan(start, i), radius)
-                )
-            else:
-                tokens.append(Token(TokenKind.IDENTIFIER, name, SourceSpan(start, i)))
-            continue
-        if _is_digit(c):
-            start = i
-            i = _munch_number(source, i)
-            tokens.append(Token(TokenKind.NUMBER, source[start:i], SourceSpan(start, i)))
-            continue
-        matched = False
-        for op in TWO_CHAR_OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op, SourceSpan(i, i + len(op))))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if c == "(":
-            tokens.append(Token(TokenKind.LEFT_PAREN, c, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(Token(TokenKind.RIGHT_PAREN, c, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        if c in SINGLE_CHAR_OPERATORS:
-            tokens.append(Token(TokenKind.OPERATOR, c, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        raise LexError(SourceSpan(i, i + 1), f"undeclared character {c!r}")
+        kind = _KIND_OF_GROUP[match.lastgroup]
+        radius = None
+        if kind is TokenKind.IDENTIFIER and match.group() in TEMPORAL_NAMES:
+            kind = TokenKind.TEMPORAL
+            if source.startswith("[", i):
+                bracketed = _RADIUS.match(source, i)
+                if bracketed is None:
+                    _scan_radius(source, i)
+                radius = float(bracketed.group(1))
+                i = bracketed.end()
+        tokens.append(Token(kind, source[start:i], SourceSpan(start, i), radius))
     tokens.append(Token(TokenKind.END, "", SourceSpan(n, n)))
     return tokens
 
 
-def _munch_number(source: str, i: int) -> int:
-    """Maximal munch of a bare decimal literal starting at a digit.
+def _scan_radius(source: str, bracket: int) -> NoReturn:
+    """Raise the error for a ``[`` after a temporal name that does not open
+    ``[decimal]``; no whitespace is allowed inside the bracket.
 
-    A dot is consumed only when a digit follows, so ``1.x`` stops after
-    ``1`` and lets the outer loop reject the dot.
+    If the source ends inside the literal, the bracket is unterminated;
+    otherwise the literal is malformed at the first character that cannot
+    continue it, a dot with no digit after it included.
     """
-    n = len(source)
-    while i < n and _is_digit(source[i]):
-        i += 1
-    if i + 1 < n and source[i] == "." and _is_digit(source[i + 1]):
-        i += 1
-        while i < n and _is_digit(source[i]):
-            i += 1
-    return i
-
-
-def _scan_radius(source: str, bracket: int) -> tuple[float, int]:
-    """Scan ``[decimal]`` starting at the opening bracket.
-
-    No whitespace is allowed inside the bracket.  Returns the radius in
-    seconds and the index one past the closing bracket.
-    """
-    n = len(source)
-    i = bracket + 1
-    digits_start = i
-    while i < n and _is_digit(source[i]):
-        i += 1
-    if i == digits_start:
-        if i >= n:
-            raise LexError(SourceSpan(bracket, bracket + 1), "unterminated radius bracket")
-        raise LexError(SourceSpan(i, i + 1), "malformed decimal literal")
-    if i < n and source[i] == ".":
-        dot = i
-        i += 1
-        frac_start = i
-        while i < n and _is_digit(source[i]):
-            i += 1
-        if i == frac_start:
-            if i >= n:
-                raise LexError(SourceSpan(bracket, bracket + 1), "unterminated radius bracket")
-            raise LexError(SourceSpan(dot, dot + 1), "malformed decimal literal")
-    if i >= n:
+    end = _RADIUS_PREFIX.match(source, bracket).end()
+    if end == len(source):
         raise LexError(SourceSpan(bracket, bracket + 1), "unterminated radius bracket")
-    if source[i] != "]":
-        raise LexError(SourceSpan(i, i + 1), "malformed decimal literal")
-    radius = float(source[digits_start:i])
-    return radius, i + 1
+    if source[end - 1] == ".":
+        end -= 1
+    raise LexError(SourceSpan(end, end + 1), "malformed decimal literal")
 
 
 def span_text(source: str, span: SourceSpan) -> str:

@@ -17,6 +17,7 @@ Python loop per reference.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -728,7 +729,11 @@ def naive_make_trace(events, n: int, h: float) -> np.ndarray:
     return mask
 
 
-def _naive_frames_of(magnitude: float, h: float) -> int:
+def _naive_frames_of(magnitude, h: float) -> int:
+    if magnitude is not None:
+        magnitude = float(magnitude)
+    if magnitude is None or not math.isfinite(magnitude / h):
+        raise ValueError(f"magnitude {magnitude!r} is not a positive frame multiple of {h!r}")
     frames = int(round(magnitude / h))
     if abs(frames * h - magnitude) > 1e-6 or frames <= 0:
         raise ValueError(f"magnitude {magnitude!r} is not a positive frame multiple of {h!r}")
@@ -795,6 +800,8 @@ def _naive_with_extra_runs(ref: np.ndarray, runs, count: int, n: int) -> np.ndar
 
 def naive_apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.ndarray:
     """Prediction mask for ``(ref_mask, pathology)``, one arm per kind."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"frame step must be finite and positive, got {h!r}")
     ref = _as_mask(ref_mask, "ref_mask")
     n = ref.shape[0]
     kind = pathology.kind
@@ -804,22 +811,22 @@ def naive_apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.n
         return np.zeros(n, dtype=bool)
     runs = _naive_runs(ref)
     if kind == "late_onset":
-        m = _naive_frames_of(float(pathology.magnitude), h)
+        m = _naive_frames_of(pathology.magnitude, h)
         return _naive_paint([(min(lo + m, hi - 1), hi) for lo, hi in runs], n)
     if kind == "early_onset":
-        m = _naive_frames_of(float(pathology.magnitude), h)
+        m = _naive_frames_of(pathology.magnitude, h)
         return _naive_paint([(max(0, lo - m), hi) for lo, hi in runs], n)
     if kind == "late_release":
-        m = _naive_frames_of(float(pathology.magnitude), h)
+        m = _naive_frames_of(pathology.magnitude, h)
         return _naive_paint([(lo, min(n, hi + m)) for lo, hi in runs], n)
     if kind == "early_release":
-        m = _naive_frames_of(float(pathology.magnitude), h)
+        m = _naive_frames_of(pathology.magnitude, h)
         return _naive_paint([(lo, max(lo + 1, hi - m)) for lo, hi in runs], n)
     if kind == "silence_bleed":
-        m = _naive_frames_of(float(pathology.magnitude), h)
+        m = _naive_frames_of(pathology.magnitude, h)
         return _naive_paint([(max(0, lo - m), min(n, hi + m)) for lo, hi in runs], n)
     if kind == "length_distortion":
-        m = _naive_frames_of(float(pathology.magnitude), h)
+        m = _naive_frames_of(pathology.magnitude, h)
         distorted = []
         for index, (lo, hi) in enumerate(runs):
             if index % 2 == 0:
@@ -828,16 +835,19 @@ def naive_apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.n
                 distorted.append((lo, max(lo + 1, hi - m)))
         return _naive_paint(distorted, n)
     if kind == "fragmentation":
-        count = int(pathology.magnitude or 2)
-        if count < 2:
+        count = 2 if pathology.magnitude is None else pathology.magnitude
+        if not math.isfinite(count) or int(count) < 2:
             raise ValueError("fragmentation needs a piece count of at least 2")
+        count = int(count)
         pieces = []
         for lo, hi in runs:
             pieces.extend(_naive_split_run(lo, hi, count))
         return _naive_paint(pieces, n)
     if kind == "extra":
-        count = int(pathology.magnitude or 1)
-        return _naive_with_extra_runs(ref, runs, count, n)
+        count = 1 if pathology.magnitude is None else pathology.magnitude
+        if not math.isfinite(count) or int(count) < 1:
+            raise ValueError("extra needs a run count of at least 1")
+        return _naive_with_extra_runs(ref, runs, int(count), n)
     if kind in ("bridge_left", "bridge_right", "split"):
         raise ValueError(
             f"{kind} is a matcher stress shape; build it with stress_track()"

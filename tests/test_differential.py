@@ -916,6 +916,26 @@ def test_lexer_matches_character_scan_on_random_strings():
         assert isinstance(error, LexError) and error.span.start == 2
 
 
+def test_lexer_matches_character_scan_on_every_short_radius():
+    # Every string of up to five radius characters after a temporal name
+    # (attached radii) and after an identifier (stray brackets and numbers).
+    outcomes = set()
+    count = 0
+    for head in ("N", "U", "a "):
+        for length in range(6):
+            for combo in itertools.product("[]0.x5 ", repeat=length):
+                outcome = _assert_same_tokens(head + "".join(combo))
+                outcomes.add(outcome.message if isinstance(outcome, LexError) else "tokens")
+                count += 1
+    assert count == 58824
+    assert outcomes == {
+        "tokens",
+        "unterminated radius bracket",
+        "malformed decimal literal",
+        "undeclared character '.'",
+    }
+
+
 def test_lexer_matches_character_scan_on_fixture_contract_lines():
     texts = (default_contract_text(0.04), ALL_PREDICATES, MIXED_CONTRACT, PURITY_CONTRACT)
     for line in "".join(texts).splitlines():
@@ -967,7 +987,7 @@ def test_pathologies_match_per_kind_arms():
                 want = _array_outcome(lambda: naive_apply_pathology(mask, pathology, h))
                 assert got == want, (kind, magnitude, h, mask.tobytes())
                 outcomes.add(got[0])
-    assert outcomes == {np.dtype(bool), ValueError, TypeError}
+    assert outcomes == {np.dtype(bool), ValueError}
 
 
 def test_make_trace_matches_one_slice_per_event():

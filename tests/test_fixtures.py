@@ -104,6 +104,42 @@ class TestPathologies:
         with pytest.raises(ValueError):
             TracePathology("upside_down")
 
+    # The calibration reference: three events on 600 frames.
+    _REF = make_trace([Interval(1.0, 2.0), Interval(4.0, 5.5), Interval(8.0, 9.2)], 600, H)
+
+    @pytest.mark.parametrize("count", [-2, -1, 0, 0.5])
+    def test_extra_refuses_counts_below_one(self, count):
+        with pytest.raises(ValueError, match="^extra needs a run count of at least 1$"):
+            apply_pathology(self._REF, TracePathology("extra", count), H)
+
+    def test_fragmentation_refuses_a_zero_count(self):
+        with pytest.raises(ValueError, match="^fragmentation needs a piece count of at least 2$"):
+            apply_pathology(self._REF, TracePathology("fragmentation", 0), H)
+
+    def test_counts_default_only_on_none(self):
+        extra = apply_pathology(self._REF, TracePathology("extra"), H)
+        assert len(extract_intervals(extra, H)) == 4
+        pieces = apply_pathology(self._REF, TracePathology("fragmentation"), H)
+        assert len(extract_intervals(pieces, H)) == 6
+
+    @pytest.mark.parametrize(
+        "kind, magnitude, h",
+        [
+            ("late_onset", 0.1, 0.0),
+            ("extra", 2, 0.0),
+            ("nominal", None, 0.0),
+            ("extra", 2, float("nan")),
+        ],
+    )
+    def test_frame_step_is_checked_for_every_kind(self, kind, magnitude, h):
+        with pytest.raises(ValueError, match="^frame step must be finite and positive"):
+            apply_pathology(self._REF, TracePathology(kind, magnitude), h)
+
+    @pytest.mark.parametrize("magnitude", [None, float("inf"), float("nan")])
+    def test_edge_magnitude_must_be_a_finite_frame_multiple(self, magnitude):
+        with pytest.raises(ValueError, match="is not a positive frame multiple of 0.02$"):
+            apply_pathology(self._REF, TracePathology("late_onset", magnitude), H)
+
 
 class TestTaxonomyDirections:
     """Each pathology moves the coordinates its failure class names."""

@@ -133,6 +133,37 @@ def test_malformed_decimal_literals(source):
     assert "malformed" in excinfo.value.message or "unterminated" in excinfo.value.message
 
 
+@pytest.mark.parametrize(
+    "source, message, span",
+    [
+        ("N[", "unterminated radius bracket", SourceSpan(1, 2)),
+        ("N[.5]", "malformed decimal literal", SourceSpan(2, 3)),  # no integer part
+        ("N[5.]", "malformed decimal literal", SourceSpan(3, 4)),  # a dot needs a digit
+        ("N[5.", "unterminated radius bracket", SourceSpan(1, 2)),
+        ("N[5x]", "malformed decimal literal", SourceSpan(3, 4)),
+        ("N[5.5x]", "malformed decimal literal", SourceSpan(5, 6)),
+        ("N[5.5", "unterminated radius bracket", SourceSpan(1, 2)),
+    ],
+)
+def test_radius_error_anchors(source, message, span):
+    with pytest.raises(LexError) as excinfo:
+        tokenize(source)
+    assert (excinfo.value.message, excinfo.value.span) == (message, span)
+    assert str(excinfo.value) == f"{message} at offset {span.start}"
+
+
+def test_spaced_bracket_is_an_operator_not_a_radius():
+    tokens = tokenize("N [0.5]")
+    assert [(t.kind, t.value, t.span) for t in tokens] == [
+        (TokenKind.TEMPORAL, "N", SourceSpan(0, 1)),
+        (TokenKind.OPERATOR, "[", SourceSpan(2, 3)),
+        (TokenKind.NUMBER, "0.5", SourceSpan(3, 6)),
+        (TokenKind.OPERATOR, "]", SourceSpan(6, 7)),
+        (TokenKind.END, "", SourceSpan(7, 7)),
+    ]
+    assert tokens[0].radius is None
+
+
 def test_span_text_examples():
     assert span_text("abc", SourceSpan(0, 1)) == "a"
     assert span_text("N[0.04]", SourceSpan(0, 7)) == "N[0.04]"
