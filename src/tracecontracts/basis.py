@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .contracts import Contract, EventClause, FrameClause, _event_clause, _match, _trace_runs
-from .frames import _check_frame_step, derive_edge_atoms, obligation_score, share_subformulas
+from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
+from .intervals import AuditBoundError
 from .parser import Formula, node_count
 
 # Enumeration ceiling: 2**(atoms * frames) environments.
@@ -125,36 +126,56 @@ def basis_from_contract(contract: Contract) -> CandidateBasis:
 
 def clause_value(basis: CandidateBasis, clause: BasisClause, case: CalibrationCase) -> float:
     """Monitor one clause on one calibration case."""
-    return _case_values(replace(basis, clauses=(clause,)), case)[clause.source_order]
+    return _case_values(replace(basis, clauses=(clause,)), [case])[0][clause.source_order]
 
 
-def _case_values(basis: CandidateBasis, case: CalibrationCase) -> dict[int, float]:
-    """Every basis clause's value on one case, by source order.
+def _case_values(
+    basis: CandidateBasis, cases: Sequence[CalibrationCase]
+) -> list[dict[int, float]]:
+    """Every basis clause's value on each case, by source order.
 
-    The case's atoms and frame plan, and its runs and matching, are each
-    derived once for all clauses; a basis without event clauses never
-    runs the matcher.
+    Cases of one length and frame step are the groups of one batched pass:
+    their masks are stacked, their frame formulas planned and evaluated
+    once, and their runs matched in one pass.  A basis without event
+    clauses never runs the matcher.  A case's matcher bound error is raised
+    in case order, before the event clauses of later cases are scored.
     """
-    h = case.frame_step
     frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
     event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
-    out: dict[int, float] = {}
-    env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
-    if frame:
-        plan = share_subformulas(
-            (f for c in frame for f in (c.clause.formula, c.clause.obligation)), h
+    out: list[dict[int, float]] = [{} for _ in cases]
+    stacks: dict[tuple[int, float], list[int]] = {}
+    for index, case in enumerate(cases):
+        stacks.setdefault((len(case.ref_mask), case.frame_step), []).append(index)
+    matched = {}
+    for (n, h), members in stacks.items():
+        ref, pred = (
+            _as_mask(np.array([getattr(cases[i], side) for i in members]).ravel(), side)
+            .reshape(len(members), n)
+            for side in ("ref_mask", "pred_mask")
         )
-        values = plan.evaluate(env.atoms)
-        for c in frame:
-            out[c.source_order] = obligation_score(
-                values[c.clause.formula], values[c.clause.obligation]
-            ).score
-    if event:
-        runs = _trace_runs(env, basis.merge_gap)
-        _, diffs, extras = _match(runs, basis.tolerance, basis.matcher)
+        if frame:
+            plan = share_subformulas(
+                (f for c in frame for f in (c.clause.formula, c.clause.obligation)), h
+            )
+            values = plan.evaluate(_edge_atoms(ref, pred))
+            scratch = np.empty(ref.shape, bool)
+            for c in frame:
+                scores = _stacked_scores(values[c.clause.formula], values[c.clause.obligation],
+                                         scratch)
+                for index, value in zip(members, scores):
+                    out[index][c.source_order] = value.score
+        if event:
+            runs = _trace_runs(ref, pred, h, basis.merge_gap)
+            rows = _match(runs, [basis.tolerance] * len(members), basis.matcher)
+            for g, (index, row) in enumerate(zip(members, rows)):
+                matched[index] = (runs.by_group[g], row)
+    for index in sorted(matched):
+        (refs, preds), (matching, diffs, extras) = matched[index]
+        if isinstance(matching, AuditBoundError):
+            raise matching
         for c in event:
-            value, _ = _event_clause(c.clause, runs, basis.tolerance, None, diffs, extras)
-            out[c.source_order] = value.score
+            value, _ = _event_clause(c.clause, refs, preds, basis.tolerance, None, diffs, extras)
+            out[index][c.source_order] = value.score
     return out
 
 
@@ -169,7 +190,7 @@ class ClauseSignature:
 def clause_signatures(
     basis: CandidateBasis, cases: Sequence[CalibrationCase]
 ) -> tuple[ClauseSignature, ...]:
-    per_case = [_case_values(basis, case) for case in cases]
+    per_case = _case_values(basis, cases)
     return tuple(
         ClauseSignature(clause.source_order, tuple(case[clause.source_order] for case in per_case))
         for clause in basis.clauses

@@ -16,7 +16,8 @@ command cannot evaluate, such as ``overlap_purity`` on the union masks,
 and an ``--out`` that cannot be made or opened), 3 trace format error,
 4 atom binding error, 5 matching bound exceeded: by ``match-audit
 --strict-bound``, or by an exact-matcher instance in ``monitor``,
-``sweep`` or ``select``.
+``sweep`` or ``select``, 6 an infeasible ``select``: no candidate clause
+separates some risk pair (the report is still written, nothing selected).
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ from .contracts import (
     GuardCoordinate,
     GuardVector,
     MonitorResult,
+    _macro,
+    _monitor_stack,
     _read_contract,
     compile_contract,
     default_contract_text,
-    monitor,
-    monitor_classes,
-    soft_boundary,
     tolerance_sweep,
 )
 from .frames import UnknownAtomError, derive_edge_atoms, evaluate
@@ -65,6 +65,7 @@ EXIT_CONTRACT = 2
 EXIT_TRACE = 3
 EXIT_ATOM = 4
 EXIT_BOUND = 5
+EXIT_INFEASIBLE = 6
 
 
 def _fmt_score(value: float) -> str:
@@ -280,26 +281,20 @@ def cmd_monitor(args) -> int:
     guard_rows: list[list[str]] = []
     witness_rows: list[list[str]] = []
     for _, trace in traces:
-        h = trace.frame_step
-        masks = trace.union_masks()
-        rows = [("union", monitor(contract, *masks, h), masks)]
-        per_class = (
-            monitor_classes(contract, trace.classes, h) if args.classes and trace.classes else None
-        )
-        if per_class is not None:
-            rows += [
-                (name, per_class.per_class[name], trace.classes[name])
-                for name in sorted(per_class.per_class)
-            ]
-        for class_name, result, (ref, pred) in rows:
-            guard_rows.extend(_guard_rows(trace.item_id, class_name, result.guards))
-            witness_rows.append(
-                _witness_row(
-                    trace.item_id, class_name, result, soft_boundary(ref, pred, h, soft_scale)
-                )
-            )
-        if per_class is not None:
-            guard_rows.extend(_guard_rows(trace.item_id, "macro", per_class.macro))
+        # The union row and the class rows are the groups of one pass; its
+        # errors are those of the union row first, then of the classes in order.
+        classes = list(trace.classes) if args.classes else []
+        masks = [trace.union_masks(), *(trace.classes[name] for name in classes)]
+        ref, pred = (np.stack(stack) for stack in zip(*masks))
+        runs, results = _monitor_stack(contract, ref, pred, trace.frame_step, [None, *classes])
+        rows = [("union", 0), *sorted((name, g) for g, name in enumerate(classes, 1))]
+        for class_name, g in rows:
+            guard_rows.extend(_guard_rows(trace.item_id, class_name, results[g].guards))
+            witness_rows.append(_witness_row(
+                trace.item_id, class_name, results[g], runs.soft_boundary(g, soft_scale)
+            ))
+        if classes:
+            guard_rows.extend(_guard_rows(trace.item_id, "macro", _macro(contract, results[1:])))
     _write_report(
         args,
         "monitor",
@@ -468,15 +463,16 @@ def cmd_select(args) -> int:
         tag = " (constant)" if cls.constant else ""
         print(f"  [{names}]{tag}")
     print("retained basis: " + ", ".join(c.name for c in retained.clauses))
-    if not selection.feasible:
+    if selection.feasible:
+        print("selected contract: " + ", ".join(c.name for c in selection.selected))
+        print("separation certificate:")
+        for low, high, order in selection.certificate:
+            print(f"  {low} < {high}: {by_order[order].name}")
+    else:
         low, high = selection.unseparated_pair
         print(f"infeasible: no clause separates {low!r} (lower risk) from {high!r}")
-        return EXIT_OK
-    print("selected contract: " + ", ".join(c.name for c in selection.selected))
-    print("separation certificate:")
-    for low, high, order in selection.certificate:
-        print(f"  {low} < {high}: {by_order[order].name}")
     if args.out:
+        # An infeasible selection selects nothing and certifies no pair.
         selected_orders = {c.source_order for c in selection.selected}
         retained_orders = {c.source_order for c in retained.clauses}
         class_of = {member: cls for cls in classes for member in cls.members}
@@ -515,7 +511,7 @@ def cmd_select(args) -> int:
                 ),
             },
         )
-    return EXIT_OK
+    return EXIT_OK if selection.feasible else EXIT_INFEASIBLE
 
 
 STREAM_HEADER = ["frame_index", "emitted_after_frames", "verdict", "offline", "equal"]

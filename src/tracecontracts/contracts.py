@@ -16,6 +16,13 @@ keeps its compiled plan per frame step, so it is compiled once per grid.
 Witness distances are reduced to their mean as soon as they are computed:
 a trace pair keeps one (mean, no-witness) summary per obligation and
 witness formula, shared by its clauses, edge witnesses and sweep rows.
+
+One monitor pass runs over a group axis: trace pairs of one length (a
+union row and its classes, or calibration cases) are stacked, evaluated
+once, and their runs extracted, matched and witnessed by one scan each,
+with every group's runs placed apart so that none meets another's; a
+sweep's tolerances are rows over one group.  A single :func:`monitor` is
+the one-group case.
 """
 
 from __future__ import annotations
@@ -31,20 +38,23 @@ import numpy as np
 from .frames import (
     EvaluationPlan,
     ObligationScore,
-    TraceEnvironment,
     _as_mask,
     _check_frame_step,
+    _edge_atoms,
     _mask_pair,
-    derive_edge_atoms,
+    _stacked_scores,
     obligation_score,
     share_subformulas,
 )
 from .intervals import (
     _TIME_EPS,
     DEFAULT_DURATION_THRESHOLD,
+    AuditBoundError,
+    CandidateTable,
     Family,
     Interval,
     Matching,
+    _greedy_scan,
     _run_edges,
     boundary_f1,
     candidate_table,
@@ -52,7 +62,6 @@ from .intervals import (
     fragmentation_extras,
     length_diffs,
     match_exact,
-    match_greedy,
     merge_runs,
     overlap_pairs,
 )
@@ -538,8 +547,19 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
 # Monitoring
 
 
-def _frame_runs(mask: np.ndarray) -> Family:
+def _offset_edges(mask: np.ndarray) -> np.ndarray:
+    """Run edges of a Boolean mask, or of every row of a ``(G, n)`` stack in
+    turn with frame ``f`` of row ``g`` at ``g * (2n + 1) + f``: rows keep
+    their order, and no frame of a row comes within ``n`` frames of another
+    row's."""
+    n = mask.shape[-1]
     edges = _run_edges(mask)
+    return edges + edges // (n + 1) * n
+
+
+def _frame_runs(mask: np.ndarray) -> Family:
+    """The frame runs of a mask or stack, at :func:`_offset_edges`' frames."""
+    edges = _offset_edges(mask)
     return Family(edges[0::2], edges[1::2])
 
 
@@ -579,71 +599,187 @@ def _run_distances(obligated: Family, witnesses: Family, h: float) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class _TraceRuns:
-    """One trace pair's atoms, and what follows from its runs at any tolerance.
+    """G trace pairs of one length on a group axis, and what follows from
+    their runs at any tolerance.
 
-    ``refs`` and ``preds`` are the merged runs in seconds with their
-    overlap pairs and covering counts; ``atom_runs`` are the unmerged frame
-    runs of every activity and edge atom, and ``witnesses`` keeps the
-    witness summaries already computed, by (obligation, witness) formula.
+    ``atoms`` are the activity and edge atoms as ``(G, n)`` stacks.  ``refs``
+    and ``preds`` are the merged runs in seconds, group after group, with
+    ``bounds`` giving each group's slice and ``by_group`` its two families;
+    ``overlaps`` and ``counts`` are their overlap pairs and covering counts.
+    ``edges`` (run edges) and ``atom_runs`` (the unmerged runs of every
+    activity and edge atom) are integer frames placed as by
+    :func:`_offset_edges`, ``stride`` frames per group from ``starts``, so
+    one scan serves every group.  ``witnesses`` keeps the witness summaries already found,
+    one per group, by (obligation, witness) formula.
     """
 
-    env: TraceEnvironment
+    h: float
+    stride: int
+    starts: np.ndarray
+    atoms: dict[str, np.ndarray]
     refs: Family
     preds: Family
+    bounds: dict[str, np.ndarray]
+    by_group: tuple[tuple[Family, Family], ...]
     overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
     counts: np.ndarray
+    edges: dict[str, np.ndarray]
     atom_runs: dict[str, Family]
-    witnesses: dict[tuple[Formula, Formula], tuple[float | None, bool]] = field(
+    witnesses: dict[tuple[Formula, Formula], list[tuple[float | None, bool]]] = field(
         default_factory=dict
     )
 
-    def witness(self, obligation: Formula, witness: Formula, values) -> tuple[float | None, bool]:
-        """Mean in ms of :func:`_run_distances` from the obligation's frames to
-        the witness's (``None`` when either set is empty), and whether there
-        are no witness frames; ``values`` holds the plan's valuations of
-        formulas other than atoms.  The distances are not kept."""
+    def span(self, frames: np.ndarray, group: int) -> slice:
+        """The part of a sorted array of placed frames that lies in ``group``."""
+        lo, hi = frames.searchsorted(self.starts[group:group + 2])
+        return slice(lo, hi)
+
+    def witness(
+        self, obligation: Formula, witness: Formula, values
+    ) -> list[tuple[float | None, bool]]:
+        """Per group: the mean in ms of :func:`_run_distances` from the
+        obligation's frames to the witness's (``None`` when either set is
+        empty), and whether there are no witness frames; ``values`` holds the
+        plan's valuations of formulas other than atoms.  One distance pass
+        serves every group: a group's frames are nearer to its own witness
+        frames than to any other group's, and a group with none reads none.
+        Each group's mean reduces its own slice; the distances are not kept."""
         key = (obligation, witness)
         if key not in self.witnesses:
             obligated, witnessed = (self.atom_runs[f.name] if isinstance(f, Atom)
                                     else _frame_runs(values[f]) for f in key)
-            distances = _run_distances(obligated, witnessed, self.env.frame_step)
-            mean = None if distances is None or distances.size == 0 else float(
-                np.mean(distances) * 1000.0
-            )
-            self.witnesses[key] = (mean, distances is None)
+            distances = _run_distances(obligated, witnessed, self.h)
+            # Group g's obligated frames are distances[ends[g]:ends[g + 1]].
+            frames = np.concatenate(((0,), np.cumsum(obligated.end - obligated.start)))
+            ends = frames[obligated.start.searchsorted(self.starts)].tolist()
+            seen = witnessed.start.searchsorted(self.starts)
+            found = (seen[1:] > seen[:-1]).tolist()
+            self.witnesses[key] = [
+                (None, False) if lo == hi else (None, True) if not has
+                else (float(np.mean(distances[lo:hi]) * 1000.0), False)
+                for lo, hi, has in zip(ends, ends[1:], found)
+            ]
         return self.witnesses[key]
 
+    def soft_boundary(self, group: int, scale: float) -> float:
+        """:func:`soft_boundary` of the group's trace pair, from its run edges."""
+        ref, pred = (
+            (self.edges[side][self.span(self.edges[side], group)] - group * self.stride) * self.h
+            for side in ("ref", "pred")
+        )
+        return _soft_score(ref, pred, scale)
 
-def _trace_runs(env: TraceEnvironment, merge_gap: float) -> _TraceRuns:
-    h = env.frame_step
-    families, atom_runs = [], {}
-    for side in ("ref", "pred"):
-        edges = _run_edges(env.atoms[f"{side}_active"])
-        lo, hi = (x * h for x in merge_runs(edges, h, merge_gap))
-        lo.flags.writeable = hi.flags.writeable = False
-        families.append(Family(lo, hi))
-        first, end = edges[0::2], edges[1::2]
-        offsets = end[end < env.frame_count]
+
+def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -> _TraceRuns:
+    """The runs of the trace pairs stacked in the ``(G, n)`` Boolean arrays
+    ``ref`` and ``pred``; runs of different groups are never merged."""
+    _check_frame_step(h)
+    groups, n = ref.shape
+    stride = 2 * n + 1
+    starts = np.arange(groups + 1) * stride
+    families, frames, bounds, edges, atom_runs = [], [], {}, {}, {}
+    for side, mask in (("ref", ref), ("pred", pred)):
+        edges[side] = side_edges = _offset_edges(mask)
+        lo, hi = merge_runs(side_edges, h, merge_gap, side_edges[0::2] // stride)
+        frames.append(Family(lo, hi))
+        start, end = lo % stride * h, hi % stride * h
+        start.flags.writeable = end.flags.writeable = False
+        families.append(Family(start, end))
+        bounds[side] = lo.searchsorted(starts)
+        first, end = side_edges[0::2], side_edges[1::2]
+        offsets = end[end % stride < n]
         atom_runs[f"{side}_active"] = Family(first, end)
         atom_runs[f"{side}_onset"] = Family(first, first + 1)
         atom_runs[f"{side}_offset"] = Family(offsets, offsets + 1)
-    overlaps = overlap_pairs(*families)
-    counts = np.bincount(overlaps[0], minlength=len(families[0]))
-    return _TraceRuns(env, *families, overlaps, counts, atom_runs)
-
-
-def _match(runs: _TraceRuns, tolerance: float, policy: str):
-    """The matching under ``policy``, each matched pair's length difference
-    and each reference's fragmentation extras."""
-    table = candidate_table(runs.refs, runs.preds, tolerance, runs.overlaps)
-    matching = match_greedy(table) if policy == "greedy" else match_exact(table)
-    return matching, length_diffs(runs.refs, runs.preds, matching), fragmentation_extras(
-        matching, runs.counts
+    # Placed apart, no group's runs meet another's in the window scan; the
+    # overlaps are measured in seconds, as a scan of the group alone does.
+    refs, preds = families
+    overlaps = overlap_pairs(refs, preds, frames)
+    by_group = tuple(
+        tuple(Family(f.start[b[g]:b[g + 1]], f.end[b[g]:b[g + 1]])
+              for f, b in ((refs, bounds["ref"]), (preds, bounds["pred"])))
+        for g in range(groups)
+    )
+    return _TraceRuns(
+        h, stride, starts, _edge_atoms(ref, pred), refs, preds, bounds, by_group, overlaps,
+        np.bincount(overlaps[0], minlength=len(refs)), edges, atom_runs,
     )
 
 
+def _match(runs: _TraceRuns, tolerances: Sequence[float], policy: str) -> list:
+    """Per row: its matching under ``policy``, each matched pair's length
+    difference and each reference's fragmentation extras.  The rows are the
+    groups, each matched at its tolerance; one group with several
+    tolerances is listed once per tolerance, a row each.
+
+    No two rows share a run, so all their candidates make one table.  The
+    greedy scan visits it by row and then by cost, and each row keeps what
+    a scan of its own candidates keeps, in the same order.  The exact policy
+    solves each row on its own, checked against the bound on its own; a row
+    over the bound has its :class:`AuditBoundError` for a matching, for its
+    reader to raise.
+    """
+    refs, preds, counts = runs.refs, runs.preds, runs.counts
+    ri, pi, overlap = runs.overlaps
+    ref_base, pred_base = runs.bounds["ref"], runs.bounds["pred"]
+    copies = len(tolerances) // len(runs.by_group)
+    if copies > 1:
+        # Copy c of the group's runs follows copy c - 1, indices and all.
+        step = np.arange(copies).repeat(ri.size)
+        ri, pi = np.tile(ri, copies) + step * len(refs), np.tile(pi, copies) + step * len(preds)
+        overlap, counts = np.tile(overlap, copies), np.tile(counts, copies)
+        ref_base, pred_base = np.arange(copies + 1) * len(refs), np.arange(copies + 1) * len(preds)
+        refs, preds = (
+            Family(np.tile(f.start, copies), np.tile(f.end, copies)) for f in (refs, preds)
+        )
+    epsilon = tolerances[0] if len(set(tolerances)) == 1 else np.repeat(
+        tolerances, np.diff(ri.searchsorted(ref_base))
+    )
+    table = candidate_table(refs, preds, epsilon, (ri, pi, overlap))
+    row = ref_base.searchsorted(table.ref_index, side="right") - 1
+    matchings: list[Matching | AuditBoundError] = []
+    if policy == "greedy":
+        first = [row] if len(tolerances) > 1 else []  # one row needs no row key
+        ri, pi = (np.array(side, np.intp) for side in _greedy_scan(table, *first))
+        kept_row = ref_base.searchsorted(ri, side="right") - 1
+        local_ri = (ri - ref_base[kept_row]).tolist()
+        local_pi = (pi - pred_base[kept_row]).tolist()
+        cut = kept_row.searchsorted(np.arange(len(tolerances) + 1)).tolist()
+        for lo, hi in zip(cut, cut[1:]):
+            # A set filled in scan order, as match_greedy fills it.
+            pairs = set(zip(local_ri[lo:hi], local_pi[lo:hi]))
+            matchings.append(Matching(frozenset(pairs), "greedy"))
+        order = np.lexsort((pi, ri))
+        ri, pi = ri[order], pi[order]
+    else:
+        cut = row.searchsorted(np.arange(len(tolerances) + 1)).tolist()
+        for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
+            own = CandidateTable(
+                table.ref_index[lo:hi] - ref_base[r], table.pred_index[lo:hi] - pred_base[r],
+                table.cost[lo:hi], Family(table.ref.start[lo:hi], table.ref.end[lo:hi]),
+                Family(table.pred.start[lo:hi], table.pred.end[lo:hi]),
+            )
+            try:
+                matchings.append(match_exact(own))
+            except AuditBoundError as error:
+                matchings.append(error)
+        pairs = [
+            (m.index_arrays[0] + ref_base[r], m.index_arrays[1] + pred_base[r])
+            for r, m in enumerate(matchings) if isinstance(m, Matching)
+        ]
+        ri, pi = (np.concatenate(side) for side in zip(*pairs)) if pairs else (ri[:0], pi[:0])
+    diffs = length_diffs(refs, preds, (ri, pi))
+    extras = fragmentation_extras(ri, counts)
+    cut = ri.searchsorted(ref_base).tolist()
+    bases = ref_base.tolist()
+    return [
+        (matching, diffs[cut[r]:cut[r + 1]], extras[bases[r]:bases[r + 1]])
+        for r, matching in enumerate(matchings)
+    ]
+
+
 def _frame_clause_witness(
-    clause: FrameClause, runs: _TraceRuns, values: Mapping[Formula, np.ndarray]
+    clause: FrameClause, runs: _TraceRuns, values: Mapping[Formula, np.ndarray], group: int
 ) -> float | None:
     """Mean nearest-witness distance (ms) for edge/support implications.
 
@@ -659,7 +795,7 @@ def _frame_clause_witness(
         and isinstance(formula.right.child, Atom)
     ):
         return None
-    return runs.witness(clause.obligation, formula.right.child, values)[0]
+    return runs.witness(clause.obligation, formula.right.child, values)[group][0]
 
 
 def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
@@ -700,14 +836,16 @@ def purity_score(
 
 def _event_clause(
     clause: EventClause,
-    runs: _TraceRuns,
+    refs: Family,
+    preds: Family,
     tolerance: float,
     class_context: tuple[str, Mapping[str, Family]] | None,
     diffs: np.ndarray,
     extras: np.ndarray,
 ) -> tuple[ObligationScore, float | None]:
     """The clause predicate's mean over its obligation set (an empty set scores
-    one) and its witness mean, from the :func:`_match` of ``runs``."""
+    one) and its witness mean, from the runs of one trace pair and their
+    :func:`_match` row."""
     _, defaults = EVENT_PREDICATES[clause.predicate]
     param = {key: clause.param(key, factor * tolerance) for key, factor in defaults.items()}
     if clause.predicate == "duration_within":
@@ -719,16 +857,21 @@ def _event_clause(
         witness = float(np.mean(extras)) if extras.size else None
         return obligation_score(holds, np.ones_like(holds)), witness
     if clause.predicate == "latency_window":
-        return latency_score(runs.refs, runs.preds, param["lead"], param["lag"]), None
+        return latency_score(refs, preds, param["lead"], param["lag"]), None
     if class_context is None:
         raise ContractError("overlap_purity requires class-indexed monitoring (monitor_classes)")
-    return purity_score(class_context[0], runs.preds, class_context[1]), None
+    return purity_score(class_context[0], preds, class_context[1]), None
 
 
-def _edge_witness(runs: _TraceRuns, source_atom: str, target_atom: str) -> tuple[float | None, int]:
-    """(mean nearest-edge distance in ms, excluded edge count)."""
-    mean, unwitnessed = runs.witness(Atom(source_atom), Atom(target_atom), {})
-    return mean, len(runs.atom_runs[source_atom]) if unwitnessed else 0
+def _edge_witness(
+    runs: _TraceRuns, group: int, source_atom: str, target_atom: str
+) -> tuple[float | None, int]:
+    """(mean nearest-edge distance in ms, excluded edge count) of a group."""
+    mean, unwitnessed = runs.witness(Atom(source_atom), Atom(target_atom), {})[group]
+    if not unwitnessed:
+        return mean, 0
+    edges = runs.atom_runs[source_atom].start
+    return mean, len(edges[runs.span(edges, group)])
 
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
@@ -751,49 +894,83 @@ def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     Derives activity and edge atoms, scores frame clauses under their
     obligations, extracts and matches run intervals under the contract's
     policy, scores event clauses over their obligation sets, and attaches
-    witness distances.
+    witness distances.  It is the one-group case of the batched pass.
     """
-    runs = _trace_runs(derive_edge_atoms(ref_mask, pred_mask, h), contract.merge_gap)
-    return _monitor(contract, compile_contract(contract, h).evaluate(runs.env.atoms), runs, None)
+    ref, pred = _mask_pair(ref_mask, pred_mask)
+    return _monitor_stack(contract, ref[None], pred[None], h, [None])[1][0]
+
+
+def _monitor_stack(
+    contract: Contract, ref: np.ndarray, pred: np.ndarray, h: float, classes: Sequence[str | None]
+) -> tuple[_TraceRuns, list[MonitorResult]]:
+    """The runs of the ``(G, n)`` mask stacks and :func:`monitor` of each row,
+    in one pass.  ``classes[g]`` names row g's class; a class row sees every
+    class row's reference runs as its purity context, a ``None`` row none."""
+    runs = _trace_runs(ref, pred, h, contract.merge_gap)
+    values = compile_contract(contract, h).evaluate(runs.atoms)
+    class_refs = {name: runs.by_group[g][0] for g, name in enumerate(classes) if name is not None}
+    rows = [
+        (g, contract, None if name is None else (name, class_refs))
+        for g, name in enumerate(classes)
+    ]
+    return runs, _monitor(runs, values, rows)
 
 
 def _monitor(
-    contract: Contract,
-    values: Mapping[Formula, np.ndarray],
     runs: _TraceRuns,
-    class_context: tuple[str, Mapping[str, Family]] | None,
-) -> MonitorResult:
-    """:func:`monitor` with ``values`` the valuations of the contract's frame
-    formulas and obligations on the trace's atoms, and the runs taken under
-    the contract's merge gap."""
-    matching, diffs, extras = _match(runs, contract.tolerance, contract.matcher)
-    coordinates = []
-    for clause in contract.clauses:
-        if isinstance(clause, FrameClause):
-            value = obligation_score(values[clause.formula], values[clause.obligation])
-            witness = _frame_clause_witness(clause, runs, values)
-            kind = "frame"
-        else:
-            value, witness = _event_clause(
-                clause, runs, contract.tolerance, class_context, diffs, extras
-            )
-            kind = "event"
-        coordinates.append(GuardCoordinate(
-            clause.name, kind, value.score, value.obligated, value.satisfied, value.violated,
-            witness,
-        ))
-    onset_mae, onset_excluded = _edge_witness(runs, "ref_onset", "pred_onset")
-    offset_mae, offset_excluded = _edge_witness(runs, "ref_offset", "pred_offset")
-    witnesses = WitnessReport(
-        onset_mae_ms=onset_mae,
-        offset_mae_ms=offset_mae,
-        onset_excluded=onset_excluded,
-        offset_excluded=offset_excluded,
-        duration_abs_diffs=tuple(diffs.tolist()),
-        fragmentation_extra_counts=tuple(extras.tolist()),
-    )
-    guards = GuardVector(tuple(coordinates))
-    return MonitorResult(guards, witnesses, runs.refs, runs.preds, matching)
+    values: Mapping[Formula, np.ndarray],
+    rows: Sequence[tuple[int, Contract, tuple[str, Mapping[str, Family]] | None]],
+) -> list[MonitorResult]:
+    """The result of each row ``(group, contract, class_context)``: the
+    contract on that group's trace pair.  The rows are the groups in order,
+    or the one group under each of several contracts, all with one matcher
+    policy; ``values`` are the valuations, as ``(G, n)`` stacks, of the
+    rows' frame formulas and obligations.  One :func:`_match` serves all rows, and each
+    frame clause's counts and each witness summary are found once for all
+    groups.  A row's errors are raised when the row is reached, its matcher
+    bound before its clauses, so the first row in order decides."""
+    matched = _match(runs, [c.tolerance for _, c, _ in rows], rows[0][1].matcher)
+    scratch = np.empty_like(runs.atoms["ref_active"])
+    frame_scores: dict[int, list[list[ObligationScore]]] = {}  # by contract identity
+    results = []
+    for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
+        if isinstance(matching, AuditBoundError):
+            raise matching
+        if id(contract) not in frame_scores:
+            frame_scores[id(contract)] = [
+                _stacked_scores(values[c.formula], values[c.obligation], scratch)
+                for c in contract.frame_clauses
+            ]
+        scores = iter(frame_scores[id(contract)])
+        refs, preds = runs.by_group[group]
+        coordinates = []
+        for clause in contract.clauses:
+            if isinstance(clause, FrameClause):
+                value = next(scores)[group]
+                witness = _frame_clause_witness(clause, runs, values, group)
+                kind = "frame"
+            else:
+                value, witness = _event_clause(
+                    clause, refs, preds, contract.tolerance, class_context, diffs, extras
+                )
+                kind = "event"
+            coordinates.append(GuardCoordinate(
+                clause.name, kind, value.score, value.obligated, value.satisfied, value.violated,
+                witness,
+            ))
+        onset_mae, onset_excluded = _edge_witness(runs, group, "ref_onset", "pred_onset")
+        offset_mae, offset_excluded = _edge_witness(runs, group, "ref_offset", "pred_offset")
+        witnesses = WitnessReport(
+            onset_mae_ms=onset_mae,
+            offset_mae_ms=offset_mae,
+            onset_excluded=onset_excluded,
+            offset_excluded=offset_excluded,
+            duration_abs_diffs=tuple(diffs.tolist()),
+            fragmentation_extra_counts=tuple(extras.tolist()),
+        )
+        guards = GuardVector(tuple(coordinates))
+        results.append(MonitorResult(guards, witnesses, refs, preds, matching))
+    return results
 
 
 def mean_logic(vector: GuardVector) -> float:
@@ -814,8 +991,10 @@ def monitor_classes(
     class_masks: Mapping[str, tuple],
     h: float,
 ) -> ClassMonitorResult:
-    """Evaluate the same parsed clauses once per class and macro-average.
+    """Evaluate the same parsed clauses on every class and macro-average.
 
+    The classes are the groups of one batched pass: their masks are stacked
+    and evaluated once, and their runs matched and witnessed in one pass.
     The macro vector's score is the exact unweighted per-coordinate mean
     across classes; counts are summed for reporting.
     """
@@ -825,18 +1004,14 @@ def monitor_classes(
     lengths = {len(mask) for pair in masks.values() for mask in pair}
     if len(lengths) != 1:
         raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
-    plan = compile_contract(contract, h)
-    runs = {
-        cls: _trace_runs(derive_edge_atoms(ref, pred, h), contract.merge_gap)
-        for cls, (ref, pred) in masks.items()
-    }
-    class_refs = {cls: class_runs.refs for cls, class_runs in runs.items()}
-    per_class = {
-        cls: _monitor(contract, plan.evaluate(class_runs.env.atoms), class_runs, (cls, class_refs))
-        for cls, class_runs in runs.items()
-    }
+    ref, pred = (np.stack(stack) for stack in zip(*masks.values()))
+    _, results = _monitor_stack(contract, ref, pred, h, list(masks))
+    return ClassMonitorResult(dict(zip(masks, results)), _macro(contract, results))
+
+
+def _macro(contract: Contract, results: Sequence[MonitorResult]) -> GuardVector:
+    """The per-coordinate unweighted mean of class results, counts summed."""
     macro = []
-    results = list(per_class.values())
     for position, clause in enumerate(contract.clauses):
         coords = [r.guards.coordinates[position] for r in results]
         witnesses = [c.witness_mean for c in coords if c.witness_mean is not None]
@@ -851,7 +1026,7 @@ def monitor_classes(
                 float(np.mean(witnesses)) if witnesses else None,
             )
         )
-    return ClassMonitorResult(per_class, GuardVector(tuple(macro)))
+    return GuardVector(tuple(macro))
 
 
 def _edge_times(mask: np.ndarray, h: float) -> np.ndarray:
@@ -872,8 +1047,11 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     ref, pred = _mask_pair(ref_mask, pred_mask)
     _check_frame_step(h)
-    ref_edges = _edge_times(ref, h)
-    pred_edges = _edge_times(pred, h)
+    return _soft_score(_edge_times(ref, h), _edge_times(pred, h), scale)
+
+
+def _soft_score(ref_edges: np.ndarray, pred_edges: np.ndarray, scale: float) -> float:
+    """:func:`soft_boundary` from the sorted edge times of both masks."""
     if ref_edges.size == 0 and pred_edges.size == 0:
         return 1.0
     if ref_edges.size == 0 or pred_edges.size == 0:
@@ -930,8 +1108,10 @@ def tolerance_sweep(
 ) -> SweepResult:
     """Re-monitor the same masks with the contract regenerated per tolerance.
 
-    The frame formulas of every regenerated contract are planned and
-    evaluated together, once.
+    The tolerances are the rows of one batched pass over one trace pair: its
+    runs are found once, the frame formulas of every regenerated contract
+    are planned and evaluated together, once, and every tolerance's
+    candidates are matched in one table.
     """
     tolerances = list(tolerances)
     if not tolerances:
@@ -941,15 +1121,17 @@ def tolerance_sweep(
     if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         raise ValueError("tolerances must be strictly ascending")
     # The merge gap does not scale, so the runs are the same at every tolerance.
-    runs = _trace_runs(derive_edge_atoms(ref_mask, pred_mask, h), contract.merge_gap)
+    ref, pred = _mask_pair(ref_mask, pred_mask)
+    runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)
     regenerated = [retolerance(contract, tolerance) for tolerance in tolerances]
     values = share_subformulas(
         (f for c in regenerated for f in _frame_formulas(c)), h
-    ).evaluate(runs.env.atoms)
-    rows = []
-    for tolerance, grid_contract in zip(tolerances, regenerated):
-        result = _monitor(grid_contract, values, runs, None)
-        rows.append(SweepRow(tolerance, grid_contract, result, mean_logic(result.guards)))
+    ).evaluate(runs.atoms)
+    results = _monitor(runs, values, [(0, c, None) for c in regenerated])
+    rows = [
+        SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))
+        for tolerance, grid_contract, result in zip(tolerances, regenerated, results)
+    ]
     means = [row.mean_logic for row in rows]
     if len(rows) == 1:
         integral = means[0]

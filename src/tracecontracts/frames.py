@@ -18,7 +18,8 @@ which may write a pointwise result into it.
 
 All evaluation helpers treat the last array axis as time, which lets the
 finite-universe enumeration in :mod:`tracecontracts.basis` evaluate a
-whole stack of environments in one pass.
+whole stack of environments in one pass, and the monitor a stack of trace
+pairs; :func:`_stacked_scores` counts each row's obligation score.
 """
 
 from __future__ import annotations
@@ -349,10 +350,22 @@ def obligation_score(values: np.ndarray, mask: np.ndarray) -> ObligationScore:
     An empty obligation set scores one: a trace with no obligated frames
     cannot fail the clause.
     """
-    obligated = int(np.count_nonzero(mask))
-    satisfied = int(np.count_nonzero(values & mask))
-    ratio = satisfied / obligated if obligated else 1.0
-    return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+    return _ratio(int(np.count_nonzero(mask)), int(np.count_nonzero(values & mask)))
+
+
+def _ratio(obligated: int, satisfied: int) -> ObligationScore:
+    return ObligationScore(satisfied / obligated if obligated else 1.0, obligated, satisfied,
+                           obligated - satisfied)
+
+
+def _stacked_scores(values: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> list:
+    """:func:`obligation_score` of each row of ``(G, n)`` stacks.  The
+    conjunction is written into ``scratch``, of the stacks' shape, so scoring
+    a clause allocates no frame array.  Rows are counted one by one: a
+    count along an axis is a sum reduction, slower for a few rows."""
+    np.bitwise_and(values, mask, out=scratch)
+    return [_ratio(int(np.count_nonzero(o)), int(np.count_nonzero(s)))
+            for o, s in zip(mask, scratch)]
 
 
 def score(formula: Formula, obligation: Formula, env: TraceEnvironment) -> ObligationScore:
@@ -368,23 +381,29 @@ def derive_edge_atoms(ref_mask, pred_mask, h: float) -> TraceEnvironment:
     trace boundary; an offset is an inactive frame following an active one.
     """
     ref, pred = _mask_pair(ref_mask, pred_mask)
+    return TraceEnvironment(h, ref.shape[0], _edge_atoms(ref, pred))
+
+
+def _edge_atoms(ref: np.ndarray, pred: np.ndarray) -> dict[str, np.ndarray]:
+    """Activity and edge atoms of Boolean masks, or of ``(G, n)`` stacks of
+    them, the last axis being time."""
     atoms = {"ref_active": ref, "pred_active": pred}
     for prefix_name, mask in (("ref", ref), ("pred", pred)):
         atoms[f"{prefix_name}_onset"] = _onsets(mask)
         atoms[f"{prefix_name}_offset"] = _offsets(mask)
-    return TraceEnvironment(h, ref.shape[0], atoms)
+    return atoms
 
 
 def _onsets(mask: np.ndarray) -> np.ndarray:
     # On Booleans mask[i] > mask[i-1] is mask[i] & !mask[i-1].
     out = np.empty_like(mask)
-    np.greater(mask[1:], mask[:-1], out=out[1:])
-    out[:1] = mask[:1]
+    np.greater(mask[..., 1:], mask[..., :-1], out=out[..., 1:])
+    out[..., :1] = mask[..., :1]
     return out
 
 
 def _offsets(mask: np.ndarray) -> np.ndarray:
     out = np.empty_like(mask)
-    np.less(mask[1:], mask[:-1], out=out[1:])
-    out[:1] = False
+    np.less(mask[..., 1:], mask[..., :-1], out=out[..., 1:])
+    out[..., :1] = False
     return out

@@ -109,18 +109,25 @@ class Family:
 
 def _run_edges(mask: np.ndarray) -> np.ndarray:
     """Start and end frames of the maximal runs of a Boolean mask,
-    interleaved in ascending order (starts at even positions)."""
-    edges = np.flatnonzero(mask[1:] != mask[:-1]) + 1
-    if mask.size and mask[0]:
-        edges = np.insert(edges, 0, 0)
-    if mask.size and mask[-1]:
-        edges = np.append(edges, mask.size)
-    return edges
+    interleaved in ascending order (starts at even positions).  A ``(G, n)``
+    stack gives each row's edges in turn, frame ``f`` of row ``g`` as
+    ``g * (n + 1) + f``."""
+    n = mask.shape[-1]
+    if n == 0:
+        return np.zeros(0, np.intp)
+    change = np.empty(mask.shape[:-1] + (n + 1,), bool)
+    np.not_equal(mask[..., 1:], mask[..., :-1], out=change[..., 1:n])
+    change[..., 0] = mask[..., 0]
+    change[..., n] = mask[..., n - 1]
+    return np.flatnonzero(change)
 
 
-def merge_runs(edges: np.ndarray, h: float, merge_gap: float) -> tuple[np.ndarray, np.ndarray]:
+def merge_runs(
+    edges: np.ndarray, h: float, merge_gap: float, group: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``lo``, ``hi`` frame arrays of the runs with interleaved ``edges``,
-    runs separated by an inactive gap of at most ``merge_gap`` seconds joined."""
+    runs separated by an inactive gap of at most ``merge_gap`` seconds joined;
+    runs of different ``group`` values (one per run) never join."""
     if merge_gap < 0.0:
         raise ValueError(f"merge gap must be nonnegative, got {merge_gap!r}")
     lo, hi = edges[0::2], edges[1::2]
@@ -128,6 +135,8 @@ def merge_runs(edges: np.ndarray, h: float, merge_gap: float) -> tuple[np.ndarra
         # Run k joins run k - 1 when the gap between them passes the test;
         # a merged interval keeps its first start and its last end.
         joins = (lo[1:] - hi[:-1]) * h <= merge_gap + _TIME_EPS
+        if group is not None:
+            joins &= group[1:] == group[:-1]
         lo = lo[np.append(True, ~joins)]
         hi = hi[np.append(~joins, True)]
     return lo, hi
@@ -150,14 +159,22 @@ def extract_intervals(mask, h: float, merge_gap: float = 0.0) -> tuple[Interval,
     return Family(lo * h, hi * h).intervals
 
 
-def overlap_pairs(queries: Family, items: Family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def overlap_pairs(
+    queries: Family, items: Family, scan: tuple[Family, Family] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Query index, item index and overlap length of every pair that
-    overlaps with positive length, ordered by query, then item index."""
-    order = items.start.argsort(kind="stable")
-    starts = items.start[order]
-    reach = np.maximum.accumulate(items.end[order])
-    lo = reach.searchsorted(queries.start, side="right")
-    width = np.maximum(starts.searchsorted(queries.end, side="left") - lo, 0)
+    overlaps with positive length, ordered by query, then item index.
+
+    ``scan`` may give both families placed otherwise, in an order-keeping
+    map, for the window scan: the runs of several groups placed apart, say,
+    so that no group's window reaches another's.  Overlaps are measured on
+    ``queries`` and ``items`` all the same."""
+    scan_queries, scan_items = (queries, items) if scan is None else scan
+    order = scan_items.start.argsort(kind="stable")
+    starts = scan_items.start[order]
+    reach = np.maximum.accumulate(scan_items.end[order])
+    lo = reach.searchsorted(scan_queries.start, side="right")
+    width = np.maximum(starts.searchsorted(scan_queries.end, side="left") - lo, 0)
     q = np.arange(len(queries)).repeat(width)
     k = order[np.arange(q.size) - (width.cumsum() - width - lo).repeat(width)]
     overlap = np.minimum(queries.end[q], items.end[k])
@@ -198,14 +215,15 @@ class CandidateTable:
         return cls(ri, pi, cols[2], Family(cols[3], cols[4]), Family(cols[5], cols[6]))
 
 
-def candidate_table(refs, preds, epsilon: float, overlaps=None) -> CandidateTable:
+def candidate_table(refs, preds, epsilon, overlaps=None) -> CandidateTable:
     """All overlapping pairs with some endpoint within three tolerances, and
     their costs.
 
     ``overlaps`` may pass in the :func:`overlap_pairs` of the same families
-    when the caller has them already.
+    when the caller has them already; ``epsilon`` is then one tolerance, or
+    one per overlapping pair.
     """
-    if not (epsilon > 0.0):
+    if not np.all(np.greater(epsilon, 0.0)):
         raise ValueError(f"tolerance must be positive, got {epsilon!r}")
     refs, preds = Family.of(refs), Family.of(preds)
     ri, pi, overlap = overlap_pairs(refs, preds) if overlaps is None else overlaps
@@ -265,20 +283,28 @@ def match_greedy(cands) -> Matching:
     arbitrary input.  ``lexsort`` is stable, so full ties keep candidate
     order.  Taken runs are marked in one byte array per side.
     """
-    table = CandidateTable.of(cands)
+    # A set filled in scan order, which fixes the frozenset's iteration order.
+    return Matching(frozenset(set(zip(*_greedy_scan(CandidateTable.of(cands))))), "greedy")
+
+
+def _greedy_scan(table: CandidateTable, *first: np.ndarray) -> tuple[list[int], list[int]]:
+    """Reference and prediction indices of the pairs :func:`match_greedy`
+    keeps, in scan order; ``first`` are sort keys ranked before the cost,
+    such as the row of each candidate of a batch whose rows share no run."""
     order = np.lexsort(
-        (table.pred.end, table.ref.end, table.pred.start, table.ref.start, table.cost)
+        (table.pred.end, table.ref.end, table.pred.start, table.ref.start, table.cost, *first)
     )
     refs, preds = table.ref_index[order].tolist(), table.pred_index[order].tolist()
     taken_refs = bytearray(max(refs, default=-1) + 1)
     taken_preds = bytearray(max(preds, default=-1) + 1)
-    pairs = set()  # filled in scan order, which fixes the frozenset's iteration order
+    kept_refs, kept_preds = [], []
     for ri, pi in zip(refs, preds):
         if taken_refs[ri] or taken_preds[pi]:
             continue
         taken_refs[ri] = taken_preds[pi] = 1
-        pairs.add((ri, pi))
-    return Matching(frozenset(pairs), "greedy")
+        kept_refs.append(ri)
+        kept_preds.append(pi)
+    return kept_refs, kept_preds
 
 
 def match_exact(cands, bound: int = DEFAULT_EXACT_BOUND) -> Matching:
@@ -330,15 +356,17 @@ def boundary_f1(refs, preds, matching: Matching) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def length_diffs(refs: Family, preds: Family, matching: Matching) -> np.ndarray:
-    """|ref length - pred length| per matched pair, in sorted pair order."""
-    ri, pi = matching.index_arrays
+def length_diffs(refs: Family, preds: Family, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """|ref length - pred length| per matched pair of the index arrays
+    ``pairs``, such as :attr:`Matching.index_arrays`, in their order."""
+    ri, pi = pairs
     return np.abs((refs.end[ri] - refs.start[ri]) - (preds.end[pi] - preds.start[pi]))
 
 
 def duration_score(refs, preds, matching: Matching, threshold: float) -> ObligationScore:
     """Mean over matched pairs of |ref length - pred length| <= threshold."""
-    holds = length_diffs(Family.of(refs), Family.of(preds), matching) <= threshold + _TIME_EPS
+    diffs = length_diffs(Family.of(refs), Family.of(preds), matching.index_arrays)
+    holds = diffs <= threshold + _TIME_EPS
     return obligation_score(holds, np.ones_like(holds))
 
 
@@ -348,11 +376,12 @@ def covering_counts(refs, preds) -> tuple[int, ...]:
     return tuple(np.bincount(overlap_pairs(refs, preds)[0], minlength=len(refs)).tolist())
 
 
-def fragmentation_extras(matching: Matching, counts) -> np.ndarray:
-    """Per reference: zero exactly when it is matched and covered by at most
-    one prediction; otherwise the extra covering count, at least one."""
+def fragmentation_extras(matched_refs: np.ndarray, counts) -> np.ndarray:
+    """Per reference: zero exactly when it is matched (its index is in
+    ``matched_refs``) and covered by at most one prediction; otherwise the
+    extra covering count, at least one."""
     counts = np.asarray(counts, np.int64)
-    ri, matched = matching.index_arrays[0], np.zeros(counts.size, bool)
+    ri, matched = matched_refs, np.zeros(counts.size, bool)
     matched[ri[ri < counts.size]] = True
     return np.where(matched & (counts <= 1), 0, np.where(counts > 1, counts - 1, 1))
 
@@ -367,7 +396,7 @@ def fragmentation_score(
     """
     if counts is None:
         counts = covering_counts(refs, preds)
-    holds = fragmentation_extras(matching, counts) == 0
+    holds = fragmentation_extras(matching.index_arrays[0], counts) == 0
     return obligation_score(holds, np.ones_like(holds))
 
 

@@ -11,7 +11,9 @@ recursive-descent method per binding level and one rendering arm per node
 class, and trace pathologies by one arm per kind over frame-loop runs.  The
 ``object_*`` interval layer is the library's predecessor of its array
 path: one ``Interval`` per run, one ``CandidatePair`` per candidate, and a
-Python loop per reference.
+Python loop per reference.  The ``loop_*`` functions are the predecessors
+of the batched monitor pass: one whole pass per class, sweep tolerance or
+calibration case.
 """
 
 from __future__ import annotations
@@ -29,18 +31,25 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from tracecontracts.basis import ClauseSignature
 from tracecontracts.contracts import (
     EVENT_PREDICATES,
     MATCHER_POLICIES,
     SETTINGS,
+    ClassMonitorResult,
     Contract,
+    ContractError,
     EventClause,
     FrameClause,
     GuardCoordinate,
     GuardVector,
     MonitorResult,
+    SweepResult,
+    SweepRow,
     WitnessReport,
     contract_to_text,
+    mean_logic,
+    retolerance,
 )
 from tracecontracts.fixtures import TracePathology
 from tracecontracts.frames import (
@@ -48,8 +57,10 @@ from tracecontracts.frames import (
     TraceEnvironment,
     UnknownAtomError,
     _as_mask,
+    derive_edge_atoms,
     obligation_score,
     radius_frames,
+    share_subformulas,
 )
 from tracecontracts.intervals import (
     AuditBoundError,
@@ -1113,6 +1124,8 @@ def object_event_score(clause: EventClause, refs, preds, matching, tolerance, cl
         lead = clause.param("lead", tolerance)
         lag = clause.param("lag", 2.0 * tolerance)
         return object_latency_score(refs, preds, lead, lag)
+    if class_context is None:
+        raise ContractError("overlap_purity requires class-indexed monitoring (monitor_classes)")
     class_name, class_ref_intervals = class_context
     return object_purity_score(class_name, preds, class_ref_intervals)
 
@@ -1195,6 +1208,120 @@ def object_monitor(contract, plan, env: TraceEnvironment, class_context=None) ->
     )
     return MonitorResult(
         GuardVector(tuple(coordinates)), witnesses, Family.of(refs), Family.of(preds), matching
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-group loops.  The monitor's predecessor made one whole pass per class,
+# per sweep tolerance and per calibration case; these loops do the same over
+# the object layer, for comparing with the batched pass.
+
+
+def _frame_plan(contract, h: float):
+    return share_subformulas(
+        [f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation)], h
+    )
+
+
+def loop_monitor_classes(contract, class_masks, h: float) -> ClassMonitorResult:
+    """``monitor_classes`` as one :func:`object_monitor` pass per class."""
+    if not class_masks:
+        raise ValueError("no classes supplied")
+    masks = {cls: (_as_mask(ref), _as_mask(pred)) for cls, (ref, pred) in class_masks.items()}
+    lengths = {len(mask) for pair in masks.values() for mask in pair}
+    if len(lengths) != 1:
+        raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
+    plan = _frame_plan(contract, h)
+    class_refs = {
+        cls: naive_extract_intervals(ref, h, contract.merge_gap) for cls, (ref, _) in masks.items()
+    }
+    per_class = {
+        cls: object_monitor(contract, plan, derive_edge_atoms(ref, pred, h), (cls, class_refs))
+        for cls, (ref, pred) in masks.items()
+    }
+    macro = []
+    results = list(per_class.values())
+    for position, clause in enumerate(contract.clauses):
+        coords = [r.guards.coordinates[position] for r in results]
+        witnesses = [c.witness_mean for c in coords if c.witness_mean is not None]
+        macro.append(
+            GuardCoordinate(
+                clause.name,
+                coords[0].kind,
+                float(np.mean([c.score for c in coords])),
+                sum(c.obligated for c in coords),
+                sum(c.satisfied for c in coords),
+                sum(c.violated for c in coords),
+                float(np.mean(witnesses)) if witnesses else None,
+            )
+        )
+    return ClassMonitorResult(per_class, GuardVector(tuple(macro)))
+
+
+def loop_tolerance_sweep(contract, ref_mask, pred_mask, h: float, tolerances) -> SweepResult:
+    """``tolerance_sweep`` as one :func:`object_monitor` pass per tolerance."""
+    tolerances = list(tolerances)
+    if not tolerances:
+        raise ValueError("no tolerances supplied")
+    if any(t <= 0.0 for t in tolerances):
+        raise ValueError("tolerances must be positive")
+    if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
+        raise ValueError("tolerances must be strictly ascending")
+    env = derive_edge_atoms(ref_mask, pred_mask, h)
+    rows = []
+    for tolerance in tolerances:
+        grid_contract = retolerance(contract, tolerance)
+        result = object_monitor(grid_contract, _frame_plan(grid_contract, h), env)
+        rows.append(SweepRow(tolerance, grid_contract, result, mean_logic(result.guards)))
+    means = [row.mean_logic for row in rows]
+    if len(rows) == 1:
+        integral = means[0]
+    else:
+        area = sum(
+            (m0 + m1) / 2.0 * (t1 - t0)
+            for (t0, m0), (t1, m1) in zip(zip(tolerances, means), zip(tolerances[1:], means[1:]))
+        )
+        integral = float(area / (tolerances[-1] - tolerances[0]))
+    return SweepResult(tuple(rows), integral, float(max(means) - min(means)))
+
+
+def loop_case_values(basis, case) -> dict[int, float]:
+    """``basis._case_values`` of one case: its frame plan, and its runs,
+    candidates and matching over objects, each made for this case alone."""
+    h = case.frame_step
+    frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
+    event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
+    out: dict[int, float] = {}
+    env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
+    if frame:
+        plan = share_subformulas(
+            [f for c in frame for f in (c.clause.formula, c.clause.obligation)], h
+        )
+        values = plan.evaluate(env.atoms)
+        for c in frame:
+            out[c.source_order] = obligation_score(
+                values[c.clause.formula], values[c.clause.obligation]
+            ).score
+    if event:
+        refs = naive_extract_intervals(env.atoms["ref_active"], h, basis.merge_gap)
+        preds = naive_extract_intervals(env.atoms["pred_active"], h, basis.merge_gap)
+        cands = object_candidates(refs, preds, basis.tolerance)
+        greedy = basis.matcher == "greedy"
+        matching = object_match_greedy(cands) if greedy else object_match_exact(cands)
+        counts = object_covering_counts(refs, preds)
+        for c in event:
+            out[c.source_order] = object_event_score(
+                c.clause, refs, preds, matching, basis.tolerance, None, counts
+            ).score
+    return out
+
+
+def loop_clause_signatures(basis, cases) -> tuple[ClauseSignature, ...]:
+    """``clause_signatures`` with one :func:`loop_case_values` per case."""
+    per_case = [loop_case_values(basis, case) for case in cases]
+    return tuple(
+        ClauseSignature(c.source_order, tuple(values[c.source_order] for values in per_case))
+        for c in basis.clauses
     )
 
 

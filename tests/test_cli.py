@@ -300,6 +300,94 @@ class TestMonitor:
         ]
 
 
+def _masks(text: str) -> tuple[np.ndarray, np.ndarray]:
+    mask = parse_mask(text, "test")
+    return mask, mask.copy()
+
+
+class TestOnePass:
+    """The union row and the class rows, or a sweep's tolerances, are the
+    groups of one monitor pass."""
+
+    PURITY_EXACT = (
+        "set tolerance 0.04\nset matcher exact\n"
+        "event frag : singly_covered @ reference_intervals\n"
+        "event pur : overlap_purity @ predicted_intervals\n"
+    )
+
+    def _run(self, tmp_path, contract_text, classes, *flags):
+        # Written by hand: save_trace sorts the class names.
+        contract_path, trace_path = tmp_path / "c.contract", tmp_path / "t.json"
+        contract_path.write_text(contract_text)
+        trace_path.write_text(json.dumps({"item_id": "t", "frame_step": 0.02, "classes": {
+            name: {"ref": mask_to_string(ref), "pred": mask_to_string(pred)}
+            for name, (ref, pred) in classes.items()
+        }}))
+        out = tmp_path / "out"
+        return main(["monitor", str(contract_path), str(trace_path), "--out", str(out), *flags])
+
+    def test_work_is_done_once_for_all_groups(self, tmp_path, monkeypatch, capsys):
+        # A 3-class monitor --classes: one evaluation for the 4 rows, and one
+        # distance pass per witness key (4 for the default contract), not per
+        # row; a 5-tolerance sweep builds one candidate table.
+        rng = np.random.default_rng(7)
+        classes = {name: (rng.random(900) < 0.4, rng.random(900) < 0.4) for name in "zyx"}
+        contract_path, trace_path = tmp_path / "c.contract", tmp_path / "t.json"
+        contract_path.write_text(default_contract_text(0.04))
+        save_trace(TraceFile("t", 0.01, classes=classes), trace_path)
+        calls = {"evaluate": 0, "_run_distances": 0, "candidate_table": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        evaluate = tracecontracts.frames.EvaluationPlan.evaluate
+        monkeypatch.setattr(tracecontracts.frames.EvaluationPlan, "evaluate",
+                            counting("evaluate", evaluate))
+        for name in ("_run_distances", "candidate_table"):
+            monkeypatch.setattr(tracecontracts.contracts, name,
+                                counting(name, getattr(tracecontracts.contracts, name)))
+        argv = ["monitor", str(contract_path), str(trace_path), "--classes", "--out",
+                str(tmp_path / "m")]
+        assert main(argv) == 0
+        assert calls == {"evaluate": 1, "_run_distances": 4, "candidate_table": 1}
+        assert len(read_report(tmp_path / "m" / "witness.csv")) == 4
+        calls.update(dict.fromkeys(calls, 0))
+        argv = ["sweep", str(contract_path), str(trace_path), "--tolerances", "20,40,80,120,160",
+                "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+        assert calls == {"evaluate": 1, "_run_distances": 4, "candidate_table": 1}
+
+    def test_union_bound_error_comes_before_its_class_context_error(self, tmp_path, capsys):
+        # The union row runs first, its matcher before its clauses.
+        classes = {"z": _masks("1100" * 30), "y": _masks("0" * 120)}
+        assert self._run(tmp_path, self.PURITY_EXACT, classes, "--classes") == 5
+        assert capsys.readouterr().err == (
+            "matcher bound error: instance has 30x30 intervals, bound is 24\n"
+        )
+
+    def test_union_class_context_error_comes_before_a_class_bound_error(self, tmp_path, capsys):
+        # Interleaved classes make one union run; class z is over the bound.
+        classes = {"z": _masks("1100" * 30), "y": _masks("0011" * 30)}
+        assert self._run(tmp_path, self.PURITY_EXACT, classes, "--classes") == 2
+        assert capsys.readouterr().err == (
+            "contract error: overlap_purity requires class-indexed monitoring (monitor_classes)\n"
+        )
+
+    def test_first_class_in_file_order_decides_a_bound_error(self, tmp_path, capsys):
+        # Both classes are over the bound, z (26 runs) first in the file and
+        # y (30 runs) first in sorted order; the union has 5 runs.
+        contract = default_contract_text(0.04, matcher="exact")
+        classes = {"z": _masks("1100" * 26 + "0000" * 4), "y": _masks("0011" * 30)}
+        assert self._run(tmp_path, contract, classes) == 0
+        assert self._run(tmp_path, contract, classes, "--classes") == 5
+        assert capsys.readouterr().err == (
+            "matcher bound error: instance has 26x26 intervals, bound is 24\n"
+        )
+
+
 class TestSweep:
     def test_default_grid_rows_and_radius_change(self, worked_files, tmp_path):
         contract_path, trace_path = worked_files
@@ -542,7 +630,7 @@ class TestSelect:
             assert capsys.readouterr().err.startswith(f"calibration error: {calibration_path}: ")
 
     def test_signatures_once_and_inputs_hashed_as_read(self, tmp_path, capsys, monkeypatch):
-        # One clause evaluation per case serves classes, basis and selection.
+        # One clause evaluation of all cases serves classes, basis and selection.
         contract_path = tmp_path / "basis.contract"
         contract_path.write_bytes(default_contract_text(0.04).replace("\n", "\r\n").encode())
         calibration_path = tmp_path / "calibration.json"
@@ -551,14 +639,14 @@ class TestSelect:
         seen = []
         case_values = basis._case_values
 
-        def counting_case_values(candidates, case):
-            seen.append(case.id)
-            return case_values(candidates, case)
+        def counting_case_values(candidates, batch):
+            seen.append([case.id for case in batch])
+            return case_values(candidates, batch)
 
         monkeypatch.setattr(basis, "_case_values", counting_case_values)
         out = tmp_path / "sel"
         assert main(["select", str(contract_path), str(calibration_path), "--out", str(out)]) == 0
-        assert seen == [case.id for case in cases]
+        assert seen == [[case.id for case in cases]]
         manifest = json.loads((out / "manifest.json").read_text())
         assert [item["sha256"] for item in manifest["inputs"]] == [
             hashlib.sha256(path.read_bytes()).hexdigest()
@@ -631,11 +719,59 @@ class TestSelect:
             f'[{{"id": "low", "risk": 1, {case}}}, {{"id": "high", "risk": 2, {case}}}]'
         )
         argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
-        assert main(argv) == 0
+        assert main(argv) == 6
         printed = capsys.readouterr().out
         assert printed.endswith("infeasible: no clause separates 'low' (lower risk) from 'high'\n")
         assert "selected contract:" not in printed
-        assert not out.exists()
+        assert sorted(os.listdir(out)) == ["certificate.csv", "manifest.json", "selection.csv"]
+        # Without --out there is nothing to write, and the exit code still says so.
+        assert main(argv[:-2]) == 6
+
+    INFEASIBLE_BASIS = """set tolerance 0.04
+set merge_gap 0.1
+frame ops : pred_active -> N[0.04] ref_active @ pred_active
+frame nest : ref_onset -> F[0.08] G[0.04] pred_active @ ref_onset
+frame neg : !(pred_active & !ref_active) @ pred_active
+frame shapes : ref_active U[0.2] ref_offset @ ref_onset
+frame off : ref_offset -> N[0.04] pred_offset @ ref_offset
+event dur : duration_within @ matched_pairs
+event frag : singly_covered @ reference_intervals
+"""
+
+    def test_infeasible_selection_writes_its_report(self, tmp_path, capsys):
+        # Merged back, the fragmented prediction looks nominal to the event
+        # clauses, and no frame clause scores early_onset above it.
+        contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
+        contract_path.write_text(self.INFEASIBLE_BASIS)
+        calibration_path = tmp_path / "calibration.json"
+        cases = calibration_cases()
+        save_calibration(cases, calibration_path)
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+        assert main(argv) == 6
+        printed = capsys.readouterr().out
+        assert printed.endswith(
+            "infeasible: no clause separates 'early_onset' (lower risk) from 'fragmentation'\n"
+        )
+        candidates = basis.basis_from_contract(parse_contract_text(self.INFEASIBLE_BASIS))
+        classes, retained, _ = basis._selection(candidates, cases)
+        class_of = {member: cls for cls in classes for member in cls.members}
+        names = [c.name for c in candidates.clauses]
+        rows = read_report(out / "selection.csv")
+        assert [row["clause_name"] for row in rows] == names
+        for clause, row in zip(candidates.clauses, rows):
+            cls = class_of[clause.source_order]
+            assert row["constant"] == ("true" if cls.constant else "false")
+            assert row["class_representative"] == names[cls.representative]
+            retained_here = clause in retained.clauses
+            assert row["retained"] == ("true" if retained_here else "false")
+            assert row["selected"] == "false"
+        assert any(row["retained"] == "true" for row in rows)
+        assert read_report(out / "certificate.csv") == []
+        header = (out / "certificate.csv").read_text().splitlines()[1]
+        assert header == "low_risk_case,high_risk_case,witnessing_clause"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "select"
+        assert (out / "selection.csv").read_text().startswith(f"# manifest={manifest['run_id']}\n")
 
     def test_empty_calibration_is_vacuously_separating(self, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"

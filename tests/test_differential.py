@@ -27,13 +27,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecontracts.basis import _universe, satisfiable
+from tracecontracts.basis import (
+    CalibrationCase,
+    _universe,
+    basis_from_contract,
+    clause_signatures,
+    satisfiable,
+)
 from tracecontracts.contracts import (
+    ContractError,
     _edge_times,
     _frame_runs,
+    _monitor_stack,
     _run_distances,
     _trace_runs,
     compile_contract,
+    contract_to_text,
     default_contract,
     default_contract_text,
     latency_score,
@@ -93,6 +102,9 @@ from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
     ALL_PREDICATES,
+    loop_clause_signatures,
+    loop_monitor_classes,
+    loop_tolerance_sweep,
     NaiveStreamingMonitor,
     enumerate_formulas,
     naive_backward_frames,
@@ -278,8 +290,8 @@ def _outcome(call):
     """The repr of a call's result, or the type and text of what it raised."""
     try:
         return repr(call())
-    except AuditBoundError as exc:
-        return f"AuditBoundError: {exc}"
+    except (AuditBoundError, ContractError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _assert_same_matching(fast, slow):
@@ -476,6 +488,127 @@ def test_class_results_with_purity_match_object_monitor():
         for cls, (ref, pred) in masks.items():
             want = object_monitor(contract, plan, derive_edge_atoms(ref, pred, h), (cls, class_refs))
             assert repr(result.per_class[cls]) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# The batched pass against one pass per group
+
+# 1/32 s is exact in binary, so mirrored runs give candidates of equal cost.
+CLASS_STEPS = (0.01, 0.02, 0.03125, 1.0 / 3.0)
+
+
+def _class_masks(rng: random.Random, n: int, count: int) -> dict:
+    """1-4 classes: event runs, empty classes, classes with no predicted run,
+    twins of the class before (equal candidates in two groups) and mirrored
+    predictions (two candidates of equal cost for one reference)."""
+    masks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for k in range(count):
+        kind = rng.choice(("events", "events", "empty", "no_pred", "twin", "mirror"))
+        ref = _event_mask(rng, n)
+        if kind == "empty":
+            pair = (np.zeros(n, bool), np.zeros(n, bool))
+        elif kind == "no_pred":
+            pair = (ref, np.zeros(n, bool))
+        elif kind == "twin" and masks:
+            pair = tuple(mask.copy() for mask in list(masks.values())[-1])
+        elif kind == "mirror":
+            ref, pred = np.zeros(n, bool), np.zeros(n, bool)
+            for start in range(2, n - 12, 14):
+                ref[start : start + 8] = True
+                pred[start - 1 : start + 3] = True  # cost 3 frames, as is its mirror
+                pred[start + 5 : start + 9] = True
+            pair = (ref, pred)
+        else:
+            pair = (ref, _event_mask(rng, n))
+        masks["zyxw"[k]] = pair  # file order, not sorted order
+    return masks
+
+
+def _class_contracts():
+    return _monitor_contracts() + [
+        parse_contract_text(PURITY_CONTRACT),
+        parse_contract_text(PURITY_CONTRACT + "set matcher exact\n"),
+    ]
+
+
+def test_class_rows_match_one_pass_per_class():
+    rng = random.Random(91)
+    seen = set()
+    for trial in range(50):
+        n = rng.randint(0, 160 if trial % 2 else 260)
+        h = rng.choice(CLASS_STEPS)
+        masks = _class_masks(rng, n, rng.randint(1, 4))
+        for contract in _class_contracts():
+            got = _outcome(lambda: monitor_classes(contract, masks, h))
+            assert got == _outcome(lambda: loop_monitor_classes(contract, masks, h)), (
+                trial, contract_to_text(contract)
+            )
+            seen.add((contract.matcher, got.split("(")[0].split(":")[0]))
+    # The exact matcher ran within its bound, and past it.
+    assert {("exact", "ClassMonitorResult"), ("exact", "AuditBoundError")} <= seen
+
+
+def test_union_and_class_rows_in_one_pass_match_their_own_passes():
+    # The monitor command's batch: the union row, then every class in file
+    # order.  The first row in that order decides any error, and within a
+    # row the matcher bound comes before a clause that needs class context.
+    rng = random.Random(92)
+    seen = set()
+    for trial in range(40):
+        n = rng.randint(0, 200)
+        h = rng.choice(CLASS_STEPS)
+        masks = _class_masks(rng, n, rng.randint(1, 4))
+        sides = [[pair[side] for pair in masks.values()] for side in (0, 1)]
+        union = tuple(np.logical_or.reduce(side) for side in sides)
+        ref, pred = (np.stack([whole, *side]) for whole, side in zip(union, sides))
+        for contract in _class_contracts():
+
+            def one_by_one():
+                plan = compile_contract(contract, h)
+                rows = [object_monitor(contract, plan, derive_edge_atoms(*union, h))]
+                return rows + list(loop_monitor_classes(contract, masks, h).per_class.values())
+
+            got = _outcome(lambda: _monitor_stack(contract, ref, pred, h, [None, *masks])[1])
+            assert got == _outcome(one_by_one), (trial, contract_to_text(contract))
+            seen.add(got.split(":")[0] if "Error" in got[:20] else "results")
+    assert seen == {"results", "AuditBoundError", "ContractError"}
+
+
+def test_sweep_matches_one_pass_per_tolerance():
+    rng = random.Random(93)
+    grid = (0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2)
+    for ref, pred, h in _random_masks(93, 30):
+        for contract in _monitor_contracts() + [parse_contract_text(PURITY_CONTRACT)]:
+            tolerances = sorted(rng.sample(grid, rng.randint(1, 5)))
+            assert _outcome(lambda: tolerance_sweep(contract, ref, pred, h, tolerances)) == (
+                _outcome(lambda: loop_tolerance_sweep(contract, ref, pred, h, tolerances))
+            ), contract_to_text(contract)
+
+
+def _calibration(rng: random.Random) -> list[CalibrationCase]:
+    """1-9 cases of mixed lengths and frame steps, several of one length."""
+    lengths = rng.sample((0, 1, 30, 90, 160), 3)
+    cases = []
+    for index in range(rng.randint(1, 9)):
+        n, h = rng.choice(lengths), rng.choice((0.01, 0.02))
+        ref, pred = _event_mask(rng, n), _event_mask(rng, n)
+        cases.append(CalibrationCase(
+            f"c{index}", tuple(ref.astype(int).tolist()), tuple(pred.astype(int).tolist()),
+            float(rng.randint(1, 4)), h,
+        ))
+    return cases
+
+
+def test_clause_signatures_match_one_pass_per_case():
+    rng = random.Random(95)
+    corpora = [calibration_cases()] + [_calibration(rng) for _ in range(30)]
+    contracts = _monitor_contracts() + [parse_contract_text(PURITY_CONTRACT)]
+    for cases in corpora:
+        for contract in contracts:
+            candidates = basis_from_contract(contract)
+            assert _outcome(lambda: clause_signatures(candidates, cases)) == _outcome(
+                lambda: loop_clause_signatures(candidates, cases)
+            ), contract_to_text(contract)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +821,10 @@ def test_witness_distances_match_all_frames_lookup():
 
 
 def test_witness_summaries_match_all_frames_lookup():
-    # The memo keeps the mean in ms, None when there are no obligated or no
-    # witness frames, and whether there are no witness frames at all.
+    # The memo keeps, per group, the mean in ms, None when there are no
+    # obligated or no witness frames, and whether there are no witness frames
+    # at all.  Each pair is stacked with groups that lack its witnesses, and
+    # a group reads only its own.
     pairs = [
         (np.zeros(6, bool), np.zeros(6, bool), 0.01),
         (np.zeros(6, bool), _runs_mask(6, (2, 4)), 0.01),
@@ -704,18 +839,24 @@ def test_witness_summaries_match_all_frames_lookup():
         (Not(Atom("pred_active")), Atom("ref_onset")),
     ]
     for ref, pred, h in pairs:
-        env = derive_edge_atoms(ref, pred, h)
-        runs = _trace_runs(env, 0.0)
-        values = share_subformulas([f for key in keys for f in key], h).evaluate(env.atoms)
+        none = np.zeros_like(ref)
+        stack = [(ref, pred), (none, ref), (pred, ref), (ref, none), (ref, pred)]
+        runs = _trace_runs(*(np.stack(side) for side in zip(*stack)), h, 0.0)
+        plan = share_subformulas([f for key in keys for f in key], h)
+        values = plan.evaluate(runs.atoms)
         for obligation, witness in keys:
-            summary = runs.witness(obligation, witness, values)
-            want = prefix_nearest_distances(values[obligation], values[witness], h)
-            assert summary[1] is (want is None)
-            if want is None or want.size == 0:
-                assert summary[0] is None
-            else:
-                assert summary[0] == float(np.mean(want) * 1000.0)
-            assert runs.witness(obligation, witness, values) is summary
+            summaries = runs.witness(obligation, witness, values)
+            assert len(summaries) == len(stack)
+            for group, summary in zip(stack, summaries):
+                env = derive_edge_atoms(*group, h)
+                alone = plan.evaluate(env.atoms)
+                want = prefix_nearest_distances(alone[obligation], alone[witness], h)
+                assert summary[1] is (want is None)
+                if want is None or want.size == 0:
+                    assert summary[0] is None
+                else:
+                    assert summary[0] == float(np.mean(want) * 1000.0)
+            assert runs.witness(obligation, witness, values) is summaries
         assert len(runs.witnesses) == len(keys)
 
 

@@ -1,6 +1,7 @@
 """Frame monitor: grid projection, evaluation, scoring, sharing, reach."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from tracecontracts.frames import (
     Reach,
     TraceEnvironment,
     UnknownAtomError,
+    _stacked_scores,
     derive_edge_atoms,
     evaluate,
+    obligation_score,
     radius_frames,
     score,
     share_subformulas,
@@ -145,6 +148,28 @@ class TestScore:
         result = score(parse_text("phi"), parse_text("obl"), env)
         assert result.score == 1.0
         assert result.obligated == 0
+
+    def test_stacked_scores_reuse_one_scratch_buffer(self):
+        # Scoring many clauses over a (G, n) stack allocates no frame array:
+        # the conjunctions go into one scratch buffer.  obligation_score makes
+        # an n-byte temporary per call, which the same probe sees.
+        rng = np.random.default_rng(5)
+        values, masks = rng.random((2, 3, 100_000)) < 0.5
+        scratch = np.empty_like(values)
+        _stacked_scores(values, masks, scratch)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                scores = _stacked_scores(values, masks, scratch)
+            _, stacked_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            obligation_score(values[0], masks[0])
+            _, single_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stacked_peak < 10_000 < 100_000 <= single_peak
+        # Plain Python numbers, as obligation_score returns: the reprs agree.
+        assert repr(scores) == repr([obligation_score(v, m) for v, m in zip(values, masks)])
 
     def test_vacuity_control_restricts_to_antecedent(self):
         env = TraceEnvironment(0.02, 3, {"a": [1, 1, 0], "b": [1, 0, 0]})
