@@ -6,6 +6,13 @@ under a tolerance grid, ``match-audit`` compares greedy and exact
 interval matching, ``select`` runs risk-ordered contract selection, and
 ``stream`` replays one clause through the online monitor.
 
+A process parses each distinct contract text once: every command still
+reads and hashes its contract file's bytes, but a text read before yields
+the same shared contract with its compiled plans (and a sweep's
+regenerated contracts), so in-process commands on one contract skip
+parsing and planning.  A fresh-process run reads one contract, so it
+neither gains nor loses.
+
 Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
 with a ``# manifest=<run id>`` comment line, where the run id is a hash

@@ -28,6 +28,7 @@ the one-group case.
 from __future__ import annotations
 
 import codecs
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -182,8 +183,10 @@ Clause = FrameClause | EventClause
 
 @dataclass(frozen=True)
 class Contract:
-    """Tolerance settings plus the ordered clause list; ``_plans`` keeps
-    :func:`compile_contract`'s plans, no part of the value, empty after ``replace``."""
+    """Tolerance settings plus the ordered clause list.  ``_plans`` keeps
+    :func:`compile_contract`'s plans and ``_sweeps`` :func:`tolerance_sweep`'s
+    regenerated contracts with their joint plan; neither is part of the value,
+    and both are empty after ``replace``."""
 
     tolerance: float
     silence_radius: float
@@ -191,6 +194,7 @@ class Contract:
     matcher: str
     clauses: tuple[Clause, ...]
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sweeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tolerance < math.inf):
@@ -210,6 +214,11 @@ class Contract:
     @property
     def frame_clauses(self) -> tuple[FrameClause, ...]:
         return tuple(c for c in self.clauses if isinstance(c, FrameClause))
+
+    @functools.cached_property
+    def _formula_texts(self) -> dict[str, str]:
+        """Each frame clause's formula, rendered once per contract."""
+        return {clause.name: format_formula(clause.formula) for clause in self.frame_clauses}
 
 
 @dataclass(frozen=True)
@@ -482,22 +491,32 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+# Distinct contract texts whose parsed contracts a process keeps, least
+# recently read dropped first; a text that does not parse is not kept.
+_CONTRACT_MEMO_SIZE = 16
+
+_parsed_contract = functools.lru_cache(maxsize=_CONTRACT_MEMO_SIZE)(parse_contract_text)
+
+
 def _read_contract(path) -> tuple[Contract, str, str]:
     """The contract in a file, the text it was parsed from (strict UTF-8, line
     ends read as ``\\n``) and the SHA-256 of the file's bytes, read once.
     Bytes that do not decode, or a leading byte order mark, raise
-    :class:`UnicodeDecodeError`."""
+    :class:`UnicodeDecodeError`.  The bytes are read and hashed on every
+    call; the contract is parsed once per distinct text and shared, with
+    its plans, by every later read of that text."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if raw.startswith(codecs.BOM_UTF8):
         raise UnicodeDecodeError("utf-8", raw, 0, 3, "unexpected UTF-8 byte order mark")
     text = _newlines(raw.decode("utf-8"))
-    return parse_contract_text(text), text, hashlib.sha256(raw).hexdigest()
+    return _parsed_contract(text), text, hashlib.sha256(raw).hexdigest()
 
 
 def load_contract(path) -> Contract:
-    """The contract in a UTF-8 file; text that does not decode or parse
-    raises :class:`ContractSyntaxError`."""
+    """The contract in a UTF-8 file, shared by every read of the same text in
+    a process; text that does not decode or parse raises
+    :class:`ContractSyntaxError`."""
     try:
         return _read_contract(path)[0]
     except UnicodeDecodeError as exc:
@@ -1079,10 +1098,7 @@ class SweepRow:
 
     @property
     def formula_texts(self) -> dict[str, str]:
-        return {
-            clause.name: format_formula(clause.formula)
-            for clause in self.contract.frame_clauses
-        }
+        return dict(self.contract._formula_texts)
 
 
 @dataclass(frozen=True)
@@ -1110,8 +1126,9 @@ def tolerance_sweep(
 
     The tolerances are the rows of one batched pass over one trace pair: its
     runs are found once, the frame formulas of every regenerated contract
-    are planned and evaluated together, once, and every tolerance's
-    candidates are matched in one table.
+    are evaluated together, once, and every tolerance's candidates are
+    matched in one table.  The regenerated contracts and their joint plan
+    are kept on the contract, one set per frame step and tolerance list.
     """
     tolerances = list(tolerances)
     if not tolerances:
@@ -1123,10 +1140,13 @@ def tolerance_sweep(
     # The merge gap does not scale, so the runs are the same at every tolerance.
     ref, pred = _mask_pair(ref_mask, pred_mask)
     runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)
-    regenerated = [retolerance(contract, tolerance) for tolerance in tolerances]
-    values = share_subformulas(
-        (f for c in regenerated for f in _frame_formulas(c)), h
-    ).evaluate(runs.atoms)
+    key = (h, tuple(tolerances))
+    if key not in contract._sweeps:
+        regenerated = tuple(retolerance(contract, tolerance) for tolerance in tolerances)
+        plan = share_subformulas((f for c in regenerated for f in _frame_formulas(c)), h)
+        contract._sweeps[key] = regenerated, plan
+    regenerated, plan = contract._sweeps[key]
+    values = plan.evaluate(runs.atoms)
     results = _monitor(runs, values, [(0, c, None) for c in regenerated])
     rows = [
         SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))

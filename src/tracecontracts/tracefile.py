@@ -146,8 +146,10 @@ def trace_to_dict(trace: TraceFile) -> dict:
 
 
 def save_trace(trace: TraceFile, path) -> None:
+    """Write ``trace`` as JSON; keys stay in :func:`trace_to_dict`'s order, so
+    the classes load back in the order the trace holds them."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace_to_dict(trace), handle, indent=2, sort_keys=True)
+        json.dump(trace_to_dict(trace), handle, indent=2)
         handle.write("\n")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tracecontracts
-from tracecontracts import basis
+from tracecontracts import basis, contracts, frames, lexer, parser
 from tracecontracts.basis import save_calibration
 from tracecontracts.cli import main
 from tracecontracts.contracts import default_contract_text, parse_contract_text
@@ -316,13 +316,9 @@ class TestOnePass:
     )
 
     def _run(self, tmp_path, contract_text, classes, *flags):
-        # Written by hand: save_trace sorts the class names.
         contract_path, trace_path = tmp_path / "c.contract", tmp_path / "t.json"
         contract_path.write_text(contract_text)
-        trace_path.write_text(json.dumps({"item_id": "t", "frame_step": 0.02, "classes": {
-            name: {"ref": mask_to_string(ref), "pred": mask_to_string(pred)}
-            for name, (ref, pred) in classes.items()
-        }}))
+        save_trace(TraceFile("t", 0.02, classes=classes), trace_path)
         out = tmp_path / "out"
         return main(["monitor", str(contract_path), str(trace_path), "--out", str(out), *flags])
 
@@ -911,6 +907,19 @@ class TestMaskStrings:
             parse_mask(None, "m")
         assert parse_mask([], "m").shape == (0,)
 
+    def test_saved_classes_load_back_in_their_order(self, tmp_path):
+        # Class order decides which class's error `monitor --classes` reports.
+        names = ["z", "speech", "a", "Music", "10", "2"]
+        classes = {name: _masks(f"{k:04b}") for k, name in enumerate(names, 1)}
+        save_trace(TraceFile("t", 0.02, classes=classes), tmp_path / "t.json")
+        again = load_trace(tmp_path / "t.json")
+        assert list(again.classes) == names
+        assert {name: mask_to_string(ref) for name, (ref, _) in again.classes.items()} == {
+            name: f"{k:04b}" for k, name in enumerate(names, 1)
+        }
+        save_trace(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+
     def test_empty_masks_load(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"frame_step": 0.02, "union": {"ref": "", "pred": ""}}')
@@ -1079,6 +1088,148 @@ class TestReportWriter:
         assert "offline agreement: yes" in capsys.readouterr().out
         with open(tmp_path / "o" / "stream.csv", encoding="utf-8") as handle:
             assert sum(1 for _ in handle) == 200_002
+
+
+def _few_runs(rng, n: int, runs: int) -> np.ndarray:
+    """A mask of ``n`` frames with at most ``runs`` runs."""
+    edges = np.sort(rng.choice(np.arange(1, n), size=2 * runs, replace=False))
+    return np.cumsum(np.bincount(edges, minlength=n)) % 2 == 1
+
+
+class TestContractMemo:
+    """In-process commands parse and plan each distinct contract text once;
+    the contract file's bytes are still read and hashed on every command."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        contracts._parsed_contract.cache_clear()
+
+    def test_a_second_command_parses_and_plans_nothing(self, worked_files, tmp_path, monkeypatch):
+        # The memo holds the original parse_contract_text, so the counters sit
+        # below it: the lexer and the planner.
+        contract_path, trace_path = worked_files
+        calls = {"tokenize": 0, "share_subformulas": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name, modules in (("tokenize", (lexer, parser)),
+                              ("share_subformulas", (frames, contracts))):
+            wrapper = counting(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
+        for command, flags in (("monitor", ["--classes"]), ("sweep", [])):
+            argv = [command, str(contract_path), str(trace_path), *flags]
+            assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+            assert calls["share_subformulas"] == 1
+            calls.update(dict.fromkeys(calls, 0))
+            assert main(argv + ["--out", str(tmp_path / "second")]) == 0
+            assert calls == {"tokenize": 0, "share_subformulas": 0}
+            for name in os.listdir(tmp_path / "first"):
+                assert (tmp_path / "first" / name).read_bytes() == (
+                    tmp_path / "second" / name
+                ).read_bytes()
+        contracts._parsed_contract.cache_clear()
+        assert main(["check", str(contract_path)]) == 0
+        assert calls["tokenize"] == 10  # a formula and an obligation per frame clause
+
+    def test_an_edited_contract_is_parsed_again(self, worked_files, tmp_path):
+        contract_path, trace_path = worked_files
+        argv = ["monitor", str(contract_path), str(trace_path), "--out", str(tmp_path / "out")]
+
+        def manifest():
+            assert main(argv) == 0
+            return json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+        before, shared = manifest(), contracts.load_contract(contract_path)
+        edited = WORKED_CONTRACT.replace("set tolerance 0.08", "set tolerance 0.1")
+        contract_path.write_text(edited)
+        after = manifest()
+        assert before["settings"]["tolerance"] == 0.08 and after["settings"]["tolerance"] == 0.1
+        assert after["contract_sha256"] == hashlib.sha256(edited.encode()).hexdigest()
+        assert after["contract_sha256"] != before["contract_sha256"]
+        assert contracts.load_contract(contract_path) is not shared
+        # The old text again: its contract is still kept.  Other bytes of the
+        # same text share it, and their own digest is taken.
+        contract_path.write_bytes(WORKED_CONTRACT.replace("\n", "\r\n").encode())
+        contract, text, digest = contracts._read_contract(contract_path)
+        assert contract is shared and text == WORKED_CONTRACT
+        assert digest == hashlib.sha256(contract_path.read_bytes()).hexdigest()
+        assert manifest() == before
+
+    def test_a_contract_that_does_not_parse_fails_on_every_call(self, tmp_path, capsys):
+        path = tmp_path / "bad.contract"
+        path.write_text("set tolerance 0.04\nframe x : a - > b @ a\n")
+        errors = []
+        for _ in range(3):
+            assert main(["check", str(path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].endswith("  frame x : a - > b @ a\n" + "  " + " " * 12 + "^\n")
+        assert errors == errors[:1] * 3
+        assert contracts._parsed_contract.cache_info().currsize == 0
+
+    def test_reports_are_the_same_with_a_warm_or_a_cleared_memo(
+        self, worked_files, tmp_path, capsys
+    ):
+        contract_path, trace_path = worked_files
+        default_path = tmp_path / "default.contract"
+        default_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "calibration.json"
+        save_calibration(calibration_cases(), calibration_path)
+        bridge = bridge_fixture()
+        bridge_path = tmp_path / "bridge.json"
+        save_trace(TraceFile("bridge", bridge.frame_step,
+                             union=(bridge.ref_mask, bridge.pred_mask)), bridge_path)
+        rng = np.random.default_rng(11)
+        corpus = []
+        for k in range(3):
+            # Few runs per class, so that the exact matcher stays within its bound.
+            classes = {name: (_few_runs(rng, 600, 4), _few_runs(rng, 600, 4))
+                       for name in ("speech", "music", "noise")}
+            corpus.append(str(tmp_path / f"clip{k}.json"))
+            save_trace(TraceFile(f"clip{k}", 0.01, classes=classes), corpus[-1])
+        traces = [str(trace_path), str(bridge_path), *corpus]
+        default, worked = str(default_path), str(contract_path)
+        commands = {
+            "check": ["check", worked],
+            "check-default": ["check", default],
+            "monitor": ["monitor", default, *traces, "--classes"],
+            "monitor-worked": ["monitor", worked, *traces, "--classes"],
+            "monitor-exact": ["monitor", default, *traces, "--matcher", "exact"],
+            "sweep": ["sweep", default, *traces],
+            "sweep-worked": ["sweep", worked, *traces, "--tolerances", "30,60"],
+            "select": ["select", default, str(calibration_path)],
+            "stream": ["stream", worked, str(trace_path), "--clause", "silence_guard"],
+        }
+
+        def run(root, clear):
+            seen = {}
+            for name, argv in commands.items():
+                if clear:
+                    contracts._parsed_contract.cache_clear()
+                out = root / name
+                if argv[0] != "check":
+                    argv = argv + ["--out", str(out)]
+                code = main(argv)
+                printed = capsys.readouterr().out.replace(str(root), "<out>")
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if (
+                    out.exists()) else {}
+                seen[name] = (code, printed, files)
+            return seen
+
+        cleared = run(tmp_path / "cleared", True)
+        shared = contracts.load_contract(default_path)
+        warming = run(tmp_path / "warming", False)
+        warm = run(tmp_path / "warm", False)
+        assert cleared == warming == warm
+        assert all(code == 0 for code, _, _ in warm.values())
+        assert len(warm["monitor-exact"][2]["guard.csv"].splitlines()) == 2 + 7 * len(traces)
+        # The --matcher override is a replaced contract; the kept one is unchanged.
+        assert contracts.load_contract(default_path) is shared
+        assert shared.matcher == "greedy"
 
 
 def test_cli_imports_scipy_only_for_exact_matching(worked_files, tmp_path):

@@ -612,6 +612,39 @@ class TestPlanMemo:
         assert compile_contract(changed, 0.01) is not plan
 
 
+class TestContractMemo:
+    """A process parses each distinct contract text once, up to a fixed
+    number of texts; ``parse_contract_text`` itself keeps nothing."""
+
+    def test_one_shared_contract_per_text(self, tmp_path):
+        text = default_contract_text(0.04)
+        first, second = tmp_path / "a.contract", tmp_path / "b.contract"
+        first.write_text(text)
+        second.write_bytes(text.replace("\n", "\r\n").encode())
+        contract = load_contract(first)
+        assert load_contract(second) is contract
+        assert parse_contract_text(text) is not parse_contract_text(text)
+        assert parse_contract_text(text) == contract
+        plan = compile_contract(contract, 0.01)
+        assert compile_contract(load_contract(first), 0.01) is plan
+
+    def test_the_memo_holds_at_most_its_bound(self, tmp_path):
+        contracts._parsed_contract.cache_clear()
+        bound = contracts._CONTRACT_MEMO_SIZE
+        paths = []
+        for k in range(bound + 3):
+            paths.append(tmp_path / f"c{k}.contract")
+            paths[-1].write_text(default_contract_text(0.01 * (k + 1)))
+            load_contract(paths[-1])
+        info = contracts._parsed_contract.cache_info()
+        assert info.maxsize == info.currsize == bound
+        assert info.misses == bound + 3
+        load_contract(paths[-1])  # still kept
+        load_contract(paths[0])  # dropped: parsed again
+        info = contracts._parsed_contract.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, bound + 4, bound)
+
+
 class TestWorkCounts:
     """Work counted, not timed: the per-call and per-run work `monitor` no
     longer does stays undone."""
@@ -664,6 +697,38 @@ class TestWorkCounts:
         }
         for tolerance, row in zip(tolerances, sweep.rows):
             assert row.result == monitor(retolerance(default_contract(0.04), tolerance), ref, pred, h)
+
+    def test_a_repeated_sweep_regenerates_and_plans_nothing(self, monkeypatch):
+        ref, pred, h = worked_trace()
+        contract = default_contract(0.04)
+        calls = {"share_subformulas": 0, "retolerance": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name, modules in (("share_subformulas", (frames, contracts)),
+                              ("retolerance", (contracts,))):
+            wrapper = counting(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
+        tolerances = (0.02, 0.04, 0.08, 0.12, 0.16)
+        first = tolerance_sweep(contract, ref, pred, h, tolerances)
+        assert calls == {"share_subformulas": 1, "retolerance": 5}
+        second = tolerance_sweep(contract, ref, pred, h, list(tolerances))
+        assert calls == {"share_subformulas": 1, "retolerance": 5}
+        assert second == first
+        assert [row.formula_texts for row in second.rows] == [
+            {c.name: format_formula(c.formula) for c in retolerance(contract, t).frame_clauses}
+            for t in tolerances
+        ]
+        # Another grid, or another frame step, is regenerated and planned anew.
+        tolerance_sweep(contract, ref, pred, h, tolerances[:2])
+        tolerance_sweep(contract, ref, pred, h / 2, tolerances[:2])
+        assert calls == {"share_subformulas": 3, "retolerance": 5 + 2 + 2}
+        assert dataclasses.replace(contract, matcher="exact")._sweeps == {}
 
     def test_sweep_tokenizes_nothing(self, monkeypatch):
         ref, pred, h = worked_trace()
