@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contracts import Contract, EventClause, FrameClause, _event_clause, _match, _trace_runs
+from .contracts import Contract, EventClause, FrameClause, _event_clause, _trace_runs
 from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
-from .intervals import AuditBoundError
+from .intervals import AuditBoundError, _match
 from .parser import Formula, node_count
 
 # Enumeration ceiling: 2**(atoms * frames) environments.
@@ -166,7 +166,8 @@ def _case_values(
                     out[index][c.source_order] = value.score
         if event:
             runs = _trace_runs(ref, pred, h, basis.merge_gap)
-            rows = _match(runs, [basis.tolerance] * len(members), basis.matcher)
+            [rows] = _match(runs.refs, runs.preds, runs.overlaps, runs.counts, runs.bounds,
+                            [basis.tolerance] * len(members), (basis.matcher,))
             for g, (index, row) in enumerate(zip(members, rows)):
                 matched[index] = (runs.by_group[g], row)
     for index in sorted(matched):

@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -101,6 +100,17 @@ def _positive_ms(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number of milliseconds, got {text!r}"
         )
+    return value
+
+
+def _positive_count(text: str) -> int:
+    """Argument type of ``--bound``: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -281,8 +291,7 @@ def cmd_check(args) -> int:
 
 def cmd_monitor(args) -> int:
     contract, contract_text, _ = _load_contract(args.contract)
-    if args.matcher:
-        contract = replace(contract, matcher=args.matcher)
+    policy = args.matcher or contract.matcher
     traces = _load_traces(args.traces)
     soft_scale = args.soft_scale / 1000.0
     guard_rows: list[list[str]] = []
@@ -293,7 +302,8 @@ def cmd_monitor(args) -> int:
         classes = list(trace.classes) if args.classes else []
         masks = [trace.union_masks(), *(trace.classes[name] for name in classes)]
         ref, pred = (np.stack(stack) for stack in zip(*masks))
-        runs, results = _monitor_stack(contract, ref, pred, trace.frame_step, [None, *classes])
+        runs, results = _monitor_stack(contract, ref, pred, trace.frame_step,
+                                       [None, *classes], policy)
         rows = [("union", 0), *sorted((name, g) for g, name in enumerate(classes, 1))]
         for class_name, g in rows:
             guard_rows.extend(_guard_rows(trace.item_id, class_name, results[g].guards))
@@ -306,7 +316,7 @@ def cmd_monitor(args) -> int:
         args,
         "monitor",
         contract_text,
-        {**_contract_settings(contract), "soft_scale_ms": args.soft_scale},
+        {**_contract_settings(contract), "matcher": policy, "soft_scale_ms": args.soft_scale},
         [(path, trace.sha256) for path, trace in traces],
         {"classes": bool(args.classes)},
         {"guard.csv": (GUARD_HEADER, guard_rows), "witness.csv": (WITNESS_HEADER, witness_rows)},
@@ -410,35 +420,19 @@ def cmd_match_audit(args) -> int:
         h = trace.frame_step
         ref, pred = trace.union_masks()
         refs, preds = (Family(lo * h, hi * h) for lo, hi in (intervals(ref, h), intervals(pred, h)))
+        head = [trace.item_id, f"{args.epsilon_ms:g}", str(len(refs)), str(len(preds))]
         try:
             audit = matcher_audit(refs, preds, epsilon, bound=args.bound)
         except AuditBoundError as error:
             if args.strict_bound:
                 print(f"audit bound exceeded: {error}", file=sys.stderr)
                 return EXIT_BOUND
-            rows.append(
-                [trace.item_id, f"{args.epsilon_ms:g}", str(len(refs)), str(len(preds))]
-                + [""] * 8
-                + ["bound_exceeded"]
-            )
+            rows.append(head + [""] * 8 + ["bound_exceeded"])
             continue
-        rows.append(
-            [
-                trace.item_id,
-                f"{args.epsilon_ms:g}",
-                str(len(refs)),
-                str(len(preds)),
-                str(len(audit.greedy)),
-                str(len(audit.exact)),
-                "true" if audit.changed else "false",
-                _fmt_score(audit.greedy_boundary_f1),
-                _fmt_score(audit.exact_boundary_f1),
-                _fmt_score(audit.boundary_f1_delta),
-                _fmt_score(audit.duration_delta),
-                _fmt_score(audit.fragmentation_delta),
-                "",
-            ]
-        )
+        scores = (audit.greedy_boundary_f1, audit.exact_boundary_f1, audit.boundary_f1_delta,
+                  audit.duration_delta, audit.fragmentation_delta)
+        rows.append(head + [str(len(audit.greedy)), str(len(audit.exact)),
+                            "true" if audit.changed else "false", *map(_fmt_score, scores), ""])
     _write_report(
         args,
         "match-audit",
@@ -645,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("traces", nargs="+")
     p_audit.add_argument("--out", required=True)
     p_audit.add_argument("--epsilon-ms", type=_positive_ms, default=80.0)
-    p_audit.add_argument("--bound", type=int, default=DEFAULT_EXACT_BOUND)
+    p_audit.add_argument("--bound", type=_positive_count, default=DEFAULT_EXACT_BOUND)
     p_audit.add_argument("--strict-bound", action="store_true", help="exit 5 when the bound is exceeded")
     p_audit.add_argument("--stamp-time", action="store_true")
     p_audit.set_defaults(func=cmd_match_audit)

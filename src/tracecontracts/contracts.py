@@ -51,18 +51,15 @@ from .intervals import (
     _TIME_EPS,
     DEFAULT_DURATION_THRESHOLD,
     AuditBoundError,
-    CandidateTable,
     Family,
     Interval,
     Matching,
-    _greedy_scan,
+    _duration_within,
+    _match,
     _run_edges,
+    _singly_covered,
     boundary_f1,
-    candidate_table,
     covering_counts,
-    fragmentation_extras,
-    length_diffs,
-    match_exact,
     merge_runs,
     overlap_pairs,
 )
@@ -623,8 +620,8 @@ class _TraceRuns:
 
     ``atoms`` are the activity and edge atoms as ``(G, n)`` stacks.  ``refs``
     and ``preds`` are the merged runs in seconds, group after group, with
-    ``bounds`` giving each group's slice and ``by_group`` its two families;
-    ``overlaps`` and ``counts`` are their overlap pairs and covering counts.
+    ``bounds`` giving each group's first run a side and ``by_group`` its two
+    families; ``overlaps`` and ``counts`` are their overlap pairs and covering counts.
     ``edges`` (run edges) and ``atom_runs`` (the unmerged runs of every
     activity and edge atom) are integer frames placed as by
     :func:`_offset_edges`, ``stride`` frames per group from ``starts``, so
@@ -638,7 +635,7 @@ class _TraceRuns:
     atoms: dict[str, np.ndarray]
     refs: Family
     preds: Family
-    bounds: dict[str, np.ndarray]
+    bounds: tuple[np.ndarray, np.ndarray]
     by_group: tuple[tuple[Family, Family], ...]
     overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
     counts: np.ndarray
@@ -696,7 +693,7 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
     groups, n = ref.shape
     stride = 2 * n + 1
     starts = np.arange(groups + 1) * stride
-    families, frames, bounds, edges, atom_runs = [], [], {}, {}, {}
+    families, frames, bounds, edges, atom_runs = [], [], [], {}, {}
     for side, mask in (("ref", ref), ("pred", pred)):
         edges[side] = side_edges = _offset_edges(mask)
         lo, hi = merge_runs(side_edges, h, merge_gap, side_edges[0::2] // stride)
@@ -704,7 +701,7 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
         start, end = lo % stride * h, hi % stride * h
         start.flags.writeable = end.flags.writeable = False
         families.append(Family(start, end))
-        bounds[side] = lo.searchsorted(starts)
+        bounds.append(lo.searchsorted(starts))
         first, end = side_edges[0::2], side_edges[1::2]
         offsets = end[end % stride < n]
         atom_runs[f"{side}_active"] = Family(first, end)
@@ -716,85 +713,13 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
     overlaps = overlap_pairs(refs, preds, frames)
     by_group = tuple(
         tuple(Family(f.start[b[g]:b[g + 1]], f.end[b[g]:b[g + 1]])
-              for f, b in ((refs, bounds["ref"]), (preds, bounds["pred"])))
+              for f, b in zip(families, bounds))
         for g in range(groups)
     )
     return _TraceRuns(
-        h, stride, starts, _edge_atoms(ref, pred), refs, preds, bounds, by_group, overlaps,
+        h, stride, starts, _edge_atoms(ref, pred), refs, preds, tuple(bounds), by_group, overlaps,
         np.bincount(overlaps[0], minlength=len(refs)), edges, atom_runs,
     )
-
-
-def _match(runs: _TraceRuns, tolerances: Sequence[float], policy: str) -> list:
-    """Per row: its matching under ``policy``, each matched pair's length
-    difference and each reference's fragmentation extras.  The rows are the
-    groups, each matched at its tolerance; one group with several
-    tolerances is listed once per tolerance, a row each.
-
-    No two rows share a run, so all their candidates make one table.  The
-    greedy scan visits it by row and then by cost, and each row keeps what
-    a scan of its own candidates keeps, in the same order.  The exact policy
-    solves each row on its own, checked against the bound on its own; a row
-    over the bound has its :class:`AuditBoundError` for a matching, for its
-    reader to raise.
-    """
-    refs, preds, counts = runs.refs, runs.preds, runs.counts
-    ri, pi, overlap = runs.overlaps
-    ref_base, pred_base = runs.bounds["ref"], runs.bounds["pred"]
-    copies = len(tolerances) // len(runs.by_group)
-    if copies > 1:
-        # Copy c of the group's runs follows copy c - 1, indices and all.
-        step = np.arange(copies).repeat(ri.size)
-        ri, pi = np.tile(ri, copies) + step * len(refs), np.tile(pi, copies) + step * len(preds)
-        overlap, counts = np.tile(overlap, copies), np.tile(counts, copies)
-        ref_base, pred_base = np.arange(copies + 1) * len(refs), np.arange(copies + 1) * len(preds)
-        refs, preds = (
-            Family(np.tile(f.start, copies), np.tile(f.end, copies)) for f in (refs, preds)
-        )
-    epsilon = tolerances[0] if len(set(tolerances)) == 1 else np.repeat(
-        tolerances, np.diff(ri.searchsorted(ref_base))
-    )
-    table = candidate_table(refs, preds, epsilon, (ri, pi, overlap))
-    row = ref_base.searchsorted(table.ref_index, side="right") - 1
-    matchings: list[Matching | AuditBoundError] = []
-    if policy == "greedy":
-        first = [row] if len(tolerances) > 1 else []  # one row needs no row key
-        ri, pi = (np.array(side, np.intp) for side in _greedy_scan(table, *first))
-        kept_row = ref_base.searchsorted(ri, side="right") - 1
-        local_ri = (ri - ref_base[kept_row]).tolist()
-        local_pi = (pi - pred_base[kept_row]).tolist()
-        cut = kept_row.searchsorted(np.arange(len(tolerances) + 1)).tolist()
-        for lo, hi in zip(cut, cut[1:]):
-            # A set filled in scan order, as match_greedy fills it.
-            pairs = set(zip(local_ri[lo:hi], local_pi[lo:hi]))
-            matchings.append(Matching(frozenset(pairs), "greedy"))
-        order = np.lexsort((pi, ri))
-        ri, pi = ri[order], pi[order]
-    else:
-        cut = row.searchsorted(np.arange(len(tolerances) + 1)).tolist()
-        for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
-            own = CandidateTable(
-                table.ref_index[lo:hi] - ref_base[r], table.pred_index[lo:hi] - pred_base[r],
-                table.cost[lo:hi], Family(table.ref.start[lo:hi], table.ref.end[lo:hi]),
-                Family(table.pred.start[lo:hi], table.pred.end[lo:hi]),
-            )
-            try:
-                matchings.append(match_exact(own))
-            except AuditBoundError as error:
-                matchings.append(error)
-        pairs = [
-            (m.index_arrays[0] + ref_base[r], m.index_arrays[1] + pred_base[r])
-            for r, m in enumerate(matchings) if isinstance(m, Matching)
-        ]
-        ri, pi = (np.concatenate(side) for side in zip(*pairs)) if pairs else (ri[:0], pi[:0])
-    diffs = length_diffs(refs, preds, (ri, pi))
-    extras = fragmentation_extras(ri, counts)
-    cut = ri.searchsorted(ref_base).tolist()
-    bases = ref_base.tolist()
-    return [
-        (matching, diffs[cut[r]:cut[r + 1]], extras[bases[r]:bases[r + 1]])
-        for r, matching in enumerate(matchings)
-    ]
 
 
 def _frame_clause_witness(
@@ -864,17 +789,15 @@ def _event_clause(
 ) -> tuple[ObligationScore, float | None]:
     """The clause predicate's mean over its obligation set (an empty set scores
     one) and its witness mean, from the runs of one trace pair and their
-    :func:`_match` row."""
+    :func:`intervals._match` row."""
     _, defaults = EVENT_PREDICATES[clause.predicate]
     param = {key: clause.param(key, factor * tolerance) for key, factor in defaults.items()}
     if clause.predicate == "duration_within":
-        holds = diffs <= param["threshold"] + _TIME_EPS
         witness = float(np.mean(diffs) * 1000.0) if diffs.size else None
-        return obligation_score(holds, np.ones_like(holds)), witness
+        return _duration_within(diffs, param["threshold"]), witness
     if clause.predicate == "singly_covered":
-        holds = extras == 0
         witness = float(np.mean(extras)) if extras.size else None
-        return obligation_score(holds, np.ones_like(holds)), witness
+        return _singly_covered(extras), witness
     if clause.predicate == "latency_window":
         return latency_score(refs, preds, param["lead"], param["lag"]), None
     if class_context is None:
@@ -916,15 +839,17 @@ def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     witness distances.  It is the one-group case of the batched pass.
     """
     ref, pred = _mask_pair(ref_mask, pred_mask)
-    return _monitor_stack(contract, ref[None], pred[None], h, [None])[1][0]
+    return _monitor_stack(contract, ref[None], pred[None], h, [None], contract.matcher)[1][0]
 
 
 def _monitor_stack(
-    contract: Contract, ref: np.ndarray, pred: np.ndarray, h: float, classes: Sequence[str | None]
+    contract: Contract, ref: np.ndarray, pred: np.ndarray, h: float,
+    classes: Sequence[str | None], policy: str,
 ) -> tuple[_TraceRuns, list[MonitorResult]]:
     """The runs of the ``(G, n)`` mask stacks and :func:`monitor` of each row,
-    in one pass.  ``classes[g]`` names row g's class; a class row sees every
-    class row's reference runs as its purity context, a ``None`` row none."""
+    in one pass, matched under ``policy``.  ``classes[g]`` names row g's
+    class; a class row sees every class row's reference runs as its purity
+    context, a ``None`` row none."""
     runs = _trace_runs(ref, pred, h, contract.merge_gap)
     values = compile_contract(contract, h).evaluate(runs.atoms)
     class_refs = {name: runs.by_group[g][0] for g, name in enumerate(classes) if name is not None}
@@ -932,23 +857,26 @@ def _monitor_stack(
         (g, contract, None if name is None else (name, class_refs))
         for g, name in enumerate(classes)
     ]
-    return runs, _monitor(runs, values, rows)
+    return runs, _monitor(runs, values, rows, policy)
 
 
 def _monitor(
     runs: _TraceRuns,
     values: Mapping[Formula, np.ndarray],
     rows: Sequence[tuple[int, Contract, tuple[str, Mapping[str, Family]] | None]],
+    policy: str,
 ) -> list[MonitorResult]:
     """The result of each row ``(group, contract, class_context)``: the
-    contract on that group's trace pair.  The rows are the groups in order,
-    or the one group under each of several contracts, all with one matcher
-    policy; ``values`` are the valuations, as ``(G, n)`` stacks, of the
-    rows' frame formulas and obligations.  One :func:`_match` serves all rows, and each
-    frame clause's counts and each witness summary are found once for all
-    groups.  A row's errors are raised when the row is reached, its matcher
-    bound before its clauses, so the first row in order decides."""
-    matched = _match(runs, [c.tolerance for _, c, _ in rows], rows[0][1].matcher)
+    contract on that group's trace pair, matched under ``policy``.  The rows
+    are the groups in order, or the one group under each of several
+    contracts; ``values`` are the valuations, as ``(G, n)`` stacks, of the
+    rows' frame formulas and obligations.  One :func:`intervals._match`
+    serves all rows, and each frame clause's counts and each witness summary
+    are found once for all groups.  A row's errors are raised when the row is
+    reached, its matcher bound before its clauses, so the first row in order
+    decides."""
+    [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.counts, runs.bounds,
+                       [c.tolerance for _, c, _ in rows], (policy,))
     scratch = np.empty_like(runs.atoms["ref_active"])
     frame_scores: dict[int, list[list[ObligationScore]]] = {}  # by contract identity
     results = []
@@ -1024,7 +952,7 @@ def monitor_classes(
     if len(lengths) != 1:
         raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
     ref, pred = (np.stack(stack) for stack in zip(*masks.values()))
-    _, results = _monitor_stack(contract, ref, pred, h, list(masks))
+    _, results = _monitor_stack(contract, ref, pred, h, list(masks), contract.matcher)
     return ClassMonitorResult(dict(zip(masks, results)), _macro(contract, results))
 
 
@@ -1147,7 +1075,7 @@ def tolerance_sweep(
         contract._sweeps[key] = regenerated, plan
     regenerated, plan = contract._sweeps[key]
     values = plan.evaluate(runs.atoms)
-    results = _monitor(runs, values, [(0, c, None) for c in regenerated])
+    results = _monitor(runs, values, [(0, c, None) for c in regenerated], contract.matcher)
     rows = [
         SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))
         for tolerance, grid_contract, result in zip(tolerances, regenerated, results)

@@ -36,6 +36,11 @@ matching and event scores cost O(R + P + K) array work for R
 references, P predictions and K <= R + P - 1 overlapping pairs, plus the
 two ``searchsorted`` calls.  Candidate costs are elementwise float64 in
 the scalar expression's order of operations, so they have the same bits.
+
+Every command matches rows in :func:`_match` (monitor groups, sweep
+tolerances, calibration cases, :func:`matcher_audit`'s one instance): one
+candidate table per call, read by each requested policy, whose length
+differences and extras one duration and one coverage predicate score.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import ObligationScore, _as_mask, _check_frame_step, obligation_score
+from .frames import ObligationScore, _as_mask, _check_frame_step, _ratio
 
 _TIME_EPS = 1e-9
 
@@ -363,13 +368,6 @@ def length_diffs(refs: Family, preds: Family, pairs: tuple[np.ndarray, np.ndarra
     return np.abs((refs.end[ri] - refs.start[ri]) - (preds.end[pi] - preds.start[pi]))
 
 
-def duration_score(refs, preds, matching: Matching, threshold: float) -> ObligationScore:
-    """Mean over matched pairs of |ref length - pred length| <= threshold."""
-    diffs = length_diffs(Family.of(refs), Family.of(preds), matching.index_arrays)
-    holds = diffs <= threshold + _TIME_EPS
-    return obligation_score(holds, np.ones_like(holds))
-
-
 def covering_counts(refs, preds) -> tuple[int, ...]:
     """Number of predictions with positive overlap against each reference."""
     refs, preds = Family.of(refs), Family.of(preds)
@@ -386,18 +384,92 @@ def fragmentation_extras(matched_refs: np.ndarray, counts) -> np.ndarray:
     return np.where(matched & (counts <= 1), 0, np.where(counts > 1, counts - 1, 1))
 
 
-def fragmentation_score(
-    refs, preds, matching: Matching, counts: Sequence[int] | None = None
-) -> ObligationScore:
-    """Mean over references of (matched and covered by at most one prediction).
+def _duration_within(diffs: np.ndarray, threshold: float) -> ObligationScore:
+    """The duration predicate over matched pairs, from their length
+    differences: at most ``threshold`` apart."""
+    return _ratio(diffs.size, int(np.count_nonzero(diffs <= threshold + _TIME_EPS)))
 
-    ``counts`` may pass in the :func:`covering_counts` of the same
-    families when the caller has them already.
+
+def _singly_covered(extras: np.ndarray) -> ObligationScore:
+    """The fragmentation predicate over references, from their
+    :func:`fragmentation_extras`: none."""
+    return _ratio(extras.size, int(np.count_nonzero(extras == 0)))
+
+
+def _match(refs: Family, preds: Family, overlaps, counts, bounds, tolerances: Sequence[float],
+           policies: Sequence[str], bound: int = DEFAULT_EXACT_BOUND):
+    """Per policy, in order, drawn one at a time: per row, its matching, each
+    matched pair's length difference and each reference's fragmentation extras.
+
+    ``refs`` and ``preds`` hold G groups' runs in turn, group g's from
+    ``bounds[0][g]`` and ``bounds[1][g]`` on, with their :func:`overlap_pairs`
+    (none across groups) and covering ``counts``.  The rows are the groups,
+    each at its tolerance, or one group once per tolerance.  No two rows
+    share a run, so their candidates make one table, read by each policy.
+    The greedy scan visits it by row, then by cost, so each row keeps what a
+    scan of its own candidates keeps, in that order.  The exact policy solves
+    and bounds each row on its own; a row over ``bound`` has its
+    :class:`AuditBoundError` for a matching, for its reader to raise, and a
+    reader that stops there makes no later policy's matchings.
     """
-    if counts is None:
-        counts = covering_counts(refs, preds)
-    holds = fragmentation_extras(matching.index_arrays[0], counts) == 0
-    return obligation_score(holds, np.ones_like(holds))
+    ri, pi, overlap = overlaps
+    ref_base, pred_base = bounds
+    rows = len(tolerances)
+    copies = rows // (ref_base.size - 1)
+    if copies > 1:
+        # Copy c of the group's runs follows copy c - 1, indices and all.
+        step = np.arange(copies).repeat(ri.size)
+        ri, pi = np.tile(ri, copies) + step * len(refs), np.tile(pi, copies) + step * len(preds)
+        overlap, counts = np.tile(overlap, copies), np.tile(counts, copies)
+        ref_base, pred_base = np.arange(copies + 1) * len(refs), np.arange(copies + 1) * len(preds)
+        refs, preds = (
+            Family(np.tile(f.start, copies), np.tile(f.end, copies)) for f in (refs, preds)
+        )
+    epsilon = tolerances[0] if len(set(tolerances)) == 1 else np.repeat(
+        tolerances, np.diff(ri.searchsorted(ref_base))
+    )
+    table = candidate_table(refs, preds, epsilon, (ri, pi, overlap))
+    row = ref_base.searchsorted(table.ref_index, side="right") - 1
+    for policy in policies:
+        matchings: list[Matching | AuditBoundError] = []
+        if policy == "greedy":
+            first = [row] if rows > 1 else []  # one row needs no row key
+            ri, pi = (np.array(side, np.intp) for side in _greedy_scan(table, *first))
+            kept_row = ref_base.searchsorted(ri, side="right") - 1
+            local_ri = (ri - ref_base[kept_row]).tolist()
+            local_pi = (pi - pred_base[kept_row]).tolist()
+            cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
+            for lo, hi in zip(cut, cut[1:]):
+                # A set filled in scan order, as match_greedy fills it.
+                pairs = set(zip(local_ri[lo:hi], local_pi[lo:hi]))
+                matchings.append(Matching(frozenset(pairs), "greedy"))
+            order = np.lexsort((pi, ri))
+            ri, pi = ri[order], pi[order]
+        else:
+            cut = row.searchsorted(np.arange(rows + 1)).tolist()
+            for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
+                own = CandidateTable(
+                    table.ref_index[lo:hi] - ref_base[r], table.pred_index[lo:hi] - pred_base[r],
+                    table.cost[lo:hi], Family(table.ref.start[lo:hi], table.ref.end[lo:hi]),
+                    Family(table.pred.start[lo:hi], table.pred.end[lo:hi]),
+                )
+                try:
+                    matchings.append(match_exact(own, bound))
+                except AuditBoundError as error:
+                    matchings.append(error.with_traceback(None))  # its frames would hold it
+            pairs = [(table.ref_index[:0], table.pred_index[:0])] + [
+                (m.index_arrays[0] + ref_base[r], m.index_arrays[1] + pred_base[r])
+                for r, m in enumerate(matchings) if isinstance(m, Matching)
+            ]
+            ri, pi = (np.concatenate(side) for side in zip(*pairs))
+        diffs = length_diffs(refs, preds, (ri, pi))
+        extras = fragmentation_extras(ri, counts)
+        cut = ri.searchsorted(ref_base).tolist()
+        bases = ref_base.tolist()
+        yield [
+            (matching, diffs[cut[r]:cut[r + 1]], extras[bases[r]:bases[r + 1]])
+            for r, matching in enumerate(matchings)
+        ]
 
 
 @dataclass(frozen=True)
@@ -428,25 +500,27 @@ class MatcherAudit:
 
 
 def matcher_audit(refs, preds, epsilon: float, bound: int = DEFAULT_EXACT_BOUND) -> MatcherAudit:
-    """Run both matching policies and report the event-level deltas.
+    """Match one instance under both policies, from one candidate table, and
+    report the event-level deltas.
 
-    The duration predicate uses its default threshold at tolerance ``epsilon``.
+    The duration predicate uses its default threshold at tolerance
+    ``epsilon``.  An instance over ``bound`` raises its
+    :class:`AuditBoundError` before the greedy matching is made.
     """
     refs, preds = Family.of(refs), Family.of(preds)
     overlaps = overlap_pairs(refs, preds)
-    table = candidate_table(refs, preds, epsilon, overlaps)
-    greedy = match_greedy(table)
-    exact = match_exact(table, bound=bound)
-    threshold = DEFAULT_DURATION_THRESHOLD * epsilon
     counts = np.bincount(overlaps[0], minlength=len(refs))
+    bounds = (np.array([0, len(refs)]), np.array([0, len(preds)]))
+    policies = _match(refs, preds, overlaps, counts, bounds, [epsilon], ("exact", "greedy"), bound)
+    [(exact, exact_diffs, exact_extras)] = next(policies)
+    if isinstance(exact, AuditBoundError):
+        # A new error, so that no traceback holds this frame and, in it, the error.
+        raise AuditBoundError(*exact.args)
+    [(greedy, greedy_diffs, greedy_extras)] = next(policies)
+    threshold = DEFAULT_DURATION_THRESHOLD * epsilon
     return MatcherAudit(
-        greedy=greedy,
-        exact=exact,
-        changed=greedy.pairs != exact.pairs,
-        greedy_boundary_f1=boundary_f1(refs, preds, greedy),
-        exact_boundary_f1=boundary_f1(refs, preds, exact),
-        greedy_duration=duration_score(refs, preds, greedy, threshold),
-        exact_duration=duration_score(refs, preds, exact, threshold),
-        greedy_fragmentation=fragmentation_score(refs, preds, greedy, counts),
-        exact_fragmentation=fragmentation_score(refs, preds, exact, counts),
+        greedy, exact, greedy.pairs != exact.pairs,
+        boundary_f1(refs, preds, greedy), boundary_f1(refs, preds, exact),
+        _duration_within(greedy_diffs, threshold), _duration_within(exact_diffs, threshold),
+        _singly_covered(greedy_extras), _singly_covered(exact_extras),
     )

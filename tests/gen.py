@@ -67,6 +67,7 @@ from tracecontracts.intervals import (
     CandidatePair,
     Family,
     Interval,
+    MatcherAudit,
     Matching,
     overlap_length,
 )
@@ -1058,6 +1059,38 @@ def object_fragmentation_score(refs, preds, matching: Matching, counts=None) -> 
     )
     ratio = satisfied / obligated if obligated else 1.0
     return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
+
+
+def object_boundary_f1(refs, preds, matching: Matching) -> float:
+    refs, preds = tuple(refs), tuple(preds)
+    if not refs and not preds:
+        return 1.0
+    if not refs or not preds or not matching.pairs:
+        return 0.0
+    precision = len(matching.pairs) / len(preds)
+    recall = len(matching.pairs) / len(refs)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def object_matcher_audit(refs, preds, epsilon: float, bound: int = 24) -> MatcherAudit:
+    """Both matchings of one instance from the object candidates, each
+    scored by the object duration (default threshold) and fragmentation
+    scores; the exact matcher's bound error is the audit's error."""
+    refs, preds = tuple(refs), tuple(preds)
+    cands = object_candidates(refs, preds, epsilon)
+    greedy, exact = object_match_greedy(cands), object_match_exact(cands, bound)
+    threshold = 2.0 * epsilon
+    return MatcherAudit(
+        greedy=greedy,
+        exact=exact,
+        changed=greedy.pairs != exact.pairs,
+        greedy_boundary_f1=object_boundary_f1(refs, preds, greedy),
+        exact_boundary_f1=object_boundary_f1(refs, preds, exact),
+        greedy_duration=object_duration_score(refs, preds, greedy, threshold),
+        exact_duration=object_duration_score(refs, preds, exact, threshold),
+        greedy_fragmentation=object_fragmentation_score(refs, preds, greedy),
+        exact_fragmentation=object_fragmentation_score(refs, preds, exact),
+    )
 
 
 def object_latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:

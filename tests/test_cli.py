@@ -342,9 +342,9 @@ class TestOnePass:
         evaluate = tracecontracts.frames.EvaluationPlan.evaluate
         monkeypatch.setattr(tracecontracts.frames.EvaluationPlan, "evaluate",
                             counting("evaluate", evaluate))
-        for name in ("_run_distances", "candidate_table"):
-            monkeypatch.setattr(tracecontracts.contracts, name,
-                                counting(name, getattr(tracecontracts.contracts, name)))
+        for module, name in ((tracecontracts.contracts, "_run_distances"),
+                             (tracecontracts.intervals, "candidate_table")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         argv = ["monitor", str(contract_path), str(trace_path), "--classes", "--out",
                 str(tmp_path / "m")]
         assert main(argv) == 0
@@ -867,6 +867,23 @@ def test_millisecond_flags_reject_non_positive_or_non_finite(command, value, cap
     assert "finite positive number of milliseconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "nan", "twenty"])
+def test_match_audit_bound_must_be_a_positive_integer(value, capsys):
+    # Rejected while arguments are parsed, before the trace is read.
+    with pytest.raises(SystemExit) as stop:
+        main(["match-audit", "t.json", "--out", "o", "--bound", value])
+    assert stop.value.code == 2
+    assert f"expected a positive integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_match_audit_bound_of_one_keeps_its_meaning(worked_files, tmp_path):
+    # The worked trace has one run a side: within a bound of 1.
+    _, trace_path = worked_files
+    assert main(["match-audit", str(trace_path), "--out", str(tmp_path), "--bound", "1"]) == 0
+    (row,) = read_report(tmp_path / "match_audit.csv")
+    assert row["note"] == "" and row["exact_matches"] == "1"
+
+
 class TestMaskStrings:
     @pytest.mark.parametrize("text", ["", "0", "1", "0110", "1" * 4000, "01" * 2000 + "1"])
     def test_round_trip(self, text):
@@ -1136,6 +1153,38 @@ class TestContractMemo:
         assert main(["check", str(contract_path)]) == 0
         assert calls["tokenize"] == 10  # a formula and an obligation per frame clause
 
+    def test_a_matcher_override_plans_nothing_on_a_warm_contract(
+        self, worked_files, tmp_path, monkeypatch
+    ):
+        # The policy is an argument of the pass, so the shared contract's plan
+        # serves --matcher commands, with the bytes of a cold run.
+        contract_path, trace_path = worked_files
+        calls = []
+        real = frames.share_subformulas
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (frames, contracts):
+            monkeypatch.setattr(module, "share_subformulas", counting)
+        argv = ["monitor", str(contract_path), str(trace_path), "--classes"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert len(calls) == 1
+        for policy in ("exact", "greedy"):
+            warm, cold = tmp_path / f"{policy}-warm", tmp_path / f"{policy}-cold"
+            assert main(argv + ["--matcher", policy, "--out", str(warm)]) == 0
+            assert len(calls) == 1
+            contracts._parsed_contract.cache_clear()
+            assert main(argv + ["--matcher", policy, "--out", str(cold)]) == 0
+            assert len(calls) == 2
+            del calls[1:]
+            for name in ("guard.csv", "witness.csv", "manifest.json"):
+                assert (warm / name).read_bytes() == (cold / name).read_bytes()
+            manifest = json.loads((warm / "manifest.json").read_text())
+            assert manifest["settings"]["matcher"] == policy
+        assert contracts.load_contract(contract_path).matcher == "greedy"
+
     def test_an_edited_contract_is_parsed_again(self, worked_files, tmp_path):
         contract_path, trace_path = worked_files
         argv = ["monitor", str(contract_path), str(trace_path), "--out", str(tmp_path / "out")]
@@ -1227,7 +1276,7 @@ class TestContractMemo:
         assert cleared == warming == warm
         assert all(code == 0 for code, _, _ in warm.values())
         assert len(warm["monitor-exact"][2]["guard.csv"].splitlines()) == 2 + 7 * len(traces)
-        # The --matcher override is a replaced contract; the kept one is unchanged.
+        # --matcher is passed to the monitor pass; the kept contract is unchanged.
         assert contracts.load_contract(default_path) is shared
         assert shared.matcher == "greedy"
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from tracecontracts import contracts, frames, lexer, parser
+from tracecontracts import contracts, frames, intervals, lexer, parser
 from tracecontracts.contracts import (
     Contract,
     ContractError,
@@ -754,7 +754,7 @@ class TestWorkCounts:
         calls = {"length_diffs": 0, "fragmentation_extras": 0}
 
         def counting(name):
-            real = getattr(contracts, name)
+            real = getattr(intervals, name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -762,7 +762,7 @@ class TestWorkCounts:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(contracts, name, counting(name))
+            monkeypatch.setattr(intervals, name, counting(name))
         for _ in range(5):
             monitor(contract, random_mask(rng, 400), random_mask(rng, 400), 0.01)
         assert calls == {"length_diffs": 5, "fragmentation_extras": 5}

@@ -5,7 +5,7 @@ exact, with equal interval tuples with equal float reprs, candidate pairs
 in the same order with the same cost floats, and edge-time arrays equal
 bit for bit.  The array interval layer against the object layer it
 replaced: equal reprs of candidates, matchings (frozenset order
-included), event scores and whole monitor results.  The evaluation plan: its reach walker against tree
+included), event scores, matcher audits and whole monitor results.  The evaluation plan: its reach walker against tree
 recursion, and its stacked evaluation against per-frame window scans.
 The shift-doubling window, erosion and until kernels against prefix sums,
 array for array, and the witness distances against the all-frames lookup.
@@ -76,11 +76,10 @@ from tracecontracts.intervals import (
     Interval,
     candidates,
     covering_counts,
-    duration_score,
     extract_intervals,
-    fragmentation_score,
     match_exact,
     match_greedy,
+    matcher_audit,
 )
 from tracecontracts.lexer import LexError, tokenize
 from tracecontracts.parser import (
@@ -125,11 +124,10 @@ from gen import (
     naive_tokenize,
     object_candidates,
     object_covering_counts,
-    object_duration_score,
-    object_fragmentation_score,
     object_latency_score,
     object_match_exact,
     object_match_greedy,
+    object_matcher_audit,
     object_monitor,
     object_purity_score,
     prefix_nearest_distances,
@@ -305,20 +303,11 @@ def _assert_same_event_layer(refs, preds, epsilon, class_refs=None):
     slow = object_candidates(refs, preds, epsilon)
     assert repr(fast) == repr(slow)  # pair order and cost bits
     assert covering_counts(refs, preds) == object_covering_counts(refs, preds)
-    matchings = [(match_greedy(fast), object_match_greedy(slow))]
-    _assert_same_matching(*matchings[0])
+    _assert_same_matching(match_greedy(fast), object_match_greedy(slow))
     assert _outcome(lambda: match_exact(fast)) == _outcome(lambda: object_match_exact(slow))
     if len({c.ref_index for c in fast}) <= 24 and len({c.pred_index for c in fast}) <= 24:
-        matchings.append((match_exact(fast), object_match_exact(slow)))
-        _assert_same_matching(*matchings[1])
-    for matching, _ in matchings:
-        for threshold in (epsilon, 2.0 * epsilon):
-            assert repr(duration_score(refs, preds, matching, threshold)) == repr(
-                object_duration_score(refs, preds, matching, threshold)
-            )
-        assert repr(fragmentation_score(refs, preds, matching)) == repr(
-            object_fragmentation_score(refs, preds, matching)
-        )
+        _assert_same_matching(match_exact(fast), object_match_exact(slow))
+    _assert_same_audit(refs, preds, epsilon)
     for lead, lag in ((epsilon, 2.0 * epsilon), (0.0, epsilon)):
         assert repr(latency_score(refs, preds, lead, lag)) == repr(
             object_latency_score(refs, preds, lead, lag)
@@ -328,6 +317,13 @@ def _assert_same_event_layer(refs, preds, epsilon, class_refs=None):
         assert repr(purity_score(cls, preds, class_refs)) == repr(
             object_purity_score(cls, preds, class_refs)
         )
+
+
+def _assert_same_audit(refs, preds, epsilon, bound=24):
+    # Both matchings with their event scores, or the bound error's type and text.
+    assert _outcome(lambda: matcher_audit(refs, preds, epsilon, bound)) == _outcome(
+        lambda: object_matcher_audit(refs, preds, epsilon, bound)
+    )
 
 
 class TestArrayEventLayer:
@@ -357,6 +353,8 @@ class TestArrayEventLayer:
         mirrored = (Interval(0.5, 1.5), Interval(-0.5, 0.5), Interval(0.25, 1.25))
         for refs, preds in ((same, same), (same[:1], mirrored), (mirrored, same)):
             _assert_same_event_layer(refs, preds, 1.0, {"a": refs, "b": preds})
+            for bound in (1, 2, 3):
+                _assert_same_audit(refs, preds, 1.0, bound)
         rng = random.Random(89)
         ref, pred = Interval(0.0, 1.0), Interval(0.0, 1.0)
         cands = [CandidatePair(i % 3, i // 3, ref, pred, -1.0) for i in range(9)]
@@ -413,6 +411,12 @@ _MESSY = st.tuples(_FAMILY, st.lists(_NESTED, max_size=3)).flatmap(
 @given(_MESSY, _MESSY, _MESSY, st.sampled_from((0.01, 0.04, 0.1, 0.3)))
 def test_array_layer_on_unsorted_nested_duplicated_lists(refs, preds, other, epsilon):
     _assert_same_event_layer(refs, preds, epsilon, {"refs": refs, "other": other})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MESSY, _MESSY, st.sampled_from((0.01, 0.04, 0.1, 0.3)), st.integers(1, 30))
+def test_matcher_audit_on_unsorted_nested_duplicated_lists(refs, preds, epsilon, bound):
+    _assert_same_audit(refs, preds, epsilon, bound)
 
 
 MIXED_CONTRACT = """set tolerance 0.03
@@ -568,7 +572,8 @@ def test_union_and_class_rows_in_one_pass_match_their_own_passes():
                 rows = [object_monitor(contract, plan, derive_edge_atoms(*union, h))]
                 return rows + list(loop_monitor_classes(contract, masks, h).per_class.values())
 
-            got = _outcome(lambda: _monitor_stack(contract, ref, pred, h, [None, *masks])[1])
+            got = _outcome(lambda: _monitor_stack(
+                contract, ref, pred, h, [None, *masks], contract.matcher)[1])
             assert got == _outcome(one_by_one), (trial, contract_to_text(contract))
             seen.add(got.split(":")[0] if "Error" in got[:20] else "results")
     assert seen == {"results", "AuditBoundError", "ContractError"}

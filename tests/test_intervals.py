@@ -1,19 +1,19 @@
 """Interval extraction, candidate costs, and matching policies."""
 
+import gc
 import random
 
 import numpy as np
 import pytest
 
+from tracecontracts import intervals
 from tracecontracts.fixtures import make_trace
 from tracecontracts.intervals import (
     AuditBoundError,
     Interval,
     boundary_f1,
     candidates,
-    duration_score,
     extract_intervals,
-    fragmentation_score,
     match_exact,
     match_greedy,
     matcher_audit,
@@ -180,31 +180,38 @@ class TestBoundaryF1:
 
 
 class TestEventScores:
+    """The audit's duration and fragmentation scores, under both policies."""
+
     def test_duration_threshold(self):
+        # The audit's threshold is twice its tolerance.
         refs = (Interval(0.0, 1.0),)
         preds = (Interval(0.0, 1.3),)
-        matching = match_greedy(candidates(refs, preds, 0.1))
-        assert duration_score(refs, preds, matching, 0.4).score == 1.0
-        assert duration_score(refs, preds, matching, 0.2).score == 0.0
+        for epsilon, score in ((0.2, 1.0), (0.1, 0.0)):
+            audit = matcher_audit(refs, preds, epsilon)
+            assert audit.greedy_duration.score == audit.exact_duration.score == score
 
     def test_duration_vacuous_when_nothing_matched(self):
-        value = duration_score((), (), match_greedy(()), 0.1)
-        assert value.score == 1.0 and value.obligated == 0
+        audit = matcher_audit((), (), 0.1)
+        for value in (audit.greedy_duration, audit.exact_duration):
+            assert value.score == 1.0 and value.obligated == 0
 
     def test_fragmentation_requires_match_and_single_cover(self):
         refs = (Interval(0.0, 1.0),)
         preds = (Interval(0.0, 0.4), Interval(0.5, 1.0))
-        matching = match_greedy(candidates(refs, preds, 0.1))
-        value = fragmentation_score(refs, preds, matching)
-        assert value.score == 0.0  # matched but covered by two predictions
+        audit = matcher_audit(refs, preds, 0.1)
+        assert len(audit.greedy) == len(audit.exact) == 1
+        # matched but covered by two predictions
+        assert audit.greedy_fragmentation.score == audit.exact_fragmentation.score == 0.0
 
     def test_partition_identity_for_event_scores(self):
         refs = (Interval(0.0, 1.0), Interval(2.0, 2.5))
         preds = (Interval(0.0, 1.0),)
-        matching = match_greedy(candidates(refs, preds, 0.1))
+        audit = matcher_audit(refs, preds, 0.1)
         for value in (
-            duration_score(refs, preds, matching, 0.1),
-            fragmentation_score(refs, preds, matching),
+            audit.greedy_duration,
+            audit.exact_duration,
+            audit.greedy_fragmentation,
+            audit.exact_fragmentation,
         ):
             assert value.satisfied + value.violated == value.obligated
 
@@ -217,6 +224,24 @@ class TestMatcherAudit:
         assert audit.boundary_f1_delta == 0.0
         assert audit.duration_delta == 0.0
         assert audit.fragmentation_delta == 0.0
+
+    def test_an_instance_over_the_bound_stops_before_the_greedy_matching(self, monkeypatch):
+        # Its exact half raises first; the error holds no frame in a cycle.
+        scans = []
+        real = intervals._greedy_scan
+        monkeypatch.setattr(intervals, "_greedy_scan", lambda *a: scans.append(1) or real(*a))
+        runs = tuple(Interval(k, k + 0.5) for k in range(3))
+        assert len(matcher_audit(runs, runs, 0.08, bound=3).exact) == 3
+        assert len(scans) == 1
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(AuditBoundError, match=r"^instance has 3x3 intervals, bound is 2$"):
+                matcher_audit(runs, runs, 0.08, bound=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(scans) == 1
 
     def test_policies_always_return_candidate_subsets(self):
         rng = random.Random(55)
