@@ -173,7 +173,8 @@ def _case_values(
     for index in sorted(matched):
         (refs, preds), (matching, diffs, extras) = matched[index]
         if isinstance(matching, AuditBoundError):
-            raise matching
+            # A new error, so that no traceback holds this frame and, in it, the error.
+            raise AuditBoundError(*matching.args)
         for c in event:
             value, _ = _event_clause(c.clause, refs, preds, basis.tolerance, None, diffs, extras)
             out[index][c.source_order] = value.score

@@ -882,7 +882,8 @@ def _monitor(
     results = []
     for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
         if isinstance(matching, AuditBoundError):
-            raise matching
+            # A new error, so that no traceback holds this frame and, in it, the error.
+            raise AuditBoundError(*matching.args)
         if id(contract) not in frame_scores:
             frame_scores[id(contract)] = [
                 _stacked_scores(values[c.formula], values[c.obligation], scratch)

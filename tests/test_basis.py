@@ -1,5 +1,6 @@
 """Finite-universe checks and risk-ordered selection."""
 
+import gc
 import itertools
 from dataclasses import replace
 
@@ -238,6 +239,30 @@ class TestSelection:
         )
         with pytest.raises(AuditBoundError):
             clause_signatures(basis_from_contract(with_event), [many_runs])
+
+    def test_over_bound_monitor_and_select_leave_no_cyclic_garbage(self):
+        # 40 runs per mask, over the exact matcher's bound of 24: the raised
+        # error must not hold, through its traceback, a frame that holds it.
+        many_runs = [_tiny_case(name, [1, 1, 0] * 40, [0, 1, 1] * 40, risk)
+                     for name, risk in (("many", 1.0), ("more", 2.0))]
+        contract = parse_contract_text(
+            "set tolerance 0.04\nset matcher exact\n"
+            "frame on : ref_onset -> N[0.04] pred_onset @ ref_onset\n"
+            "event dur : duration_within @ matched_pairs\n"
+        )
+        basis = basis_from_contract(contract)
+        message = r"^instance has 40x40 intervals, bound is 24$"
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                with pytest.raises(AuditBoundError, match=message):
+                    monitor(contract, many_runs[0].ref_mask, many_runs[0].pred_mask, H)
+                with pytest.raises(AuditBoundError, match=message):
+                    select_contract(basis, many_runs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_event_clauses_reject_a_negative_merge_gap(self):
         basis = replace(basis_from_contract(default_contract(0.04)), merge_gap=-0.02)

@@ -24,6 +24,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,10 +65,12 @@ from tracecontracts.fixtures import (
 from tracecontracts.frames import (
     EvalStats,
     TraceEnvironment,
+    UnknownAtomError,
     _until,
     _window_all,
     _window_exists,
     derive_edge_atoms,
+    evaluate,
     share_subformulas,
 )
 from tracecontracts.intervals import (
@@ -952,6 +955,53 @@ def test_streaming_traces_shorter_than_the_lookahead_match_pump_engine():
         kind = ("bool", "numpy", "int")[checked % 3]
         _assert_same_stream(formula, h, _frame_rows(random_env(rng, n, h=h), kind))
         checked += 1
+
+
+# Names that are keywords, hold operators, quotes or format braces, or equal
+# names the generated step function binds.
+_ODD_ATOM_NAMES = ("x-1", "for", "a'); import os; ('", 'b"\\', "{0}", "r0", "a1", "t", "deque")
+
+
+def test_streaming_atom_names_are_read_as_values():
+    rng = random.Random(59)
+    for trial in range(60):
+        h = rng.choice(STEPS)
+        atoms = rng.sample(_ODD_ATOM_NAMES, 3)
+        for formula in _with_duplicates(rng, h, atoms):
+            env = random_env(rng, rng.randint(0, 30), atoms, h)
+            rows = _frame_rows(env, ("bool", "numpy", "int")[trial % 3])
+            _assert_same_stream(formula, h, rows)
+            monitor = StreamingMonitor(formula, h)
+            verdicts = [v for row in rows for _, v in monitor.step(row)]
+            verdicts += [v for _, v in monitor.finalize()]
+            assert verdicts == evaluate(formula, env).tolist()
+    for name in _ODD_ATOM_NAMES:
+        monitor = StreamingMonitor(And(Atom("present"), Near(Atom(name), 0.04)), 0.02)
+        with pytest.raises(UnknownAtomError) as caught:
+            monitor.step({"present": True})
+        assert caught.value.name == name
+
+
+def test_streaming_monitors_keep_separate_state():
+    # Monitors of one formula, and of an equal formula built apart, share
+    # generated code; stepped in turn on their own traces, and finalized
+    # while the others still step, each must match its own pump engine.
+    rng = random.Random(61)
+    for _ in range(80):
+        h = rng.choice(STEPS)
+        seed, depth = rng.random(), rng.randint(1, 4)
+        formula = random_formula(random.Random(seed), depth, h=h)
+        twin = random_formula(random.Random(seed), depth, h=h)
+        assert twin == formula and twin is not formula
+        pairs = [(StreamingMonitor(f, h), NaiveStreamingMonitor(f, h))
+                 for f in (formula, formula, twin, Until(formula, twin, 3 * h))]
+        traces = [_frame_rows(random_env(rng, rng.randint(0, 30), h=h), "bool") for _ in pairs]
+        for t in range(max(map(len, traces)) + 1):
+            for (fast, slow), rows in zip(pairs, traces):
+                if t < len(rows):
+                    assert fast.step(rows[t]) == slow.step(rows[t])
+                elif t == len(rows):
+                    assert fast.finalize() == slow.finalize()
 
 
 # ---------------------------------------------------------------------------
