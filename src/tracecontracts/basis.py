@@ -10,13 +10,20 @@ contract under (coordinate count, monitor cost, source order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contracts import Contract, EventClause, FrameClause, _event_clause, _trace_runs
+from .contracts import (
+    Contract,
+    EventClause,
+    FrameClause,
+    _event_clause,
+    _trace_runs,
+    compile_contract,
+)
 from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
 from .intervals import AuditBoundError, _match
 from .parser import Formula, node_count
@@ -101,12 +108,16 @@ class BasisClause:
 
 @dataclass(frozen=True)
 class CandidateBasis:
-    """Ordered candidate clauses plus the settings used to evaluate them."""
+    """Ordered candidate clauses plus the settings used to evaluate them.
+    ``contract`` is the contract the clauses come from, if any: its
+    compiled plan, kept on it per frame step, serves every basis of its
+    clauses."""
 
     clauses: tuple[BasisClause, ...]
     tolerance: float
     merge_gap: float = 0.0
     matcher: str = "greedy"
+    contract: Contract | None = field(default=None, repr=False, compare=False)
 
 
 def clause_cost(clause: FrameClause | EventClause) -> int:
@@ -121,7 +132,8 @@ def basis_from_contract(contract: Contract) -> CandidateBasis:
         BasisClause(clause, order, clause_cost(clause))
         for order, clause in enumerate(contract.clauses)
     )
-    return CandidateBasis(clauses, contract.tolerance, contract.merge_gap, contract.matcher)
+    return CandidateBasis(clauses, contract.tolerance, contract.merge_gap, contract.matcher,
+                          contract)
 
 
 def clause_value(basis: CandidateBasis, clause: BasisClause, case: CalibrationCase) -> float:
@@ -135,10 +147,12 @@ def _case_values(
     """Every basis clause's value on each case, by source order.
 
     Cases of one length and frame step are the groups of one batched pass:
-    their masks are stacked, their frame formulas planned and evaluated
-    once, and their runs matched in one pass.  A basis without event
-    clauses never runs the matcher.  A case's matcher bound error is raised
-    in case order, before the event clauses of later cases are scored.
+    their masks are stacked, their frame formulas evaluated once, and their
+    runs matched in one pass.  The frame formulas are planned once per
+    frame step: by :func:`contracts.compile_contract`, kept on the source
+    contract, when the basis has one.  A basis without event clauses never
+    runs the matcher.  A case's matcher bound error is raised in case
+    order, before the event clauses of later cases are scored.
     """
     frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
     event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
@@ -156,7 +170,7 @@ def _case_values(
         if frame:
             plan = share_subformulas(
                 (f for c in frame for f in (c.clause.formula, c.clause.obligation)), h
-            )
+            ) if basis.contract is None else compile_contract(basis.contract, h)
             values = plan.evaluate(_edge_atoms(ref, pred))
             scratch = np.empty(ref.shape, bool)
             for c in frame:
@@ -245,8 +259,7 @@ def _retained_of(
     basis: CandidateBasis, classes: Sequence[ObservationalClass]
 ) -> CandidateBasis:
     keep = {cls.representative for cls in classes if not cls.constant}
-    clauses = tuple(c for c in basis.clauses if c.source_order in keep)
-    return CandidateBasis(clauses, basis.tolerance, basis.merge_gap, basis.matcher)
+    return replace(basis, clauses=tuple(c for c in basis.clauses if c.source_order in keep))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ from .contracts import (
 )
 from .frames import UnknownAtomError, derive_edge_atoms, evaluate
 from .intervals import DEFAULT_EXACT_BOUND, AuditBoundError, Family, intervals, matcher_audit
-from .parser import format_formula, radius_sum, temporal_depth
+from .parser import atom_names, format_formula, radius_sum, temporal_depth
 from .streaming import StreamingMonitor
 from .tracefile import TraceFormatError, canonical_json, load_trace, read_json, sha256_text
 
@@ -223,9 +223,9 @@ def _guard_rows(item_id: str, class_name: str, guards: GuardVector) -> list[list
 def _witness_row(item_id, class_name, result: MonitorResult, soft: float) -> list[str]:
     witness = result.witnesses
     diffs = witness.duration_abs_diffs
-    duration_mae_ms = float(np.mean(diffs)) * 1000.0 if diffs else None
+    duration_mae_ms = float(np.add.reduce(diffs) / len(diffs)) * 1000.0 if diffs else None
     extras = witness.fragmentation_extra_counts
-    extra_mean = float(np.mean(extras)) if extras else None
+    extra_mean = float(np.add.reduce(extras, dtype=float) / len(extras)) if extras else None
     return [
         item_id,
         class_name,
@@ -304,12 +304,11 @@ def cmd_monitor(args) -> int:
         ref, pred = (np.stack(stack) for stack in zip(*masks))
         runs, results = _monitor_stack(contract, ref, pred, trace.frame_step,
                                        [None, *classes], policy)
+        soft = runs.soft_boundary(soft_scale)
         rows = [("union", 0), *sorted((name, g) for g, name in enumerate(classes, 1))]
         for class_name, g in rows:
             guard_rows.extend(_guard_rows(trace.item_id, class_name, results[g].guards))
-            witness_rows.append(_witness_row(
-                trace.item_id, class_name, results[g], runs.soft_boundary(g, soft_scale)
-            ))
+            witness_rows.append(_witness_row(trace.item_id, class_name, results[g], soft[g]))
         if classes:
             guard_rows.extend(_guard_rows(trace.item_id, "macro", _macro(contract, results[1:])))
     _write_report(
@@ -517,15 +516,25 @@ def cmd_select(args) -> int:
 
 STREAM_HEADER = ["frame_index", "emitted_after_frames", "verdict", "offline", "equal"]
 
+# The verdict, offline and equal cells of a ``stream`` row: STREAM_FLAGS[verdict][offline].
+STREAM_FLAGS = tuple(
+    tuple((str(verdict), str(offline), "true" if verdict == offline else "false")
+          for offline in (0, 1))
+    for verdict in (0, 1)
+)
+
 # Frames whose atom values are held as Python objects at once by ``stream``.
 STREAM_CHUNK = 4096
 
 
 def _stepped(stream: StreamingMonitor, env):
     """Feed every frame of ``env`` to ``stream``, then finalize it; yield
-    (frames received, verdicts emitted) after each call.  The atom columns
-    are converted to Python values one chunk at a time."""
-    names = tuple(env.atoms)
+    (frames received, verdicts emitted) after each call.  A frame holds only
+    the atoms the formula reads (a name ``env`` lacks stays missing, for the
+    monitor to report); the atom columns are converted to Python values one
+    chunk at a time."""
+    read = atom_names(stream.formula)
+    names = tuple(name for name in env.atoms if name in read)
     for lo in range(0, env.frame_count, STREAM_CHUNK):
         columns = [env.atoms[name][lo : lo + STREAM_CHUNK].tolist() for name in names]
         for after, values in enumerate(zip(*columns), lo + 1):
@@ -560,15 +569,9 @@ def cmd_stream(args) -> int:
         for after, verdicts in _stepped(stream, env):
             for index, verdict in verdicts:
                 expected = offline[index]
-                equal = expected == verdict
-                disagreements += not equal
-                yield [
-                    str(index),
-                    str(after),
-                    "1" if verdict else "0",
-                    "1" if expected else "0",
-                    "true" if equal else "false",
-                ]
+                disagreements += verdict != expected
+                shown, wanted, equal = STREAM_FLAGS[verdict][expected]
+                yield [index, after, shown, wanted, equal]
 
     _write_report(
         args,

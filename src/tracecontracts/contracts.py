@@ -13,16 +13,17 @@ is a display value derived from the same coordinates, never a
 replacement for them.  Its result holds the merged runs as read-only
 families and builds :class:`Interval` tuples only for a reader; a contract
 keeps its compiled plan per frame step, so it is compiled once per grid.
-Witness distances are reduced to their mean as soon as they are computed:
-a trace pair keeps one (mean, no-witness) summary per obligation and
-witness formula, shared by its clauses, edge witnesses and sweep rows.
 
 One monitor pass runs over a group axis: trace pairs of one length (a
 union row and its classes, or calibration cases) are stacked, evaluated
 once, and their runs extracted, matched and witnessed by one scan each,
 with every group's runs placed apart so that none meets another's; a
 sweep's tolerances are rows over one group.  A single :func:`monitor` is
-the one-group case.
+the one-group case.  Witnesses extend the axis to pairs: the distinct
+(obligation, witness) formulas of every row, and the two edge pairs, are
+placed one after another, so one distance scan serves every pair and
+group, and each (pair, group) mean reduces one slice of it.  The soft
+boundary of every group is likewise one scan of the placed run edges.
 """
 
 from __future__ import annotations
@@ -585,32 +586,51 @@ def _run_distances(obligated: Family, witnesses: Family, h: float) -> np.ndarray
 
     Both families are frame runs: sorted, disjoint and never adjacent.
     Obligated frames inside a witness run are at distance zero.  The others
-    are the obligated runs' overlaps with the gaps around the witness runs.
-    Gap k lies between witness runs k - 1 and k, so the last frame of run
-    k - 1 and the first of run k are its frames' two nearest witness frames;
-    each outer gap has one, taken twice.  No step touches every frame of
-    the trace or searches the witness edges.
+    lie in the gaps around the witness runs.  Gap k lies between witness
+    runs k - 1 and k, so the last frame of run k - 1 and the first of run k
+    are its frames' two nearest witness frames; each outer gap has one,
+    taken twice.  An obligated run meets the gaps from the first whose
+    right witness run starts after the run's start to the last whose left
+    witness run ends before the run's end: two ``searchsorted`` calls on
+    the witness runs give every run's gap range.  No step touches every
+    frame of the trace.
     """
-    sizes = obligated.end - obligated.start
-    total = int(sizes.sum())
+    total = int((obligated.end - obligated.start).sum())
     if total == 0:
         return np.zeros(0)
     if len(witnesses) == 0:
         return None
+    # The gap frames come first, so that their run-sized arrays are freed
+    # before the array of every obligated frame is made.
+    where, near = _gap_distances(obligated, witnesses)
+    distances = np.zeros(total)
+    distances[where] = near * h
+    return distances
+
+
+def _gap_distances(obligated: Family, witnesses: Family) -> tuple[np.ndarray, np.ndarray]:
+    """The obligated frame numbers of the obligated frames outside every
+    witness run, and their distances in frames, for :func:`_run_distances`."""
+    sizes = obligated.end - obligated.start
     first, end = witnesses.start, witnesses.end
-    edge, stop = min(obligated.start[0], first[0]), max(obligated.end[-1], end[-1])
-    gaps = Family(np.append(edge, end), np.append(first, stop))
-    runs, gap, width = overlap_pairs(obligated, gaps)
-    lo = np.maximum(obligated.start[runs], gaps.start[gap])
+    lo = first.searchsorted(obligated.start, side="right")
+    count = np.maximum(end.searchsorted(obligated.end) + 1 - lo, 0)
+    runs = np.arange(len(obligated)).repeat(count)
+    gap = np.arange(runs.size) - (np.cumsum(count) - count - lo).repeat(count)
+    # Gap k spans [end[k - 1], first[k]); the outer gaps reach past every run.
+    start = np.maximum(obligated.start[runs], np.append(obligated.start[0], end)[gap])
+    width = np.minimum(obligated.end[runs], np.append(first, obligated.end[-1])[gap]) - start
     # Frame f of obligated run i is obligated frame number offset[i] + f - start[i].
     shift = (np.cumsum(sizes) - sizes - obligated.start)[runs]
     left, right = np.append(first[0], end - 1)[gap], np.append(first, end[-1] - 1)[gap]
-    rows = np.stack((lo - (np.cumsum(width) - width), left, right, shift))
+    rows = np.stack((start - (np.cumsum(width) - width), left, right, shift))
     base, left, right, shift = np.repeat(rows, width, axis=1)
     far = np.arange(base.size) + base
-    distances = np.zeros(total)
-    distances[far + shift] = np.minimum(np.abs(far - left), np.abs(far - right)) * h
-    return distances
+    return far + shift, np.minimum(np.abs(far - left), np.abs(far - right))
+
+
+# The edge witnesses of every monitor row: (obligation, witness) atoms.
+EDGE_PAIRS = ((Atom("ref_onset"), Atom("pred_onset")), (Atom("ref_offset"), Atom("pred_offset")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -625,8 +645,8 @@ class _TraceRuns:
     ``edges`` (run edges) and ``atom_runs`` (the unmerged runs of every
     activity and edge atom) are integer frames placed as by
     :func:`_offset_edges`, ``stride`` frames per group from ``starts``, so
-    one scan serves every group.  ``witnesses`` keeps the witness summaries already found,
-    one per group, by (obligation, witness) formula.
+    one scan serves every group: :meth:`witnesses` and
+    :meth:`soft_boundary` answer for every group at once.
     """
 
     h: float
@@ -641,49 +661,50 @@ class _TraceRuns:
     counts: np.ndarray
     edges: dict[str, np.ndarray]
     atom_runs: dict[str, Family]
-    witnesses: dict[tuple[Formula, Formula], list[tuple[float | None, bool]]] = field(
-        default_factory=dict
-    )
 
-    def span(self, frames: np.ndarray, group: int) -> slice:
-        """The part of a sorted array of placed frames that lies in ``group``."""
-        lo, hi = frames.searchsorted(self.starts[group:group + 2])
-        return slice(lo, hi)
+    def witnesses(
+        self, pairs: Sequence[tuple[Formula, Formula]], values: Mapping[Formula, np.ndarray]
+    ) -> dict[tuple[Formula, Formula], list[tuple[float | None, int]]]:
+        """Per (obligation, witness) pair, per group: the mean in ms of
+        :func:`_run_distances` from the obligation's frames to the
+        witness's (``None`` when either set is empty), and the number of
+        obligated frames if there are no witness frames, else 0; ``values``
+        holds the plan's valuations of formulas other than atoms.
 
-    def witness(
-        self, obligation: Formula, witness: Formula, values
-    ) -> list[tuple[float | None, bool]]:
-        """Per group: the mean in ms of :func:`_run_distances` from the
-        obligation's frames to the witness's (``None`` when either set is
-        empty), and whether there are no witness frames; ``values`` holds the
-        plan's valuations of formulas other than atoms.  One distance pass
-        serves every group: a group's frames are nearer to its own witness
-        frames than to any other group's, and a group with none reads none.
-        Each group's mean reduces its own slice; the distances are not kept."""
-        key = (obligation, witness)
-        if key not in self.witnesses:
-            obligated, witnessed = (self.atom_runs[f.name] if isinstance(f, Atom)
-                                    else _frame_runs(values[f]) for f in key)
-            distances = _run_distances(obligated, witnessed, self.h)
-            # Group g's obligated frames are distances[ends[g]:ends[g + 1]].
-            frames = np.concatenate(((0,), np.cumsum(obligated.end - obligated.start)))
-            ends = frames[obligated.start.searchsorted(self.starts)].tolist()
-            seen = witnessed.start.searchsorted(self.starts)
-            found = (seen[1:] > seen[:-1]).tolist()
-            self.witnesses[key] = [
-                (None, False) if lo == hi else (None, True) if not has
-                else (float(np.mean(distances[lo:hi]) * 1000.0), False)
-                for lo, hi, has in zip(ends, ends[1:], found)
-            ]
-        return self.witnesses[key]
+        One distance pass serves every pair and group: pair j's runs are
+        placed ``j * G * stride`` frames on, so (pair j, group g) is group
+        ``j * G + g`` of one longer axis.  A group's frames are nearer to
+        its own witness frames than to any other group's, and a group with
+        none reads none.  Each mean reduces its own slice, as ``np.mean``
+        does: the same pairwise sum, then the same division."""
+        groups = self.starts.size - 1
+        obligated, witnessed = (self._placed(side, values) for side in zip(*pairs))
+        distances = _run_distances(obligated, witnessed, self.h)
+        starts = np.arange(len(pairs) * groups + 1) * self.stride
+        # Slice k of the distances holds (pair, group) k's obligated frames.
+        frames = np.concatenate(((0,), np.cumsum(obligated.end - obligated.start)))
+        ends = frames[obligated.start.searchsorted(starts)].tolist()
+        seen = witnessed.start.searchsorted(starts)
+        found = (seen[1:] > seen[:-1]).tolist()
+        summaries = [
+            (None, 0) if lo == hi else (None, hi - lo) if not has
+            else (float(np.add.reduce(distances[lo:hi]) / (hi - lo) * 1000.0), 0)
+            for lo, hi, has in zip(ends, ends[1:], found)
+        ]
+        return {key: summaries[j * groups:(j + 1) * groups] for j, key in enumerate(pairs)}
 
-    def soft_boundary(self, group: int, scale: float) -> float:
-        """:func:`soft_boundary` of the group's trace pair, from its run edges."""
-        ref, pred = (
-            (self.edges[side][self.span(self.edges[side], group)] - group * self.stride) * self.h
-            for side in ("ref", "pred")
-        )
-        return _soft_score(ref, pred, scale)
+    def _placed(self, formulas: Sequence[Formula], values: Mapping[Formula, np.ndarray]) -> Family:
+        """The frame runs of each formula in turn, formula j's placed
+        ``j * G * stride`` frames on."""
+        offset = (self.starts.size - 1) * self.stride
+        runs = [self.atom_runs[f.name] if isinstance(f, Atom) else _frame_runs(values[f])
+                for f in formulas]
+        return Family(*(np.concatenate([getattr(r, side) + j * offset for j, r in enumerate(runs)])
+                        for side in ("start", "end")))
+
+    def soft_boundary(self, scale: float) -> list[float]:
+        """:func:`soft_boundary` of every group's trace pair, from its run edges."""
+        return _soft_scores(self.edges["ref"], self.edges["pred"], self.starts, self.h, scale)
 
 
 def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -> _TraceRuns:
@@ -722,24 +743,20 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
     )
 
 
-def _frame_clause_witness(
-    clause: FrameClause, runs: _TraceRuns, values: Mapping[Formula, np.ndarray], group: int
-) -> float | None:
-    """Mean nearest-witness distance (ms) for edge/support implications.
-
-    Defined for clauses of the shape ``x -> N[r] y`` (the five default
-    guards); other formula shapes have no generic distance semantics.
-    ``values`` are the valuations from the contract plan.
-    """
+def _witness_pair(clause: FrameClause) -> tuple[Formula, Formula] | None:
+    """The (obligation, witness) formulas of a clause of the shape
+    ``x -> N[r] y`` (the five default guards), whose witness is the mean
+    nearest-``y`` distance; other formula shapes have no generic distance
+    semantics."""
     formula = clause.formula
-    if not (
+    if (
         isinstance(formula, Implies)
         and isinstance(formula.left, Atom)
         and isinstance(formula.right, Near)
         and isinstance(formula.right.child, Atom)
     ):
-        return None
-    return runs.witness(clause.obligation, formula.right.child, values)[group][0]
+        return clause.obligation, formula.right.child
+    return None
 
 
 def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
@@ -793,27 +810,16 @@ def _event_clause(
     _, defaults = EVENT_PREDICATES[clause.predicate]
     param = {key: clause.param(key, factor * tolerance) for key, factor in defaults.items()}
     if clause.predicate == "duration_within":
-        witness = float(np.mean(diffs) * 1000.0) if diffs.size else None
+        witness = float(np.add.reduce(diffs) / diffs.size * 1000.0) if diffs.size else None
         return _duration_within(diffs, param["threshold"]), witness
     if clause.predicate == "singly_covered":
-        witness = float(np.mean(extras)) if extras.size else None
+        witness = float(np.add.reduce(extras, dtype=float) / extras.size) if extras.size else None
         return _singly_covered(extras), witness
     if clause.predicate == "latency_window":
         return latency_score(refs, preds, param["lead"], param["lag"]), None
     if class_context is None:
         raise ContractError("overlap_purity requires class-indexed monitoring (monitor_classes)")
     return purity_score(class_context[0], preds, class_context[1]), None
-
-
-def _edge_witness(
-    runs: _TraceRuns, group: int, source_atom: str, target_atom: str
-) -> tuple[float | None, int]:
-    """(mean nearest-edge distance in ms, excluded edge count) of a group."""
-    mean, unwitnessed = runs.witness(Atom(source_atom), Atom(target_atom), {})[group]
-    if not unwitnessed:
-        return mean, 0
-    edges = runs.atom_runs[source_atom].start
-    return mean, len(edges[runs.span(edges, group)])
 
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
@@ -851,51 +857,63 @@ def _monitor_stack(
     class; a class row sees every class row's reference runs as its purity
     context, a ``None`` row none."""
     runs = _trace_runs(ref, pred, h, contract.merge_gap)
-    values = compile_contract(contract, h).evaluate(runs.atoms)
     class_refs = {name: runs.by_group[g][0] for g, name in enumerate(classes) if name is not None}
     rows = [
         (g, contract, None if name is None else (name, class_refs))
         for g, name in enumerate(classes)
     ]
-    return runs, _monitor(runs, values, rows, policy)
+    return runs, _monitor(runs, compile_contract(contract, h), rows, policy)
 
 
 def _monitor(
     runs: _TraceRuns,
-    values: Mapping[Formula, np.ndarray],
+    plan: EvaluationPlan,
     rows: Sequence[tuple[int, Contract, tuple[str, Mapping[str, Family]] | None]],
     policy: str,
 ) -> list[MonitorResult]:
     """The result of each row ``(group, contract, class_context)``: the
     contract on that group's trace pair, matched under ``policy``.  The rows
     are the groups in order, or the one group under each of several
-    contracts; ``values`` are the valuations, as ``(G, n)`` stacks, of the
-    rows' frame formulas and obligations.  One :func:`intervals._match`
-    serves all rows, and each frame clause's counts and each witness summary
-    are found once for all groups.  A row's errors are raised when the row is
-    reached, its matcher bound before its clauses, so the first row in order
-    decides."""
+    contracts; ``plan`` plans the rows' frame formulas and obligations.
+    One evaluation of it gives their valuations as ``(G, n)`` stacks, which
+    each frame clause's counts read once for all groups; then only the
+    witness pass's obligations are kept.  One :func:`intervals._match`
+    serves all rows, and one :meth:`_TraceRuns.witnesses` pass finds every
+    (obligation, witness) pair of every row, the edge pairs included, for
+    all groups.  A row's errors are raised when the row is reached, its
+    matcher bound before its clauses, so the first row in order decides;
+    the counts and the witness pass raise none."""
+    values = plan.evaluate(runs.atoms)
     [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.counts, runs.bounds,
                        [c.tolerance for _, c, _ in rows], (policy,))
     scratch = np.empty_like(runs.atoms["ref_active"])
     frame_scores: dict[int, list[list[ObligationScore]]] = {}  # by contract identity
-    results = []
-    for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
-        if isinstance(matching, AuditBoundError):
-            # A new error, so that no traceback holds this frame and, in it, the error.
-            raise AuditBoundError(*matching.args)
+    for _, contract, _ in rows:
         if id(contract) not in frame_scores:
             frame_scores[id(contract)] = [
                 _stacked_scores(values[c.formula], values[c.obligation], scratch)
                 for c in contract.frame_clauses
             ]
+    clause_pairs = (_witness_pair(c) for _, contract, _ in rows for c in contract.frame_clauses)
+    pairs = dict.fromkeys([*clause_pairs, *EDGE_PAIRS])
+    pairs.pop(None, None)
+    # The frame formulas' valuations are freed before the witness pass.
+    values = {f: values[f] for f, _ in pairs if not isinstance(f, Atom)}
+    summaries = runs.witnesses(list(pairs), values)
+    onsets, offsets = (summaries[pair] for pair in EDGE_PAIRS)
+    results = []
+    for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
+        if isinstance(matching, AuditBoundError):
+            # A new error, so that no traceback holds this frame and, in it, the error.
+            raise AuditBoundError(*matching.args)
         scores = iter(frame_scores[id(contract)])
         refs, preds = runs.by_group[group]
         coordinates = []
         for clause in contract.clauses:
             if isinstance(clause, FrameClause):
                 value = next(scores)[group]
-                witness = _frame_clause_witness(clause, runs, values, group)
+                pair = _witness_pair(clause)
+                witness = None if pair is None else summaries[pair][group][0]
                 kind = "frame"
             else:
                 value, witness = _event_clause(
@@ -906,8 +924,8 @@ def _monitor(
                 clause.name, kind, value.score, value.obligated, value.satisfied, value.violated,
                 witness,
             ))
-        onset_mae, onset_excluded = _edge_witness(runs, group, "ref_onset", "pred_onset")
-        offset_mae, offset_excluded = _edge_witness(runs, group, "ref_offset", "pred_offset")
+        # An edge pair's unwitnessed frames are the group's excluded edges.
+        (onset_mae, onset_excluded), (offset_mae, offset_excluded) = onsets[group], offsets[group]
         witnesses = WitnessReport(
             onset_mae_ms=onset_mae,
             offset_mae_ms=offset_mae,
@@ -977,12 +995,6 @@ def _macro(contract: Contract, results: Sequence[MonitorResult]) -> GuardVector:
     return GuardVector(tuple(macro))
 
 
-def _edge_times(mask: np.ndarray, h: float) -> np.ndarray:
-    # Maximal runs never touch, so their starts and ends interleave in
-    # ascending order and the edge frames are already sorted.
-    return _run_edges(mask) * h
-
-
 def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCALE) -> float:
     """Exponential-kernel credit over nearest boundary distances.
 
@@ -995,23 +1007,47 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     ref, pred = _mask_pair(ref_mask, pred_mask)
     _check_frame_step(h)
-    return _soft_score(_edge_times(ref, h), _edge_times(pred, h), scale)
+    # The one-group case: one trace pair's edges, group 0 of stride 2n + 1.
+    starts = np.array([0, 2 * ref.size + 1])
+    return _soft_scores(_run_edges(ref), _run_edges(pred), starts, h, scale)[0]
 
 
-def _soft_score(ref_edges: np.ndarray, pred_edges: np.ndarray, scale: float) -> float:
-    """:func:`soft_boundary` from the sorted edge times of both masks."""
-    if ref_edges.size == 0 and pred_edges.size == 0:
-        return 1.0
-    if ref_edges.size == 0 or pred_edges.size == 0:
-        return 0.0
+def _edge_times(edges: np.ndarray, stride: int, h: float) -> np.ndarray:
+    """Seconds of placed edge frames, each from its group's start: the times
+    of each group's edges as a scan of it alone has them."""
+    return edges % stride * h
 
-    def directed(src: np.ndarray, dst: np.ndarray) -> float:
-        pos = np.searchsorted(dst, src)
-        left, right = dst[np.maximum(pos - 1, 0)], dst[np.minimum(pos, dst.size - 1)]
-        distances = np.minimum(np.abs(src - left), np.abs(src - right))
-        return float(np.mean(np.exp(-distances / scale)))
 
-    return (directed(ref_edges, pred_edges) + directed(pred_edges, ref_edges)) / 2.0
+def _soft_scores(
+    ref_edges: np.ndarray, pred_edges: np.ndarray, starts: np.ndarray, h: float, scale: float
+) -> list[float]:
+    """:func:`soft_boundary` of each group from the sorted, placed edge
+    frames of both sides, group g's in ``[starts[g], starts[g + 1])``.  Each
+    edge's nearest opposite edges come from one ``searchsorted`` on the
+    placed edges, clamped to its group's own; each group's mean reduces its
+    own slice, as ``np.mean`` does."""
+    sides = (ref_edges, pred_edges)
+    bounds = [edges.searchsorted(starts) for edges in sides]
+    sizes = [b[1:] - b[:-1] for b in bounds]
+    times = [_edge_times(edges, starts[1], h) for edges in sides]
+    means = []
+    for src, dst in ((0, 1), (1, 0)):
+        cut = bounds[src].tolist()
+        if not times[dst].size:
+            means.append([0.0] * (len(cut) - 1))
+            continue
+        # A group without opposite edges reads index 0, and is not scored.
+        lo, hi = (np.where(sizes[dst] > 0, b, 0).repeat(sizes[src])
+                  for b in (bounds[dst][:-1], bounds[dst][1:] - 1))
+        pos = sides[dst].searchsorted(sides[src])
+        left, right = times[dst][np.maximum(pos - 1, lo)], times[dst][np.minimum(pos, hi)]
+        credit = np.exp(-np.minimum(np.abs(times[src] - left), np.abs(times[src] - right)) / scale)
+        means.append([float(np.add.reduce(credit[a:b]) / (b - a)) if b > a else 0.0
+                      for a, b in zip(cut, cut[1:])])
+    return [
+        1.0 if not (r or p) else 0.0 if not (r and p) else (f + b) / 2.0
+        for r, p, f, b in zip(sizes[0].tolist(), sizes[1].tolist(), *means)
+    ]
 
 
 @dataclass(frozen=True)
@@ -1075,8 +1111,7 @@ def tolerance_sweep(
         plan = share_subformulas((f for c in regenerated for f in _frame_formulas(c)), h)
         contract._sweeps[key] = regenerated, plan
     regenerated, plan = contract._sweeps[key]
-    values = plan.evaluate(runs.atoms)
-    results = _monitor(runs, values, [(0, c, None) for c in regenerated], contract.matcher)
+    results = _monitor(runs, plan, [(0, c, None) for c in regenerated], contract.matcher)
     rows = [
         SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))
         for tolerance, grid_contract, result in zip(tolerances, regenerated, results)

@@ -410,7 +410,8 @@ def _match(refs: Family, preds: Family, overlaps, counts, bounds, tolerances: Se
     scan of its own candidates keeps, in that order.  The exact policy solves
     and bounds each row on its own; a row over ``bound`` has its
     :class:`AuditBoundError` for a matching, for its reader to raise, and a
-    reader that stops there makes no later policy's matchings.
+    reader that stops there makes no later policy's matchings.  One row's
+    indices are its own, so it is neither rebased nor cut by row.
     """
     ri, pi, overlap = overlaps
     ref_base, pred_base = bounds
@@ -429,26 +430,29 @@ def _match(refs: Family, preds: Family, overlaps, counts, bounds, tolerances: Se
         tolerances, np.diff(ri.searchsorted(ref_base))
     )
     table = candidate_table(refs, preds, epsilon, (ri, pi, overlap))
-    row = ref_base.searchsorted(table.ref_index, side="right") - 1
+    single = rows == 1  # row 0 starts at index 0 on both sides
+    row = None if single else ref_base.searchsorted(table.ref_index, side="right") - 1
     for policy in policies:
         matchings: list[Matching | AuditBoundError] = []
         if policy == "greedy":
-            first = [row] if rows > 1 else []  # one row needs no row key
-            ri, pi = (np.array(side, np.intp) for side in _greedy_scan(table, *first))
-            kept_row = ref_base.searchsorted(ri, side="right") - 1
-            local_ri = (ri - ref_base[kept_row]).tolist()
-            local_pi = (pi - pred_base[kept_row]).tolist()
-            cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
+            kept_ri, kept_pi = _greedy_scan(table, *([] if single else [row]))
+            ri, pi = np.array(kept_ri, np.intp), np.array(kept_pi, np.intp)
+            cut = [0, len(kept_ri)]
+            if not single:
+                kept_row = ref_base.searchsorted(ri, side="right") - 1
+                kept_ri = (ri - ref_base[kept_row]).tolist()
+                kept_pi = (pi - pred_base[kept_row]).tolist()
+                cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
             for lo, hi in zip(cut, cut[1:]):
                 # A set filled in scan order, as match_greedy fills it.
-                pairs = set(zip(local_ri[lo:hi], local_pi[lo:hi]))
+                pairs = set(zip(kept_ri[lo:hi], kept_pi[lo:hi]))
                 matchings.append(Matching(frozenset(pairs), "greedy"))
             order = np.lexsort((pi, ri))
             ri, pi = ri[order], pi[order]
         else:
-            cut = row.searchsorted(np.arange(rows + 1)).tolist()
+            cut = [0, table.cost.size] if single else row.searchsorted(np.arange(rows + 1)).tolist()
             for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
-                own = CandidateTable(
+                own = table if single else CandidateTable(
                     table.ref_index[lo:hi] - ref_base[r], table.pred_index[lo:hi] - pred_base[r],
                     table.cost[lo:hi], Family(table.ref.start[lo:hi], table.ref.end[lo:hi]),
                     Family(table.pred.start[lo:hi], table.pred.end[lo:hi]),
@@ -458,12 +462,16 @@ def _match(refs: Family, preds: Family, overlaps, counts, bounds, tolerances: Se
                 except AuditBoundError as error:
                     matchings.append(error.with_traceback(None))  # its frames would hold it
             pairs = [(table.ref_index[:0], table.pred_index[:0])] + [
-                (m.index_arrays[0] + ref_base[r], m.index_arrays[1] + pred_base[r])
+                m.index_arrays if single
+                else (m.index_arrays[0] + ref_base[r], m.index_arrays[1] + pred_base[r])
                 for r, m in enumerate(matchings) if isinstance(m, Matching)
             ]
-            ri, pi = (np.concatenate(side) for side in zip(*pairs))
+            ri, pi = pairs[-1] if single else (np.concatenate(side) for side in zip(*pairs))
         diffs = length_diffs(refs, preds, (ri, pi))
         extras = fragmentation_extras(ri, counts)
+        if single:
+            yield [(matchings[0], diffs, extras)]
+            continue
         cut = ri.searchsorted(ref_base).tolist()
         bases = ref_base.tolist()
         yield [

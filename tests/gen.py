@@ -13,7 +13,9 @@ class, and trace pathologies by one arm per kind over frame-loop runs.  The
 path: one ``Interval`` per run, one ``CandidatePair`` per candidate, and a
 Python loop per reference.  The ``loop_*`` functions are the predecessors
 of the batched monitor pass: one whole pass per class, sweep tolerance or
-calibration case.
+calibration case; ``pair_witness`` and ``group_soft_boundary`` those of its
+witness pass, one distance scan per (obligation, witness) pair and one soft
+boundary per group.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from tracecontracts.contracts import (
     SweepResult,
     SweepRow,
     WitnessReport,
+    _frame_runs,
     contract_to_text,
     mean_logic,
     retolerance,
@@ -70,6 +73,7 @@ from tracecontracts.intervals import (
     MatcherAudit,
     Matching,
     overlap_length,
+    overlap_pairs,
 )
 from tracecontracts.lexer import (
     SINGLE_CHAR_OPERATORS,
@@ -1356,6 +1360,82 @@ def loop_clause_signatures(basis, cases) -> tuple[ClauseSignature, ...]:
         ClauseSignature(c.source_order, tuple(values[c.source_order] for values in per_case))
         for c in basis.clauses
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-pair witnesses and per-group soft boundaries.  The monitor's
+# predecessor found each (obligation, witness) pair's distances in a pass of
+# its own, from the overlaps of the obligated runs with the gaps around the
+# witness runs, averaged each group's slice with ``np.mean``, and scored
+# each group's soft boundary from that group's edges alone.
+
+
+def gap_run_distances(obligated: Family, witnesses: Family, h: float):
+    """``contracts._run_distances`` by an :func:`overlap_pairs` scan of the
+    obligated runs against the gaps between witness runs."""
+    sizes = obligated.end - obligated.start
+    total = int(sizes.sum())
+    if total == 0:
+        return np.zeros(0)
+    if len(witnesses) == 0:
+        return None
+    first, end = witnesses.start, witnesses.end
+    edge, stop = min(obligated.start[0], first[0]), max(obligated.end[-1], end[-1])
+    gaps = Family(np.append(edge, end), np.append(first, stop))
+    runs, gap, width = overlap_pairs(obligated, gaps)
+    lo = np.maximum(obligated.start[runs], gaps.start[gap])
+    shift = (np.cumsum(sizes) - sizes - obligated.start)[runs]
+    left, right = np.append(first[0], end - 1)[gap], np.append(first, end[-1] - 1)[gap]
+    rows = np.stack((lo - (np.cumsum(width) - width), left, right, shift))
+    base, left, right, shift = np.repeat(rows, width, axis=1)
+    far = np.arange(base.size) + base
+    distances = np.zeros(total)
+    distances[far + shift] = np.minimum(np.abs(far - left), np.abs(far - right)) * h
+    return distances
+
+
+def pair_witness(runs, obligation: Formula, witness: Formula, values) -> list:
+    """``_TraceRuns.witnesses`` of one pair, by one distance pass of its own:
+    per group, the ``np.mean`` in ms of its slice (``None`` when either set
+    is empty) and its obligated frame count if it has no witness frames."""
+    obligated, witnessed = (runs.atom_runs[f.name] if isinstance(f, Atom)
+                            else _frame_runs(values[f]) for f in (obligation, witness))
+    distances = gap_run_distances(obligated, witnessed, runs.h)
+    frames = np.concatenate(((0,), np.cumsum(obligated.end - obligated.start)))
+    ends = frames[obligated.start.searchsorted(runs.starts)].tolist()
+    seen = witnessed.start.searchsorted(runs.starts)
+    found = (seen[1:] > seen[:-1]).tolist()
+    return [
+        (None, 0) if lo == hi else (None, hi - lo) if not has
+        else (float(np.mean(distances[lo:hi]) * 1000.0), 0)
+        for lo, hi, has in zip(ends, ends[1:], found)
+    ]
+
+
+def group_soft_score(ref_edges: np.ndarray, pred_edges: np.ndarray, scale: float) -> float:
+    """``soft_boundary`` from the sorted edge times of one trace pair."""
+    if ref_edges.size == 0 and pred_edges.size == 0:
+        return 1.0
+    if ref_edges.size == 0 or pred_edges.size == 0:
+        return 0.0
+
+    def directed(src: np.ndarray, dst: np.ndarray) -> float:
+        pos = np.searchsorted(dst, src)
+        left, right = dst[np.maximum(pos - 1, 0)], dst[np.minimum(pos, dst.size - 1)]
+        distances = np.minimum(np.abs(src - left), np.abs(src - right))
+        return float(np.mean(np.exp(-distances / scale)))
+
+    return (directed(ref_edges, pred_edges) + directed(pred_edges, ref_edges)) / 2.0
+
+
+def group_soft_boundary(runs, group: int, scale: float) -> float:
+    """``_TraceRuns.soft_boundary`` of one group, from its own edge slice."""
+    times = []
+    for side in ("ref", "pred"):
+        edges = runs.edges[side]
+        lo, hi = edges.searchsorted(runs.starts[group:group + 2])
+        times.append((edges[lo:hi] - group * runs.stride) * runs.h)
+    return group_soft_score(*times, scale)
 
 
 class _Ring:

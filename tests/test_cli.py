@@ -324,8 +324,9 @@ class TestOnePass:
 
     def test_work_is_done_once_for_all_groups(self, tmp_path, monkeypatch, capsys):
         # A 3-class monitor --classes: one evaluation for the 4 rows, and one
-        # distance pass per witness key (4 for the default contract), not per
-        # row; a 5-tolerance sweep builds one candidate table.
+        # distance pass for every witness pair of every row (4 pairs for the
+        # default contract); a 5-tolerance sweep builds one candidate table
+        # and makes one distance pass, its tolerances sharing their pairs.
         rng = np.random.default_rng(7)
         classes = {name: (rng.random(900) < 0.4, rng.random(900) < 0.4) for name in "zyx"}
         contract_path, trace_path = tmp_path / "c.contract", tmp_path / "t.json"
@@ -348,13 +349,13 @@ class TestOnePass:
         argv = ["monitor", str(contract_path), str(trace_path), "--classes", "--out",
                 str(tmp_path / "m")]
         assert main(argv) == 0
-        assert calls == {"evaluate": 1, "_run_distances": 4, "candidate_table": 1}
+        assert calls == {"evaluate": 1, "_run_distances": 1, "candidate_table": 1}
         assert len(read_report(tmp_path / "m" / "witness.csv")) == 4
         calls.update(dict.fromkeys(calls, 0))
         argv = ["sweep", str(contract_path), str(trace_path), "--tolerances", "20,40,80,120,160",
                 "--out", str(tmp_path / "s")]
         assert main(argv) == 0
-        assert calls == {"evaluate": 1, "_run_distances": 4, "candidate_table": 1}
+        assert calls == {"evaluate": 1, "_run_distances": 1, "candidate_table": 1}
 
     def test_union_bound_error_comes_before_its_class_context_error(self, tmp_path, capsys):
         # The union row runs first, its matcher before its clauses.
@@ -1184,6 +1185,37 @@ class TestContractMemo:
             manifest = json.loads((warm / "manifest.json").read_text())
             assert manifest["settings"]["matcher"] == policy
         assert contracts.load_contract(contract_path).matcher == "greedy"
+
+    def test_a_warm_select_plans_nothing(self, tmp_path, monkeypatch):
+        # The basis plan is the contract's own, kept on the shared contract, so
+        # only the first select on a contract text plans; the reports and the
+        # exit code (6 for the infeasible basis) do not change.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        real = frames.share_subformulas
+        for module in (frames, contracts, basis):
+            monkeypatch.setattr(module, "share_subformulas", counting)
+        calibration_path = tmp_path / "calibration.json"
+        save_calibration(calibration_cases(), calibration_path)
+        texts = {"default": (default_contract_text(0.04), 0),
+                 "infeasible": (TestSelect.INFEASIBLE_BASIS, 6)}
+        for name, (text, code) in texts.items():
+            contract_path = tmp_path / f"{name}.contract"
+            contract_path.write_text(text)
+            reports = []
+            for run in ("cold", "warm", "warmer"):
+                out = tmp_path / name / run
+                assert main(["select", str(contract_path), str(calibration_path),
+                             "--out", str(out)]) == code
+                assert len(calls) == (run == "cold")
+                calls.clear()
+                reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert reports[0] == reports[1] == reports[2]
+            assert sorted(reports[0]) == ["certificate.csv", "manifest.json", "selection.csv"]
 
     def test_an_edited_contract_is_parsed_again(self, worked_files, tmp_path):
         contract_path, trace_path = worked_files

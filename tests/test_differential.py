@@ -36,12 +36,16 @@ from tracecontracts.basis import (
     satisfiable,
 )
 from tracecontracts.contracts import (
+    EDGE_PAIRS,
     ContractError,
+    FrameClause,
     _edge_times,
     _frame_runs,
     _monitor_stack,
+    _offset_edges,
     _run_distances,
     _trace_runs,
+    _witness_pair,
     compile_contract,
     contract_to_text,
     default_contract,
@@ -51,6 +55,7 @@ from tracecontracts.contracts import (
     monitor_classes,
     parse_contract_text,
     purity_score,
+    soft_boundary,
     tolerance_sweep,
 )
 from tracecontracts.fixtures import (
@@ -109,6 +114,8 @@ from gen import (
     loop_tolerance_sweep,
     NaiveStreamingMonitor,
     enumerate_formulas,
+    gap_run_distances,
+    group_soft_boundary,
     naive_backward_frames,
     naive_candidates,
     naive_covering_counts,
@@ -133,6 +140,7 @@ from gen import (
     object_matcher_audit,
     object_monitor,
     object_purity_score,
+    pair_witness,
     prefix_nearest_distances,
     prefix_until,
     prefix_window_all,
@@ -218,10 +226,15 @@ class TestExtraction:
                     )
 
     def test_edge_times_bit_identical(self):
+        # Each mask as group 1 of a placed three-group stack.
         for ref, pred, h in _random_masks(32, 200):
-            for mask in (ref, pred):
-                fast = _edge_times(mask, h)
-                slow = naive_edge_times(mask, h)
+            stack = np.stack((pred, ref, pred))
+            starts = np.arange(4) * (2 * ref.size + 1)
+            edges = _offset_edges(stack)
+            times = _edge_times(edges, starts[1], h)
+            for g, mask in enumerate(stack):
+                lo, hi = edges.searchsorted(starts[g:g + 2])
+                fast, slow = times[lo:hi], naive_edge_times(mask, h)
                 assert fast.dtype == slow.dtype
                 assert fast.tobytes() == slow.tobytes()
 
@@ -829,10 +842,10 @@ def test_witness_distances_match_all_frames_lookup():
 
 
 def test_witness_summaries_match_all_frames_lookup():
-    # The memo keeps, per group, the mean in ms, None when there are no
-    # obligated or no witness frames, and whether there are no witness frames
-    # at all.  Each pair is stacked with groups that lack its witnesses, and
-    # a group reads only its own.
+    # One pass gives, per pair and group, the mean in ms, None when there
+    # are no obligated or no witness frames, and the obligated frame count
+    # when there are no witness frames.  Each pair is stacked with groups
+    # that lack its witnesses, and a group reads only its own.
     pairs = [
         (np.zeros(6, bool), np.zeros(6, bool), 0.01),
         (np.zeros(6, bool), _runs_mask(6, (2, 4)), 0.01),
@@ -852,20 +865,113 @@ def test_witness_summaries_match_all_frames_lookup():
         runs = _trace_runs(*(np.stack(side) for side in zip(*stack)), h, 0.0)
         plan = share_subformulas([f for key in keys for f in key], h)
         values = plan.evaluate(runs.atoms)
+        found = runs.witnesses(keys, values)
+        assert list(found) == keys
         for obligation, witness in keys:
-            summaries = runs.witness(obligation, witness, values)
+            summaries = found[obligation, witness]
             assert len(summaries) == len(stack)
-            for group, summary in zip(stack, summaries):
+            for group, (mean, excluded) in zip(stack, summaries):
                 env = derive_edge_atoms(*group, h)
                 alone = plan.evaluate(env.atoms)
                 want = prefix_nearest_distances(alone[obligation], alone[witness], h)
-                assert summary[1] is (want is None)
+                count = int(np.count_nonzero(alone[obligation]))
+                assert excluded == (count if want is None else 0)
                 if want is None or want.size == 0:
-                    assert summary[0] is None
+                    assert mean is None
                 else:
-                    assert summary[0] == float(np.mean(want) * 1000.0)
-            assert runs.witness(obligation, witness, values) is summaries
-        assert len(runs.witnesses) == len(keys)
+                    assert mean == float(np.mean(want) * 1000.0)
+
+
+# A contract whose frame witnesses read non-atom obligations, with a merge gap.
+NON_ATOM_OBLIGATIONS = """\
+set tolerance 0.04
+set merge_gap 0.03
+frame both_guard : ref_active -> N[0.04] pred_active @ ref_active & pred_active
+frame bleed_guard : pred_active -> N[0.02] ref_active @ pred_active & !ref_active
+frame near_guard : ref_onset -> N[0.04] pred_onset @ F[0.04] ref_onset
+frame plain_guard : ref_offset -> N[0.04] pred_offset @ ref_offset
+frame shape_guard : G[0.02] ref_active @ ref_active
+event duration_guard : duration_within @ matched_pairs
+"""
+
+
+def _witness_stacks(seed: int, count: int):
+    """Random ``(G, n)`` stacks, G 1-5 and n 0-300, whose groups include one
+    with no frames of either side, one with every frame of both, and one
+    with runs on one side only."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        groups, n = int(rng.integers(1, 6)), int(rng.integers(0, 301))
+        h = (0.01, 1.0 / 3.0, 1024 / 44100)[trial % 3]
+        masks = rng.random((2, groups, n)) < rng.choice([0.02, 0.3, 0.7, 0.97], (2, groups, 1))
+        kind = trial % 4
+        g = int(rng.integers(groups))
+        if kind == 1:
+            masks[:, g] = False
+        elif kind == 2:
+            masks[:, g] = True
+        elif kind == 3:
+            masks[int(rng.integers(2)), g] = False
+        yield masks[0], masks[1], h
+
+
+def test_one_witness_pass_matches_a_pass_per_pair():
+    contracts = [
+        default_contract(0.04),
+        default_contract(0.08, merge_gap=0.05),
+        parse_contract_text(NON_ATOM_OBLIGATIONS),
+    ]
+    for ref, pred, h in _witness_stacks(97, 90):
+        for contract in contracts:
+            runs, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref), "greedy")
+            values = compile_contract(contract, h).evaluate(runs.atoms)
+            pairs = list(dict.fromkeys(
+                [_witness_pair(c) for c in contract.frame_clauses if _witness_pair(c)]
+                + list(EDGE_PAIRS)
+            ))
+            found = runs.witnesses(pairs, values)
+            want = {pair: pair_witness(runs, *pair, values) for pair in pairs}
+            assert found == want
+            for g, result in enumerate(results):
+                for clause, coord in zip(contract.clauses, result.guards):
+                    pair = _witness_pair(clause) if isinstance(clause, FrameClause) else None
+                    if pair is not None:
+                        assert coord.witness_mean == want[pair][g][0]
+                witnesses = result.witnesses
+                onset, offset = (want[pair][g] for pair in EDGE_PAIRS)
+                assert (witnesses.onset_mae_ms, witnesses.onset_excluded) == onset
+                assert (witnesses.offset_mae_ms, witnesses.offset_excluded) == offset
+
+
+def test_searchsorted_gap_ranges_match_the_overlap_scan():
+    for ref, pred, h in _random_masks(101, 150):
+        for obligated, witnesses in ((ref, pred), (pred, ref), (ref, ref), (ref, ~pred)):
+            got = _nearest_distances(obligated, witnesses, h)
+            want = gap_run_distances(_frame_runs(obligated), _frame_runs(witnesses), h)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_every_group_soft_boundary_matches_a_scan_per_group():
+    for ref, pred, h in _witness_stacks(103, 90):
+        runs = _trace_runs(ref, pred, h, 0.0)
+        for scale in (0.05, 0.013, 1.0):
+            scores = runs.soft_boundary(scale)
+            assert scores == [group_soft_boundary(runs, g, scale) for g in range(len(ref))]
+            assert scores == [soft_boundary(r, p, h, scale) for r, p in zip(ref, pred)]
+
+
+def test_add_reduce_over_count_is_np_mean_bit_for_bit():
+    # Witness means reduce slices of a larger array at arbitrary offsets.
+    rng = np.random.default_rng(107)
+    pool = rng.random(20000) * rng.choice([1e-3, 1.0, 1e3], 20000) - 0.2
+    for _ in range(600):
+        size = int(rng.integers(1, 5001))
+        lo = int(rng.integers(0, pool.size - size + 1))
+        x = pool[lo:lo + size]
+        assert (np.add.reduce(x) / x.size).tobytes() == np.mean(x).tobytes()
+        assert float(np.add.reduce(x) / size * 1000.0) == float(np.mean(x) * 1000.0)
 
 
 def _runs_mask(n: int, *runs: tuple[int, int]) -> np.ndarray:

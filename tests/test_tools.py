@@ -1,14 +1,20 @@
-"""Repository tooling: the checked-in line counter, and the benchmark's
-span table against the package it wraps."""
+"""Repository tooling: the checked-in line counter, the report digest, and
+the benchmark's span table against the package it wraps."""
 
 import ast
 import importlib
+import importlib.util
+import io
+import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_LINES = ROOT / "tools" / "src_lines.py"
+REPORT_DIGEST = ROOT / "tools" / "report_digest.py"
 
 SAMPLE = '''"""A module docstring
 over two lines."""
@@ -63,3 +69,21 @@ def test_every_benchmark_wrap_point_resolves():
             assert callable(vars(getattr(owner, class_name)).get(method)), (module_name, attr)
         else:
             assert callable(getattr(owner, attr, None)), (module_name, attr)
+
+
+def test_report_digest_is_the_same_in_a_fresh_and_a_warm_process():
+    # A fresh process, then this one (whose contract memo may be warm) twice.
+    package_root = Path(importlib.import_module("tracecontracts").__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(package_root), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    fresh = subprocess.run([sys.executable, str(REPORT_DIGEST)], capture_output=True, text=True,
+                           check=True, env=env).stdout
+    assert re.fullmatch(r"[0-9a-f]{64}\n", fresh)
+    spec = importlib.util.spec_from_file_location("report_digest", REPORT_DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for _ in range(2):
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            assert tool.main_digest([]) == 0
+        assert printed.getvalue() == fresh
