@@ -976,20 +976,28 @@ def monitor_classes(
 
 
 def _macro(contract: Contract, results: Sequence[MonitorResult]) -> GuardVector:
-    """The per-coordinate unweighted mean of class results, counts summed."""
+    """The per-coordinate unweighted mean of class results, counts summed.
+
+    Each clause's score mean is one row of a C-contiguous (clauses x
+    classes) array, reduced along the row as ``np.mean`` reduces a list;
+    a witness mean is ``np.add.reduce`` over its count, bit for bit
+    ``np.mean``."""
+    columns = list(zip(*(r.guards.coordinates for r in results)))
+    scores = np.array([[c.score for c in coords] for coords in columns], dtype=float)
+    means = np.mean(scores.reshape(len(contract.clauses), len(results)), axis=1).tolist()
     macro = []
-    for position, clause in enumerate(contract.clauses):
-        coords = [r.guards.coordinates[position] for r in results]
+    for clause, coords, score in zip(contract.clauses, columns, means):
         witnesses = [c.witness_mean for c in coords if c.witness_mean is not None]
+        witness = np.add.reduce(witnesses, dtype=float) / len(witnesses) if witnesses else None
         macro.append(
             GuardCoordinate(
                 clause.name,
                 coords[0].kind,
-                float(np.mean([c.score for c in coords])),
+                score,
                 sum(c.obligated for c in coords),
                 sum(c.satisfied for c in coords),
                 sum(c.violated for c in coords),
-                float(np.mean(witnesses)) if witnesses else None,
+                None if witness is None else float(witness),
             )
         )
     return GuardVector(tuple(macro))

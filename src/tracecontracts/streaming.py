@@ -7,23 +7,29 @@ frame is complete; it never revises an emitted verdict.
 The monitor runs on the formula's :class:`~tracecontracts.frames.EvaluationPlan`,
 so structurally equal subtrees are one node.  Each node ``k`` has a fixed
 delay ``d_k``, its reach in frames: once frame ``t`` has arrived, the right
-context of the node's frame ``t - d_k`` is complete.  Each node writes its
-verdict for that frame into a ring of fixed length, the largest lag plus
-window span among its consumers; so the buffer is bounded by the formula's
-radii.  Windows keep rolling counts of true child frames; until keeps a
-queue of its left side's false frames and a rolling count of its right
-side, so a step costs O(plan nodes).
+context of the node's frame ``t - d_k`` is complete.  The node's verdict
+for that frame is a local of the step, which consumers at the same step
+read; if a consumer reads it at a later step, it also goes into a ring of
+fixed length, the largest lag plus window span among its consumers, so the
+buffer is bounded by the formula's radii.  Windows keep rolling counts of
+true child frames; until keeps a queue of its left side's false frames and
+a rolling count of its right side, so a step costs O(plan nodes).
 
-At construction the monitor generates one Python function for its plan: a
-single body that writes the atoms into their rings, then runs every node's
-update, children first, with its delay, ring sizes, pad and threshold as
-integer literals, behind the guard ``d_k - r_k <= t < n + d_k`` on the
-steps it runs at, and returns the root's verdict for frame
-``t - lookahead_frames``.  The counts, queues and scan positions are cells
-of that function.  Only the plan's integers and fixed operator templates
-enter the source text; atom names and rings are bound as values.
+At construction the monitor generates one Python function for its plan:
+it reads the atoms as ``True if value else False`` (the truth test of
+``bool``, without the call), then runs every node's update, children
+first, with its delay, ring sizes, pad and threshold as integer literals,
+and returns the root's verdict for frame ``t - lookahead_frames``.
+Each update is a list of blocks, each with the step from which it runs
+(``t >= d_k - r_k`` to take in the entering frame, ``t >= d_k`` to emit);
+from them come a warm-up body with those guards and a steady body
+without any, which runs once ``t`` reaches the largest guard, so a steady
+frame makes one comparison.  The counts, queues and scan positions are
+cells of that function.  Only the plan's integers and fixed operator
+templates enter the source text; atom names and rings are bound as values.
 
-``finalize`` runs the same node updates over the virtual frames
+``finalize`` runs the same node updates, guarded by
+``d_k - r_k <= t < n + d_k``, over the virtual frames
 ``n .. n + lookahead_frames - 1`` after the last frame ``n - 1``.  A child
 frame ``>= n`` reads as a pad, false for the existential windows and
 until and true for always, which equals clipping the windows at the right
@@ -63,17 +69,28 @@ def _frame(lag: int) -> str:
 
 def _at(k: int, size: int, lag: int) -> str:
     """Node ``k``'s ring slot for frame ``t - lag``."""
-    if size == 1:
-        return f"r{k}[0]"
     return f"r{k}[(t - {lag}) % {size}]" if lag else f"r{k}[t % {size}]"
 
 
-def _update(node: Formula, k: int, kids: tuple[int, ...], r: int, d: int, sizes: list[int],
-            closed: bool) -> list[str]:
-    """Source lines of node ``k``'s update at step ``t``, for its frame
-    ``i = t - d``; ``closed`` reads child frames ``>= n`` as pads, and an
-    open trace has no such frames."""
-    out = _at(k, sizes[k], d)
+def _store(k: int, size: int, lag: int) -> str:
+    """The assignment targets of node ``k``'s value for frame ``t - lag``:
+    its local, and its ring slot if it has a ring."""
+    return f"x{k} = {_at(k, size, lag)} = " if size > 1 else f"x{k} = "
+
+
+def _update(node: Formula, k: int, kids: tuple[int, ...], r: int, d: int, delays: list[int],
+            sizes: list[int], closed: bool) -> list[tuple[int, list[str]]]:
+    """Node ``k``'s update at step ``t``, for its frame ``i = t - d``, as
+    ``(guard, lines)`` blocks in order: a block runs once ``t >= guard``.
+    ``closed`` reads child frames ``>= n`` as pads, and an open trace has no
+    such frames.  A child frame made at this step is read from its local
+    ``x<c>``, an older one from its ring; the node's own value goes to
+    ``x<k>``, and to its ring if a later step reads it."""
+
+    def read(c: int, lag: int) -> str:
+        return f"x{c}" if lag == delays[c] else _at(c, sizes[c], lag)
+
+    store = _store(k, sizes[k], d)
     if isinstance(node, Until):
         # Some psi frame in [i, min(i + r, first phi-false frame >= i)]: a
         # queue of phi-false frames from i - 1 on, and a count of true psi
@@ -81,45 +98,50 @@ def _update(node: Formula, k: int, kids: tuple[int, ...], r: int, d: int, sizes:
         phi, psi = kids
         j = _frame(d - r)  # the frame entering the window
         entering = f"{j} < n and not " if closed else "not "
-        lines = [
-            f"if {entering}{_at(phi, sizes[phi], d - r)}:",
-            f"    q{k}.append({j})",
-            f"if t >= {d}:",
-            f"    if q{k} and q{k}[0] < t - {d}:",
-            f"        q{k}.popleft()",
-            f"    u = {j} if {j} < n else n - 1" if closed else f"    u = {j}",
-            f"    if q{k} and q{k}[0] < u:",
-            f"        u = q{k}[0]",
-            f"    while h{k} < u:",
-            f"        h{k} += 1",
-            f"        c{k} += r{psi}[h{k} % {sizes[psi]}]",
-            f"    {out} = c{k} > 0",
-            f"    c{k} -= {_at(psi, sizes[psi], d)}",
+        return [
+            (d - r, [f"if {entering}{read(phi, d - r)}:", f"    q{k}.append({j})"]),
+            (d, [
+                f"if q{k} and q{k}[0] < t - {d}:",
+                f"    q{k}.popleft()",
+                f"u = {j} if {j} < n else n - 1" if closed else f"u = {j}",
+                f"if q{k} and q{k}[0] < u:",
+                f"    u = q{k}[0]",
+                f"while h{k} < u:",
+                f"    h{k} += 1",
+                f"    c{k} += r{psi}[h{k} % {sizes[psi]}]",
+                f"{store}c{k} > 0",
+                f"c{k} -= {read(psi, d)}",
+            ]),
         ]
-    elif not isinstance(node, TEMPORAL):
-        lines = [f"{out} = " + _POINTWISE[type(node)].format(*(_at(c, sizes[c], d) for c in kids))]
-    else:
-        # ``count > threshold`` over the child's frames [i - back, i + r]; the
-        # count starts at frame i = -r so it is full at frame 0, and a frame
-        # leaves it right after the last verdict that covers it.
-        (c,) = kids
-        back = r if isinstance(node, Near) else 0
-        pad, threshold = (True, r) if isinstance(node, Always) else (False, 0)
-        entering = _at(c, sizes[c], d - r)
-        if closed:
-            entering = f"({entering} if {_frame(d - r)} < n else {pad})"
-        lines = [
-            f"c{k} += {entering}",
-            f"if t >= {d}:",
-            f"    {out} = c{k} > {threshold}",
-            f"    if t >= {d + back}:",
-            f"        c{k} -= {_at(c, sizes[c], d + back)}",
-        ]
+    if not isinstance(node, TEMPORAL):
+        return [(d, [store + _POINTWISE[type(node)].format(*(read(c, d) for c in kids))])]
+    # ``count > threshold`` over the child's frames [i - back, i + r]; the
+    # count starts at frame i = -r so it is full at frame 0, and a frame
+    # leaves it right after the last verdict that covers it.
+    (c,) = kids
+    back = r if isinstance(node, Near) else 0
+    pad, threshold = (True, r) if isinstance(node, Always) else (False, 0)
+    entering = read(c, d - r)
     if closed:
-        return [f"if {d - r} <= t < n + {d}:"] + ["    " + line for line in lines]
-    if d - r:
-        return [f"if t >= {d - r}:"] + ["    " + line for line in lines]
+        entering = f"({entering} if {_frame(d - r)} < n else {pad})"
+    return [
+        (d - r, [f"c{k} += {entering}"]),
+        (d, [f"{store}c{k} > {threshold}"]),
+        (d + back, [f"c{k} -= {read(c, d + back)}"]),
+    ]
+
+
+def _guarded(blocks: list[tuple[int, list[str]]], floor: int) -> list[str]:
+    """The blocks' lines in order, each under ``if t >= guard`` if its guard
+    is above ``floor``."""
+    lines = []
+    for guard, block in blocks:
+        lines += [f"if t >= {guard}:", *_indent(block)] if guard > floor else block
     return lines
+
+
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
 
 
 def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) -> str:
@@ -130,28 +152,37 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
     temporal = [k for k, (node, *_) in nodes if isinstance(node, TEMPORAL)]
     until = [k for k, (node, *_) in nodes if isinstance(node, Until)]
     shared = ", ".join(["received"] + [f"c{k}" for k in temporal] + [f"h{k}" for k in until])
-    root, lookahead = plan.node_count - 1, delays[-1]
-    emit = f"(t - {lookahead}, {_at(root, sizes[root], lookahead)})"
-    step = ["def step(frame):", f"    nonlocal {shared}", "    t = received"]
-    for k, (node, *_) in nodes:
-        if isinstance(node, Atom):
-            step += ["    try:", f"        value = frame[a{k}]", "    except KeyError:",
-                     f"        raise UnknownAtomError(a{k}) from None",
-                     f"    {_at(k, sizes[k], 0)} = bool(value)"]
-    step.append("    received = t + 1")
-    finish = ["def finish():", f"    nonlocal {shared}", "    n = received", "    out = []",
-              f"    for t in range(n, n + {lookahead}):"]
+    lookahead = delays[-1]
+    emit = f"({_frame(lookahead)}, x{plan.node_count - 1})"
+    atoms, warm, tail = [], [], []
     for k, (node, kids, r, d) in nodes:
-        if not isinstance(node, Atom):
-            step += ["    " + line for line in _update(node, k, kids, r, d, sizes, False)]
-            finish += ["        " + line for line in _update(node, k, kids, r, d, sizes, True)]
-    step += [f"    if t >= {lookahead}:", f"        return [{emit}]", "    return []"]
-    finish += [f"        if t >= {lookahead}:", f"            out.append({emit})", "    return out"]
+        if isinstance(node, Atom):
+            atoms += ["try:", f"    value = frame[a{k}]", "except KeyError:",
+                      f"    raise UnknownAtomError(a{k}) from None",
+                      f"{_store(k, sizes[k], 0)}True if value else False"]
+            continue
+        warm += _update(node, k, kids, r, d, delays, sizes, False)
+        blocks = _update(node, k, kids, r, d, delays, sizes, True)
+        tail += [f"if {d - r} <= t < n + {d}:", *_indent(_guarded(blocks, d - r))]
+    # Once t reaches the largest guard every block runs: the steady body.
+    steady = [line for _, block in warm for line in block] + [f"return [{emit}]"]
+    warm.append((lookahead, [f"return [{emit}]"]))
+    settled = max(guard for guard, _ in warm)
+    step = ["def step(frame):", f"    nonlocal {shared}", "    t = received", *_indent(atoms),
+            "    received = t + 1"]
+    if settled:
+        step += [f"    if t >= {settled}:", *_indent(steady, 2), *_indent(_guarded(warm, 0)),
+                 "    return []"]
+    else:
+        step += _indent(steady)
+    finish = ["def finish():", f"    nonlocal {shared}", "    n = received", "    out = []",
+              f"    for t in range(n, n + {lookahead}):", *_indent(tail, 2),
+              f"        if t >= {lookahead}:", f"            out.append({emit})", "    return out"]
     head = ["def kernel():", "    received = 0"]
     head += [f"    c{k} = 0" for k in temporal]
     head += [f"    h{k}, q{k} = -1, deque()" for k in until]
     body = step + finish + ["return step, finish, lambda: received"]
-    return "\n".join(head + ["    " + line for line in body]) + "\n"
+    return "\n".join(head + _indent(body)) + "\n"
 
 
 class StreamingMonitor:
@@ -177,7 +208,8 @@ class StreamingMonitor:
                 sizes[k] = max(sizes[k], d - delays[k] + _back(node, position, r) + 1)
         namespace = {"deque": deque, "UnknownAtomError": UnknownAtomError}
         for k, node in enumerate(plan.nodes):
-            namespace[f"r{k}"] = [False] * sizes[k]
+            if sizes[k] > 1:
+                namespace[f"r{k}"] = [False] * sizes[k]
             if isinstance(node, Atom):
                 namespace[f"a{k}"] = node.name
         exec(_compile(_kernel_source(plan, delays, sizes), "<streaming kernel>", "exec"), namespace)
@@ -197,13 +229,12 @@ class StreamingMonitor:
 
     @property
     def buffered_rows(self) -> int:
-        """Rows held by the longest ring (fewer while it fills)."""
+        """Rows held for the node with the longest ring, or one for its current
+        value when no node needs a ring (fewer while it fills)."""
         return min(self._received(), self._widest)
 
     def step(self, frame: Mapping[str, object]) -> list[tuple[int, bool]]:
         """Append one frame environment; return the newly final verdicts."""
-        if self._finalized:
-            raise RuntimeError("monitor is finalized")
         return self._step(frame)
 
     def finalize(self) -> list[tuple[int, bool]]:
@@ -211,4 +242,9 @@ class StreamingMonitor:
         if self._finalized:
             return []
         self._finalized = True
+        self._step = _finalized_step
         return self._finish()
+
+
+def _finalized_step(frame: Mapping[str, object]) -> list[tuple[int, bool]]:
+    raise RuntimeError("monitor is finalized")

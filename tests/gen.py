@@ -1276,8 +1276,12 @@ def loop_monitor_classes(contract, class_masks, h: float) -> ClassMonitorResult:
         cls: object_monitor(contract, plan, derive_edge_atoms(ref, pred, h), (cls, class_refs))
         for cls, (ref, pred) in masks.items()
     }
+    return ClassMonitorResult(per_class, loop_macro(contract, list(per_class.values())))
+
+
+def loop_macro(contract, results) -> GuardVector:
+    """``_macro`` with one ``np.mean`` per list of class scores and witnesses."""
     macro = []
-    results = list(per_class.values())
     for position, clause in enumerate(contract.clauses):
         coords = [r.guards.coordinates[position] for r in results]
         witnesses = [c.witness_mean for c in coords if c.witness_mean is not None]
@@ -1292,7 +1296,7 @@ def loop_monitor_classes(contract, class_masks, h: float) -> ClassMonitorResult:
                 float(np.mean(witnesses)) if witnesses else None,
             )
         )
-    return ClassMonitorResult(per_class, GuardVector(tuple(macro)))
+    return GuardVector(tuple(macro))
 
 
 def loop_tolerance_sweep(contract, ref_mask, pred_mask, h: float, tolerances) -> SweepResult:

@@ -19,9 +19,11 @@ per event and one arm per kind: equal array bytes, dtype and shape, or
 equal exception types and messages.
 """
 
+import ast
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,8 +41,11 @@ from tracecontracts.contracts import (
     EDGE_PAIRS,
     ContractError,
     FrameClause,
+    GuardCoordinate,
+    GuardVector,
     _edge_times,
     _frame_runs,
+    _macro,
     _monitor_stack,
     _offset_edges,
     _run_distances,
@@ -76,6 +81,7 @@ from tracecontracts.frames import (
     _window_exists,
     derive_edge_atoms,
     evaluate,
+    radius_frames,
     share_subformulas,
 )
 from tracecontracts.intervals import (
@@ -105,11 +111,13 @@ from tracecontracts.parser import (
     parse_text,
     walk,
 )
+from tracecontracts import streaming
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
     ALL_PREDICATES,
     loop_clause_signatures,
+    loop_macro,
     loop_monitor_classes,
     loop_tolerance_sweep,
     NaiveStreamingMonitor,
@@ -974,6 +982,46 @@ def test_add_reduce_over_count_is_np_mean_bit_for_bit():
         assert float(np.add.reduce(x) / size * 1000.0) == float(np.mean(x) * 1000.0)
 
 
+def test_row_means_of_a_contiguous_array_are_np_mean_bit_for_bit():
+    # ``_macro`` takes every clause's class mean as one row of a (clauses x
+    # classes) array; 1-11 classes, as a corpus has.
+    rng = np.random.default_rng(109)
+    for classes in range(1, 12):
+        rows = rng.random((2000, classes)) * rng.choice([1e-3, 1.0, 1e3], (2000, classes)) - 0.2
+        rows[rng.random(2000) < 0.2] = 1.0  # vacuous coordinates score one
+        got = np.mean(np.array(rows.tolist(), dtype=float), axis=1)
+        want = [np.mean(row) for row in rows.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+        witnesses = [row[: int(rng.integers(1, classes + 1))] for row in rows.tolist()[:500]]
+        for w in witnesses:
+            assert (np.add.reduce(w, dtype=float) / len(w)).tobytes() == np.mean(w).tobytes()
+
+
+def test_macro_matches_a_mean_per_list():
+    rng = random.Random(113)
+    contract = default_contract(0.04)
+    for _ in range(300):
+        results = []
+        for _ in range(rng.randint(1, 11)):
+            coordinates = tuple(
+                GuardCoordinate(
+                    clause.name, "frame", rng.choice([1.0, 0.0, rng.random(), 1 / 3]),
+                    rng.randint(0, 50), rng.randint(0, 50), rng.randint(0, 50),
+                    rng.choice([None, rng.random() * 40.0, float(rng.randint(0, 9))]),
+                )
+                for clause in contract.clauses
+            )
+            results.append(SimpleNamespace(guards=GuardVector(coordinates)))
+        got, want = _macro(contract, results), loop_macro(contract, results)
+        assert got == want
+        for a, b in zip(got, want):
+            assert type(a.score) is float and a.score.hex() == b.score.hex()
+            assert (a.witness_mean is None) == (b.witness_mean is None)
+            if a.witness_mean is not None:
+                assert type(a.witness_mean) is float
+                assert a.witness_mean.hex() == b.witness_mean.hex()
+
+
 def _runs_mask(n: int, *runs: tuple[int, int]) -> np.ndarray:
     mask = np.zeros(n, bool)
     for start, end in runs:
@@ -1108,6 +1156,154 @@ def test_streaming_monitors_keep_separate_state():
                     assert fast.step(rows[t]) == slow.step(rows[t])
                 elif t == len(rows):
                     assert fast.finalize() == slow.finalize()
+
+
+def _steady_bound(formula, h: float) -> int:
+    """The first step at which every update of the formula's monitor runs:
+    its lookahead, or a neighborhood's reach plus its backward radius."""
+    near = [naive_lookahead_frames(f, h) + radius_frames(f.radius, h)
+            for f in walk(formula) if isinstance(f, Near)]
+    return max([naive_lookahead_frames(formula, h), *near])
+
+
+# A ``U`` whose right side a window reads at the step it is made, and later
+# from its ring; ``G`` windows whose right pads ``finalize`` reads.
+_SWITCH_FORMULAS = (
+    "(a U[0.04] (b & c)) & F[0.02] (b & c)",
+    "(a U[0.06] !b) | N[0.02] !b",
+    "G[0.06] a",
+    "G[0.04] (a | N[0.02] b) -> !G[0.02] c",
+    "(b U[0.04] G[0.02] a) U[0.02] (c & G[0.02] a)",
+)
+
+
+def test_streaming_switch_from_warm_up_to_steady_matches_pump_engine():
+    # Each monitor runs its guarded warm-up body until its steady bound and
+    # one guard-free body after it; streams end from two frames before that
+    # bound to two after it, so finalize starts in either body.
+    rng = random.Random(67)
+    formulas = [(parse_text(text), h) for text in _SWITCH_FORMULAS for h in STEPS]
+    for _ in range(150):
+        h = rng.choice(STEPS)
+        formulas.append((random_formula(rng, rng.randint(1, 4), h=h), h))
+    kinds = {type(node) for formula, _ in formulas for node in walk(formula)}
+    assert kinds == {Atom, Not, And, Or, Implies, Near, Future, Always, Until}
+    for trial, (formula, h) in enumerate(formulas):
+        bound = _steady_bound(formula, h)
+        for n in range(max(0, bound - 2), bound + 3):
+            env = random_env(rng, n, h=h)
+            rows = _frame_rows(env, ("bool", "numpy", "int")[trial % 3])
+            _assert_same_stream(formula, h, rows)
+            monitor = StreamingMonitor(formula, h)
+            verdicts = [v for row in rows for _, v in monitor.step(row)]
+            verdicts += [v for _, v in monitor.finalize()]
+            assert verdicts == evaluate(formula, env).tolist(), (format_formula(formula), h, n)
+
+
+def _schedule_guards(nodes) -> list[int]:
+    """The ``N`` of every ``if t >= N`` among ``nodes`` and their descendants."""
+    return [
+        node.test.comparators[0].value
+        for top in nodes for node in ast.walk(top)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name) and node.test.left.id == "t"
+        and isinstance(node.test.ops[0], ast.GtE)
+    ]
+
+
+def test_streaming_steady_body_has_one_guard_and_rings_only_for_later_reads(monkeypatch):
+    # The step function opens with ``if t >= bound:`` around a body without
+    # schedule guards, the bound of the switch test above; a node that no
+    # later step reads keeps no ring.
+    sources = []
+    generate = streaming._kernel_source
+    monkeypatch.setattr(streaming, "_kernel_source",
+                        lambda *args: sources.append(generate(*args)) or sources[-1])
+    rng = random.Random(73)
+    formulas = [(parse_text(text), h) for text in _SWITCH_FORMULAS for h in STEPS]
+    for kind in ("a", "!a", "a & b", "a | b", "a -> b", "N[0.04] a", "F[0.04] a", "G[0.04] a",
+                 "a U[0.04] b"):
+        formulas += [(parse_text(kind), h) for h in STEPS]
+    for _ in range(200):
+        h = rng.choice(STEPS)
+        formulas.append((random_formula(rng, rng.randint(0, 4), h=h), h))
+    for formula, h in formulas:
+        monitor = StreamingMonitor(formula, h)
+        tree = ast.parse(sources[-1])
+        step = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "step")
+        body = [node for node in step.body if not isinstance(node, (ast.Nonlocal, ast.Try))]
+        bound = _steady_bound(formula, h)
+        if bound:
+            switch = next(node for node in body if isinstance(node, ast.If))
+            assert _schedule_guards([switch])[0] == bound
+            assert _schedule_guards(switch.body) == []
+        else:
+            assert _schedule_guards(body) == []
+        rings = {name: ring for name, ring in monitor._finish.__globals__.items()
+                 if name[0] == "r" and name[1:].isdigit()}
+        assert all(len(ring) > 1 for ring in rings.values()), format_formula(formula)
+        assert max(map(len, rings.values()), default=1) == monitor._widest
+
+
+class _Truth:
+    """An atom value whose truth is its own ``__bool__``, counted."""
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
+        self.calls = 0
+
+    def __bool__(self) -> bool:
+        self.calls += 1
+        return self.value
+
+
+class _NoTruth:
+    def __bool__(self) -> bool:
+        raise ZeroDivisionError("no truth value")
+
+
+def _atom_value(rng: random.Random, truth: bool):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return int(truth)
+    if kind == 1:
+        return np.bool_(truth)
+    if kind == 2:
+        return rng.choice(["x", "0", "False", " "]) if truth else ""
+    return _Truth(truth)
+
+
+def test_streaming_atom_truth_is_the_truth_of_bool():
+    # 0/1 ints, numpy bools, strings and objects with their own __bool__ read
+    # as bool() reads them, each taken once per frame; an exception from
+    # __bool__ is raised as it is.
+    rng = random.Random(71)
+    for _ in range(120):
+        h = rng.choice(STEPS)
+        formula = random_formula(rng, rng.randint(0, 4), h=h)
+        read = {node.name for node in walk(formula) if isinstance(node, Atom)}
+        env = random_env(rng, rng.randint(0, 40), h=h)
+        rows = [{name: _atom_value(rng, bool(values[i])) for name, values in env.atoms.items()}
+                for i in range(env.frame_count)]
+        _assert_same_stream(formula, h, rows)
+        calls = [{name: getattr(v, "calls", 0) for name, v in row.items()} for row in rows]
+        monitor = StreamingMonitor(formula, h)
+        verdicts = [v for row in rows for _, v in monitor.step(row)]
+        verdicts += [v for _, v in monitor.finalize()]
+        assert verdicts == evaluate(formula, env).tolist()
+        for row, before in zip(rows, calls):
+            for name, value in row.items():
+                if isinstance(value, _Truth):
+                    assert value.calls == before[name] + (name in read)
+    for text in ("a", "N[0.04] a & b", "b U[0.04] !a"):
+        monitor = StreamingMonitor(parse_text(text), 0.02)
+        monitor.step({"a": True, "b": False})
+        with pytest.raises(ZeroDivisionError, match="no truth value"):
+            monitor.step({"a": _NoTruth(), "b": True})
+        with pytest.raises(UnknownAtomError) as caught:
+            StreamingMonitor(parse_text(text), 0.02).step({"b": True})
+        assert caught.value.name == "a"
 
 
 # ---------------------------------------------------------------------------

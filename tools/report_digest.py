@@ -9,7 +9,10 @@ inputs within the exact matcher's bound), ``sweep``, ``match-audit``,
 process.  The inputs are the built-in fixtures (the worked and fragmented
 traces, the 24-case stress track, the bridge fixture and the calibration
 cases) and a seeded 3-class corpus; the contracts are the default, one with
-a merge gap, and one whose frame clauses have non-atom obligations.
+a merge gap, and one whose frame clauses have non-atom obligations.  A
+fourth contract is only streamed: its clauses reach every template of the
+streaming monitor (``!``, ``&``, ``|``, ``->``, ``N``, ``F``, ``G`` and a
+nested ``U`` whose right side is also read by a window).
 
 The digest covers, per command in order, its arguments, exit code,
 standard output and error, and the name and bytes of every file it writes;
@@ -59,6 +62,15 @@ event fragmentation_guard : singly_covered @ reference_intervals
 event latency_guard : latency_window @ reference_intervals
 """
 
+# Streamed only: every node kind of the streaming monitor's templates.
+STREAM_TEMPLATES = """\
+set tolerance 0.04
+frame hold_guard : ref_active -> G[0.03] pred_active @ ref_active
+frame soon_guard : ref_onset -> F[0.05] (pred_onset | pred_active) @ ref_onset
+frame quiet_guard : !ref_active & N[0.02] !pred_active @ !ref_active
+frame until_guard : ref_active U[0.1] (pred_active U[0.04] !ref_onset) | F[0.02] !ref_onset @ ref_active
+"""
+
 
 def _runs_mask(rng: np.random.Generator, n: int, runs: int) -> np.ndarray:
     """At most ``runs`` runs of 5-60 frames at random places."""
@@ -74,6 +86,7 @@ def _write_inputs(root: Path) -> dict:
         "default": default_contract_text(0.04),
         "merge": default_contract_text(0.04, merge_gap=0.03),
         "nonatom": NON_ATOM_OBLIGATIONS,
+        "templates": STREAM_TEMPLATES,
     }
     for name, text in contracts.items():
         (root / f"{name}.contract").write_text(text, encoding="utf-8")
@@ -118,14 +131,16 @@ def _commands(inputs: dict) -> dict[str, list[str]]:
     """Each command's name and arguments, ``--out`` excepted, in run order."""
     commands = {}
     streams = {"default": ("onset_guard", "silence_guard"), "merge": ("missing_guard",),
-               "nonatom": ("lead_guard", "hold_guard")}
+               "nonatom": ("lead_guard", "hold_guard"),
+               "templates": ("hold_guard", "soon_guard", "quiet_guard", "until_guard")}
     for name, contract in inputs["contracts"].items():
-        commands[f"check-{name}"] = ["check", contract]
-        commands[f"monitor-{name}"] = ["monitor", contract, *inputs["all"], "--classes"]
-        commands[f"monitor-exact-{name}"] = ["monitor", contract, *inputs["bounded"],
-                                             "--classes", "--matcher", "exact"]
-        commands[f"sweep-{name}"] = ["sweep", contract, *inputs["all"]]
-        commands[f"select-{name}"] = ["select", contract, inputs["calibration"]]
+        if name != "templates":
+            commands[f"check-{name}"] = ["check", contract]
+            commands[f"monitor-{name}"] = ["monitor", contract, *inputs["all"], "--classes"]
+            commands[f"monitor-exact-{name}"] = ["monitor", contract, *inputs["bounded"],
+                                                 "--classes", "--matcher", "exact"]
+            commands[f"sweep-{name}"] = ["sweep", contract, *inputs["all"]]
+            commands[f"select-{name}"] = ["select", contract, inputs["calibration"]]
         for clause in streams[name]:
             for trace in ("worked", "bridge"):
                 commands[f"stream-{name}-{clause}-{trace}"] = [
