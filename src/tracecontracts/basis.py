@@ -10,20 +10,13 @@ contract under (coordinate count, monitor cost, source order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contracts import (
-    Contract,
-    EventClause,
-    FrameClause,
-    _event_clause,
-    _trace_runs,
-    compile_contract,
-)
+from .contracts import Contract, EventClause, FrameClause, _event_clause, _trace_runs
 from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
 from .intervals import AuditBoundError, _match
 from .parser import Formula, node_count
@@ -108,16 +101,12 @@ class BasisClause:
 
 @dataclass(frozen=True)
 class CandidateBasis:
-    """Ordered candidate clauses plus the settings used to evaluate them.
-    ``contract`` is the contract the clauses come from, if any: its
-    compiled plan, kept on it per frame step, serves every basis of its
-    clauses."""
+    """Ordered candidate clauses plus the settings used to evaluate them."""
 
     clauses: tuple[BasisClause, ...]
     tolerance: float
     merge_gap: float = 0.0
     matcher: str = "greedy"
-    contract: Contract | None = field(default=None, repr=False, compare=False)
 
 
 def clause_cost(clause: FrameClause | EventClause) -> int:
@@ -132,8 +121,7 @@ def basis_from_contract(contract: Contract) -> CandidateBasis:
         BasisClause(clause, order, clause_cost(clause))
         for order, clause in enumerate(contract.clauses)
     )
-    return CandidateBasis(clauses, contract.tolerance, contract.merge_gap, contract.matcher,
-                          contract)
+    return CandidateBasis(clauses, contract.tolerance, contract.merge_gap, contract.matcher)
 
 
 def clause_value(basis: CandidateBasis, clause: BasisClause, case: CalibrationCase) -> float:
@@ -148,9 +136,9 @@ def _case_values(
 
     Cases of one length and frame step are the groups of one batched pass:
     their masks are stacked, their frame formulas evaluated once, and their
-    runs matched in one pass.  The frame formulas are planned once per
-    frame step: by :func:`contracts.compile_contract`, kept on the source
-    contract, when the basis has one.  A basis without event clauses never
+    runs matched in one pass.  The frame formulas are planned by
+    :func:`frames.share_subformulas`, so a basis of a whole contract's
+    clauses shares the contract's plan.  A basis without event clauses never
     runs the matcher.  A case's matcher bound error is raised in case
     order, before the event clauses of later cases are scored.
     """
@@ -168,10 +156,8 @@ def _case_values(
             for side in ("ref_mask", "pred_mask")
         )
         if frame:
-            plan = share_subformulas(
-                (f for c in frame for f in (c.clause.formula, c.clause.obligation)), h
-            ) if basis.contract is None else compile_contract(basis.contract, h)
-            values = plan.evaluate(_edge_atoms(ref, pred))
+            formulas = (f for c in frame for f in (c.clause.formula, c.clause.obligation))
+            values = share_subformulas(formulas, h).evaluate(_edge_atoms(ref, pred))
             scratch = np.empty(ref.shape, bool)
             for c in frame:
                 scores = _stacked_scores(values[c.clause.formula], values[c.clause.obligation],

@@ -8,10 +8,11 @@ interval matching, ``select`` runs risk-ordered contract selection, and
 
 A process parses each distinct contract text once: every command still
 reads and hashes its contract file's bytes, but a text read before yields
-the same shared contract with its compiled plans (and a sweep's
-regenerated contracts), so in-process commands on one contract skip
-parsing and planning.  A fresh-process run reads one contract, so it
-neither gains nor loses.
+the same shared contract.  Plans are kept by value, not on the contract
+(``frames.share_subformulas``), as are a sweep's regenerated contracts, so
+in-process commands that monitor, sweep, select or stream equal formulas
+on one grid plan them once, with or without a ``--matcher`` override.  A
+fresh-process run reads one contract, so it neither gains nor loses.
 
 Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
@@ -54,6 +55,7 @@ from .contracts import (
     GuardVector,
     MonitorResult,
     _macro,
+    _mean,
     _monitor_stack,
     _read_contract,
     compile_contract,
@@ -222,10 +224,8 @@ def _guard_rows(item_id: str, class_name: str, guards: GuardVector) -> list[list
 
 def _witness_row(item_id, class_name, result: MonitorResult, soft: float) -> list[str]:
     witness = result.witnesses
-    diffs = witness.duration_abs_diffs
-    duration_mae_ms = float(np.add.reduce(diffs) / len(diffs)) * 1000.0 if diffs else None
-    extras = witness.fragmentation_extra_counts
-    extra_mean = float(np.add.reduce(extras, dtype=float) / len(extras)) if extras else None
+    duration_mae_ms = _mean(witness.duration_abs_diffs, 1000.0)
+    extra_mean = _mean(witness.fragmentation_extra_counts)
     return [
         item_id,
         class_name,

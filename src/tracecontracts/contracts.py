@@ -11,8 +11,9 @@ coverage, onset latency, class purity) over an interval obligation set
 The monitor returns the ordered guard vector first; the unweighted mean
 is a display value derived from the same coordinates, never a
 replacement for them.  Its result holds the merged runs as read-only
-families and builds :class:`Interval` tuples only for a reader; a contract
-keeps its compiled plan per frame step, so it is compiled once per grid.
+families and builds :class:`Interval` tuples only for a reader.  A
+contract is a plain value; :func:`frames.share_subformulas` keeps plans by
+value, so equal contracts share one plan per grid.
 
 One monitor pass runs over a group axis: trace pairs of one length (a
 union row and its classes, or calibration cases) are stacked, evaluated
@@ -22,8 +23,8 @@ sweep's tolerances are rows over one group.  A single :func:`monitor` is
 the one-group case.  Witnesses extend the axis to pairs: the distinct
 (obligation, witness) formulas of every row, and the two edge pairs, are
 placed one after another, so one distance scan serves every pair and
-group, and each (pair, group) mean reduces one slice of it.  The soft
-boundary of every group is likewise one scan of the placed run edges.
+group, and each (pair, group) mean is :func:`_mean` of one slice of it.
+The soft boundary of every group is likewise one scan of the placed edges.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import codecs
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -181,18 +182,13 @@ Clause = FrameClause | EventClause
 
 @dataclass(frozen=True)
 class Contract:
-    """Tolerance settings plus the ordered clause list.  ``_plans`` keeps
-    :func:`compile_contract`'s plans and ``_sweeps`` :func:`tolerance_sweep`'s
-    regenerated contracts with their joint plan; neither is part of the value,
-    and both are empty after ``replace``."""
+    """Tolerance settings plus the ordered clause list."""
 
     tolerance: float
     silence_radius: float
     merge_gap: float
     matcher: str
     clauses: tuple[Clause, ...]
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sweeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tolerance < math.inf):
@@ -501,8 +497,8 @@ def _read_contract(path) -> tuple[Contract, str, str]:
     ends read as ``\\n``) and the SHA-256 of the file's bytes, read once.
     Bytes that do not decode, or a leading byte order mark, raise
     :class:`UnicodeDecodeError`.  The bytes are read and hashed on every
-    call; the contract is parsed once per distinct text and shared, with
-    its plans, by every later read of that text."""
+    call; the contract is parsed once per distinct text and shared by every
+    later read of that text."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if raw.startswith(codecs.BOM_UTF8):
@@ -527,7 +523,10 @@ def _scale_radii(formula: Formula, factor: float) -> Formula:
         return formula
     changes = dict(zip(CHILD_FIELDS[type(formula)], (_scale_radii(k, factor) for k in kids)))
     if isinstance(formula, TEMPORAL):
-        changes["radius"] = formula.radius * factor
+        changes["radius"] = radius = formula.radius * factor
+        if not (0.0 < radius < math.inf):
+            raise ContractError(f"radius {formula.radius!r} scaled by {factor!r} is {radius!r},"
+                                " not positive and finite")
     return replace(formula, **changes)
 
 
@@ -538,10 +537,11 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
     ``tolerance / contract.tolerance``, on the parsed trees; a radius renders
     as a decimal that lexes back to the same float, so the canonical renderings
     in sweep reports parse to exactly what was evaluated.  The merge gap is
-    a grid hygiene parameter and does not scale.
+    a grid hygiene parameter and does not scale.  A tolerance or scaled
+    value that is not positive and finite raises :class:`ContractError`.
     """
-    if not (tolerance > 0.0):
-        raise ContractError(f"tolerance must be positive, got {tolerance!r}")
+    if not (0.0 < tolerance < math.inf):
+        raise ContractError(f"tolerance must be positive and finite, got {tolerance!r}")
     factor = tolerance / contract.tolerance
     clauses: list[Clause] = []
     for clause in contract.clauses:
@@ -562,6 +562,15 @@ def retolerance(contract: Contract, tolerance: float) -> Contract:
 
 # ---------------------------------------------------------------------------
 # Monitoring
+
+
+def _mean(values, scale: float = 1.0) -> float | None:
+    """The mean of a one-dimensional sequence times ``scale``, bit for bit
+    as ``np.mean`` gives it: ``np.add.reduce``'s pairwise sum over the
+    count; ``None`` for an empty sequence."""
+    if not len(values):
+        return None
+    return float(np.add.reduce(values, dtype=float) / len(values) * scale)
 
 
 def _offset_edges(mask: np.ndarray) -> np.ndarray:
@@ -675,8 +684,7 @@ class _TraceRuns:
         placed ``j * G * stride`` frames on, so (pair j, group g) is group
         ``j * G + g`` of one longer axis.  A group's frames are nearer to
         its own witness frames than to any other group's, and a group with
-        none reads none.  Each mean reduces its own slice, as ``np.mean``
-        does: the same pairwise sum, then the same division."""
+        none reads none.  Each mean is :func:`_mean` of its own slice."""
         groups = self.starts.size - 1
         obligated, witnessed = (self._placed(side, values) for side in zip(*pairs))
         distances = _run_distances(obligated, witnessed, self.h)
@@ -688,7 +696,7 @@ class _TraceRuns:
         found = (seen[1:] > seen[:-1]).tolist()
         summaries = [
             (None, 0) if lo == hi else (None, hi - lo) if not has
-            else (float(np.add.reduce(distances[lo:hi]) / (hi - lo) * 1000.0), 0)
+            else (_mean(distances[lo:hi], 1000.0), 0)
             for lo, hi, has in zip(ends, ends[1:], found)
         ]
         return {key: summaries[j * groups:(j + 1) * groups] for j, key in enumerate(pairs)}
@@ -810,11 +818,9 @@ def _event_clause(
     _, defaults = EVENT_PREDICATES[clause.predicate]
     param = {key: clause.param(key, factor * tolerance) for key, factor in defaults.items()}
     if clause.predicate == "duration_within":
-        witness = float(np.add.reduce(diffs) / diffs.size * 1000.0) if diffs.size else None
-        return _duration_within(diffs, param["threshold"]), witness
+        return _duration_within(diffs, param["threshold"]), _mean(diffs, 1000.0)
     if clause.predicate == "singly_covered":
-        witness = float(np.add.reduce(extras, dtype=float) / extras.size) if extras.size else None
-        return _singly_covered(extras), witness
+        return _singly_covered(extras), _mean(extras)
     if clause.predicate == "latency_window":
         return latency_score(refs, preds, param["lead"], param["lag"]), None
     if class_context is None:
@@ -823,12 +829,8 @@ def _event_clause(
 
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
-    """One evaluation plan over every frame formula and obligation of the
-    contract on the grid of step ``h``; shared subformulas are planned once.
-    The plan is kept on the contract, one per frame step."""
-    if h not in contract._plans:
-        contract._plans[h] = share_subformulas(_frame_formulas(contract), h)
-    return contract._plans[h]
+    """:func:`share_subformulas` of the contract's frame formulas on step ``h``."""
+    return share_subformulas(_frame_formulas(contract), h)
 
 
 def _frame_formulas(contract: Contract):
@@ -862,38 +864,37 @@ def _monitor_stack(
         (g, contract, None if name is None else (name, class_refs))
         for g, name in enumerate(classes)
     ]
-    return runs, _monitor(runs, compile_contract(contract, h), rows, policy)
+    return runs, _monitor(runs, rows, policy)
 
 
 def _monitor(
     runs: _TraceRuns,
-    plan: EvaluationPlan,
     rows: Sequence[tuple[int, Contract, tuple[str, Mapping[str, Family]] | None]],
     policy: str,
 ) -> list[MonitorResult]:
     """The result of each row ``(group, contract, class_context)``: the
     contract on that group's trace pair, matched under ``policy``.  The rows
     are the groups in order, or the one group under each of several
-    contracts; ``plan`` plans the rows' frame formulas and obligations.
-    One evaluation of it gives their valuations as ``(G, n)`` stacks, which
-    each frame clause's counts read once for all groups; then only the
-    witness pass's obligations are kept.  One :func:`intervals._match`
+    contracts.  One plan of their distinct contracts' frame formulas and
+    obligations gives their valuations as ``(G, n)`` stacks, which each
+    frame clause's counts read once for all groups; then only the witness
+    pass's obligations are kept.  One :func:`intervals._match`
     serves all rows, and one :meth:`_TraceRuns.witnesses` pass finds every
     (obligation, witness) pair of every row, the edge pairs included, for
     all groups.  A row's errors are raised when the row is reached, its
     matcher bound before its clauses, so the first row in order decides;
     the counts and the witness pass raise none."""
-    values = plan.evaluate(runs.atoms)
+    distinct = {id(contract): contract for _, contract, _ in rows}
+    formulas = (f for contract in distinct.values() for f in _frame_formulas(contract))
+    values = share_subformulas(formulas, runs.h).evaluate(runs.atoms)
     [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.counts, runs.bounds,
                        [c.tolerance for _, c, _ in rows], (policy,))
     scratch = np.empty_like(runs.atoms["ref_active"])
-    frame_scores: dict[int, list[list[ObligationScore]]] = {}  # by contract identity
-    for _, contract, _ in rows:
-        if id(contract) not in frame_scores:
-            frame_scores[id(contract)] = [
-                _stacked_scores(values[c.formula], values[c.obligation], scratch)
-                for c in contract.frame_clauses
-            ]
+    frame_scores = {  # by contract identity
+        key: [_stacked_scores(values[c.formula], values[c.obligation], scratch)
+              for c in contract.frame_clauses]
+        for key, contract in distinct.items()
+    }
     clause_pairs = (_witness_pair(c) for _, contract, _ in rows for c in contract.frame_clauses)
     pairs = dict.fromkeys([*clause_pairs, *EDGE_PAIRS])
     pairs.pop(None, None)
@@ -980,15 +981,13 @@ def _macro(contract: Contract, results: Sequence[MonitorResult]) -> GuardVector:
 
     Each clause's score mean is one row of a C-contiguous (clauses x
     classes) array, reduced along the row as ``np.mean`` reduces a list;
-    a witness mean is ``np.add.reduce`` over its count, bit for bit
-    ``np.mean``."""
+    a witness mean is :func:`_mean` of the classes' witness means."""
     columns = list(zip(*(r.guards.coordinates for r in results)))
     scores = np.array([[c.score for c in coords] for coords in columns], dtype=float)
     means = np.mean(scores.reshape(len(contract.clauses), len(results)), axis=1).tolist()
     macro = []
     for clause, coords, score in zip(contract.clauses, columns, means):
-        witnesses = [c.witness_mean for c in coords if c.witness_mean is not None]
-        witness = np.add.reduce(witnesses, dtype=float) / len(witnesses) if witnesses else None
+        witness = _mean([c.witness_mean for c in coords if c.witness_mean is not None])
         macro.append(
             GuardCoordinate(
                 clause.name,
@@ -997,7 +996,7 @@ def _macro(contract: Contract, results: Sequence[MonitorResult]) -> GuardVector:
                 sum(c.obligated for c in coords),
                 sum(c.satisfied for c in coords),
                 sum(c.violated for c in coords),
-                None if witness is None else float(witness),
+                witness,
             )
         )
     return GuardVector(tuple(macro))
@@ -1032,8 +1031,8 @@ def _soft_scores(
     """:func:`soft_boundary` of each group from the sorted, placed edge
     frames of both sides, group g's in ``[starts[g], starts[g + 1])``.  Each
     edge's nearest opposite edges come from one ``searchsorted`` on the
-    placed edges, clamped to its group's own; each group's mean reduces its
-    own slice, as ``np.mean`` does."""
+    placed edges, clamped to its group's own; each group's mean is
+    :func:`_mean` of its own slice."""
     sides = (ref_edges, pred_edges)
     bounds = [edges.searchsorted(starts) for edges in sides]
     sizes = [b[1:] - b[:-1] for b in bounds]
@@ -1050,12 +1049,17 @@ def _soft_scores(
         pos = sides[dst].searchsorted(sides[src])
         left, right = times[dst][np.maximum(pos - 1, lo)], times[dst][np.minimum(pos, hi)]
         credit = np.exp(-np.minimum(np.abs(times[src] - left), np.abs(times[src] - right)) / scale)
-        means.append([float(np.add.reduce(credit[a:b]) / (b - a)) if b > a else 0.0
-                      for a, b in zip(cut, cut[1:])])
+        means.append([_mean(credit[a:b]) if b > a else 0.0 for a, b in zip(cut, cut[1:])])
     return [
         1.0 if not (r or p) else 0.0 if not (r and p) else (f + b) / 2.0
         for r, p, f, b in zip(sizes[0].tolist(), sizes[1].tolist(), *means)
     ]
+
+
+@functools.lru_cache(maxsize=_CONTRACT_MEMO_SIZE)
+def _regenerated(contract: Contract, tolerances: tuple[float, ...]) -> tuple[Contract, ...]:
+    """:func:`retolerance` of the contract at each tolerance, kept by value."""
+    return tuple(retolerance(contract, tolerance) for tolerance in tolerances)
 
 
 @dataclass(frozen=True)
@@ -1101,7 +1105,7 @@ def tolerance_sweep(
     runs are found once, the frame formulas of every regenerated contract
     are evaluated together, once, and every tolerance's candidates are
     matched in one table.  The regenerated contracts and their joint plan
-    are kept on the contract, one set per frame step and tolerance list.
+    are kept by value, so a repeated sweep regenerates and plans nothing.
     """
     tolerances = list(tolerances)
     if not tolerances:
@@ -1113,13 +1117,8 @@ def tolerance_sweep(
     # The merge gap does not scale, so the runs are the same at every tolerance.
     ref, pred = _mask_pair(ref_mask, pred_mask)
     runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)
-    key = (h, tuple(tolerances))
-    if key not in contract._sweeps:
-        regenerated = tuple(retolerance(contract, tolerance) for tolerance in tolerances)
-        plan = share_subformulas((f for c in regenerated for f in _frame_formulas(c)), h)
-        contract._sweeps[key] = regenerated, plan
-    regenerated, plan = contract._sweeps[key]
-    results = _monitor(runs, plan, [(0, c, None) for c in regenerated], contract.matcher)
+    regenerated = _regenerated(contract, tuple(tolerances))
+    results = _monitor(runs, [(0, c, None) for c in regenerated], contract.matcher)
     rows = [
         SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))
         for tolerance, grid_contract, result in zip(tolerances, regenerated, results)

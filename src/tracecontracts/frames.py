@@ -14,7 +14,8 @@ costs O(n log r) byte operations per temporal node and O(n) per other
 node; the walk that builds the plan also gives each node's reach.  It
 returns the valuations of the formulas it was built from and of the atoms
 only: an intermediate node's array is dropped after its last consumer,
-which may write a pointwise result into it.
+which may write a pointwise result into it.  Plans are kept by value in
+one bounded process memo, so equal formulas on one grid share one plan.
 
 All evaluation helpers treat the last array axis as time, which lets the
 finite-universe enumeration in :mod:`tracecontracts.basis` evaluate a
@@ -24,8 +25,10 @@ pairs; :func:`_stacked_scores` counts each row's obligation score.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -53,7 +56,8 @@ _GRID_EPS = 1e-9
 
 
 class UnknownAtomError(Exception):
-    """A formula referenced an atom the environment does not provide."""
+    """A formula referenced an atom the environment does not provide.  The
+    ``name`` is exact; the ``span`` may be an equal formula's, planned earlier."""
 
     def __init__(self, name: str, span: SourceSpan = EMPTY_SPAN) -> None:
         super().__init__(f"unknown atom {name!r}")
@@ -265,13 +269,23 @@ class EvaluationPlan:
         return {node: value for node, value in zip(self.nodes, values) if value is not None}
 
 
-def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
-    """Plan the unique subtrees of ``formulas`` on the grid of step ``h``.
+# Distinct (formulas, frame step) keys whose plans a process keeps, least
+# recently used dropped first: room for a few per kept contract text.
+_PLAN_MEMO_SIZE = 128
 
-    One children-first walk projects each radius to frames once and
-    derives each node's reach from its children's; each intermediate
-    node's last consumer follows from the finished child lists.
-    """
+
+def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
+    """Plan the unique subtrees of ``formulas`` on the grid of step ``h``;
+    equal formula lists (spans aside) on one step share one read-only plan."""
+    return _plan(tuple(formulas), h)
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _plan(formulas: tuple[Formula, ...], h: float) -> EvaluationPlan:
+    """The walk behind :func:`share_subformulas`: one children-first pass
+    projects each radius to frames once and derives each node's reach from
+    its children's; each intermediate node's last consumer follows from
+    the finished child lists."""
     _check_frame_step(h)
     slots: dict[Formula, int] = {}
     kids: list[tuple[int, ...]] = []
@@ -296,9 +310,8 @@ def share_subformulas(formulas: Iterable[Formula], h: float) -> EvaluationPlan:
         tuple(sorted({k for k in node_kids if last[k] == i and k not in kept}))
         for i, node_kids in enumerate(kids)
     )
-    return EvaluationPlan(
-        nodes, tuple(kids), tuple(radii), dict(zip(nodes, reach)), tuple(roots), dying
-    )
+    return EvaluationPlan(nodes, tuple(kids), tuple(radii),
+                          MappingProxyType(dict(zip(nodes, reach))), tuple(roots), dying)
 
 
 _POINTWISE = (Not, And, Or, Implies)

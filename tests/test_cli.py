@@ -414,6 +414,24 @@ class TestSweep:
         means = [row for row in rows if row["clause_name"] == "mean_logic"]
         assert all(float(row["score"]) == 1.0 for row in means)
 
+    @pytest.mark.parametrize("tolerance, grid", [("0.000000001", "1e303"),
+                                                 ("1000000000", "1e-320")])
+    def test_a_radius_scaled_out_of_range_exits_two(
+        self, tolerance, grid, worked_files, tmp_path, capsys
+    ):
+        # The scale factor overflows to inf or underflows to 0.0.
+        _, trace_path = worked_files
+        contract_path, out = tmp_path / "c.contract", tmp_path / "o"
+        contract_path.write_text(f"set tolerance {tolerance}\n"
+                                 "frame onset_guard : ref_onset -> N[0.000000001] pred_onset"
+                                 " @ ref_onset\n")
+        argv = ["sweep", str(contract_path), str(trace_path), "--tolerances", grid]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("contract error: radius 1e-09 scaled by ")
+        assert err.endswith(", not positive and finite\n") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_descending_grid_rejected(self, worked_files, tmp_path):
         contract_path, trace_path = worked_files
         code = main(
@@ -1114,6 +1132,11 @@ def _few_runs(rng, n: int, runs: int) -> np.ndarray:
     return np.cumsum(np.bincount(edges, minlength=n)) % 2 == 1
 
 
+def _plans_made() -> int:
+    """Plans walked so far: misses of the process's plan memo."""
+    return frames._plan.cache_info().misses
+
+
 class TestContractMemo:
     """In-process commands parse and plan each distinct contract text once;
     the contract file's bytes are still read and hashed on every command."""
@@ -1121,31 +1144,31 @@ class TestContractMemo:
     @pytest.fixture(autouse=True)
     def cleared(self):
         contracts._parsed_contract.cache_clear()
+        contracts._regenerated.cache_clear()
+        frames._plan.cache_clear()
 
     def test_a_second_command_parses_and_plans_nothing(self, worked_files, tmp_path, monkeypatch):
-        # The memo holds the original parse_contract_text, so the counters sit
-        # below it: the lexer and the planner.
+        # The memo holds the original parse_contract_text, so the lexer counts
+        # the parses; the plan memo's misses count the plans.
         contract_path, trace_path = worked_files
-        calls = {"tokenize": 0, "share_subformulas": 0}
+        calls = {"tokenize": 0}
+        tokenize = lexer.tokenize
 
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            calls["tokenize"] += 1
+            return tokenize(*args, **kwargs)
 
-        for name, modules in (("tokenize", (lexer, parser)),
-                              ("share_subformulas", (frames, contracts))):
-            wrapper = counting(name, getattr(modules[0], name))
-            for module in modules:
-                monkeypatch.setattr(module, name, wrapper)
-        for command, flags in (("monitor", ["--classes"]), ("sweep", [])):
+        for module in (lexer, parser):
+            monkeypatch.setattr(module, "tokenize", counting)
+        for command, flags in (("monitor", ["--classes"]), ("sweep", []),
+                               ("stream", ["--clause", "onset_guard"])):
             argv = [command, str(contract_path), str(trace_path), *flags]
+            made = _plans_made()
             assert main(argv + ["--out", str(tmp_path / "first")]) == 0
-            assert calls["share_subformulas"] == 1
-            calls.update(dict.fromkeys(calls, 0))
+            assert _plans_made() - made == 1
+            calls["tokenize"], made = 0, _plans_made()
             assert main(argv + ["--out", str(tmp_path / "second")]) == 0
-            assert calls == {"tokenize": 0, "share_subformulas": 0}
+            assert (calls["tokenize"], _plans_made() - made) == (0, 0)
             for name in os.listdir(tmp_path / "first"):
                 assert (tmp_path / "first" / name).read_bytes() == (
                     tmp_path / "second" / name
@@ -1154,51 +1177,31 @@ class TestContractMemo:
         assert main(["check", str(contract_path)]) == 0
         assert calls["tokenize"] == 10  # a formula and an obligation per frame clause
 
-    def test_a_matcher_override_plans_nothing_on_a_warm_contract(
-        self, worked_files, tmp_path, monkeypatch
-    ):
-        # The policy is an argument of the pass, so the shared contract's plan
-        # serves --matcher commands, with the bytes of a cold run.
+    def test_a_matcher_override_plans_nothing_on_a_warm_contract(self, worked_files, tmp_path):
+        # The policy is an argument of the pass, so the contract's plan serves
+        # --matcher commands, with the bytes of a run on cleared memos.
         contract_path, trace_path = worked_files
-        calls = []
-        real = frames.share_subformulas
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for module in (frames, contracts):
-            monkeypatch.setattr(module, "share_subformulas", counting)
         argv = ["monitor", str(contract_path), str(trace_path), "--classes"]
         assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-        assert len(calls) == 1
+        assert _plans_made() == 1
         for policy in ("exact", "greedy"):
             warm, cold = tmp_path / f"{policy}-warm", tmp_path / f"{policy}-cold"
             assert main(argv + ["--matcher", policy, "--out", str(warm)]) == 0
-            assert len(calls) == 1
+            assert _plans_made() == 1
             contracts._parsed_contract.cache_clear()
+            frames._plan.cache_clear()
             assert main(argv + ["--matcher", policy, "--out", str(cold)]) == 0
-            assert len(calls) == 2
-            del calls[1:]
+            assert _plans_made() == 1
             for name in ("guard.csv", "witness.csv", "manifest.json"):
                 assert (warm / name).read_bytes() == (cold / name).read_bytes()
             manifest = json.loads((warm / "manifest.json").read_text())
             assert manifest["settings"]["matcher"] == policy
         assert contracts.load_contract(contract_path).matcher == "greedy"
 
-    def test_a_warm_select_plans_nothing(self, tmp_path, monkeypatch):
-        # The basis plan is the contract's own, kept on the shared contract, so
-        # only the first select on a contract text plans; the reports and the
-        # exit code (6 for the infeasible basis) do not change.
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        real = frames.share_subformulas
-        for module in (frames, contracts, basis):
-            monkeypatch.setattr(module, "share_subformulas", counting)
+    def test_a_warm_select_plans_nothing(self, tmp_path):
+        # The basis plan is the contract's own, kept by value, so only the
+        # first select on a contract text plans; the reports and the exit
+        # code (6 for the infeasible basis) do not change.
         calibration_path = tmp_path / "calibration.json"
         save_calibration(calibration_cases(), calibration_path)
         texts = {"default": (default_contract_text(0.04), 0),
@@ -1209,10 +1212,10 @@ class TestContractMemo:
             reports = []
             for run in ("cold", "warm", "warmer"):
                 out = tmp_path / name / run
+                made = _plans_made()
                 assert main(["select", str(contract_path), str(calibration_path),
                              "--out", str(out)]) == code
-                assert len(calls) == (run == "cold")
-                calls.clear()
+                assert _plans_made() - made == (run == "cold")
                 reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
             assert reports[0] == reports[1] == reports[2]
             assert sorted(reports[0]) == ["certificate.csv", "manifest.json", "selection.csv"]

@@ -517,6 +517,21 @@ class TestContractFiles:
         assert format_formula(doubled.clauses[0].formula) == "ref_onset -> N[0.08] pred_onset"
         assert doubled.clauses[1].param("threshold", 0.0) == pytest.approx(0.16)
 
+    @pytest.mark.parametrize("tolerance, clause, target", [
+        ("0.000000001", "frame onset : ref_onset -> N[0.000000001] pred_onset @ ref_onset", 1e300),
+        ("1000000000", "frame onset : ref_onset -> N[0.000000001] pred_onset @ ref_onset", 1e-323),
+        ("0.04", "frame hold : ref_active U[0.04] G[0.02] pred_active @ ref_active", math.inf),
+        ("0.04", "frame soon : F[0.04] pred_onset @ ref_onset", math.nan),
+        ("0.04", "frame soon : F[0.04] pred_onset @ ref_onset", 0.0),
+        ("0.000000001", "event dur : duration_within @ matched_pairs threshold=0.000000001", 1e300),
+    ])
+    def test_retolerance_refuses_what_is_not_positive_and_finite(self, tolerance, clause, target):
+        # A scale factor that overflows or underflows, or a target that is no
+        # tolerance at all, is a contract error, not a radius check's ValueError.
+        contract = parse_contract_text(f"set tolerance {tolerance}\n{clause}\n")
+        with pytest.raises(ContractError, match="positive and finite"):
+            retolerance(contract, target)
+
     def test_latency_clause_from_file_through_monitor(self):
         text = (
             "set tolerance 0.04\n"
@@ -593,6 +608,12 @@ class TestResultRuns:
 
 
 class TestPlanMemo:
+    """Plans are kept by value, in the process's plan memo."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        frames._plan.cache_clear()
+
     def test_a_filled_memo_is_no_part_of_the_contract_value(self):
         fresh, used = default_contract(0.04), default_contract(0.04)
         plan = compile_contract(used, 0.01)
@@ -601,15 +622,21 @@ class TestPlanMemo:
         assert repr(used) == repr(fresh)
         assert contract_to_text(used) == contract_to_text(fresh)
 
-    def test_replace_starts_empty_and_each_grid_has_its_plan(self):
+    def test_replace_shares_the_plan_and_each_grid_has_its_own(self):
         contract = default_contract(0.04)
         plan = compile_contract(contract, 0.01)
         coarse = compile_contract(contract, 0.02)
         assert coarse is not plan and coarse.radii != plan.radii
         assert compile_contract(contract, 0.01) is plan
-        changed = dataclasses.replace(contract, matcher="exact")
-        assert changed._plans == {}
-        assert compile_contract(changed, 0.01) is not plan
+        # Equal frame clauses share the plan: a replaced setting, or another
+        # text whose clauses parse equal, with other spans and settings.
+        assert compile_contract(dataclasses.replace(contract, matcher="exact"), 0.01) is plan
+        text = default_contract_text(0.04).replace("set matcher greedy", "set matcher exact")
+        other = parse_contract_text("# respaced\n" + text.replace(" : ", "  :  "))
+        assert other != contract and other.frame_clauses == contract.frame_clauses
+        assert other.frame_clauses[0].formula.span != contract.frame_clauses[0].formula.span
+        assert compile_contract(other, 0.01) is plan
+        assert frames._plan.cache_info().misses == 2
 
 
 class TestContractMemo:
@@ -655,23 +682,18 @@ class TestWorkCounts:
         pairs = [(random_mask(rng, 300), random_mask(rng, 300)) for _ in range(8)]
         classes = {name: (random_mask(rng, 300), random_mask(rng, 300)) for name in "abc"}
         contract = default_contract(0.04)
-        calls = {"plan": 0, "interval": 0}
-        plan, post_init = frames.share_subformulas, Interval.__post_init__
-
-        def counting_plan(*args):
-            calls["plan"] += 1
-            return plan(*args)
+        calls = {"interval": 0}
+        post_init = Interval.__post_init__
 
         def counting_post_init(interval):
             calls["interval"] += 1
             post_init(interval)
 
-        for module in (frames, contracts):
-            monkeypatch.setattr(module, "share_subformulas", counting_plan)
         monkeypatch.setattr(Interval, "__post_init__", counting_post_init)
+        frames._plan.cache_clear()
         results = [monitor(contract, ref, pred, h) for ref, pred in pairs]
         results += monitor_classes(contract, classes, h).per_class.values()
-        assert calls == {"plan": 1, "interval": 0}
+        assert (frames._plan.cache_info().misses, calls["interval"]) == (1, 0)
         # The counter sees the objects a reader asks for.
         assert len(results[0].ref_intervals) == len(results[0].refs) > 0
         assert calls["interval"] == len(results[0].refs)
@@ -701,34 +723,42 @@ class TestWorkCounts:
     def test_a_repeated_sweep_regenerates_and_plans_nothing(self, monkeypatch):
         ref, pred, h = worked_trace()
         contract = default_contract(0.04)
-        calls = {"share_subformulas": 0, "retolerance": 0}
+        calls = {"retolerance": 0}
+        real = contracts.retolerance
 
-        def counting(name, real):
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
+        def counting(*args):
+            calls["retolerance"] += 1
+            return real(*args)
 
-        for name, modules in (("share_subformulas", (frames, contracts)),
-                              ("retolerance", (contracts,))):
-            wrapper = counting(name, getattr(modules[0], name))
-            for module in modules:
-                monkeypatch.setattr(module, name, wrapper)
+        def counts():
+            # Plans made are the plan memo's misses.
+            return {"plans": frames._plan.cache_info().misses, **calls}
+
+        monkeypatch.setattr(contracts, "retolerance", counting)
+        contracts._regenerated.cache_clear()
+        frames._plan.cache_clear()
+        assert contracts._regenerated.cache_info().maxsize == contracts._CONTRACT_MEMO_SIZE
         tolerances = (0.02, 0.04, 0.08, 0.12, 0.16)
         first = tolerance_sweep(contract, ref, pred, h, tolerances)
-        assert calls == {"share_subformulas": 1, "retolerance": 5}
+        assert counts() == {"plans": 1, "retolerance": 5}
         second = tolerance_sweep(contract, ref, pred, h, list(tolerances))
-        assert calls == {"share_subformulas": 1, "retolerance": 5}
+        assert counts() == {"plans": 1, "retolerance": 5}
         assert second == first
         assert [row.formula_texts for row in second.rows] == [
             {c.name: format_formula(c.formula) for c in retolerance(contract, t).frame_clauses}
             for t in tolerances
         ]
-        # Another grid, or another frame step, is regenerated and planned anew.
+        # Another tolerance list is regenerated and planned anew; another frame
+        # step reuses the regenerated contracts and plans them on its grid.
         tolerance_sweep(contract, ref, pred, h, tolerances[:2])
         tolerance_sweep(contract, ref, pred, h / 2, tolerances[:2])
-        assert calls == {"share_subformulas": 3, "retolerance": 5 + 2 + 2}
-        assert dataclasses.replace(contract, matcher="exact")._sweeps == {}
+        assert counts() == {"plans": 3, "retolerance": 5 + 2}
+        # An equal contract built anew does neither; another matcher policy is
+        # another contract, regenerated, whose frame formulas share the plan.
+        tolerance_sweep(default_contract(0.04), ref, pred, h, tolerances)
+        assert counts() == {"plans": 3, "retolerance": 5 + 2}
+        tolerance_sweep(dataclasses.replace(contract, matcher="exact"), ref, pred, h, tolerances)
+        assert counts() == {"plans": 3, "retolerance": 5 + 2 + 5}
 
     def test_sweep_tokenizes_nothing(self, monkeypatch):
         ref, pred, h = worked_trace()

@@ -20,6 +20,7 @@ equal exception types and messages.
 """
 
 import ast
+import dataclasses
 import itertools
 import math
 import random
@@ -111,7 +112,7 @@ from tracecontracts.parser import (
     parse_text,
     walk,
 )
-from tracecontracts import streaming
+from tracecontracts import frames, streaming
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
@@ -675,6 +676,29 @@ def test_reach_walker_matches_tree_recursion():
             assert reach.seconds == naive_lookahead(node)
             assert reach.frames == naive_lookahead_frames(node, h)
             assert reach.backward == naive_backward_frames(node, h)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.02, 1024 / 44100])
+def test_the_plan_memo_gives_a_fresh_walks_plan(h):
+    # Random lists with duplicates, reordered and reparsed with other spans:
+    # the kept plan equals the walk run afresh, field by field and in every
+    # valuation, and equal lists share it.
+    rng = random.Random(round(h * 1e6))
+    frames._plan.cache_clear()
+    for _ in range(80):
+        pool = _with_duplicates(rng, h)
+        formulas = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        reparsed = [parse_text("  " + format_formula(f)) for f in formulas]
+        env = random_env(rng, rng.randint(1, 40), h=h)
+        for listed in (formulas, formulas[::-1], reparsed):
+            plan = share_subformulas(listed, h)
+            fresh = frames._plan.__wrapped__(tuple(listed), h)
+            for field in dataclasses.fields(fresh):
+                assert getattr(plan, field.name) == getattr(fresh, field.name), field.name
+            got, want = plan.evaluate(env.atoms), fresh.evaluate(env.atoms)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[f], want[f]) for f in want)
+        assert share_subformulas(reparsed, h) is share_subformulas(formulas, h)
 
 
 def test_stacked_plan_rows_match_window_scans():

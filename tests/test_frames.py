@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecontracts import frames
 from tracecontracts.basis import satisfiable, truth_signature
 from tracecontracts.frames import (
     EvalStats,
@@ -266,6 +267,38 @@ class TestSharing:
             values = share_subformulas(formulas, env.frame_step).evaluate(env.atoms)
             for formula in formulas:
                 assert bools(values[formula]) == naive_evaluate(formula, env)
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        frames._plan.cache_clear()
+        bound = frames._PLAN_MEMO_SIZE
+        formulas = [Future(Atom("a"), 0.01 * (k + 1)) for k in range(bound + 3)]
+        for formula in formulas:
+            share_subformulas([formula], 0.01)
+        info = frames._plan.cache_info()
+        assert info.maxsize == info.currsize == bound
+        assert info.misses == bound + 3
+        share_subformulas((formulas[-1],), 0.01)  # still kept, whatever the iterable
+        share_subformulas([formulas[0]], 0.01)  # dropped: planned again
+        info = frames._plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, bound + 4, bound)
+
+    def test_a_shared_plan_is_read_only(self):
+        plan = share_subformulas([parse_text("a -> N[0.04] b")], 0.02)
+        with pytest.raises(TypeError):
+            plan.reach[Atom("c")] = plan.reach[Atom("a")]
+        with pytest.raises(AttributeError):
+            plan.radii = ()
+
+    def test_an_unknown_atom_has_its_name_and_the_first_span(self):
+        # Equal formulas share one plan, so the span is the first one's.
+        frames._plan.cache_clear()
+        env = random_env(random.Random(5), 10, atoms=("a",))
+        first, respaced = parse_text("a & zz"), parse_text("   a & zz")
+        for formula in (first, respaced):
+            with pytest.raises(UnknownAtomError) as excinfo:
+                evaluate(formula, env)
+            assert excinfo.value.name == "zz"
+            assert excinfo.value.span == first.right.span != respaced.right.span
 
 
 def reach(formula, h=0.02) -> Reach:

@@ -71,19 +71,38 @@ def test_every_benchmark_wrap_point_resolves():
             assert callable(getattr(owner, attr, None)), (module_name, attr)
 
 
+def _report_digest_tool():
+    spec = importlib.util.spec_from_file_location("report_digest", REPORT_DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_report_digest_is_the_same_in_a_fresh_and_a_warm_process():
-    # A fresh process, then this one (whose contract memo may be warm) twice.
+    # A fresh process, then this one (whose memos may be warm) twice; each
+    # run also checks that its second pass repeats its first.
     package_root = Path(importlib.import_module("tracecontracts").__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(package_root), *filter(None, [os.environ.get("PYTHONPATH")])])}
     fresh = subprocess.run([sys.executable, str(REPORT_DIGEST)], capture_output=True, text=True,
                            check=True, env=env).stdout
     assert re.fullmatch(r"[0-9a-f]{64}\n", fresh)
-    spec = importlib.util.spec_from_file_location("report_digest", REPORT_DIGEST)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _report_digest_tool()
     for _ in range(2):
         printed = io.StringIO()
         with redirect_stdout(printed):
             assert tool.main_digest([]) == 0
         assert printed.getvalue() == fresh
+
+
+def test_report_digest_exits_one_when_a_second_pass_differs(monkeypatch, capsys):
+    tool = _report_digest_tool()
+    first, second = {"a": "1", "b": "2", "c": "3"}, {"a": "1", "b": "9", "c": "3"}
+    monkeypatch.setattr(tool, "report_digests", lambda root: (first, second))
+    assert tool.main_digest(["--each"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:3] == ["1  a", "2  b", "3  c"]
+    assert err == "second run differs: b\n"
+    monkeypatch.setattr(tool, "report_digests", lambda root: (first, dict(first)))
+    assert tool.main_digest([]) == 0
+    assert capsys.readouterr().out.splitlines() == out.splitlines()[3:]

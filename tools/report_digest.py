@@ -19,6 +19,12 @@ standard output and error, and the name and bytes of every file it writes;
 the scratch directory's path is replaced by ``<root>`` first.  Run it with
 two trees' packages on the path: equal digests mean equal reports.  With
 ``--each`` a digest per command is printed before the total.
+
+The command list then runs a second time in the same process, into the
+same ``--out`` directories, where the contract and plan memos are warm.
+The printed digests are those of the first pass; if any command's second
+digest differs from its first, the tool names it on standard error and
+exits 1.
 """
 
 from __future__ import annotations
@@ -167,11 +173,13 @@ def _digest_of(root: Path, argv: list[str], out: Path) -> str:
     return digest.hexdigest()
 
 
-def report_digests(root: Path) -> dict[str, str]:
-    """Each command's digest, in run order, with its files under ``root``."""
-    inputs = _write_inputs(root)
-    return {name: _digest_of(root, argv, root / "out" / name)
-            for name, argv in _commands(inputs).items()}
+def report_digests(root: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """Each command's digest, in run order, with its files under ``root``:
+    from a first pass, and from a second pass over the same commands and
+    output directories."""
+    commands = _commands(_write_inputs(root))
+    return tuple({name: _digest_of(root, argv, root / "out" / name)
+                  for name, argv in commands.items()} for _ in range(2))
 
 
 def main_digest(argv=None) -> int:
@@ -179,13 +187,16 @@ def main_digest(argv=None) -> int:
     parser.add_argument("--each", action="store_true", help="also print each command's digest")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
-        digests = report_digests(Path(scratch))
+        digests, again = report_digests(Path(scratch))
     if args.each:
         for name, digest in digests.items():
             print(f"{digest}  {name}")
     total = hashlib.sha256("".join(f"{n} {d}\n" for n, d in digests.items()).encode("utf-8"))
     print(total.hexdigest())
-    return 0
+    changed = [name for name, digest in digests.items() if again[name] != digest]
+    for name in changed:
+        print(f"second run differs: {name}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
