@@ -45,7 +45,7 @@ from .frames import (
 from .streaming import StreamingMonitor
 from .intervals import (
     AuditBoundError,
-    CandidatePair,
+    CandidateTable,
     Interval,
     Matching,
     MatcherAudit,
@@ -55,7 +55,6 @@ from .intervals import (
     match_exact,
     match_greedy,
     matcher_audit,
-    overlap_length,
 )
 from .contracts import (
     ClassMonitorResult,

@@ -192,17 +192,17 @@ def _write_report(
     )
     try:
         os.makedirs(args.out, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            with _in_place(os.path.join(args.out, name)) as handle:
+                handle.write(f"# manifest={manifest['run_id']}\n")
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+        with _in_place(os.path.join(args.out, "manifest.json")) as handle:
+            handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as error:
         print(f"cannot write report to {args.out}: {error}", file=sys.stderr)
         raise SystemExit(EXIT_CONTRACT) from None
-    for name, (header, rows) in tables.items():
-        with _in_place(os.path.join(args.out, name)) as handle:
-            handle.write(f"# manifest={manifest['run_id']}\n")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    with _in_place(os.path.join(args.out, "manifest.json")) as handle:
-        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _coordinate_cells(coord: GuardCoordinate) -> list[str]:

@@ -1110,8 +1110,8 @@ def tolerance_sweep(
     tolerances = list(tolerances)
     if not tolerances:
         raise ValueError("no tolerances supplied")
-    if any(t <= 0.0 for t in tolerances):
-        raise ValueError("tolerances must be positive")
+    if not all(0.0 < t < math.inf for t in tolerances):
+        raise ValueError("tolerances must be positive and finite")
     if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         raise ValueError("tolerances must be strictly ascending")
     # The merge gap does not scale, so the runs are the same at every tolerance.

@@ -46,7 +46,6 @@ class TracePathology:
 
     kind: str
     magnitude: float | int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in PATHOLOGY_KINDS:

@@ -34,7 +34,10 @@ extraction returns, the start order is the identity and each window
 holds exactly the overlapping items, so candidates, covering counts,
 matching and event scores cost O(R + P + K) array work for R
 references, P predictions and K <= R + P - 1 overlapping pairs, plus the
-two ``searchsorted`` calls.  Candidate costs are elementwise float64 in
+two ``searchsorted`` calls.  Candidates are one :class:`CandidateTable`
+of index, cost and bound arrays, whose length is its pair count;
+:func:`candidates` is :func:`candidate_table` under its public name, and
+both matchers read that table.  Candidate costs are elementwise float64 in
 the scalar expression's order of operations, so they have the same bits.
 
 Every command matches rows in :func:`_match` (monitor groups, sweep
@@ -81,11 +84,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.end - self.start
-
-
-def overlap_length(a: Interval, b: Interval) -> float:
-    """Overlap of half open intervals; touching intervals overlap zero."""
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,15 +187,6 @@ def overlap_pairs(
     return q[keep], k[keep], overlap[keep]
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    ref_index: int
-    pred_index: int
-    ref: Interval
-    pred: Interval
-    cost: float
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateTable:
     """Candidate pairs as arrays: indices, costs, and both sides' bounds."""
@@ -208,16 +197,8 @@ class CandidateTable:
     ref: Family
     pred: Family
 
-    @classmethod
-    def of(cls, cands) -> CandidateTable:
-        """``cands`` itself, or a :class:`CandidatePair` sequence as arrays."""
-        if isinstance(cands, CandidateTable):
-            return cands
-        rows = [(c.ref_index, c.pred_index, c.cost, c.ref.start, c.ref.end, c.pred.start,
-                 c.pred.end) for c in cands]
-        cols = np.array(rows, float).reshape(-1, 7).T
-        ri, pi = cols[:2].astype(np.int64)
-        return cls(ri, pi, cols[2], Family(cols[3], cols[4]), Family(cols[5], cols[6]))
+    def __len__(self) -> int:
+        return self.cost.size
 
 
 def candidate_table(refs, preds, epsilon, overlaps=None) -> CandidateTable:
@@ -241,12 +222,7 @@ def candidate_table(refs, preds, epsilon, overlaps=None) -> CandidateTable:
     return CandidateTable(ri, pi, (d_start + d_end - overlap)[keep], ref, pred)
 
 
-def candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
-    """All overlapping pairs with some endpoint within three tolerances."""
-    refs, preds = tuple(refs), tuple(preds)
-    table = candidate_table(refs, preds, epsilon)
-    rows = zip(table.ref_index.tolist(), table.pred_index.tolist(), table.cost.tolist())
-    return tuple(CandidatePair(ri, pi, refs[ri], preds[pi], cost) for ri, pi, cost in rows)
+candidates = candidate_table  # one function, public under both names
 
 
 @dataclass(frozen=True)
@@ -279,17 +255,16 @@ class Matching:
         return len(self.pairs)
 
 
-def match_greedy(cands) -> Matching:
+def match_greedy(table: CandidateTable) -> Matching:
     """Ascending-cost scan keeping pairs whose sides are both unmatched.
 
-    ``cands`` is a :class:`CandidateTable` or a :class:`CandidatePair`
-    sequence.  Ties on cost break by interval position; starts are unique
-    within a family of disjoint runs, the ends extend the order to
-    arbitrary input.  ``lexsort`` is stable, so full ties keep candidate
-    order.  Taken runs are marked in one byte array per side.
+    Ties on cost break by interval position; starts are unique within a
+    family of disjoint runs, the ends extend the order to arbitrary input.
+    ``lexsort`` is stable, so full ties keep candidate order.  Taken runs
+    are marked in one byte array per side.
     """
     # A set filled in scan order, which fixes the frozenset's iteration order.
-    return Matching(frozenset(set(zip(*_greedy_scan(CandidateTable.of(cands))))), "greedy")
+    return Matching(frozenset(set(zip(*_greedy_scan(table)))), "greedy")
 
 
 def _greedy_scan(table: CandidateTable, *first: np.ndarray) -> tuple[list[int], list[int]]:
@@ -312,18 +287,16 @@ def _greedy_scan(table: CandidateTable, *first: np.ndarray) -> tuple[list[int], 
     return kept_refs, kept_preds
 
 
-def match_exact(cands, bound: int = DEFAULT_EXACT_BOUND) -> Matching:
+def match_exact(table: CandidateTable, bound: int = DEFAULT_EXACT_BOUND) -> Matching:
     """Maximum cardinality matching of minimum total cost.
 
-    ``cands`` is as for :func:`match_greedy`.  Solved by an assignment
-    reduction: candidate cells are discounted by a constant larger than
-    the total absolute cost, so the solver prefers more real pairs before
-    comparing costs.  Instances with more than ``bound`` intervals on
-    either side raise :class:`AuditBoundError`.
+    Solved by an assignment reduction: candidate cells are discounted by a
+    constant larger than the total absolute cost, so the solver prefers
+    more real pairs before comparing costs.  Instances with more than
+    ``bound`` intervals on either side raise :class:`AuditBoundError`.
     """
     from scipy.optimize import linear_sum_assignment  # slow to import; only this needs it
 
-    table = CandidateTable.of(cands)
     if not table.cost.size:
         return Matching(frozenset(), "exact")
     ref_ids, rows = np.unique(table.ref_index, return_inverse=True)

@@ -10,8 +10,9 @@ number and radius scanners, parsing and rendering by one
 recursive-descent method per binding level and one rendering arm per node
 class, and trace pathologies by one arm per kind over frame-loop runs.  The
 ``object_*`` interval layer is the library's predecessor of its array
-path: one ``Interval`` per run, one ``CandidatePair`` per candidate, and a
-Python loop per reference.  The ``loop_*`` functions are the predecessors
+path: one ``Interval`` per run, one ``CandidatePair`` record (this
+module's own; the library keeps only its ``CandidateTable``) per candidate,
+and a Python loop per reference.  The ``loop_*`` functions are the predecessors
 of the batched monitor pass: one whole pass per class, sweep tolerance or
 calibration case; ``pair_witness`` and ``group_soft_boundary`` those of its
 witness pass, one distance scan per (obligation, witness) pair and one soft
@@ -25,7 +26,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Mapping
 
@@ -67,12 +68,11 @@ from tracecontracts.frames import (
 )
 from tracecontracts.intervals import (
     AuditBoundError,
-    CandidatePair,
+    CandidateTable,
     Family,
     Interval,
     MatcherAudit,
     Matching,
-    overlap_length,
     overlap_pairs,
 )
 from tracecontracts.lexer import (
@@ -871,6 +871,42 @@ def naive_apply_pathology(ref_mask, pathology: TracePathology, h: float) -> np.n
     raise ValueError(f"unknown pathology kind {kind!r}")
 
 
+# ---------------------------------------------------------------------------
+# Candidates as one record per pair, and conversions to and from the
+# library's ``CandidateTable``.
+
+
+@dataclass(frozen=True)
+class CandidatePair:
+    ref_index: int
+    pred_index: int
+    ref: Interval
+    pred: Interval
+    cost: float
+
+
+def overlap_length(a: Interval, b: Interval) -> float:
+    """Overlap of half open intervals; touching intervals overlap zero."""
+    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
+
+
+def pair_table(pairs) -> CandidateTable:
+    """A ``CandidatePair`` sequence as a candidate table, row for row."""
+    rows = [(c.ref_index, c.pred_index, c.cost, c.ref.start, c.ref.end, c.pred.start,
+             c.pred.end) for c in pairs]
+    cols = np.array(rows, float).reshape(-1, 7).T
+    ri, pi = cols[:2].astype(np.int64)
+    return CandidateTable(ri, pi, cols[2], Family(cols[3], cols[4]), Family(cols[5], cols[6]))
+
+
+def table_pairs(table: CandidateTable) -> tuple[CandidatePair, ...]:
+    """A candidate table's rows as ``CandidatePair`` records, in order."""
+    return tuple(map(
+        CandidatePair, table.ref_index.tolist(), table.pred_index.tolist(),
+        table.ref.intervals, table.pred.intervals, table.cost.tolist(),
+    ))
+
+
 def naive_candidates(refs, preds, epsilon: float) -> tuple[CandidatePair, ...]:
     """The candidate relation by a reference x prediction double loop."""
     preds = tuple(preds)
@@ -1304,8 +1340,8 @@ def loop_tolerance_sweep(contract, ref_mask, pred_mask, h: float, tolerances) ->
     tolerances = list(tolerances)
     if not tolerances:
         raise ValueError("no tolerances supplied")
-    if any(t <= 0.0 for t in tolerances):
-        raise ValueError("tolerances must be positive")
+    if not all(0.0 < t < math.inf for t in tolerances):
+        raise ValueError("tolerances must be positive and finite")
     if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         raise ValueError("tolerances must be strictly ascending")
     env = derive_edge_atoms(ref_mask, pred_mask, h)

@@ -41,6 +41,7 @@ from gen import (
     random_env,
     random_formula,
     random_mask,
+    table_pairs,
 )
 
 
@@ -158,13 +159,14 @@ def test_07_matcher_audit_and_exact_optimality():
     for _ in range(400):
         refs = _random_intervals(rng, 4)
         preds = _random_intervals(rng, 4)
-        cands = candidates(refs, preds, 0.1)
-        if not cands:
+        table = candidates(refs, preds, 0.1)
+        if not table:
             continue
-        best_count, best_cost = brute_force_optimum(cands)
-        exact = match_exact(cands)
+        pairs = table_pairs(table)
+        best_count, best_cost = brute_force_optimum(pairs)
+        exact = match_exact(table)
         assert len(exact) == best_count
-        assert matching_cost(cands, exact) == pytest.approx(best_cost)
+        assert matching_cost(pairs, exact) == pytest.approx(best_cost)
         compared += 1
     assert compared >= 150
     print(

@@ -1017,6 +1017,25 @@ class TestReportWriter:
         assert err.startswith(f"cannot write report to {out}: ") and err.count("\n") == 1
         assert out.read_bytes() == b"not a directory\n"
 
+    @pytest.mark.parametrize("command, blocked, before", [
+        ("monitor", "guard.csv", []),
+        ("monitor", "manifest.json", ["guard.csv", "witness.csv"]),
+        ("stream", "stream.csv", []),
+    ])
+    def test_a_report_file_that_cannot_be_opened_exits_two(
+        self, command, blocked, before, inputs, tmp_path, capsys
+    ):
+        # The files before it in the report are written; it and those after are not.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main(self._argv(command, inputs, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write report to {out}: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(path.name for path in out.iterdir()) == sorted([blocked, *before])
+        assert list((out / blocked).iterdir()) == []
+
     def test_init_out_that_is_a_directory_exits_two(self, inputs, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

@@ -472,6 +472,15 @@ class TestToleranceSweep:
         with pytest.raises(ValueError):
             tolerance_sweep(default_contract(0.04), ref, pred, h, (0.04, 0.04))
 
+    @pytest.mark.parametrize(
+        "tolerances", [[0.02, math.nan, 0.04], [math.nan], [math.inf], [0.0, 0.04]]
+    )
+    def test_tolerances_must_be_positive_and_finite(self, tolerances):
+        # A NaN fails every comparison, so neither `t <= 0` nor `b <= a` refuses it.
+        ref, pred, h = worked_trace()
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+            tolerance_sweep(default_contract(0.04), ref, pred, h, tolerances)
+
 
 class TestContractFiles:
     def test_round_trip_default(self):

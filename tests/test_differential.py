@@ -87,7 +87,6 @@ from tracecontracts.frames import (
 )
 from tracecontracts.intervals import (
     AuditBoundError,
-    CandidatePair,
     Interval,
     candidates,
     covering_counts,
@@ -117,6 +116,7 @@ from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
     ALL_PREDICATES,
+    CandidatePair,
     loop_clause_signatures,
     loop_macro,
     loop_monitor_classes,
@@ -149,6 +149,7 @@ from gen import (
     object_matcher_audit,
     object_monitor,
     object_purity_score,
+    pair_table,
     pair_witness,
     prefix_nearest_distances,
     prefix_until,
@@ -156,6 +157,7 @@ from gen import (
     prefix_window_exists,
     random_env,
     random_formula,
+    table_pairs,
 )
 
 STEPS = (0.01, 0.02, 0.0125, 1.0 / 3.0, 1.0)
@@ -202,7 +204,7 @@ def _assert_same_intervals(fast, slow):
 
 
 def _assert_same_relations(refs, preds, epsilon):
-    fast = candidates(refs, preds, epsilon)
+    fast = table_pairs(candidates(refs, preds, epsilon))
     slow = naive_candidates(refs, preds, epsilon)
     assert fast == slow
     assert repr(fast) == repr(slow)
@@ -326,11 +328,11 @@ def _assert_same_event_layer(refs, preds, epsilon, class_refs=None):
     refs, preds = tuple(refs), tuple(preds)
     fast = candidates(refs, preds, epsilon)
     slow = object_candidates(refs, preds, epsilon)
-    assert repr(fast) == repr(slow)  # pair order and cost bits
+    assert repr(table_pairs(fast)) == repr(slow)  # pair order and cost bits
     assert covering_counts(refs, preds) == object_covering_counts(refs, preds)
     _assert_same_matching(match_greedy(fast), object_match_greedy(slow))
     assert _outcome(lambda: match_exact(fast)) == _outcome(lambda: object_match_exact(slow))
-    if len({c.ref_index for c in fast}) <= 24 and len({c.pred_index for c in fast}) <= 24:
+    if np.unique(fast.ref_index).size <= 24 and np.unique(fast.pred_index).size <= 24:
         _assert_same_matching(match_exact(fast), object_match_exact(slow))
     _assert_same_audit(refs, preds, epsilon)
     for lead, lag in ((epsilon, 2.0 * epsilon), (0.0, epsilon)):
@@ -385,8 +387,9 @@ class TestArrayEventLayer:
         cands = [CandidatePair(i % 3, i // 3, ref, pred, -1.0) for i in range(9)]
         for _ in range(20):
             rng.shuffle(cands)
-            _assert_same_matching(match_greedy(cands), object_match_greedy(cands))
-            _assert_same_matching(match_exact(cands), object_match_exact(cands))
+            table = pair_table(cands)
+            _assert_same_matching(match_greedy(table), object_match_greedy(cands))
+            _assert_same_matching(match_exact(table), object_match_exact(cands))
 
     def test_arbitrary_candidate_lists(self):
         # Few distinct costs and endpoints, so cost ties that break on
@@ -402,8 +405,9 @@ class TestArrayEventLayer:
                 )
                 for _ in range(rng.randint(0, 12))
             ]
-            _assert_same_matching(match_greedy(cands), object_match_greedy(cands))
-            _assert_same_matching(match_exact(cands), object_match_exact(cands))
+            table = pair_table(cands)
+            _assert_same_matching(match_greedy(table), object_match_greedy(cands))
+            _assert_same_matching(match_exact(table), object_match_exact(cands))
 
     def test_purity_totals_sum_in_reference_order(self):
         # Sixty-four overlaps with full mantissas, where a pairwise or

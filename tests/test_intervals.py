@@ -12,15 +12,18 @@ from tracecontracts.intervals import (
     AuditBoundError,
     Interval,
     boundary_f1,
+    candidate_table,
     candidates,
+    covering_counts,
     extract_intervals,
     match_exact,
     match_greedy,
     matcher_audit,
-    overlap_length,
 )
 
-from gen import brute_force_optimum, matching_cost
+from gen import brute_force_optimum, matching_cost, pair_table, table_pairs
+
+NO_CANDIDATES = candidates((), (), 0.04)
 
 
 class TestExtraction:
@@ -80,26 +83,34 @@ class TestCandidates:
         pred = Interval(1.06, 2.4)
         # arithmetic oracle straight from the endpoints
         expected = abs(1.0 - 1.06) + abs(2.0 - 2.4) - 0.94
-        (pair,) = candidates([ref], [pred], 0.04)
-        assert pair.cost == pytest.approx(expected)
-        assert pair.cost == pytest.approx(-0.48)
+        (cost,) = candidates([ref], [pred], 0.04).cost.tolist()
+        assert cost == pytest.approx(expected)
+        assert cost == pytest.approx(-0.48)
 
     def test_disjoint_intervals_are_not_candidates(self):
-        assert candidates([Interval(0.0, 1.0)], [Interval(1.0, 2.0)], 0.04) == ()
+        assert len(candidates([Interval(0.0, 1.0)], [Interval(1.0, 2.0)], 0.04)) == 0
 
     def test_identical_intervals_cost_is_negative_length(self):
-        (pair,) = candidates([Interval(0.5, 1.3)], [Interval(0.5, 1.3)], 0.04)
-        assert pair.cost == pytest.approx(-0.8)
+        (cost,) = candidates([Interval(0.5, 1.3)], [Interval(0.5, 1.3)], 0.04).cost.tolist()
+        assert cost == pytest.approx(-0.8)
+
+    def test_candidates_is_the_table_path(self):
+        assert candidates is candidate_table
+        table = candidates([Interval(0.0, 1.0), Interval(2.0, 3.0)],
+                           [Interval(0.02, 1.0), Interval(2.0, 2.9), Interval(2.5, 3.5)], 0.04)
+        assert len(table) == table.cost.size == 2
+        assert table.ref_index.tolist() == [0, 1] and table.pred_index.tolist() == [0, 1]
 
     def test_endpoint_window_is_three_tolerances(self):
         ref = [Interval(1.0, 2.0)]
         near = [Interval(1.11, 3.0)]  # onset diff 0.11 <= 0.12
         far = [Interval(1.13, 3.0)]   # both endpoint diffs exceed 0.12
         assert len(candidates(ref, near, 0.04)) == 1
-        assert candidates(ref, far, 0.04) == ()
+        assert len(candidates(ref, far, 0.04)) == 0
 
     def test_overlap_of_touching_intervals_is_zero(self):
-        assert overlap_length(Interval(0.0, 1.0), Interval(1.0, 2.0)) == 0.0
+        assert covering_counts([Interval(0.0, 1.0)], [Interval(1.0, 2.0)]) == (0,)
+        assert covering_counts([Interval(0.0, 1.0)], [Interval(0.99, 2.0)]) == (1,)
 
 
 class TestGreedy:
@@ -110,18 +121,18 @@ class TestGreedy:
         assert matching.pairs == {(0, 0), (1, 1)}
 
     def test_empty_candidates(self):
-        assert match_greedy(()).pairs == frozenset()
+        assert match_greedy(NO_CANDIDATES).pairs == frozenset()
 
     def test_input_order_never_changes_the_result(self):
         rng = random.Random(12)
         for _ in range(100):
             refs = _random_intervals(rng, 4)
             preds = _random_intervals(rng, 4)
-            cands = list(candidates(refs, preds, 0.08))
-            baseline = match_greedy(cands)
+            cands = list(table_pairs(candidates(refs, preds, 0.08)))
+            baseline = match_greedy(pair_table(cands))
             for _ in range(3):
                 rng.shuffle(cands)
-                assert match_greedy(cands).pairs == baseline.pairs
+                assert match_greedy(pair_table(cands)).pairs == baseline.pairs
 
 
 def _random_intervals(rng, max_count):
@@ -148,14 +159,15 @@ class TestExact:
         for _ in range(300):
             refs = _random_intervals(rng, 4)
             preds = _random_intervals(rng, 4)
-            cands = candidates(refs, preds, 0.1)
-            if not cands:
+            table = candidates(refs, preds, 0.1)
+            if not table:
                 continue
             checked += 1
-            best_count, best_cost = brute_force_optimum(cands)
-            exact = match_exact(cands)
+            pairs = table_pairs(table)
+            best_count, best_cost = brute_force_optimum(pairs)
+            exact = match_exact(table)
             assert len(exact) == best_count
-            assert matching_cost(cands, exact) == pytest.approx(best_cost)
+            assert matching_cost(pairs, exact) == pytest.approx(best_cost)
         assert checked > 100
 
     def test_bound_enforced(self):
@@ -172,11 +184,11 @@ class TestBoundaryF1:
         assert boundary_f1(refs, refs, matching) == 1.0
 
     def test_empty_both_sides(self):
-        assert boundary_f1((), (), match_greedy(())) == 1.0
+        assert boundary_f1((), (), match_greedy(NO_CANDIDATES)) == 1.0
 
     def test_one_side_empty(self):
-        assert boundary_f1([Interval(0.0, 1.0)], (), match_greedy(())) == 0.0
-        assert boundary_f1((), [Interval(0.0, 1.0)], match_greedy(())) == 0.0
+        assert boundary_f1([Interval(0.0, 1.0)], (), match_greedy(NO_CANDIDATES)) == 0.0
+        assert boundary_f1((), [Interval(0.0, 1.0)], match_greedy(NO_CANDIDATES)) == 0.0
 
 
 class TestEventScores:
@@ -249,7 +261,7 @@ class TestMatcherAudit:
             refs = _random_intervals(rng, 4)
             preds = _random_intervals(rng, 4)
             cands = candidates(refs, preds, 0.1)
-            allowed = {(c.ref_index, c.pred_index) for c in cands}
+            allowed = set(zip(cands.ref_index.tolist(), cands.pred_index.tolist()))
             for matching in (match_greedy(cands), match_exact(cands)):
                 assert matching.pairs <= allowed
                 assert len(matching.matched_refs) == len(matching.pairs)

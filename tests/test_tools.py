@@ -1,20 +1,25 @@
-"""Repository tooling: the checked-in line counter, the report digest, and
-the benchmark's span table against the package it wraps."""
+"""Repository tooling: the checked-in line counter, the report digest and
+its per-command pin, and the benchmark's span table against the package it
+wraps."""
 
 import ast
 import importlib
 import importlib.util
 import io
 import os
+import platform
 import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC_LINES = ROOT / "tools" / "src_lines.py"
 REPORT_DIGEST = ROOT / "tools" / "report_digest.py"
+REPORT_PIN = Path(__file__).with_name("report_digests.txt")
 
 SAMPLE = '''"""A module docstring
 over two lines."""
@@ -78,20 +83,34 @@ def _report_digest_tool():
     return tool
 
 
+def _digest_lines(text: str) -> dict[str, str]:
+    """Command name to digest, from ``--each`` output; the total as ``total``."""
+    digests = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            digest, _, name = line.partition("  ")
+            digests[name or "total"] = digest
+    return digests
+
+
 def test_report_digest_is_the_same_in_a_fresh_and_a_warm_process():
-    # A fresh process, then this one (whose memos may be warm) twice; each
-    # run also checks that its second pass repeats its first.
+    # A fresh process, pinned per command, then this one (whose memos may be
+    # warm) twice; each run also checks that its second pass repeats its first.
     package_root = Path(importlib.import_module("tracecontracts").__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(package_root), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    fresh = subprocess.run([sys.executable, str(REPORT_DIGEST)], capture_output=True, text=True,
-                           check=True, env=env).stdout
-    assert re.fullmatch(r"[0-9a-f]{64}\n", fresh)
+    fresh = subprocess.run([sys.executable, str(REPORT_DIGEST), "--each"], capture_output=True,
+                           text=True, check=True, env=env).stdout
+    assert re.fullmatch(r"([0-9a-f]{64}  \S+\n)+[0-9a-f]{64}\n", fresh)
+    got, pinned = _digest_lines(fresh), _digest_lines(REPORT_PIN.read_text(encoding="utf-8"))
+    moved = [name for name in {**pinned, **got} if got.get(name) != pinned.get(name)]
+    versions = f"Python {platform.python_version()}, numpy {np.__version__}"
+    assert not moved, f"report bytes moved for {moved} under {versions}; see {REPORT_PIN.name}"
     tool = _report_digest_tool()
     for _ in range(2):
         printed = io.StringIO()
         with redirect_stdout(printed):
-            assert tool.main_digest([]) == 0
+            assert tool.main_digest(["--each"]) == 0
         assert printed.getvalue() == fresh
 
 

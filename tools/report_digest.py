@@ -18,7 +18,9 @@ The digest covers, per command in order, its arguments, exit code,
 standard output and error, and the name and bytes of every file it writes;
 the scratch directory's path is replaced by ``<root>`` first.  Run it with
 two trees' packages on the path: equal digests mean equal reports.  With
-``--each`` a digest per command is printed before the total.
+``--each`` a digest per command is printed before the total;
+``tests/report_digests.txt`` pins that output, with the Python and numpy
+versions it was made with.
 
 The command list then runs a second time in the same process, into the
 same ``--out`` directories, where the contract and plan memos are warm.
