@@ -535,10 +535,11 @@ def _stepped(stream: StreamingMonitor, env):
     chunk at a time."""
     read = atom_names(stream.formula)
     names = tuple(name for name in env.atoms if name in read)
+    step = stream.step
     for lo in range(0, env.frame_count, STREAM_CHUNK):
         columns = [env.atoms[name][lo : lo + STREAM_CHUNK].tolist() for name in names]
         for after, values in enumerate(zip(*columns), lo + 1):
-            yield after, stream.step(dict(zip(names, values)))
+            yield after, step(dict(zip(names, values)))
     yield env.frame_count, stream.finalize()
 
 

@@ -27,7 +27,7 @@ canonical rendering compares equal to the original tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from operator import attrgetter
 from typing import Iterator, Sequence
@@ -36,11 +36,35 @@ from .lexer import EMPTY_SPAN, LexError, SourceSpan, Token, TokenKind, tokenize
 
 
 class Formula:
-    """Marker base class for formula nodes."""
+    """Base class for formula nodes.
+
+    A node's hash is the dataclass hash of its compared fields, taken once
+    at construction: a child's hash is read from its cache, so hashing a
+    tree costs one tuple hash.  Pickling rebuilds the node, so the cache is
+    recomputed in the loading process (``str`` hashes differ between
+    processes).
+    """
 
     __slots__ = ()
 
     span: SourceSpan
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", self._field_hash())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _node(cls: type) -> type:
+    """A frozen dataclass node, hashed from the cache :class:`Formula` fills."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Formula.__hash__
+    return cls
 
 
 class _Bounded(Formula):
@@ -51,42 +75,43 @@ class _Bounded(Formula):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"temporal radius must be positive and finite, got {self.radius!r}")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Near(_Bounded):
     """True where the child holds within ``radius`` seconds in either direction."""
 
@@ -95,7 +120,7 @@ class Near(_Bounded):
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Future(_Bounded):
     """True where the child holds within ``radius`` seconds ahead (inclusive of now)."""
 
@@ -104,7 +129,7 @@ class Future(_Bounded):
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Always(_Bounded):
     """True where the child holds at every frame of the clipped future window."""
 
@@ -113,7 +138,7 @@ class Always(_Bounded):
     span: SourceSpan = field(default=EMPTY_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Until(_Bounded):
     """Right witness within ``radius`` seconds, left formula holding strictly before it."""
 

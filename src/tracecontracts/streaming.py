@@ -27,6 +27,10 @@ without any, which runs once ``t`` reaches the largest guard, so a steady
 frame makes one comparison.  The counts, queues and scan positions are
 cells of that function.  Only the plan's integers and fixed operator
 templates enter the source text; atom names and rings are bound as values.
+``monitor.step`` is that generated function itself, so a streamed frame
+is one Python call; it refuses a finalized monitor with ``RuntimeError``
+before it reads an atom, also through a reference taken before
+``finalize``.
 
 ``finalize`` runs the same node updates, guarded by
 ``d_k - r_k <= t < n + d_k``, over the virtual frames
@@ -147,7 +151,8 @@ def _indent(lines: list[str], depth: int = 1) -> list[str]:
 def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) -> str:
     """Source of ``kernel()``, which makes one monitor's ``step(frame)``,
     ``finish()`` and ``received()`` on fresh cells; it reads the atom names
-    ``a<k>`` and the rings ``r<k>`` from its globals."""
+    ``a<k>`` and the rings ``r<k>`` from its globals.  ``finish`` sets the
+    ``done`` cell, and ``step`` refuses a frame once it is set."""
     nodes = list(enumerate(zip(plan.nodes, plan.kids, plan.radii, delays)))
     temporal = [k for k, (node, *_) in nodes if isinstance(node, TEMPORAL)]
     until = [k for k, (node, *_) in nodes if isinstance(node, Until)]
@@ -168,21 +173,36 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
     steady = [line for _, block in warm for line in block] + [f"return [{emit}]"]
     warm.append((lookahead, [f"return [{emit}]"]))
     settled = max(guard for guard, _ in warm)
-    step = ["def step(frame):", f"    nonlocal {shared}", "    t = received", *_indent(atoms),
+    step = ["def step(frame):", f"    nonlocal {shared}", "    t = received", "    if done:",
+            "        raise RuntimeError('monitor is finalized')", *_indent(atoms),
             "    received = t + 1"]
     if settled:
         step += [f"    if t >= {settled}:", *_indent(steady, 2), *_indent(_guarded(warm, 0)),
                  "    return []"]
     else:
         step += _indent(steady)
-    finish = ["def finish():", f"    nonlocal {shared}", "    n = received", "    out = []",
-              f"    for t in range(n, n + {lookahead}):", *_indent(tail, 2),
+    finish = ["def finish():", f"    nonlocal {shared}, done", "    done = True", "    n = received",
+              "    out = []", f"    for t in range(n, n + {lookahead}):", *_indent(tail, 2),
               f"        if t >= {lookahead}:", f"            out.append({emit})", "    return out"]
-    head = ["def kernel():", "    received = 0"]
+    head = ["def kernel():", "    received, done = 0, False"]
     head += [f"    c{k} = 0" for k in temporal]
     head += [f"    h{k}, q{k} = -1, deque()" for k in until]
     body = step + finish + ["return step, finish, lambda: received"]
     return "\n".join(head + _indent(body)) + "\n"
+
+
+class _Step:
+    """``monitor.step(frame)`` appends one frame environment and returns the
+    newly final verdicts.  On a monitor this is its generated ``step``
+    function itself, so a streamed frame is one Python call;
+    ``StreamingMonitor.step(monitor, frame)`` steps ``monitor`` too."""
+
+    def __get__(self, monitor: StreamingMonitor | None, owner: type | None = None):
+        return self if monitor is None else monitor._step
+
+    def __call__(self, monitor: StreamingMonitor,
+                 frame: Mapping[str, object]) -> list[tuple[int, bool]]:
+        return monitor._step(frame)
 
 
 class StreamingMonitor:
@@ -217,6 +237,8 @@ class StreamingMonitor:
         self._widest = max(sizes)
         self._finalized = False
 
+    step = _Step()
+
     @property
     def frames_received(self) -> int:
         return self._received()
@@ -233,18 +255,9 @@ class StreamingMonitor:
         value when no node needs a ring (fewer while it fills)."""
         return min(self._received(), self._widest)
 
-    def step(self, frame: Mapping[str, object]) -> list[tuple[int, bool]]:
-        """Append one frame environment; return the newly final verdicts."""
-        return self._step(frame)
-
     def finalize(self) -> list[tuple[int, bool]]:
         """Flush all remaining verdicts using right-boundary clipping."""
         if self._finalized:
             return []
         self._finalized = True
-        self._step = _finalized_step
         return self._finish()
-
-
-def _finalized_step(frame: Mapping[str, object]) -> list[tuple[int, bool]]:
-    raise RuntimeError("monitor is finalized")

@@ -1240,9 +1240,10 @@ def _schedule_guards(nodes) -> list[int]:
 
 
 def test_streaming_steady_body_has_one_guard_and_rings_only_for_later_reads(monkeypatch):
-    # The step function opens with ``if t >= bound:`` around a body without
-    # schedule guards, the bound of the switch test above; a node that no
-    # later step reads keeps no ring.
+    # The step function refuses a finalized monitor right after ``t =
+    # received``, before it reads an atom; its first ``if t >= bound:`` wraps
+    # a body without schedule guards, the bound of the switch test above; a
+    # node that no later step reads keeps no ring.
     sources = []
     generate = streaming._kernel_source
     monkeypatch.setattr(streaming, "_kernel_source",
@@ -1260,10 +1261,14 @@ def test_streaming_steady_body_has_one_guard_and_rings_only_for_later_reads(monk
         tree = ast.parse(sources[-1])
         step = next(node for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef) and node.name == "step")
-        body = [node for node in step.body if not isinstance(node, (ast.Nonlocal, ast.Try))]
+        head, refusal, *rest = [node for node in step.body if not isinstance(node, ast.Nonlocal)]
+        assert ast.unparse(head) == "t = received"
+        assert ast.unparse(refusal) == "if done:\n    raise RuntimeError('monitor is finalized')"
+        body = [node for node in rest if not isinstance(node, ast.Try)]
         bound = _steady_bound(formula, h)
         if bound:
-            switch = next(node for node in body if isinstance(node, ast.If))
+            switch = next(node for node in body
+                          if isinstance(node, ast.If) and ast.unparse(node.test).startswith("t >= "))
             assert _schedule_guards([switch])[0] == bound
             assert _schedule_guards(switch.body) == []
         else:

@@ -1,7 +1,9 @@
 """Parser: precedence, uniqueness, rejection totality, and canonical rendering."""
 
 import itertools
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -182,6 +184,28 @@ def test_rejection_totality_on_short_token_strings():
 def test_parse_is_deterministic():
     source = "a -> (b U[0.08] !c) & N[0.02] a | G[0.1] b"
     assert parse_text(source) == parse_text(source)
+
+
+def test_equal_trees_built_apart_hash_alike():
+    rng = random.Random(17)
+    for _ in range(200):
+        built = random_formula(rng, rng.randint(0, 4))
+        parsed = parse_text(format_formula(built))  # other spans, same tree
+        assert parsed == built and hash(parsed) == hash(built)
+        for node in walk(parsed):
+            # the dataclass hash of the compared fields, children included
+            compared = tuple(getattr(node, f.name) for f in fields(node) if f.compare)
+            assert hash(node) == hash(compared)
+
+
+def test_a_pickled_node_rehashes_when_loaded():
+    source = "(a & b) U[0.04] !N[0.02] c"
+    node = parse_text(source)
+    object.__setattr__(node, "_hash", 12345)  # a cache from another process
+    loaded = pickle.loads(pickle.dumps(node))
+    fresh = parse_text(source)
+    assert loaded == fresh and hash(loaded) == hash(fresh) != 12345
+    assert [n.span for n in walk(loaded)] == [n.span for n in walk(fresh)]
 
 
 def test_zero_radius_never_reaches_the_tree():

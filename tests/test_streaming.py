@@ -84,6 +84,38 @@ def test_finalize_is_idempotent_and_step_after_finalize_errors():
         monitor.step({"a": False})
 
 
+def test_a_step_taken_before_finalize_is_refused_after_it():
+    monitor = StreamingMonitor(parse_text("N[0.04] a"), 0.02)
+    step = monitor.step
+    step({"a": True})
+    monitor.finalize()
+    with pytest.raises(RuntimeError, match="monitor is finalized"):
+        step({"a": False})
+
+
+def test_a_refused_step_reads_no_frame_and_changes_nothing():
+    monitor = StreamingMonitor(parse_text("a U[0.04] b"), 0.02)
+    for value in (True, False, True):
+        monitor.step({"a": value, "b": not value})
+    monitor.finalize()
+    received, emission = monitor.frames_received, monitor.next_emission_index
+    with pytest.raises(RuntimeError):
+        monitor.step({})  # a read would raise UnknownAtomError
+    assert (monitor.frames_received, monitor.next_emission_index) == (received, emission)
+
+
+def test_step_is_the_generated_function_and_the_class_form_steps_the_monitor():
+    rng = random.Random(5)
+    env = random_env(rng, 40)
+    formula = parse_text("(N[0.04] a -> F[0.06] b) U[0.08] G[0.04] a")
+    bound, unbound = StreamingMonitor(formula, 0.02), StreamingMonitor(formula, 0.02)
+    assert bound.step.__code__.co_filename == "<streaming kernel>"
+    for i in range(env.frame_count):
+        frame = {name: bool(values[i]) for name, values in env.atoms.items()}
+        assert StreamingMonitor.step(unbound, frame) == bound.step(frame)
+    assert unbound.finalize() == bound.finalize()
+
+
 def test_missing_atom_raises():
     monitor = StreamingMonitor(parse_text("a & b"), 0.02)
     with pytest.raises(UnknownAtomError):
