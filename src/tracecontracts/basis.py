@@ -10,6 +10,7 @@ contract under (coordinate count, monitor cost, source order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .contracts import Contract, EventClause, FrameClause, _event_clause, _trace_runs
 from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
-from .intervals import AuditBoundError, _match
+from .intervals import _match, _matching
 from .parser import Formula, node_count
 
 # Enumeration ceiling: 2**(atoms * frames) environments.
@@ -83,6 +84,8 @@ class CalibrationCase:
     def __post_init__(self) -> None:
         if len(self.ref_mask) != len(self.pred_mask):
             raise ValueError(f"case {self.id!r}: mask lengths differ")
+        if math.isnan(self.risk):
+            raise ValueError(f"case {self.id!r}: risk is NaN, which orders against no case")
         _check_frame_step(self.frame_step)
 
 
@@ -166,15 +169,13 @@ def _case_values(
                     out[index][c.source_order] = value.score
         if event:
             runs = _trace_runs(ref, pred, h, basis.merge_gap)
-            [rows] = _match(runs.refs, runs.preds, runs.overlaps, runs.counts, runs.bounds,
+            [rows] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
                             [basis.tolerance] * len(members), (basis.matcher,))
             for g, (index, row) in enumerate(zip(members, rows)):
                 matched[index] = (runs.by_group[g], row)
     for index in sorted(matched):
         (refs, preds), (matching, diffs, extras) = matched[index]
-        if isinstance(matching, AuditBoundError):
-            # A new error, so that no traceback holds this frame and, in it, the error.
-            raise AuditBoundError(*matching.args)
+        _matching(matching)  # a stored bound error is raised here, in case order
         for c in event:
             value, _ = _event_clause(c.clause, refs, preds, basis.tolerance, None, diffs, extras)
             out[index][c.source_order] = value.score

@@ -11,8 +11,9 @@ reads and hashes its contract file's bytes, but a text read before yields
 the same shared contract.  Plans are kept by value, not on the contract
 (``frames.share_subformulas``), as are a sweep's regenerated contracts, so
 in-process commands that monitor, sweep, select or stream equal formulas
-on one grid plan them once, with or without a ``--matcher`` override.  A
-fresh-process run reads one contract, so it neither gains nor loses.
+on one grid plan them once.  ``monitor --matcher`` monitors the contract
+with that matcher.  A fresh-process run reads one contract, so it neither
+gains nor loses.
 
 Flags take milliseconds; everything internal is seconds.  Outputs are
 deterministic byte-for-byte for equal inputs and flags: every CSV starts
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -93,12 +95,13 @@ def _print_contract_error(path: str, error: ContractSyntaxError) -> None:
 
 
 def _positive_ms(text: str) -> float:
-    """Argument type of the millisecond flags: a finite positive number."""
+    """Argument type of the millisecond flags: a finite number whose value in
+    seconds, which the commands use, is positive."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
+    if not (math.isfinite(value) and value / 1000.0 > 0.0):
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number of milliseconds, got {text!r}"
         )
@@ -291,7 +294,8 @@ def cmd_check(args) -> int:
 
 def cmd_monitor(args) -> int:
     contract, contract_text, _ = _load_contract(args.contract)
-    policy = args.matcher or contract.matcher
+    if args.matcher:
+        contract = dataclasses.replace(contract, matcher=args.matcher)
     traces = _load_traces(args.traces)
     soft_scale = args.soft_scale / 1000.0
     guard_rows: list[list[str]] = []
@@ -302,8 +306,7 @@ def cmd_monitor(args) -> int:
         classes = list(trace.classes) if args.classes else []
         masks = [trace.union_masks(), *(trace.classes[name] for name in classes)]
         ref, pred = (np.stack(stack) for stack in zip(*masks))
-        runs, results = _monitor_stack(contract, ref, pred, trace.frame_step,
-                                       [None, *classes], policy)
+        runs, results = _monitor_stack(contract, ref, pred, trace.frame_step, [None, *classes])
         soft = runs.soft_boundary(soft_scale)
         rows = [("union", 0), *sorted((name, g) for g, name in enumerate(classes, 1))]
         for class_name, g in rows:
@@ -315,7 +318,7 @@ def cmd_monitor(args) -> int:
         args,
         "monitor",
         contract_text,
-        {**_contract_settings(contract), "matcher": policy, "soft_scale_ms": args.soft_scale},
+        {**_contract_settings(contract), "soft_scale_ms": args.soft_scale},
         [(path, trace.sha256) for path, trace in traces],
         {"classes": bool(args.classes)},
         {"guard.csv": (GUARD_HEADER, guard_rows), "witness.csv": (WITNESS_HEADER, witness_rows)},
@@ -341,10 +344,10 @@ def cmd_sweep(args) -> int:
     contract, contract_text, _ = _load_contract(args.contract)
     traces = _load_traces(args.traces)
     tolerances_ms = args.tolerances
-    if any(b <= a for a, b in zip(tolerances_ms, tolerances_ms[1:])):
+    tolerances = [t / 1000.0 for t in tolerances_ms]
+    if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         print("tolerances must be strictly ascending", file=sys.stderr)
         return EXIT_CONTRACT
-    tolerances = [t / 1000.0 for t in tolerances_ms]
     rows: list[list[str]] = []
     summary_rows: list[list[str]] = []
     for path, trace in traces:

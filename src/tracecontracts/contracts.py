@@ -52,12 +52,12 @@ from .frames import (
 from .intervals import (
     _TIME_EPS,
     DEFAULT_DURATION_THRESHOLD,
-    AuditBoundError,
     Family,
     Interval,
     Matching,
     _duration_within,
     _match,
+    _matching,
     _run_edges,
     _singly_covered,
     boundary_f1,
@@ -332,6 +332,8 @@ def default_contract(
     """
     if silence_radius is None:
         silence_radius = tolerance / 2.0
+    # The settings are checked before their radii are rendered and parsed.
+    settings = Contract(tolerance, silence_radius, merge_gap, matcher, ())
     eps = radius_text(tolerance)
     eps_s = radius_text(silence_radius)
     frame_specs = [
@@ -347,7 +349,7 @@ def default_contract(
     ]
     clauses.append(EventClause("duration_guard", "matched_pairs", "duration_within"))
     clauses.append(EventClause("fragmentation_guard", "reference_intervals", "singly_covered"))
-    return Contract(tolerance, silence_radius, merge_gap, matcher, tuple(clauses))
+    return replace(settings, clauses=tuple(clauses))
 
 
 def contract_to_text(contract: Contract) -> str:
@@ -650,7 +652,7 @@ class _TraceRuns:
     ``atoms`` are the activity and edge atoms as ``(G, n)`` stacks.  ``refs``
     and ``preds`` are the merged runs in seconds, group after group, with
     ``bounds`` giving each group's first run a side and ``by_group`` its two
-    families; ``overlaps`` and ``counts`` are their overlap pairs and covering counts.
+    families; ``overlaps`` are their overlap pairs.
     ``edges`` (run edges) and ``atom_runs`` (the unmerged runs of every
     activity and edge atom) are integer frames placed as by
     :func:`_offset_edges`, ``stride`` frames per group from ``starts``, so
@@ -667,7 +669,6 @@ class _TraceRuns:
     bounds: tuple[np.ndarray, np.ndarray]
     by_group: tuple[tuple[Family, Family], ...]
     overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
-    counts: np.ndarray
     edges: dict[str, np.ndarray]
     atom_runs: dict[str, Family]
 
@@ -747,7 +748,7 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
     )
     return _TraceRuns(
         h, stride, starts, _edge_atoms(ref, pred), refs, preds, tuple(bounds), by_group, overlaps,
-        np.bincount(overlaps[0], minlength=len(refs)), edges, atom_runs,
+        edges, atom_runs,
     )
 
 
@@ -847,47 +848,46 @@ def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     witness distances.  It is the one-group case of the batched pass.
     """
     ref, pred = _mask_pair(ref_mask, pred_mask)
-    return _monitor_stack(contract, ref[None], pred[None], h, [None], contract.matcher)[1][0]
+    return _monitor_stack(contract, ref[None], pred[None], h, [None])[1][0]
 
 
 def _monitor_stack(
     contract: Contract, ref: np.ndarray, pred: np.ndarray, h: float,
-    classes: Sequence[str | None], policy: str,
+    classes: Sequence[str | None],
 ) -> tuple[_TraceRuns, list[MonitorResult]]:
     """The runs of the ``(G, n)`` mask stacks and :func:`monitor` of each row,
-    in one pass, matched under ``policy``.  ``classes[g]`` names row g's
-    class; a class row sees every class row's reference runs as its purity
-    context, a ``None`` row none."""
+    in one pass.  ``classes[g]`` names row g's class; a class row sees every
+    class row's reference runs as its purity context, a ``None`` row none."""
     runs = _trace_runs(ref, pred, h, contract.merge_gap)
     class_refs = {name: runs.by_group[g][0] for g, name in enumerate(classes) if name is not None}
     rows = [
         (g, contract, None if name is None else (name, class_refs))
         for g, name in enumerate(classes)
     ]
-    return runs, _monitor(runs, rows, policy)
+    return runs, _monitor(runs, rows)
 
 
 def _monitor(
     runs: _TraceRuns,
     rows: Sequence[tuple[int, Contract, tuple[str, Mapping[str, Family]] | None]],
-    policy: str,
 ) -> list[MonitorResult]:
     """The result of each row ``(group, contract, class_context)``: the
-    contract on that group's trace pair, matched under ``policy``.  The rows
-    are the groups in order, or the one group under each of several
-    contracts.  One plan of their distinct contracts' frame formulas and
-    obligations gives their valuations as ``(G, n)`` stacks, which each
-    frame clause's counts read once for all groups; then only the witness
-    pass's obligations are kept.  One :func:`intervals._match`
+    contract on that group's trace pair.  The rows are the groups in order,
+    or the one group under each of several contracts, all of one matcher.
+    One plan of their distinct contracts' frame formulas and obligations
+    gives their valuations as ``(G, n)`` stacks, which each frame clause's
+    counts read once for all groups; then only the witness pass's
+    obligations are kept.  One :func:`intervals._match`
     serves all rows, and one :meth:`_TraceRuns.witnesses` pass finds every
     (obligation, witness) pair of every row, the edge pairs included, for
     all groups.  A row's errors are raised when the row is reached, its
     matcher bound before its clauses, so the first row in order decides;
     the counts and the witness pass raise none."""
     distinct = {id(contract): contract for _, contract, _ in rows}
+    [policy] = {contract.matcher for contract in distinct.values()}
     formulas = (f for contract in distinct.values() for f in _frame_formulas(contract))
     values = share_subformulas(formulas, runs.h).evaluate(runs.atoms)
-    [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.counts, runs.bounds,
+    [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
                        [c.tolerance for _, c, _ in rows], (policy,))
     scratch = np.empty_like(runs.atoms["ref_active"])
     frame_scores = {  # by contract identity
@@ -904,9 +904,7 @@ def _monitor(
     onsets, offsets = (summaries[pair] for pair in EDGE_PAIRS)
     results = []
     for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
-        if isinstance(matching, AuditBoundError):
-            # A new error, so that no traceback holds this frame and, in it, the error.
-            raise AuditBoundError(*matching.args)
+        matching = _matching(matching)
         scores = iter(frame_scores[id(contract)])
         refs, preds = runs.by_group[group]
         coordinates = []
@@ -972,7 +970,7 @@ def monitor_classes(
     if len(lengths) != 1:
         raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
     ref, pred = (np.stack(stack) for stack in zip(*masks.values()))
-    _, results = _monitor_stack(contract, ref, pred, h, list(masks), contract.matcher)
+    _, results = _monitor_stack(contract, ref, pred, h, list(masks))
     return ClassMonitorResult(dict(zip(masks, results)), _macro(contract, results))
 
 
@@ -1118,7 +1116,7 @@ def tolerance_sweep(
     ref, pred = _mask_pair(ref_mask, pred_mask)
     runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)
     regenerated = _regenerated(contract, tuple(tolerances))
-    results = _monitor(runs, [(0, c, None) for c in regenerated], contract.matcher)
+    results = _monitor(runs, [(0, c, None) for c in regenerated])
     rows = [
         SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))
         for tolerance, grid_contract, result in zip(tolerances, regenerated, results)

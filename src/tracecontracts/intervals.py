@@ -48,6 +48,7 @@ differences and extras one duration and one coverage predicate score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -131,8 +132,8 @@ def merge_runs(
     """``lo``, ``hi`` frame arrays of the runs with interleaved ``edges``,
     runs separated by an inactive gap of at most ``merge_gap`` seconds joined;
     runs of different ``group`` values (one per run) never join."""
-    if merge_gap < 0.0:
-        raise ValueError(f"merge gap must be nonnegative, got {merge_gap!r}")
+    if not (0.0 <= merge_gap < math.inf):
+        raise ValueError(f"merge gap must be nonnegative and finite: {merge_gap!r}")
     lo, hi = edges[0::2], edges[1::2]
     if lo.size > 1:
         # Run k joins run k - 1 when the gap between them passes the test;
@@ -369,24 +370,26 @@ def _singly_covered(extras: np.ndarray) -> ObligationScore:
     return _ratio(extras.size, int(np.count_nonzero(extras == 0)))
 
 
-def _match(refs: Family, preds: Family, overlaps, counts, bounds, tolerances: Sequence[float],
+def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[float],
            policies: Sequence[str], bound: int = DEFAULT_EXACT_BOUND):
     """Per policy, in order, drawn one at a time: per row, its matching, each
     matched pair's length difference and each reference's fragmentation extras.
 
     ``refs`` and ``preds`` hold G groups' runs in turn, group g's from
     ``bounds[0][g]`` and ``bounds[1][g]`` on, with their :func:`overlap_pairs`
-    (none across groups) and covering ``counts``.  The rows are the groups,
-    each at its tolerance, or one group once per tolerance.  No two rows
+    (none across groups), which give the covering counts.  The rows are the
+    groups, each at its tolerance, or one group once per tolerance.  No two rows
     share a run, so their candidates make one table, read by each policy.
     The greedy scan visits it by row, then by cost, so each row keeps what a
     scan of its own candidates keeps, in that order.  The exact policy solves
     and bounds each row on its own; a row over ``bound`` has its
-    :class:`AuditBoundError` for a matching, for its reader to raise, and a
-    reader that stops there makes no later policy's matchings.  One row's
-    indices are its own, so it is neither rebased nor cut by row.
+    :class:`AuditBoundError` for a matching, which :func:`_matching` raises
+    for its reader, and a reader that stops there makes no later policy's
+    matchings.  One row's indices are its own, so it is neither rebased nor
+    cut by row.
     """
     ri, pi, overlap = overlaps
+    counts = np.bincount(ri, minlength=len(refs))
     ref_base, pred_base = bounds
     rows = len(tolerances)
     copies = rows // (ref_base.size - 1)
@@ -453,6 +456,15 @@ def _match(refs: Family, preds: Family, overlaps, counts, bounds, tolerances: Se
         ]
 
 
+def _matching(row: Matching | AuditBoundError) -> Matching:
+    """A row's matching from :func:`_match`, or its stored bound error raised
+    as a new error, so that no traceback holds the reader's frame and, in
+    it, the stored error."""
+    if isinstance(row, AuditBoundError):
+        raise AuditBoundError(*row.args)
+    return row
+
+
 @dataclass(frozen=True)
 class MatcherAudit:
     """Greedy-versus-exact comparison on one interval instance."""
@@ -489,14 +501,11 @@ def matcher_audit(refs, preds, epsilon: float, bound: int = DEFAULT_EXACT_BOUND)
     :class:`AuditBoundError` before the greedy matching is made.
     """
     refs, preds = Family.of(refs), Family.of(preds)
-    overlaps = overlap_pairs(refs, preds)
-    counts = np.bincount(overlaps[0], minlength=len(refs))
     bounds = (np.array([0, len(refs)]), np.array([0, len(preds)]))
-    policies = _match(refs, preds, overlaps, counts, bounds, [epsilon], ("exact", "greedy"), bound)
+    policies = _match(refs, preds, overlap_pairs(refs, preds), bounds, [epsilon],
+                      ("exact", "greedy"), bound)
     [(exact, exact_diffs, exact_extras)] = next(policies)
-    if isinstance(exact, AuditBoundError):
-        # A new error, so that no traceback holds this frame and, in it, the error.
-        raise AuditBoundError(*exact.args)
+    exact = _matching(exact)
     [(greedy, greedy_diffs, greedy_extras)] = next(policies)
     threshold = DEFAULT_DURATION_THRESHOLD * epsilon
     return MatcherAudit(

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .lexer import EMPTY_SPAN, LexError, SourceSpan, Token, TokenKind, tokenize
@@ -186,26 +185,13 @@ CHILD_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-def _child_getter(fields: tuple[str, ...]):
-    """A function from a node with these child fields to its children tuple."""
-    if len(fields) > 1:
-        return attrgetter(*fields)
-    if fields:
-        get = attrgetter(*fields)
-        return lambda node: (get(node),)
-    return lambda node: ()
-
-
-_CHILDREN = {cls: _child_getter(fields) for cls, fields in CHILD_FIELDS.items()}
-
-
 def children(formula: Formula) -> tuple[Formula, ...]:
     """The node's children in :data:`CHILD_FIELDS` order."""
     try:
-        get = _CHILDREN[type(formula)]
+        names = CHILD_FIELDS[type(formula)]
     except KeyError:
         raise TypeError(f"not a formula node: {formula!r}") from None
-    return get(formula)
+    return tuple(getattr(formula, name) for name in names)
 
 
 def walk(formula: Formula) -> Iterator[Formula]:

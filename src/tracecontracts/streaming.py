@@ -32,8 +32,8 @@ is one Python call; it refuses a finalized monitor with ``RuntimeError``
 before it reads an atom, also through a reference taken before
 ``finalize``.
 
-``finalize`` runs the same node updates, guarded by
-``d_k - r_k <= t < n + d_k``, over the virtual frames
+``finalize`` runs the same node updates of every node with a delay,
+guarded by ``d_k - r_k <= t < n + d_k``, over the virtual frames
 ``n .. n + lookahead_frames - 1`` after the last frame ``n - 1``.  A child
 frame ``>= n`` reads as a pad, false for the existential windows and
 until and true for always, which equals clipping the windows at the right
@@ -150,9 +150,10 @@ def _indent(lines: list[str], depth: int = 1) -> list[str]:
 
 def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) -> str:
     """Source of ``kernel()``, which makes one monitor's ``step(frame)``,
-    ``finish()`` and ``received()`` on fresh cells; it reads the atom names
-    ``a<k>`` and the rings ``r<k>`` from its globals.  ``finish`` sets the
-    ``done`` cell, and ``step`` refuses a frame once it is set."""
+    ``finish()``, ``received()`` and ``done()`` on fresh cells; it reads the
+    atom names ``a<k>`` and the rings ``r<k>`` from its globals.  ``finish``
+    sets the ``done`` cell and returns no verdict once it is set, and
+    ``step`` refuses a frame once it is set."""
     nodes = list(enumerate(zip(plan.nodes, plan.kids, plan.radii, delays)))
     temporal = [k for k, (node, *_) in nodes if isinstance(node, TEMPORAL)]
     until = [k for k, (node, *_) in nodes if isinstance(node, Until)]
@@ -167,8 +168,9 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
                       f"{_store(k, sizes[k], 0)}True if value else False"]
             continue
         warm += _update(node, k, kids, r, d, delays, sizes, False)
-        blocks = _update(node, k, kids, r, d, delays, sizes, True)
-        tail += [f"if {d - r} <= t < n + {d}:", *_indent(_guarded(blocks, d - r))]
+        if d:  # a node of delay 0 has no frame left after the last one
+            blocks = _update(node, k, kids, r, d, delays, sizes, True)
+            tail += [f"if {d - r} <= t < n + {d}:", *_indent(_guarded(blocks, d - r))]
     # Once t reaches the largest guard every block runs: the steady body.
     steady = [line for _, block in warm for line in block] + [f"return [{emit}]"]
     warm.append((lookahead, [f"return [{emit}]"]))
@@ -181,13 +183,14 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
                  "    return []"]
     else:
         step += _indent(steady)
-    finish = ["def finish():", f"    nonlocal {shared}, done", "    done = True", "    n = received",
+    finish = ["def finish():", f"    nonlocal {shared}, done", "    if done:", "        return []",
+              "    done = True", "    n = received",
               "    out = []", f"    for t in range(n, n + {lookahead}):", *_indent(tail, 2),
               f"        if t >= {lookahead}:", f"            out.append({emit})", "    return out"]
     head = ["def kernel():", "    received, done = 0, False"]
     head += [f"    c{k} = 0" for k in temporal]
     head += [f"    h{k}, q{k} = -1, deque()" for k in until]
-    body = step + finish + ["return step, finish, lambda: received"]
+    body = step + finish + ["return step, finish, lambda: received, lambda: done"]
     return "\n".join(head + _indent(body)) + "\n"
 
 
@@ -233,9 +236,8 @@ class StreamingMonitor:
             if isinstance(node, Atom):
                 namespace[f"a{k}"] = node.name
         exec(_compile(_kernel_source(plan, delays, sizes), "<streaming kernel>", "exec"), namespace)
-        self._step, self._finish, self._received = namespace["kernel"]()
+        self._step, self._finish, self._received, self._done = namespace["kernel"]()
         self._widest = max(sizes)
-        self._finalized = False
 
     step = _Step()
 
@@ -245,7 +247,7 @@ class StreamingMonitor:
 
     @property
     def next_emission_index(self) -> int:
-        if self._finalized:
+        if self._done():
             return self._received()
         return max(0, self._received() - self.lookahead_frames)
 
@@ -257,7 +259,4 @@ class StreamingMonitor:
 
     def finalize(self) -> list[tuple[int, bool]]:
         """Flush all remaining verdicts using right-boundary clipping."""
-        if self._finalized:
-            return []
-        self._finalized = True
         return self._finish()

@@ -613,6 +613,19 @@ def test_usage_errors_repeat_identically(capsys):
 
 
 class TestSelect:
+    @pytest.mark.parametrize("risk", ["NaN", '"nan"'])
+    def test_nan_calibration_risk_exits_three(self, risk, tmp_path, capsys):
+        contract_path = tmp_path / "basis.contract"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        calibration_path.write_text(
+            '[{"id": "x", "risk": %s, "frame_step": 0.02, "ref_mask": "01", "pred_mask": "01"}]'
+            % risk
+        )
+        assert main(["select", str(contract_path), str(calibration_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"calibration error: {calibration_path}[0]: ") and "NaN" in err
+
     @pytest.mark.parametrize("frame_step", ["0", "-0.02", "NaN", "1e400", "null", "[0.01]"])
     def test_bad_calibration_frame_step_exits_three(self, frame_step, tmp_path, capsys):
         contract_path = tmp_path / "basis.contract"
@@ -877,13 +890,29 @@ MS_FLAG_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(MS_FLAG_COMMANDS))
-@pytest.mark.parametrize("value", ["0", "-40", "nan", "inf", "forty"])
+@pytest.mark.parametrize("value", ["0", "-40", "nan", "inf", "forty", "1e-322"])
 def test_millisecond_flags_reject_non_positive_or_non_finite(command, value, capsys):
     argv = MS_FLAG_COMMANDS[command].replace("{}", value).split()
     with pytest.raises(SystemExit) as stop:
         main(argv)
     assert stop.value.code == 2
     assert "finite positive number of milliseconds" in capsys.readouterr().err
+
+
+def test_sweep_tolerances_must_ascend_in_seconds(worked_files, tmp_path, capsys):
+    # Distinct in milliseconds, one value in seconds.
+    contract_path, trace_path = worked_files
+    argv = ["sweep", str(contract_path), str(trace_path), "--out", str(tmp_path / "o"),
+            "--tolerances", "15.99271353184245,15.992713531842451"]
+    assert main(argv) == 2
+    assert "tolerances must be strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_init_tolerance_whose_silence_radius_underflows_exits_two(capsys):
+    # 7e-321 ms is a nonzero tolerance in seconds; half of it is zero.
+    assert main(["init", "--tolerance-ms", "7e-321"]) == 2
+    assert "silence radius 0.0 must be in (0, tolerance]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "2.5", "nan", "twenty"])
@@ -1197,8 +1226,9 @@ class TestContractMemo:
         assert calls["tokenize"] == 10  # a formula and an obligation per frame clause
 
     def test_a_matcher_override_plans_nothing_on_a_warm_contract(self, worked_files, tmp_path):
-        # The policy is an argument of the pass, so the contract's plan serves
-        # --matcher commands, with the bytes of a run on cleared memos.
+        # --matcher monitors the contract with that matcher, whose frame
+        # formulas and grid are the kept contract's, so the plan memo serves
+        # it, with the bytes of a run on cleared memos.
         contract_path, trace_path = worked_files
         argv = ["monitor", str(contract_path), str(trace_path), "--classes"]
         assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
@@ -1330,7 +1360,7 @@ class TestContractMemo:
         assert cleared == warming == warm
         assert all(code == 0 for code, _, _ in warm.values())
         assert len(warm["monitor-exact"][2]["guard.csv"].splitlines()) == 2 + 7 * len(traces)
-        # --matcher is passed to the monitor pass; the kept contract is unchanged.
+        # --matcher monitors a copy of the kept contract, which is unchanged.
         assert contracts.load_contract(default_path) is shared
         assert shared.matcher == "greedy"
 

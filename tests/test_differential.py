@@ -601,8 +601,7 @@ def test_union_and_class_rows_in_one_pass_match_their_own_passes():
                 rows = [object_monitor(contract, plan, derive_edge_atoms(*union, h))]
                 return rows + list(loop_monitor_classes(contract, masks, h).per_class.values())
 
-            got = _outcome(lambda: _monitor_stack(
-                contract, ref, pred, h, [None, *masks], contract.matcher)[1])
+            got = _outcome(lambda: _monitor_stack(contract, ref, pred, h, [None, *masks])[1])
             assert got == _outcome(one_by_one), (trial, contract_to_text(contract))
             seen.add(got.split(":")[0] if "Error" in got[:20] else "results")
     assert seen == {"results", "AuditBoundError", "ContractError"}
@@ -959,7 +958,7 @@ def test_one_witness_pass_matches_a_pass_per_pair():
     ]
     for ref, pred, h in _witness_stacks(97, 90):
         for contract in contracts:
-            runs, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref), "greedy")
+            runs, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
             values = compile_contract(contract, h).evaluate(runs.atoms)
             pairs = list(dict.fromkeys(
                 [_witness_pair(c) for c in contract.frame_clauses if _witness_pair(c)]

@@ -55,6 +55,12 @@ class TestExtraction:
         with pytest.raises(ValueError, match="frame step"):
             extract_intervals([0, 1, 1, 0], h)
 
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf"), -0.02])
+    @pytest.mark.parametrize("extract", [intervals.intervals, extract_intervals])
+    def test_merge_gap_must_be_nonnegative_and_finite(self, extract, gap):
+        with pytest.raises(ValueError, match="merge gap must be nonnegative and finite"):
+            extract([0, 1, 0, 1], 0.02, gap)
+
     def test_run_to_the_end(self):
         assert extract_intervals([0, 1, 1], 0.02) == (Interval(0.02, 0.06),)
 

@@ -6,6 +6,7 @@ import pytest
 
 from tracecontracts.frames import TraceEnvironment, UnknownAtomError, evaluate
 from tracecontracts.parser import Atom, Near, parse_text
+from tracecontracts import streaming
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import random_env, random_formula
@@ -82,6 +83,43 @@ def test_finalize_is_idempotent_and_step_after_finalize_errors():
     assert monitor.finalize() == []
     with pytest.raises(RuntimeError):
         monitor.step({"a": False})
+
+
+def test_a_second_finalize_emits_nothing_and_leaves_nothing_pending():
+    monitor = StreamingMonitor(parse_text("N[0.06] a"), 0.02)
+    for value in (True, False, False, True, False):
+        monitor.step({"a": value})
+    assert [index for index, _ in monitor.finalize()] == [2, 3, 4]
+    assert monitor.finalize() == []
+    assert monitor.next_emission_index == monitor.frames_received == 5
+
+
+def test_a_node_of_delay_zero_has_no_finalize_block(monkeypatch):
+    sources = []
+
+    def compiling(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(streaming, "_compile", compiling)
+    formula = parse_text("!ref_active & N[0.02] !pred_active")
+    monitor = StreamingMonitor(formula, 0.01)
+    (source,) = sources
+    finish = source.split("def finish():", 1)[1]
+    # Only the N node and the & above it have frames left after the last one.
+    assert [line.strip() for line in finish.splitlines() if "<= t < n +" in line] == [
+        "if 0 <= t < n + 2:", "if 2 <= t < n + 2:"
+    ]
+    assert "not " not in finish
+    rng = random.Random(17)
+    for _ in range(50):
+        env = random_env(rng, rng.randint(0, 30), ("ref_active", "pred_active"), h=0.01)
+        monitor = StreamingMonitor(formula, env.frame_step)
+        emissions = []
+        for i in range(env.frame_count):
+            emissions += monitor.step({name: bool(v[i]) for name, v in env.atoms.items()})
+        emissions += monitor.finalize()
+        assert [v for _, v in emissions] == [bool(v) for v in evaluate(formula, env)]
 
 
 def test_a_step_taken_before_finalize_is_refused_after_it():
