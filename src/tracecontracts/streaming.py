@@ -8,37 +8,42 @@ The monitor runs on the formula's :class:`~tracecontracts.frames.EvaluationPlan`
 so structurally equal subtrees are one node.  Each node ``k`` has a fixed
 delay ``d_k``, its reach in frames: once frame ``t`` has arrived, the right
 context of the node's frame ``t - d_k`` is complete.  The node's verdict
-for that frame is a local of the step, which consumers at the same step
-read; if a consumer reads it at a later step, it also goes into a ring of
-fixed length, the largest lag plus window span among its consumers, so the
-buffer is bounded by the formula's radii.  Windows keep rolling counts of
-true child frames; until keeps a queue of its left side's false frames and
-a rolling count of its right side, so a step costs O(plan nodes).
+for that frame is a local of the step.  A temporal node takes in each
+child frame once, at the step that makes it.  A pointwise node reads its
+children at its own frame, so a child of smaller delay also goes into a
+ring of fixed length, one more than the largest delay difference among
+its pointwise consumers; rings are bounded by the formula's radii.  A
+window's right edge is its child's newest frame, so a window keeps one
+witness, the child's last true frame (last false frame for always), and
+its verdict compares that index with the window's left edge.  Until keeps
+deques of its left side's false frames and its right side's true frames
+from its own frame on, and compares their heads.  So a step costs
+O(plan nodes).
 
 At construction the monitor generates one Python function for its plan:
 it reads the atoms as ``True if value else False`` (the truth test of
 ``bool``, without the call), then runs every node's update, children
-first, with its delay, ring sizes, pad and threshold as integer literals,
+first, with its delays, ring sizes and window offsets as integer literals,
 and returns the root's verdict for frame ``t - lookahead_frames``.
 Each update is a list of blocks, each with the step from which it runs
-(``t >= d_k - r_k`` to take in the entering frame, ``t >= d_k`` to emit);
+(``t >= d_c`` to take in child ``c``'s frame, ``t >= d_k`` to emit);
 from them come a warm-up body with those guards and a steady body
-without any, which runs once ``t`` reaches the largest guard, so a steady
-frame makes one comparison.  The counts, queues and scan positions are
-cells of that function.  Only the plan's integers and fixed operator
-templates enter the source text; atom names and rings are bound as values.
+without any, which runs once ``t`` reaches the lookahead, so a steady
+frame makes one comparison.  Witnesses and deques are its cells, and
+only the plan's integers and fixed operator templates enter the source
+text; atom names and rings are bound as values.
 ``monitor.step`` is that generated function itself, so a streamed frame
 is one Python call; it refuses a finalized monitor with ``RuntimeError``
 before it reads an atom, also through a reference taken before
 ``finalize``.
 
-``finalize`` runs the same node updates of every node with a delay,
-guarded by ``d_k - r_k <= t < n + d_k``, over the virtual frames
-``n .. n + lookahead_frames - 1`` after the last frame ``n - 1``.  A child
-frame ``>= n`` reads as a pad, false for the existential windows and
-until and true for always, which equals clipping the windows at the right
-trace boundary.  Emitted verdicts agree bit for bit with offline
-evaluation of the completed trace.
+``finalize`` runs the same updates of every node with a delay, from its
+lowest block guard while ``t < n + d_k``, over the virtual frames
+``n .. n + lookahead_frames - 1`` after the last frame ``n - 1``.  No
+child frame ``>= n`` is taken in, so the windows and until read past the
+trace as a pad, false for the existential windows and until and true for
+always, which equals clipping them at the right trace boundary.  Emitted
+verdicts agree bit for bit with offline evaluation of the completed trace.
 """
 
 from __future__ import annotations
@@ -56,15 +61,6 @@ _POINTWISE = {Not: "not {}", And: "{} & {}", Or: "{} | {}", Implies: "{} <= {}"}
 # Monitors of one plan shape share one code object; each runs it on its own
 # rings and cells.
 _compile = functools.lru_cache(maxsize=128)(compile)
-
-
-def _back(node: Formula, position: int, r: int) -> int:
-    """How far before the node's own frame it reads its child at ``position``."""
-    if isinstance(node, Near):
-        return r
-    if isinstance(node, Until) and position == 0:
-        return -r  # phi is read only at the entering frame i + r
-    return 0
 
 
 def _frame(lag: int) -> str:
@@ -86,53 +82,45 @@ def _update(node: Formula, k: int, kids: tuple[int, ...], r: int, d: int, delays
             sizes: list[int], closed: bool) -> list[tuple[int, list[str]]]:
     """Node ``k``'s update at step ``t``, for its frame ``i = t - d``, as
     ``(guard, lines)`` blocks in order: a block runs once ``t >= guard``.
-    ``closed`` reads child frames ``>= n`` as pads, and an open trace has no
-    such frames.  A child frame made at this step is read from its local
-    ``x<c>``, an older one from its ring; the node's own value goes to
-    ``x<k>``, and to its ring if a later step reads it."""
-
-    def read(c: int, lag: int) -> str:
-        return f"x{c}" if lag == delays[c] else _at(c, sizes[c], lag)
-
+    A temporal node takes in child ``c``'s frame ``t - d_c`` from its local
+    ``x<c>`` as it is made; a pointwise node reads an older child frame
+    from its ring.  The node's value goes to ``x<k>``, and to its ring if a
+    later step reads it.  ``closed`` takes in no child frame ``>= n`` (a
+    child of delay 0 makes none then); an open trace has no such frames."""
     store = _store(k, sizes[k], d)
-    if isinstance(node, Until):
-        # Some psi frame in [i, min(i + r, first phi-false frame >= i)]: a
-        # queue of phi-false frames from i - 1 on, and a count of true psi
-        # frames in [i, h].
-        phi, psi = kids
-        j = _frame(d - r)  # the frame entering the window
-        entering = f"{j} < n and not " if closed else "not "
-        return [
-            (d - r, [f"if {entering}{read(phi, d - r)}:", f"    q{k}.append({j})"]),
-            (d, [
-                f"if q{k} and q{k}[0] < t - {d}:",
-                f"    q{k}.popleft()",
-                f"u = {j} if {j} < n else n - 1" if closed else f"u = {j}",
-                f"if q{k} and q{k}[0] < u:",
-                f"    u = q{k}[0]",
-                f"while h{k} < u:",
-                f"    h{k} += 1",
-                f"    c{k} += r{psi}[h{k} % {sizes[psi]}]",
-                f"{store}c{k} > 0",
-                f"c{k} -= {read(psi, d)}",
-            ]),
-        ]
     if not isinstance(node, TEMPORAL):
-        return [(d, [store + _POINTWISE[type(node)].format(*(read(c, d) for c in kids))])]
-    # ``count > threshold`` over the child's frames [i - back, i + r]; the
-    # count starts at frame i = -r so it is full at frame 0, and a frame
-    # leaves it right after the last verdict that covers it.
+        reads = (f"x{c}" if d == delays[c] else _at(c, sizes[c], d) for c in kids)
+        return [(d, [store + _POINTWISE[type(node)].format(*reads)])]
+
+    def arrival(c: int, test: str, action: str) -> list[tuple[int, list[str]]]:
+        """Run ``action`` on child ``c``'s frame as it is made, if ``test``."""
+        if closed and not delays[c]:
+            return []
+        j = _frame(delays[c])
+        return [(delays[c], [f"if {j} < n and {test}:" if closed else f"if {test}:",
+                             "    " + action.format(j)])]
+
+    if isinstance(node, Until):
+        # Some psi frame in [i, min(i + r, first phi-false frame >= i)]:
+        # deques of the phi-false and the psi-true frames, each of which
+        # drops at most its frame i - 1 per step.
+        phi, psi = kids
+        return arrival(phi, f"not x{phi}", f"q{k}.append({{}})") + arrival(
+            psi, f"x{psi}", f"p{k}.append({{}})") + [(d, [
+                f"if q{k} and q{k}[0] < {_frame(d)}:", f"    q{k}.popleft()",
+                f"if p{k} and p{k}[0] < {_frame(d)}:", f"    p{k}.popleft()",
+                f"{store}p{k}[0] <= {_frame(d - r)} and not (q{k} and q{k}[0] < p{k}[0])"
+                f" if p{k} else False",
+            ])]
+    # ``w<k>`` is the child's last true frame up to the window's right edge
+    # i + r: [i - back, i + r] holds a true frame when ``w<k> >= i - back``.
+    # For ``G`` it is the last false frame, and [i, i + r] holds none when
+    # ``w<k> < i``.
     (c,) = kids
+    if isinstance(node, Always):
+        return arrival(c, f"not x{c}", f"w{k} = {{}}") + [(d, [f"{store}w{k} < {_frame(d)}"])]
     back = r if isinstance(node, Near) else 0
-    pad, threshold = (True, r) if isinstance(node, Always) else (False, 0)
-    entering = read(c, d - r)
-    if closed:
-        entering = f"({entering} if {_frame(d - r)} < n else {pad})"
-    return [
-        (d - r, [f"c{k} += {entering}"]),
-        (d, [f"{store}c{k} > {threshold}"]),
-        (d + back, [f"c{k} -= {read(c, d + back)}"]),
-    ]
+    return arrival(c, f"x{c}", f"w{k} = {{}}") + [(d, [f"{store}w{k} >= {_frame(d + back)}"])]
 
 
 def _guarded(blocks: list[tuple[int, list[str]]], floor: int) -> list[str]:
@@ -155,9 +143,10 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
     sets the ``done`` cell and returns no verdict once it is set, and
     ``step`` refuses a frame once it is set."""
     nodes = list(enumerate(zip(plan.nodes, plan.kids, plan.radii, delays)))
-    temporal = [k for k, (node, *_) in nodes if isinstance(node, TEMPORAL)]
+    windows = [(k, node, r) for k, (node, _, r, _) in nodes
+               if isinstance(node, TEMPORAL) and not isinstance(node, Until)]
     until = [k for k, (node, *_) in nodes if isinstance(node, Until)]
-    shared = ", ".join(["received"] + [f"c{k}" for k in temporal] + [f"h{k}" for k in until])
+    shared = ", ".join(["received"] + [f"w{k}" for k, *_ in windows])
     lookahead = delays[-1]
     emit = f"({_frame(lookahead)}, x{plan.node_count - 1})"
     atoms, warm, tail = [], [], []
@@ -170,26 +159,32 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
         warm += _update(node, k, kids, r, d, delays, sizes, False)
         if d:  # a node of delay 0 has no frame left after the last one
             blocks = _update(node, k, kids, r, d, delays, sizes, True)
-            tail += [f"if {d - r} <= t < n + {d}:", *_indent(_guarded(blocks, d - r))]
-    # Once t reaches the largest guard every block runs: the steady body.
+            low = min(guard for guard, _ in blocks)
+            tail += [f"if {low} <= t < n + {d}:", *_indent(_guarded(blocks, low))]
+    # Once t reaches the largest guard, the lookahead, every block runs: the
+    # steady body.
     steady = [line for _, block in warm for line in block] + [f"return [{emit}]"]
     warm.append((lookahead, [f"return [{emit}]"]))
-    settled = max(guard for guard, _ in warm)
     step = ["def step(frame):", f"    nonlocal {shared}", "    t = received", "    if done:",
             "        raise RuntimeError('monitor is finalized')", *_indent(atoms),
             "    received = t + 1"]
-    if settled:
-        step += [f"    if t >= {settled}:", *_indent(steady, 2), *_indent(_guarded(warm, 0)),
+    if lookahead:
+        step += [f"    if t >= {lookahead}:", *_indent(steady, 2), *_indent(_guarded(warm, 0)),
                  "    return []"]
     else:
         step += _indent(steady)
     finish = ["def finish():", f"    nonlocal {shared}, done", "    if done:", "        return []",
-              "    done = True", "    n = received",
-              "    out = []", f"    for t in range(n, n + {lookahead}):", *_indent(tail, 2),
-              f"        if t >= {lookahead}:", f"            out.append({emit})", "    return out"]
+              "    done = True"]
+    if lookahead:
+        finish += ["    n, out = received, []", f"    for t in range(n, n + {lookahead}):",
+                   *_indent(tail, 2), f"        if t >= {lookahead}:",
+                   f"            out.append({emit})", "    return out"]
+    else:
+        finish.append("    return []")
     head = ["def kernel():", "    received, done = 0, False"]
-    head += [f"    c{k} = 0" for k in temporal]
-    head += [f"    h{k}, q{k} = -1, deque()" for k in until]
+    # A witness starts below the first left edge: frame -r for ``N``, 0 otherwise.
+    head += [f"    w{k} = {-1 - r if isinstance(node, Near) else -1}" for k, node, r in windows]
+    head += [f"    q{k}, p{k} = deque(), deque()" for k in until]
     body = step + finish + ["return step, finish, lambda: received, lambda: done"]
     return "\n".join(head + _indent(body)) + "\n"
 
@@ -226,9 +221,10 @@ class StreamingMonitor:
         self.backward_frames = reach.backward
         delays = [plan.reach[node].frames for node in plan.nodes]
         sizes = [1] * plan.node_count
-        for node, kids, r, d in zip(plan.nodes, plan.kids, plan.radii, delays):
-            for position, k in enumerate(kids):
-                sizes[k] = max(sizes[k], d - delays[k] + _back(node, position, r) + 1)
+        for node, kids, d in zip(plan.nodes, plan.kids, delays):
+            if not isinstance(node, TEMPORAL):  # a temporal node reads its children as made
+                for k in kids:
+                    sizes[k] = max(sizes[k], d - delays[k] + 1)
         namespace = {"deque": deque, "UnknownAtomError": UnknownAtomError}
         for k, node in enumerate(plan.nodes):
             if sizes[k] > 1:
@@ -254,7 +250,9 @@ class StreamingMonitor:
     @property
     def buffered_rows(self) -> int:
         """Rows held for the node with the longest ring, or one for its current
-        value when no node needs a ring (fewer while it fills)."""
+        value when no node needs a ring (fewer while it fills).  Only a
+        pointwise read at a later step keeps a ring; window witnesses and
+        until deques hold frame indices, not rows."""
         return min(self._received(), self._widest)
 
     def finalize(self) -> list[tuple[int, bool]]:

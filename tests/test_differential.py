@@ -82,7 +82,6 @@ from tracecontracts.frames import (
     _window_exists,
     derive_edge_atoms,
     evaluate,
-    radius_frames,
     share_subformulas,
 )
 from tracecontracts.intervals import (
@@ -1187,14 +1186,14 @@ def test_streaming_monitors_keep_separate_state():
 
 def _steady_bound(formula, h: float) -> int:
     """The first step at which every update of the formula's monitor runs:
-    its lookahead, or a neighborhood's reach plus its backward radius."""
-    near = [naive_lookahead_frames(f, h) + radius_frames(f.radius, h)
-            for f in walk(formula) if isinstance(f, Near)]
-    return max([naive_lookahead_frames(formula, h), *near])
+    its lookahead, as no update has a block after its node's emission."""
+    return naive_lookahead_frames(formula, h)
 
 
-# A ``U`` whose right side a window reads at the step it is made, and later
-# from its ring; ``G`` windows whose right pads ``finalize`` reads.
+# A ``U`` and a window that take in one child; pointwise nodes over children
+# of unequal delays, which read the nearer one from its ring; a ``U`` over
+# children of unequal delays; ``G`` windows whose right pads ``finalize``
+# reads as true.
 _SWITCH_FORMULAS = (
     "(a U[0.04] (b & c)) & F[0.02] (b & c)",
     "(a U[0.06] !b) | N[0.02] !b",
@@ -1276,6 +1275,69 @@ def test_streaming_steady_body_has_one_guard_and_rings_only_for_later_reads(monk
                  if name[0] == "r" and name[1:].isdigit()}
         assert all(len(ring) > 1 for ring in rings.values()), format_formula(formula)
         assert max(map(len, rings.values()), default=1) == monitor._widest
+
+
+def _kernel_functions(monkeypatch, name: str) -> list[ast.FunctionDef]:
+    """The generated function ``name`` of each monitor built from now on."""
+    functions = []
+    generate = streaming._kernel_source
+
+    def generating(*args):
+        source = generate(*args)
+        functions.append(next(node for node in ast.walk(ast.parse(source))
+                              if isinstance(node, ast.FunctionDef) and node.name == name))
+        return source
+
+    monkeypatch.setattr(streaming, "_kernel_source", generating)
+    return functions
+
+
+def test_streaming_finish_reads_only_values_it_makes(monkeypatch):
+    # ``finish`` runs on frames past the last one, where no atom and no node
+    # of delay 0 makes a value: every value local it reads, it assigns.
+    finishes = _kernel_functions(monkeypatch, "finish")
+    rng = random.Random(79)
+    formulas = [(parse_text(text), h) for text in _SWITCH_FORMULAS for h in STEPS]
+    for _ in range(200):
+        h = rng.choice(STEPS)
+        formulas.append((random_formula(rng, rng.randint(0, 4), h=h), h))
+    for formula, h in formulas:
+        StreamingMonitor(formula, h)
+        values = [node for node in ast.walk(finishes[-1]) if isinstance(node, ast.Name)
+                  and node.id[0] == "x" and node.id[1:].isdigit()]
+        read = {node.id for node in values if isinstance(node.ctx, ast.Load)}
+        made = {node.id for node in values if isinstance(node.ctx, ast.Store)}
+        assert read <= made, (format_formula(formula), h)
+
+
+# Windows over children of delay 0 and above it; ``U`` over children of
+# unequal delays, whose frames arrive past the window's right edge ``i + r``.
+_WITNESS_TEMPLATES = (
+    "N[{}] a", "F[{}] a", "G[{}] a", "a U[{}] b", "a U[{}] a",
+    "F[{}] F[{}] a", "G[{}] N[{}] b", "N[{}] G[{}] (a | b)", "G[{}] F[{}] !a",
+    "N[{}] (a U[{}] b)", "(N[{}] a) U[{}] b", "a U[{}] F[{}] b",
+    "(G[{}] a) U[{}] N[{}] b", "(a U[{}] b) U[{}] G[{}] c",
+)
+
+
+def test_streaming_window_witnesses_match_pump_engine_and_offline():
+    # Radii from one frame to past the stream's end, on streams of 0 to
+    # three lookaheads, sparse and dense.
+    rng = random.Random(83)
+    for template in _WITNESS_TEMPLATES:
+        for trial in range(12):
+            h = rng.choice(STEPS)
+            radii = [rng.choice((1, 2, 3, 7, 20)) * h for _ in range(template.count("{}"))]
+            formula = parse_text(template.format(*radii))
+            lookahead = StreamingMonitor(formula, h).lookahead_frames
+            for n in sorted({0, 1, lookahead, 3 * lookahead, rng.randint(0, 3 * lookahead)}):
+                env = random_env(rng, n, h=h, density=rng.choice((0.05, 0.5, 0.95)))
+                rows = _frame_rows(env, ("bool", "numpy", "int")[trial % 3])
+                _assert_same_stream(formula, h, rows)
+                monitor = StreamingMonitor(formula, h)
+                verdicts = [v for row in rows for _, v in monitor.step(row)]
+                verdicts += [v for _, v in monitor.finalize()]
+                assert verdicts == evaluate(formula, env).tolist(), (format_formula(formula), h, n)
 
 
 class _Truth:

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from tracecontracts.frames import TraceEnvironment, UnknownAtomError, evaluate
+from tracecontracts.frames import (
+    TraceEnvironment,
+    UnknownAtomError,
+    evaluate,
+    radius_frames,
+    share_subformulas,
+)
 from tracecontracts.parser import Atom, Near, parse_text
 from tracecontracts import streaming
 from tracecontracts.streaming import StreamingMonitor
@@ -106,9 +112,10 @@ def test_a_node_of_delay_zero_has_no_finalize_block(monkeypatch):
     monitor = StreamingMonitor(formula, 0.01)
     (source,) = sources
     finish = source.split("def finish():", 1)[1]
-    # Only the N node and the & above it have frames left after the last one.
+    # Only the N node and the & above it have frames left after the last one;
+    # the N node's child makes none, so the N node only emits there.
     assert [line.strip() for line in finish.splitlines() if "<= t < n +" in line] == [
-        "if 0 <= t < n + 2:", "if 2 <= t < n + 2:"
+        "if 2 <= t < n + 2:", "if 2 <= t < n + 2:"
     ]
     assert "not " not in finish
     rng = random.Random(17)
@@ -164,6 +171,35 @@ def test_extra_atoms_in_frames_are_ignored():
     monitor = StreamingMonitor(parse_text("a"), 0.02)
     out = monitor.step({"a": True, "spare": False})
     assert out == [(0, True)]
+
+
+def _rings(monitor: StreamingMonitor) -> dict[str, list]:
+    return {name: ring for name, ring in monitor._finish.__globals__.items()
+            if name[0] == "r" and name[1:].isdigit()}
+
+
+def test_windows_and_until_take_their_children_in_as_made_and_keep_no_ring():
+    for text in ("N[0.04] a", "F[0.04] a", "G[0.04] a", "a U[0.04] b"):
+        monitor = StreamingMonitor(parse_text(text), 0.02)
+        assert _rings(monitor) == {}
+        assert monitor._widest == 1
+
+
+def test_a_ring_is_kept_only_for_a_pointwise_read_at_a_later_step():
+    # ``->`` reads x at its own delay, the window's; the window reads y as made.
+    for h in (0.01, 0.02, 1.0 / 3.0):
+        formula = parse_text("x -> N[0.5] y")
+        monitor = StreamingMonitor(formula, h)
+        x = share_subformulas([formula], h).nodes.index(Atom("x"))
+        assert {name: len(ring) for name, ring in _rings(monitor).items()} == {
+            f"r{x}": radius_frames(0.5, h) + 1
+        }
+        assert monitor._widest == radius_frames(0.5, h) + 1
+
+
+def test_a_huge_radius_builds_one_ring_of_its_reach():
+    monitor = StreamingMonitor(parse_text("ref_onset -> N[1000.0] pred_onset"), 0.01)
+    assert sum(map(len, _rings(monitor).values())) == 100001
 
 
 BOUNDED_FORMULAS = (

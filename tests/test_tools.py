@@ -1,6 +1,6 @@
 """Repository tooling: the checked-in line counter, the report digest and
-its per-command pin, and the benchmark's span table against the package it
-wraps."""
+its per-command pin, the benchmark's span table against the package it
+wraps, and the summary of paired benchmark runs."""
 
 import ast
 import importlib
@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC_LINES = ROOT / "tools" / "src_lines.py"
 REPORT_DIGEST = ROOT / "tools" / "report_digest.py"
 REPORT_PIN = Path(__file__).with_name("report_digests.txt")
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 SAMPLE = '''"""A module docstring
 over two lines."""
@@ -76,8 +77,8 @@ def test_every_benchmark_wrap_point_resolves():
             assert callable(getattr(owner, attr, None)), (module_name, attr)
 
 
-def _report_digest_tool():
-    spec = importlib.util.spec_from_file_location("report_digest", REPORT_DIGEST)
+def _tool(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -106,7 +107,7 @@ def test_report_digest_is_the_same_in_a_fresh_and_a_warm_process():
     moved = [name for name in {**pinned, **got} if got.get(name) != pinned.get(name)]
     versions = f"Python {platform.python_version()}, numpy {np.__version__}"
     assert not moved, f"report bytes moved for {moved} under {versions}; see {REPORT_PIN.name}"
-    tool = _report_digest_tool()
+    tool = _tool(REPORT_DIGEST)
     for _ in range(2):
         printed = io.StringIO()
         with redirect_stdout(printed):
@@ -115,7 +116,7 @@ def test_report_digest_is_the_same_in_a_fresh_and_a_warm_process():
 
 
 def test_report_digest_exits_one_when_a_second_pass_differs(monkeypatch, capsys):
-    tool = _report_digest_tool()
+    tool = _tool(REPORT_DIGEST)
     first, second = {"a": "1", "b": "2", "c": "3"}, {"a": "1", "b": "9", "c": "3"}
     monkeypatch.setattr(tool, "report_digests", lambda root: (first, second))
     assert tool.main_digest(["--each"]) == 1
@@ -125,3 +126,33 @@ def test_report_digest_exits_one_when_a_second_pass_differs(monkeypatch, capsys)
     monkeypatch.setattr(tool, "report_digests", lambda root: (first, dict(first)))
     assert tool.main_digest([]) == 0
     assert capsys.readouterr().out.splitlines() == out.splitlines()[3:]
+
+
+def _bench_run(rate: float, rss: float, digest: str, failed: int = 0) -> dict:
+    metrics = {"frames_per_ref": {"value": rate, "unit": "frames/ref"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return {"result": {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics},
+            "report_digest": digest}
+
+
+def test_bench_pairs_summary_reads_better_from_the_declared_metrics():
+    summarize = _tool(BENCH_PAIRS).summarize
+    metrics = [{"name": "frames_per_ref", "unit": "frames/ref", "better": "higher", "bound": 0.2},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    pairs = [
+        {"seed": 1, "parent": _bench_run(100, 50, "d1"), "change": _bench_run(120, 51, "d1")},
+        {"seed": 2, "parent": _bench_run(110, 52, "d2"), "change": _bench_run(105, 49, "d2")},
+        {"seed": 3, "parent": _bench_run(90, 50, "d3"), "change": _bench_run(130, 50, "x", 1)},
+        {"seed": 4, "parent": _bench_run(100, 48, "d4"), "change": _bench_run(125, 47, "d4")},
+    ]
+    summary = summarize(pairs, metrics)
+    rate, rss = summary["metrics"]["frames_per_ref"], summary["metrics"]["peak_rss_mb"]
+    assert rate["parent"] == {"median": 100, "q1": 97.5, "q3": 102.5}
+    assert rate["change"] == {"median": 122.5, "q1": 116.25, "q3": 126.25}
+    assert (rate["change_wins"], rate["pairs"], rate["better"]) == (3, 4, "higher")
+    assert (rss["change_wins"], rss["unit"]) == (2, "MB")  # a tie is no win
+    assert summary["digests_agree"] == {"1": True, "2": True, "3": False, "4": True}
+    assert summary["correct"] is True
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    one = summarize(pairs[:1], metrics)["metrics"]["frames_per_ref"]
+    assert one["parent"] == {"median": 100, "q1": 100, "q3": 100}
