@@ -8,7 +8,7 @@ streaming verdicts, and risk-ordered contract selection.
 
 __version__ = "0.1.0"
 
-from .lexer import LexError, SourceSpan, Token, TokenKind, span_text, tokenize
+from .lexer import LexError, SourceSpan, Token, TokenKind, tokenize
 from .parser import (
     Always,
     And,
@@ -84,18 +84,13 @@ from .contracts import (
 from .basis import (
     CalibrationCase,
     CandidateBasis,
-    EnumerationBoundError,
-    ProfileScore,
     SelectionResult,
     basis_from_contract,
     load_calibration,
     observational_classes,
-    profile_score,
     retained_basis,
-    satisfiable,
     save_calibration,
     select_contract,
-    truth_signature,
 )
 from .fixtures import TracePathology, apply_pathology, calibration_cases, make_trace
 from .tracefile import TraceFile, TraceFormatError, load_trace, save_trace

@@ -1,11 +1,10 @@
-"""Finite-universe theory helpers and risk-ordered contract selection.
+"""Risk-ordered contract selection over a calibration set.
 
-Truth signatures enumerate every Boolean environment over a small atom
-set and frame count, so formula equivalence and satisfiability are
-decided exactly on that universe.  Clause signatures over a calibration
-set drive duplicate collapse (observational equivalence), retained-basis
-construction, and the search for the lexicographically least separating
-contract under (coordinate count, monitor cost, source order).
+Clause signatures over the calibration cases drive duplicate collapse
+(observational equivalence), retained-basis construction, and the search
+for the lexicographically least separating contract under (coordinate
+count, monitor cost, source order).  A calibration set is a JSON file
+that :func:`save_calibration` writes and :func:`load_calibration` reads.
 """
 
 from __future__ import annotations
@@ -13,62 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .contracts import Contract, EventClause, FrameClause, _event_clause, _trace_runs
 from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
 from .intervals import _match, _matching
-from .parser import Formula, node_count
-
-# Enumeration ceiling: 2**(atoms * frames) environments.
-MAX_UNIVERSE_BITS = 20
-
-
-class EnumerationBoundError(Exception):
-    """The requested universe exceeds the enumeration ceiling."""
-
-
-def _universe(atoms: Sequence[str], n: int) -> dict[str, np.ndarray]:
-    """All 2**(a*n) environments stacked row-wise per atom.
-
-    Environment ``e`` assigns atom ``j`` (sorted order) at frame ``i`` the
-    bit ``j * n + i`` of ``e``.
-    """
-    names = sorted(atoms)
-    bits = len(names) * n
-    if bits > MAX_UNIVERSE_BITS:
-        raise EnumerationBoundError(
-            f"universe needs 2**{bits} environments, ceiling is 2**{MAX_UNIVERSE_BITS}"
-        )
-    count = 1 << bits
-    env_ids = np.arange(count, dtype=np.int64)
-    stacked: dict[str, np.ndarray] = {}
-    for j, name in enumerate(names):
-        shifts = j * n + np.arange(n, dtype=np.int64)
-        stacked[name] = ((env_ids[:, None] >> shifts[None, :]) & 1).astype(bool)
-    return stacked
-
-
-def truth_signature(formula: Formula, atoms: Sequence[str], n: int, h: float) -> bytes:
-    """Concatenated valuation over every environment, canonically packed.
-
-    Two formulas are equivalent on the universe iff their signatures are
-    equal byte for byte.
-    """
-    plan = share_subformulas([formula], h)
-    stacked = _universe(atoms, n)
-    if n == 0:
-        return b""
-    values = plan.evaluate(stacked)[formula]
-    return np.packbits(values.reshape(-1).astype(np.uint8)).tobytes()
-
-
-def satisfiable(formula: Formula, atoms: Sequence[str], n: int, h: float) -> bool:
-    """True iff some environment in the universe yields a true frame: some
-    bit of the truth signature is set."""
-    return any(truth_signature(formula, atoms, n, h))
+from .parser import node_count
 
 
 @dataclass(frozen=True)
@@ -394,48 +345,3 @@ def save_calibration(cases: Sequence[CalibrationCase], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-@dataclass(frozen=True)
-class ProfileScore:
-    score: float
-    lead_coordinate: str
-
-
-# Example risk profiles over the default guard names; weights are relative.
-PROFILES: dict[str, dict[str, float]] = {
-    "balanced": {
-        "onset_guard": 1.0,
-        "offset_guard": 1.0,
-        "missing_guard": 1.0,
-        "spurious_guard": 1.0,
-        "silence_guard": 1.0,
-        "duration_guard": 1.0,
-        "fragmentation_guard": 1.0,
-    },
-    "support_recall": {"missing_guard": 3.0, "onset_guard": 1.0, "offset_guard": 1.0},
-    "edge_timing": {"onset_guard": 3.0, "offset_guard": 2.0},
-    "silence_protection": {"silence_guard": 3.0, "spurious_guard": 2.0},
-    "event_integrity": {"fragmentation_guard": 3.0, "duration_guard": 2.0},
-}
-
-
-def profile_score(vector, weights: Mapping[str, float]) -> ProfileScore:
-    """Normalized weighted mean of the guard vector under a risk profile.
-
-    The lead coordinate (largest weight, first in vector order on ties)
-    is reported alongside the scalar.
-    """
-    names = set(vector.names)
-    unknown = set(weights) - names
-    if unknown:
-        raise ValueError(f"weights name unknown coordinates: {sorted(unknown)}")
-    if any(w < 0.0 for w in weights.values()):
-        raise ValueError("weights must be nonnegative")
-    total = sum(weights.values())
-    if total <= 0.0:
-        raise ValueError("weights must not all be zero")
-    value = sum(weights.get(c.name, 0.0) * c.score for c in vector) / total
-    max_weight = max(weights.values())
-    lead = next(name for name in vector.names if weights.get(name, 0.0) == max_weight)
-    return ProfileScore(float(value), lead)

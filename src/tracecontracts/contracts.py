@@ -60,7 +60,6 @@ from .intervals import (
     _matching,
     _run_edges,
     _singly_covered,
-    boundary_f1,
     covering_counts,
     merge_runs,
     overlap_pairs,
@@ -1160,7 +1159,6 @@ __all__ = [
     "monitor_classes",
     "mean_logic",
     "soft_boundary",
-    "boundary_f1",
     "covering_counts",
     "latency_score",
     "purity_score",

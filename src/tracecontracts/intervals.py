@@ -233,21 +233,10 @@ class Matching:
     pairs: frozenset[tuple[int, int]]
     policy: str
 
-    @property
-    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.pairs))
-
-    @cached_property
-    def matched_refs(self) -> frozenset[int]:
-        return frozenset(ri for ri, _ in self.pairs)
-
-    @cached_property
-    def matched_preds(self) -> frozenset[int]:
-        return frozenset(pi for _, pi in self.pairs)
-
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reference and prediction indices in :attr:`sorted_pairs` order."""
+        """Reference and prediction indices of the pairs, sorted by
+        reference index, then by prediction index."""
         flat = np.fromiter(chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
         order = np.lexsort((flat[1::2], flat[0::2]))
         return flat[0::2][order], flat[1::2][order]

@@ -168,10 +168,3 @@ def _scan_radius(source: str, bracket: int) -> NoReturn:
     if source[end - 1] == ".":
         end -= 1
     raise LexError(SourceSpan(end, end + 1), "malformed decimal literal")
-
-
-def span_text(source: str, span: SourceSpan) -> str:
-    """Exact substring of ``source`` over ``span``; used by error reporting."""
-    if span.end > len(source):
-        raise ValueError(f"span [{span.start}, {span.end}) out of bounds for length {len(source)}")
-    return source[span.start : span.end]

@@ -90,9 +90,13 @@ def trace_from_dict(data: dict, context: str = "trace") -> TraceFile:
     if not (math.isfinite(frame_step) and frame_step > 0.0):
         raise TraceFormatError(f"{context}: frame_step must be finite and positive")
     item_id = str(data.get("item_id", context))
-    classes = {}
-    for name, node in dict(data.get("classes", {})).items():
-        classes[str(name)] = _parse_pair(node, f"{context}.classes.{name}")
+    class_nodes = data.get("classes", {})
+    if not isinstance(class_nodes, dict):
+        raise TraceFormatError(f"{context}.classes: expected an object")
+    classes = {
+        str(name): _parse_pair(node, f"{context}.classes.{name}")
+        for name, node in class_nodes.items()
+    }
     union = _parse_pair(data["union"], f"{context}.union") if "union" in data else None
     trace = TraceFile(item_id, frame_step, classes, union)
     lengths = {len(ref) for ref, _ in classes.values()}

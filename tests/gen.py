@@ -16,7 +16,12 @@ and a Python loop per reference.  The ``loop_*`` functions are the predecessors
 of the batched monitor pass: one whole pass per class, sweep tolerance or
 calibration case; ``pair_witness`` and ``group_soft_boundary`` those of its
 witness pass, one distance scan per (obligation, witness) pair and one soft
-boundary per group.
+boundary per group.  Some helpers here are not oracles but test-only
+utilities that no command reaches: finite-universe enumeration
+(``universe``, ``truth_signature``, ``satisfiable``), which stacks every
+environment over a few atoms and frames and runs the library's plan on it
+once; the risk-profile scorer ``profile_score``; ``span_text``; and the
+set views of a ``Matching``.
 """
 
 from __future__ import annotations
@@ -210,6 +215,52 @@ def naive_satisfiable(formula: Formula, atoms, n: int, h: float) -> bool:
         if any(naive_evaluate(formula, TraceEnvironment(h, n, values))):
             return True
     return False
+
+
+# Enumeration ceiling: 2**(atoms * frames) environments.
+MAX_UNIVERSE_BITS = 20
+
+
+class EnumerationBoundError(Exception):
+    """The requested universe exceeds the enumeration ceiling."""
+
+
+def universe(atoms, n: int) -> dict[str, np.ndarray]:
+    """All 2**(a*n) environments stacked row-wise per atom.
+
+    Environment ``e`` assigns atom ``j`` (sorted order) at frame ``i`` the
+    bit ``j * n + i`` of ``e``.
+    """
+    names = sorted(atoms)
+    bits = len(names) * n
+    if bits > MAX_UNIVERSE_BITS:
+        raise EnumerationBoundError(
+            f"universe needs 2**{bits} environments, ceiling is 2**{MAX_UNIVERSE_BITS}"
+        )
+    env_ids = np.arange(1 << bits, dtype=np.int64)
+    stacked: dict[str, np.ndarray] = {}
+    for j, name in enumerate(names):
+        shifts = j * n + np.arange(n, dtype=np.int64)
+        stacked[name] = ((env_ids[:, None] >> shifts[None, :]) & 1).astype(bool)
+    return stacked
+
+
+def truth_signature(formula: Formula, atoms, n: int, h: float) -> bytes:
+    """The library plan's valuation over every environment of the
+    universe, canonically packed: two formulas are equivalent on the
+    universe iff their signatures are equal byte for byte."""
+    plan = share_subformulas([formula], h)
+    stacked = universe(atoms, n)
+    if n == 0:
+        return b""
+    values = plan.evaluate(stacked)[formula]
+    return np.packbits(values.reshape(-1).astype(np.uint8)).tobytes()
+
+
+def satisfiable(formula: Formula, atoms, n: int, h: float) -> bool:
+    """True iff some environment in the universe yields a true frame: some
+    bit of the truth signature is set."""
+    return any(truth_signature(formula, atoms, n, h))
 
 
 def naive_lookahead(formula: Formula) -> float:
@@ -447,6 +498,13 @@ def naive_tokenize(source: str) -> list[Token]:
         raise LexError(SourceSpan(i, i + 1), f"undeclared character {c!r}")
     tokens.append(Token(TokenKind.END, "", SourceSpan(n, n)))
     return tokens
+
+
+def span_text(source: str, span: SourceSpan) -> str:
+    """Exact substring of ``source`` over ``span``."""
+    if span.end > len(source):
+        raise ValueError(f"span [{span.start}, {span.end}) out of bounds for length {len(source)}")
+    return source[span.start : span.end]
 
 
 # ---------------------------------------------------------------------------
@@ -1072,6 +1130,18 @@ def object_match_exact(cands, bound: int = 24) -> Matching:
     return Matching(pairs, "exact")
 
 
+def sorted_pairs(matching: Matching) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(matching.pairs))
+
+
+def matched_refs(matching: Matching) -> frozenset[int]:
+    return frozenset(ri for ri, _ in matching.pairs)
+
+
+def matched_preds(matching: Matching) -> frozenset[int]:
+    return frozenset(pi for _, pi in matching.pairs)
+
+
 def object_covering_counts(refs, preds) -> tuple[int, ...]:
     return tuple(len(hits) for hits in object_overlapping(tuple(refs), tuple(preds)))
 
@@ -1092,11 +1162,9 @@ def object_fragmentation_score(refs, preds, matching: Matching, counts=None) -> 
     refs = tuple(refs)
     if counts is None:
         counts = object_covering_counts(refs, preds)
-    matched_refs = matching.matched_refs
+    matched = matched_refs(matching)
     obligated = len(refs)
-    satisfied = sum(
-        1 for ri in range(obligated) if ri in matched_refs and counts[ri] <= 1
-    )
+    satisfied = sum(1 for ri in range(obligated) if ri in matched and counts[ri] <= 1)
     ratio = satisfied / obligated if obligated else 1.0
     return ObligationScore(ratio, obligated, satisfied, obligated - satisfied)
 
@@ -1170,15 +1238,15 @@ def object_purity_score(class_name: str, preds, class_ref_intervals) -> Obligati
 
 def object_duration_diffs(refs, preds, matching: Matching) -> tuple[float, ...]:
     return tuple(
-        abs(refs[ri].length - preds[pi].length) for ri, pi in matching.sorted_pairs
+        abs(refs[ri].length - preds[pi].length) for ri, pi in sorted_pairs(matching)
     )
 
 
 def object_fragmentation_extras(matching: Matching, counts) -> tuple[int, ...]:
-    matched_refs = matching.matched_refs
+    matched = matched_refs(matching)
     extras = []
     for ri in range(len(counts)):
-        if ri in matched_refs and counts[ri] <= 1:
+        if ri in matched and counts[ri] <= 1:
             extras.append(0)
         elif counts[ri] > 1:
             extras.append(counts[ri] - 1)
@@ -1400,6 +1468,55 @@ def loop_clause_signatures(basis, cases) -> tuple[ClauseSignature, ...]:
         ClauseSignature(c.source_order, tuple(values[c.source_order] for values in per_case))
         for c in basis.clauses
     )
+
+
+# ---------------------------------------------------------------------------
+# Risk profiles: a weighted mean of a guard vector, which no command reports.
+
+
+@dataclass(frozen=True)
+class ProfileScore:
+    score: float
+    lead_coordinate: str
+
+
+# Example risk profiles over the default guard names; weights are relative.
+PROFILES: dict[str, dict[str, float]] = {
+    "balanced": {
+        "onset_guard": 1.0,
+        "offset_guard": 1.0,
+        "missing_guard": 1.0,
+        "spurious_guard": 1.0,
+        "silence_guard": 1.0,
+        "duration_guard": 1.0,
+        "fragmentation_guard": 1.0,
+    },
+    "support_recall": {"missing_guard": 3.0, "onset_guard": 1.0, "offset_guard": 1.0},
+    "edge_timing": {"onset_guard": 3.0, "offset_guard": 2.0},
+    "silence_protection": {"silence_guard": 3.0, "spurious_guard": 2.0},
+    "event_integrity": {"fragmentation_guard": 3.0, "duration_guard": 2.0},
+}
+
+
+def profile_score(vector, weights: Mapping[str, float]) -> ProfileScore:
+    """Normalized weighted mean of the guard vector under a risk profile.
+
+    The lead coordinate (largest weight, first in vector order on ties)
+    is reported alongside the scalar.
+    """
+    names = set(vector.names)
+    unknown = set(weights) - names
+    if unknown:
+        raise ValueError(f"weights name unknown coordinates: {sorted(unknown)}")
+    if any(w < 0.0 for w in weights.values()):
+        raise ValueError("weights must be nonnegative")
+    total = sum(weights.values())
+    if total <= 0.0:
+        raise ValueError("weights must not all be zero")
+    value = sum(weights.get(c.name, 0.0) * c.score for c in vector) / total
+    max_weight = max(weights.values())
+    lead = next(name for name in vector.names if weights.get(name, 0.0) == max_weight)
+    return ProfileScore(float(value), lead)
 
 
 # ---------------------------------------------------------------------------

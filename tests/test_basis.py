@@ -1,4 +1,5 @@
-"""Finite-universe checks and risk-ordered selection."""
+"""Finite-universe checks (with the test helpers of ``gen``), risk-ordered
+selection, calibration files and risk profiles."""
 
 import gc
 import itertools
@@ -8,18 +9,13 @@ import pytest
 
 from tracecontracts.basis import (
     CalibrationCase,
-    EnumerationBoundError,
-    PROFILES,
     basis_from_contract,
     clause_signatures,
     load_calibration,
     observational_classes,
-    profile_score,
     retained_basis,
-    satisfiable,
     save_calibration,
     select_contract,
-    truth_signature,
 )
 from tracecontracts.contracts import (
     contract_to_text,
@@ -33,7 +29,14 @@ from tracecontracts.frames import TraceEnvironment, evaluate
 from tracecontracts.intervals import AuditBoundError
 from tracecontracts.parser import parse_text
 
-from gen import is_separating
+from gen import (
+    PROFILES,
+    EnumerationBoundError,
+    is_separating,
+    profile_score,
+    satisfiable,
+    truth_signature,
+)
 
 
 H = 0.02

@@ -28,6 +28,7 @@ from tracecontracts.tracefile import (
     mask_to_string,
     parse_mask,
     save_trace,
+    trace_from_dict,
 )
 
 from gen import ALL_PREDICATES, NOT_LINE_ENDS, contract_mutations
@@ -267,10 +268,18 @@ class TestMonitor:
          ' "classes": {"s": {"ref": "011", "pred": "011"}}}',
          "{path}: masks have inconsistent lengths [2, 3]"),
         ('{"frame_step": 0.02}', "{path}: trace needs 'union' masks or 'classes'"),
+        # A `classes` that is not an object, a list of [name, pair] entries
+        # (which dict() would take) included.
+        *[('{"frame_step": 0.02, "union": {"ref": "01", "pred": "01"}, "classes": %s}' % classes,
+           "{path}.classes: expected an object")
+          for classes in ('"ab"', "5", "null", '[["x", {"ref": "01", "pred": "01"}]]')],
     ])
     def test_trace_schema_errors_exit_three(self, data, message, worked_files, tmp_path, capsys):
         contract_path, _ = worked_files
         bad, out = tmp_path / "bad.json", tmp_path / "o"
+        with pytest.raises(TraceFormatError) as raised:
+            trace_from_dict(json.loads(data), str(bad))
+        assert str(raised.value) == message.format(path=bad)
         bad.write_text(data)
         assert main(["monitor", str(contract_path), str(bad), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "trace error: " + message.format(path=bad) + "\n"

@@ -33,10 +33,8 @@ from hypothesis import strategies as st
 
 from tracecontracts.basis import (
     CalibrationCase,
-    _universe,
     basis_from_contract,
     clause_signatures,
-    satisfiable,
 )
 from tracecontracts.contracts import (
     EDGE_PAIRS,
@@ -156,7 +154,9 @@ from gen import (
     prefix_window_exists,
     random_env,
     random_formula,
+    satisfiable,
     table_pairs,
+    universe,
 )
 
 STEPS = (0.01, 0.02, 0.0125, 1.0 / 3.0, 1.0)
@@ -704,11 +704,11 @@ def test_the_plan_memo_gives_a_fresh_walks_plan(h):
 
 
 def test_stacked_plan_rows_match_window_scans():
-    # Every environment over two atoms and n frames, as basis enumerates them.
+    # Every environment over two atoms and n frames, stacked by `universe`.
     rng = random.Random(43)
     h = 0.02
     for n in (1, 2, 4):
-        stacked = _universe(("a", "b"), n)
+        stacked = universe(("a", "b"), n)
         rows = stacked["a"].shape[0]
         for _ in range(8):
             formulas = _with_duplicates(rng, h, ("a", "b"))
@@ -746,7 +746,7 @@ def test_plan_roots_match_window_scans_with_buffers_reused():
         if trial % 4 == 0:
             # Stacked leading axes: every environment over two atoms.
             formulas = _in_place_formulas(rng, h, ("a", "b"))
-            atoms = _universe(("a", "b"), rng.randint(1, 3))
+            atoms = universe(("a", "b"), rng.randint(1, 3))
             rows = [{k: v[row] for k, v in atoms.items()} for row in range(len(atoms["a"]))]
         else:
             formulas = _in_place_formulas(rng, h)

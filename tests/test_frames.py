@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecontracts import frames
-from tracecontracts.basis import satisfiable, truth_signature
 from tracecontracts.frames import (
     EvalStats,
     Reach,
@@ -129,9 +128,10 @@ class TestStrictInputs:
         with pytest.raises(ValueError, match="frame step"):
             StreamingMonitor(Atom("a"), h)
         with pytest.raises(ValueError, match="frame step"):
-            truth_signature(Atom("a"), ["a"], 2, h)
+            share_subformulas([Atom("a")], h)
+        # The plan memo keeps no refused step: asking again raises again.
         with pytest.raises(ValueError, match="frame step"):
-            satisfiable(Atom("a"), ["a"], 2, h)
+            share_subformulas([Atom("a")], h)
 
 
 class TestScore:

@@ -21,7 +21,14 @@ from tracecontracts.intervals import (
     matcher_audit,
 )
 
-from gen import brute_force_optimum, matching_cost, pair_table, table_pairs
+from gen import (
+    brute_force_optimum,
+    matched_preds,
+    matched_refs,
+    matching_cost,
+    pair_table,
+    table_pairs,
+)
 
 NO_CANDIDATES = candidates((), (), 0.04)
 
@@ -270,5 +277,5 @@ class TestMatcherAudit:
             allowed = set(zip(cands.ref_index.tolist(), cands.pred_index.tolist()))
             for matching in (match_greedy(cands), match_exact(cands)):
                 assert matching.pairs <= allowed
-                assert len(matching.matched_refs) == len(matching.pairs)
-                assert len(matching.matched_preds) == len(matching.pairs)
+                assert len(matched_refs(matching)) == len(matching.pairs)
+                assert len(matched_preds(matching)) == len(matching.pairs)

@@ -10,12 +10,11 @@ from tracecontracts.lexer import (
     LexError,
     SourceSpan,
     TokenKind,
-    span_text,
     tokenize,
 )
 from tracecontracts.parser import format_formula
 
-from gen import random_formula
+from gen import random_formula, span_text
 
 
 def kinds(tokens):

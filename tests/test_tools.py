@@ -1,6 +1,7 @@
 """Repository tooling: the checked-in line counter, the report digest and
 its per-command pin, the benchmark's span table against the package it
-wraps, and the summary of paired benchmark runs."""
+wraps, the package's exports against their readers outside the tests, and
+the summary of paired benchmark runs."""
 
 import ast
 import importlib
@@ -75,6 +76,30 @@ def test_every_benchmark_wrap_point_resolves():
             assert callable(vars(getattr(owner, class_name)).get(method)), (module_name, attr)
         else:
             assert callable(getattr(owner, attr, None)), (module_name, attr)
+
+
+def test_every_package_export_is_read_outside_tests():
+    # A name the package exports that only tests read belongs in tests/gen.py.
+    # Readers, by word match: another package module than the defining one,
+    # the README, or a script under bench/ or tools/.
+    package = ROOT / "src" / "tracecontracts"
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    assert exports
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in package.glob("*.py") if path.stem != "__init__"}
+    scripts = [path.read_text(encoding="utf-8")
+               for folder in ("bench", "tools") for path in (ROOT / folder).rglob("*.py")]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = []
+    for module, name in exports:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        texts = [text for stem, text in modules.items() if stem != module]
+        if not any(word.search(text) for text in [*texts, readme, *scripts]):
+            unread.append(f"{module}.{name}")
+    assert not unread, f"exported but read only by tests: {unread}"
 
 
 def _tool(path: Path):
