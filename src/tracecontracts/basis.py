@@ -306,7 +306,7 @@ def _calibration_cases(data, path) -> list[CalibrationCase]:
 
     if not isinstance(data, list):
         raise TraceFormatError(f"{path}: expected a JSON array of cases")
-    cases = []
+    cases, ids = [], set()
     for index, node in enumerate(data):
         context = f"{path}[{index}]"
         if not isinstance(node, dict):
@@ -323,6 +323,9 @@ def _calibration_cases(data, path) -> list[CalibrationCase]:
             raise TraceFormatError(f"{context}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise TraceFormatError(f"{context}: {exc}") from None
+        if case.id in ids:
+            raise TraceFormatError(f"{context}: case id {case.id!r} repeated")
+        ids.add(case.id)
         cases.append(case)
     return cases
 

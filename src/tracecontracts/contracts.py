@@ -16,15 +16,20 @@ contract is a plain value; :func:`frames.share_subformulas` keeps plans by
 value, so equal contracts share one plan per grid.
 
 One monitor pass runs over a group axis: trace pairs of one length (a
-union row and its classes, or calibration cases) are stacked, evaluated
-once, and their runs extracted, matched and witnessed by one scan each,
-with every group's runs placed apart so that none meets another's; a
-sweep's tolerances are rows over one group.  A single :func:`monitor` is
-the one-group case.  Witnesses extend the axis to pairs: the distinct
+union row and its classes, or calibration cases) are stacked, and their
+runs extracted, matched and witnessed by one scan each, with every
+group's runs placed apart so that none meets another's; a sweep's
+tolerances are rows over one group.  A single :func:`monitor` is the
+one-group case.  Witnesses extend the axis to pairs: the distinct
 (obligation, witness) formulas of every row, and the two edge pairs, are
 placed one after another, so one distance scan serves every pair and
 group, and each (pair, group) mean is :func:`_mean` of one slice of it.
-The soft boundary of every group is likewise one scan of the placed edges.
+The same scan counts each frame clause ``x -> N[r] y @ x`` over edge
+atoms (:func:`_counted`), as every default guard is: an x frame
+satisfies it exactly when its nearest y frame lies within the window's
+frame radius.  Only the other frame clauses are evaluated, as stacks, by
+one plan.  The soft boundary of every group is likewise one scan of the
+placed edges.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,8 +50,10 @@ from .frames import (
     _check_frame_step,
     _edge_atoms,
     _mask_pair,
+    _ratio,
     _stacked_scores,
     obligation_score,
+    radius_frames,
     share_subformulas,
 )
 from .intervals import (
@@ -590,37 +597,21 @@ def _frame_runs(mask: np.ndarray) -> Family:
     return Family(edges[0::2], edges[1::2])
 
 
-def _run_distances(obligated: Family, witnesses: Family, h: float) -> np.ndarray | None:
-    """Seconds from each obligated frame, in frame order, to the nearest
-    witness frame; ``None`` when there are no witness frames at all.
-
-    Both families are frame runs: sorted, disjoint and never adjacent.
-    Obligated frames inside a witness run are at distance zero.  The others
-    lie in the gaps around the witness runs.  Gap k lies between witness
-    runs k - 1 and k, so the last frame of run k - 1 and the first of run k
-    are its frames' two nearest witness frames; each outer gap has one,
-    taken twice.  An obligated run meets the gaps from the first whose
-    right witness run starts after the run's start to the last whose left
-    witness run ends before the run's end: two ``searchsorted`` calls on
-    the witness runs give every run's gap range.  No step touches every
-    frame of the trace.
-    """
-    total = int((obligated.end - obligated.start).sum())
-    if total == 0:
-        return np.zeros(0)
-    if len(witnesses) == 0:
-        return None
-    # The gap frames come first, so that their run-sized arrays are freed
-    # before the array of every obligated frame is made.
-    where, near = _gap_distances(obligated, witnesses)
-    distances = np.zeros(total)
-    distances[where] = near * h
-    return distances
-
-
 def _gap_distances(obligated: Family, witnesses: Family) -> tuple[np.ndarray, np.ndarray]:
     """The obligated frame numbers of the obligated frames outside every
-    witness run, and their distances in frames, for :func:`_run_distances`."""
+    witness run, in order, and their distances in frames to the nearest
+    witness frame; the frames inside a witness run are at distance zero.
+
+    Both families are frame runs: sorted, disjoint and never adjacent, and
+    neither empty.  The obligated frames outside the witness runs lie in the
+    gaps around them.  Gap k lies between witness runs k - 1 and k, so the
+    last frame of run k - 1 and the first of run k are its frames' two
+    nearest witness frames; each outer gap has one, taken twice.  An
+    obligated run meets the gaps from the first whose right witness run
+    starts after the run's start to the last whose left witness run ends
+    before the run's end: two ``searchsorted`` calls on the witness runs
+    give every run's gap range.  No step touches every frame of the trace.
+    """
     sizes = obligated.end - obligated.start
     first, end = witnesses.start, witnesses.end
     lo = first.searchsorted(obligated.start, side="right")
@@ -648,7 +639,7 @@ class _TraceRuns:
     """G trace pairs of one length on a group axis, and what follows from
     their runs at any tolerance.
 
-    ``atoms`` are the activity and edge atoms as ``(G, n)`` stacks.  ``refs``
+    ``masks`` are the reference and prediction ``(G, n)`` stacks.  ``refs``
     and ``preds`` are the merged runs in seconds, group after group, with
     ``bounds`` giving each group's first run a side and ``by_group`` its two
     families; ``overlaps`` are their overlap pairs.
@@ -662,7 +653,7 @@ class _TraceRuns:
     h: float
     stride: int
     starts: np.ndarray
-    atoms: dict[str, np.ndarray]
+    masks: tuple[np.ndarray, np.ndarray]
     refs: Family
     preds: Family
     bounds: tuple[np.ndarray, np.ndarray]
@@ -671,35 +662,65 @@ class _TraceRuns:
     edges: dict[str, np.ndarray]
     atom_runs: dict[str, Family]
 
+    @functools.cached_property
+    def atoms(self) -> dict[str, np.ndarray]:
+        """The activity and edge atoms as ``(G, n)`` stacks, made on first
+        read: only a clause the plan evaluates reads them."""
+        return _edge_atoms(*self.masks)
+
     def witnesses(
-        self, pairs: Sequence[tuple[Formula, Formula]], values: Mapping[Formula, np.ndarray]
-    ) -> dict[tuple[Formula, Formula], list[tuple[float | None, int]]]:
-        """Per (obligation, witness) pair, per group: the mean in ms of
-        :func:`_run_distances` from the obligation's frames to the
-        witness's (``None`` when either set is empty), and the number of
-        obligated frames if there are no witness frames, else 0; ``values``
-        holds the plan's valuations of formulas other than atoms.
+        self,
+        pairs: Sequence[tuple[Formula, Formula]],
+        values: Mapping[Formula, np.ndarray],
+        counted: Iterable[tuple[tuple[Formula, Formula], int]] = (),
+    ) -> tuple[dict[tuple[Formula, Formula], list[tuple[float | None, int]]],
+               dict[tuple[tuple[Formula, Formula], int], list[ObligationScore]]]:
+        """Per (obligation, witness) pair, per group: the mean in ms of the
+        distances from the obligation's frames to the nearest witness frame
+        (``None`` when either set is empty), and the number of obligated
+        frames if there are no witness frames, else 0; ``values`` holds the
+        plan's valuations of formulas other than atoms.  Then, per
+        ``(pair, R)`` of ``counted``, per group, the score of
+        ``x -> N[r] y @ x`` for the pair (x, y) and R = ``radius_frames(r, h)``
+        (see :func:`_counted`): x's frames are obligated, and those more than
+        R frames from every y frame, all of them in a group with no y frame,
+        are violated.
 
         One distance pass serves every pair and group: pair j's runs are
         placed ``j * G * stride`` frames on, so (pair j, group g) is group
         ``j * G + g`` of one longer axis.  A group's frames are nearer to
         its own witness frames than to any other group's, and a group with
-        none reads none.  Each mean is :func:`_mean` of its own slice."""
+        none reads none.  Each mean is :func:`_mean` of its own slice, and
+        each count reads the gap frames of its own slice."""
         groups = self.starts.size - 1
         obligated, witnessed = (self._placed(side, values) for side in zip(*pairs))
-        distances = _run_distances(obligated, witnessed, self.h)
         starts = np.arange(len(pairs) * groups + 1) * self.stride
-        # Slice k of the distances holds (pair, group) k's obligated frames.
+        # Slice k of the obligated frames, in frame order, is (pair, group) k's.
         frames = np.concatenate(((0,), np.cumsum(obligated.end - obligated.start)))
-        ends = frames[obligated.start.searchsorted(starts)].tolist()
+        ends = frames[obligated.start.searchsorted(starts)]
         seen = witnessed.start.searchsorted(starts)
         found = (seen[1:] > seen[:-1]).tolist()
+        where = near = np.zeros(0, dtype=np.int64)
+        if frames[-1] and len(witnessed):
+            where, near = _gap_distances(obligated, witnessed)
+        distances = np.zeros(int(frames[-1]))
+        distances[where] = near * self.h
+        ends, cuts = ends.tolist(), where.searchsorted(ends).tolist()
         summaries = [
             (None, 0) if lo == hi else (None, hi - lo) if not has
             else (_mean(distances[lo:hi], 1000.0), 0)
             for lo, hi, has in zip(ends, ends[1:], found)
         ]
-        return {key: summaries[j * groups:(j + 1) * groups] for j, key in enumerate(pairs)}
+
+        def score(k: int, r: int) -> ObligationScore:
+            total = ends[k + 1] - ends[k]
+            if not found[k]:
+                return _ratio(total, 0)
+            return _ratio(total, total - int(np.count_nonzero(near[cuts[k]:cuts[k + 1]] > r)))
+
+        slices = {key: range(j * groups, (j + 1) * groups) for j, key in enumerate(pairs)}
+        scores = {(pair, r): [score(k, r) for k in slices[pair]] for pair, r in counted}
+        return {key: [summaries[k] for k in ks] for key, ks in slices.items()}, scores
 
     def _placed(self, formulas: Sequence[Formula], values: Mapping[Formula, np.ndarray]) -> Family:
         """The frame runs of each formula in turn, formula j's placed
@@ -746,8 +767,8 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
         for g in range(groups)
     )
     return _TraceRuns(
-        h, stride, starts, _edge_atoms(ref, pred), refs, preds, tuple(bounds), by_group, overlaps,
-        edges, atom_runs,
+        h, stride, starts, (ref, pred), refs, preds, tuple(bounds), by_group, overlaps, edges,
+        atom_runs,
     )
 
 
@@ -765,6 +786,21 @@ def _witness_pair(clause: FrameClause) -> tuple[Formula, Formula] | None:
     ):
         return clause.obligation, formula.right.child
     return None
+
+
+def _counted(clause: FrameClause, runs: _TraceRuns) -> tuple[tuple[Formula, Formula], int] | None:
+    """The witness pair (x, y) and frame radius R of a clause
+    ``x -> N[r] y @ x`` over two atoms that ``runs`` holds, whose counts
+    the witness pass gives: an x frame satisfies ``N[r] y`` exactly when its
+    nearest y frame is at most R = ``radius_frames(r, h)`` frames away, the
+    window read as a dilation of y.  ``None`` for any other clause, one with
+    an unknown atom included: the plan evaluates it, and names the atom."""
+    pair = _witness_pair(clause)
+    if pair is None or pair[0] != clause.formula.left:
+        return None
+    if not all(atom.name in runs.atom_runs for atom in pair):
+        return None
+    return pair, radius_frames(clause.formula.right.radius, runs.h)
 
 
 def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
@@ -830,19 +866,20 @@ def _event_clause(
 
 def compile_contract(contract: Contract, h: float) -> EvaluationPlan:
     """:func:`share_subformulas` of the contract's frame formulas on step ``h``."""
-    return share_subformulas(_frame_formulas(contract), h)
+    return share_subformulas(_frame_formulas(contract.frame_clauses), h)
 
 
-def _frame_formulas(contract: Contract):
-    """Every frame clause's formula and obligation, in clause order."""
-    return (f for clause in contract.frame_clauses for f in (clause.formula, clause.obligation))
+def _frame_formulas(clauses: Iterable[FrameClause]):
+    """Every clause's formula and obligation, in clause order."""
+    return (f for clause in clauses for f in (clause.formula, clause.obligation))
 
 
 def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     """Evaluate every contract clause on one trace pair.
 
-    Derives activity and edge atoms, scores frame clauses under their
-    obligations, extracts and matches run intervals under the contract's
+    Scores frame clauses under their obligations, from the distances to
+    the nearest witness frame or by evaluating the formulas on the activity
+    and edge atoms, extracts and matches run intervals under the contract's
     policy, scores event clauses over their obligation sets, and attaches
     witness distances.  It is the one-group case of the batched pass.
     """
@@ -873,25 +910,39 @@ def _monitor(
     """The result of each row ``(group, contract, class_context)``: the
     contract on that group's trace pair.  The rows are the groups in order,
     or the one group under each of several contracts, all of one matcher.
-    One plan of their distinct contracts' frame formulas and obligations
-    gives their valuations as ``(G, n)`` stacks, which each frame clause's
-    counts read once for all groups; then only the witness pass's
-    obligations are kept.  One :func:`intervals._match`
-    serves all rows, and one :meth:`_TraceRuns.witnesses` pass finds every
-    (obligation, witness) pair of every row, the edge pairs included, for
-    all groups.  A row's errors are raised when the row is reached, its
-    matcher bound before its clauses, so the first row in order decides;
+
+    A frame clause ``x -> N[r] y @ x`` over known atoms (:func:`_counted`;
+    the five default guards) is counted by the witness pass.  Only the
+    other frame clauses are planned: one plan of their formulas and
+    obligations, over the distinct contracts, gives their valuations as
+    ``(G, n)`` stacks, which each such clause's counts read once for all
+    groups; a contract with no such clause plans and evaluates nothing.
+    One :func:`intervals._match` serves all rows, and one
+    :meth:`_TraceRuns.witnesses` pass finds every (obligation, witness)
+    pair of every row, the edge pairs included, and every counted clause's
+    counts, for all groups.  A row's errors are raised when the row is
+    reached, its matcher bound before its clauses, so the first row in
+    order decides; an unknown atom is raised by the plan, before any row;
     the counts and the witness pass raise none."""
     distinct = {id(contract): contract for _, contract, _ in rows}
     [policy] = {contract.matcher for contract in distinct.values()}
-    formulas = (f for contract in distinct.values() for f in _frame_formulas(contract))
-    values = share_subformulas(formulas, runs.h).evaluate(runs.atoms)
+    routes = {  # by contract identity: each frame clause's (pair, R), or None
+        key: [_counted(c, runs) for c in contract.frame_clauses]
+        for key, contract in distinct.items()
+    }
+    planned = [
+        c for key, contract in distinct.items()
+        for c, route in zip(contract.frame_clauses, routes[key]) if route is None
+    ]
+    values = {}
+    if planned:
+        values = share_subformulas(_frame_formulas(planned), runs.h).evaluate(runs.atoms)
     [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
                        [c.tolerance for _, c, _ in rows], (policy,))
-    scratch = np.empty_like(runs.atoms["ref_active"])
-    frame_scores = {  # by contract identity
-        key: [_stacked_scores(values[c.formula], values[c.obligation], scratch)
-              for c in contract.frame_clauses]
+    scratch = np.empty_like(runs.masks[0]) if planned else None
+    frame_scores = {  # by contract identity: each planned frame clause's scores
+        key: [None if route else _stacked_scores(values[c.formula], values[c.obligation], scratch)
+              for c, route in zip(contract.frame_clauses, routes[key])]
         for key, contract in distinct.items()
     }
     clause_pairs = (_witness_pair(c) for _, contract, _ in rows for c in contract.frame_clauses)
@@ -899,17 +950,19 @@ def _monitor(
     pairs.pop(None, None)
     # The frame formulas' valuations are freed before the witness pass.
     values = {f: values[f] for f, _ in pairs if not isinstance(f, Atom)}
-    summaries = runs.witnesses(list(pairs), values)
+    counted = dict.fromkeys(route for key in distinct for route in routes[key] if route)
+    summaries, counts = runs.witnesses(list(pairs), values, counted)
     onsets, offsets = (summaries[pair] for pair in EDGE_PAIRS)
     results = []
     for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
         matching = _matching(matching)
-        scores = iter(frame_scores[id(contract)])
+        scores = zip(routes[id(contract)], frame_scores[id(contract)])
         refs, preds = runs.by_group[group]
         coordinates = []
         for clause in contract.clauses:
             if isinstance(clause, FrameClause):
-                value = next(scores)[group]
+                route, stacked = next(scores)
+                value = (counts[route] if route else stacked)[group]
                 pair = _witness_pair(clause)
                 witness = None if pair is None else summaries[pair][group][0]
                 kind = "frame"
@@ -957,8 +1010,9 @@ def monitor_classes(
 ) -> ClassMonitorResult:
     """Evaluate the same parsed clauses on every class and macro-average.
 
-    The classes are the groups of one batched pass: their masks are stacked
-    and evaluated once, and their runs matched and witnessed in one pass.
+    The classes are the groups of one batched pass: their masks are stacked,
+    their runs matched and witnessed in one pass, and any frame clause the
+    witness pass does not count evaluated once for all of them.
     The macro vector's score is the exact unweighted per-coordinate mean
     across classes; counts are summed for reporting.
     """
@@ -1099,10 +1153,11 @@ def tolerance_sweep(
     """Re-monitor the same masks with the contract regenerated per tolerance.
 
     The tolerances are the rows of one batched pass over one trace pair: its
-    runs are found once, the frame formulas of every regenerated contract
-    are evaluated together, once, and every tolerance's candidates are
-    matched in one table.  The regenerated contracts and their joint plan
-    are kept by value, so a repeated sweep regenerates and plans nothing.
+    runs are found once, one witness pass counts every regenerated
+    contract's ``x -> N[r] y @ x`` clauses, the other frame formulas are
+    evaluated together, once, and every tolerance's candidates are matched
+    in one table.  The regenerated contracts and their joint plan are kept
+    by value, so a repeated sweep regenerates and plans nothing.
     """
     tolerances = list(tolerances)
     if not tolerances:

@@ -89,7 +89,9 @@ def trace_from_dict(data: dict, context: str = "trace") -> TraceFile:
         raise TraceFormatError(f"{context}: missing or invalid 'frame_step'") from None
     if not (math.isfinite(frame_step) and frame_step > 0.0):
         raise TraceFormatError(f"{context}: frame_step must be finite and positive")
-    item_id = str(data.get("item_id", context))
+    item_id = data.get("item_id", context)
+    if not isinstance(item_id, str):
+        raise TraceFormatError(f"{context}.item_id: expected a string")
     class_nodes = data.get("classes", {})
     if not isinstance(class_nodes, dict):
         raise TraceFormatError(f"{context}.classes: expected an object")

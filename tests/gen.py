@@ -1528,8 +1528,10 @@ def profile_score(vector, weights: Mapping[str, float]) -> ProfileScore:
 
 
 def gap_run_distances(obligated: Family, witnesses: Family, h: float):
-    """``contracts._run_distances`` by an :func:`overlap_pairs` scan of the
-    obligated runs against the gaps between witness runs."""
+    """Seconds from each obligated frame to the nearest witness frame, as the
+    witness pass lays out ``contracts._gap_distances`` (``None`` without
+    witness frames), by an :func:`overlap_pairs` scan of the obligated runs
+    against the gaps between witness runs."""
     sizes = obligated.end - obligated.start
     total = int(sizes.sum())
     if total == 0:

@@ -49,6 +49,10 @@ event duration_guard : duration_within @ matched_pairs
 event fragmentation_guard : singly_covered @ reference_intervals
 """
 
+# A frame clause that the witness pass does not count, so that a contract
+# holding it is planned and evaluated.
+PLANNED_CLAUSE = "frame reach_guard : ref_onset -> F[0.04] pred_onset @ ref_onset\n"
+
 
 @pytest.fixture
 def worked_files(tmp_path):
@@ -273,6 +277,10 @@ class TestMonitor:
         *[('{"frame_step": 0.02, "union": {"ref": "01", "pred": "01"}, "classes": %s}' % classes,
            "{path}.classes: expected an object")
           for classes in ('"ab"', "5", "null", '[["x", {"ref": "01", "pred": "01"}]]')],
+        # An `item_id` that is not a string, which str() would report as text.
+        *[('{"item_id": %s, "frame_step": 0.02, "union": {"ref": "01", "pred": "01"}}' % item_id,
+           "{path}.item_id: expected a string")
+          for item_id in ("null", "7", '["a"]', '{"a": 1}')],
     ])
     def test_trace_schema_errors_exit_three(self, data, message, worked_files, tmp_path, capsys):
         contract_path, _ = worked_files
@@ -331,17 +339,15 @@ class TestOnePass:
         out = tmp_path / "out"
         return main(["monitor", str(contract_path), str(trace_path), "--out", str(out), *flags])
 
-    def test_work_is_done_once_for_all_groups(self, tmp_path, monkeypatch, capsys):
-        # A 3-class monitor --classes: one evaluation for the 4 rows, and one
-        # distance pass for every witness pair of every row (4 pairs for the
-        # default contract); a 5-tolerance sweep builds one candidate table
-        # and makes one distance pass, its tolerances sharing their pairs.
+    def _counted_work(self, tmp_path, monkeypatch, contract_text, commands):
+        """The evaluations, distance passes and candidate tables of each
+        command on a 3-class trace, and its witness rows."""
         rng = np.random.default_rng(7)
         classes = {name: (rng.random(900) < 0.4, rng.random(900) < 0.4) for name in "zyx"}
         contract_path, trace_path = tmp_path / "c.contract", tmp_path / "t.json"
-        contract_path.write_text(default_contract_text(0.04))
+        contract_path.write_text(contract_text)
         save_trace(TraceFile("t", 0.01, classes=classes), trace_path)
-        calls = {"evaluate": 0, "_run_distances": 0, "candidate_table": 0}
+        calls = {"evaluate": 0, "_gap_distances": 0, "candidate_table": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -352,19 +358,43 @@ class TestOnePass:
         evaluate = tracecontracts.frames.EvaluationPlan.evaluate
         monkeypatch.setattr(tracecontracts.frames.EvaluationPlan, "evaluate",
                             counting("evaluate", evaluate))
-        for module, name in ((tracecontracts.contracts, "_run_distances"),
+        for module, name in ((tracecontracts.contracts, "_gap_distances"),
                              (tracecontracts.intervals, "candidate_table")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        argv = ["monitor", str(contract_path), str(trace_path), "--classes", "--out",
-                str(tmp_path / "m")]
-        assert main(argv) == 0
-        assert calls == {"evaluate": 1, "_run_distances": 1, "candidate_table": 1}
-        assert len(read_report(tmp_path / "m" / "witness.csv")) == 4
-        calls.update(dict.fromkeys(calls, 0))
-        argv = ["sweep", str(contract_path), str(trace_path), "--tolerances", "20,40,80,120,160",
-                "--out", str(tmp_path / "s")]
-        assert main(argv) == 0
-        assert calls == {"evaluate": 1, "_run_distances": 1, "candidate_table": 1}
+        work = []
+        for k, (command, *flags) in enumerate(commands):
+            out = tmp_path / f"out{k}"
+            calls.update(dict.fromkeys(calls, 0))
+            argv = [command, str(contract_path), str(trace_path), *flags, "--out", str(out)]
+            assert main(argv) == 0
+            rows = len(read_report(out / "witness.csv")) if command == "monitor" else None
+            work.append((dict(calls), rows))
+        return work
+
+    COMMANDS = (("monitor", "--classes"), ("sweep", "--tolerances", "20,40,80,120,160"))
+
+    def test_work_is_done_once_for_all_groups(self, tmp_path, monkeypatch, capsys):
+        # A 3-class monitor --classes: one evaluation for the 4 rows, and one
+        # distance pass for every witness pair of every row (4 pairs for the
+        # default contract); a 5-tolerance sweep builds one candidate table
+        # and makes one distance pass, its tolerances sharing their pairs.
+        # The clause that only the plan evaluates makes the one evaluation.
+        work = self._counted_work(tmp_path, monkeypatch, default_contract_text(0.04)
+                                  + PLANNED_CLAUSE, self.COMMANDS)
+        once = {"evaluate": 1, "_gap_distances": 1, "candidate_table": 1}
+        assert work == [(once, 4), (once, None)]
+
+    def test_the_default_contract_is_counted_by_the_distance_pass_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Its five frame guards are x -> N[r] y @ x clauses: no plan is made
+        # and nothing is evaluated, and the one distance pass counts them.
+        frames._plan.cache_clear()
+        work = self._counted_work(tmp_path, monkeypatch, default_contract_text(0.04),
+                                  self.COMMANDS)
+        counted = {"evaluate": 0, "_gap_distances": 1, "candidate_table": 1}
+        assert work == [(counted, 4), (counted, None)]
+        assert frames._plan.cache_info().misses == 0
 
     def test_union_bound_error_comes_before_its_class_context_error(self, tmp_path, capsys):
         # The union row runs first, its matcher before its clauses.
@@ -594,15 +624,25 @@ def test_rejected_contract_lines_exit_two_with_their_line(command, worked_files,
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["monitor", "sweep", "stream"])
-def test_unknown_atom_exits_four_naming_it(command, worked_files, tmp_path, capsys):
+@pytest.mark.parametrize("clause", [
+    "foo -> N[0.04] pred_onset @ ref_onset",
+    # The shape the witness pass counts, but for the unknown atom.
+    "foo -> N[0.04] pred_onset @ foo",
+    "ref_onset -> N[0.04] foo @ ref_onset",
+])
+@pytest.mark.parametrize("command", [["monitor"], ["monitor", "--classes"], ["sweep"], ["stream"]])
+def test_unknown_atom_exits_four_naming_it(command, clause, worked_files, tmp_path, capsys):
     _, trace_path = worked_files
     contract_path, out = tmp_path / "c.contract", tmp_path / "out"
-    contract_path.write_text("set tolerance 0.04\nframe f : foo -> N[0.04] pred_onset @ ref_onset\n")
-    argv = [command, str(contract_path), str(trace_path), "--out", str(out)]
-    assert main(argv + (["--clause", "f"] if command == "stream" else [])) == 4
+    text = f"set tolerance 0.04\nframe f : {clause}\n"
+    contract_path.write_text(text)
+    argv = [command[0], str(contract_path), str(trace_path), *command[1:], "--out", str(out)]
+    assert main(argv + (["--clause", "f"] if command == ["stream"] else [])) == 4
     assert capsys.readouterr().err == "atom binding error: unknown atom 'foo'\n"
     assert not out.exists()
+    ref, pred, h = worked_trace()
+    with pytest.raises(tracecontracts.UnknownAtomError, match="unknown atom 'foo'"):
+        tracecontracts.monitor(parse_contract_text(text), ref, pred, h)
 
 
 def test_usage_errors_repeat_identically(capsys):
@@ -646,6 +686,20 @@ class TestSelect:
         )
         assert main(["select", str(contract_path), str(calibration_path)]) == 3
         assert "calibration error:" in capsys.readouterr().err
+
+    def test_repeated_calibration_case_id_exits_three(self, tmp_path, capsys):
+        # Two cases under one id would let select certify a pair as a < a.
+        contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        case = '{"id": "a", "risk": %d, "frame_step": 0.02, "ref_mask": "0110", "pred_mask": "%s"}'
+        calibration_path.write_text("[%s, %s]" % (case % (0, "0110"), case % (1, "0000")))
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"calibration error: {calibration_path}[1]: case id 'a' repeated\n"
+        )
+        assert not out.exists()
 
     def test_unreadable_calibration_exits_three(self, tmp_path, capsys):
         contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
@@ -1208,6 +1262,7 @@ class TestContractMemo:
         # The memo holds the original parse_contract_text, so the lexer counts
         # the parses; the plan memo's misses count the plans.
         contract_path, trace_path = worked_files
+        contract_path.write_text(WORKED_CONTRACT + PLANNED_CLAUSE)
         calls = {"tokenize": 0}
         tokenize = lexer.tokenize
 
@@ -1232,13 +1287,14 @@ class TestContractMemo:
                 ).read_bytes()
         contracts._parsed_contract.cache_clear()
         assert main(["check", str(contract_path)]) == 0
-        assert calls["tokenize"] == 10  # a formula and an obligation per frame clause
+        assert calls["tokenize"] == 12  # a formula and an obligation per frame clause
 
     def test_a_matcher_override_plans_nothing_on_a_warm_contract(self, worked_files, tmp_path):
         # --matcher monitors the contract with that matcher, whose frame
         # formulas and grid are the kept contract's, so the plan memo serves
         # it, with the bytes of a run on cleared memos.
         contract_path, trace_path = worked_files
+        contract_path.write_text(WORKED_CONTRACT + PLANNED_CLAUSE)
         argv = ["monitor", str(contract_path), str(trace_path), "--classes"]
         assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
         assert _plans_made() == 1

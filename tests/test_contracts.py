@@ -681,6 +681,13 @@ class TestContractMemo:
         assert (info.hits, info.misses, info.currsize) == (1, bound + 4, bound)
 
 
+def planned_contract(tolerance: float) -> Contract:
+    """The default contract and one frame clause that the witness pass does
+    not count, so that monitoring the contract plans and evaluates."""
+    return parse_contract_text(default_contract_text(tolerance)
+                               + "frame reach_guard : ref_onset -> F[0.04] pred_onset @ ref_onset\n")
+
+
 class TestWorkCounts:
     """Work counted, not timed: the per-call and per-run work `monitor` no
     longer does stays undone."""
@@ -690,7 +697,7 @@ class TestWorkCounts:
         h = 0.01
         pairs = [(random_mask(rng, 300), random_mask(rng, 300)) for _ in range(8)]
         classes = {name: (random_mask(rng, 300), random_mask(rng, 300)) for name in "abc"}
-        contract = default_contract(0.04)
+        contract = planned_contract(0.04)
         calls = {"interval": 0}
         post_init = Interval.__post_init__
 
@@ -720,18 +727,18 @@ class TestWorkCounts:
         for module in (frames, contracts):
             monkeypatch.setattr(module, "share_subformulas", counting_plan)
         tolerances = (0.02, 0.04, 0.08, 0.12, 0.16)
-        sweep = tolerance_sweep(default_contract(0.04), ref, pred, h, tolerances)
+        sweep = tolerance_sweep(planned_contract(0.04), ref, pred, h, tolerances)
         assert len(plans) == 1
         assert set(plans[0].roots) == {
             f for row in sweep.rows for c in row.contract.frame_clauses
-            for f in (c.formula, c.obligation)
+            if c.name == "reach_guard" for f in (c.formula, c.obligation)
         }
         for tolerance, row in zip(tolerances, sweep.rows):
-            assert row.result == monitor(retolerance(default_contract(0.04), tolerance), ref, pred, h)
+            assert row.result == monitor(retolerance(planned_contract(0.04), tolerance), ref, pred, h)
 
     def test_a_repeated_sweep_regenerates_and_plans_nothing(self, monkeypatch):
         ref, pred, h = worked_trace()
-        contract = default_contract(0.04)
+        contract = planned_contract(0.04)
         calls = {"retolerance": 0}
         real = contracts.retolerance
 
@@ -764,10 +771,38 @@ class TestWorkCounts:
         assert counts() == {"plans": 3, "retolerance": 5 + 2}
         # An equal contract built anew does neither; another matcher policy is
         # another contract, regenerated, whose frame formulas share the plan.
-        tolerance_sweep(default_contract(0.04), ref, pred, h, tolerances)
+        tolerance_sweep(planned_contract(0.04), ref, pred, h, tolerances)
         assert counts() == {"plans": 3, "retolerance": 5 + 2}
         tolerance_sweep(dataclasses.replace(contract, matcher="exact"), ref, pred, h, tolerances)
         assert counts() == {"plans": 3, "retolerance": 5 + 2 + 5}
+
+    def test_the_default_contract_plans_and_evaluates_nothing(self, monkeypatch):
+        # Its frame guards are counted by the one distance pass of each call.
+        rng = random.Random(98)
+        h = 0.01
+        ref, pred = random_mask(rng, 300), random_mask(rng, 300)
+        classes = {name: (random_mask(rng, 300), random_mask(rng, 300)) for name in "abc"}
+        contract = default_contract(0.04)
+        calls = {"evaluate": 0, "_gap_distances": 0}
+        evaluate, gap_distances = frames.EvaluationPlan.evaluate, contracts._gap_distances
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(frames.EvaluationPlan, "evaluate", counting("evaluate", evaluate))
+        monkeypatch.setattr(contracts, "_gap_distances",
+                            counting("_gap_distances", gap_distances))
+        frames._plan.cache_clear()
+        for run in (lambda: monitor(contract, ref, pred, h),
+                    lambda: monitor_classes(contract, classes, h),
+                    lambda: tolerance_sweep(contract, ref, pred, h, (0.02, 0.04, 0.08))):
+            calls.update(dict.fromkeys(calls, 0))
+            run()
+            assert calls == {"evaluate": 0, "_gap_distances": 1}
+        assert frames._plan.cache_info().misses == 0
 
     def test_sweep_tokenizes_nothing(self, monkeypatch):
         ref, pred, h = worked_trace()

@@ -8,7 +8,8 @@ replaced: equal reprs of candidates, matchings (frozenset order
 included), event scores, matcher audits and whole monitor results.  The evaluation plan: its reach walker against tree
 recursion, and its stacked evaluation against per-frame window scans.
 The shift-doubling window, erosion and until kernels against prefix sums,
-array for array, and the witness distances against the all-frames lookup.
+array for array, the witness distances against the all-frames lookup,
+and the frame clauses the witness pass counts against ``frames.score``.
 The fixed-delay streaming monitor against the pump engine, step by step.
 The operator-table parser and renderer against the recursive-descent ones:
 equal trees, node spans, errors and renderings.  The lexer's identifier
@@ -42,12 +43,13 @@ from tracecontracts.contracts import (
     FrameClause,
     GuardCoordinate,
     GuardVector,
+    _counted,
     _edge_times,
     _frame_runs,
+    _gap_distances,
     _macro,
     _monitor_stack,
     _offset_edges,
-    _run_distances,
     _trace_runs,
     _witness_pair,
     compile_contract,
@@ -844,7 +846,19 @@ def test_temporal_nodes_match_window_scans():
 
 
 def _nearest_distances(obligated, witnesses, h):
-    return _run_distances(_frame_runs(obligated), _frame_runs(witnesses), h)
+    """Seconds from each obligated frame of two masks to the nearest witness
+    frame, as the witness pass lays out :func:`_gap_distances`; ``None``
+    when there are no witness frames at all."""
+    obligated, witnesses = _frame_runs(obligated), _frame_runs(witnesses)
+    total = int((obligated.end - obligated.start).sum())
+    if total == 0:
+        return np.zeros(0)
+    if len(witnesses) == 0:
+        return None
+    where, near = _gap_distances(obligated, witnesses)
+    distances = np.zeros(total)
+    distances[where] = near * h
+    return distances
 
 
 def _assert_same_distances(obligated, witnesses, h):
@@ -899,8 +913,8 @@ def test_witness_summaries_match_all_frames_lookup():
         runs = _trace_runs(*(np.stack(side) for side in zip(*stack)), h, 0.0)
         plan = share_subformulas([f for key in keys for f in key], h)
         values = plan.evaluate(runs.atoms)
-        found = runs.witnesses(keys, values)
-        assert list(found) == keys
+        found, counts = runs.witnesses(keys, values)
+        assert list(found) == keys and counts == {}
         for obligation, witness in keys:
             summaries = found[obligation, witness]
             assert len(summaries) == len(stack)
@@ -963,7 +977,7 @@ def test_one_witness_pass_matches_a_pass_per_pair():
                 [_witness_pair(c) for c in contract.frame_clauses if _witness_pair(c)]
                 + list(EDGE_PAIRS)
             ))
-            found = runs.witnesses(pairs, values)
+            found, _ = runs.witnesses(pairs, values)
             want = {pair: pair_witness(runs, *pair, values) for pair in pairs}
             assert found == want
             for g, result in enumerate(results):
@@ -975,6 +989,73 @@ def test_one_witness_pass_matches_a_pass_per_pair():
                 onset, offset = (want[pair][g] for pair in EDGE_PAIRS)
                 assert (witnesses.onset_mae_ms, witnesses.onset_excluded) == onset
                 assert (witnesses.offset_mae_ms, witnesses.offset_excluded) == offset
+
+
+EDGE_ATOM_NAMES = ("ref_active", "pred_active", "ref_onset", "pred_onset", "ref_offset",
+                   "pred_offset")
+
+
+def _counted_contract(rng) -> str:
+    """A contract of ``x -> N[r] y @ x`` clauses over random edge atoms,
+    x = y included, radii from under a frame step to past every trace."""
+    lines = ["set tolerance 0.04"]
+    for k in range(6):
+        x, y = (EDGE_ATOM_NAMES[i] for i in rng.integers(6, size=2))
+        radius = float(rng.choice([0.004, 0.01, 0.02, 0.04, 0.5, 5.0, 40.0]))
+        lines.append(f"frame c{k} : {x} -> N[{radius}] {y} @ {x}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_counted_as_scored(contract, result, ref, pred, h):
+    """Every counted coordinate's counts and score are ``frames.score`` of
+    its clause on the edge atoms of the one trace pair."""
+    runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)
+    env = derive_edge_atoms(ref, pred, h)
+    counted = 0
+    for clause, coord in zip(contract.clauses, result.guards):
+        if isinstance(clause, FrameClause) and _counted(clause, runs):
+            counted += 1
+            want = frames.score(clause.formula, clause.obligation, env)
+            got = (coord.obligated, coord.satisfied, coord.violated, coord.score)
+            assert got == (want.obligated, want.satisfied, want.violated, want.score)
+    assert counted == len(contract.frame_clauses)
+
+
+def test_counted_clauses_score_as_the_plan_does(monkeypatch):
+    # Stacks of 1-5 groups and 0-300 frames on three steps, 1024/44100
+    # included, with groups that have no frames, every frame, or runs on
+    # one side only; radii below a step and past every trace.  Monitored,
+    # as classes and swept, no routed clause is evaluated by a plan.
+    rng = np.random.default_rng(109)
+    evaluations = []
+    evaluate = frames.EvaluationPlan.evaluate
+
+    def counting(plan, *args, **kwargs):
+        evaluations.append(plan)
+        return evaluate(plan, *args, **kwargs)
+
+    monkeypatch.setattr(frames.EvaluationPlan, "evaluate", counting)
+    checks = []  # (contract, result, ref, pred, h), scored after monitoring
+    for trial, (ref, pred, h) in enumerate(_witness_stacks(113, 120)):
+        contracts = [default_contract(float(rng.choice([0.005, 0.04, 0.3, 10.0]))),
+                     parse_contract_text(_counted_contract(rng))]
+        for contract in contracts:
+            _, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
+            classes = monitor_classes(contract, {str(g): pair for g, pair in
+                                                 enumerate(zip(ref, pred))}, h)
+            for stack in (results, classes.per_class.values()):
+                checks += [(contract, result, r, p, h) for result, r, p in zip(stack, ref, pred)]
+            if trial % 3 == 0:
+                sweep = tolerance_sweep(contract, ref[0], pred[0], h, (0.01, 0.04, 0.08, 2.0, 30.0))
+                checks += [(row.contract, row.result, ref[0], pred[0], h) for row in sweep.rows]
+    assert evaluations == []
+    for check in checks:
+        _assert_counted_as_scored(*check)
+    # n = 0: every obligation set is empty and scores one.
+    empty = np.zeros(0, bool)
+    result = monitor(default_contract(0.04), empty, empty, 0.01)
+    assert all(c.score == 1.0 and c.obligated == 0 for c in result.guards)
+    _assert_counted_as_scored(default_contract(0.04), result, empty, empty, 0.01)
 
 
 def test_searchsorted_gap_ranges_match_the_overlap_scan():
