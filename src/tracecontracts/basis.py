@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Sequence
 
 import numpy as np
 
-from .contracts import Contract, EventClause, FrameClause, _event_clause, _trace_runs
-from .frames import _as_mask, _check_frame_step, _edge_atoms, _stacked_scores, share_subformulas
-from .intervals import _match, _matching
+from .contracts import Contract, EventClause, FrameClause, _monitor_stack
+from .frames import _as_mask, _check_frame_step
 from .parser import node_count
 
 
@@ -88,48 +87,30 @@ def _case_values(
 ) -> list[dict[int, float]]:
     """Every basis clause's value on each case, by source order.
 
-    Cases of one length and frame step are the groups of one batched pass:
-    their masks are stacked, their frame formulas evaluated once, and their
-    runs matched in one pass.  The frame formulas are planned by
-    :func:`frames.share_subformulas`, so a basis of a whole contract's
-    clauses shares the contract's plan.  A basis without event clauses never
-    runs the matcher.  A case's matcher bound error is raised in case
-    order, before the event clauses of later cases are scored.
+    The basis is monitored as a contract of its clauses and settings, so
+    each value is the case's :func:`contracts.monitor` coordinate, and bad
+    settings raise :class:`contracts.ContractError`; the silence radius,
+    which no clause reads, is the tolerance, valid for any valid one.  Each
+    maximal run of consecutive cases of one length and frame step is one
+    stacked :func:`contracts._monitor_stack` pass, so errors come in case
+    order; every case's masks are checked before any pass.  A basis without
+    event clauses is matched greedily, as no coordinate reads the matching,
+    so it never meets the exact matcher's bound.
     """
-    frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
-    event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
-    out: list[dict[int, float]] = [{} for _ in cases]
-    stacks: dict[tuple[int, float], list[int]] = {}
-    for index, case in enumerate(cases):
-        stacks.setdefault((len(case.ref_mask), case.frame_step), []).append(index)
-    matched = {}
-    for (n, h), members in stacks.items():
-        ref, pred = (
-            _as_mask(np.array([getattr(cases[i], side) for i in members]).ravel(), side)
-            .reshape(len(members), n)
-            for side in ("ref_mask", "pred_mask")
-        )
-        if frame:
-            formulas = (f for c in frame for f in (c.clause.formula, c.clause.obligation))
-            values = share_subformulas(formulas, h).evaluate(_edge_atoms(ref, pred))
-            scratch = np.empty(ref.shape, bool)
-            for c in frame:
-                scores = _stacked_scores(values[c.clause.formula], values[c.clause.obligation],
-                                         scratch)
-                for index, value in zip(members, scores):
-                    out[index][c.source_order] = value.score
-        if event:
-            runs = _trace_runs(ref, pred, h, basis.merge_gap)
-            [rows] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
-                            [basis.tolerance] * len(members), (basis.matcher,))
-            for g, (index, row) in enumerate(zip(members, rows)):
-                matched[index] = (runs.by_group[g], row)
-    for index in sorted(matched):
-        (refs, preds), (matching, diffs, extras) = matched[index]
-        _matching(matching)  # a stored bound error is raised here, in case order
-        for c in event:
-            value, _ = _event_clause(c.clause, refs, preds, basis.tolerance, None, diffs, extras)
-            out[index][c.source_order] = value.score
+    clauses = tuple(c.clause for c in basis.clauses)
+    contract = Contract(basis.tolerance, basis.tolerance, basis.merge_gap, basis.matcher, clauses)
+    if not any(isinstance(clause, EventClause) for clause in clauses):
+        contract = replace(contract, matcher="greedy")
+    stacks = []
+    for (n, h), run in groupby(cases, key=lambda case: (len(case.ref_mask), case.frame_step)):
+        run = list(run)
+        stacks.append((h, *(_as_mask(np.ravel([getattr(case, side) for case in run]), side)
+                            .reshape(len(run), n) for side in ("ref_mask", "pred_mask"))))
+    out = []
+    for h, ref, pred in stacks:
+        _, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
+        out.extend({c.source_order: score for c, score in zip(basis.clauses, result.guards.scores)}
+                   for result in results)
     return out
 
 
@@ -311,9 +292,11 @@ def _calibration_cases(data, path) -> list[CalibrationCase]:
         context = f"{path}[{index}]"
         if not isinstance(node, dict):
             raise TraceFormatError(f"{context}: expected an object")
+        if not isinstance(node.get("id", ""), str):
+            raise TraceFormatError(f"{context}.id: expected a string")
         try:
             case = CalibrationCase(
-                id=str(node["id"]),
+                id=node["id"],
                 ref_mask=tuple(parse_mask(node["ref_mask"], context).view(np.uint8).tolist()),
                 pred_mask=tuple(parse_mask(node["pred_mask"], context).view(np.uint8).tolist()),
                 risk=float(node["risk"]),

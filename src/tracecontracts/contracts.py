@@ -930,6 +930,10 @@ def _monitor(
         key: [_counted(c, runs) for c in contract.frame_clauses]
         for key, contract in distinct.items()
     }
+    witness_pairs = {  # by contract identity: each frame clause's witness pair, or None
+        key: [_witness_pair(c) for c in contract.frame_clauses]
+        for key, contract in distinct.items()
+    }
     planned = [
         c for key, contract in distinct.items()
         for c, route in zip(contract.frame_clauses, routes[key]) if route is None
@@ -945,8 +949,7 @@ def _monitor(
               for c, route in zip(contract.frame_clauses, routes[key])]
         for key, contract in distinct.items()
     }
-    clause_pairs = (_witness_pair(c) for _, contract, _ in rows for c in contract.frame_clauses)
-    pairs = dict.fromkeys([*clause_pairs, *EDGE_PAIRS])
+    pairs = dict.fromkeys([*(p for key in distinct for p in witness_pairs[key]), *EDGE_PAIRS])
     pairs.pop(None, None)
     # The frame formulas' valuations are freed before the witness pass.
     values = {f: values[f] for f, _ in pairs if not isinstance(f, Atom)}
@@ -956,14 +959,14 @@ def _monitor(
     results = []
     for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
         matching = _matching(matching)
-        scores = zip(routes[id(contract)], frame_scores[id(contract)])
+        key = id(contract)
+        scores = zip(routes[key], frame_scores[key], witness_pairs[key])
         refs, preds = runs.by_group[group]
         coordinates = []
         for clause in contract.clauses:
             if isinstance(clause, FrameClause):
-                route, stacked = next(scores)
+                route, stacked, pair = next(scores)
                 value = (counts[route] if route else stacked)[group]
-                pair = _witness_pair(clause)
                 witness = None if pair is None else summaries[pair][group][0]
                 kind = "frame"
             else:

@@ -18,9 +18,10 @@ which may write a pointwise result into it.  Plans are kept by value in
 one bounded process memo, so equal formulas on one grid share one plan.
 
 All evaluation helpers treat the last array axis as time, which lets the
-finite-universe enumeration in :mod:`tracecontracts.basis` evaluate a
-whole stack of environments in one pass, and the monitor a stack of trace
-pairs; :func:`_stacked_scores` counts each row's obligation score.
+monitor evaluate a stack of trace pairs in one pass, and the
+finite-universe enumeration of the test helpers (``tests/gen.py``) a
+whole stack of environments; :func:`_stacked_scores` counts each row's
+obligation score.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ selection, calibration files and risk profiles."""
 
 import gc
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,8 @@ from tracecontracts.basis import (
     select_contract,
 )
 from tracecontracts.contracts import (
+    ContractError,
+    FrameClause,
     contract_to_text,
     default_contract,
     mean_logic,
@@ -98,6 +101,12 @@ class TestSatisfiable:
 
 def _tiny_case(case_id, ref, pred, risk):
     return CalibrationCase(case_id, tuple(ref), tuple(pred), risk, H)
+
+
+def _with_and_without_events(basis):
+    """The basis, and the basis of its frame clauses alone."""
+    frame = tuple(c for c in basis.clauses if isinstance(c.clause, FrameClause))
+    return basis, replace(basis, clauses=frame)
 
 
 class TestObservationalClasses:
@@ -268,9 +277,44 @@ class TestSelection:
             gc.enable()
 
     def test_event_clauses_reject_a_negative_merge_gap(self):
-        basis = replace(basis_from_contract(default_contract(0.04)), merge_gap=-0.02)
-        with pytest.raises(ValueError, match="merge gap must be nonnegative"):
-            clause_signatures(basis, calibration_cases()[:1])
+        # A basis's settings are checked as a contract's, with or without
+        # event clauses.
+        cases = calibration_cases()[:1]
+        for basis in _with_and_without_events(basis_from_contract(default_contract(0.04))):
+            with pytest.raises(ContractError, match="merge gap must be nonnegative"):
+                clause_signatures(replace(basis, merge_gap=-0.02), cases)
+            for tolerance in (0.0, -0.04, math.inf, math.nan):
+                with pytest.raises(ContractError, match="tolerance must be positive and finite"):
+                    clause_signatures(replace(basis, tolerance=tolerance), cases)
+
+    def test_an_unknown_basis_matcher_is_refused(self):
+        # 30 runs per mask, over the exact matcher's bound of 24: an unknown
+        # policy must not run as the exact matcher.
+        many_runs = _tiny_case("many", [1, 1, 0] * 30, [0, 1, 1] * 30, 1.0)
+        basis = replace(basis_from_contract(default_contract(0.04)), matcher="foo")
+        for candidate in _with_and_without_events(basis):
+            with pytest.raises(ContractError, match="^unknown matcher policy 'foo'$"):
+                clause_signatures(candidate, [many_runs])
+
+    def test_errors_come_in_case_order_across_interleaved_lengths(self):
+        # 120, 90 and 120 frames with 20, 30 and 40 runs per mask: the first
+        # over-bound case in order is the 90-frame one, between two cases of
+        # another length.  A bad mask is refused before any case is monitored.
+        def case(name, runs, n):
+            pad = [0] * (n - 3 * runs)
+            return _tiny_case(name, [1, 1, 0] * runs + pad, [0, 1, 1] * runs + pad, 1.0)
+
+        cases = [case("a", 20, 120), case("b", 30, 90), case("c", 40, 120)]
+        basis = basis_from_contract(parse_contract_text(
+            "set tolerance 0.04\nset matcher exact\n"
+            "frame on : ref_onset -> N[0.04] pred_onset @ ref_onset\n"
+            "event dur : duration_within @ matched_pairs\n"
+        ))
+        with pytest.raises(AuditBoundError, match=r"^instance has 30x30 intervals, bound is 24$"):
+            clause_signatures(basis, cases)
+        bad = replace(cases[0], id="bad", pred_mask=(2,) * 120)
+        with pytest.raises(ValueError, match="pred_mask must contain only 0/1 values"):
+            clause_signatures(basis, cases + [bad])
 
     def test_risk_ties_impose_no_constraints(self):
         same = [

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,37 @@ class TestOnePass:
         assert work == [(counted, 4), (counted, None)]
         assert frames._plan.cache_info().misses == 0
 
+    def test_a_default_select_is_counted_by_the_distance_pass_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # select monitors its basis: the default contract's five frame
+        # guards plan and evaluate nothing, and each run of consecutive
+        # cases of one length is one stack with one distance pass.
+        frames._plan.cache_clear()
+        cases = calibration_cases()
+        short = [replace(case, id=f"{case.id}-short", ref_mask=case.ref_mask[:300],
+                         pred_mask=case.pred_mask[:300]) for case in cases[:2]]
+        stacks = [cases[:4], short[:1], cases[4:], short[1:]]
+        contract_path, calibration_path = tmp_path / "c.contract", tmp_path / "cal.json"
+        contract_path.write_text(default_contract_text(0.04))
+        save_calibration([case for stack in stacks for case in stack], calibration_path)
+        calls = {"evaluate": 0, "_gap_distances": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(frames.EvaluationPlan, "evaluate",
+                            counting("evaluate", frames.EvaluationPlan.evaluate))
+        monkeypatch.setattr(contracts, "_gap_distances",
+                            counting("_gap_distances", contracts._gap_distances))
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert calls == {"evaluate": 0, "_gap_distances": len(stacks)}
+        assert frames._plan.cache_info().misses == 0
+
     def test_union_bound_error_comes_before_its_class_context_error(self, tmp_path, capsys):
         # The union row runs first, its matcher before its clauses.
         classes = {"z": _masks("1100" * 30), "y": _masks("0" * 120)}
@@ -698,6 +730,22 @@ class TestSelect:
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             f"calibration error: {calibration_path}[1]: case id 'a' repeated\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case_id", ["null", "1", '["a"]', '{"a": 1}'])
+    def test_calibration_case_id_that_is_not_a_string_exits_three(
+        self, case_id, tmp_path, capsys
+    ):
+        contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
+        contract_path.write_text(default_contract_text(0.04))
+        calibration_path = tmp_path / "cal.json"
+        case = '{"id": %s, "risk": %d, "frame_step": 0.02, "ref_mask": "0110", "pred_mask": "0110"}'
+        calibration_path.write_text("[%s, %s]" % (case % ('"a"', 0), case % (case_id, 1)))
+        argv = ["select", str(contract_path), str(calibration_path), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"calibration error: {calibration_path}[1].id: expected a string\n"
         )
         assert not out.exists()
 
@@ -1315,10 +1363,12 @@ class TestContractMemo:
     def test_a_warm_select_plans_nothing(self, tmp_path):
         # The basis plan is the contract's own, kept by value, so only the
         # first select on a contract text plans; the reports and the exit
-        # code (6 for the infeasible basis) do not change.
+        # code (6 for the infeasible basis) do not change.  The default
+        # contract's guards are counted, so its basis holds a clause that
+        # only the plan evaluates.
         calibration_path = tmp_path / "calibration.json"
         save_calibration(calibration_cases(), calibration_path)
-        texts = {"default": (default_contract_text(0.04), 0),
+        texts = {"default": (default_contract_text(0.04) + PLANNED_CLAUSE, 0),
                  "infeasible": (TestSelect.INFEASIBLE_BASIS, 6)}
         for name, (text, code) in texts.items():
             contract_path = tmp_path / f"{name}.contract"
