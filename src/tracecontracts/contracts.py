@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .frames import (
+    ContractError,
     EvaluationPlan,
     ObligationScore,
     _as_mask,
@@ -64,7 +65,6 @@ from .intervals import (
     Matching,
     _duration_within,
     _match,
-    _matching,
     _run_edges,
     _singly_covered,
     covering_counts,
@@ -117,10 +117,6 @@ EVENT_PREDICATES = {
     "latency_window": ("reference_intervals", {"lead": 1.0, "lag": 2.0}),
     "overlap_purity": ("predicted_intervals", {}),
 }
-
-
-class ContractError(Exception):
-    """Contract-level misuse (bad clause configuration or evaluation context)."""
 
 
 class ContractSyntaxError(Exception):
@@ -917,55 +913,51 @@ def _monitor(
     obligations, over the distinct contracts, gives their valuations as
     ``(G, n)`` stacks, which each such clause's counts read once for all
     groups; a contract with no such clause plans and evaluates nothing.
-    One :func:`intervals._match` serves all rows, and one
+    Each distinct contract keeps one record per frame clause: its witness
+    pair, its counted route and its planned scores.  One
     :meth:`_TraceRuns.witnesses` pass finds every (obligation, witness)
     pair of every row, the edge pairs included, and every counted clause's
-    counts, for all groups.  A row's errors are raised when the row is
-    reached, its matcher bound before its clauses, so the first row in
-    order decides; an unknown atom is raised by the plan, before any row;
-    the counts and the witness pass raise none."""
+    counts, for all groups.  One :func:`intervals._match` serves all rows,
+    drawn in order as the results are made: a row's matching is drawn, and
+    an exact row over the bound raises, after every earlier row's clauses
+    and before its own, so the first row in order decides.  An unknown atom
+    is raised by the plan, before any row; the counts and the witness pass
+    raise none."""
     distinct = {id(contract): contract for _, contract, _ in rows}
     [policy] = {contract.matcher for contract in distinct.values()}
-    routes = {  # by contract identity: each frame clause's (pair, R), or None
-        key: [_counted(c, runs) for c in contract.frame_clauses]
+    records = {  # by contract identity: per frame clause, [witness pair, route, scores]
+        key: [[_witness_pair(c), _counted(c, runs), None] for c in contract.frame_clauses]
         for key, contract in distinct.items()
     }
-    witness_pairs = {  # by contract identity: each frame clause's witness pair, or None
-        key: [_witness_pair(c) for c in contract.frame_clauses]
-        for key, contract in distinct.items()
-    }
-    planned = [
-        c for key, contract in distinct.items()
-        for c, route in zip(contract.frame_clauses, routes[key]) if route is None
+    planned = [  # the clauses that no route counts, with their records
+        (c, record) for key, contract in distinct.items()
+        for c, record in zip(contract.frame_clauses, records[key]) if record[1] is None
     ]
     values = {}
     if planned:
-        values = share_subformulas(_frame_formulas(planned), runs.h).evaluate(runs.atoms)
+        plan = share_subformulas(_frame_formulas(c for c, _ in planned), runs.h)
+        values = plan.evaluate(runs.atoms)
+        scratch = np.empty_like(runs.masks[0])
+        for c, record in planned:
+            record[2] = _stacked_scores(values[c.formula], values[c.obligation], scratch)
     [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
                        [c.tolerance for _, c, _ in rows], (policy,))
-    scratch = np.empty_like(runs.masks[0]) if planned else None
-    frame_scores = {  # by contract identity: each planned frame clause's scores
-        key: [None if route else _stacked_scores(values[c.formula], values[c.obligation], scratch)
-              for c, route in zip(contract.frame_clauses, routes[key])]
-        for key, contract in distinct.items()
-    }
-    pairs = dict.fromkeys([*(p for key in distinct for p in witness_pairs[key]), *EDGE_PAIRS])
+    frame_records = [record for clauses in records.values() for record in clauses]
+    pairs = dict.fromkeys([*(pair for pair, _, _ in frame_records), *EDGE_PAIRS])
     pairs.pop(None, None)
     # The frame formulas' valuations are freed before the witness pass.
     values = {f: values[f] for f, _ in pairs if not isinstance(f, Atom)}
-    counted = dict.fromkeys(route for key in distinct for route in routes[key] if route)
+    counted = dict.fromkeys(route for _, route, _ in frame_records if route)
     summaries, counts = runs.witnesses(list(pairs), values, counted)
     onsets, offsets = (summaries[pair] for pair in EDGE_PAIRS)
     results = []
     for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
-        matching = _matching(matching)
-        key = id(contract)
-        scores = zip(routes[key], frame_scores[key], witness_pairs[key])
+        frame = iter(records[id(contract)])
         refs, preds = runs.by_group[group]
         coordinates = []
         for clause in contract.clauses:
             if isinstance(clause, FrameClause):
-                route, stacked, pair = next(scores)
+                pair, route, stacked = next(frame)
                 value = (counts[route] if route else stacked)[group]
                 witness = None if pair is None else summaries[pair][group][0]
                 kind = "frame"

@@ -56,6 +56,10 @@ from .parser import (
 _GRID_EPS = 1e-9
 
 
+class ContractError(Exception):
+    """Contract-level misuse (bad clause configuration or evaluation context)."""
+
+
 class UnknownAtomError(Exception):
     """A formula referenced an atom the environment does not provide.  The
     ``name`` is exact; the ``span`` may be an equal formula's, planned earlier."""
@@ -67,10 +71,14 @@ class UnknownAtomError(Exception):
 
 
 def radius_frames(epsilon: float, h: float) -> int:
-    """Least integer frame radius whose physical span covers ``epsilon`` seconds."""
+    """Least integer frame radius whose physical span covers ``epsilon`` seconds.
+    A radius whose frame count overflows a float raises :class:`ContractError`."""
     if not (epsilon > 0.0) or not (h > 0.0):
         raise ValueError(f"radius and frame step must be positive, got {epsilon!r}, {h!r}")
-    return max(1, math.ceil(epsilon / h - _GRID_EPS))
+    frames = epsilon / h - _GRID_EPS
+    if frames == math.inf:
+        raise ContractError(f"radius {epsilon!r} spans too many frames of step {h!r} to count")
+    return max(1, math.ceil(frames))
 
 
 def _as_mask(values, name: str = "mask") -> np.ndarray:

@@ -42,8 +42,12 @@ the scalar expression's order of operations, so they have the same bits.
 
 Every command matches rows in :func:`_match` (monitor groups, sweep
 tolerances, calibration cases, :func:`matcher_audit`'s one instance): one
-candidate table per call, read by each requested policy, whose length
-differences and extras one duration and one coverage predicate score.
+candidate table per call, read by each requested policy, whose rows are
+drawn in order as they are read.  A greedy row is cut from one scan of the
+whole table; an exact row is solved when it is drawn, so a row over the
+exact bound raises after every earlier row is read and before any later
+row is solved.  A row's length differences and extras are what one
+duration and one coverage predicate score.
 """
 
 from __future__ import annotations
@@ -361,8 +365,9 @@ def _singly_covered(extras: np.ndarray) -> ObligationScore:
 
 def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[float],
            policies: Sequence[str], bound: int = DEFAULT_EXACT_BOUND):
-    """Per policy, in order, drawn one at a time: per row, its matching, each
-    matched pair's length difference and each reference's fragmentation extras.
+    """Per policy, in order, a generator of its rows, each drawn when it is
+    read: per row, its matching, each matched pair's length difference and
+    each reference's fragmentation extras.
 
     ``refs`` and ``preds`` hold G groups' runs in turn, group g's from
     ``bounds[0][g]`` and ``bounds[1][g]`` on, with their :func:`overlap_pairs`
@@ -370,12 +375,12 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
     groups, each at its tolerance, or one group once per tolerance.  No two rows
     share a run, so their candidates make one table, read by each policy.
     The greedy scan visits it by row, then by cost, so each row keeps what a
-    scan of its own candidates keeps, in that order.  The exact policy solves
-    and bounds each row on its own; a row over ``bound`` has its
-    :class:`AuditBoundError` for a matching, which :func:`_matching` raises
-    for its reader, and a reader that stops there makes no later policy's
-    matchings.  One row's indices are its own, so it is neither rebased nor
-    cut by row.
+    scan of its own candidates keeps, in that order; the first row drawn makes
+    the scan, and each row is cut from it.  The exact policy solves a row on
+    its own candidates when the row is drawn, so a row over ``bound`` raises
+    its :class:`AuditBoundError` after every earlier row is read and before
+    any later row is solved.  One row's indices are its own, so it is neither
+    rebased nor cut by row.
     """
     ri, pi, overlap = overlaps
     counts = np.bincount(ri, minlength=len(refs))
@@ -397,61 +402,39 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
     table = candidate_table(refs, preds, epsilon, (ri, pi, overlap))
     single = rows == 1  # row 0 starts at index 0 on both sides
     row = None if single else ref_base.searchsorted(table.ref_index, side="right") - 1
-    for policy in policies:
-        matchings: list[Matching | AuditBoundError] = []
-        if policy == "greedy":
-            kept_ri, kept_pi = _greedy_scan(table, *([] if single else [row]))
-            ri, pi = np.array(kept_ri, np.intp), np.array(kept_pi, np.intp)
-            cut = [0, len(kept_ri)]
-            if not single:
-                kept_row = ref_base.searchsorted(ri, side="right") - 1
-                kept_ri = (ri - ref_base[kept_row]).tolist()
-                kept_pi = (pi - pred_base[kept_row]).tolist()
-                cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
-            for lo, hi in zip(cut, cut[1:]):
-                # A set filled in scan order, as match_greedy fills it.
-                pairs = set(zip(kept_ri[lo:hi], kept_pi[lo:hi]))
-                matchings.append(Matching(frozenset(pairs), "greedy"))
-            order = np.lexsort((pi, ri))
-            ri, pi = ri[order], pi[order]
-        else:
-            cut = [0, table.cost.size] if single else row.searchsorted(np.arange(rows + 1)).tolist()
-            for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
-                own = table if single else CandidateTable(
-                    table.ref_index[lo:hi] - ref_base[r], table.pred_index[lo:hi] - pred_base[r],
-                    table.cost[lo:hi], Family(table.ref.start[lo:hi], table.ref.end[lo:hi]),
-                    Family(table.pred.start[lo:hi], table.pred.end[lo:hi]),
-                )
-                try:
-                    matchings.append(match_exact(own, bound))
-                except AuditBoundError as error:
-                    matchings.append(error.with_traceback(None))  # its frames would hold it
-            pairs = [(table.ref_index[:0], table.pred_index[:0])] + [
-                m.index_arrays if single
-                else (m.index_arrays[0] + ref_base[r], m.index_arrays[1] + pred_base[r])
-                for r, m in enumerate(matchings) if isinstance(m, Matching)
-            ]
-            ri, pi = pairs[-1] if single else (np.concatenate(side) for side in zip(*pairs))
-        diffs = length_diffs(refs, preds, (ri, pi))
-        extras = fragmentation_extras(ri, counts)
-        if single:
-            yield [(matchings[0], diffs, extras)]
-            continue
-        cut = ri.searchsorted(ref_base).tolist()
-        bases = ref_base.tolist()
-        yield [
-            (matching, diffs[cut[r]:cut[r + 1]], extras[bases[r]:bases[r + 1]])
-            for r, matching in enumerate(matchings)
-        ]
+    bases = ref_base.tolist()
 
+    def greedy():
+        kept_ri, kept_pi = _greedy_scan(table, *([] if single else [row]))
+        ri, pi = np.array(kept_ri, np.intp), np.array(kept_pi, np.intp)
+        cut = [0, len(kept_ri)]
+        if not single:
+            kept_row = ref_base.searchsorted(ri, side="right") - 1
+            kept_ri = (ri - ref_base[kept_row]).tolist()
+            kept_pi = (pi - pred_base[kept_row]).tolist()
+            cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
+        order = np.lexsort((pi, ri))
+        ri, pi = ri[order], pi[order]
+        diffs, extras = length_diffs(refs, preds, (ri, pi)), fragmentation_extras(ri, counts)
+        at = ri.searchsorted(ref_base).tolist()
+        for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
+            # A set filled in scan order, as match_greedy fills it.
+            matching = Matching(frozenset(set(zip(kept_ri[lo:hi], kept_pi[lo:hi]))), "greedy")
+            yield matching, diffs[at[r]:at[r + 1]], extras[bases[r]:bases[r + 1]]
 
-def _matching(row: Matching | AuditBoundError) -> Matching:
-    """A row's matching from :func:`_match`, or its stored bound error raised
-    as a new error, so that no traceback holds the reader's frame and, in
-    it, the stored error."""
-    if isinstance(row, AuditBoundError):
-        raise AuditBoundError(*row.args)
-    return row
+    def exact():
+        cut = [0, table.cost.size] if single else row.searchsorted(np.arange(rows + 1)).tolist()
+        for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
+            matching = match_exact(table if single else CandidateTable(
+                table.ref_index[lo:hi] - ref_base[r], table.pred_index[lo:hi] - pred_base[r],
+                table.cost[lo:hi], Family(table.ref.start[lo:hi], table.ref.end[lo:hi]),
+                Family(table.pred.start[lo:hi], table.pred.end[lo:hi]),
+            ), bound)
+            ri, pi = matching.index_arrays
+            diffs = length_diffs(refs, preds, (ri + ref_base[r], pi + pred_base[r]))
+            yield matching, diffs, fragmentation_extras(ri, counts[bases[r]:bases[r + 1]])
+
+    return [greedy() if policy == "greedy" else exact() for policy in policies]
 
 
 @dataclass(frozen=True)
@@ -491,11 +474,10 @@ def matcher_audit(refs, preds, epsilon: float, bound: int = DEFAULT_EXACT_BOUND)
     """
     refs, preds = Family.of(refs), Family.of(preds)
     bounds = (np.array([0, len(refs)]), np.array([0, len(preds)]))
-    policies = _match(refs, preds, overlap_pairs(refs, preds), bounds, [epsilon],
-                      ("exact", "greedy"), bound)
-    [(exact, exact_diffs, exact_extras)] = next(policies)
-    exact = _matching(exact)
-    [(greedy, greedy_diffs, greedy_extras)] = next(policies)
+    exact_rows, greedy_rows = _match(refs, preds, overlap_pairs(refs, preds), bounds, [epsilon],
+                                     ("exact", "greedy"), bound)
+    [(exact, exact_diffs, exact_extras)] = exact_rows
+    [(greedy, greedy_diffs, greedy_extras)] = greedy_rows
     threshold = DEFAULT_DURATION_THRESHOLD * epsilon
     return MatcherAudit(
         greedy, exact, greedy.pairs != exact.pairs,

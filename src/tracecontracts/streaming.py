@@ -138,8 +138,9 @@ def _indent(lines: list[str], depth: int = 1) -> list[str]:
 
 def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) -> str:
     """Source of ``kernel()``, which makes one monitor's ``step(frame)``,
-    ``finish()``, ``received()`` and ``done()`` on fresh cells; it reads the
-    atom names ``a<k>`` and the rings ``r<k>`` from its globals.  ``finish``
+    ``finish()``, ``received()``, ``done()`` and ``queued()`` on fresh cells;
+    ``queued()`` lists each until node's two deque lengths together.  It reads
+    the atom names ``a<k>`` and the rings ``r<k>`` from its globals.  ``finish``
     sets the ``done`` cell and returns no verdict once it is set, and
     ``step`` refuses a frame once it is set."""
     nodes = list(enumerate(zip(plan.nodes, plan.kids, plan.radii, delays)))
@@ -185,7 +186,9 @@ def _kernel_source(plan: EvaluationPlan, delays: list[int], sizes: list[int]) ->
     # A witness starts below the first left edge: frame -r for ``N``, 0 otherwise.
     head += [f"    w{k} = {-1 - r if isinstance(node, Near) else -1}" for k, node, r in windows]
     head += [f"    q{k}, p{k} = deque(), deque()" for k in until]
-    body = step + finish + ["return step, finish, lambda: received, lambda: done"]
+    queued = ", ".join(f"len(q{k}) + len(p{k})" for k in until)
+    body = step + finish + [
+        f"return step, finish, lambda: received, lambda: done, lambda: [{queued}]"]
     return "\n".join(head + _indent(body)) + "\n"
 
 
@@ -232,7 +235,8 @@ class StreamingMonitor:
             if isinstance(node, Atom):
                 namespace[f"a{k}"] = node.name
         exec(_compile(_kernel_source(plan, delays, sizes), "<streaming kernel>", "exec"), namespace)
-        self._step, self._finish, self._received, self._done = namespace["kernel"]()
+        kernel = namespace["kernel"]
+        self._step, self._finish, self._received, self._done, self._queued = kernel()
         self._widest = max(sizes)
 
     step = _Step()
@@ -249,11 +253,11 @@ class StreamingMonitor:
 
     @property
     def buffered_rows(self) -> int:
-        """Rows held for the node with the longest ring, or one for its current
-        value when no node needs a ring (fewer while it fills).  Only a
-        pointwise read at a later step keeps a ring; window witnesses and
-        until deques hold frame indices, not rows."""
-        return min(self._received(), self._widest)
+        """The most frames any node holds: the slots of its ring (one for its
+        current value when it has none; fewer while the ring fills), or an
+        until node's frame indices in its two deques together.  A window
+        holds one witness index, which no ring outgrows."""
+        return max([min(self._received(), self._widest), *self._queued()])
 
     def finalize(self) -> list[tuple[int, bool]]:
         """Flush all remaining verdicts using right-boundary clipping."""

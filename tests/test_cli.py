@@ -639,6 +639,35 @@ def test_purity_clause_outside_class_context_exits_two(command, flags, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["monitor", "sweep", "select", "stream"])
+def test_a_radius_too_large_for_the_frame_step_exits_two(command, worked_files, tmp_path, capsys):
+    # 1e307 s over a 0.02 s step is more frames than a float holds; 1e300 s
+    # is a finite count.
+    _, trace_path = worked_files
+    contract_path, out = tmp_path / "c.contract", tmp_path / "out"
+    calibration_path = tmp_path / "cal.json"
+    calibration_path.write_text(
+        '[{"id": "x", "risk": 1, "frame_step": 0.02, "ref_mask": "0110", "pred_mask": "0110"}]'
+    )
+    argv = {
+        "monitor": ["monitor", str(contract_path), str(trace_path)],
+        "sweep": ["sweep", str(contract_path), str(trace_path)],
+        "select": ["select", str(contract_path), str(calibration_path)],
+        "stream": ["stream", str(contract_path), str(trace_path), "--clause", "far"],
+    }[command] + ["--out", str(out)]
+    far = "frame far : ref_onset -> N[1{}] pred_onset @ ref_onset\n"
+    contract_path.write_text("set tolerance 0.04\n" + far.format("0" * 307))
+    assert main(argv) == 2
+    radius = "5e+306" if command == "sweep" else "1e+307"  # the sweep's first row is 20 ms
+    assert capsys.readouterr().err == (
+        f"contract error: radius {radius} spans too many frames of step 0.02 to count\n"
+    )
+    assert not out.exists()
+    if command == "monitor":
+        contract_path.write_text("set tolerance 0.04\n" + far.format("0" * 300))
+        assert main(argv) == 0
+
+
 @pytest.mark.parametrize("command", ["check", "monitor", "sweep"])
 def test_rejected_contract_lines_exit_two_with_their_line(command, worked_files, tmp_path, capsys):
     # Each single departure from the language tables, and each check across lines.

@@ -40,7 +40,7 @@ from tracecontracts.fixtures import (
     worked_trace,
 )
 from tracecontracts.frames import derive_edge_atoms, radius_frames
-from tracecontracts.intervals import Interval, extract_intervals, matcher_audit
+from tracecontracts.intervals import AuditBoundError, Interval, extract_intervals, matcher_audit
 from tracecontracts.parser import format_formula, parse_text
 
 from gen import (
@@ -248,6 +248,21 @@ class TestClasses:
         swapped = monitor_classes(contract, {"x": (a, b), "y": (b, a)}, h)
         assert mean_logic(union_result.guards) == 1.0
         assert mean_logic(swapped.macro) < 1.0
+
+    def test_exact_rows_are_solved_when_drawn(self, monkeypatch):
+        # The second class is over the exact matcher's bound of 24: it raises
+        # before the third class is solved.
+        solved = []
+        real = intervals.match_exact
+        monkeypatch.setattr(intervals, "match_exact", lambda *a: solved.append(1) or real(*a))
+        h = 0.02
+        few = make_trace([Interval(1.0, 2.0)], 300, h)
+        many = np.array([1, 1, 0] * 30 + [0] * 210, bool)
+        contract = parse_contract_text(default_contract_text(0.04, matcher="exact"))
+        masks = {"a": (few, few), "b": (many, many), "c": (few, few)}
+        with pytest.raises(AuditBoundError, match=r"^instance has 30x30 intervals, bound is 24$"):
+            monitor_classes(contract, masks, h)
+        assert len(solved) == 2
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -226,3 +226,12 @@ def test_buffer_stays_bounded_on_long_traces():
         emitted.extend(monitor.finalize())
         env = TraceEnvironment(0.02, len(rows), {k: [row[k] for row in rows] for k in "ab"})
         assert [v for _, v in emitted] == evaluate(formula, env).tolist()
+
+
+def test_buffered_rows_count_an_until_nodes_deques():
+    # Every frame of b since the oldest unemitted one is a psi deque entry:
+    # 10000 frames of lookahead plus the current one.
+    monitor = StreamingMonitor(parse_text("a U[100.0] b"), 0.01)
+    for _ in range(20000):
+        monitor.step({"a": True, "b": True})
+    assert monitor.buffered_rows == 10001

@@ -16,6 +16,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_LINES = ROOT / "tools" / "src_lines.py"
@@ -181,3 +182,25 @@ def test_bench_pairs_summary_reads_better_from_the_declared_metrics():
     assert summary["failed"] == {"parent": 0, "change": 1}
     one = summarize(pairs[:1], metrics)["metrics"]["frames_per_ref"]
     assert one["parent"] == {"median": 100, "q1": 100, "q3": 100}
+    # Against the bounds: rate's parent median 100 allows 20, its IQR is 5.
+    assert (rate["bound"], rate["worse_than_bound"], rate["unresolved"]) == (0.2, False, False)
+    assert rate["gain_rule_met"] is False  # 3 wins of 4 pairs, under 0.9
+    assert (rss["bound"], rss["worse_than_bound"], rss["unresolved"]) == (0.1, False, False)
+    assert rss["gain_rule_met"] is False  # median 49.5 against 50, IQR 1
+    won = summarize([pairs[0], *pairs[2:]], metrics)["metrics"]["frames_per_ref"]
+    assert won["change_wins"] == won["pairs"] == 3
+    assert won["gain_rule_met"] is True  # medians 100 and 125, IQR 5
+    flipped = [{**metrics[0], "better": "lower"}, {**metrics[1], "bound": 0.01}]
+    rate, rss = summarize(pairs, flipped)["metrics"].values()
+    assert (rate["worse_than_bound"], rate["gain_rule_met"]) == (True, False)  # 22.5 > 20
+    assert (rss["worse_than_bound"], rss["unresolved"]) == (False, True)  # IQR 1 > 0.5
+
+
+def test_bench_pairs_refuses_zero_pairs(tmp_path, capsys):
+    argv = [str(tmp_path), str(tmp_path), "--workload", "long_trace", "--pairs", "0",
+            "--seconds", "1", "--seed", "1", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as stop:
+        _tool(BENCH_PAIRS).main(argv)
+    assert stop.value.code == 2
+    assert "--pairs must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

@@ -10,10 +10,19 @@ parent first in even pairs, the change first in odd ones.  Each run keeps
 the JSON object on the last line of its standard output, and the report
 digest and machine facts of the record it writes to ``.bench_out/``.  The
 file holds every run and, for each end-to-end metric of the change tree's
-``BENCHMARK.json`` (only read), each side's median and quartiles and the
+``BENCHMARK.json`` (only read), each side's median and quartiles, the
 number of pairs in which the change is better by the metric's ``better``
-field.  It also records, per seed, whether the two sides' report digests
-agree.  Standard library only.
+field, and three verdicts against the metric's ``bound``:
+
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than ``bound`` times the parent's median;
+- ``unresolved``: the parent's interquartile range is wider than that;
+- ``gain_rule_met``: the change is better in at least 0.9 of the pairs, and
+  its median is better than the parent's by more than the parent's
+  interquartile range.
+
+It also records, per seed, whether the two sides' report digests agree.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -48,19 +57,25 @@ def _spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric, each side's median and quartiles and the change's pair
-    wins; per seed, whether the report digests agree.  Each pair holds its
-    ``seed`` and, per side, a run as :func:`run_once` returns it."""
+    """Per metric, each side's median and quartiles, the change's pair wins
+    and the verdicts against the metric's bound; per seed, whether the report
+    digests agree.  Each pair holds its ``seed`` and, per side, a run as
+    :func:`run_once` returns it."""
     summary = {}
     for metric in metrics:
-        name, higher = metric["name"], metric["better"] == "higher"
+        name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
         values = {side: [pair[side]["result"]["metrics"][name]["value"] for pair in pairs]
                   for side in SIDES}
         wins = sum((change > parent) if higher else (change < parent)
                    for parent, change in zip(values["parent"], values["change"]))
-        summary[name] = {"unit": metric["unit"], "better": metric["better"],
-                         **{side: _spread(values[side]) for side in SIDES},
-                         "change_wins": wins, "pairs": len(pairs)}
+        spread = {side: _spread(values[side]) for side in SIDES}
+        parent = spread["parent"]
+        gain = (spread["change"]["median"] - parent["median"]) * (1 if higher else -1)
+        allowed, iqr = bound * abs(parent["median"]), parent["q3"] - parent["q1"]
+        summary[name] = {"unit": metric["unit"], "better": metric["better"], **spread,
+                         "change_wins": wins, "pairs": len(pairs), "bound": bound,
+                         "worse_than_bound": -gain > allowed, "unresolved": iqr > allowed,
+                         "gain_rule_met": wins >= 0.9 * len(pairs) and gain > iqr}
     return {
         "metrics": summary,
         "digests_agree": {str(pair["seed"]): pair["parent"]["report_digest"]
@@ -80,6 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"parent": args.parent, "change": args.change}
     pairs = []
