@@ -48,6 +48,15 @@ whole table; an exact row is solved when it is drawn, so a row over the
 exact bound raises after every earlier row is read and before any later
 row is solved.  A row's length differences and extras are what one
 duration and one coverage predicate score.
+
+The greedy scan splits the ranked table in two.  A candidate that is the
+only one of both its reference and its prediction is uncontested: every
+scan keeps it and it blocks no other candidate, so two ``bincount`` calls
+keep all of them at once, and the byte-array loop runs in rank order over
+the contested rest only.  A :class:`Matching` holds its kept index
+arrays, from which ``len()`` and :attr:`Matching.index_arrays` are
+answered; its ``pairs`` frozenset is built on first read, filled in the
+order the pairs were kept, so no command builds one.
 """
 
 from __future__ import annotations
@@ -55,7 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -230,23 +238,48 @@ def candidate_table(refs, preds, epsilon, overlaps=None) -> CandidateTable:
 candidates = candidate_table  # one function, public under both names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Matching:
-    """One-to-one subset of the candidate relation."""
+    """One-to-one subset of the candidate relation.
 
-    pairs: frozenset[tuple[int, int]]
+    It holds the reference and prediction index arrays of its pairs in the
+    order the policy kept them, and answers ``len()`` and
+    :attr:`index_arrays` from them.  :attr:`pairs` is built on first read and
+    kept; equality, hash and repr are those of ``(pairs, policy)``, read or
+    not."""
+
+    ref_index: np.ndarray
+    pred_index: np.ndarray
     policy: str
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The pairs as a frozenset, filled in kept order: through a set for
+        the greedy policy, directly for the exact one, which fixes each
+        frozenset's iteration order."""
+        pairs = zip(self.ref_index.tolist(), self.pred_index.tolist())
+        return frozenset(set(pairs) if self.policy == "greedy" else pairs)
 
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Reference and prediction indices of the pairs, sorted by
         reference index, then by prediction index."""
-        flat = np.fromiter(chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
-        order = np.lexsort((flat[1::2], flat[0::2]))
-        return flat[0::2][order], flat[1::2][order]
+        order = np.lexsort((self.pred_index, self.ref_index))
+        return self.ref_index[order], self.pred_index[order]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.ref_index.size
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.pairs, self.policy) == (other.pairs, other.policy)
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.policy))
+
+    def __repr__(self) -> str:
+        return f"Matching(pairs={self.pairs!r}, policy={self.policy!r})"
 
 
 def match_greedy(table: CandidateTable) -> Matching:
@@ -254,31 +287,42 @@ def match_greedy(table: CandidateTable) -> Matching:
 
     Ties on cost break by interval position; starts are unique within a
     family of disjoint runs, the ends extend the order to arbitrary input.
-    ``lexsort`` is stable, so full ties keep candidate order.  Taken runs
-    are marked in one byte array per side.
+    ``lexsort`` is stable, so full ties keep candidate order.  The matching
+    holds the kept indices in scan order and builds its pair set only when
+    it is read; see :func:`_greedy_scan`.
     """
-    # A set filled in scan order, which fixes the frozenset's iteration order.
-    return Matching(frozenset(set(zip(*_greedy_scan(table)))), "greedy")
+    return Matching(*_greedy_scan(table), "greedy")
 
 
-def _greedy_scan(table: CandidateTable, *first: np.ndarray) -> tuple[list[int], list[int]]:
+def _greedy_scan(table: CandidateTable, *first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference and prediction indices of the pairs :func:`match_greedy`
     keeps, in scan order; ``first`` are sort keys ranked before the cost,
-    such as the row of each candidate of a batch whose rows share no run."""
+    such as the row of each candidate of a batch whose rows share no run.
+
+    A candidate that is the only one of its reference and of its prediction
+    is uncontested: the scan keeps it wherever it meets it, and it shares no
+    side with any other candidate, so it decides nothing for them.  Two
+    ``bincount`` calls keep every uncontested candidate at once; only the
+    contested rest is scanned in rank order, with taken runs marked in one
+    byte array per side.  So the result is that of a scan of every
+    candidate, for any table, in O(candidates) after the sort.
+    """
     order = np.lexsort(
         (table.pred.end, table.ref.end, table.pred.start, table.ref.start, table.cost, *first)
     )
-    refs, preds = table.ref_index[order].tolist(), table.pred_index[order].tolist()
-    taken_refs = bytearray(max(refs, default=-1) + 1)
-    taken_preds = bytearray(max(preds, default=-1) + 1)
-    kept_refs, kept_preds = [], []
-    for ri, pi in zip(refs, preds):
+    refs, preds = table.ref_index[order], table.pred_index[order]
+    ref_counts, pred_counts = np.bincount(refs), np.bincount(preds)
+    keep = (ref_counts[refs] == 1) & (pred_counts[preds] == 1)
+    contested = (~keep).nonzero()[0]
+    taken_refs, taken_preds = bytearray(ref_counts.size), bytearray(pred_counts.size)
+    kept = []
+    for k, ri, pi in zip(contested.tolist(), refs[contested].tolist(), preds[contested].tolist()):
         if taken_refs[ri] or taken_preds[pi]:
             continue
         taken_refs[ri] = taken_preds[pi] = 1
-        kept_refs.append(ri)
-        kept_preds.append(pi)
-    return kept_refs, kept_preds
+        kept.append(k)
+    keep[kept] = True
+    return refs[keep], preds[keep]
 
 
 def match_exact(table: CandidateTable, bound: int = DEFAULT_EXACT_BOUND) -> Matching:
@@ -292,7 +336,7 @@ def match_exact(table: CandidateTable, bound: int = DEFAULT_EXACT_BOUND) -> Matc
     from scipy.optimize import linear_sum_assignment  # slow to import; only this needs it
 
     if not table.cost.size:
-        return Matching(frozenset(), "exact")
+        return Matching(table.ref_index, table.pred_index, "exact")
     ref_ids, rows = np.unique(table.ref_index, return_inverse=True)
     pred_ids, cols = np.unique(table.pred_index, return_inverse=True)
     if ref_ids.size > bound or pred_ids.size > bound:
@@ -308,8 +352,7 @@ def match_exact(table: CandidateTable, bound: int = DEFAULT_EXACT_BOUND) -> Matc
     present[rows, cols] = True
     rows, cols = linear_sum_assignment(np.where(present, cells - big, 0.0))
     keep = present[rows, cols]
-    pairs = frozenset(zip(ref_ids[rows[keep]].tolist(), pred_ids[cols[keep]].tolist()))
-    return Matching(pairs, "exact")
+    return Matching(ref_ids[rows[keep]], pred_ids[cols[keep]], "exact")
 
 
 def boundary_f1(refs, preds, matching: Matching) -> float:
@@ -405,21 +448,18 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
     bases = ref_base.tolist()
 
     def greedy():
-        kept_ri, kept_pi = _greedy_scan(table, *([] if single else [row]))
-        ri, pi = np.array(kept_ri, np.intp), np.array(kept_pi, np.intp)
-        cut = [0, len(kept_ri)]
+        kept_ri, kept_pi = ri, pi = _greedy_scan(table, *([] if single else [row]))
+        cut = [0, ri.size]
         if not single:
             kept_row = ref_base.searchsorted(ri, side="right") - 1
-            kept_ri = (ri - ref_base[kept_row]).tolist()
-            kept_pi = (pi - pred_base[kept_row]).tolist()
+            kept_ri, kept_pi = ri - ref_base[kept_row], pi - pred_base[kept_row]
             cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
         order = np.lexsort((pi, ri))
         ri, pi = ri[order], pi[order]
         diffs, extras = length_diffs(refs, preds, (ri, pi)), fragmentation_extras(ri, counts)
         at = ri.searchsorted(ref_base).tolist()
         for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
-            # A set filled in scan order, as match_greedy fills it.
-            matching = Matching(frozenset(set(zip(kept_ri[lo:hi], kept_pi[lo:hi]))), "greedy")
+            matching = Matching(kept_ri[lo:hi], kept_pi[lo:hi], "greedy")
             yield matching, diffs[at[r]:at[r + 1]], extras[bases[r]:bases[r + 1]]
 
     def exact():
@@ -479,8 +519,10 @@ def matcher_audit(refs, preds, epsilon: float, bound: int = DEFAULT_EXACT_BOUND)
     [(exact, exact_diffs, exact_extras)] = exact_rows
     [(greedy, greedy_diffs, greedy_extras)] = greedy_rows
     threshold = DEFAULT_DURATION_THRESHOLD * epsilon
+    # Pairs are unique, so the sorted index arrays are equal exactly when the pair sets are.
+    changed = not all(map(np.array_equal, greedy.index_arrays, exact.index_arrays))
     return MatcherAudit(
-        greedy, exact, greedy.pairs != exact.pairs,
+        greedy, exact, changed,
         boundary_f1(refs, preds, greedy), boundary_f1(refs, preds, exact),
         _duration_within(greedy_diffs, threshold), _duration_within(exact_diffs, threshold),
         _singly_covered(greedy_extras), _singly_covered(exact_extras),

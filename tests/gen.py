@@ -12,7 +12,9 @@ class, and trace pathologies by one arm per kind over frame-loop runs.  The
 ``object_*`` interval layer is the library's predecessor of its array
 path: one ``Interval`` per run, one ``CandidatePair`` record (this
 module's own; the library keeps only its ``CandidateTable``) per candidate,
-and a Python loop per reference.  The ``loop_*`` functions are the predecessors
+and a Python loop per reference; ``scan_greedy`` is the greedy scan before
+it kept its uncontested candidates at once, one byte-array pass over every
+candidate.  The ``loop_*`` functions are the predecessors
 of the batched monitor pass: one whole pass per class, sweep tolerance or
 calibration case; ``pair_witness`` and ``group_soft_boundary`` those of its
 witness pass, one distance scan per (obligation, witness) pair and one soft
@@ -1087,23 +1089,49 @@ def _greedy_key(pair: CandidatePair):
     return (pair.cost, pair.ref.start, pair.pred.start, pair.ref.end, pair.pred.end)
 
 
+def _matching(pairs: list[tuple[int, int]], policy: str) -> Matching:
+    """The matching of ``pairs``, listed in the order they were kept."""
+    ref_index, pred_index = np.array(pairs, np.intp).reshape(-1, 2).T
+    return Matching(ref_index, pred_index, policy)
+
+
 def object_match_greedy(cands) -> Matching:
     taken_refs: set[int] = set()
     taken_preds: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     for pair in sorted(cands, key=_greedy_key):
         if pair.ref_index in taken_refs or pair.pred_index in taken_preds:
             continue
         taken_refs.add(pair.ref_index)
         taken_preds.add(pair.pred_index)
-        pairs.add((pair.ref_index, pair.pred_index))
-    return Matching(frozenset(pairs), "greedy")
+        pairs.append((pair.ref_index, pair.pred_index))
+    return _matching(pairs, "greedy")
+
+
+def scan_greedy(table: CandidateTable, *first: np.ndarray) -> tuple[list[int], list[int]]:
+    """The greedy scan over every candidate of ``table``, uncontested or
+    not: reference and prediction indices kept, in scan order, with the
+    keys of ``intervals._greedy_scan``."""
+    order = np.lexsort(
+        (table.pred.end, table.ref.end, table.pred.start, table.ref.start, table.cost, *first)
+    )
+    refs, preds = table.ref_index[order].tolist(), table.pred_index[order].tolist()
+    taken_refs = bytearray(max(refs, default=-1) + 1)
+    taken_preds = bytearray(max(preds, default=-1) + 1)
+    kept_refs, kept_preds = [], []
+    for ri, pi in zip(refs, preds):
+        if taken_refs[ri] or taken_preds[pi]:
+            continue
+        taken_refs[ri] = taken_preds[pi] = 1
+        kept_refs.append(ri)
+        kept_preds.append(pi)
+    return kept_refs, kept_preds
 
 
 def object_match_exact(cands, bound: int = 24) -> Matching:
     cands = tuple(cands)
     if not cands:
-        return Matching(frozenset(), "exact")
+        return _matching([], "exact")
     ref_ids = sorted({c.ref_index for c in cands})
     pred_ids = sorted({c.pred_index for c in cands})
     if len(ref_ids) > bound or len(pred_ids) > bound:
@@ -1122,12 +1150,8 @@ def object_match_exact(cands, bound: int = 24) -> Matching:
     for (i, j), cost in cells.items():
         matrix[i, j] = cost - big
     rows, cols = linear_sum_assignment(matrix)
-    pairs = frozenset(
-        (ref_ids[i], pred_ids[j])
-        for i, j in zip(rows, cols)
-        if (i, j) in cells
-    )
-    return Matching(pairs, "exact")
+    return _matching([(ref_ids[i], pred_ids[j]) for i, j in zip(rows, cols) if (i, j) in cells],
+                     "exact")
 
 
 def sorted_pairs(matching: Matching) -> tuple[tuple[int, int], ...]:

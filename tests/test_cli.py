@@ -21,6 +21,7 @@ from tracecontracts import basis, contracts, frames, lexer, parser
 from tracecontracts.basis import save_calibration
 from tracecontracts.cli import main
 from tracecontracts.contracts import default_contract_text, parse_contract_text
+from tracecontracts.intervals import Matching
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track, worked_trace
 from tracecontracts.tracefile import (
     TraceFile,
@@ -1285,6 +1286,16 @@ class TestReportWriter:
         argv = [word.format(**paths) for word in command] + ["--out", str(out)]
         assert main(argv) == code
         assert self._files(out) == before
+
+    def test_no_command_builds_a_pair_set(self, inputs, tmp_path, monkeypatch):
+        # Reports read a matching's index arrays; its frozenset is built only
+        # for a caller that reads it.
+        built = []
+        monkeypatch.setattr(Matching, "pairs", property(lambda matching: built.append(1)))
+        codes = {command: main(self._argv(command, inputs, tmp_path / command))
+                 for command in self.COMMANDS}
+        assert codes == dict.fromkeys(self.COMMANDS, 0)
+        assert not built
 
     def test_stream_holds_a_bounded_number_of_frames(self, tmp_path, capsys):
         # 2e5 frames: the stream command peaked at 85.2 MB of traced

@@ -618,11 +618,12 @@ class TestResultRuns:
         contract = default_contract(0.04)
         first, unread = monitor(contract, ref, pred, h), monitor(contract, ref, pred, h)
         read = monitor(contract, ref, pred, h)
-        read.ref_intervals, read.pred_intervals
+        read.ref_intervals, read.pred_intervals, read.matching.pairs
+        assert "pairs" not in vars(unread.matching)
         record = (first.guards, first.witnesses, extract_intervals(ref, h),
                   extract_intervals(pred, h), first.matching)
         assert hash(unread) == hash(read) == hash(record)
-        assert first == unread == read
+        assert first == unread == read and repr(unread) == repr(read)
         assert hash(first) == hash(record)
         assert first != monitor(contract, ref, ref, h)
         assert repr(first) == (

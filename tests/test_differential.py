@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracecontracts.basis import (
@@ -110,7 +110,7 @@ from tracecontracts.parser import (
     parse_text,
     walk,
 )
-from tracecontracts import frames, streaming
+from tracecontracts import frames, intervals, streaming
 from tracecontracts.streaming import StreamingMonitor
 
 from gen import (
@@ -157,6 +157,7 @@ from gen import (
     random_env,
     random_formula,
     satisfiable,
+    scan_greedy,
     table_pairs,
     universe,
 )
@@ -447,6 +448,57 @@ def test_array_layer_on_unsorted_nested_duplicated_lists(refs, preds, other, eps
 @given(_MESSY, _MESSY, st.sampled_from((0.01, 0.04, 0.1, 0.3)), st.integers(1, 30))
 def test_matcher_audit_on_unsorted_nested_duplicated_lists(refs, preds, epsilon, bound):
     _assert_same_audit(refs, preds, epsilon, bound)
+
+
+# Few costs and endpoints, so that cost ties are decided by each of the four
+# position keys in turn, and few indices, so that (reference, prediction)
+# pairs repeat and candidates contend for their sides.
+_TIE_GRID = [Interval(a, b) for a in (0.0, 1.0) for b in (2.0, 3.0)]
+_TIED_CANDIDATES = st.lists(st.builds(
+    CandidatePair, st.integers(0, 4), st.integers(0, 4), st.sampled_from(_TIE_GRID),
+    st.sampled_from(_TIE_GRID), st.sampled_from((0.0, 1.0)),
+), max_size=12)
+
+
+@st.composite
+def _zigzag_chain(draw):
+    """Prediction j straddles references j and j + 1, with costs rising
+    along the chain, some tied: every candidate is contested."""
+    n = draw(st.integers(1, 8))
+    costs = sorted(draw(st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)))
+    refs = [Interval(2.0 * i, 2.0 * i + 1.5) for i in range(n + 1)]
+    preds = [Interval(2.0 * j + 1.0, 2.0 * j + 2.5) for j in range(n)]
+    return [CandidatePair(j + side, j, refs[j + side], preds[j], float(costs[2 * j + side]))
+            for j in range(n) for side in (0, 1)]
+
+
+@st.composite
+def _scan_tables(draw):
+    """A candidate table of up to three parts on runs of their own, in
+    shuffled order, and the sort keys ranked before its cost: none, or each
+    candidate's part as a batch's row."""
+    parts = draw(st.lists(st.one_of(_TIED_CANDIDATES, _zigzag_chain()), max_size=3))
+    cands, rows, ref_base, pred_base = [], [], 0, 0
+    for row, part in enumerate(parts):
+        cands += [dataclasses.replace(c, ref_index=c.ref_index + ref_base,
+                                      pred_index=c.pred_index + pred_base) for c in part]
+        rows += [row] * len(part)
+        ref_base += 1 + max((c.ref_index for c in part), default=-1)
+        pred_base += 1 + max((c.pred_index for c in part), default=-1)
+    order = draw(st.permutations(range(len(cands))))
+    first = [np.array([rows[k] for k in order])] if draw(st.booleans()) else []
+    return pair_table([cands[k] for k in order]), first
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_tables())
+@example((pair_table([]), []))
+def test_greedy_scan_keeps_what_a_scan_of_every_candidate_keeps(case):
+    table, first = case
+    refs, preds = intervals._greedy_scan(table, *first)
+    assert (refs.tolist(), preds.tolist()) == scan_greedy(table, *first)
+    kept = list(zip(*scan_greedy(table)))
+    assert repr(match_greedy(table)) == f"Matching(pairs={frozenset(set(kept))!r}, policy='greedy')"
 
 
 MIXED_CONTRACT = """set tolerance 0.03

@@ -11,6 +11,7 @@ from tracecontracts.fixtures import make_trace
 from tracecontracts.intervals import (
     AuditBoundError,
     Interval,
+    Matching,
     boundary_f1,
     candidate_table,
     candidates,
@@ -157,6 +158,36 @@ def _random_intervals(rng, max_count):
         cursor += rng.randint(1, 10) * 0.02
         out.append(Interval(start, cursor))
     return out
+
+
+class TestMatchingValue:
+    """A matching holds its kept index arrays; its pair set is built on first read."""
+
+    REFS = (Interval(0.0, 1.0), Interval(1.0, 2.0), Interval(3.0, 4.0))
+    PREDS = (Interval(0.5, 1.5), Interval(1.05, 2.0), Interval(3.02, 4.0))
+
+    def test_value_does_not_depend_on_reading_the_pairs(self):
+        table = candidates(self.REFS, self.PREDS, 0.2)
+        for match in (match_greedy, match_exact):
+            unread, read = match(table), match(table)
+            assert len(unread) == 3
+            ri, pi = unread.index_arrays
+            assert (ri.tolist(), pi.tolist()) == ([0, 1, 2], [0, 1, 2])
+            assert "pairs" not in vars(unread)  # len() and index_arrays build no set
+            assert read.pairs == {(0, 0), (1, 1), (2, 2)}
+            assert unread == read and hash(unread) == hash(read)
+            assert repr(unread) == repr(read) and len(unread) == len(read)
+            assert hash(read) == hash((read.pairs, read.policy))
+            assert repr(read) == f"Matching(pairs={read.pairs!r}, policy={read.policy!r})"
+        assert match_greedy(table) != match_exact(table)  # the policy is part of the value
+
+    def test_pairs_fill_in_kept_order(self):
+        # Greedy fills a set first, exact a frozenset directly: each fixes its
+        # frozenset's iteration order, and so its repr.
+        kept = [(k, (7 * k) % 11) for k in (4, 0, 9, 2, 7)]
+        ri, pi = map(np.array, zip(*kept))
+        assert repr(Matching(ri, pi, "greedy").pairs) == repr(frozenset(set(kept)))
+        assert repr(Matching(ri, pi, "exact").pairs) == repr(frozenset(kept))
 
 
 class TestExact:

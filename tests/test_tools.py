@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import json
 import os
 import platform
 import re
@@ -204,3 +205,45 @@ def test_bench_pairs_refuses_zero_pairs(tmp_path, capsys):
     assert stop.value.code == 2
     assert "--pairs must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+STUB_RUN = '''import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+workload, seed = args["--workload"], int(args["--seed"])
+if seed >= FAIL_FROM:
+    print("stub run failed", file=sys.stderr)
+    raise SystemExit(3)
+out = Path(".bench_out")
+out.mkdir(exist_ok=True)
+record = {"report_digest": "d", "machine": {"nproc": 1}}
+(out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+metrics = {"frames_per_ref": {"value": 100.0 + seed, "unit": "frames/ref"}}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+'''
+
+
+def test_bench_pairs_keeps_the_finished_pairs_when_a_run_fails(tmp_path):
+    # The change tree's run fails from seed 2 on, in pair 2, where it runs first.
+    declared = {"end_to_end": [{"name": "frames_per_ref", "unit": "frames/ref",
+                                "better": "higher", "bound": 0.2}]}
+    trees = []
+    for name, fail_from in (("parent", 99), ("change", 2)):
+        (tmp_path / name / "bench").mkdir(parents=True)
+        (tmp_path / name / "bench" / "run.py").write_text(
+            STUB_RUN.replace("FAIL_FROM", str(fail_from)))
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps(declared))
+        trees.append(str(tmp_path / name))
+    out = tmp_path / "out.json"
+    argv = [*trees, "--workload", "long_trace", "--pairs", "4", "--seconds", "1",
+            "--seed", "1", "--out", str(out)]
+    assert _tool(BENCH_PAIRS).main(argv) == 1
+    result = json.loads(out.read_text())
+    assert result["correct"] is False
+    first, failed = result["runs"]
+    assert (first["seed"], failed["seed"], failed["first"]) == (1, 2, "change")
+    assert first["change"]["result"]["metrics"]["frames_per_ref"]["value"] == 101.0
+    assert failed["change"] == {"returncode": 3, "stderr": ["stub run failed"]}
+    assert "parent" not in failed
+    assert result["metrics"]["frames_per_ref"]["pairs"] == 1
+    assert result["digests_agree"] == {"1": True}

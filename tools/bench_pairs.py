@@ -22,7 +22,11 @@ field, and three verdicts against the metric's ``bound``:
   interquartile range.
 
 It also records, per seed, whether the two sides' report digests agree.
-Standard library only.
+
+A run that exits nonzero ends the session: its pair records the failing
+side's exit code and last lines of standard error, the file is still
+written, from the pairs finished before it, with ``correct`` false, and
+the command exits 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,18 +39,23 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_LINES = 20  # kept from a failed run
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced run in ``tree``: its result object, report digest and
-    machine facts."""
+    machine facts, or, when it exits nonzero, its exit code and the last
+    lines of its standard error."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True).stdout
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        return {"returncode": done.returncode,
+                "stderr": done.stderr.splitlines()[-STDERR_LINES:]}
     path = tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(path.read_text(encoding="utf-8"))
-    return {"result": json.loads(out.splitlines()[-1]), "report_digest": record["report_digest"],
-            "machine": record["machine"]}
+    return {"result": json.loads(done.stdout.splitlines()[-1]),
+            "report_digest": record["report_digest"], "machine": record["machine"]}
 
 
 def _spread(values: list[float]) -> dict:
@@ -99,22 +108,31 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"parent": args.parent, "change": args.change}
-    pairs = []
+    pairs, failed = [], None
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
+        pairs.append(pair)
         for side in order:
             pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
-        pairs.append(pair)
+            if "returncode" in pair[side]:
+                failed = side
+                break
+        if failed:
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: {failed} exited "
+                  f"{pair[failed]['returncode']}; stopping", file=sys.stderr)
+            break
         print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "; ".join(
             f"{side} " + " ".join(f"{name} {metric['value']:.6g}"
                                   for name, metric in pair[side]["result"]["metrics"].items())
             for side in SIDES), file=sys.stderr)
+    finished = pairs[:-1] if failed else pairs
+    summary = summarize(finished, declared["end_to_end"]) if finished else {}
     result = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
-              **summarize(pairs, declared["end_to_end"]), "runs": pairs}
+              **summary, "correct": summary.get("correct", False) and not failed, "runs": pairs}
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
