@@ -617,53 +617,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command that writes a manifest can stamp it with the time.
+    stamp = argparse.ArgumentParser(add_help=False)
+    stamp.add_argument("--stamp-time", action="store_true")
 
     p_check = sub.add_parser("check", help="parse and describe a contract file")
     p_check.add_argument("contract")
     p_check.set_defaults(func=cmd_check)
 
-    p_monitor = sub.add_parser("monitor", help="evaluate contract guards on trace files")
+    p_monitor = sub.add_parser("monitor", parents=[stamp], help="evaluate contract guards on trace files")
     p_monitor.add_argument("contract")
     p_monitor.add_argument("traces", nargs="+")
     p_monitor.add_argument("--out", required=True, help="output directory")
     p_monitor.add_argument("--matcher", choices=MATCHER_POLICIES, default=None)
     p_monitor.add_argument("--classes", action="store_true", help="also report per-class and macro rows")
     p_monitor.add_argument("--soft-scale", type=_positive_ms, default=50.0, metavar="MS")
-    p_monitor.add_argument("--stamp-time", action="store_true")
     p_monitor.set_defaults(func=cmd_monitor)
 
-    p_sweep = sub.add_parser("sweep", help="re-monitor under a tolerance grid")
+    p_sweep = sub.add_parser("sweep", parents=[stamp], help="re-monitor under a tolerance grid")
     p_sweep.add_argument("contract")
     p_sweep.add_argument("traces", nargs="+")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument(
         "--tolerances", type=_positive_ms_list, default="20,40,80,120,160", metavar="MS,MS,..."
     )
-    p_sweep.add_argument("--stamp-time", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_audit = sub.add_parser("match-audit", help="compare greedy and exact interval matching")
+    p_audit = sub.add_parser("match-audit", parents=[stamp],
+                             help="compare greedy and exact interval matching")
     p_audit.add_argument("traces", nargs="+")
     p_audit.add_argument("--out", required=True)
     p_audit.add_argument("--epsilon-ms", type=_positive_ms, default=80.0)
     p_audit.add_argument("--bound", type=_positive_count, default=DEFAULT_EXACT_BOUND)
     p_audit.add_argument("--strict-bound", action="store_true", help="exit 5 when the bound is exceeded")
-    p_audit.add_argument("--stamp-time", action="store_true")
     p_audit.set_defaults(func=cmd_match_audit)
 
-    p_select = sub.add_parser("select", help="risk-ordered contract selection")
+    p_select = sub.add_parser("select", parents=[stamp], help="risk-ordered contract selection")
     p_select.add_argument("basis", help="candidate basis contract file")
     p_select.add_argument("calibration", help="calibration set JSON")
     p_select.add_argument("--out", default=None)
-    p_select.add_argument("--stamp-time", action="store_true")
     p_select.set_defaults(func=cmd_select)
 
-    p_stream = sub.add_parser("stream", help="replay one frame clause through the online monitor")
+    p_stream = sub.add_parser("stream", parents=[stamp],
+                              help="replay one frame clause through the online monitor")
     p_stream.add_argument("contract")
     p_stream.add_argument("trace")
     p_stream.add_argument("--clause", required=True)
     p_stream.add_argument("--out", required=True)
-    p_stream.add_argument("--stamp-time", action="store_true")
     p_stream.set_defaults(func=cmd_stream)
 
     p_init = sub.add_parser("init", help="emit the default contract file")

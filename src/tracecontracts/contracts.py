@@ -17,9 +17,11 @@ value, so equal contracts share one plan per grid.
 
 One monitor pass runs over a group axis: trace pairs of one length (a
 union row and its classes, or calibration cases) are stacked, and their
-runs extracted, matched and witnessed by one scan each, with every
-group's runs placed apart so that none meets another's; a sweep's
-tolerances are rows over one group.  A single :func:`monitor` is the
+runs extracted, matched and witnessed by one scan each.  One placement
+rule, stated at :func:`intervals._run_edges`, puts frame f of group g at
+``g * (2n + 1) + f`` for n frames a group, so no frame of one group comes
+within n frames of another's and no scan meets another group's runs; a
+sweep's tolerances are rows over one group.  A single :func:`monitor` is the
 one-group case.  Witnesses extend the axis to pairs: the distinct
 (obligation, witness) formulas of every row, and the two edge pairs, are
 placed one after another, so one distance scan serves every pair and
@@ -577,19 +579,9 @@ def _mean(values, scale: float = 1.0) -> float | None:
     return float(np.add.reduce(values, dtype=float) / len(values) * scale)
 
 
-def _offset_edges(mask: np.ndarray) -> np.ndarray:
-    """Run edges of a Boolean mask, or of every row of a ``(G, n)`` stack in
-    turn with frame ``f`` of row ``g`` at ``g * (2n + 1) + f``: rows keep
-    their order, and no frame of a row comes within ``n`` frames of another
-    row's."""
-    n = mask.shape[-1]
-    edges = _run_edges(mask)
-    return edges + edges // (n + 1) * n
-
-
 def _frame_runs(mask: np.ndarray) -> Family:
-    """The frame runs of a mask or stack, at :func:`_offset_edges`' frames."""
-    edges = _offset_edges(mask)
+    """The frame runs of a mask or stack, at :func:`_run_edges`' frames."""
+    edges = _run_edges(mask)
     return Family(edges[0::2], edges[1::2])
 
 
@@ -640,10 +632,10 @@ class _TraceRuns:
     ``bounds`` giving each group's first run a side and ``by_group`` its two
     families; ``overlaps`` are their overlap pairs.
     ``edges`` (run edges) and ``atom_runs`` (the unmerged runs of every
-    activity and edge atom) are integer frames placed as by
-    :func:`_offset_edges`, ``stride`` frames per group from ``starts``, so
-    one scan serves every group: :meth:`witnesses` and
-    :meth:`soft_boundary` answer for every group at once.
+    activity and edge atom) are integer frames placed by :func:`_run_edges`'
+    rule, ``stride`` frames per group from ``starts``, so one scan serves
+    every group: :meth:`witnesses` and :meth:`soft_boundary` answer for
+    every group at once.
     """
 
     h: float
@@ -684,10 +676,11 @@ class _TraceRuns:
 
         One distance pass serves every pair and group: pair j's runs are
         placed ``j * G * stride`` frames on, so (pair j, group g) is group
-        ``j * G + g`` of one longer axis.  A group's frames are nearer to
-        its own witness frames than to any other group's, and a group with
-        none reads none.  Each mean is :func:`_mean` of its own slice, and
-        each count reads the gap frames of its own slice."""
+        ``j * G + g`` of one longer axis, placed by :func:`_run_edges`' rule:
+        a group's frames are nearer to its own witness frames than to any
+        other group's, and a group with none reads none.  Each mean is
+        :func:`_mean` of its own slice, and each count reads the gap frames
+        of its own slice."""
         groups = self.starts.size - 1
         obligated, witnessed = (self._placed(side, values) for side in zip(*pairs))
         starts = np.arange(len(pairs) * groups + 1) * self.stride
@@ -741,7 +734,7 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
     starts = np.arange(groups + 1) * stride
     families, frames, bounds, edges, atom_runs = [], [], [], {}, {}
     for side, mask in (("ref", ref), ("pred", pred)):
-        edges[side] = side_edges = _offset_edges(mask)
+        edges[side] = side_edges = _run_edges(mask)
         lo, hi = merge_runs(side_edges, h, merge_gap, side_edges[0::2] // stride)
         frames.append(Family(lo, hi))
         start, end = lo % stride * h, hi % stride * h
@@ -1065,36 +1058,32 @@ def soft_boundary(ref_mask, pred_mask, h: float, scale: float = DEFAULT_SOFT_SCA
     return _soft_scores(_run_edges(ref), _run_edges(pred), starts, h, scale)[0]
 
 
-def _edge_times(edges: np.ndarray, stride: int, h: float) -> np.ndarray:
-    """Seconds of placed edge frames, each from its group's start: the times
-    of each group's edges as a scan of it alone has them."""
-    return edges % stride * h
-
-
 def _soft_scores(
     ref_edges: np.ndarray, pred_edges: np.ndarray, starts: np.ndarray, h: float, scale: float
 ) -> list[float]:
-    """:func:`soft_boundary` of each group from the sorted, placed edge
-    frames of both sides, group g's in ``[starts[g], starts[g + 1])``.  Each
-    edge's nearest opposite edges come from one ``searchsorted`` on the
-    placed edges, clamped to its group's own; each group's mean is
-    :func:`_mean` of its own slice."""
+    """:func:`soft_boundary` of each group from the sorted edge frames of
+    both sides, placed by :func:`_run_edges`' rule, group g's in
+    ``[starts[g], starts[g + 1])``.  Each edge's two nearest opposite edges
+    come from one ``searchsorted`` on the placed edges, and every time is in
+    seconds from the edge's own group start, as a scan of the group alone has
+    it.  Another group's edges lie more than ``n`` frames away, so they are
+    never the nearer of a group that has its own, and a group with none is
+    not scored.  Each group's mean is :func:`_mean` of its own slice."""
     sides = (ref_edges, pred_edges)
     bounds = [edges.searchsorted(starts) for edges in sides]
     sizes = [b[1:] - b[:-1] for b in bounds]
-    times = [_edge_times(edges, starts[1], h) for edges in sides]
     means = []
     for src, dst in ((0, 1), (1, 0)):
-        cut = bounds[src].tolist()
-        if not times[dst].size:
+        edges, opposite, cut = sides[src], sides[dst], bounds[src].tolist()
+        if not opposite.size:
             means.append([0.0] * (len(cut) - 1))
             continue
-        # A group without opposite edges reads index 0, and is not scored.
-        lo, hi = (np.where(sizes[dst] > 0, b, 0).repeat(sizes[src])
-                  for b in (bounds[dst][:-1], bounds[dst][1:] - 1))
-        pos = sides[dst].searchsorted(sides[src])
-        left, right = times[dst][np.maximum(pos - 1, lo)], times[dst][np.minimum(pos, hi)]
-        credit = np.exp(-np.minimum(np.abs(times[src] - left), np.abs(times[src] - right)) / scale)
+        pos = opposite.searchsorted(edges)
+        frame = edges % starts[1]  # each edge's frame in its own group
+        origin, time = edges - frame, frame * h
+        left, right = ((opposite[k] - origin) * h
+                       for k in (np.maximum(pos - 1, 0), np.minimum(pos, opposite.size - 1)))
+        credit = np.exp(-np.minimum(np.abs(time - left), np.abs(time - right)) / scale)
         means.append([_mean(credit[a:b]) if b > a else 0.0 for a, b in zip(cut, cut[1:])])
     return [
         1.0 if not (r or p) else 0.0 if not (r and p) else (f + b) / 2.0
@@ -1161,6 +1150,8 @@ def tolerance_sweep(
         raise ValueError("tolerances must be positive and finite")
     if any(b <= a for a, b in zip(tolerances, tolerances[1:])):
         raise ValueError("tolerances must be strictly ascending")
+    if not contract.clauses:
+        raise ContractError("a tolerance sweep needs at least one clause")
     # The merge gap does not scale, so the runs are the same at every tolerance.
     ref, pred = _mask_pair(ref_mask, pred_mask)
     runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)

@@ -125,9 +125,14 @@ class Family:
 
 def _run_edges(mask: np.ndarray) -> np.ndarray:
     """Start and end frames of the maximal runs of a Boolean mask,
-    interleaved in ascending order (starts at even positions).  A ``(G, n)``
-    stack gives each row's edges in turn, frame ``f`` of row ``g`` as
-    ``g * (n + 1) + f``."""
+    interleaved in ascending order (starts at even positions).
+
+    This is the one placement rule for stacked rows: a ``(G, n)`` stack gives
+    each row's edges in turn, frame ``f`` of row ``g`` at
+    ``g * (2n + 1) + f``.  Rows keep their order, and no frame of a row comes
+    within ``n`` frames of another row's, so a scan of every row at once
+    finds no neighbour, overlap or gap across rows that it would not find
+    nearer in the row itself.  A 1-D mask is row 0, its edges unmoved."""
     n = mask.shape[-1]
     if n == 0:
         return np.zeros(0, np.intp)
@@ -135,7 +140,10 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
     np.not_equal(mask[..., 1:], mask[..., :-1], out=change[..., 1:n])
     change[..., 0] = mask[..., 0]
     change[..., n] = mask[..., n - 1]
-    return np.flatnonzero(change)
+    edges = np.flatnonzero(change)
+    if mask.ndim > 1:
+        edges += edges // (n + 1) * n  # row g's edges sit at g * (n + 1) + f here
+    return edges
 
 
 def merge_runs(
@@ -454,13 +462,14 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
             kept_row = ref_base.searchsorted(ri, side="right") - 1
             kept_ri, kept_pi = ri - ref_base[kept_row], pi - pred_base[kept_row]
             cut = kept_row.searchsorted(np.arange(rows + 1)).tolist()
+        # Sorted by index, each row's pairs stay together and as many, so
+        # the scan-order cut slices their length differences too.
         order = np.lexsort((pi, ri))
-        ri, pi = ri[order], pi[order]
-        diffs, extras = length_diffs(refs, preds, (ri, pi)), fragmentation_extras(ri, counts)
-        at = ri.searchsorted(ref_base).tolist()
+        diffs = length_diffs(refs, preds, (ri[order], pi[order]))
+        extras = fragmentation_extras(ri, counts)
         for r, (lo, hi) in enumerate(zip(cut, cut[1:])):
             matching = Matching(kept_ri[lo:hi], kept_pi[lo:hi], "greedy")
-            yield matching, diffs[at[r]:at[r + 1]], extras[bases[r]:bases[r + 1]]
+            yield matching, diffs[lo:hi], extras[bases[r]:bases[r + 1]]
 
     def exact():
         cut = [0, table.cost.size] if single else row.searchsorted(np.arange(rows + 1)).tolist()

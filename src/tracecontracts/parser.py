@@ -292,6 +292,8 @@ class _Parser:
             raise ParseError(token.span, f"'{token.temporal_name}[radius]'", _describe(token))
         if token.radius <= 0.0:
             raise ParseError(token.span, "a positive radius", _describe(token))
+        if not math.isfinite(token.radius):
+            raise ParseError(token.span, "a finite radius", _describe(token))
         return (token.radius,)
 
 

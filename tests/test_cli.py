@@ -6,11 +6,13 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -669,6 +671,40 @@ def test_a_radius_too_large_for_the_frame_step_exits_two(command, worked_files, 
         assert main(argv) == 0
 
 
+@pytest.mark.parametrize("command", ["check", "monitor"])
+def test_a_radius_literal_past_every_float_exits_two_with_a_caret(
+    command, worked_files, tmp_path, capsys
+):
+    # 320 nines read as an infinite float; the parser refuses it at its token.
+    _, trace_path = worked_files
+    contract_path, out = tmp_path / "c.contract", tmp_path / "out"
+    line = f"frame f : ref_onset -> F[{'9' * 320}] pred_onset @ ref_onset"
+    contract_path.write_text(f"set tolerance 0.04\n{line}\n")
+    argv = [command, str(contract_path)]
+    argv += [] if command == "check" else [str(trace_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{contract_path}:2: error: expected a finite radius, found 'F[")
+    assert "Traceback" not in err
+    caret_line = [l for l in err.splitlines() if l.strip() == "^"][0]
+    source_line = [l for l in err.splitlines() if l.strip() == line][0]
+    assert source_line[caret_line.index("^"):].startswith("F[9")
+    assert not out.exists()
+
+
+def test_a_sweep_of_a_contract_without_clauses_exits_two(worked_files, tmp_path, capsys):
+    _, trace_path = worked_files
+    contract_path, out = tmp_path / "c.contract", tmp_path / "out"
+    contract_path.write_text("set tolerance 0.04\n")
+    assert main(["check", str(contract_path)]) == 0
+    assert "0 clauses parsed" in capsys.readouterr().out
+    assert main(["sweep", str(contract_path), str(trace_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "contract error: a tolerance sweep needs at least one clause\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "monitor", "sweep"])
 def test_rejected_contract_lines_exit_two_with_their_line(command, worked_files, tmp_path, capsys):
     # Each single departure from the language tables, and each check across lines.
@@ -1177,6 +1213,24 @@ class TestReportWriter:
     def _fill(out: Path, files: dict[str, bytes]) -> None:
         for name, data in files.items():
             (out / name if name else out).write_bytes(data)
+
+    @pytest.mark.parametrize("command", ["monitor", "sweep", "match-audit", "select", "stream"])
+    def test_stamp_time_records_a_utc_time_and_changes_nothing_else(
+        self, command, inputs, tmp_path
+    ):
+        plain, stamped = tmp_path / "plain", tmp_path / "stamped"
+        assert main(self._argv(command, inputs, plain)) == 0
+        assert main(self._argv(command, inputs, stamped) + ["--stamp-time"]) == 0
+        plain_files, stamped_files = self._files(plain), self._files(stamped)
+        manifests = [json.loads(files.pop("manifest.json")) for files in (plain_files, stamped_files)]
+        assert plain_files and stamped_files == plain_files
+        assert manifests[1]["run_id"] == manifests[0]["run_id"]
+        assert manifests[0]["generated_at"] is None
+        stamp = manifests[1].pop("generated_at")
+        assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00", stamp)
+        del manifests[0]["generated_at"]
+        assert manifests[1] == manifests[0]
 
     @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"init"}))
     def test_an_out_that_is_a_regular_file_exits_two(self, command, inputs, tmp_path, capsys):

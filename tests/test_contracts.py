@@ -496,6 +496,19 @@ class TestToleranceSweep:
         with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
             tolerance_sweep(default_contract(0.04), ref, pred, h, tolerances)
 
+    def test_a_contract_without_clauses_is_refused_before_its_runs_are_found(self, monkeypatch):
+        # Such a contract monitors to an empty guard vector, which has no mean.
+        contract = parse_contract_text("set tolerance 0.04\n")
+        ref, pred, h = worked_trace()
+        assert len(monitor(contract, ref, pred, h).guards) == 0
+
+        def no_runs(*args):
+            raise AssertionError("runs extracted")
+
+        monkeypatch.setattr(contracts, "_trace_runs", no_runs)
+        with pytest.raises(ContractError, match="^a tolerance sweep needs at least one clause$"):
+            tolerance_sweep(contract, ref, pred, h, (0.02, 0.04))
+
 
 class TestContractFiles:
     def test_round_trip_default(self):

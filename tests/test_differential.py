@@ -17,7 +17,10 @@ pattern against the per-character scanner: equal tokens and errors.
 Satisfiability from the truth signature against trying every assignment.
 Trace rasterization and the pathology run-move table against one slice
 per event and one arm per kind: equal array bytes, dtype and shape, or
-equal exception types and messages.
+equal exception types and messages.  Two kinds of property stand beside
+the oracles: matching decomposes over activity components, and the finite
+core keeps its laws (duality, monotone radii, the one-frame unrolling of
+until) on the plan and the streaming monitor.
 """
 
 import ast
@@ -44,12 +47,10 @@ from tracecontracts.contracts import (
     GuardCoordinate,
     GuardVector,
     _counted,
-    _edge_times,
     _frame_runs,
     _gap_distances,
     _macro,
     _monitor_stack,
-    _offset_edges,
     _trace_runs,
     _witness_pair,
     compile_contract,
@@ -82,11 +83,13 @@ from tracecontracts.frames import (
     _window_exists,
     derive_edge_atoms,
     evaluate,
+    radius_frames,
     share_subformulas,
 )
 from tracecontracts.intervals import (
     AuditBoundError,
     Interval,
+    _run_edges,
     candidates,
     covering_counts,
     extract_intervals,
@@ -239,17 +242,26 @@ class TestExtraction:
                     )
 
     def test_edge_times_bit_identical(self):
-        # Each mask as group 1 of a placed three-group stack.
+        # A stack's edges are each row's own, row g's placed g * (2n + 1)
+        # frames on, and no two rows' edges lie within n frames; a row's edge
+        # times in seconds from its own start are those of its intervals.
         for ref, pred, h in _random_masks(32, 200):
-            stack = np.stack((pred, ref, pred))
-            starts = np.arange(4) * (2 * ref.size + 1)
-            edges = _offset_edges(stack)
-            times = _edge_times(edges, starts[1], h)
+            stack = np.stack((pred, ref, np.zeros_like(ref), pred))
+            n, stride = ref.size, 2 * ref.size + 1
+            edges = _run_edges(stack)
+            cut = edges.searchsorted(np.arange(len(stack) + 1) * stride)
+            assert cut[-1] == edges.size
+            last = None
             for g, mask in enumerate(stack):
-                lo, hi = edges.searchsorted(starts[g:g + 2])
-                fast, slow = times[lo:hi], naive_edge_times(mask, h)
+                own, placed = _run_edges(mask), edges[cut[g]:cut[g + 1]]
+                assert placed.dtype == own.dtype
+                assert np.array_equal(placed - g * stride, own)
+                fast, slow = own * h, naive_edge_times(mask, h)
                 assert fast.dtype == slow.dtype
                 assert fast.tobytes() == slow.tobytes()
+                if placed.size:
+                    assert last is None or placed[0] - last > n
+                    last = placed[-1]
 
 
 class TestPairRelations:
@@ -499,6 +511,75 @@ def test_greedy_scan_keeps_what_a_scan_of_every_candidate_keeps(case):
     assert (refs.tolist(), preds.tolist()) == scan_greedy(table, *first)
     kept = list(zip(*scan_greedy(table)))
     assert repr(match_greedy(table)) == f"Matching(pairs={frozenset(set(kept))!r}, policy='greedy')"
+
+
+def _painted(n: int, active: bool, cuts) -> np.ndarray:
+    """A mask of ``n`` frames whose stretches end at the ascending frames
+    ``cuts``, alternately active and not from ``active`` on; what the
+    stretches leave is inactive."""
+    mask, at = np.zeros(n, bool), 0
+    for cut in cuts:
+        mask[at:cut] = active
+        at, active = cut, not active
+    return mask
+
+
+@st.composite
+def _stretch_masks(draw):
+    """A reference and a prediction mask of one length, 20 to 400 frames.
+    The prediction's stretches end where the reference's do, each end a few
+    frames off, so that candidates abound, or where its own do."""
+    def cuts():
+        count = draw(st.integers(0, 40))
+        return np.cumsum(draw(st.lists(st.integers(1, 30), min_size=count, max_size=count)))
+
+    n, active, ref_cuts = draw(st.integers(20, 400)), draw(st.booleans()), cuts()
+    if draw(st.booleans()):
+        shifts = draw(st.lists(st.integers(-3, 3), min_size=ref_cuts.size, max_size=ref_cuts.size))
+        pred_cuts = np.maximum.accumulate(np.maximum(ref_cuts + np.array(shifts, int), 0))
+        return _painted(n, active, ref_cuts), _painted(n, active, pred_cuts)
+    return _painted(n, active, ref_cuts), _painted(n, draw(st.booleans()), cuts())
+
+
+def _matched_cost(table, matching) -> float:
+    costs = dict(zip(zip(table.ref_index.tolist(), table.pred_index.tolist()), table.cost.tolist()))
+    return sum(costs[pair] for pair in matching.pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stretch_masks(), st.sampled_from((0, 1, 3)), st.sampled_from((0.01, 0.04, 0.1)))
+def test_matching_decomposes_over_activity_components(masks, gap, epsilon):
+    # A component is a maximal run of frames where either side's merged
+    # runs are active; no candidate joins two, so each matches on its own.
+    h = 0.01
+    runs = [intervals.intervals(mask, h, gap * h) for mask in masks]
+    active = np.zeros(masks[0].size, bool)
+    for lo, hi in runs:
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            active[a:b] = True
+    first, last = intervals.intervals(active, h)
+    comps = [first.searchsorted(lo, side="right") - 1 for lo, _ in runs]
+    for (lo, hi), comp in zip(runs, comps):
+        assert np.all(first[comp] <= lo) and np.all(hi <= last[comp])
+    refs, preds = (intervals.Family(lo * h, hi * h) for lo, hi in runs)
+    table = candidates(refs, preds, epsilon)
+    assert np.array_equal(comps[0][table.ref_index], comps[1][table.pred_index])
+    within = all(np.unique(side).size <= intervals.DEFAULT_EXACT_BOUND
+                 for side in (table.ref_index, table.pred_index))
+    greedy, count, cost = set(), 0, 0.0
+    for c in range(first.size):
+        ri, pi = ((comp == c).nonzero()[0] for comp in comps)
+        sub = candidates(intervals.Family(refs.start[ri], refs.end[ri]),
+                         intervals.Family(preds.start[pi], preds.end[pi]), epsilon)
+        greedy |= {(int(ri[a]), int(pi[b])) for a, b in match_greedy(sub).pairs}
+        if within:
+            exact = match_exact(sub)
+            count, cost = count + len(exact), cost + _matched_cost(sub, exact)
+    assert match_greedy(table).pairs == greedy
+    if within:
+        exact = match_exact(table)
+        assert len(exact) == count
+        assert math.isclose(_matched_cost(table, exact), cost)
 
 
 MIXED_CONTRACT = """set tolerance 0.03
@@ -1531,6 +1612,67 @@ def test_streaming_atom_truth_is_the_truth_of_bool():
         with pytest.raises(UnknownAtomError) as caught:
             StreamingMonitor(parse_text(text), 0.02).step({"b": True})
         assert caught.value.name == "a"
+
+
+# ---------------------------------------------------------------------------
+# Laws of the finite core, on the plan and on the streaming monitor, with
+# radii of exactly k frames.
+
+_LAW_STEPS = (0.01, 0.02, 1024 / 44100)
+
+
+@st.composite
+def _two_atoms(draw):
+    n = draw(st.integers(0, 60))
+    return {name: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+            for name in ("p", "q")}
+
+
+def _radius(k: int, h: float) -> float:
+    radius = k * h
+    assert radius_frames(radius, h) == k
+    return radius
+
+
+def _streamed(formula, h: float, atoms) -> list[bool]:
+    monitor = StreamingMonitor(formula, h)
+    rows = [dict(zip(atoms, values)) for values in zip(*(a.tolist() for a in atoms.values()))]
+    verdicts = [v for row in rows for _, v in monitor.step(row)]
+    return verdicts + [v for _, v in monitor.finalize()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_atoms(), st.sampled_from(_LAW_STEPS), st.integers(2, 12))
+def test_always_is_not_future_not(atoms, h, k):
+    r, p = _radius(k, h), Atom("p")
+    always, dual = Always(p, r), Not(Future(Not(p), r))
+    values = share_subformulas([always, dual], h).evaluate(atoms)
+    assert np.array_equal(values[always], values[dual])
+    assert _streamed(always, h, atoms) == _streamed(dual, h, atoms) == values[always].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_atoms(), st.sampled_from(_LAW_STEPS), st.integers(2, 12), st.integers(2, 12))
+def test_future_and_near_grow_and_always_shrinks_with_the_radius(atoms, h, k, m):
+    small, large = _radius(min(k, m), h), _radius(max(k, m), h)
+    p = Atom("p")
+    pairs = [(cls(p, small), cls(p, large)) for cls in (Future, Near, Always)]
+    values = share_subformulas([f for pair in pairs for f in pair], h).evaluate(atoms)
+    (f_small, f_large), (n_small, n_large), (g_small, g_large) = (
+        (values[a], values[b]) for a, b in pairs
+    )
+    assert np.all(f_small <= f_large) and np.all(n_small <= n_large)
+    assert np.all(g_large <= g_small)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_atoms(), st.sampled_from(_LAW_STEPS), st.integers(2, 12))
+def test_until_unrolls_by_one_frame(atoms, h, k):
+    p, q = Atom("p"), Atom("q")
+    until, shorter = Until(p, q, _radius(k, h)), Until(p, q, _radius(k - 1, h))
+    values = share_subformulas([until, shorter], h).evaluate(atoms)
+    later = np.append(values[shorter][1:], False)  # false past the last frame
+    assert np.array_equal(values[until], atoms["q"] | (atoms["p"] & later))
 
 
 # ---------------------------------------------------------------------------

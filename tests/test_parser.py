@@ -99,6 +99,9 @@ def test_unknown_atoms_are_not_a_parse_error():
         ("N[0] a", "positive radius"),
         ("N[0.0] a", "positive radius"),
         ("a U[0] b", "positive radius"),
+        # A literal past the largest float reads as infinity.
+        pytest.param("F[" + "9" * 320 + "] a", "finite radius", id="F[320 nines] a"),
+        pytest.param("a U[1" + "0" * 400 + "] b", "finite radius", id="a U[1e400] b"),
     ],
 )
 def test_rejections_carry_expected_and_span(source, expected_fragment):

@@ -57,6 +57,29 @@ def test_src_lines_counts_physical_and_code_only_lines(tmp_path):
     ]
 
 
+def test_src_lines_prints_the_change_from_a_base_tree(tmp_path):
+    # The head edits sample.py, adds added.py and drops dropped.py.
+    base, head = tmp_path / "base", tmp_path / "head"
+    for root in (base, head):
+        root.mkdir()
+    (base / "sample.py").write_text(SAMPLE)
+    (base / "dropped.py").write_text("x = 1\ny = 2\n")
+    (head / "sample.py").write_text(SAMPLE + "\n\nPI2 = 2 * math.pi\n")
+    (head / "added.py").write_text("# only a comment\n")
+    out = subprocess.run(
+        [sys.executable, str(SRC_LINES), str(base), str(head)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert rows == [
+        ["lines", "code", "+lines", "+code", "module"],
+        ["1", "0", "+1", "+0", "added.py"],
+        ["0", "0", "-2", "-2", "dropped.py"],
+        ["13", "4", "+3", "+1", "sample.py"],
+        ["14", "4", "+2", "-1", "total"],
+    ]
+
+
 def _timed_table() -> tuple:
     """The ``TIMED`` literal of ``bench/spans.py``, read without importing it."""
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))

@@ -5,7 +5,11 @@ code-only lines: lines that hold a token other than a comment and lie
 outside every module, class and function docstring, so blank lines,
 comment lines and docstrings do not count.  Standard library only.
 
-    python tools/src_lines.py [ROOT]    # ROOT defaults to src
+    python tools/src_lines.py [ROOT]        # ROOT defaults to src
+    python tools/src_lines.py BASE HEAD     # HEAD's counts, and their change from BASE
+
+Given two roots, each module of either tree is printed with HEAD's counts
+(0 for a module HEAD lacks) and then their signed change against BASE's.
 """
 
 from __future__ import annotations
@@ -52,18 +56,33 @@ def count_lines(data: bytes) -> tuple[int, int]:
     return len(data.splitlines()), len(code - _docstring_lines(source))
 
 
+def _counts(root: Path) -> dict[str, tuple[int, int]]:
+    """Physical and code-only lines of each module under ``root``, by path."""
+    return {
+        path.relative_to(root).as_posix(): count_lines(path.read_bytes())
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", nargs="?", default="src", type=Path)
-    root = parser.parse_args(argv).root
-    total_lines = total_code = 0
-    print(f"{'lines':>7} {'code':>7}  module")
-    for path in sorted(root.rglob("*.py")):
-        lines, code = count_lines(path.read_bytes())
-        total_lines += lines
-        total_code += code
-        print(f"{lines:>7} {code:>7}  {path.relative_to(root).as_posix()}")
-    print(f"{total_lines:>7} {total_code:>7}  total")
+    parser.add_argument("head", nargs="?", default=None, type=Path)
+    args = parser.parse_args(argv)
+    head = _counts(args.head or args.root)
+    base = {} if args.head is None else _counts(args.root)
+    rows = [(name, head.get(name, (0, 0)), base.get(name, (0, 0)))
+            for name in sorted(head.keys() | base.keys())]
+    head_total = tuple(sum(row[1][i] for row in rows) for i in (0, 1))
+    base_total = tuple(sum(row[2][i] for row in rows) for i in (0, 1))
+    rows.append(("total", head_total, base_total))
+    change = "" if args.head is None else f" {'+lines':>7} {'+code':>7}"
+    print(f"{'lines':>7} {'code':>7}{change}  module")
+    for name, now, before in rows:
+        cells = f"{now[0]:>7} {now[1]:>7}"
+        if args.head is not None:
+            cells += f" {now[0] - before[0]:>+7} {now[1] - before[1]:>+7}"
+        print(f"{cells}  {name}")
     return 0
 
 
