@@ -26,12 +26,10 @@ one-group case.  Witnesses extend the axis to pairs: the distinct
 (obligation, witness) formulas of every row, and the two edge pairs, are
 placed one after another, so one distance scan serves every pair and
 group, and each (pair, group) mean is :func:`_mean` of one slice of it.
-The same scan counts each frame clause ``x -> N[r] y @ x`` over edge
-atoms (:func:`_counted`), as every default guard is: an x frame
-satisfies it exactly when its nearest y frame lies within the window's
-frame radius.  Only the other frame clauses are evaluated, as stacks, by
-one plan.  The soft boundary of every group is likewise one scan of the
-placed edges.
+The same scan counts every frame clause that :func:`_route` gives a
+counted route, every default guard among them; only the other frame
+clauses are evaluated, as stacks, by one plan.  The soft boundary of
+every group is likewise one scan of the placed edges.
 """
 
 from __future__ import annotations
@@ -667,11 +665,10 @@ class _TraceRuns:
         distances from the obligation's frames to the nearest witness frame
         (``None`` when either set is empty), and the number of obligated
         frames if there are no witness frames, else 0; ``values`` holds the
-        plan's valuations of formulas other than atoms.  Then, per
-        ``(pair, R)`` of ``counted``, per group, the score of
-        ``x -> N[r] y @ x`` for the pair (x, y) and R = ``radius_frames(r, h)``
-        (see :func:`_counted`): x's frames are obligated, and those more than
-        R frames from every y frame, all of them in a group with no y frame,
+        plan's valuations of formulas other than atoms.  Then, per counted
+        route ``((x, y), R)`` of :func:`_route` in ``counted``, per group,
+        its clause's score: x's frames are obligated, and those more than R
+        frames from every y frame, all of them in a group with no y frame,
         are violated.
 
         One distance pass serves every pair and group: pair j's runs are
@@ -761,35 +758,28 @@ def _trace_runs(ref: np.ndarray, pred: np.ndarray, h: float, merge_gap: float) -
     )
 
 
-def _witness_pair(clause: FrameClause) -> tuple[Formula, Formula] | None:
-    """The (obligation, witness) formulas of a clause of the shape
-    ``x -> N[r] y`` (the five default guards), whose witness is the mean
-    nearest-``y`` distance; other formula shapes have no generic distance
-    semantics."""
+def _route(clause: FrameClause, runs: _TraceRuns) -> tuple[
+        tuple[Formula, Formula] | None, tuple[tuple[Formula, Formula], int] | None]:
+    """How the monitor scores a frame clause: its witness pair and its
+    counted route, each ``None`` where it has none.
+
+    A clause ``x -> N[r] y @ o`` (the five default guards) has the witness
+    pair (o, y), whose witness is the mean nearest-y distance; other
+    formula shapes have no generic distance semantics.  When o is x and
+    ``runs`` holds both atoms, the witness pass also counts the clause, on
+    the route ``((x, y), R)`` with R = ``radius_frames(r, h)``: an x frame
+    satisfies ``N[r] y`` exactly when its nearest y frame is at most R
+    frames away, the window read as a dilation of y.  Every clause without
+    a route, one with an unknown atom included, is planned: the plan
+    evaluates it, and names the atom."""
     formula = clause.formula
-    if (
-        isinstance(formula, Implies)
-        and isinstance(formula.left, Atom)
-        and isinstance(formula.right, Near)
-        and isinstance(formula.right.child, Atom)
-    ):
-        return clause.obligation, formula.right.child
-    return None
-
-
-def _counted(clause: FrameClause, runs: _TraceRuns) -> tuple[tuple[Formula, Formula], int] | None:
-    """The witness pair (x, y) and frame radius R of a clause
-    ``x -> N[r] y @ x`` over two atoms that ``runs`` holds, whose counts
-    the witness pass gives: an x frame satisfies ``N[r] y`` exactly when its
-    nearest y frame is at most R = ``radius_frames(r, h)`` frames away, the
-    window read as a dilation of y.  ``None`` for any other clause, one with
-    an unknown atom included: the plan evaluates it, and names the atom."""
-    pair = _witness_pair(clause)
-    if pair is None or pair[0] != clause.formula.left:
-        return None
-    if not all(atom.name in runs.atom_runs for atom in pair):
-        return None
-    return pair, radius_frames(clause.formula.right.radius, runs.h)
+    if not (isinstance(formula, Implies) and isinstance(formula.left, Atom)
+            and isinstance(formula.right, Near) and isinstance(formula.right.child, Atom)):
+        return None, None
+    pair = clause.obligation, formula.right.child
+    if pair[0] != formula.left or not all(atom.name in runs.atom_runs for atom in pair):
+        return pair, None
+    return pair, (pair, radius_frames(formula.right.radius, runs.h))
 
 
 def latency_score(refs, preds, lead: float, lag: float) -> ObligationScore:
@@ -900,58 +890,50 @@ def _monitor(
     contract on that group's trace pair.  The rows are the groups in order,
     or the one group under each of several contracts, all of one matcher.
 
-    A frame clause ``x -> N[r] y @ x`` over known atoms (:func:`_counted`;
-    the five default guards) is counted by the witness pass.  Only the
-    other frame clauses are planned: one plan of their formulas and
-    obligations, over the distinct contracts, gives their valuations as
-    ``(G, n)`` stacks, which each such clause's counts read once for all
-    groups; a contract with no such clause plans and evaluates nothing.
-    Each distinct contract keeps one record per frame clause: its witness
-    pair, its counted route and its planned scores.  One
-    :meth:`_TraceRuns.witnesses` pass finds every (obligation, witness)
-    pair of every row, the edge pairs included, and every counted clause's
-    counts, for all groups.  One :func:`intervals._match` serves all rows,
-    drawn in order as the results are made: a row's matching is drawn, and
-    an exact row over the bound raises, after every earlier row's clauses
-    and before its own, so the first row in order decides.  An unknown atom
-    is raised by the plan, before any row; the counts and the witness pass
-    raise none."""
+    Each distinct contract, by identity, keeps the :func:`_route` of each
+    frame clause.  The clauses without a counted route are planned: one
+    plan of their formulas and obligations, over the distinct contracts,
+    gives their valuations as ``(G, n)`` stacks, and each such clause's
+    scores, read once for all groups, are kept by clause; a contract with
+    none plans and evaluates nothing.  One :meth:`_TraceRuns.witnesses`
+    pass finds every witness pair of every row, the edge pairs included,
+    and every counted route's counts, for all groups.  One
+    :func:`intervals._match` serves all rows, drawn in order as the results
+    are made: a row's matching is drawn, and an exact row over the bound
+    raises, after every earlier row's clauses and before its own, so the
+    first row in order decides.  An unknown atom is raised by the plan,
+    before any row; the counts and the witness pass raise none."""
     distinct = {id(contract): contract for _, contract, _ in rows}
     [policy] = {contract.matcher for contract in distinct.values()}
-    records = {  # by contract identity: per frame clause, [witness pair, route, scores]
-        key: [[_witness_pair(c), _counted(c, runs), None] for c in contract.frame_clauses]
-        for key, contract in distinct.items()
-    }
-    planned = [  # the clauses that no route counts, with their records
-        (c, record) for key, contract in distinct.items()
-        for c, record in zip(contract.frame_clauses, records[key]) if record[1] is None
-    ]
-    values = {}
+    routes = {key: tuple(_route(c, runs) for c in contract.frame_clauses)
+              for key, contract in distinct.items()}
+    planned = dict.fromkeys(c for key, contract in distinct.items()
+                            for c, (_, route) in zip(contract.frame_clauses, routes[key])
+                            if route is None)
+    values, stacked = {}, {}
     if planned:
-        plan = share_subformulas(_frame_formulas(c for c, _ in planned), runs.h)
-        values = plan.evaluate(runs.atoms)
+        values = share_subformulas(_frame_formulas(planned), runs.h).evaluate(runs.atoms)
         scratch = np.empty_like(runs.masks[0])
-        for c, record in planned:
-            record[2] = _stacked_scores(values[c.formula], values[c.obligation], scratch)
+        stacked = {c: _stacked_scores(values[c.formula], values[c.obligation], scratch)
+                   for c in planned}
     [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
                        [c.tolerance for _, c, _ in rows], (policy,))
-    frame_records = [record for clauses in records.values() for record in clauses]
-    pairs = dict.fromkeys([*(pair for pair, _, _ in frame_records), *EDGE_PAIRS])
-    pairs.pop(None, None)
+    frame_routes = [r for clause_routes in routes.values() for r in clause_routes]
+    pairs = dict.fromkeys([*(pair for pair, _ in frame_routes if pair), *EDGE_PAIRS])
     # The frame formulas' valuations are freed before the witness pass.
     values = {f: values[f] for f, _ in pairs if not isinstance(f, Atom)}
-    counted = dict.fromkeys(route for _, route, _ in frame_records if route)
+    counted = dict.fromkeys(route for _, route in frame_routes if route)
     summaries, counts = runs.witnesses(list(pairs), values, counted)
     onsets, offsets = (summaries[pair] for pair in EDGE_PAIRS)
     results = []
     for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
-        frame = iter(records[id(contract)])
+        frame = iter(routes[id(contract)])
         refs, preds = runs.by_group[group]
         coordinates = []
         for clause in contract.clauses:
             if isinstance(clause, FrameClause):
-                pair, route, stacked = next(frame)
-                value = (counts[route] if route else stacked)[group]
+                pair, route = next(frame)
+                value = (counts[route] if route else stacked[clause])[group]
                 witness = None if pair is None else summaries[pair][group][0]
                 kind = "frame"
             else:

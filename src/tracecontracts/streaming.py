@@ -49,10 +49,11 @@ verdicts agree bit for bit with offline evaluation of the completed trace.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import deque
 from typing import Mapping
 
-from .frames import EvaluationPlan, UnknownAtomError, share_subformulas
+from .frames import ContractError, EvaluationPlan, UnknownAtomError, share_subformulas
 from .parser import TEMPORAL, Always, And, Atom, Formula, Implies, Near, Not, Or, Until
 
 # Pointwise operators on Python bools; ``a <= b`` is ``a -> b``.
@@ -211,12 +212,16 @@ class StreamingMonitor:
 
     Verdicts are emitted in strictly increasing frame order and are never
     revised.  ``finalize`` flushes the right-clipped tail and exhausts the
-    monitor.
+    monitor.  A lookahead of ``sys.maxsize`` frames or more, which no stream
+    could index, raises :class:`ContractError` before any ring is made.
     """
 
     def __init__(self, formula: Formula, frame_step: float) -> None:
         plan = share_subformulas([formula], frame_step)
         reach = plan.reach[formula]
+        if reach.frames >= sys.maxsize:
+            raise ContractError(f"lookahead radius {reach.seconds!r} spans more frames of step"
+                                f" {frame_step!r} than a stream can index")
         self.formula = formula
         self.frame_step = frame_step
         self.lookahead_seconds = reach.seconds

@@ -671,6 +671,21 @@ def test_a_radius_too_large_for_the_frame_step_exits_two(command, worked_files, 
         assert main(argv) == 0
 
 
+def test_a_stream_past_every_frame_index_exits_two(tmp_path, capsys):
+    # 40 ms at a 1e-300 s step: monitor counts its frames, stream cannot index them.
+    contract_path, trace_path, out = tmp_path / "c.contract", tmp_path / "t.json", tmp_path / "out"
+    contract_path.write_text(default_contract_text(0.04))
+    trace_path.write_text('{"frame_step": 1e-300, "union": {"ref": "0110", "pred": "0100"}}')
+    argv = [str(contract_path), str(trace_path), "--out", str(out)]
+    assert main(["stream", *argv, "--clause", "onset_guard"]) == 2
+    assert capsys.readouterr().err == (
+        "contract error: lookahead radius 0.04 spans more frames of step 1e-300"
+        " than a stream can index\n"
+    )
+    assert not out.exists()
+    assert main(["monitor", *argv]) == 0
+
+
 @pytest.mark.parametrize("command", ["check", "monitor"])
 def test_a_radius_literal_past_every_float_exits_two_with_a_caret(
     command, worked_files, tmp_path, capsys

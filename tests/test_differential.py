@@ -20,7 +20,8 @@ per event and one arm per kind: equal array bytes, dtype and shape, or
 equal exception types and messages.  Two kinds of property stand beside
 the oracles: matching decomposes over activity components, and the finite
 core keeps its laws (duality, monotone radii, the one-frame unrolling of
-until) on the plan and the streaming monitor.
+until) on the plan and the streaming monitor.  The window fragment's frame
+valuations are its continuous-time interval semantics sampled on the grid.
 """
 
 import ast
@@ -28,6 +29,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,13 +48,12 @@ from tracecontracts.contracts import (
     FrameClause,
     GuardCoordinate,
     GuardVector,
-    _counted,
     _frame_runs,
     _gap_distances,
     _macro,
     _monitor_stack,
+    _route,
     _trace_runs,
-    _witness_pair,
     compile_contract,
     contract_to_text,
     default_contract,
@@ -1106,16 +1107,14 @@ def test_one_witness_pass_matches_a_pass_per_pair():
         for contract in contracts:
             runs, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
             values = compile_contract(contract, h).evaluate(runs.atoms)
-            pairs = list(dict.fromkeys(
-                [_witness_pair(c) for c in contract.frame_clauses if _witness_pair(c)]
-                + list(EDGE_PAIRS)
-            ))
+            witness_pairs = [_route(c, runs)[0] for c in contract.frame_clauses]
+            pairs = list(dict.fromkeys([p for p in witness_pairs if p] + list(EDGE_PAIRS)))
             found, _ = runs.witnesses(pairs, values)
             want = {pair: pair_witness(runs, *pair, values) for pair in pairs}
             assert found == want
             for g, result in enumerate(results):
                 for clause, coord in zip(contract.clauses, result.guards):
-                    pair = _witness_pair(clause) if isinstance(clause, FrameClause) else None
+                    pair = _route(clause, runs)[0] if isinstance(clause, FrameClause) else None
                     if pair is not None:
                         assert coord.witness_mean == want[pair][g][0]
                 witnesses = result.witnesses
@@ -1146,7 +1145,7 @@ def _assert_counted_as_scored(contract, result, ref, pred, h):
     env = derive_edge_atoms(ref, pred, h)
     counted = 0
     for clause, coord in zip(contract.clauses, result.guards):
-        if isinstance(clause, FrameClause) and _counted(clause, runs):
+        if isinstance(clause, FrameClause) and _route(clause, runs)[1]:
             counted += 1
             want = frames.score(clause.formula, clause.obligation, env)
             got = (coord.obligated, coord.satisfied, coord.violated, coord.score)
@@ -1673,6 +1672,98 @@ def test_until_unrolls_by_one_frame(atoms, h, k):
     values = share_subformulas([until, shorter], h).evaluate(atoms)
     later = np.append(values[shorter][1:], False)  # false past the last frame
     assert np.array_equal(values[until], atoms["q"] | (atoms["p"] & later))
+
+
+# ---------------------------------------------------------------------------
+# The window fragment embeds in continuous time after grid projection: a
+# formula over piecewise-constant signals, evaluated on half-open interval
+# sets with exact endpoints (Maler & Nickovic, FORMATS 2004), and sampled at
+# the grid points, is the frame valuation.
+
+# Each law step as the exact rational it stands for.
+_EXACT_STEPS = {0.01: Fraction("0.01"), 0.02: Fraction("0.02"), 1024 / 44100: Fraction(1024, 44100)}
+
+# Radii of at most four decimals, 0.1 ms to 150 ms.  At each law step their
+# exact quotient is a whole number of frames or more than 1e-6 frames from
+# one, so float division, less the grid tolerance, rounds it up as exact
+# arithmetic does.
+_FOUR_DECIMAL_RADII = st.integers(1, 1500).map(lambda k: float(f"{k / 10000:.4f}"))
+
+
+def _window_formulas():
+    """Formulas over ``p`` and ``q`` of ``!``, ``&``, ``|``, ``->``, ``F``,
+    ``N`` and ``G``."""
+    def grow(kids):
+        binary = st.tuples(st.sampled_from((And, Or, Implies)), kids, kids)
+        window = st.tuples(st.sampled_from((Future, Near, Always)), kids, _FOUR_DECIMAL_RADII)
+        return st.one_of(kids.map(Not), binary.map(lambda t: t[0](t[1], t[2])),
+                         window.map(lambda t: t[0](t[1], t[2])))
+
+    return st.recursive(st.sampled_from((Atom("p"), Atom("q"))), grow, max_leaves=6)
+
+
+def _interval_oracle(formula, atoms: dict[str, np.ndarray], h: float) -> list[bool]:
+    """The formula's truth at each grid point ``i * step`` of ``[0, n * step)``,
+    from its satisfaction set as sorted disjoint half-open intervals with
+    ``Fraction`` endpoints, restricted to ``[0, n * step)``.  Frame i's value
+    holds on ``[i * step, (i + 1) * step)``.  A radius r projects to
+    ``R = max(1, ceil(r / step)) * step``, from its decimal text; it must
+    be ``radius_frames(r, h)`` frames.  ``F[R]`` is the union of
+    ``[a - R, b)`` over the child's intervals ``[a, b)``, ``N[R]`` that of
+    ``[a - R, b + R)``, and ``G[R] p`` is ``!F[R] !p``."""
+    step = _EXACT_STEPS[h]
+    n = len(atoms["p"])
+    end = n * step
+
+    def union(spans):
+        out = []
+        for a, b in sorted((max(a, 0), min(b, end)) for a, b in spans):
+            if a >= b:
+                continue
+            if out and a <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], b))
+            else:
+                out.append((a, b))
+        return out
+
+    def complement(spans):
+        edges = [Fraction(0), *(x for span in spans for x in span), end]
+        return union(zip(edges[0::2], edges[1::2]))
+
+    def holds(f):
+        if isinstance(f, Atom):
+            return union((i * step, (i + 1) * step) for i in np.flatnonzero(atoms[f.name]).tolist())
+        if isinstance(f, Not):
+            return complement(holds(f.child))
+        if isinstance(f, (And, Or, Implies)):
+            left, right = holds(f.left), holds(f.right)
+            if isinstance(f, And):
+                return complement(union(complement(left) + complement(right)))
+            return union((complement(left) if isinstance(f, Implies) else left) + right)
+        frames = max(1, math.ceil(Fraction(repr(f.radius)) / step))
+        assert radius_frames(f.radius, h) == frames, (f.radius, h)
+        R = frames * step
+        if isinstance(f, Always):
+            return complement(union((a - R, b) for a, b in complement(holds(f.child))))
+        return union((a - R, b + (R if isinstance(f, Near) else 0)) for a, b in holds(f.child))
+
+    spans = holds(formula)
+    return [any(a <= i * step < b for a, b in spans) for i in range(n)]
+
+
+# 0.07 s over 0.01 s is 7.000000000000001 in floats: without the grid
+# tolerance it would project to 8 frames, and F would see frame 8.
+_SEVENTH = {"p": np.arange(12) == 8, "q": np.zeros(12, bool)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_atoms(), st.sampled_from(_LAW_STEPS), _window_formulas())
+@example(_SEVENTH, 0.01, Future(Atom("p"), 0.07))
+@example(_SEVENTH, 0.01, Always(Not(Atom("p")), 0.07))
+def test_the_window_fragment_is_its_interval_semantics_on_the_grid(atoms, h, formula):
+    want = _interval_oracle(formula, atoms, h)
+    assert share_subformulas([formula], h).evaluate(atoms)[formula].tolist() == want
+    assert naive_evaluate(formula, TraceEnvironment(h, len(want), atoms)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Streaming monitor: offline equivalence, bounded buffering, no revision."""
 
 import random
+import sys
 
 import pytest
 
 from tracecontracts.frames import (
+    ContractError,
     TraceEnvironment,
     UnknownAtomError,
     evaluate,
     radius_frames,
     share_subformulas,
 )
-from tracecontracts.parser import Atom, Near, parse_text
+from tracecontracts.parser import Atom, Future, Near, parse_text
 from tracecontracts import streaming
 from tracecontracts.streaming import StreamingMonitor
 
@@ -200,6 +202,21 @@ def test_a_ring_is_kept_only_for_a_pointwise_read_at_a_later_step():
 def test_a_huge_radius_builds_one_ring_of_its_reach():
     monitor = StreamingMonitor(parse_text("ref_onset -> N[1000.0] pred_onset"), 0.01)
     assert sum(map(len, _rings(monitor).values())) == 100001
+
+
+def test_a_lookahead_past_every_index_is_refused_before_any_ring():
+    # 40 ms at a 1e-300 s step is a finite frame count that no ring can hold.
+    with pytest.raises(ContractError) as excinfo:
+        StreamingMonitor(parse_text("ref_onset -> N[0.04] pred_onset"), 1e-300)
+    assert str(excinfo.value) == (
+        "lookahead radius 0.04 spans more frames of step 1e-300 than a stream can index"
+    )
+    # The bound is sys.maxsize frames.  F keeps no ring, so a lookahead of
+    # half of it is built; one frame past it is refused.
+    half = (sys.maxsize + 1) // 2
+    assert StreamingMonitor(Future(Atom("a"), float(half)), 1.0).lookahead_frames == half
+    with pytest.raises(ContractError, match="than a stream can index"):
+        StreamingMonitor(Future(Atom("a"), float(sys.maxsize + 1)), 1.0)
 
 
 BOUNDED_FORMULAS = (
