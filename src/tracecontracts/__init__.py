@@ -83,9 +83,7 @@ from .contracts import (
 )
 from .basis import (
     CalibrationCase,
-    CandidateBasis,
     SelectionResult,
-    basis_from_contract,
     load_calibration,
     observational_classes,
     retained_basis,

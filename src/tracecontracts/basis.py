@@ -1,6 +1,8 @@
 """Risk-ordered contract selection over a calibration set.
 
-Clause signatures over the calibration cases drive duplicate collapse
+The candidates are a contract's clauses; a clause's source order is its
+position in that contract, and its cost is :func:`clause_cost`.  Clause
+signatures over the calibration cases drive duplicate collapse
 (observational equivalence), retained-basis construction, and the search
 for the lexicographically least separating contract under (coordinate
 count, monitor cost, source order).  A calibration set is a JSON file
@@ -39,29 +41,6 @@ class CalibrationCase:
         _check_frame_step(self.frame_step)
 
 
-@dataclass(frozen=True)
-class BasisClause:
-    """A candidate clause with its source position and monitor cost."""
-
-    clause: FrameClause | EventClause
-    source_order: int
-    cost: int
-
-    @property
-    def name(self) -> str:
-        return self.clause.name
-
-
-@dataclass(frozen=True)
-class CandidateBasis:
-    """Ordered candidate clauses plus the settings used to evaluate them."""
-
-    clauses: tuple[BasisClause, ...]
-    tolerance: float
-    merge_gap: float = 0.0
-    matcher: str = "greedy"
-
-
 def clause_cost(clause: FrameClause | EventClause) -> int:
     """Monitor cost in evaluation nodes; event clauses count their two sides."""
     if isinstance(clause, FrameClause):
@@ -69,37 +48,26 @@ def clause_cost(clause: FrameClause | EventClause) -> int:
     return 2
 
 
-def basis_from_contract(contract: Contract) -> CandidateBasis:
-    clauses = tuple(
-        BasisClause(clause, order, clause_cost(clause))
-        for order, clause in enumerate(contract.clauses)
-    )
-    return CandidateBasis(clauses, contract.tolerance, contract.merge_gap, contract.matcher)
-
-
-def clause_value(basis: CandidateBasis, clause: BasisClause, case: CalibrationCase) -> float:
-    """Monitor one clause on one calibration case."""
-    return _case_values(replace(basis, clauses=(clause,)), [case])[0][clause.source_order]
+def clause_value(
+    contract: Contract, clause: FrameClause | EventClause, case: CalibrationCase
+) -> float:
+    """Monitor one clause, under the contract's settings, on one calibration case."""
+    return _case_values(replace(contract, clauses=(clause,)), [case])[0][0]
 
 
 def _case_values(
-    basis: CandidateBasis, cases: Sequence[CalibrationCase]
-) -> list[dict[int, float]]:
-    """Every basis clause's value on each case, by source order.
+    contract: Contract, cases: Sequence[CalibrationCase]
+) -> list[tuple[float, ...]]:
+    """Every clause's value on each case, in clause order.
 
-    The basis is monitored as a contract of its clauses and settings, so
-    each value is the case's :func:`contracts.monitor` coordinate, and bad
-    settings raise :class:`contracts.ContractError`; the silence radius,
-    which no clause reads, is the tolerance, valid for any valid one.  Each
+    Each value is the case's :func:`contracts.monitor` coordinate.  Each
     maximal run of consecutive cases of one length and frame step is one
     stacked :func:`contracts._monitor_stack` pass, so errors come in case
-    order; every case's masks are checked before any pass.  A basis without
-    event clauses is matched greedily, as no coordinate reads the matching,
-    so it never meets the exact matcher's bound.
+    order; every case's masks are checked before any pass.  A contract
+    without event clauses is matched greedily, as no coordinate reads the
+    matching, so it never meets the exact matcher's bound.
     """
-    clauses = tuple(c.clause for c in basis.clauses)
-    contract = Contract(basis.tolerance, basis.tolerance, basis.merge_gap, basis.matcher, clauses)
-    if not any(isinstance(clause, EventClause) for clause in clauses):
+    if not any(isinstance(clause, EventClause) for clause in contract.clauses):
         contract = replace(contract, matcher="greedy")
     stacks = []
     for (n, h), run in groupby(cases, key=lambda case: (len(case.ref_mask), case.frame_step)):
@@ -109,8 +77,7 @@ def _case_values(
     out = []
     for h, ref, pred in stacks:
         _, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
-        out.extend({c.source_order: score for c, score in zip(basis.clauses, result.guards.scores)}
-                   for result in results)
+        out.extend(result.guards.scores for result in results)
     return out
 
 
@@ -118,17 +85,17 @@ def _case_values(
 class ClauseSignature:
     """Clause values across the calibration cases, reproducible by re-monitoring."""
 
-    clause_id: int
+    clause_id: int  # position in the contract
     values: tuple[float, ...]
 
 
 def clause_signatures(
-    basis: CandidateBasis, cases: Sequence[CalibrationCase]
+    contract: Contract, cases: Sequence[CalibrationCase]
 ) -> tuple[ClauseSignature, ...]:
-    per_case = _case_values(basis, cases)
+    per_case = _case_values(contract, cases)
     return tuple(
-        ClauseSignature(clause.source_order, tuple(case[clause.source_order] for case in per_case))
-        for clause in basis.clauses
+        ClauseSignature(order, tuple(case[order] for case in per_case))
+        for order in range(len(contract.clauses))
     )
 
 
@@ -136,7 +103,7 @@ def clause_signatures(
 class ObservationalClass:
     """Clauses indistinguishable on every calibration case."""
 
-    members: tuple[int, ...]  # source orders, ascending
+    members: tuple[int, ...]  # positions in the contract, ascending
     values: tuple[float, ...]
     constant: bool
 
@@ -146,10 +113,10 @@ class ObservationalClass:
 
 
 def observational_classes(
-    basis: CandidateBasis, cases: Sequence[CalibrationCase]
+    contract: Contract, cases: Sequence[CalibrationCase]
 ) -> tuple[ObservationalClass, ...]:
     """Partition clauses by exact equality of their calibration signatures."""
-    return _classes_of(clause_signatures(basis, cases))
+    return _classes_of(clause_signatures(contract, cases))
 
 
 def _classes_of(signatures: Sequence[ClauseSignature]) -> tuple[ObservationalClass, ...]:
@@ -164,21 +131,18 @@ def _classes_of(signatures: Sequence[ClauseSignature]) -> tuple[ObservationalCla
     return tuple(classes)
 
 
-def retained_basis(
-    basis: CandidateBasis, cases: Sequence[CalibrationCase]
-) -> CandidateBasis:
-    """Lowest-source-order representative per nonconstant class.
+def _kept(classes: Sequence[ObservationalClass]) -> tuple[int, ...]:
+    """The representative of each nonconstant class, ascending."""
+    return tuple(sorted(cls.representative for cls in classes if not cls.constant))
+
+
+def retained_basis(contract: Contract, cases: Sequence[CalibrationCase]) -> Contract:
+    """The contract of the first clause of each nonconstant class, in order.
 
     Constant clauses cannot separate any risk pair and are removed.
     """
-    return _retained_of(basis, observational_classes(basis, cases))
-
-
-def _retained_of(
-    basis: CandidateBasis, classes: Sequence[ObservationalClass]
-) -> CandidateBasis:
-    keep = {cls.representative for cls in classes if not cls.constant}
-    return replace(basis, clauses=tuple(c for c in basis.clauses if c.source_order in keep))
+    kept = _kept(observational_classes(contract, cases))
+    return replace(contract, clauses=tuple(contract.clauses[order] for order in kept))
 
 
 @dataclass(frozen=True)
@@ -186,48 +150,51 @@ class SelectionResult:
     """Outcome of the separating-contract search.
 
     ``certificate`` maps each strict risk pair (low id, high id) to the
-    witnessing clause's source order.  Infeasibility is a result, not an
-    error: ``unseparated_pair`` names a strict pair no candidate clause
-    separates.
+    witnessing clause's position in the contract.  Infeasibility is a
+    result, not an error: ``unseparated_pair`` names a strict pair no
+    candidate clause separates.
     """
 
     feasible: bool
-    selected: tuple[BasisClause, ...]
+    selected: tuple[FrameClause | EventClause, ...]
     certificate: tuple[tuple[str, str, int], ...]
     unseparated_pair: tuple[str, str] | None = None
 
 
-def select_contract(basis: CandidateBasis, cases: Sequence[CalibrationCase]) -> SelectionResult:
-    """Lexicographically least separating subset of the basis.
+def select_contract(contract: Contract, cases: Sequence[CalibrationCase]) -> SelectionResult:
+    """Lexicographically least separating subset of the contract's clauses.
 
     A subset separates the risk order when for every pair with strictly
     lower risk the lower-risk case scores strictly higher on at least one
-    selected clause.  Subsets are compared by (size, total monitor cost,
-    sorted source-order tuple); the search enumerates ascending by size.
+    selected clause.  Subsets are compared by (size, total
+    :func:`clause_cost`, sorted positions in the contract); the search
+    enumerates ascending by size.
     """
-    return _select_from(basis, cases, clause_signatures(basis, cases))
+    orders = range(len(contract.clauses))
+    return _select_from(contract, orders, cases, clause_signatures(contract, cases))
 
 
 def _select_from(
-    basis: CandidateBasis,
+    contract: Contract,
+    orders: Sequence[int],
     cases: Sequence[CalibrationCase],
     signatures: Sequence[ClauseSignature],
 ) -> SelectionResult:
-    """:func:`select_contract` from signatures that cover the basis clauses."""
-    values = {sig.clause_id: sig.values for sig in signatures}
+    """:func:`select_contract` over the clauses at the ascending positions
+    ``orders``, from the signatures of all of the contract's clauses."""
     constraints: list[tuple[int, int]] = []
     for i, u in enumerate(cases):
         for j, v in enumerate(cases):
             if u.risk < v.risk:
                 constraints.append((i, j))
     clause_masks: dict[int, int] = {}
-    for clause in basis.clauses:
+    for order in orders:
         mask = 0
-        vals = values[clause.source_order]
+        vals = signatures[order].values
         for k, (i, j) in enumerate(constraints):
             if vals[i] > vals[j]:
                 mask |= 1 << k
-        clause_masks[clause.source_order] = mask
+        clause_masks[order] = mask
     full = (1 << len(constraints)) - 1
     union_all = 0
     for mask in clause_masks.values():
@@ -236,42 +203,39 @@ def _select_from(
         for k, (i, j) in enumerate(constraints):
             if not (union_all >> k) & 1:
                 return SelectionResult(False, (), (), (cases[i].id, cases[j].id))
+    cost = {order: clause_cost(contract.clauses[order]) for order in orders}
     best: tuple[int, tuple[int, ...]] | None = None
-    best_subset: tuple[BasisClause, ...] = ()
-    for size in range(0, len(basis.clauses) + 1):
-        for subset in combinations(basis.clauses, size):
+    for size in range(0, len(orders) + 1):
+        for subset in combinations(orders, size):
             covered = 0
-            for clause in subset:
-                covered |= clause_masks[clause.source_order]
+            for order in subset:
+                covered |= clause_masks[order]
             if covered != full:
                 continue
-            key = (
-                sum(c.cost for c in subset),
-                tuple(sorted(c.source_order for c in subset)),
-            )
+            key = (sum(cost[order] for order in subset), subset)
             if best is None or key < best:
                 best = key
-                best_subset = subset
         if best is not None:
             break
-    selected_orders = [c.source_order for c in best_subset]
+    selected_orders = best[1]
     certificate = []
     for k, (i, j) in enumerate(constraints):
         witness = next(o for o in selected_orders if (clause_masks[o] >> k) & 1)
         certificate.append((cases[i].id, cases[j].id, witness))
-    return SelectionResult(True, best_subset, tuple(certificate))
+    selected = tuple(contract.clauses[order] for order in selected_orders)
+    return SelectionResult(True, selected, tuple(certificate))
 
 
 def _selection(
-    basis: CandidateBasis, cases: Sequence[CalibrationCase]
-) -> tuple[tuple[ObservationalClass, ...], CandidateBasis, SelectionResult]:
-    """:func:`observational_classes`, :func:`retained_basis` and
-    :func:`select_contract` over the retained basis, from one pass of
+    contract: Contract, cases: Sequence[CalibrationCase]
+) -> tuple[tuple[ObservationalClass, ...], tuple[int, ...], SelectionResult]:
+    """:func:`observational_classes`, the positions :func:`retained_basis`
+    keeps and :func:`select_contract` over them, from one pass of
     :func:`clause_signatures`."""
-    signatures = clause_signatures(basis, cases)
+    signatures = clause_signatures(contract, cases)
     classes = _classes_of(signatures)
-    retained = _retained_of(basis, classes)
-    return classes, retained, _select_from(retained, cases, signatures)
+    kept = _kept(classes)
+    return classes, kept, _select_from(contract, kept, cases, signatures)
 
 
 def load_calibration(path) -> list[CalibrationCase]:
@@ -283,7 +247,7 @@ def load_calibration(path) -> list[CalibrationCase]:
 
 def _calibration_cases(data, path) -> list[CalibrationCase]:
     """The cases of a parsed calibration file read from ``path``."""
-    from .tracefile import TraceFormatError, parse_mask
+    from .tracefile import TraceFormatError, json_number, parse_mask
 
     if not isinstance(data, list):
         raise TraceFormatError(f"{path}: expected a JSON array of cases")
@@ -299,8 +263,10 @@ def _calibration_cases(data, path) -> list[CalibrationCase]:
                 id=node["id"],
                 ref_mask=tuple(parse_mask(node["ref_mask"], context).view(np.uint8).tolist()),
                 pred_mask=tuple(parse_mask(node["pred_mask"], context).view(np.uint8).tolist()),
-                risk=float(node["risk"]),
-                frame_step=float(node["frame_step"]),
+                risk=json_number(node["risk"], context, "risk must be a JSON number, not NaN"),
+                frame_step=json_number(
+                    node["frame_step"], context, "frame_step must be a JSON number"
+                ),
             )
         except KeyError as exc:
             raise TraceFormatError(f"{context}: missing field {exc}") from None

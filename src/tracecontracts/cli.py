@@ -45,7 +45,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .basis import _calibration_cases, _selection, basis_from_contract
+from .basis import _calibration_cases, _selection, clause_cost
 from .contracts import (
     MATCHER_POLICIES,
     SETTINGS,
@@ -300,10 +300,13 @@ def cmd_monitor(args) -> int:
     soft_scale = args.soft_scale / 1000.0
     guard_rows: list[list[str]] = []
     witness_rows: list[list[str]] = []
-    for _, trace in traces:
+    for path, trace in traces:
         # The union row and the class rows are the groups of one pass; its
         # errors are those of the union row first, then of the classes in order.
         classes = list(trace.classes) if args.classes else []
+        for name in classes:
+            if name in ("union", "macro"):
+                raise TraceFormatError(f"{path}: class {name!r} would share the {name} rows")
         masks = [trace.union_masks(), *(trace.classes[name] for name in classes)]
         ref, pred = (np.stack(stack) for stack in zip(*masks))
         runs, results = _monitor_stack(contract, ref, pred, trace.frame_step, [None, *classes])
@@ -456,44 +459,41 @@ def cmd_select(args) -> int:
     except (TraceFormatError, OSError) as error:
         print(f"calibration error: {error}", file=sys.stderr)
         return EXIT_TRACE
-    basis = basis_from_contract(contract)
-    classes, retained, selection = _selection(basis, cases)
-    by_order = {clause.source_order: clause for clause in basis.clauses}
-    print(f"calibration: {len(cases)} cases, {len(basis.clauses)} candidate clauses")
+    classes, kept, selection = _selection(contract, cases)
+    clauses = contract.clauses
+    print(f"calibration: {len(cases)} cases, {len(clauses)} candidate clauses")
     print("observational classes:")
     for cls in classes:
-        names = ", ".join(by_order[m].name for m in cls.members)
+        names = ", ".join(clauses[m].name for m in cls.members)
         tag = " (constant)" if cls.constant else ""
         print(f"  [{names}]{tag}")
-    print("retained basis: " + ", ".join(c.name for c in retained.clauses))
+    print("retained basis: " + ", ".join(clauses[order].name for order in kept))
     if selection.feasible:
         print("selected contract: " + ", ".join(c.name for c in selection.selected))
         print("separation certificate:")
         for low, high, order in selection.certificate:
-            print(f"  {low} < {high}: {by_order[order].name}")
+            print(f"  {low} < {high}: {clauses[order].name}")
     else:
         low, high = selection.unseparated_pair
         print(f"infeasible: no clause separates {low!r} (lower risk) from {high!r}")
     if args.out:
         # An infeasible selection selects nothing and certifies no pair.
-        selected_orders = {c.source_order for c in selection.selected}
-        retained_orders = {c.source_order for c in retained.clauses}
         class_of = {member: cls for cls in classes for member in cls.members}
         selection_rows = [
             [
-                str(clause.source_order),
+                str(order),
                 clause.name,
-                "frame" if isinstance(clause.clause, FrameClause) else "event",
-                str(clause.cost),
-                "true" if cls.constant else "false",
-                by_order[cls.representative].name,
-                "true" if clause.source_order in retained_orders else "false",
-                "true" if clause.source_order in selected_orders else "false",
+                "frame" if isinstance(clause, FrameClause) else "event",
+                str(clause_cost(clause)),
+                "true" if class_of[order].constant else "false",
+                clauses[class_of[order].representative].name,
+                "true" if order in kept else "false",
+                "true" if clause in selection.selected else "false",
             ]
-            for clause, cls in ((c, class_of[c.source_order]) for c in basis.clauses)
+            for order, clause in enumerate(clauses)
         ]
         certificate_rows = [
-            [low, high, by_order[order].name] for low, high, order in selection.certificate
+            [low, high, clauses[order].name] for low, high, order in selection.certificate
         ]
         _write_report(
             args,

@@ -80,13 +80,23 @@ def _parse_pair(node, context: str) -> tuple[np.ndarray, np.ndarray]:
     return ref, pred
 
 
+def json_number(value, context: str, message: str) -> float:
+    """A JSON number as a float; any other value, a boolean or a numeric
+    string included, raises :class:`TraceFormatError` ``context: message``.
+    An integer past the float range reads as an infinity, as its exponent
+    spelling does."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TraceFormatError(f"{context}: {message}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def trace_from_dict(data: dict, context: str = "trace") -> TraceFile:
     if not isinstance(data, dict):
         raise TraceFormatError(f"{context}: expected a JSON object")
-    try:
-        frame_step = float(data["frame_step"])
-    except (KeyError, TypeError, ValueError):
-        raise TraceFormatError(f"{context}: missing or invalid 'frame_step'") from None
+    frame_step = json_number(data.get("frame_step"), context, "missing or invalid 'frame_step'")
     if not (math.isfinite(frame_step) and frame_step > 0.0):
         raise TraceFormatError(f"{context}: frame_step must be finite and positive")
     item_id = data.get("item_id", context)

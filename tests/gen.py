@@ -1454,43 +1454,40 @@ def loop_tolerance_sweep(contract, ref_mask, pred_mask, h: float, tolerances) ->
     return SweepResult(tuple(rows), integral, float(max(means) - min(means)))
 
 
-def loop_case_values(basis, case) -> dict[int, float]:
-    """``basis._case_values`` of one case: its frame plan, and its runs,
-    candidates and matching over objects, each made for this case alone."""
+def loop_case_values(contract, case) -> dict[int, float]:
+    """``basis._case_values`` of one case, by clause position: its frame
+    plan, and its runs, candidates and matching over objects, each made for
+    this case alone."""
     h = case.frame_step
-    frame = [c for c in basis.clauses if isinstance(c.clause, FrameClause)]
-    event = [c for c in basis.clauses if isinstance(c.clause, EventClause)]
+    frame = [(k, c) for k, c in enumerate(contract.clauses) if isinstance(c, FrameClause)]
+    event = [(k, c) for k, c in enumerate(contract.clauses) if isinstance(c, EventClause)]
     out: dict[int, float] = {}
     env = derive_edge_atoms(case.ref_mask, case.pred_mask, h)
     if frame:
-        plan = share_subformulas(
-            [f for c in frame for f in (c.clause.formula, c.clause.obligation)], h
-        )
+        plan = share_subformulas([f for _, c in frame for f in (c.formula, c.obligation)], h)
         values = plan.evaluate(env.atoms)
-        for c in frame:
-            out[c.source_order] = obligation_score(
-                values[c.clause.formula], values[c.clause.obligation]
-            ).score
+        for k, c in frame:
+            out[k] = obligation_score(values[c.formula], values[c.obligation]).score
     if event:
-        refs = naive_extract_intervals(env.atoms["ref_active"], h, basis.merge_gap)
-        preds = naive_extract_intervals(env.atoms["pred_active"], h, basis.merge_gap)
-        cands = object_candidates(refs, preds, basis.tolerance)
-        greedy = basis.matcher == "greedy"
+        refs = naive_extract_intervals(env.atoms["ref_active"], h, contract.merge_gap)
+        preds = naive_extract_intervals(env.atoms["pred_active"], h, contract.merge_gap)
+        cands = object_candidates(refs, preds, contract.tolerance)
+        greedy = contract.matcher == "greedy"
         matching = object_match_greedy(cands) if greedy else object_match_exact(cands)
         counts = object_covering_counts(refs, preds)
-        for c in event:
-            out[c.source_order] = object_event_score(
-                c.clause, refs, preds, matching, basis.tolerance, None, counts
+        for k, c in event:
+            out[k] = object_event_score(
+                c, refs, preds, matching, contract.tolerance, None, counts
             ).score
     return out
 
 
-def loop_clause_signatures(basis, cases) -> tuple[ClauseSignature, ...]:
+def loop_clause_signatures(contract, cases) -> tuple[ClauseSignature, ...]:
     """``clause_signatures`` with one :func:`loop_case_values` per case."""
-    per_case = [loop_case_values(basis, case) for case in cases]
+    per_case = [loop_case_values(contract, case) for case in cases]
     return tuple(
-        ClauseSignature(c.source_order, tuple(values[c.source_order] for values in per_case))
-        for c in basis.clauses
+        ClauseSignature(k, tuple(values[k] for values in per_case))
+        for k in range(len(contract.clauses))
     )
 
 

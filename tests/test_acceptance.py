@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tracecontracts.basis import (
-    basis_from_contract,
-    clause_signatures,
-    retained_basis,
-    select_contract,
-)
+from tracecontracts.basis import clause_signatures, retained_basis, select_contract
 from tracecontracts.cli import main
 from tracecontracts.contracts import default_contract, monitor, tolerance_sweep
 from tracecontracts.fixtures import bridge_fixture, calibration_cases, stress_track, worked_trace
@@ -237,18 +232,16 @@ def test_09_round_trip_and_unique_parse():
 
 def test_10_selection_with_brute_force_verification():
     cases = calibration_cases()
-    basis = basis_from_contract(default_contract(0.04))
-    values = {s.clause_id: s.values for s in clause_signatures(basis, cases)}
-    retained = retained_basis(basis, cases)
+    contract = default_contract(0.04)
+    values = {s.clause_id: s.values for s in clause_signatures(contract, cases)}
+    retained = retained_basis(contract, cases)
     again = retained_basis(retained, cases)
-    assert [c.source_order for c in again.clauses] == [
-        c.source_order for c in retained.clauses
-    ]
+    assert again.clauses == retained.clauses
     selection = select_contract(retained, cases)
     assert selection.feasible
-    selected_ids = [c.source_order for c in selection.selected]
+    selected_ids = [contract.clauses.index(c) for c in selection.selected]
     assert is_separating(values, cases, selected_ids)  # independent check
-    assert is_separating(values, cases, [c.source_order for c in basis.clauses])
+    assert is_separating(values, cases, list(range(len(contract.clauses))))
     print(
         "ACCEPTANCE 10 PASS nine-pathology selection is separating (brute-force verified); "
         "retained basis idempotent"

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -268,6 +269,13 @@ class TestMonitor:
     @pytest.mark.parametrize("data, message", [
         ("[]", "{path}: expected a JSON object"),
         ('{"union": {"ref": "01", "pred": "01"}}', "{path}: missing or invalid 'frame_step'"),
+        # A frame step that is not a JSON number, which float() would take.
+        *[('{"frame_step": %s, "union": {"ref": "01", "pred": "01"}}' % step,
+           "{path}: missing or invalid 'frame_step'")
+          for step in ("true", "false", '"0.02"', '"inf"')],
+        # An integer past the float range reads as 1e400 does.
+        pytest.param('{"frame_step": 1%s, "union": {"ref": "01", "pred": "01"}}' % ("0" * 400),
+                     "{path}: frame_step must be finite and positive", id="frame_step-1e400-int"),
         ('{"frame_step": 0.02, "union": "01"}',
          "{path}.union: expected an object with 'ref' and 'pred'"),
         ('{"frame_step": 0.02, "union": {"ref": "01", "pred": "011"}}',
@@ -296,6 +304,29 @@ class TestMonitor:
         assert main(["monitor", str(contract_path), str(bad), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "trace error: " + message.format(path=bad) + "\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("names", [("union", "macro"), ("speech", "macro"), ("union",)])
+    def test_classes_named_like_the_union_or_macro_rows_are_refused(
+        self, names, worked_files, tmp_path, capsys
+    ):
+        # Their rows could not be told from the union and macro rows, so
+        # `monitor --classes` refuses the trace; commands that write no class
+        # rows take it.
+        contract_path, _ = worked_files
+        ref, pred, h = worked_trace()
+        trace_path, out = tmp_path / "classes.json", tmp_path / "o"
+        save_trace(TraceFile("c", h, classes={name: (ref, pred) for name in names}), trace_path)
+        argv = ["monitor", str(contract_path), str(trace_path), "--out", str(out)]
+        assert main(argv + ["--classes"]) == 3
+        reserved = next(name for name in names if name in ("union", "macro"))
+        assert capsys.readouterr().err == (
+            f"trace error: {trace_path}: class {reserved!r} would share the {reserved} rows\n"
+        )
+        assert not out.exists()
+        for command in (argv, ["sweep", *argv[1:]], ["match-audit", *argv[2:]],
+                        ["stream", *argv[1:], "--clause", "onset_guard"]):
+            assert main(command) == 0, command
+            shutil.rmtree(out)
 
     def test_trace_without_masks_has_no_union(self):
         with pytest.raises(TraceFormatError, match="^x: no union masks and no classes$"):
@@ -859,9 +890,9 @@ class TestSelect:
         seen = []
         case_values = basis._case_values
 
-        def counting_case_values(candidates, batch):
+        def counting_case_values(contract, batch):
             seen.append([case.id for case in batch])
-            return case_values(candidates, batch)
+            return case_values(contract, batch)
 
         monkeypatch.setattr(basis, "_case_values", counting_case_values)
         out = tmp_path / "sel"
@@ -912,11 +943,80 @@ class TestSelect:
         certificate_rows = read_report(out / "certificate.csv")
         assert len(certificate_rows) == 23  # strict risk pairs among 3/4/5 ranks
 
+    def test_duplicate_and_constant_clauses_selection_report(self, tmp_path, capsys):
+        # A renamed duplicate joins its original's class and is not retained;
+        # a clause that holds wherever it is obligated is constant.
+        contract_path = tmp_path / "basis.contract"
+        contract_path.write_text(
+            default_contract_text(0.04)
+            + "frame onset_copy : ref_onset -> N[0.04] pred_onset @ ref_onset\n"
+            + "frame always : ref_active -> ref_active @ ref_active\n"
+        )
+        calibration_path = tmp_path / "calibration.json"
+        save_calibration(calibration_cases(), calibration_path)
+        out = tmp_path / "sel"
+        assert main(["select", str(contract_path), str(calibration_path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "selected contract: missing_guard, spurious_guard, fragmentation_guard" in printed
+        assert (out / "selection.csv").read_text().splitlines()[1:] == [
+            "source_order,clause_name,kind,cost,constant,class_representative,retained,selected",
+            "0,onset_guard,frame,5,false,onset_guard,true,false",
+            "1,offset_guard,frame,5,false,offset_guard,true,false",
+            "2,missing_guard,frame,5,false,missing_guard,true,true",
+            "3,spurious_guard,frame,5,false,spurious_guard,true,true",
+            "4,silence_guard,frame,5,false,silence_guard,true,false",
+            "5,duration_guard,event,2,false,duration_guard,true,false",
+            "6,fragmentation_guard,event,2,false,fragmentation_guard,true,true",
+            "7,onset_copy,frame,5,false,onset_guard,false,false",
+            "8,always,frame,4,true,always,false,false",
+        ]
+        witnesses = [
+            ("early_onset", "late_onset", "missing_guard"),
+            ("early_onset", "late_release", "spurious_guard"),
+            ("early_onset", "early_release", "missing_guard"),
+            ("early_onset", "length_distortion", "missing_guard"),
+            ("early_onset", "fragmentation", "fragmentation_guard"),
+            ("early_onset", "missing", "missing_guard"),
+            ("early_onset", "extra", "spurious_guard"),
+            ("early_onset", "silence_bleed", "spurious_guard"),
+            ("late_onset", "missing", "missing_guard"),
+            ("late_onset", "extra", "spurious_guard"),
+            ("late_onset", "silence_bleed", "spurious_guard"),
+            ("late_release", "missing", "missing_guard"),
+            ("late_release", "extra", "spurious_guard"),
+            ("late_release", "silence_bleed", "fragmentation_guard"),
+            ("early_release", "missing", "missing_guard"),
+            ("early_release", "extra", "spurious_guard"),
+            ("early_release", "silence_bleed", "spurious_guard"),
+            ("length_distortion", "missing", "missing_guard"),
+            ("length_distortion", "extra", "spurious_guard"),
+            ("length_distortion", "silence_bleed", "spurious_guard"),
+            ("fragmentation", "missing", "missing_guard"),
+            ("fragmentation", "extra", "spurious_guard"),
+            ("fragmentation", "silence_bleed", "spurious_guard"),
+        ]
+        assert (out / "certificate.csv").read_text().splitlines()[1:] == [
+            "low_risk_case,high_risk_case,witnessing_clause"
+        ] + [",".join(row) for row in witnesses]
+
     @pytest.mark.parametrize("data, message", [
         ("{}", "{path}: expected a JSON array of cases"),
         ("[1]", "{path}[0]: expected an object"),
         ('[{"id": "x", "risk": 1, "frame_step": 0.02, "ref_mask": "01"}]',
          "{path}[0]: missing field 'pred_mask'"),
+        # A risk or frame step that is not a JSON number, which float() would take.
+        *[('[{"id": "x", "risk": %s, "frame_step": 0.02, "ref_mask": "01", "pred_mask": "01"}]'
+           % risk, "{path}[0]: risk must be a JSON number, not NaN")
+          for risk in ("true", "false", '"2"', "null")],
+        *[('[{"id": "x", "risk": 1, "frame_step": %s, "ref_mask": "01", "pred_mask": "01"}]'
+           % step, "{path}[0]: frame_step must be a JSON number")
+          for step in ("true", '"0.02"', "[0.01]")],
+        # An integer past the float range reads as 1e400 does.
+        pytest.param(
+            '[{"id": "x", "risk": 1, "frame_step": 1%s, "ref_mask": "01", "pred_mask": "01"}]'
+            % ("0" * 400), "{path}[0]: frame step must be finite and positive, got inf",
+            id="frame_step-1e400-int",
+        ),
     ])
     def test_calibration_schema_errors_exit_three(self, data, message, tmp_path, capsys):
         contract_path, out = tmp_path / "basis.contract", tmp_path / "out"
@@ -972,18 +1072,17 @@ event frag : singly_covered @ reference_intervals
         assert printed.endswith(
             "infeasible: no clause separates 'early_onset' (lower risk) from 'fragmentation'\n"
         )
-        candidates = basis.basis_from_contract(parse_contract_text(self.INFEASIBLE_BASIS))
-        classes, retained, _ = basis._selection(candidates, cases)
+        candidates = parse_contract_text(self.INFEASIBLE_BASIS)
+        classes, kept, _ = basis._selection(candidates, cases)
         class_of = {member: cls for cls in classes for member in cls.members}
         names = [c.name for c in candidates.clauses]
         rows = read_report(out / "selection.csv")
         assert [row["clause_name"] for row in rows] == names
-        for clause, row in zip(candidates.clauses, rows):
-            cls = class_of[clause.source_order]
+        for order, row in enumerate(rows):
+            cls = class_of[order]
             assert row["constant"] == ("true" if cls.constant else "false")
             assert row["class_representative"] == names[cls.representative]
-            retained_here = clause in retained.clauses
-            assert row["retained"] == ("true" if retained_here else "false")
+            assert row["retained"] == ("true" if order in kept else "false")
             assert row["selected"] == "false"
         assert any(row["retained"] == "true" for row in rows)
         assert read_report(out / "certificate.csv") == []

@@ -39,7 +39,6 @@ from hypothesis import strategies as st
 
 from tracecontracts.basis import (
     CalibrationCase,
-    basis_from_contract,
     clause_signatures,
 )
 from tracecontracts.contracts import (
@@ -773,9 +772,8 @@ def test_clause_signatures_match_one_pass_per_case():
     contracts = _monitor_contracts() + [parse_contract_text(PURITY_CONTRACT)]
     for cases in corpora:
         for contract in contracts:
-            candidates = basis_from_contract(contract)
-            assert _outcome(lambda: clause_signatures(candidates, cases)) == _outcome(
-                lambda: loop_clause_signatures(candidates, cases)
+            assert _outcome(lambda: clause_signatures(contract, cases)) == _outcome(
+                lambda: loop_clause_signatures(contract, cases)
             ), contract_to_text(contract)
 
 
@@ -1692,12 +1690,13 @@ _FOUR_DECIMAL_RADII = st.integers(1, 1500).map(lambda k: float(f"{k / 10000:.4f}
 
 def _window_formulas():
     """Formulas over ``p`` and ``q`` of ``!``, ``&``, ``|``, ``->``, ``F``,
-    ``N`` and ``G``."""
+    ``N``, ``G`` and ``U``."""
     def grow(kids):
         binary = st.tuples(st.sampled_from((And, Or, Implies)), kids, kids)
         window = st.tuples(st.sampled_from((Future, Near, Always)), kids, _FOUR_DECIMAL_RADII)
+        until = st.tuples(kids, kids, _FOUR_DECIMAL_RADII)
         return st.one_of(kids.map(Not), binary.map(lambda t: t[0](t[1], t[2])),
-                         window.map(lambda t: t[0](t[1], t[2])))
+                         window.map(lambda t: t[0](t[1], t[2])), until.map(lambda t: Until(*t)))
 
     return st.recursive(st.sampled_from((Atom("p"), Atom("q"))), grow, max_leaves=6)
 
@@ -1710,7 +1709,11 @@ def _interval_oracle(formula, atoms: dict[str, np.ndarray], h: float) -> list[bo
     ``R = max(1, ceil(r / step)) * step``, from its decimal text; it must
     be ``radius_frames(r, h)`` frames.  ``F[R]`` is the union of
     ``[a - R, b)`` over the child's intervals ``[a, b)``, ``N[R]`` that of
-    ``[a - R, b + R)``, and ``G[R] p`` is ``!F[R] !p``."""
+    ``[a - R, b + R)``, and ``G[R] p`` is ``!F[R] !p``.  ``p U[R] q`` holds
+    at t when q holds at some t' in ``[t, t + R]`` and p on ``[t, t')``:
+    that is q's intervals, and ``[max(a, c - R), c)`` for each maximal
+    interval ``[a, b)`` of p and each interval of q that starts at c in
+    ``[a, b]``."""
     step = _EXACT_STEPS[h]
     n = len(atoms["p"])
     end = n * step
@@ -1745,6 +1748,10 @@ def _interval_oracle(formula, atoms: dict[str, np.ndarray], h: float) -> list[bo
         R = frames * step
         if isinstance(f, Always):
             return complement(union((a - R, b) for a, b in complement(holds(f.child))))
+        if isinstance(f, Until):
+            left, right = holds(f.left), holds(f.right)
+            return union(right + [(max(a, c - R), c) for a, b in left for c, _ in right
+                                  if a <= c <= b])
         return union((a - R, b + (R if isinstance(f, Near) else 0)) for a, b in holds(f.child))
 
     spans = holds(formula)
@@ -1754,16 +1761,23 @@ def _interval_oracle(formula, atoms: dict[str, np.ndarray], h: float) -> list[bo
 # 0.07 s over 0.01 s is 7.000000000000001 in floats: without the grid
 # tolerance it would project to 8 frames, and F would see frame 8.
 _SEVENTH = {"p": np.arange(12) == 8, "q": np.zeros(12, bool)}
+_SEVENTH_UNTIL = {"p": np.arange(12) < 8, "q": np.arange(12) == 8}
 
 
 @settings(max_examples=200, deadline=None)
 @given(_two_atoms(), st.sampled_from(_LAW_STEPS), _window_formulas())
 @example(_SEVENTH, 0.01, Future(Atom("p"), 0.07))
 @example(_SEVENTH, 0.01, Always(Not(Atom("p")), 0.07))
+@example(_SEVENTH_UNTIL, 0.01, Until(Atom("p"), Atom("q"), 0.07))
 def test_the_window_fragment_is_its_interval_semantics_on_the_grid(atoms, h, formula):
     want = _interval_oracle(formula, atoms, h)
     assert share_subformulas([formula], h).evaluate(atoms)[formula].tolist() == want
     assert naive_evaluate(formula, TraceEnvironment(h, len(want), atoms)) == want
+    stream = StreamingMonitor(formula, h)
+    verdicts = [v for t in range(len(want)) for v in stream.step(
+        {name: bool(mask[t]) for name, mask in atoms.items()}
+    )] + stream.finalize()
+    assert verdicts == list(enumerate(want))
 
 
 # ---------------------------------------------------------------------------
