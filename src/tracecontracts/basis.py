@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contracts import Contract, EventClause, FrameClause, _monitor_stack
+from .contracts import Contract, EventClause, FrameClause, _monitor
 from .frames import _as_mask, _check_frame_step
 from .parser import node_count
 
@@ -62,7 +62,7 @@ def _case_values(
 
     Each value is the case's :func:`contracts.monitor` coordinate.  Each
     maximal run of consecutive cases of one length and frame step is one
-    stacked :func:`contracts._monitor_stack` pass, so errors come in case
+    batched :func:`contracts._monitor` pass, so errors come in case
     order; every case's masks are checked before any pass.  A contract
     without event clauses is matched greedily, as no coordinate reads the
     matching, so it never meets the exact matcher's bound.
@@ -76,27 +76,18 @@ def _case_values(
                             .reshape(len(run), n) for side in ("ref_mask", "pred_mask"))))
     out = []
     for h, ref, pred in stacks:
-        _, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
+        _, results = _monitor([contract], zip(ref, pred), h, [None] * len(ref))
         out.extend(result.guards.scores for result in results)
     return out
 
 
-@dataclass(frozen=True)
-class ClauseSignature:
-    """Clause values across the calibration cases, reproducible by re-monitoring."""
-
-    clause_id: int  # position in the contract
-    values: tuple[float, ...]
-
-
 def clause_signatures(
     contract: Contract, cases: Sequence[CalibrationCase]
-) -> tuple[ClauseSignature, ...]:
+) -> tuple[tuple[float, ...], ...]:
+    """Each clause's values across the calibration cases, in contract order;
+    reproducible by re-monitoring."""
     per_case = _case_values(contract, cases)
-    return tuple(
-        ClauseSignature(order, tuple(case[order] for case in per_case))
-        for order in range(len(contract.clauses))
-    )
+    return tuple(tuple(case[order] for case in per_case) for order in range(len(contract.clauses)))
 
 
 @dataclass(frozen=True)
@@ -119,16 +110,14 @@ def observational_classes(
     return _classes_of(clause_signatures(contract, cases))
 
 
-def _classes_of(signatures: Sequence[ClauseSignature]) -> tuple[ObservationalClass, ...]:
+def _classes_of(signatures: Sequence[tuple[float, ...]]) -> tuple[ObservationalClass, ...]:
+    """The clause positions grouped by signature; a class's members ascend,
+    and the classes come in order of their first member."""
     groups: dict[tuple[float, ...], list[int]] = {}
-    for signature in signatures:
-        groups.setdefault(signature.values, []).append(signature.clause_id)
-    classes = []
-    for values, members in groups.items():
-        constant = len(set(values)) <= 1
-        classes.append(ObservationalClass(tuple(sorted(members)), values, constant))
-    classes.sort(key=lambda c: c.representative)
-    return tuple(classes)
+    for order, values in enumerate(signatures):
+        groups.setdefault(values, []).append(order)
+    return tuple(ObservationalClass(tuple(members), values, len(set(values)) <= 1)
+                 for values, members in groups.items())
 
 
 def _kept(classes: Sequence[ObservationalClass]) -> tuple[int, ...]:
@@ -178,7 +167,7 @@ def _select_from(
     contract: Contract,
     orders: Sequence[int],
     cases: Sequence[CalibrationCase],
-    signatures: Sequence[ClauseSignature],
+    signatures: Sequence[tuple[float, ...]],
 ) -> SelectionResult:
     """:func:`select_contract` over the clauses at the ascending positions
     ``orders``, from the signatures of all of the contract's clauses."""
@@ -190,7 +179,7 @@ def _select_from(
     clause_masks: dict[int, int] = {}
     for order in orders:
         mask = 0
-        vals = signatures[order].values
+        vals = signatures[order]
         for k, (i, j) in enumerate(constraints):
             if vals[i] > vals[j]:
                 mask |= 1 << k

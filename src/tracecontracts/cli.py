@@ -42,8 +42,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .basis import _calibration_cases, _selection, clause_cost
 from .contracts import (
@@ -58,7 +56,7 @@ from .contracts import (
     MonitorResult,
     _macro,
     _mean,
-    _monitor_stack,
+    _monitor,
     _read_contract,
     compile_contract,
     default_contract_text,
@@ -307,9 +305,8 @@ def cmd_monitor(args) -> int:
         for name in classes:
             if name in ("union", "macro"):
                 raise TraceFormatError(f"{path}: class {name!r} would share the {name} rows")
-        masks = [trace.union_masks(), *(trace.classes[name] for name in classes)]
-        ref, pred = (np.stack(stack) for stack in zip(*masks))
-        runs, results = _monitor_stack(contract, ref, pred, trace.frame_step, [None, *classes])
+        pairs = [trace.union_masks(), *(trace.classes[name] for name in classes)]
+        runs, results = _monitor([contract], pairs, trace.frame_step, [None, *classes])
         soft = runs.soft_boundary(soft_scale)
         rows = [("union", 0), *sorted((name, g) for g, name in enumerate(classes, 1))]
         for class_name, g in rows:
@@ -345,6 +342,8 @@ SWEEP_HEADER = [
 
 def cmd_sweep(args) -> int:
     contract, contract_text, _ = _load_contract(args.contract)
+    if "mean_logic" in (clause.name for clause in contract.clauses):
+        raise ContractError("clause 'mean_logic' would share the mean_logic rows")
     traces = _load_traces(args.traces)
     tolerances_ms = args.tolerances
     tolerances = [t / 1000.0 for t in tolerances_ms]

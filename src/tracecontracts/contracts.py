@@ -21,8 +21,10 @@ runs extracted, matched and witnessed by one scan each.  One placement
 rule, stated at :func:`intervals._run_edges`, puts frame f of group g at
 ``g * (2n + 1) + f`` for n frames a group, so no frame of one group comes
 within n frames of another's and no scan meets another group's runs; a
-sweep's tolerances are rows over one group.  A single :func:`monitor` is the
-one-group case.  Witnesses extend the axis to pairs: the distinct
+sweep's tolerances are rows over one group.  :func:`_monitor` is the one
+entry to the pass: every monitor entry hands it the trace pairs, which it
+checks and stacks itself, and a single :func:`monitor` is the one-group
+case.  Witnesses extend the axis to pairs: the distinct
 (obligation, witness) formulas of every row, and the two edge pairs, are
 placed one after another, so one distance scan serves every pair and
 group, and each (pair, group) mean is :func:`_mean` of one slice of it.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import codecs
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -47,7 +50,6 @@ from .frames import (
     ContractError,
     EvaluationPlan,
     ObligationScore,
-    _as_mask,
     _check_frame_step,
     _edge_atoms,
     _mask_pair,
@@ -862,53 +864,46 @@ def monitor(contract: Contract, ref_mask, pred_mask, h: float) -> MonitorResult:
     policy, scores event clauses over their obligation sets, and attaches
     witness distances.  It is the one-group case of the batched pass.
     """
-    ref, pred = _mask_pair(ref_mask, pred_mask)
-    return _monitor_stack(contract, ref[None], pred[None], h, [None])[1][0]
-
-
-def _monitor_stack(
-    contract: Contract, ref: np.ndarray, pred: np.ndarray, h: float,
-    classes: Sequence[str | None],
-) -> tuple[_TraceRuns, list[MonitorResult]]:
-    """The runs of the ``(G, n)`` mask stacks and :func:`monitor` of each row,
-    in one pass.  ``classes[g]`` names row g's class; a class row sees every
-    class row's reference runs as its purity context, a ``None`` row none."""
-    runs = _trace_runs(ref, pred, h, contract.merge_gap)
-    class_refs = {name: runs.by_group[g][0] for g, name in enumerate(classes) if name is not None}
-    rows = [
-        (g, contract, None if name is None else (name, class_refs))
-        for g, name in enumerate(classes)
-    ]
-    return runs, _monitor(runs, rows)
+    return _monitor([contract], [(ref_mask, pred_mask)], h, [None])[1][0]
 
 
 def _monitor(
-    runs: _TraceRuns,
-    rows: Sequence[tuple[int, Contract, tuple[str, Mapping[str, Family]] | None]],
-) -> list[MonitorResult]:
-    """The result of each row ``(group, contract, class_context)``: the
-    contract on that group's trace pair.  The rows are the groups in order,
-    or the one group under each of several contracts, all of one matcher.
+    contracts: Sequence[Contract], pairs: Iterable[tuple], h: float,
+    classes: Sequence[str | None],
+) -> tuple[_TraceRuns, list[MonitorResult]]:
+    """The runs of the (reference, prediction) mask ``pairs``, one group
+    each, and the result of each row, in one pass: each contract on each
+    group, contract by contract.  The rows are the groups under one
+    contract, or one group under each of several contracts, all of one
+    merge gap and one matcher.  ``classes[g]`` names group g's class; a
+    class row sees every class group's reference runs as its purity
+    context, a ``None`` row none.
 
-    Each distinct contract, by identity, keeps the :func:`_route` of each
-    frame clause.  The clauses without a counted route are planned: one
-    plan of their formulas and obligations, over the distinct contracts,
-    gives their valuations as ``(G, n)`` stacks, and each such clause's
-    scores, read once for all groups, are kept by clause; a contract with
-    none plans and evaluates nothing.  One :meth:`_TraceRuns.witnesses`
-    pass finds every witness pair of every row, the edge pairs included,
-    and every counted route's counts, for all groups.  One
-    :func:`intervals._match` serves all rows, drawn in order as the results
-    are made: a row's matching is drawn, and an exact row over the bound
-    raises, after every earlier row's clauses and before its own, so the
-    first row in order decides.  An unknown atom is raised by the plan,
-    before any row; the counts and the witness pass raise none."""
-    distinct = {id(contract): contract for _, contract, _ in rows}
-    [policy] = {contract.matcher for contract in distinct.values()}
-    routes = {key: tuple(_route(c, runs) for c in contract.frame_clauses)
-              for key, contract in distinct.items()}
-    planned = dict.fromkeys(c for key, contract in distinct.items()
-                            for c, (_, route) in zip(contract.frame_clauses, routes[key])
+    Each pair is checked by :func:`frames._mask_pair`, in order, and all
+    must have one length; a single pair is stacked as a view.  Each
+    contract keeps the :func:`_route` of each frame clause.  The clauses
+    without a counted route are planned: one plan of their formulas and
+    obligations, over the contracts, gives their valuations as ``(G, n)``
+    stacks, and each such clause's scores, read once for all groups, are
+    kept by clause; contracts with none plan and evaluate nothing.  One
+    :meth:`_TraceRuns.witnesses` pass finds every witness pair of every
+    row, the edge pairs included, and every counted route's counts, for
+    all groups.  One :func:`intervals._match` serves all rows, drawn in
+    order as the results are made: a row's matching is drawn, and an exact
+    row over the bound raises, after every earlier row's clauses and
+    before its own, so the first row in order decides.  An unknown atom is
+    raised by the plan, before any row; the counts and the witness pass
+    raise none."""
+    checked = [_mask_pair(ref, pred) for ref, pred in pairs]
+    lengths = sorted({ref.size for ref, _ in checked})
+    if len(lengths) > 1:
+        raise ValueError(f"mask lengths differ across trace pairs: {lengths}")
+    ref, pred = (side[0][None] if len(side) == 1 else np.stack(side) for side in zip(*checked))
+    runs = _trace_runs(ref, pred, h, contracts[0].merge_gap)
+    [policy] = {contract.matcher for contract in contracts}
+    routes = [[_route(c, runs) for c in contract.frame_clauses] for contract in contracts]
+    planned = dict.fromkeys(c for contract, clause_routes in zip(contracts, routes)
+                            for c, (_, route) in zip(contract.frame_clauses, clause_routes)
                             if route is None)
     values, stacked = {}, {}
     if planned:
@@ -917,18 +912,21 @@ def _monitor(
         stacked = {c: _stacked_scores(values[c.formula], values[c.obligation], scratch)
                    for c in planned}
     [matched] = _match(runs.refs, runs.preds, runs.overlaps, runs.bounds,
-                       [c.tolerance for _, c, _ in rows], (policy,))
-    frame_routes = [r for clause_routes in routes.values() for r in clause_routes]
-    pairs = dict.fromkeys([*(pair for pair, _ in frame_routes if pair), *EDGE_PAIRS])
+                       [c.tolerance for c in contracts], (policy,))
+    frame_routes = [r for clause_routes in routes for r in clause_routes]
+    witness_pairs = dict.fromkeys([*(pair for pair, _ in frame_routes if pair), *EDGE_PAIRS])
     # The frame formulas' valuations are freed before the witness pass.
-    values = {f: values[f] for f, _ in pairs if not isinstance(f, Atom)}
+    values = {f: values[f] for f, _ in witness_pairs if not isinstance(f, Atom)}
     counted = dict.fromkeys(route for _, route in frame_routes if route)
-    summaries, counts = runs.witnesses(list(pairs), values, counted)
+    summaries, counts = runs.witnesses(list(witness_pairs), values, counted)
     onsets, offsets = (summaries[pair] for pair in EDGE_PAIRS)
+    class_refs = {name: runs.by_group[g][0] for g, name in enumerate(classes) if name is not None}
     results = []
-    for (group, contract, class_context), (matching, diffs, extras) in zip(rows, matched):
-        frame = iter(routes[id(contract)])
+    rows = itertools.product(zip(contracts, routes), enumerate(classes))
+    for ((contract, clause_routes), (group, name)), (matching, diffs, extras) in zip(rows, matched):
+        frame = iter(clause_routes)
         refs, preds = runs.by_group[group]
+        class_context = None if name is None else (name, class_refs)
         coordinates = []
         for clause in contract.clauses:
             if isinstance(clause, FrameClause):
@@ -957,7 +955,7 @@ def _monitor(
         )
         guards = GuardVector(tuple(coordinates))
         results.append(MonitorResult(guards, witnesses, refs, preds, matching))
-    return results
+    return runs, results
 
 
 def mean_logic(vector: GuardVector) -> float:
@@ -988,13 +986,8 @@ def monitor_classes(
     """
     if not class_masks:
         raise ValueError("no classes supplied")
-    masks = {cls: (_as_mask(ref), _as_mask(pred)) for cls, (ref, pred) in class_masks.items()}
-    lengths = {len(mask) for pair in masks.values() for mask in pair}
-    if len(lengths) != 1:
-        raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
-    ref, pred = (np.stack(stack) for stack in zip(*masks.values()))
-    _, results = _monitor_stack(contract, ref, pred, h, list(masks))
-    return ClassMonitorResult(dict(zip(masks, results)), _macro(contract, results))
+    _, results = _monitor([contract], class_masks.values(), h, list(class_masks))
+    return ClassMonitorResult(dict(zip(class_masks, results)), _macro(contract, results))
 
 
 def _macro(contract: Contract, results: Sequence[MonitorResult]) -> GuardVector:
@@ -1135,10 +1128,8 @@ def tolerance_sweep(
     if not contract.clauses:
         raise ContractError("a tolerance sweep needs at least one clause")
     # The merge gap does not scale, so the runs are the same at every tolerance.
-    ref, pred = _mask_pair(ref_mask, pred_mask)
-    runs = _trace_runs(ref[None], pred[None], h, contract.merge_gap)
     regenerated = _regenerated(contract, tuple(tolerances))
-    results = _monitor(runs, [(0, c, None) for c in regenerated])
+    _, results = _monitor(regenerated, [(ref_mask, pred_mask)], h, [None])
     rows = [
         SweepRow(tolerance, grid_contract, result, mean_logic(result.guards))
         for tolerance, grid_contract, result in zip(tolerances, regenerated, results)

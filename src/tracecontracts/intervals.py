@@ -422,9 +422,10 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
 
     ``refs`` and ``preds`` hold G groups' runs in turn, group g's from
     ``bounds[0][g]`` and ``bounds[1][g]`` on, with their :func:`overlap_pairs`
-    (none across groups), which give the covering counts.  The rows are the
-    groups, each at its tolerance, or one group once per tolerance.  No two rows
-    share a run, so their candidates make one table, read by each policy.
+    (none across groups), which give the covering counts.  ``tolerances``
+    holds one tolerance per contract: the rows are the groups at the one
+    tolerance, or one group once per tolerance.  No two rows share a run,
+    so their candidates make one table, read by each policy.
     The greedy scan visits it by row, then by cost, so each row keeps what a
     scan of its own candidates keeps, in that order; the first row drawn makes
     the scan, and each row is cut from it.  The exact policy solves a row on
@@ -436,8 +437,8 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
     ri, pi, overlap = overlaps
     counts = np.bincount(ri, minlength=len(refs))
     ref_base, pred_base = bounds
-    rows = len(tolerances)
-    copies = rows // (ref_base.size - 1)
+    copies = len(tolerances)
+    epsilon = tolerances[0] if copies == 1 else np.repeat(tolerances, ri.size)
     if copies > 1:
         # Copy c of the group's runs follows copy c - 1, indices and all.
         step = np.arange(copies).repeat(ri.size)
@@ -447,9 +448,7 @@ def _match(refs: Family, preds: Family, overlaps, bounds, tolerances: Sequence[f
         refs, preds = (
             Family(np.tile(f.start, copies), np.tile(f.end, copies)) for f in (refs, preds)
         )
-    epsilon = tolerances[0] if len(set(tolerances)) == 1 else np.repeat(
-        tolerances, np.diff(ri.searchsorted(ref_base))
-    )
+    rows = ref_base.size - 1
     table = candidate_table(refs, preds, epsilon, (ri, pi, overlap))
     single = rows == 1  # row 0 starts at index 0 on both sides
     row = None if single else ref_base.searchsorted(table.ref_index, side="right") - 1

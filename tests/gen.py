@@ -41,7 +41,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from tracecontracts.basis import ClauseSignature
+from tracecontracts.basis import CalibrationCase
 from tracecontracts.contracts import (
     EVENT_PREDICATES,
     MATCHER_POLICIES,
@@ -93,6 +93,9 @@ from tracecontracts.lexer import (
     tokenize,
 )
 from tracecontracts.parser import (
+    BINARY_OPERATORS,
+    PREFIX_OPERATORS,
+    TEMPORAL,
     Always,
     And,
     Atom,
@@ -106,6 +109,7 @@ from tracecontracts.parser import (
     Until,
     radius_text,
 )
+from tracecontracts.tracefile import TraceFile
 
 DEFAULT_ATOMS = ("a", "b", "c")
 
@@ -1392,10 +1396,15 @@ def loop_monitor_classes(contract, class_masks, h: float) -> ClassMonitorResult:
     """``monitor_classes`` as one :func:`object_monitor` pass per class."""
     if not class_masks:
         raise ValueError("no classes supplied")
-    masks = {cls: (_as_mask(ref), _as_mask(pred)) for cls, (ref, pred) in class_masks.items()}
-    lengths = {len(mask) for pair in masks.values() for mask in pair}
+    masks = {}
+    for cls, (ref, pred) in class_masks.items():
+        ref, pred = _as_mask(ref, "ref_mask"), _as_mask(pred, "pred_mask")
+        if len(ref) != len(pred):
+            raise ValueError(f"mask lengths differ: {len(ref)} vs {len(pred)}")
+        masks[cls] = ref, pred
+    lengths = sorted({len(ref) for ref, _ in masks.values()})
     if len(lengths) != 1:
-        raise ValueError(f"inconsistent mask lengths across classes: {sorted(lengths)}")
+        raise ValueError(f"mask lengths differ across trace pairs: {lengths}")
     plan = _frame_plan(contract, h)
     class_refs = {
         cls: naive_extract_intervals(ref, h, contract.merge_gap) for cls, (ref, _) in masks.items()
@@ -1482,13 +1491,10 @@ def loop_case_values(contract, case) -> dict[int, float]:
     return out
 
 
-def loop_clause_signatures(contract, cases) -> tuple[ClauseSignature, ...]:
+def loop_clause_signatures(contract, cases) -> tuple[tuple[float, ...], ...]:
     """``clause_signatures`` with one :func:`loop_case_values` per case."""
     per_case = [loop_case_values(contract, case) for case in cases]
-    return tuple(
-        ClauseSignature(k, tuple(values[k] for values in per_case))
-        for k in range(len(contract.clauses))
-    )
+    return tuple(tuple(values[k] for values in per_case) for k in range(len(contract.clauses)))
 
 
 # ---------------------------------------------------------------------------
@@ -1880,6 +1886,90 @@ def table_contracts(draw) -> Contract:
         params = tuple((key, draw(st.floats(**_SECONDS))) for key in keys)
         clauses.append(EventClause(name, obligation, predicate, params))
     return Contract(tolerance, silence_radius, merge_gap, matcher, tuple(clauses))
+
+
+# The activity and edge atoms every trace binds.
+TRACE_ATOMS = ("ref_active", "pred_active", "ref_onset", "pred_onset", "ref_offset", "pred_offset")
+
+# Radii of at most 1 s keep clear of two known gaps: ``check`` plans at a
+# 1 s step, so it accepts radii that the trace-reading commands refuse at a
+# finer one, and a stream of a huge radius (ROADMAP item 15).
+_RADII = st.floats(min_value=0.001, max_value=1.0).map(radius_text)
+
+
+def _formula_text(draw, depth: int) -> str:
+    """A formula of at most ``depth`` operators on any path, written from the
+    parser's operator tables with every operand parenthesised; one atom in
+    about forty is unknown."""
+    symbol = draw(st.sampled_from(["", *PREFIX_OPERATORS, *BINARY_OPERATORS] if depth else [""]))
+    if not symbol:
+        return draw(st.sampled_from((*TRACE_ATOMS * 6, "unknown_atom")))
+    node = PREFIX_OPERATORS.get(symbol) or BINARY_OPERATORS[symbol][0]
+    operator = f"{symbol}[{draw(_RADII)}]" if issubclass(node, TEMPORAL) else symbol
+    if symbol in PREFIX_OPERATORS:
+        return f"{operator} ({_formula_text(draw, depth - 1)})"
+    left, right = (_formula_text(draw, depth - 1) for _ in range(2))
+    return f"({left}) {operator} ({right})"
+
+
+@st.composite
+def contract_texts(draw) -> str:
+    """Contract files over the accepted language: the :data:`SETTINGS`, 0-4
+    frame clauses of formula depth up to 3 (obligations up to 1), and 0-3
+    :data:`EVENT_PREDICATES` clauses, each with any subset of its
+    parameters, the clause lines in any order."""
+    tolerance = draw(st.floats(min_value=0.005, max_value=0.2))
+    settings = {
+        "tolerance": tolerance,
+        "silence_radius": tolerance * draw(st.floats(min_value=0.05, max_value=1.0)),
+        "merge_gap": draw(st.sampled_from((0.0, 0.01, 0.03, 0.1))),
+        "matcher": draw(st.sampled_from(MATCHER_POLICIES)),
+    }
+    lines = [f"set {key} {SETTINGS[key][1](value)}" for key, value in settings.items()
+             if key == "tolerance" or draw(st.booleans())]
+    clauses = [f"frame f{k} : {_formula_text(draw, 3)} @ {_formula_text(draw, 1)}"
+               for k in range(draw(st.integers(0, 4)))]
+    for k in range(draw(st.integers(0, 3))):
+        predicate = draw(st.sampled_from(sorted(EVENT_PREDICATES)))
+        obligation, defaults = EVENT_PREDICATES[predicate]
+        params = "".join(f" {key}={draw(_RADII)}" for key in defaults if draw(st.booleans()))
+        clauses.append(f"event e{k} : {predicate} @ {obligation}{params}")
+    return "\n".join(lines + draw(st.permutations(clauses))) + "\n"
+
+
+# Frame steps of the fuzzed traces, seconds; 1024/44100 is on no decimal grid.
+TRACE_STEPS = (0.005, 0.01, 0.02, 1024 / 44100)
+
+
+def _run_masks(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A reference and a prediction mask of ``n`` frames whose runs last
+    about 2, 10 or 50 frames."""
+    return tuple(np.cumsum(rng.random(n) < rng.choice((0.02, 0.1, 0.5))) % 2 == 1
+                 for _ in range(2))
+
+
+@st.composite
+def fuzz_traces(draw) -> TraceFile:
+    """A trace of 0-300 frames at one of :data:`TRACE_STEPS`, with 0-3
+    classes and a union, which a trace without classes always has."""
+    n, h = draw(st.integers(0, 300)), draw(st.sampled_from(TRACE_STEPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = {name: _run_masks(rng, n) for name in "abc"[:draw(st.integers(0, 3))]}
+    union = _run_masks(rng, n) if not classes or draw(st.booleans()) else None
+    return TraceFile("fuzz", h, classes=classes, union=union)
+
+
+@st.composite
+def fuzz_cases(draw) -> list[CalibrationCase]:
+    """0-4 calibration cases of 60 frames at one step, risks 0-3."""
+    h = draw(st.sampled_from(TRACE_STEPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        CalibrationCase(f"k{k}", *(tuple(mask.view(np.uint8).tolist())
+                                   for mask in _run_masks(rng, 60)),
+                        float(draw(st.integers(0, 3))), h)
+        for k in range(draw(st.integers(0, 4)))
+    ]
 
 
 def contract_mutations(contract: Contract) -> list[tuple[str, str, int]]:

@@ -233,7 +233,7 @@ def test_09_round_trip_and_unique_parse():
 def test_10_selection_with_brute_force_verification():
     cases = calibration_cases()
     contract = default_contract(0.04)
-    values = {s.clause_id: s.values for s in clause_signatures(contract, cases)}
+    values = dict(enumerate(clause_signatures(contract, cases)))
     retained = retained_basis(contract, cases)
     again = retained_basis(retained, cases)
     assert again.clauses == retained.clauses

@@ -136,7 +136,7 @@ class TestObservationalClasses:
         case = _tiny_case("worked", ref.astype(int), pred.astype(int), 1.0)
         contract = default_contract(0.08)
         signatures = clause_signatures(contract, [case])
-        assert signatures[0].values != signatures[1].values
+        assert signatures[0] != signatures[1]
 
     def test_all_constant_basis_retains_nothing(self):
         # perfect pairs leave every clause at 1.0 on every case
@@ -183,8 +183,7 @@ class TestSelection:
     def test_nine_pathology_calibration(self):
         cases = calibration_cases()
         contract = default_contract(0.04)
-        signatures = clause_signatures(contract, cases)
-        values = {s.clause_id: s.values for s in signatures}
+        values = dict(enumerate(clause_signatures(contract, cases)))
         # the full seven-guard set separates the declared risk order
         assert is_separating(values, cases, list(values))
         retained = retained_basis(contract, cases)
@@ -229,7 +228,7 @@ class TestSelection:
         signatures = clause_signatures(contract, cases)
         for k, case in enumerate(cases):
             result = monitor(contract, case.ref_mask, case.pred_mask, case.frame_step)
-            assert tuple(sig.values[k] for sig in signatures) == result.guards.scores
+            assert tuple(sig[k] for sig in signatures) == result.guards.scores
 
     def test_frame_only_exact_basis_never_runs_the_matcher(self):
         # 30 runs per mask: more than the exact matcher's bound of 24
@@ -239,7 +238,7 @@ class TestSelection:
             "frame on : ref_onset -> N[0.04] pred_onset @ ref_onset\n"
         )
         (signature,) = clause_signatures(contract, [many_runs])
-        assert signature.values == (1.0,)
+        assert signature == (1.0,)
         with_event = parse_contract_text(
             contract_to_text(contract) + "event dur : duration_within @ matched_pairs\n"
         )
@@ -370,7 +369,7 @@ def _least_separating(contract, values, cases, orders):
 @settings(max_examples=80, deadline=None)
 @given(_SELECTION_CONTRACTS, _SELECTION_CASES)
 def test_selection_is_the_lexicographic_minimum(contract, cases):
-    values = {s.clause_id: s.values for s in clause_signatures(contract, cases)}
+    values = dict(enumerate(clause_signatures(contract, cases)))
     orders = tuple(range(len(contract.clauses)))
     pairs = [(i, j) for i, u in enumerate(cases) for j, v in enumerate(cases) if u.risk < v.risk]
     selection = select_contract(contract, cases)

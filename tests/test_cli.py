@@ -4,6 +4,7 @@ import builtins
 import codecs
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,13 +12,17 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracecontracts
 from tracecontracts import basis, contracts, frames, lexer, parser
@@ -36,7 +41,14 @@ from tracecontracts.tracefile import (
     trace_from_dict,
 )
 
-from gen import ALL_PREDICATES, NOT_LINE_ENDS, contract_mutations
+from gen import (
+    ALL_PREDICATES,
+    NOT_LINE_ENDS,
+    contract_mutations,
+    contract_texts,
+    fuzz_cases,
+    fuzz_traces,
+)
 
 
 H = 0.02
@@ -536,6 +548,35 @@ class TestSweep:
         assert err.startswith("contract error: radius 1e-09 scaled by ")
         assert err.endswith(", not positive and finite\n") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_a_clause_named_mean_logic_is_refused(self, worked_files, tmp_path, capsys):
+        # Its rows could not be told from the per-tolerance mean_logic rows,
+        # so `sweep` refuses the contract before it reads a trace; commands
+        # that write no mean_logic rows take it.
+        _, trace_path = worked_files
+        contract_path, out = tmp_path / "c.contract", tmp_path / "o"
+        contract_path.write_text(
+            "set tolerance 0.04\n"
+            "frame mean_logic : ref_onset -> N[0.04] pred_onset @ ref_onset\n"
+            "event duration_guard : duration_within @ matched_pairs\n"
+        )
+        calibration_path = tmp_path / "cal.json"
+        save_calibration(calibration_cases(), calibration_path)
+        argv = ["sweep", str(contract_path), str(trace_path), "--tolerances", "40"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "contract error: clause 'mean_logic' would share the mean_logic rows\n"
+        )
+        assert not out.exists()
+        assert main(["check", str(contract_path)]) == 0
+        # The two clauses separate no calibration order, so `select` writes
+        # its report and exits 6.
+        for command, code in ((["monitor", *argv[1:3]], 0),
+                              (["select", str(contract_path), str(calibration_path)], 6),
+                              (["stream", *argv[1:3], "--clause", "mean_logic"], 0)):
+            assert main(command + ["--out", str(out)]) == code, command
+            assert (out / "manifest.json").exists()
+            shutil.rmtree(out)
 
     def test_descending_grid_rejected(self, worked_files, tmp_path):
         contract_path, trace_path = worked_files
@@ -1743,3 +1784,52 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
         "onset_guard", "offset_guard", "missing_guard", "spurious_guard", "silence_guard",
         "duration_guard", "fragmentation_guard",
     ]
+
+
+# The documented exit codes of a well-formed contract and trace: 0, 2 for a
+# clause a command cannot evaluate, 4 an unknown atom, 5 the exact matcher's
+# bound and 6 an infeasible selection.
+FUZZ_EXITS = {0, 2, 4, 5, 6}
+
+
+@settings(max_examples=60, deadline=None)
+@given(contract_texts(), fuzz_traces(), fuzz_cases(),
+       st.sampled_from(("20", "40", "20,40", "10,40,80")))
+def test_the_accepted_language_runs_through_every_command(text, trace, cases, tolerances):
+    # Every command on a contract the language accepts exits with a
+    # documented code and raises nothing; exit 2 comes only from an
+    # overlap_purity clause, which no command here gives class context to
+    # on every row, or from a sweep with no clause to regenerate.  Every
+    # counted report row adds up and scores in [0, 1].
+    contract = parse_contract_text(text)
+    purity = any(getattr(c, "predicate", None) == "overlap_purity" for c in contract.clauses)
+    with tempfile.TemporaryDirectory() as work:
+        root = Path(work)
+        contract_path, trace_path, cases_path = (str(root / name) for name in
+                                                 ("c.contract", "t.json", "cases.json"))
+        Path(contract_path).write_text(text, encoding="utf-8")
+        save_trace(trace, trace_path)
+        save_calibration(cases, cases_path)
+        out = root / "o"
+        runs = [["check", contract_path],
+                ["monitor", contract_path, trace_path, "--classes", "--out", str(out)],
+                ["monitor", contract_path, trace_path, "--out", str(out)],
+                ["sweep", contract_path, trace_path, "--tolerances", tolerances, "--out", str(out)],
+                ["select", contract_path, cases_path, "--out", str(out)],
+                ["match-audit", trace_path, "--out", str(out)]]
+        runs += [["stream", contract_path, trace_path, "--clause", clause.name, "--out", str(out)]
+                 for clause in contract.frame_clauses[:2]]
+        for argv in runs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in ({0} if argv[0] == "check" else FUZZ_EXITS), (argv[0], err.getvalue())
+            if code == 2:
+                assert purity or (argv[0] == "sweep" and not contract.clauses), err.getvalue()
+            for name in ("guard.csv", "sweep.csv"):
+                if (out / name).exists():
+                    for row in read_report(out / name):
+                        if row["obligated"]:
+                            counts = [int(row[key]) for key in ("satisfied", "violated")]
+                            assert int(row["obligated"]) == sum(counts), row
+                            assert 0.0 <= float(row["score"]) <= 1.0, row
+            shutil.rmtree(out, ignore_errors=True)

@@ -50,7 +50,7 @@ from tracecontracts.contracts import (
     _frame_runs,
     _gap_distances,
     _macro,
-    _monitor_stack,
+    _monitor,
     _route,
     _trace_runs,
     compile_contract,
@@ -727,7 +727,6 @@ def test_union_and_class_rows_in_one_pass_match_their_own_passes():
         masks = _class_masks(rng, n, rng.randint(1, 4))
         sides = [[pair[side] for pair in masks.values()] for side in (0, 1)]
         union = tuple(np.logical_or.reduce(side) for side in sides)
-        ref, pred = (np.stack([whole, *side]) for whole, side in zip(union, sides))
         for contract in _class_contracts():
 
             def one_by_one():
@@ -735,7 +734,8 @@ def test_union_and_class_rows_in_one_pass_match_their_own_passes():
                 rows = [object_monitor(contract, plan, derive_edge_atoms(*union, h))]
                 return rows + list(loop_monitor_classes(contract, masks, h).per_class.values())
 
-            got = _outcome(lambda: _monitor_stack(contract, ref, pred, h, [None, *masks])[1])
+            pairs = [union, *masks.values()]
+            got = _outcome(lambda: _monitor([contract], pairs, h, [None, *masks])[1])
             assert got == _outcome(one_by_one), (trial, contract_to_text(contract))
             seen.add(got.split(":")[0] if "Error" in got[:20] else "results")
     assert seen == {"results", "AuditBoundError", "ContractError"}
@@ -1103,7 +1103,7 @@ def test_one_witness_pass_matches_a_pass_per_pair():
     ]
     for ref, pred, h in _witness_stacks(97, 90):
         for contract in contracts:
-            runs, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
+            runs, results = _monitor([contract], zip(ref, pred), h, [None] * len(ref))
             values = compile_contract(contract, h).evaluate(runs.atoms)
             witness_pairs = [_route(c, runs)[0] for c in contract.frame_clauses]
             pairs = list(dict.fromkeys([p for p in witness_pairs if p] + list(EDGE_PAIRS)))
@@ -1170,7 +1170,7 @@ def test_counted_clauses_score_as_the_plan_does(monkeypatch):
         contracts = [default_contract(float(rng.choice([0.005, 0.04, 0.3, 10.0]))),
                      parse_contract_text(_counted_contract(rng))]
         for contract in contracts:
-            _, results = _monitor_stack(contract, ref, pred, h, [None] * len(ref))
+            _, results = _monitor([contract], zip(ref, pred), h, [None] * len(ref))
             classes = monitor_classes(contract, {str(g): pair for g, pair in
                                                  enumerate(zip(ref, pred))}, h)
             for stack in (results, classes.per_class.values()):

@@ -21,6 +21,7 @@ from tracecontracts.intervals import Interval, Matching, candidate_table
 from tracecontracts.lexer import SourceSpan, Token, TokenKind
 
 ONE_ACTIVE = np.array([False, True, True, False])
+EIGHT_ACTIVE = np.ones(8, bool)
 CONTRACT = default_contract(0.04)
 
 REFUSALS = {
@@ -43,6 +44,23 @@ REFUSALS = {
     "class monitor without classes": (
         lambda: monitor_classes(CONTRACT, {}, 0.01),
         ValueError, "no classes supplied",
+    ),
+    "class monitor over classes of two lengths": (
+        lambda: monitor_classes(CONTRACT, {"a": (ONE_ACTIVE, ONE_ACTIVE),
+                                           "b": (EIGHT_ACTIVE, EIGHT_ACTIVE)}, 0.01),
+        ValueError, "mask lengths differ across trace pairs: [4, 8]",
+    ),
+    "class monitor over a class of two lengths": (
+        lambda: monitor_classes(CONTRACT, {"a": (ONE_ACTIVE, ONE_ACTIVE[:2])}, 0.01),
+        ValueError, "mask lengths differ: 4 vs 2",
+    ),
+    "class monitor over a class mask holding a 2": (
+        lambda: monitor_classes(CONTRACT, {"a": ([0, 2, 1, 0], ONE_ACTIVE)}, 0.01),
+        ValueError, "ref_mask must contain only 0/1 values",
+    ),
+    "sweep over a mask holding a 2": (
+        lambda: tolerance_sweep(CONTRACT, [0, 2, 1, 0], ONE_ACTIVE, 0.01, [0.04]),
+        ValueError, "ref_mask must contain only 0/1 values",
     ),
     "sweep without tolerances": (
         lambda: tolerance_sweep(CONTRACT, ONE_ACTIVE, ONE_ACTIVE, 0.01, []),

@@ -1,7 +1,8 @@
 """Repository tooling: the checked-in line counter, the report digest and
 its per-command pin, the benchmark's span table against the package it
-wraps, the package's exports against their readers outside the tests, and
-the summary of paired benchmark runs."""
+wraps, the package's exports against their readers outside the tests, the
+package modules' imports against their reads, and the summary of paired
+benchmark runs."""
 
 import ast
 import importlib
@@ -125,6 +126,31 @@ def test_every_package_export_is_read_outside_tests():
         if not any(word.search(text) for text in [*texts, readme, *scripts]):
             unread.append(f"{module}.{name}")
     assert not unread, f"exported but read only by tests: {unread}"
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    # In every module but __init__.py, each imported name is read as a Name
+    # in that module or listed in its __all__; the __future__ import is not
+    # a name.
+    unread = []
+    for path in sorted((ROOT / "src" / "tracecontracts").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read | exported:
+                        unread.append(f"{path.stem}.{name}")
+    assert not unread, f"imported but never read: {unread}"
 
 
 def _tool(path: Path):
